@@ -73,14 +73,16 @@ def _load_code(args, strict=True):
 
 
 def _distance_report(gm, profile, budget, seed):
+    """Exact distance within the budget, else a seeded upper bound; only
+    the zero code, which has no nonzero words, is "undefined"."""
+    if gm.rank == 0:
+        return {"d": None, "mode": "undefined"}
     try:
         res = min_distance_exact(gm, profile, budget=budget)
         return {"d": res.value, "mode": "exact"}
-    except ValueError as exc:
-        if isinstance(exc, DistanceBudgetError):
-            res = min_distance_upper(gm, profile, seed=seed)
-            return {"d": res.value, "mode": "bound", "seed": seed}
-        return {"d": None, "mode": "undefined"}
+    except DistanceBudgetError:
+        res = min_distance_upper(gm, profile, seed=seed)
+        return {"d": res.value, "mode": "bound", "seed": seed}
 
 
 def _emit(payload, fmt, lines):
@@ -118,11 +120,8 @@ def cmd_params(args):
         spans_ok = card.agree
         blocks = {"n": code.n}
         failures = []
-        dist = (
-            _distance_report(gm, WeightProfile.mixed(0, code.n),
-                             args.budget, args.seed)
-            if gm.rank else {"d": None, "mode": "undefined"}
-        )
+        dist = _distance_report(gm, WeightProfile.mixed(0, code.n),
+                                args.budget, args.seed)
     payload = {
         "blocks": blocks,
         "dimension": gm.rank,
@@ -183,12 +182,9 @@ def cmd_gray(args):
     code = _load_code(args, strict=not args.lenient)
     image = gray_image(code)
     sigma = shift_invariance_check(image)
-    dist = (
-        _distance_report(image.base,
-                         WeightProfile.singletons(image.length),
-                         args.budget, args.seed)
-        if image.rank else {"d": None, "mode": "undefined"}
-    )
+    dist = _distance_report(image.base,
+                            WeightProfile.singletons(image.length),
+                            args.budget, args.seed)
     payload = {
         "length": image.length,
         "dimension": image.rank,

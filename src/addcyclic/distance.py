@@ -7,13 +7,18 @@ is evaluated as one vectorized block of suffix combinations, and a
 running best weight is carried across partitions.  The result does not
 depend on the partition granularity.  Codes beyond the enumeration
 budget get a seeded randomized upper bound instead, reinforced with a
-deterministic sweep of sparse combinations of the generating rows.
+deterministic sweep of sparse combinations of the generating rows.  The
+sweep is vectorized: every nonzero multiple of the row pool is built
+once, the scaled pairs and triples are formed by table lookups over
+fixed-size chunks of index combinations, and only a running minimum
+weight is kept between chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -21,6 +26,8 @@ from .codes import GeneratorMatrixCode
 
 DEFAULT_BUDGET = 2**24
 _BLOCK_TARGET = 2**16  # suffix-block row count the partition loop aims for
+_SWEEP_CHUNK = 2**14  # candidate rows per block in the upper-bound sweep
+_TRIPLE_POOL_MAX = 40  # larger raw generating sets skip the triple sweep
 
 
 class DistanceBudgetError(ValueError):
@@ -69,14 +76,29 @@ class WeightProfile:
     def groups(self):
         return len(self.group_starts)
 
+    @cached_property
+    def _pair_split(self):
+        """Column count of the leading singleton groups when every later
+        group is a pair (the mixed and singleton profiles); None for any
+        other grouping."""
+        ends = self.group_starts[1:] + (self.width,)
+        sizes = [b - a for a, b in zip(self.group_starts, ends)]
+        split = next((i for i, size in enumerate(sizes) if size != 1), len(sizes))
+        return split if all(size == 2 for size in sizes[split:]) else None
+
     def weights(self, block) -> np.ndarray:
         """Vector of symbol weights for a block of row vectors."""
         block = np.atleast_2d(np.asarray(block))
         if block.shape[1] != self.width:
             raise ValueError("row width does not match the profile")
-        nz = block != 0
-        grouped = np.bitwise_or.reduceat(nz, self.group_starts, axis=1)
-        return grouped.sum(axis=1)
+        split = self._pair_split
+        if split is None:
+            nz = block != 0
+            grouped = np.bitwise_or.reduceat(nz, self.group_starts, axis=1)
+            return grouped.sum(axis=1)
+        pairs = np.logical_or(block[:, split::2], block[:, split + 1::2])
+        return (np.count_nonzero(block[:, :split], axis=1)
+                + np.count_nonzero(pairs, axis=1))
 
 
 def weight(vec, profile: WeightProfile) -> int:
@@ -84,16 +106,33 @@ def weight(vec, profile: WeightProfile) -> int:
     return int(profile.weights(np.asarray(vec).reshape(1, -1))[0])
 
 
+def _scaled(field, rows, scalars):
+    """Every scalar multiple of every row: shape (len(scalars), len(rows), width)."""
+    scalars = np.asarray(scalars, dtype=np.intp)
+    return field.mul(scalars[:, None, None], rows[None, :, :])
+
+
 def _suffix_block(field, rows):
     """All q^len(rows) combinations of the given rows, message order."""
-    width = rows.shape[1] if rows.size else 0
+    width = rows.shape[1]
     block = np.zeros((1, width), dtype=np.uint8)
-    for row in rows:
-        multiples = np.array([field.mul(c, row) for c in range(field.order)],
-                             dtype=np.uint8)
+    for multiples in _scaled(field, rows, range(field.order)).swapaxes(0, 1):
         block = field.add(block[:, None, :], multiples[None, :, :])
         block = block.reshape(-1, width)
     return block
+
+
+def _index_tuples(count, k):
+    """All k-subsets of range(count), lexicographic, as a (C, k) intp array."""
+    flat = chain.from_iterable(combinations(range(count), k))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+
+
+def _lightest_nonzero(profile, block, best):
+    """min(best, lightest nonzero word of the block); zero words weigh 0."""
+    weights = profile.weights(block.reshape(-1, profile.width))
+    weights = weights[weights > 0]
+    return min(best, int(weights.min())) if weights.size else best
 
 
 def min_distance_exact(code: GeneratorMatrixCode, profile: WeightProfile,
@@ -153,33 +192,39 @@ def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
     r = code.rank
     if r == 0:
         raise ValueError("the zero code has no nonzero codewords")
+    nonzero = range(1, q)
     pool = [code.matrix]
     if code.spanning_rows is not None:
         pool.append(code.spanning_rows)
     rows = np.unique(np.vstack(pool), axis=0)
     rows = rows[np.any(rows, axis=1)]
-    candidates = [rows]
+    best = _lightest_nonzero(profile, rows, profile.width + 1)
     examined = len(rows)
-    nonzero = range(1, q)
-    for i, j in combinations(range(len(rows)), 2):
-        scaled = np.array([field.add(rows[i], field.mul(c, rows[j]))
-                           for c in nonzero], dtype=np.uint8)
-        candidates.append(scaled)
-        examined += len(scaled)
+    # scaled pairs rows[i] + c*rows[j], i < j, c != 0
+    scaled = _scaled(field, rows, nonzero)
+    pairs = _index_tuples(len(rows), 2)
+    step = max(1, _SWEEP_CHUNK // (q - 1))
+    for start in range(0, len(pairs), step):
+        i, j = pairs[start : start + step].T
+        block = field.add(rows[i][None, :, :], scaled[:, j])
+        best = _lightest_nonzero(profile, block, best)
+        examined += (q - 1) * len(i)
     # sparse triples of the raw generating rows: x-shifts of the defining
     # generators are where low-weight words tend to live
     triple_pool = code.spanning_rows if code.spanning_rows is not None else rows
     triple_pool = np.unique(np.asarray(triple_pool, dtype=np.uint8), axis=0)
     triple_pool = triple_pool[np.any(triple_pool, axis=1)]
-    if len(triple_pool) <= 40:
-        for i, j, k in combinations(range(len(triple_pool)), 3):
-            for b in nonzero:
-                third = np.array(
-                    [field.add(field.add(triple_pool[i], field.mul(b, triple_pool[j])),
-                               field.mul(c, triple_pool[k]))
-                     for c in nonzero], dtype=np.uint8)
-                candidates.append(third)
-                examined += len(third)
+    if len(triple_pool) <= _TRIPLE_POOL_MAX:
+        scaled = _scaled(field, triple_pool, nonzero)
+        triples = _index_tuples(len(triple_pool), 3)
+        step = max(1, _SWEEP_CHUNK // (q - 1) ** 2)
+        for start in range(0, len(triples), step):
+            i, j, k = triples[start : start + step].T
+            # partial[b, t] = pool[i] + b*pool[j]; block[b, c, t] adds c*pool[k]
+            partial = field.add(triple_pool[i][None, :, :], scaled[:, j])
+            block = field.add(partial[:, None, :, :], scaled[None, :, k])
+            best = _lightest_nonzero(profile, block, best)
+            examined += (q - 1) ** 2 * len(i)
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
     msgs = msgs[np.any(msgs, axis=1)]
@@ -187,11 +232,8 @@ def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
         sampled = np.zeros((len(msgs), code.width), dtype=np.uint8)
         for t in range(r):
             sampled = field.add(sampled, field.mul(msgs[:, t : t + 1], code.matrix[t : t + 1, :]))
-        candidates.append(sampled)
+        best = _lightest_nonzero(profile, sampled, best)
         examined += len(sampled)
-    stacked = np.vstack(candidates)
-    stacked = stacked[np.any(stacked, axis=1)]
-    best = int(profile.weights(stacked).min())
     return DistanceResult(value=best, exact=False,
                           witnesses_examined=examined, seed=seed)
 

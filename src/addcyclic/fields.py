@@ -142,7 +142,11 @@ class Field:
         return self.mul_table[a, b]
 
     def inv(self, a):
-        if np.any(np.asarray(a) == 0):
+        if isinstance(a, (int, np.integer)):
+            zero = a == 0
+        else:
+            zero = np.any(np.asarray(a) == 0)
+        if zero:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_table[a]
 

@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from addcyclic.cli import main
+from addcyclic.cli import _distance_report, main
+from addcyclic.codes import GeneratorMatrixCode
+from addcyclic.distance import WeightProfile
+from addcyclic.fields import tower
 
 ROW9 = json.dumps({"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
                    "g": "1", "h": "x", "k": "x^3+2"})
@@ -48,6 +52,22 @@ def test_params_zero_code(capsys):
     assert code == 0
     assert "dimension (F_q rank): 0" in out
     assert "distance: None (undefined)" in out
+
+
+def test_distance_report_undefined_only_for_zero_code():
+    tw = tower(3)
+    zero = GeneratorMatrixCode(tw, np.zeros((0, 4), dtype=np.uint8))
+    assert _distance_report(zero, WeightProfile.singletons(4), 1000, 0) == {
+        "d": None, "mode": "undefined"}
+    # a width-4 code against a width-6 profile is a caller error, not an
+    # undefined distance
+    code = GeneratorMatrixCode(tw, np.array([[1, 2, 0, 1]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="width"):
+        _distance_report(code, WeightProfile.mixed(0, 3), 1000, 0)
+    assert _distance_report(code, WeightProfile.singletons(4), 1000, 0) == {
+        "d": 3, "mode": "exact"}
+    assert _distance_report(code, WeightProfile.singletons(4), 1, 7) == {
+        "d": 3, "mode": "bound", "seed": 7}
 
 
 def test_params_malformed_polynomial(capsys):

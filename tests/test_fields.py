@@ -77,6 +77,22 @@ def test_inv_zero_raises():
             tw.base.inv(0)
 
 
+def test_inv_zero_raises_for_every_argument_kind():
+    # Python ints and numpy scalars take the scalar check, arrays the
+    # array check; both must refuse a zero
+    for tw in TOWERS:
+        for f in (tw.base, tw.ext):
+            for zero in (0, np.uint8(0), np.int64(0),
+                         np.array([1, 0, 2 % f.order]), np.array(0)):
+                with pytest.raises(ZeroDivisionError):
+                    f.inv(zero)
+            nonzero = np.arange(1, f.order, dtype=np.uint8)
+            inverses = f.inv(nonzero)
+            assert np.all(f.mul(nonzero, inverses) == 1)
+            assert [int(f.inv(int(a))) for a in nonzero] == inverses.tolist()
+            assert [int(f.inv(a)) for a in nonzero] == inverses.tolist()
+
+
 def test_tower_mismatch():
     with pytest.raises(FieldMismatchError):
         e(T3.base, 1) + e(T4.base, 1)
