@@ -12,6 +12,7 @@ from .codes import (
     CodeConstructionError,
     ExtractedGenerators,
     GeneratorMatrixCode,
+    InvariantViolation,
     MixedCode,
     MixedWord,
     PureCode,

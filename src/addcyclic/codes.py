@@ -46,6 +46,11 @@ class CanonicalFormError(ValueError):
     """Operation requires canonical generators; use the module closure instead."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: two computations that must
+    agree did not.  Signals a bug in the library, never bad input."""
+
+
 # ---------------------------------------------------------------------------
 # words
 
@@ -89,10 +94,7 @@ class MixedWord:
         if len(vec) != alpha + 2 * beta:
             raise ValueError("expanded width does not match the block lengths")
         u = tuple(int(x) for x in vec[:alpha])
-        up = tuple(
-            int(tower.compose(vec[alpha + 2 * j], vec[alpha + 2 * j + 1]))
-            for j in range(beta)
-        )
+        up = tuple(int(x) for x in tower.compose(vec[alpha::2], vec[alpha + 1 :: 2]))
         return cls(tower, u, up)
 
     @classmethod
@@ -156,6 +158,24 @@ def inner_product(x: MixedWord, y: MixedWord) -> int:
 # generator-matrix codes (the ground truth)
 
 
+def _scaled(field, rows, scalars):
+    """Every scalar multiple of every row: shape (len(scalars), len(rows), width)."""
+    scalars = np.asarray(scalars, dtype=np.intp)
+    return field.mul(scalars[:, None, None], rows[None, :, :])
+
+
+def _suffix_block(field, rows):
+    """All q^len(rows) combinations of the given rows in message order:
+    the combination with coefficients (c_0, ..., c_{k-1}) sits at the
+    base-q index c_0 c_1 ... c_{k-1}, the first row most significant."""
+    width = rows.shape[1]
+    block = np.zeros((1, width), dtype=np.uint8)
+    for multiples in _scaled(field, rows, range(field.order)).swapaxes(0, 1):
+        block = field.add(block[:, None, :], multiples[None, :, :])
+        block = block.reshape(-1, width)
+    return block
+
+
 @dataclass(eq=False)
 class GeneratorMatrixCode:
     """An F_q-linear code given by an rref basis matrix.
@@ -163,7 +183,8 @@ class GeneratorMatrixCode:
     For codes on the mixed alphabet the width is alpha + 2*beta with the
     expansion layout of MixedWord.expand; for plain F_q codes (Gray
     images, hulls, projections) alpha/beta describe the original split
-    when meaningful and are otherwise None.
+    when meaningful and are otherwise None.  `pivots` holds the pivot
+    column of each basis row, for membership tests against the basis.
     """
 
     tower: FieldTower
@@ -171,9 +192,12 @@ class GeneratorMatrixCode:
     alpha: int | None = None
     beta: int | None = None
     spanning_rows: np.ndarray | None = dc_field(default=None, repr=False)
+    pivots: tuple = dc_field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = linalg.row_basis(self.tower.base, self.matrix)
+        R, r, pivots = linalg.rref(self.tower.base, self.matrix)
+        self.matrix = R[:r].copy()
+        self.pivots = tuple(pivots)
 
     @property
     def field(self):
@@ -192,10 +216,16 @@ class GeneratorMatrixCode:
         return self.tower.q ** self.rank
 
     def contains(self, vec) -> bool:
-        return linalg.in_rowspace(self.field, self.matrix, vec)
+        return self.contains_rows(np.asarray(vec, dtype=np.uint8).reshape(1, -1))
+
+    def contains_rows(self, rows) -> bool:
+        """True iff every row of the block is a codeword: one elimination
+        of the whole block against the stored rref basis."""
+        residues = linalg.reduce_rows(self.field, self.matrix, self.pivots, rows)
+        return not residues.any()
 
     def contains_code(self, other) -> bool:
-        return all(self.contains(row) for row in other.matrix)
+        return self.contains_rows(other.matrix)
 
     def equals(self, other) -> bool:
         return self.width == other.width and linalg.rowspace_equal(
@@ -203,13 +233,8 @@ class GeneratorMatrixCode:
         )
 
     def words(self):
-        """Iterate all q^rank codewords (small codes only)."""
-        f = self.field
-        acc = np.zeros((1, self.width), dtype=np.uint8)
-        for row in self.matrix:
-            acc = f.add(acc[:, None, :], np.array([f.mul(c, row) for c in range(f.order)])[None, :, :])
-            acc = acc.reshape(-1, self.width)
-        return acc
+        """All q^rank codewords in message order (small codes only)."""
+        return _suffix_block(self.field, self.matrix)
 
     def mixed_words(self):
         if self.alpha is None or self.beta is None:
@@ -228,13 +253,17 @@ def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCo
     authoritative codeword-set representation.
     """
     order = math.lcm(alpha, beta) if alpha else beta
-    rows = []
-    for gen in generators:
-        w = gen
-        for _ in range(order):
-            rows.append(w.expand())
-            w = w.shift()
-    mat = linalg.as_matrix(rows, width=alpha + 2 * beta)
+    width = alpha + 2 * beta
+    # shifts[t, j] is the column of w that x^t * w holds in column j: the
+    # alpha block and the (b, c) pairs of the beta block shift right by t
+    t = np.arange(order)[:, None]
+    cols = np.arange(2 * beta)
+    shifts = np.hstack([
+        (np.arange(alpha) - t) % alpha,
+        alpha + 2 * ((cols // 2 - t) % beta) + cols % 2,
+    ])
+    expanded = np.array([gen.expand() for gen in generators], dtype=np.uint8)
+    mat = expanded.reshape(-1, width)[:, shifts].reshape(-1, width)
     return GeneratorMatrixCode(tw, mat, alpha=alpha, beta=beta, spanning_rows=mat)
 
 
@@ -541,14 +570,10 @@ def dual(code) -> GeneratorMatrixCode:
         raise ValueError("dual needs the mixed-alphabet split")
     tw = gm.tower
     B = _form_matrix(tw, gm.alpha, gm.beta)
-    ext = tw.ext
-    rows = []
-    for x in gm.matrix:
-        w = ext.sum(ext.mul(x[:, None], B), axis=0)
-        b, c = tw.decompose(w)
-        rows.append(b)
-        rows.append(c)
-    constraints = linalg.as_matrix(rows, width=gm.width)
+    # row i of `forms` is the form of basis row i against each unit vector
+    forms = linalg.matmul(tw.ext, gm.matrix, B)
+    b, c = tw.decompose(forms)
+    constraints = np.stack([b, c], axis=1).reshape(-1, gm.width)
     basis = linalg.kernel(tw.base, constraints)
     return GeneratorMatrixCode(tw, basis, alpha=gm.alpha, beta=gm.beta)
 
@@ -572,8 +597,7 @@ def is_cyclic(code: GeneratorMatrixCode, alpha=None, beta=None) -> bool:
         raise ValueError("cyclicity needs the block split")
     if code.width != alpha + 2 * beta:
         raise ValueError("matrix width does not match the declared split")
-    shifted = shift_columns(alpha, beta, code.matrix)
-    return all(code.contains(row) for row in shifted)
+    return code.contains_rows(shift_columns(alpha, beta, code.matrix))
 
 
 def projections(code):
@@ -641,8 +665,7 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
         raise ValueError("extraction needs a mixed split with alpha >= 1")
     base = tw.base
     xa1 = Poly.xn_minus_1(base, alpha)
-    words = code.mixed_words()
-    alpha_polys = [Poly(base, w.u) for w in words if any(w.u)]
+    alpha_polys = [Poly(base, u) for u in code.matrix[:, :alpha] if u.any()]
     if alpha_polys:
         s = xa1
         for p in alpha_polys:

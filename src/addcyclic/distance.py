@@ -22,7 +22,7 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .codes import GeneratorMatrixCode
+from .codes import GeneratorMatrixCode, _scaled, _suffix_block
 
 DEFAULT_BUDGET = 2**24
 _BLOCK_TARGET = 2**16  # suffix-block row count the partition loop aims for
@@ -104,22 +104,6 @@ class WeightProfile:
 def weight(vec, profile: WeightProfile) -> int:
     """Number of alphabet symbols of a single word that are nonzero."""
     return int(profile.weights(np.asarray(vec).reshape(1, -1))[0])
-
-
-def _scaled(field, rows, scalars):
-    """Every scalar multiple of every row: shape (len(scalars), len(rows), width)."""
-    scalars = np.asarray(scalars, dtype=np.intp)
-    return field.mul(scalars[:, None, None], rows[None, :, :])
-
-
-def _suffix_block(field, rows):
-    """All q^len(rows) combinations of the given rows, message order."""
-    width = rows.shape[1]
-    block = np.zeros((1, width), dtype=np.uint8)
-    for multiples in _scaled(field, rows, range(field.order)).swapaxes(0, 1):
-        block = field.add(block[:, None, :], multiples[None, :, :])
-        block = block.reshape(-1, width)
-    return block
 
 
 def _index_tuples(count, k):

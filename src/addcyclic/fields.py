@@ -290,10 +290,6 @@ class FieldTower:
         z = np.asarray(z)
         return z % self.q, z // self.q
 
-    def embed(self, b):
-        """F_q viewed inside F_q2 (the encoding makes this the identity)."""
-        return b
-
     @property
     def u(self):
         """Generator of F_q over F_p (only for proper prime powers q)."""
@@ -318,9 +314,15 @@ class FieldTower:
         return f"FieldTower(q={self.q})"
 
 
-@lru_cache(maxsize=None)
 def tower(q, f1=None, f2=None):
-    """Memoized FieldTower factory (f1/f2 as coefficient tuples)."""
+    """Memoized FieldTower factory; f1/f2 are coefficient sequences, low
+    degree first, and equal sequences give the same tower object."""
+    return _tower(q, None if f1 is None else tuple(f1),
+                  None if f2 is None else tuple(f2))
+
+
+@lru_cache(maxsize=None)
+def _tower(q, f1, f2):
     return FieldTower(q, f1=f1, f2=f2)
 
 

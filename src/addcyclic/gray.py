@@ -14,8 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .codes import GeneratorMatrixCode, MixedCode, MixedWord, PureCode
+from .codes import (
+    GeneratorMatrixCode,
+    InvariantViolation,
+    MixedCode,
+    MixedWord,
+    PureCode,
+)
 
 QUASI_CYCLIC_3 = "quasi-cyclic index 3"
 GENERALIZED_QC = "generalized quasi-cyclic"
@@ -23,16 +28,25 @@ CYCLIC_EQUIVALENT = "equivalent to cyclic"
 
 
 def gray_block(tower, uprime) -> np.ndarray:
-    """Map a vector over F_q2 to the doubled vector (b+c pairs first, then c)."""
+    """Map a vector over F_q2 to the doubled vector (b+c pairs first, then
+    c); a matrix is mapped row by row."""
     up = np.asarray(uprime, dtype=np.uint8)
     b, c = tower.decompose(up)
-    return np.concatenate([tower.base.add(b, c), c]).astype(np.uint8)
+    return np.concatenate([tower.base.add(b, c), c], axis=-1).astype(np.uint8)
+
+
+def gray_rows(tower, alpha, rows) -> np.ndarray:
+    """Gray images of F_q-expanded rows (the layout of MixedWord.expand),
+    one output row per input row: [u | b + c | c] from the column slices
+    u = [:, :alpha], b = [:, alpha::2] and c = [:, alpha+1::2]."""
+    m = np.asarray(rows, dtype=np.uint8)
+    b, c = m[:, alpha::2], m[:, alpha + 1 :: 2]
+    return np.hstack([m[:, :alpha], tower.base.add(b, c), c])
 
 
 def gray_word(word: MixedWord) -> np.ndarray:
     """Map a mixed word to F_q^(alpha + 2 beta)."""
-    u = np.asarray(word.u, dtype=np.uint8)
-    return np.concatenate([u, gray_block(word.tower, word.uprime)])
+    return gray_rows(word.tower, word.alpha, word.expand()[None])[0]
 
 
 def gray_word_inverse(tower, alpha, beta, vec) -> MixedWord:
@@ -91,19 +105,13 @@ def gray_image(code) -> GrayImageCode:
     gm = code.closure if isinstance(code, (PureCode, MixedCode)) else code
     tw = gm.tower
     alpha, beta = gm.alpha, gm.beta
-    rows = [gray_word(w) for w in gm.mixed_words()]
-    mat = linalg.as_matrix(rows, width=alpha + 2 * beta)
-    image = GeneratorMatrixCode(tw, mat)
+    if alpha is None or beta is None:
+        raise ValueError("the Gray map needs the mixed-alphabet split")
+    image = GeneratorMatrixCode(tw, gray_rows(tw, alpha, gm.matrix))
     if image.rank != gm.rank:
-        raise AssertionError("Gray image lost rank; the map must be injective")
-    raw = None
+        raise InvariantViolation("Gray image lost rank; the map must be injective")
     if gm.spanning_rows is not None:
-        raw_rows = [
-            gray_word(MixedWord.from_expanded(tw, alpha, beta, r))
-            for r in gm.spanning_rows
-        ]
-        raw = linalg.as_matrix(raw_rows, width=alpha + 2 * beta)
-    image.spanning_rows = raw
+        image.spanning_rows = gray_rows(tw, alpha, gm.spanning_rows)
     # classification is defined for alpha, beta >= 1; a pure code's image
     # is just the doubled extension block
     label = classify_gray_image(alpha, beta) if alpha >= 1 else "extension block only"
@@ -126,4 +134,4 @@ def shift_invariance_check(image: GrayImageCode) -> bool:
     """True iff the image's row space is sigma-invariant; for alpha = beta
     this is exactly quasi-cyclicity of index 3 on three equal blocks."""
     shifted = shift_columns_image(image.alpha, image.beta, image.matrix)
-    return all(image.base.contains(row) for row in shifted)
+    return image.base.contains_rows(shifted)

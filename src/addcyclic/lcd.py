@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrixCode, MixedCode, MixedWord
+from .codes import GeneratorMatrixCode, InvariantViolation, MixedCode, MixedWord
 from .fields import tower as get_tower
 from .gray import gray_block, gray_image
 from .poly import parse_scalar
@@ -56,7 +56,7 @@ def is_lcd(code: GeneratorMatrixCode) -> bool:
     gram = linalg.matmul(f, code.matrix, code.matrix.T)
     by_det = linalg.determinant(f, gram) != 0 if code.rank else True
     if by_hull != by_det:
-        raise AssertionError("hull test and Gram-determinant test disagree")
+        raise InvariantViolation("hull test and Gram-determinant test disagree")
     return by_hull
 
 
@@ -100,10 +100,7 @@ def lcd_pipeline(tower, alpha, beta, rows) -> LcdCertificate:
     )
     self_orth = is_self_orthogonal(g_alpha, tower=tower)
     independent = rows_fq_independent(tower, g_beta)
-    phi_rows = linalg.as_matrix(
-        [gray_block(tower, r) for r in g_beta], width=2 * beta
-    )
-    phi_c_beta = GeneratorMatrixCode(tower, phi_rows)
+    phi_c_beta = GeneratorMatrixCode(tower, gray_block(tower, g_beta))
     beta_lcd = is_lcd(phi_c_beta)
     expanded = linalg.as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
     code = GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta)

@@ -3,7 +3,10 @@
 Matrices are 2-D numpy uint8 arrays of field elements; every function
 takes the Field as its first argument.  This is the ground-truth engine
 behind dimensions, duals and hulls: everything is reduced row echelon
-form, kernels and row-space tests.
+form, kernels and row-space tests.  Elimination is vectorized per pivot:
+each pivot column costs one normalization of the pivot row and one table
+gather over every other row that is nonzero in that column, and a block
+of candidate rows is reduced against a stored rref basis the same way.
 """
 
 from __future__ import annotations
@@ -33,23 +36,22 @@ def rref(field, mat):
     pivots = []
     r = 0
     for col in range(ncols):
-        hit = None
-        for i in range(r, nrows):
-            if R[i, col]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        if hit != r:
-            R[[r, hit]] = R[[hit, r]]
-        R[r] = field.mul(int(field.inv(R[r, col])), R[r])
-        for i in range(nrows):
-            if i != r and R[i, col]:
-                R[i] = field.sub(R[i], field.mul(int(R[i, col]), R[r]))
-        pivots.append(col)
-        r += 1
         if r == nrows:
             break
+        nonzero = R[:, col].nonzero()[0]
+        k = nonzero.searchsorted(r)
+        if k == nonzero.size:
+            continue
+        hit = nonzero[k]
+        if hit != r:
+            # row r was zero in this column: `others` keeps its indices
+            R[[r, hit]] = R[[hit, r]]
+        R[r] = field.mul(field.inv(R[r, col]), R[r])
+        others = nonzero[nonzero != hit]
+        if others.size:
+            R[others] = field.sub(R[others], field.mul(R[others, col, None], R[r]))
+        pivots.append(col)
+        r += 1
     return R, r, pivots
 
 
@@ -68,28 +70,36 @@ def kernel(field, mat):
     M = as_matrix(mat)
     ncols = M.shape[1]
     R, r, pivots = rref(field, M)
-    free = [c for c in range(ncols) if c not in pivots]
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     out = np.zeros((len(free), ncols), dtype=np.uint8)
-    for row, fc in enumerate(free):
-        out[row, fc] = 1
-        for i, pc in enumerate(pivots):
-            out[row, pc] = field.neg(int(R[i, fc]))
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = field.neg(R[:r, free].T)
     return out
 
 
-def reduce_vector(field, basis, pivots, vec):
-    """Residue of `vec` after elimination against rref basis rows."""
-    v = np.asarray(vec, dtype=np.uint8).copy()
+def reduce_rows(field, basis, pivots, rows):
+    """Residues of a block of rows after elimination against rref basis
+    rows, `pivots` giving the pivot column of each basis row.  A row lies
+    in the row space of the basis iff its residue is zero."""
+    V = as_matrix(rows, width=basis.shape[1]).copy()
+    if V.shape[1] != basis.shape[1]:
+        raise ValueError(f"row width {V.shape[1]} does not match the basis "
+                         f"width {basis.shape[1]}")
+    # rref basis rows vanish on each other's pivot columns, so one pass
+    # in pivot order clears every pivot column
     for i, pc in enumerate(pivots):
-        if v[pc]:
-            v = field.sub(v, field.mul(int(v[pc]), basis[i]))
-    return v
+        V = field.sub(V, field.mul(V[:, pc, None], basis[i]))
+    return V
 
 
 def in_rowspace(field, mat, vec):
-    """Membership of a vector in the row space of `mat`."""
-    R, r, pivots = rref(field, mat)
-    return not reduce_vector(field, R[:r], pivots, vec).any()
+    """Membership of a vector in the row space of `mat`: appending it
+    leaves the rank unchanged."""
+    v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
+    M = as_matrix(mat, width=v.shape[1])
+    return rank(field, np.vstack([M, v])) == rank(field, M)
 
 
 def rowspace_equal(field, a, b):
@@ -143,27 +153,23 @@ def solve(field, mat, rhs):
 
 
 def determinant(field, mat):
-    """Determinant of a square matrix by fraction-free elimination."""
+    """Determinant of a square matrix by Gaussian elimination."""
     M = as_matrix(mat).copy()
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("determinant of a non-square matrix")
     det = 1
     for col in range(n):
-        hit = None
-        for i in range(col, n):
-            if M[i, col]:
-                hit = i
-                break
-        if hit is None:
+        below = col + np.flatnonzero(M[col:, col])
+        if not below.size:
             return 0
+        hit = below[0]
         if hit != col:
             M[[col, hit]] = M[[hit, col]]
             det = int(field.neg(det))
         det = int(field.mul(det, int(M[col, col])))
-        inv = int(field.inv(int(M[col, col])))
-        for i in range(col + 1, n):
-            if M[i, col]:
-                factor = int(field.mul(inv, int(M[i, col])))
-                M[i] = field.sub(M[i], field.mul(factor, M[col]))
+        rest = below[1:]
+        if rest.size:
+            factors = field.mul(field.inv(M[col, col]), M[rest, col, None])
+            M[rest] = field.sub(M[rest], field.mul(factors, M[col]))
     return det

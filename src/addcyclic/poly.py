@@ -62,10 +62,6 @@ class Poly:
         cs[n] = 1
         return cls(field, cs)
 
-    @classmethod
-    def from_vector(cls, field, vec):
-        return cls(field, [int(c) for c in vec])
-
     # -- basic queries -----------------------------------------------------
 
     def degree(self):
@@ -228,15 +224,6 @@ def divides(a: Poly, b: Poly) -> bool:
 def lift(p: Poly, ext_field: Field) -> Poly:
     """Reinterpret a base-field polynomial over the extension (same ints)."""
     return Poly(ext_field, p.coeffs)
-
-
-def split_components(p: Poly, tower) -> tuple[Poly, Poly]:
-    """Base-field component polynomials (b, c) of p = b + w*c over F_q2."""
-    if p.field != tower.ext:
-        raise FieldMismatchError("expected a polynomial over the top field")
-    b = [c % tower.q for c in p.coeffs]
-    c = [c // tower.q for c in p.coeffs]
-    return Poly(tower.base, b), Poly(tower.base, c)
 
 
 def combine_components(b: Poly, c: Poly, tower) -> Poly:

@@ -414,6 +414,25 @@ def test_constructed_codes_and_duals_cyclic():
         assert is_cyclic(dual(code.closure))
 
 
+def test_block_membership_agrees_with_in_rowspace():
+    rng = random.Random(61)
+    nprng = np.random.default_rng(61)
+    for _ in range(60):
+        tw = rng.choice((T3, T4, T8))
+        code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
+        gm = code.closure
+        q, k, n = tw.q, gm.rank, gm.width
+        members = linalg.matmul(
+            tw.base, nprng.integers(0, q, size=(5, k), dtype=np.uint8), gm.matrix)
+        others = nprng.integers(0, q, size=(5, n), dtype=np.uint8)
+        for row in np.vstack([members, others]):
+            expected = linalg.in_rowspace(tw.base, gm.matrix, row)
+            assert gm.contains(row) == expected
+            assert gm.contains_rows(np.vstack([members, row])) == expected
+        assert gm.contains_rows(members)
+        assert gm.contains_rows(np.zeros((0, n), dtype=np.uint8))
+
+
 def test_unit_vector_span_not_cyclic():
     vec = np.zeros((1, 3 + 2 * 2), dtype=np.uint8)
     vec[0, 0] = 1
@@ -486,3 +505,53 @@ def test_load_definition_pure_with_moduli():
            "k": "x^4+x^3+x^2+x+1", "f1": "x^2+x+1", "f2": "x^2+x+u"}
     code = load_definition(doc)
     assert isinstance(code, PureCode) and code.dimension == 6
+
+
+def test_words_match_list_based_enumeration():
+    """words() equals the enumeration that builds each row's multiples as
+    a list, in the same order."""
+    rng = random.Random(97)
+    for tw in (T3, T4, T8):
+        for _ in range(4):
+            code = random_mixed_code(rng, tw, rng.randrange(1, 3), rng.randrange(1, 3))
+            gm = code.closure
+            if gm.size > 2**14:
+                continue
+            f = gm.field
+            acc = np.zeros((1, gm.width), dtype=np.uint8)
+            for row in gm.matrix:
+                multiples = np.array([f.mul(c, row) for c in range(f.order)])
+                acc = f.add(acc[:, None, :], multiples[None, :, :]).reshape(-1, gm.width)
+            assert np.array_equal(gm.words(), acc)
+    zero = module_closure(T3, 1, 1, [])
+    assert np.array_equal(zero.words(), np.zeros((1, 3), dtype=np.uint8))
+
+
+def test_closure_rows_and_dual_match_row_loops():
+    """module_closure lists each generator's x-shifts in order, and dual
+    solves the constraints built one basis row at a time."""
+    import math
+    rng = random.Random(89)
+    for _ in range(60):
+        tw = rng.choice((T3, T4, T8))
+        alpha, beta = rng.randrange(0, 4), rng.randrange(1, 5)
+        if alpha:
+            code = random_mixed_code(rng, tw, alpha, beta)
+        else:
+            code = random_pure_code(rng, tw, beta)
+        order = math.lcm(alpha, beta) if alpha else beta
+        rows = []
+        for gen in code.generator_words():
+            for _ in range(order):
+                rows.append(gen.expand())
+                gen = gen.shift()
+        gm = code.closure
+        assert np.array_equal(gm.spanning_rows, np.array(rows, dtype=np.uint8))
+        B = _form_matrix(tw, alpha, beta)
+        constraints = []
+        for x in gm.matrix:
+            b, c = tw.decompose(tw.ext.sum(tw.ext.mul(x[:, None], B), axis=0))
+            constraints += [b, c]
+        cons = linalg.as_matrix(constraints, width=gm.width)
+        assert np.array_equal(dual(gm).matrix,
+                              linalg.row_basis(tw.base, linalg.kernel(tw.base, cons)))

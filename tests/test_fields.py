@@ -188,3 +188,9 @@ def test_format_element():
 def test_poly_eval_helper():
     # f2 of the q=3 tower has no roots but f(w) = 0 in the extension
     assert poly_eval(T3.ext, T3.f2, T3.omega) == 0
+
+
+def test_tower_accepts_coefficient_lists():
+    assert tower(4, f2=[2, 1, 1]) is tower(4, f2=(2, 1, 1))
+    assert tower(8, f1=[1, 1, 0, 1], f2=[1, 1, 1]) is tower(8, f1=(1, 1, 0, 1), f2=(1, 1, 1))
+    assert tower(4, f2=[2, 1, 1]).f2 == (2, 1, 1)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from addcyclic import linalg
-from addcyclic.codes import GeneratorMatrixCode, MixedCode, MixedWord
+from addcyclic import gray
+from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, MixedCode, MixedWord
 from addcyclic.distance import WeightProfile, min_distance_exact
 from addcyclic.fields import tower
 from addcyclic.gray import (
@@ -17,6 +18,7 @@ from addcyclic.gray import (
     classify_gray_image,
     gray_block,
     gray_image,
+    gray_rows,
     gray_word,
     gray_word_inverse,
     shift_invariance_check,
@@ -72,6 +74,36 @@ def test_gray_linearity_randomized():
         lhs = gray_word(x.scale(a) + y)
         rhs = tw.base.add(tw.base.mul(a, gray_word(x)), gray_word(y))
         assert np.array_equal(lhs, np.asarray(rhs))
+
+
+def reference_gray_word(w):
+    """The per-word Gray map: u, then the (b + c | c) image of u'."""
+    return np.concatenate([np.asarray(w.u, dtype=np.uint8), gray_block(w.tower, w.uprime)])
+
+
+def test_gray_rows_match_gray_word():
+    rng = random.Random(71)
+    for _ in range(300):
+        tw = rng.choice((T3, T4, tower(8)))
+        alpha, beta = rng.randrange(0, 5), rng.randrange(1, 5)
+        words = [MixedWord(tw, tuple(rng.randrange(tw.q) for _ in range(alpha)),
+                           tuple(rng.randrange(tw.q**2) for _ in range(beta)))
+                 for _ in range(rng.randrange(0, 6))]
+        expanded = np.array([w.expand() for w in words], dtype=np.uint8)
+        got = gray_rows(tw, alpha, expanded.reshape(len(words), alpha + 2 * beta))
+        assert got.shape == (len(words), alpha + 2 * beta)
+        for w, row in zip(words, got):
+            assert np.array_equal(row, reference_gray_word(w))
+            assert np.array_equal(gray_word(w), reference_gray_word(w))
+
+
+def test_gray_image_rank_loss_raises(monkeypatch):
+    code = MixedCode(T3, 1, 3, P("1"), P("x^2+x+1", ext=True),
+                     P("x+2"), P("x+2"), P("x^3+2"))
+    monkeypatch.setattr(gray, "gray_rows",
+                        lambda tw, alpha, rows: np.zeros_like(rows))
+    with pytest.raises(InvariantViolation):
+        gray_image(code)
 
 
 def test_classification_cases():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from addcyclic import linalg
-from addcyclic.codes import GeneratorMatrixCode, MixedWord
+from addcyclic import lcd
+from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, MixedWord
 from addcyclic.fields import tower
 from addcyclic.gray import gray_block, gray_image
 from addcyclic.lcd import (
@@ -111,6 +112,15 @@ def test_self_orthogonal_not_lcd():
 
 def test_zero_code_is_lcd():
     assert is_lcd(plain_code(T3, np.zeros((0, 4), dtype=np.uint8)))
+
+
+def test_is_lcd_disagreement_raises(monkeypatch):
+    tw, alpha, beta, words = example_words()
+    phi = plain_code(tw, [gray_block(tw, w.uprime) for w in words])
+    assert is_lcd(phi)
+    monkeypatch.setattr(lcd.linalg, "determinant", lambda field, mat: 0)
+    with pytest.raises(InvariantViolation):
+        is_lcd(phi)
 
 
 def test_is_self_orthogonal_examples():

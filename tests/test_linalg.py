@@ -158,3 +158,158 @@ def test_determinant_vs_singularity_randomized():
                           for _ in range(n)], dtype=np.uint8)
             nonsingular = linalg.rank(field, M) == n
             assert (linalg.determinant(field, M) != 0) == nonsingular
+
+
+# -- the row-by-row elimination, kept as the oracle of the vectorized one --
+
+
+def reference_rref(field, mat):
+    """One scalar inverse per pivot and one row update per row."""
+    R = linalg.as_matrix(mat).copy()
+    nrows, ncols = R.shape
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        hit = None
+        for i in range(r, nrows):
+            if R[i, col]:
+                hit = i
+                break
+        if hit is None:
+            continue
+        if hit != r:
+            R[[r, hit]] = R[[hit, r]]
+        R[r] = field.mul(int(field.inv(R[r, col])), R[r])
+        for i in range(nrows):
+            if i != r and R[i, col]:
+                R[i] = field.sub(R[i], field.mul(int(R[i, col]), R[r]))
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return R, r, pivots
+
+
+def reference_kernel(field, mat):
+    ncols = linalg.as_matrix(mat).shape[1]
+    R, r, pivots = reference_rref(field, mat)
+    free = [c for c in range(ncols) if c not in pivots]
+    out = np.zeros((len(free), ncols), dtype=np.uint8)
+    for row, fc in enumerate(free):
+        out[row, fc] = 1
+        for i, pc in enumerate(pivots):
+            out[row, pc] = field.neg(int(R[i, fc]))
+    return out
+
+
+def reference_determinant(field, mat):
+    M = linalg.as_matrix(mat).copy()
+    n = M.shape[0]
+    det = 1
+    for col in range(n):
+        hit = next((i for i in range(col, n) if M[i, col]), None)
+        if hit is None:
+            return 0
+        if hit != col:
+            M[[col, hit]] = M[[hit, col]]
+            det = int(field.neg(det))
+        det = int(field.mul(det, int(M[col, col])))
+        inv = int(field.inv(int(M[col, col])))
+        for i in range(col + 1, n):
+            if M[i, col]:
+                factor = int(field.mul(inv, int(M[i, col])))
+                M[i] = field.sub(M[i], field.mul(factor, M[col]))
+    return det
+
+
+# fields of order 2, 3, 4, 5, 7, 8, 9, 16 and 64
+ORACLE_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8)] + [
+    tower(3).ext, tower(4).ext, tower(8).ext]
+
+
+def oracle_matrices(field, rng):
+    """Seeded matrices of every shape class: zero, zero columns, tall,
+    wide, square, rank-deficient, already reduced and empty."""
+    q = field.order
+
+    def rand(m, n):
+        return rng.integers(0, q, size=(m, n), dtype=np.uint8)
+
+    yield np.zeros((3, 5), dtype=np.uint8)
+    yield np.zeros((0, 4), dtype=np.uint8)
+    yield np.zeros((4, 0), dtype=np.uint8)
+    for _ in range(12):
+        m, n = rng.integers(1, 9, size=2)
+        M = rand(m, n)
+        M[:, rng.integers(0, n, size=rng.integers(0, n + 1))] = 0  # zero columns
+        yield M
+        yield rand(int(m) + 8, n)  # tall
+        yield rand(m, int(n) + 8)  # wide
+        low = linalg.matmul(field, rand(int(m) + 4, 2), rand(2, n))  # rank <= 2
+        yield low
+        reduced = reference_rref(field, rand(m, n))[0]
+        yield reduced  # already in rref
+        # one step away from rref: a pivot scaled, a row added to the one
+        # above it, a zero row moved up, two rows swapped
+        yield from near_rref(field, reduced, rng)
+
+
+def near_rref(field, R, rng):
+    r = int(np.count_nonzero(R.any(axis=1)))
+    if r and field.order > 2:
+        S = R.copy()
+        S[0] = field.mul(int(rng.integers(2, field.order)), S[0])
+        yield S
+    if r >= 2:
+        S = R.copy()
+        S[0] = field.add(S[0], S[1])
+        yield S
+        yield R[[1, 0] + list(range(2, len(R)))]
+    if 0 < r < len(R):
+        yield np.vstack([R[r:], R[:r]])
+
+
+def test_rref_matches_row_by_row_reference():
+    rng = np.random.default_rng(5)
+    for field in ORACLE_FIELDS:
+        for M in oracle_matrices(field, rng):
+            R, r, pivots = linalg.rref(field, M)
+            Rx, rx, pivx = reference_rref(field, M)
+            assert R.dtype == np.uint8 and np.array_equal(R, Rx)
+            assert (r, pivots) == (rx, pivx)
+            assert np.array_equal(linalg.kernel(field, M), reference_kernel(field, M))
+
+
+def test_determinant_matches_row_by_row_reference():
+    rng = np.random.default_rng(7)
+    for field in ORACLE_FIELDS:
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            M = rng.integers(0, field.order, size=(n, n), dtype=np.uint8)
+            if rng.random() < 0.3:
+                M[int(rng.integers(n))] = 0
+            assert linalg.determinant(field, M) == reference_determinant(field, M)
+
+
+def test_reduce_rows_agrees_with_in_rowspace():
+    rng = np.random.default_rng(11)
+    for field in ORACLE_FIELDS:
+        for _ in range(10):
+            k, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            gens = rng.integers(0, field.order, size=(k, n), dtype=np.uint8)
+            R, r, pivots = linalg.rref(field, gens)
+            basis = R[:r]
+            members = linalg.matmul(
+                field, rng.integers(0, field.order, size=(6, k), dtype=np.uint8), gens)
+            others = rng.integers(0, field.order, size=(6, n), dtype=np.uint8)
+            block = np.vstack([members, others])
+            residues = linalg.reduce_rows(field, basis, pivots, block)
+            for row, res in zip(block, residues):
+                assert (not res.any()) == linalg.in_rowspace(field, gens, row)
+            assert not residues[: len(members)].any()
+
+
+def test_reduce_rows_width_mismatch():
+    with pytest.raises(ValueError):
+        linalg.reduce_rows(F3, np.eye(2, dtype=np.uint8), [0, 1],
+                           np.zeros((1, 3), dtype=np.uint8))
