@@ -44,6 +44,8 @@ from .tables import verify_all
 
 USAGE_ERROR = 2
 IO_ERROR = 3
+# what a malformed document raises: reported with exit code USAGE_ERROR
+DOCUMENT_ERRORS = (PolyParseError, CodeConstructionError, KeyError, ValueError)
 
 
 def _read_document(value):
@@ -67,7 +69,7 @@ def _load_code(args, strict=True):
     doc = _read_document(args.input)
     try:
         return load_definition(doc, strict=strict)
-    except (PolyParseError, CodeConstructionError, KeyError, ValueError) as exc:
+    except DOCUMENT_ERRORS as exc:
         print(f"invalid code definition: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
@@ -210,7 +212,7 @@ def cmd_lcd(args):
     doc = _read_document(args.input)
     try:
         tw, alpha, beta, words = load_matrix_document(doc)
-    except (PolyParseError, KeyError, ValueError) as exc:
+    except DOCUMENT_ERRORS as exc:
         print(f"invalid matrix document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     cert = lcd_pipeline(tw, alpha, beta, words)

@@ -21,10 +21,8 @@ import numpy as np
 
 from . import linalg
 from .fields import (
-    Field,
     FieldMismatchError,
     FieldTower,
-    _factor_prime_power,
     tower as get_tower,
 )
 from .poly import (
@@ -174,6 +172,24 @@ def _suffix_block(field, rows):
         block = field.add(block[:, None, :], multiples[None, :, :])
         block = block.reshape(-1, width)
     return block
+
+
+def _combination_blocks(field, rows, max_rows):
+    """The combinations of `_suffix_block(field, rows)`, in the same
+    order, produced lazily as consecutive blocks of at most
+    max(max_rows, q) rows: the trailing rows form one block that is
+    shifted by each combination of the leading rows in turn."""
+    q = field.order
+    low = len(rows)
+    while low > 1 and q**low > max_rows:
+        low -= 1
+    block = _suffix_block(field, rows[len(rows) - low :])
+    if low == len(rows):
+        yield block
+        return
+    for high in _combination_blocks(field, rows[: len(rows) - low], max_rows):
+        for word in high:
+            yield field.add(word, block)
 
 
 @dataclass(eq=False)
@@ -725,26 +741,51 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
 # definition documents
 
 
+def _document_int(doc, key, default=None):
+    """A nonnegative integer entry of a JSON document; a missing key raises
+    KeyError unless a default is given."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _document_poly(doc, key, field, tower=None):
+    """A polynomial entry of a JSON document, in table notation."""
+    text = doc[key]
+    if not isinstance(text, str):
+        raise ValueError(f"{key} must be a polynomial string, got {text!r}")
+    return parse_poly(text, field, tower)
+
+
+def load_tower(doc: dict) -> FieldTower:
+    """The tower a JSON document names: {"q": int, "f1": str?, "f2": str?},
+    with the defining-polynomial overrides f1 over F_p and f2 over F_q."""
+    if not isinstance(doc, dict):
+        raise ValueError("the document must be a JSON object")
+    q = _document_int(doc, "q")
+    tw = get_tower(q)
+    f1 = None
+    if "f1" in doc:
+        f1 = _document_poly(doc, "f1", tw.prime).coeffs
+        tw = get_tower(q, f1=f1)
+    if "f2" in doc:
+        tw = get_tower(q, f1=f1, f2=_document_poly(doc, "f2", tw.base, tw).coeffs)
+    return tw
+
+
 def load_definition(doc: dict, strict=True):
     """Build a code from the JSON definition document:
     {"q": int, "alpha": int, "beta": int, "s","l","g","h","k": str,
      "f1": str?, "f2": str?}.  Pure codes use alpha = 0 (s, l omitted)."""
-    q = int(doc["q"])
-    p, _ = _factor_prime_power(q)
-    f1 = f2 = None
-    if "f1" in doc:
-        f1 = tuple(int(c) for c in parse_poly(doc["f1"], Field(p)).coeffs)
-    if "f2" in doc:
-        pre = get_tower(q, f1=f1)
-        f2 = tuple(int(c) for c in parse_poly(doc["f2"], pre.base, pre).coeffs)
-    tw = get_tower(q, f1=f1, f2=f2)
-    alpha = int(doc.get("alpha", 0))
-    beta = int(doc["beta"])
-    g = parse_poly(doc["g"], tw.base, tw)
-    h = parse_poly(doc["h"], tw.base, tw)
-    k = parse_poly(doc["k"], tw.base, tw)
+    tw = load_tower(doc)
+    alpha = _document_int(doc, "alpha", 0)
+    beta = _document_int(doc, "beta")
+    g = _document_poly(doc, "g", tw.base, tw)
+    h = _document_poly(doc, "h", tw.base, tw)
+    k = _document_poly(doc, "k", tw.base, tw)
     if alpha == 0:
         return PureCode(tw, beta, g, h, k)
-    s = parse_poly(doc["s"], tw.base, tw)
-    l = parse_poly(doc["l"], tw.ext, tw)
+    s = _document_poly(doc, "s", tw.base, tw)
+    l = _document_poly(doc, "l", tw.ext, tw)
     return MixedCode(tw, alpha, beta, s, l, g, h, k, strict=strict)

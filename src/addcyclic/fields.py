@@ -243,7 +243,7 @@ class Elem:
 class FieldTower:
     """The tower F_p <= F_q <= F_q2 with fixed defining polynomials.
 
-    p, m      : q = p^m
+    p, m      : q = p^m, at most 16 (F_q2 elements are stored as bytes)
     f1        : monic defining polynomial of F_q over F_p (None when m == 1)
     f2        : monic irreducible quadratic of F_q2 over F_q
     base, ext : the Field objects for F_q and F_q2
@@ -256,6 +256,8 @@ class FieldTower:
     """
 
     def __init__(self, q, f1=None, f2=None):
+        if not 2 <= q <= 16:
+            raise ValueError(f"a tower needs 2 <= q <= 16, got {q}")
         p, m = _factor_prime_power(q)
         self.q = q
         self.p = p

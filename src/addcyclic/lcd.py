@@ -16,8 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrixCode, InvariantViolation, MixedCode, MixedWord
-from .fields import tower as get_tower
+from .codes import (
+    GeneratorMatrixCode,
+    InvariantViolation,
+    MixedCode,
+    MixedWord,
+    _document_int,
+    load_tower,
+)
 from .gray import gray_block, gray_image
 from .poly import parse_scalar
 
@@ -124,14 +130,21 @@ def lcd_pipeline_code(code: MixedCode) -> LcdCertificate:
 
 
 def load_matrix_document(doc: dict):
-    """Parse {"q": int, "alpha": int, "beta": int, "rows": [[literals]]}
-    into (tower, alpha, beta, [MixedWord]); the first alpha entries of
-    each row are F_q literals, the rest F_q2 literals."""
-    tw = get_tower(int(doc["q"]))
-    alpha = int(doc["alpha"])
-    beta = int(doc["beta"])
+    """Parse {"q": int, "alpha": int, "beta": int, "rows": [[literals]],
+    "f1": str?, "f2": str?} into (tower, alpha, beta, [MixedWord]); the
+    first alpha entries of each row are F_q literals, the rest F_q2
+    literals."""
+    tw = load_tower(doc)
+    alpha = _document_int(doc, "alpha")
+    beta = _document_int(doc, "beta")
+    if alpha + beta == 0:
+        raise ValueError("alpha + beta must be positive")
+    rows = doc["rows"]
+    if not isinstance(rows, list) or not rows or not all(
+            isinstance(row, list) for row in rows):
+        raise ValueError("rows must be a nonempty list of rows")
     words = []
-    for row in doc["rows"]:
+    for row in rows:
         if len(row) != alpha + beta:
             raise ValueError(
                 f"row has {len(row)} entries, expected alpha + beta = {alpha + beta}"

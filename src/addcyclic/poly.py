@@ -235,6 +235,8 @@ def combine_components(b: Poly, c: Poly, tower) -> Poly:
 # -- parser -------------------------------------------------------------------
 
 _SYMBOL_ALIASES = {"y": "x"}  # some source tables misprint y for x
+_MAX_DEGREE = 1024  # bounds the work of one parse; far above any block length
+_MAX_NESTING = 64  # parenthesis depth, far below the interpreter's recursion limit
 
 
 def _tokenize(text):
@@ -278,6 +280,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.field = field
         self.tower = tower
 
@@ -298,15 +301,14 @@ class _Parser:
 
     def term(self):
         acc = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
+        while self.peek()[0] in ("*", "int", "sym", "("):
+            if self.peek()[0] == "*":
                 self.take()
-                acc = acc * self.factor()
-            elif kind in ("int", "sym", "("):
-                acc = acc * self.factor()
-            else:
-                return acc
+            pos = self.peek()[2]
+            factor = self.factor()
+            self._check_degree(acc.degree() + factor.degree(), pos)
+            acc = acc * factor
+        return acc
 
     def factor(self):
         base = self.atom()
@@ -317,11 +319,17 @@ class _Parser:
                 raise PolyParseError("expected an integer exponent after '^'",
                                      self.text, pos + 1)
             self.take()
+            self._check_degree(max(value, base.degree() * value), pos)
             acc = Poly.one(self.field)
             for _ in range(value):
                 acc = acc * base
             return acc
         return base
+
+    def _check_degree(self, degree, pos):
+        if degree > _MAX_DEGREE:
+            raise PolyParseError(
+                f"degree or exponent above {_MAX_DEGREE}", self.text, pos)
 
     def atom(self):
         kind, value, pos = self.take()
@@ -331,7 +339,12 @@ class _Parser:
         if kind == "sym":
             return self._symbol(value, pos)
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", self.text, pos)
             inner = self.expr()
+            self.depth -= 1
             kind2, _, pos2 = self.take()
             if kind2 != ")":
                 raise PolyParseError("unbalanced parenthesis", self.text, pos2)

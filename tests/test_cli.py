@@ -175,3 +175,43 @@ def test_usage_error_no_command(capsys):
 def test_bad_budget(capsys):
     code, _, _ = run(capsys, ["params", "--input", ROW9, "--budget", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # an empty matrix, and no coordinates at all
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": []}, "nonempty list"),
+    ("lcd", {"q": 3, "alpha": 0, "beta": 0, "rows": [[]]}, "must be positive"),
+    ("lcd", {"q": 3, "alpha": 1, "beta": -1, "rows": [["1"]]},
+     "beta must be a nonnegative integer"),
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": ["1w"]}, "nonempty list"),
+    ("lcd", {"q": None, "alpha": 1, "beta": 1, "rows": [["1", "1"]]},
+     "q must be a nonnegative integer"),
+    ("lcd", {"q": 10**30, "alpha": 1, "beta": 1, "rows": [["1", "1"]]},
+     "2 <= q <= 16"),
+    ("params", {"q": 3, "alpha": 1, "beta": 1, "s": 1, "l": "1",
+                "g": "1", "h": "0", "k": "1"}, "s must be a polynomial string"),
+    ("params", {"q": None, "alpha": 1, "beta": 1, "s": "1", "l": "1",
+                "g": "1", "h": "0", "k": "1"}, "q must be a nonnegative integer"),
+    ("params", {"q": True, "beta": 1, "g": "1", "h": "0", "k": "1"},
+     "q must be a nonnegative integer"),
+    ("params", {"q": 3, "beta": -2, "g": "1", "h": "0", "k": "1"},
+     "beta must be a nonnegative integer"),
+    ("params", {"q": 3, "beta": 2, "g": "x^5000", "h": "0", "k": "1"},
+     "exponent above 1024"),
+    ("gray", {"q": 3, "alpha": 1, "beta": 1, "s": "1", "l": "1",
+              "g": "1", "h": "0", "k": "1", "f2": ["x^2+1"]},
+     "f2 must be a polynomial string"),
+])
+def test_malformed_documents_exit_2(capsys, command, doc, message):
+    code, _, err = run(capsys, [command, "--input", json.dumps(doc)])
+    assert code == 2
+    assert err.startswith("invalid ") and message in err
+
+
+def test_non_object_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text("[1, 2]")
+    for command in ("params", "lcd"):
+        code, _, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert "JSON object" in err

@@ -3,8 +3,10 @@
 The oracle below iterates the whole message space with itertools and
 computes weights group by group in pure Python; it shares no code with
 the vectorized engine it checks.  The chunked upper-bound sweep is
-checked against its per-combination loop (`reference_upper`), and the
-weight kernel's fast paths against `bitwise_or.reduceat`.
+checked against its per-combination loop (`reference_upper`), the
+projective coset search against the partition loop it replaced
+(`reference_exact`), and the weight kernel's fast paths against
+`bitwise_or.reduceat`.
 """
 
 import random
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from addcyclic import distance
-from addcyclic.codes import GeneratorMatrixCode, MixedCode
+from addcyclic.codes import GeneratorMatrixCode, MixedCode, _suffix_block
 from addcyclic.distance import (
     DistanceBudgetError,
     WeightProfile,
@@ -56,6 +58,29 @@ def naive_min_distance(field, matrix, groups):
 def groups_of(profile):
     starts = list(profile.group_starts) + [profile.width]
     return [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+
+
+def reference_exact(code, profile, suffix_rows):
+    """The partition loop the projective coset search replaced: every
+    prefix message, its coset built by adding the prefix word to the
+    suffix block.  Returns the minimum weight."""
+    field = code.field
+    q = field.order
+    r = code.rank
+    suffix = _suffix_block(field, code.matrix[r - suffix_rows :])
+    best = int(profile.weights(suffix)[1:].min())
+    for msg in product(range(q), repeat=r - suffix_rows):
+        if not any(msg):
+            continue
+        prefix = np.zeros(code.width, dtype=np.uint8)
+        for c, row in zip(msg, code.matrix[: r - suffix_rows]):
+            if c:
+                prefix = field.add(prefix, field.mul(c, row))
+        block = field.add(prefix[None, :], suffix)
+        best = min(best, int(profile.weights(block).min()))
+        if best == 1:
+            break
+    return best
 
 
 def reference_upper(code, profile, samples=2000, seed=0):
@@ -366,3 +391,117 @@ def test_upper_sweep_skips_triples_past_forty_rows():
     sampled = int(np.any(np.random.default_rng(3).integers(
         0, 3, size=(30, gm.rank), dtype=np.uint8), axis=1).sum())
     assert res.witnesses_examined == m + 2 * (m * (m - 1) // 2) + sampled
+
+
+def random_matrix_code(nprng, tw, rank, width):
+    return GeneratorMatrixCode(
+        tw, nprng.integers(0, tw.q, size=(rank, width), dtype=np.uint8))
+
+
+def test_exact_matches_reference_for_every_split():
+    # mixed, singleton and reduceat-grouped profiles over q in {2,...,8};
+    # every suffix_rows from 1 to rank puts the prefix leads everywhere
+    rng = random.Random(151)
+    nprng = np.random.default_rng(151)
+    kinds = set()
+    above_one = 0
+    checked = 0
+    while checked < 60:
+        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        if checked % 2:
+            code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
+            gm = code.closure
+            profile = (WeightProfile.mixed(code.alpha, code.beta)
+                       if rng.randrange(2) else random_profile(rng, gm.width))
+        else:
+            gm = random_matrix_code(nprng, tw, rng.randrange(1, 6), rng.randrange(4, 11))
+            profile = random_profile(rng, gm.width)
+        if gm.rank == 0 or gm.size > 2**12:
+            continue
+        kinds.add({None: "reduceat", profile.width: "singletons"}.get(
+            profile._pair_split, "mixed"))
+        for s in range(1, gm.rank + 1):
+            value = min_distance_exact(gm, profile, suffix_rows=s).value
+            assert value == reference_exact(gm, profile, s)
+            above_one += s < gm.rank and value > 1
+        checked += 1
+    assert kinds == {"mixed", "singletons", "reduceat"}
+    assert above_one >= 30  # many runs searched prefixes without an early exit
+
+
+def test_exact_counts_projective_cosets():
+    # no weight-1 word: every projective prefix coset is weighed
+    code = build_table2_code(TABLE2[8])
+    img = gray_image(code)
+    q, r = 3, img.rank
+    for s in range(1, r + 1):
+        res = min_distance_exact(img.base, WeightProfile.singletons(9), suffix_rows=s)
+        assert res.value == 3
+        assert res.witnesses_examined == q**s - 1 + q**s * (q ** (r - s) - 1) // (q - 1)
+
+
+def test_projective_blocks_are_bounded_and_normalized():
+    nprng = np.random.default_rng(157)
+    for q in (2, 3, 4, 5):
+        field = tower(q).base
+        rows = random_matrix_code(nprng, tower(q), 5, 7).matrix
+        k = len(rows)
+        blocks = list(distance._projective_blocks(field, rows, 10))
+        assert all(len(b) <= max(10, q) for b in blocks)
+        words = np.vstack(blocks)
+        assert len(words) == (q**k - 1) // (q - 1)
+        msgs = np.array([m for m in product(range(q), repeat=k)
+                         if any(m) and m[next(i for i, c in enumerate(m) if c)] == 1],
+                        dtype=np.uint8)
+        expected = np.zeros((len(msgs), rows.shape[1]), dtype=np.uint8)
+        for t in range(k):
+            expected = field.add(expected, field.mul(msgs[:, t : t + 1], rows[t : t + 1]))
+        assert sorted(map(tuple, words)) == sorted(map(tuple, expected))
+
+
+def test_combination_blocks_match_suffix_block():
+    from addcyclic.codes import _combination_blocks
+    nprng = np.random.default_rng(163)
+    for q in (2, 3, 7):
+        field = tower(q).base
+        for k in range(0, 5):
+            rows = nprng.integers(0, q, size=(k, 6), dtype=np.uint8)
+            for max_rows in (1, 8, 50, 10**6):
+                blocks = list(_combination_blocks(field, rows, max_rows))
+                assert all(len(b) <= max(max_rows, q) for b in blocks)
+                assert np.array_equal(np.vstack(blocks), _suffix_block(field, rows))
+
+
+def test_distances_match_weights_of_difference():
+    rng = random.Random(167)
+    nprng = np.random.default_rng(167)
+    for _ in range(200):
+        field = rng.choice(SWEEP_TOWERS).base
+        width = rng.randrange(1, 14)
+        profile = random_profile(rng, width)
+        block = nprng.integers(0, field.order, size=(rng.randrange(0, 40), width),
+                               dtype=np.uint8)
+        if rng.randrange(2):
+            block = np.asfortranarray(block)
+        word = nprng.integers(0, field.order, size=width, dtype=np.uint8)
+        assert np.array_equal(profile.distances(block, word),
+                              profile.weights(field.sub(block, word)))
+        assert np.array_equal(profile.distances(block, 0), profile.weights(block))
+    with pytest.raises(ValueError):
+        WeightProfile.singletons(3).distances(np.zeros((2, 3), np.uint8), [0, 0])
+
+
+def test_weights_hold_more_than_255_groups():
+    profile = WeightProfile.singletons(300)
+    assert profile.weights(np.ones((2, 300), dtype=np.uint8)).tolist() == [300, 300]
+
+
+def test_budget_applies_to_all_codewords_not_projective_count():
+    code = build_table2_code(TABLE2[8])
+    gm = gray_image(code).base
+    total = 3**gm.rank
+    assert (total - 1) // 2 < total - 1  # the projective count would fit
+    with pytest.raises(DistanceBudgetError) as info:
+        min_distance_exact(gm, WeightProfile.singletons(9), budget=total - 1)
+    assert info.value.required == total
+    assert min_distance_exact(gm, WeightProfile.singletons(9), budget=total).value == 3

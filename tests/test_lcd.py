@@ -258,3 +258,25 @@ def test_pipeline_on_cyclic_code():
     assert not cert.c_alpha_self_orthogonal
     assert cert.conclusion == INAPPLICABLE
     assert cert.hull_dimension_observed >= 0
+
+
+def test_load_matrix_document_honours_tower_overrides():
+    doc = {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"]],
+           "f2": "x^2+x+2"}
+    tw, alpha, beta, words = load_matrix_document(doc)
+    assert tw is tower(3, f2=[2, 1, 1]) and tw is not T3
+    assert words[0].tower is tw and words[0].uprime == (tw.omega,)
+    # w^2 = -w - 2 = 2w + 1 under the override, w^2 = -1 = 2 by default
+    assert tw.ext.mul(tw.omega, tw.omega) == tw.compose(1, 2)
+    assert T3.ext.mul(T3.omega, T3.omega) == 2
+    assert load_matrix_document(dict(doc, f2="x^2+1"))[0].f2 == T3.f2 == (1, 0, 1)
+    f1_doc = {"q": 4, "alpha": 0, "beta": 1, "rows": [["u"]], "f1": "x^2+x+1"}
+    assert load_matrix_document(f1_doc)[0] is tower(4, f1=(1, 1, 1))
+
+
+def test_load_matrix_document_and_definition_share_tower_parsing():
+    from addcyclic.codes import load_definition
+    definition = {"q": 3, "beta": 1, "g": "1", "h": "0", "k": "1",
+                  "f2": "x^2+x+2"}
+    matrix = {"q": 3, "alpha": 0, "beta": 1, "rows": [["1"]], "f2": "x^2+x+2"}
+    assert load_definition(definition).tower is load_matrix_document(matrix)[0]

@@ -120,6 +120,19 @@ def test_parse_syntax_error_position():
     assert info.value.pos == 2
 
 
+def test_parse_bounds_degree_and_nesting():
+    # each bound turns an input that would hang or overflow the stack
+    # into a parse error
+    assert P("x^1024").degree() == 1024
+    assert P("x^512*x^512").degree() == 1024
+    for text, pos in (("x^1025", 1), ("x^600x^600", 5), ("(x^2+1)^600", 7),
+                      ("2^99999999999", 1), ("(" * 65 + "x" + ")" * 65, 64)):
+        with pytest.raises(PolyParseError) as info:
+            P(text)
+        assert info.value.pos == pos
+    assert P("(" * 64 + "x" + ")" * 64) == P("x")
+
+
 def test_parse_rejects_minus():
     with pytest.raises(PolyParseError):
         P("x^2-1")
