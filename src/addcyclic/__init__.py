@@ -22,6 +22,7 @@ from .codes import (
     dual,
     extract_mixed_generators,
     inner_product,
+    invariant_under,
     is_cyclic,
     load_definition,
     module_closure,

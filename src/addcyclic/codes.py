@@ -244,9 +244,9 @@ class GeneratorMatrixCode:
         return self.contains_rows(other.matrix)
 
     def equals(self, other) -> bool:
-        return self.width == other.width and linalg.rowspace_equal(
-            self.field, self.matrix, other.matrix
-        )
+        """Same row space: the stored rref bases are canonical, so they
+        are compared as they stand."""
+        return self.width == other.width and np.array_equal(self.matrix, other.matrix)
 
     def words(self):
         """All q^rank codewords in message order (small codes only)."""
@@ -261,6 +261,24 @@ class GeneratorMatrixCode:
         ]
 
 
+def _shift_columns(alpha, beta, t):
+    """Column of w that x^t * w holds in each column of the expanded
+    layout: the alpha block and the (b, c) pairs of the beta block shift
+    right by t.  An array of shifts t gives one index row per shift."""
+    t = np.asarray(t)[..., None]
+    cols = np.arange(2 * beta)
+    return np.concatenate([
+        (np.arange(alpha) - t) % alpha,
+        alpha + 2 * ((cols // 2 - t) % beta) + cols % 2,
+    ], axis=-1)
+
+
+def _closure_order(alpha, beta):
+    """The order of x on the ambient module (lcm(alpha, beta), or beta
+    for a pure code): that many shifts of each generator span the code."""
+    return math.lcm(alpha, beta) if alpha else beta
+
+
 def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCode:
     """F_q-row space of all x-shifts of the generators, in rref.
 
@@ -268,16 +286,8 @@ def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCo
     many shifts of each generator suffice.  This matrix is the
     authoritative codeword-set representation.
     """
-    order = math.lcm(alpha, beta) if alpha else beta
     width = alpha + 2 * beta
-    # shifts[t, j] is the column of w that x^t * w holds in column j: the
-    # alpha block and the (b, c) pairs of the beta block shift right by t
-    t = np.arange(order)[:, None]
-    cols = np.arange(2 * beta)
-    shifts = np.hstack([
-        (np.arange(alpha) - t) % alpha,
-        alpha + 2 * ((cols // 2 - t) % beta) + cols % 2,
-    ])
+    shifts = _shift_columns(alpha, beta, np.arange(_closure_order(alpha, beta)))
     expanded = np.array([gen.expand() for gen in generators], dtype=np.uint8)
     mat = expanded.reshape(-1, width)[:, shifts].reshape(-1, width)
     return GeneratorMatrixCode(tw, mat, alpha=alpha, beta=beta, spanning_rows=mat)
@@ -532,7 +542,7 @@ class MixedCode:
                 cur = cur.shift()
         mat = linalg.as_matrix([w.expand() for w in words],
                                width=self.alpha + 2 * self.beta)
-        ok = linalg.rowspace_equal(self.tower.base, mat, self.closure.matrix)
+        ok = GeneratorMatrixCode(self.tower, mat).equals(self.closure)
         return SpanningSet(tuple(words), ok)
 
     def cardinality(self) -> Cardinality:
@@ -594,13 +604,13 @@ def dual(code) -> GeneratorMatrixCode:
     return GeneratorMatrixCode(tw, basis, alpha=gm.alpha, beta=gm.beta)
 
 
-def shift_columns(alpha, beta, mat):
-    """Apply the simultaneous right cyclic shift to expanded rows."""
-    out = np.asarray(mat, dtype=np.uint8).copy()
-    if alpha:
-        out[:, :alpha] = np.roll(out[:, :alpha], 1, axis=1)
-    out[:, alpha:] = np.roll(out[:, alpha:], 2, axis=1)
-    return out
+def invariant_under(code: GeneratorMatrixCode, perm) -> bool:
+    """True iff the row space is closed under the column permutation
+    that puts column perm[j] of a word in column j."""
+    perm = np.asarray(perm, dtype=np.intp)
+    if perm.shape != (code.width,):
+        raise ValueError("permutation length does not match the code width")
+    return code.contains_rows(code.matrix[:, perm])
 
 
 def is_cyclic(code: GeneratorMatrixCode, alpha=None, beta=None) -> bool:
@@ -613,7 +623,7 @@ def is_cyclic(code: GeneratorMatrixCode, alpha=None, beta=None) -> bool:
         raise ValueError("cyclicity needs the block split")
     if code.width != alpha + 2 * beta:
         raise ValueError("matrix width does not match the declared split")
-    return code.contains_rows(shift_columns(alpha, beta, code.matrix))
+    return invariant_under(code, _shift_columns(alpha, beta, 1))
 
 
 def projections(code):
@@ -670,6 +680,13 @@ class ExtractedGenerators:
     closure_ok: bool
 
 
+def _alpha_kernel(code: GeneratorMatrixCode):
+    """Rref basis of the codewords whose alpha part is zero: the stored
+    basis rows that pivot past the alpha block.  The other rows pivot
+    inside it, so their alpha parts are independent."""
+    return code.matrix[np.asarray(code.pivots, dtype=np.intp) >= code.alpha]
+
+
 def extract_mixed_generators(code: GeneratorMatrixCode):
     """Recover a generator quintuple (s, l, g, h, k) for a cyclic mixed
     code given by its matrix.  Best effort: the result always satisfies
@@ -698,14 +715,7 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
         mixed = MixedWord.from_expanded(tw, alpha, beta, word)
         l = Poly(tw.ext, mixed.uprime)
     # the kernel of the alpha projection, as a pure code on the beta side
-    ker = linalg.intersect(
-        base,
-        code.matrix,
-        np.hstack([
-            np.zeros((2 * beta, alpha), dtype=np.uint8),
-            np.eye(2 * beta, dtype=np.uint8),
-        ]),
-    )
+    ker = _alpha_kernel(code)
     xb1 = Poly.xn_minus_1(base, beta)
     g = xb1
     for row in ker:
@@ -725,11 +735,10 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
     # h: the c-part of some kernel word whose b-part equals g
     h = Poly.zero(base)
     if not divides(xb1, g) and len(ker):
-        kermat = linalg.as_matrix(ker, width=alpha + 2 * beta)
-        bcols = kermat[:, alpha::2]
+        bcols = ker[:, alpha::2]
         sol_h = linalg.solve(base, bcols.T, g.cyclic_vector(beta))
         if sol_h is not None:
-            word = tw.base.sum(tw.base.mul(sol_h[:, None], kermat), axis=0)
+            word = tw.base.sum(tw.base.mul(sol_h[:, None], ker), axis=0)
             h = Poly(base, [int(x) for x in word[alpha + 1 :: 2]])
     g, h, k = canonicalize_pure(tw, beta, g, h, k)
     candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
@@ -739,6 +748,12 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
 
 # ---------------------------------------------------------------------------
 # definition documents
+
+
+# Largest module-closure spanning matrix (generators x order of x, by
+# alpha + 2*beta columns) a definition document may ask for: 64 MiB of
+# field entries, far beyond every built-in table row.
+MAX_CLOSURE_CELLS = 2**26
 
 
 def _document_int(doc, key, default=None):
@@ -777,10 +792,18 @@ def load_tower(doc: dict) -> FieldTower:
 def load_definition(doc: dict, strict=True):
     """Build a code from the JSON definition document:
     {"q": int, "alpha": int, "beta": int, "s","l","g","h","k": str,
-     "f1": str?, "f2": str?}.  Pure codes use alpha = 0 (s, l omitted)."""
+     "f1": str?, "f2": str?}.  Pure codes use alpha = 0 (s, l omitted).
+    Block lengths whose module-closure spanning matrix would exceed
+    MAX_CLOSURE_CELLS entries are rejected before anything is built."""
     tw = load_tower(doc)
     alpha = _document_int(doc, "alpha", 0)
     beta = _document_int(doc, "beta")
+    generators = 3 if alpha else 2
+    cells = generators * _closure_order(alpha, beta) * (alpha + 2 * beta)
+    if cells > MAX_CLOSURE_CELLS:
+        raise ValueError(
+            f"block lengths alpha={alpha}, beta={beta} need a {cells}-entry "
+            f"closure matrix; the limit is {MAX_CLOSURE_CELLS}")
     g = _document_poly(doc, "g", tw.base, tw)
     h = _document_poly(doc, "h", tw.base, tw)
     k = _document_poly(doc, "k", tw.base, tw)

@@ -14,10 +14,13 @@ blocks; a running best weight is carried across cosets, and the result
 does not depend on the prefix/suffix split.  The budget still applies
 to q^rank.  Codes beyond it get a seeded randomized upper bound instead,
 reinforced with a deterministic sweep of sparse combinations of the
-generating rows.  The sweep is vectorized: every nonzero multiple of the
-row pool is built once, the scaled pairs and triples are formed by table
-lookups over fixed-size chunks of index combinations, and only a running
-minimum weight is kept between chunks.
+generating rows.  The sweep builds no candidate either: the weight of
+a + c*b is the symbol distance from a to -c*b.  Every negated multiple
+of the row pool is formed once, and so is every scaled pair
+pool[i] + b*pool[j] of the triple pool; the pairs and triples are then
+weighed as distances between row gathers of those blocks, over
+fixed-size chunks of index combinations, and only a running minimum
+weight is kept between chunks.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from . import linalg
 from .codes import (
     GeneratorMatrixCode,
     _combination_blocks,
@@ -104,20 +108,23 @@ class WeightProfile:
         return np.min_scalar_type(self.groups)
 
     def distances(self, block, word) -> np.ndarray:
-        """Vector of symbol distances from `word` to each row of a block:
-        the number of groups in which the row differs from the word.
-        Column-major blocks are summed fastest."""
+        """Symbol distances between the rows of `block` and `word`: the
+        number of groups in which they differ.  The operands broadcast
+        as arrays of rows (a block against one word, or a block against
+        a block), and the result has their broadcast shape without the
+        row axis.  Column-major blocks are summed fastest."""
         block = np.atleast_2d(np.asarray(block))
-        if block.shape[1] != self.width or np.shape(word) not in ((), (self.width,)):
+        word = np.asarray(word)
+        if block.shape[-1] != self.width or word.ndim and word.shape[-1] != self.width:
             raise ValueError("row width does not match the profile")
         differ = block != word
         split = self._pair_split
         if split is None:
-            grouped = np.bitwise_or.reduceat(differ, self.group_starts, axis=1)
-            return grouped.sum(axis=1, dtype=self._tally)
-        pairs = differ[:, split::2] | differ[:, split + 1::2]
-        return (differ[:, :split].sum(axis=1, dtype=self._tally)
-                + pairs.sum(axis=1, dtype=self._tally))
+            grouped = np.bitwise_or.reduceat(differ, self.group_starts, axis=-1)
+            return grouped.sum(axis=-1, dtype=self._tally)
+        pairs = differ[..., split::2] | differ[..., split + 1::2]
+        return (differ[..., :split].sum(axis=-1, dtype=self._tally)
+                + pairs.sum(axis=-1, dtype=self._tally))
 
     def weights(self, block) -> np.ndarray:
         """Vector of symbol weights for a block of row vectors."""
@@ -135,9 +142,10 @@ def _index_tuples(count, k):
     return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
 
 
-def _lightest_nonzero(profile, block, best):
-    """min(best, lightest nonzero word of the block); zero words weigh 0."""
-    weights = profile.weights(block.reshape(-1, profile.width))
+def _lightest_nonzero(profile, best, block, word=0):
+    """min(best, smallest nonzero distance between the broadcast rows of
+    block and word); with word = 0 these are the weights of the block."""
+    weights = profile.distances(block, word)
     weights = weights[weights > 0]
     return min(best, int(weights.min())) if weights.size else best
 
@@ -206,22 +214,22 @@ def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
     r = code.rank
     if r == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    nonzero = range(1, q)
+    # the weight of a + c*b is its distance from -c*b, c = 1 .. q-1
+    negated = field.neg(np.arange(1, q))
     pool = [code.matrix]
     if code.spanning_rows is not None:
         pool.append(code.spanning_rows)
     rows = np.unique(np.vstack(pool), axis=0)
     rows = rows[np.any(rows, axis=1)]
-    best = _lightest_nonzero(profile, rows, profile.width + 1)
+    best = _lightest_nonzero(profile, profile.width + 1, rows)
     examined = len(rows)
     # scaled pairs rows[i] + c*rows[j], i < j, c != 0
-    scaled = _scaled(field, rows, nonzero)
+    negscaled = _scaled(field, rows, negated)
     pairs = _index_tuples(len(rows), 2)
     step = max(1, _SWEEP_CHUNK // (q - 1))
     for start in range(0, len(pairs), step):
         i, j = pairs[start : start + step].T
-        block = field.add(rows[i][None, :, :], scaled[:, j])
-        best = _lightest_nonzero(profile, block, best)
+        best = _lightest_nonzero(profile, best, rows[i], negscaled[:, j])
         examined += (q - 1) * len(i)
     # sparse triples of the raw generating rows: x-shifts of the defining
     # generators are where low-weight words tend to live
@@ -229,25 +237,27 @@ def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
     triple_pool = np.unique(np.asarray(triple_pool, dtype=np.uint8), axis=0)
     triple_pool = triple_pool[np.any(triple_pool, axis=1)]
     if len(triple_pool) <= _TRIPLE_POOL_MAX:
-        scaled = _scaled(field, triple_pool, nonzero)
+        # sums[b, pair_id[i, j]] = pool[i] + b*pool[j] for every pair i < j
+        first, second = _index_tuples(len(triple_pool), 2).T
+        pair_id = np.zeros((len(triple_pool),) * 2, dtype=np.intp)
+        pair_id[first, second] = np.arange(len(first))
+        sums = field.axpy(triple_pool[first], np.arange(1, q)[:, None, None],
+                          triple_pool[second])
+        negscaled = _scaled(field, triple_pool, negated)
         triples = _index_tuples(len(triple_pool), 3)
         step = max(1, _SWEEP_CHUNK // (q - 1) ** 2)
         for start in range(0, len(triples), step):
             i, j, k = triples[start : start + step].T
-            # partial[b, t] = pool[i] + b*pool[j]; block[b, c, t] adds c*pool[k]
-            partial = field.add(triple_pool[i][None, :, :], scaled[:, j])
-            block = field.add(partial[:, None, :, :], scaled[None, :, k])
-            best = _lightest_nonzero(profile, block, best)
+            # candidate [b, c, t] = sums[b, (i, j)] + c*pool[k]
+            best = _lightest_nonzero(profile, best, sums[:, None, pair_id[i, j]],
+                                     negscaled[None, :, k])
             examined += (q - 1) ** 2 * len(i)
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
     msgs = msgs[np.any(msgs, axis=1)]
     if len(msgs):
-        sampled = np.zeros((len(msgs), code.width), dtype=np.uint8)
-        for t in range(r):
-            sampled = field.add(sampled, field.mul(msgs[:, t : t + 1], code.matrix[t : t + 1, :]))
-        best = _lightest_nonzero(profile, sampled, best)
-        examined += len(sampled)
+        best = _lightest_nonzero(profile, best, linalg.matmul(field, msgs, code.matrix))
+        examined += len(msgs)
     return DistanceResult(value=best, exact=False,
                           witnesses_examined=examined, seed=seed)
 

@@ -11,13 +11,15 @@ b + q*c, so base-field elements embed as themselves and decomposition
 into components is divmod by q.
 
 All arithmetic goes through precomputed tables (the fields at play have
-at most 64 elements), so every operation accepts ints or numpy arrays.
+at most 256 elements), so every operation accepts ints or numpy arrays.
+A row operation a + c*b is one gather from a three-way table built on
+first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,11 +56,11 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 
 class Field:
-    """A finite field of order <= 64, either F_p or an extension F_sub[t]/<modulus>.
+    """A finite field of order <= 256, either F_p or an extension F_sub[t]/<modulus>.
 
-    Carries add/mul/neg/inv lookup tables; `add`, `mul`, etc. broadcast over
-    numpy arrays.  `symbol` is the display name of the adjoined generator
-    ('u' for the middle level, 'w' for the top level).
+    Carries add/mul/neg/inv lookup tables; `add`, `mul`, `axpy`, etc.
+    broadcast over numpy arrays.  `symbol` is the display name of the
+    adjoined generator ('u' for the middle level, 'w' for the top level).
     """
 
     def __init__(self, p, modulus=None, subfield=None, symbol=None):
@@ -140,6 +142,18 @@ class Field:
 
     def mul(self, a, b):
         return self.mul_table[a, b]
+
+    @cached_property
+    def axpy_table(self):
+        """axpy_table[a, c, b] = a + c*b: order^3 bytes (16 MiB for
+        F_256), so it is built on the first row operation, not with the
+        field."""
+        return self.add_table[:, self.mul_table]
+
+    def axpy(self, a, c, b):
+        """a + c*b in one table gather (arrays broadcast): the step of
+        every row operation."""
+        return self.axpy_table[a, c, b]
 
     def inv(self, a):
         if isinstance(a, (int, np.integer)):

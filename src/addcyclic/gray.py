@@ -20,6 +20,7 @@ from .codes import (
     MixedCode,
     MixedWord,
     PureCode,
+    invariant_under,
 )
 
 QUASI_CYCLIC_3 = "quasi-cyclic index 3"
@@ -118,20 +119,15 @@ def gray_image(code) -> GrayImageCode:
     return GrayImageCode(image, alpha, beta, label)
 
 
-def shift_columns_image(alpha, beta, mat):
-    """sigma: cyclic shift of the alpha block and simultaneous cyclic
-    shift of the two beta halves.  Intertwines with multiplication by x
-    upstairs, so images of additive cyclic codes are invariant."""
-    out = np.asarray(mat, dtype=np.uint8).copy()
-    if alpha:
-        out[:, :alpha] = np.roll(out[:, :alpha], 1, axis=1)
-    out[:, alpha : alpha + beta] = np.roll(out[:, alpha : alpha + beta], 1, axis=1)
-    out[:, alpha + beta :] = np.roll(out[:, alpha + beta :], 1, axis=1)
-    return out
-
-
 def shift_invariance_check(image: GrayImageCode) -> bool:
-    """True iff the image's row space is sigma-invariant; for alpha = beta
-    this is exactly quasi-cyclicity of index 3 on three equal blocks."""
-    shifted = shift_columns_image(image.alpha, image.beta, image.matrix)
-    return image.base.contains_rows(shifted)
+    """True iff the image's row space is sigma-invariant, sigma being the
+    cyclic shift of the alpha block together with the simultaneous cyclic
+    shift of the two beta halves.  Sigma intertwines with multiplication
+    by x upstairs, so images of additive cyclic codes are invariant; for
+    alpha = beta this is exactly quasi-cyclicity of index 3 on three
+    equal blocks."""
+    alpha, beta = image.alpha, image.beta
+    half = (np.arange(beta) - 1) % beta
+    sigma = np.concatenate([(np.arange(alpha) - 1) % alpha,
+                            alpha + half, alpha + beta + half])
+    return invariant_under(image.base, sigma)

@@ -3,10 +3,13 @@
 Matrices are 2-D numpy uint8 arrays of field elements; every function
 takes the Field as its first argument.  This is the ground-truth engine
 behind dimensions, duals and hulls: everything is reduced row echelon
-form, kernels and row-space tests.  Elimination is vectorized per pivot:
-each pivot column costs one normalization of the pivot row and one table
-gather over every other row that is nonzero in that column, and a block
-of candidate rows is reduced against a stored rref basis the same way.
+form, kernels, intersections and row-space tests.  Elimination is
+vectorized per pivot: each pivot column costs one normalization of the
+pivot row and one `Field.axpy` gather (a + c*b from a single table) over
+every other row that is nonzero in that column; a block of candidate
+rows is reduced against a stored rref basis, and a matrix product
+accumulated, with the same one-gather step.  An intersection of row
+spaces is one Zassenhaus elimination.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def rref(field, mat):
         R[r] = field.mul(field.inv(R[r, col]), R[r])
         others = nonzero[nonzero != hit]
         if others.size:
-            R[others] = field.sub(R[others], field.mul(R[others, col, None], R[r]))
+            R[others] = field.axpy(R[others], field.neg(R[others, col, None]), R[r])
         pivots.append(col)
         r += 1
     return R, r, pivots
@@ -90,7 +93,7 @@ def reduce_rows(field, basis, pivots, rows):
     # rref basis rows vanish on each other's pivot columns, so one pass
     # in pivot order clears every pivot column
     for i, pc in enumerate(pivots):
-        V = field.sub(V, field.mul(V[:, pc, None], basis[i]))
+        V = field.axpy(V, field.neg(V[:, pc, None]), basis[i])
     return V
 
 
@@ -114,16 +117,20 @@ def rowspace_equal(field, a, b):
 
 
 def intersect(field, a, b):
-    """Basis of rowspace(a) ∩ rowspace(b), via orthogonal complements:
-    U ∩ W = (U⊥ + W⊥)⊥ under the standard dot product."""
+    """Canonical (rref) basis of rowspace(a) ∩ rowspace(b), by one
+    Zassenhaus elimination of [A A; B 0].  Its rows are [x + y | x] with
+    x in rowspace(a) and y in rowspace(b); those zero on the left have
+    x = -y in both spaces.  They are the rref rows whose pivot lies in
+    the right half, and their right halves are already in rref."""
     A = as_matrix(a)
     B = as_matrix(b, width=A.shape[1])
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    ka = kernel(field, A)
-    kb = kernel(field, B)
-    stacked = np.vstack([ka, kb])
-    return row_basis(field, kernel(field, stacked))
+    n = A.shape[1]
+    if B.shape[1] != n:
+        raise ValueError(f"column counts differ: {n} vs {B.shape[1]}")
+    stacked = np.vstack([np.hstack([A, A]), np.hstack([B, np.zeros_like(B)])])
+    R, r, pivots = rref(field, stacked)
+    right = np.asarray(pivots, dtype=np.intp) >= n
+    return R[:r][right, n:]
 
 
 def matmul(field, a, b):
@@ -134,7 +141,7 @@ def matmul(field, a, b):
         raise ValueError("inner dimensions differ")
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
     for k in range(A.shape[1]):
-        out = field.add(out, field.mul(A[:, k : k + 1], B[k : k + 1, :]))
+        out = field.axpy(out, A[:, k : k + 1], B[k : k + 1, :])
     return out
 
 
@@ -170,6 +177,6 @@ def determinant(field, mat):
         det = int(field.mul(det, int(M[col, col])))
         rest = below[1:]
         if rest.size:
-            factors = field.mul(field.inv(M[col, col]), M[rest, col, None])
-            M[rest] = field.sub(M[rest], field.mul(factors, M[col]))
+            factors = field.mul(field.neg(field.inv(M[col, col])), M[rest, col, None])
+            M[rest] = field.axpy(M[rest], factors, M[col])
     return det

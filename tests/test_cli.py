@@ -215,3 +215,16 @@ def test_non_object_document_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, [command, "--input", str(path)])
         assert code == 2
         assert "JSON object" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"q": 3, "beta": 200000, "g": "1", "h": "0", "k": "1"},
+    # lcm(997, 1009) shifts of each generator
+    {"q": 3, "alpha": 997, "beta": 1009, "s": "1", "l": "0",
+     "g": "1", "h": "0", "k": "1"},
+])
+def test_absurd_block_lengths_exit_2(capsys, doc):
+    for command in ("params", "dual", "gray"):
+        code, _, err = run(capsys, [command, "--input", json.dumps(doc)])
+        assert code == 2
+        assert err.startswith("invalid code definition") and "closure matrix" in err

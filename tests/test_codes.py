@@ -10,6 +10,7 @@ from addcyclic import linalg
 from addcyclic.codes import (
     CanonicalFormError,
     CodeConstructionError,
+    MAX_CLOSURE_CELLS,
     GeneratorMatrixCode,
     MixedCode,
     MixedWord,
@@ -18,12 +19,15 @@ from addcyclic.codes import (
     dual,
     extract_mixed_generators,
     inner_product,
+    invariant_under,
     is_cyclic,
     load_definition,
     module_closure,
     projections,
     singleton_check,
     star,
+    _alpha_kernel,
+    _closure_order,
     _form_matrix,
 )
 from addcyclic.fields import tower
@@ -555,3 +559,103 @@ def test_closure_rows_and_dual_match_row_loops():
         cons = linalg.as_matrix(constraints, width=gm.width)
         assert np.array_equal(dual(gm).matrix,
                               linalg.row_basis(tw.base, linalg.kernel(tw.base, cons)))
+
+
+# -- one permutation test, the stored-basis kernel and equality ----------------
+
+
+def reference_shift_columns(alpha, beta, mat):
+    """The simultaneous right cyclic shift of expanded rows by np.roll,
+    kept as the oracle of the index-array permutation."""
+    out = np.asarray(mat, dtype=np.uint8).copy()
+    if alpha:
+        out[:, :alpha] = np.roll(out[:, :alpha], 1, axis=1)
+    out[:, alpha:] = np.roll(out[:, alpha:], 2, axis=1)
+    return out
+
+
+def orbit_span(tw, vec, shift, order, **split):
+    """The code spanned by vec and its images under repeated `shift`:
+    invariant under that shift by construction."""
+    rows = [np.asarray(vec, dtype=np.uint8)[None]]
+    for _ in range(order - 1):
+        rows.append(shift(rows[-1]))
+    return GeneratorMatrixCode(tw, np.vstack(rows), **split)
+
+
+def test_invariant_under_agrees_with_roll_shift():
+    rng = random.Random(181)
+    nprng = np.random.default_rng(181)
+    outcomes = set()
+    for _ in range(80):
+        tw = rng.choice((T3, T4, T8))
+        alpha, beta = rng.randrange(0, 4), rng.randrange(1, 4)
+        width = alpha + 2 * beta
+        shift = lambda m: reference_shift_columns(alpha, beta, m)
+        vec = nprng.integers(0, tw.q, size=width, dtype=np.uint8)
+        orbit = orbit_span(tw, vec, shift, _closure_order(alpha, beta),
+                           alpha=alpha, beta=beta)
+        extra = nprng.integers(0, tw.q, size=(1, width), dtype=np.uint8)
+        for gm in (orbit, GeneratorMatrixCode(tw, np.vstack([orbit.matrix, extra]),
+                                              alpha=alpha, beta=beta)):
+            expected = gm.contains_rows(shift(gm.matrix))
+            assert is_cyclic(gm) == expected
+            outcomes.add(expected)
+        assert is_cyclic(orbit)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError):
+        invariant_under(orbit, np.arange(orbit.width - 1))
+
+
+def test_alpha_kernel_agrees_with_selector_intersection():
+    from test_linalg import reference_intersect
+    rng = random.Random(191)
+    nprng = np.random.default_rng(191)
+    for _ in range(60):
+        tw = rng.choice((T3, T4, T8))
+        alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
+        code = random_mixed_code(rng, tw, alpha, beta).closure
+        width = alpha + 2 * beta
+        raw = GeneratorMatrixCode(
+            tw, nprng.integers(0, tw.q, size=(rng.randrange(0, width + 2), width),
+                               dtype=np.uint8), alpha=alpha, beta=beta)
+        selector = np.hstack([np.zeros((2 * beta, alpha), dtype=np.uint8),
+                              np.eye(2 * beta, dtype=np.uint8)])
+        for gm in (code, dual(code), raw):
+            expected = reference_intersect(tw.base, gm.matrix, selector)
+            assert np.array_equal(_alpha_kernel(gm), expected)
+
+
+def test_equals_agrees_with_rowspace_equal():
+    rng = np.random.default_rng(193)
+    for tw in (T3, T4, T8):
+        for _ in range(30):
+            k, n = (int(x) for x in rng.integers(0, 6, size=2))
+            A = rng.integers(0, tw.q, size=(k, n), dtype=np.uint8)
+            mixer = rng.integers(0, tw.q, size=(int(rng.integers(0, 7)), k),
+                                 dtype=np.uint8)
+            B = linalg.matmul(tw.base, mixer, A) if k else np.zeros((0, n), np.uint8)
+            C = rng.integers(0, tw.q, size=(k, n), dtype=np.uint8)
+            for other in (B, C):
+                expected = linalg.rowspace_equal(tw.base, A, other)
+                assert GeneratorMatrixCode(tw, A).equals(
+                    GeneratorMatrixCode(tw, other)) == expected
+    assert not GeneratorMatrixCode(T3, np.zeros((0, 2), np.uint8)).equals(
+        GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8)))
+
+
+def test_closure_limit_rejects_absurd_block_lengths():
+    for alpha, beta in ((0, 200_000), (997, 1009)):
+        doc = {"q": 3, "alpha": alpha, "beta": beta, "s": "1", "l": "0",
+               "g": "1", "h": "0", "k": "1"}
+        with pytest.raises(ValueError, match="closure matrix"):
+            load_definition(doc)
+
+
+def test_closure_limit_admits_every_table_row():
+    from addcyclic.tables import TABLE1, TABLE2, TABLE3
+    for entry in TABLE1 + TABLE2 + TABLE3:
+        alpha = entry.alpha or 0
+        beta = entry.beta if entry.beta is not None else entry.n
+        cells = (3 if alpha else 2) * _closure_order(alpha, beta) * (alpha + 2 * beta)
+        assert cells <= MAX_CLOSURE_CELLS

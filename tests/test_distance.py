@@ -505,3 +505,109 @@ def test_budget_applies_to_all_codewords_not_projective_count():
         min_distance_exact(gm, WeightProfile.singletons(9), budget=total - 1)
     assert info.value.required == total
     assert min_distance_exact(gm, WeightProfile.singletons(9), budget=total).value == 3
+
+
+def test_distances_between_blocks_match_weights_of_difference():
+    rng = random.Random(173)
+    nprng = np.random.default_rng(173)
+    for _ in range(150):
+        field = rng.choice(SWEEP_TOWERS).base
+        width = rng.randrange(1, 14)
+        profile = random_profile(rng, width)
+        rows = rng.randrange(0, 12)
+        a = nprng.integers(0, field.order, size=(rows, width), dtype=np.uint8)
+        b = nprng.integers(0, field.order, size=(3, rows, width), dtype=np.uint8)
+        got = profile.distances(a, b)
+        assert got.shape == (3, rows)
+        expected = profile.weights(field.sub(a, b).reshape(-1, width))
+        assert np.array_equal(got.ravel(), expected)
+        # broadcasting both ways: (3, 1, rows) against (1, 2, rows)
+        c = nprng.integers(0, field.order, size=(2, rows, width), dtype=np.uint8)
+        got = profile.distances(b[:, None], c[None])
+        for x in range(3):
+            for y in range(2):
+                assert np.array_equal(got[x, y], profile.distances(b[x], c[y]))
+    with pytest.raises(ValueError):
+        WeightProfile.singletons(3).distances(np.zeros((2, 3), np.uint8),
+                                              np.zeros((2, 2), np.uint8))
+
+
+def test_upper_sweep_triple_pool_edges():
+    # triple pools of exactly 3 rows (one triple) and of _TRIPLE_POOL_MAX
+    # rows (the largest pool that still gets the triple sweep)
+    rng = np.random.default_rng(179)
+    for q, m, width in ((3, 3, 6), (4, 3, 5), (3, distance._TRIPLE_POOL_MAX, 12)):
+        tw = tower(q)
+        while True:
+            mat = rng.integers(0, q, size=(m, width), dtype=np.uint8)
+            if len(np.unique(mat, axis=0)) == m and mat.any(axis=1).all():
+                break
+        gm = GeneratorMatrixCode(tw, mat, spanning_rows=mat)
+        res = assert_upper_matches_reference(gm, WeightProfile.singletons(width),
+                                             samples=25, seed=m)
+        pool = np.unique(np.vstack([gm.matrix, mat]), axis=0)
+        p = int(np.any(pool, axis=1).sum())
+        sampled = int(np.any(np.random.default_rng(m).integers(
+            0, q, size=(25, gm.rank), dtype=np.uint8), axis=1).sum())
+        triples = m * (m - 1) * (m - 2) // 6
+        assert res.witnesses_examined == (p + (q - 1) * (p * (p - 1) // 2)
+                                          + (q - 1) ** 2 * triples + sampled)
+
+
+def reference_candidates(code, samples, seed):
+    """Every word the sweep and the sample weigh, built one at a time
+    (the candidates of `reference_upper`), as rows of one block."""
+    field = code.field
+    nonzero = range(1, field.order)
+    pool = [code.matrix] if code.spanning_rows is None else [code.matrix,
+                                                             code.spanning_rows]
+    rows = np.unique(np.vstack(pool), axis=0)
+    rows = rows[np.any(rows, axis=1)]
+    words = list(rows)
+    for i, j in combinations(range(len(rows)), 2):
+        words += [field.add(rows[i], field.mul(c, rows[j])) for c in nonzero]
+    triple_pool = rows if code.spanning_rows is None else code.spanning_rows
+    triple_pool = np.unique(triple_pool, axis=0)
+    triple_pool = triple_pool[np.any(triple_pool, axis=1)]
+    if len(triple_pool) <= distance._TRIPLE_POOL_MAX:
+        for i, j, k in combinations(triple_pool, 3):
+            words += [field.add(field.add(i, field.mul(b, j)), field.mul(c, k))
+                      for b in nonzero for c in nonzero]
+    msgs = np.random.default_rng(seed).integers(
+        0, field.order, size=(samples, code.rank), dtype=np.uint8)
+    for msg in msgs[np.any(msgs, axis=1)]:
+        words.append(field.sum(field.mul(msg[:, None], code.matrix), axis=0))
+    return np.array(words, dtype=np.uint8).reshape(-1, code.width)
+
+
+def sorted_rows(block):
+    return block[np.lexsort(block.T[::-1])]
+
+
+def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
+    # each weighing of `distances(block, word)` stands for the words
+    # block - word; together they must be the reference candidates
+    weighed = []
+    lightest = distance._lightest_nonzero
+
+    def record(profile, best, block, word=0):
+        block, word = np.broadcast_arrays(np.atleast_2d(block), word)
+        weighed.append(field.sub(block, word).reshape(-1, profile.width))
+        return lightest(profile, best, block, word)
+
+    monkeypatch.setattr(distance, "_lightest_nonzero", record)
+    rng = random.Random(199)
+    checked = 0
+    while checked < 18:
+        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        code = random_mixed_code(rng, tw, rng.randrange(1, 3), rng.randrange(1, 4))
+        if code.dimension < 2:
+            continue
+        field = tw.base
+        weighed.clear()
+        gm = code.closure
+        min_distance_upper(gm, WeightProfile.mixed(code.alpha, code.beta),
+                           samples=15, seed=checked)
+        assert np.array_equal(sorted_rows(np.vstack(weighed)),
+                              sorted_rows(reference_candidates(gm, 15, checked)))
+        checked += 1

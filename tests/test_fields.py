@@ -7,6 +7,7 @@ import pytest
 
 from addcyclic.fields import (
     Elem,
+    Field,
     FieldMismatchError,
     FieldTower,
     format_element,
@@ -194,3 +195,26 @@ def test_tower_accepts_coefficient_lists():
     assert tower(4, f2=[2, 1, 1]) is tower(4, f2=(2, 1, 1))
     assert tower(8, f1=[1, 1, 0, 1], f2=[1, 1, 1]) is tower(8, f1=(1, 1, 0, 1), f2=(1, 1, 1))
     assert tower(4, f2=[2, 1, 1]).f2 == (2, 1, 1)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16))
+def test_axpy_matches_add_of_mul(q):
+    # exhaustive on F_q and F_q2, except a seeded sample on F_256
+    tw = tower(q)
+    rng = np.random.default_rng(q)
+    for f in (tw.base, tw.ext):
+        if f.order ** 3 <= 2**20:
+            a, c, b = np.indices((f.order,) * 3).reshape(3, -1)
+        else:
+            a, c, b = rng.integers(0, f.order, size=(3, 200_000))
+        got = f.axpy(a, c, b)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, f.add(a, f.mul(c, b)))
+        assert int(f.axpy(int(a[-1]), int(c[-1]), int(b[-1]))) == int(got[-1])
+
+
+def test_axpy_table_is_built_on_first_use():
+    f = Field(5)
+    assert "axpy_table" not in vars(f)
+    assert int(f.axpy(1, 2, 3)) == 2
+    assert f.axpy_table.shape == (5, 5, 5)

@@ -185,3 +185,37 @@ def test_coordinatewise_weight_inequality():
     # a nonzero extension symbol maps to a nonzero pair
     for z in range(1, 9):
         assert gray_block(T3, [z]).any()
+
+
+def reference_shift_columns_image(alpha, beta, mat):
+    """sigma by np.roll: the alpha block and the two beta halves each
+    shift right by one.  Kept as the oracle of the index permutation."""
+    out = np.asarray(mat, dtype=np.uint8).copy()
+    if alpha:
+        out[:, :alpha] = np.roll(out[:, :alpha], 1, axis=1)
+    out[:, alpha : alpha + beta] = np.roll(out[:, alpha : alpha + beta], 1, axis=1)
+    out[:, alpha + beta :] = np.roll(out[:, alpha + beta :], 1, axis=1)
+    return out
+
+
+def test_shift_invariance_agrees_with_roll_sigma():
+    from addcyclic.codes import _closure_order
+    from addcyclic.gray import GrayImageCode
+    from test_codes import orbit_span
+    rng = random.Random(197)
+    nprng = np.random.default_rng(197)
+    outcomes = set()
+    for _ in range(80):
+        tw = rng.choice((T3, tower(4), tower(8)))
+        alpha, beta = rng.randrange(0, 4), rng.randrange(1, 4)
+        width = alpha + 2 * beta
+        sigma = lambda m: reference_shift_columns_image(alpha, beta, m)
+        vec = nprng.integers(0, tw.q, size=width, dtype=np.uint8)
+        orbit = orbit_span(tw, vec, sigma, _closure_order(alpha, beta))
+        extra = nprng.integers(0, tw.q, size=(1, width), dtype=np.uint8)
+        for base in (orbit, GeneratorMatrixCode(tw, np.vstack([orbit.matrix, extra]))):
+            img = GrayImageCode(base, alpha, beta, "")
+            expected = base.contains_rows(sigma(base.matrix))
+            assert shift_invariance_check(img) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -313,3 +313,48 @@ def test_reduce_rows_width_mismatch():
     with pytest.raises(ValueError):
         linalg.reduce_rows(F3, np.eye(2, dtype=np.uint8), [0, 1],
                            np.zeros((1, 3), dtype=np.uint8))
+
+
+def reference_intersect(field, a, b):
+    """Intersection through orthogonal complements, U ∩ W = (U⊥ + W⊥)⊥:
+    three kernels and a row basis, kept as the oracle of the Zassenhaus
+    elimination."""
+    A = linalg.as_matrix(a)
+    B = linalg.as_matrix(b, width=A.shape[1])
+    stacked = np.vstack([linalg.kernel(field, A), linalg.kernel(field, B)])
+    return linalg.row_basis(field, linalg.kernel(field, stacked))
+
+
+def test_intersect_matches_complement_reference():
+    rng = np.random.default_rng(13)
+    for field in ORACLE_FIELDS:
+        q = field.order
+        for _ in range(12):
+            n = int(rng.integers(1, 9))
+            A = rng.integers(0, q, size=(int(rng.integers(0, 6)), n), dtype=np.uint8)
+            full = rng.integers(0, q, size=(n + 2, n), dtype=np.uint8)
+            low = linalg.matmul(field, rng.integers(0, q, size=(5, 2), dtype=np.uint8),
+                                rng.integers(0, q, size=(2, n), dtype=np.uint8))
+            shared = linalg.matmul(field, rng.integers(0, q, size=(3, len(A)),
+                                                       dtype=np.uint8), A)
+            for B in (np.zeros((2, n), np.uint8), np.zeros((0, n), np.uint8),
+                      np.eye(n, dtype=np.uint8), full, low,
+                      np.vstack([shared, low])):
+                for X, Y in ((A, B), (B, A), (low, B)):
+                    got = linalg.intersect(field, X, Y)
+                    assert got.dtype == np.uint8 and got.shape[1] == n
+                    assert np.array_equal(got, reference_intersect(field, X, Y))
+
+
+def test_matmul_matches_entrywise_dot():
+    rng = np.random.default_rng(19)
+    for field in ORACLE_FIELDS:
+        for _ in range(5):
+            m, k, n = (int(x) for x in rng.integers(0, 6, size=3))
+            A = rng.integers(0, field.order, size=(m, k), dtype=np.uint8)
+            B = rng.integers(0, field.order, size=(k, n), dtype=np.uint8)
+            expected = np.zeros((m, n), dtype=np.uint8)
+            for i in range(m):
+                for j in range(n):
+                    expected[i, j] = field.dot(A[i], B[:, j]) if k else 0
+            assert np.array_equal(linalg.matmul(field, A, B), expected)
