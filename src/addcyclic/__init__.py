@@ -59,6 +59,7 @@ from .lcd import (
     hull,
     is_lcd,
     is_self_orthogonal,
+    lcd_certificate,
     lcd_pipeline,
     lcd_pipeline_code,
     load_matrix_document,

@@ -38,7 +38,8 @@ from .distance import (
     min_distance_upper,
 )
 from .gray import gray_image, shift_invariance_check
-from .lcd import hull, is_lcd, lcd_pipeline, load_matrix_document
+from .lcd import lcd_certificate, load_matrix_document
+from .linalg import as_matrix
 from .poly import PolyParseError, format_poly
 from .tables import verify_all
 
@@ -215,9 +216,9 @@ def cmd_lcd(args):
     except DOCUMENT_ERRORS as exc:
         print(f"invalid matrix document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    cert = lcd_pipeline(tw, alpha, beta, words)
-    image = gray_image(GeneratorMatrixCode(
-        tw, [w.expand() for w in words], alpha=alpha, beta=beta))
+    expanded = as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
+    image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
+    cert = lcd_certificate(expanded, image)
     dist = _distance_report(image.base,
                             WeightProfile.singletons(image.length),
                             args.budget, args.seed)
@@ -229,7 +230,7 @@ def cmd_lcd(args):
         "hull_dimension_observed": cert.hull_dimension_observed,
         "gray_image": {"length": image.length, "dimension": image.rank,
                        "distance": dist},
-        "lcd": hull(image.base).rank == 0,
+        "lcd": cert.hull_dimension_observed == 0,
     }
     lines = [
         f"C_alpha self-orthogonal: {cert.c_alpha_self_orthogonal}",
@@ -264,17 +265,11 @@ def cmd_tables(args):
     elif args.format == "csv":
         out = report.to_csv()
     else:
-        rows = [",".join(r.csv_row()) for r in report.entries]
         counts = report.counts
-        out = "\n".join(
-            [",".join(r for r in report.entries[0].CSV_FIELDS)]
-            + rows
-            + [
-                f"# exact {counts['exact']}, bound {counts['bound']}, "
-                f"skipped {counts['skipped']}, mismatches {counts['mismatch']}",
-                f"# {report.note}",
-            ]
-        ) + "\n"
+        out = report.to_csv() + (
+            f"# exact {counts['exact']}, bound {counts['bound']}, "
+            f"skipped {counts['skipped']}, mismatches {counts['mismatch']}\n"
+            f"# {report.note}\n")
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -201,6 +201,8 @@ class GeneratorMatrixCode:
     images, hulls, projections) alpha/beta describe the original split
     when meaningful and are otherwise None.  `pivots` holds the pivot
     column of each basis row, for membership tests against the basis.
+    The stored matrix is read-only: codes derived from it are memoized on
+    this object (`_memo`) and must not go stale.
     """
 
     tower: FieldTower
@@ -209,11 +211,20 @@ class GeneratorMatrixCode:
     beta: int | None = None
     spanning_rows: np.ndarray | None = dc_field(default=None, repr=False)
     pivots: tuple = dc_field(default=(), init=False, repr=False)
+    _derived: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         R, r, pivots = linalg.rref(self.tower.base, self.matrix)
         self.matrix = R[:r].copy()
+        self.matrix.setflags(write=False)
         self.pivots = tuple(pivots)
+
+    def _memo(self, key, build):
+        """build(self), computed on the first request for `key` and kept
+        for the life of this code."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     @property
     def field(self):
@@ -251,14 +262,6 @@ class GeneratorMatrixCode:
     def words(self):
         """All q^rank codewords in message order (small codes only)."""
         return _suffix_block(self.field, self.matrix)
-
-    def mixed_words(self):
-        if self.alpha is None or self.beta is None:
-            raise ValueError("code has no mixed-alphabet split")
-        return [
-            MixedWord.from_expanded(self.tower, self.alpha, self.beta, row)
-            for row in self.matrix
-        ]
 
 
 def _shift_columns(alpha, beta, t):
@@ -455,8 +458,9 @@ class MixedCode:
     strict=True (the default) a violation raises; with strict=False the
     code is built anyway — its codeword set is still the perfectly
     well-defined module closure of the three generators — and the names
-    of the violated conditions are recorded in `condition_failures`.
-    Published generator tables do contain such degenerate rows.
+    of the violated conditions are reported by `condition_failures`,
+    checked when it is first read.  Published generator tables do
+    contain such degenerate rows.
     """
 
     def __init__(self, tw: FieldTower, alpha: int, beta: int,
@@ -484,7 +488,17 @@ class MixedCode:
         self.alpha = alpha
         self.beta = beta
         self.s, self.l, self.g, self.h, self.k = s, l, g, h, k
+        if strict and self.condition_failures:
+            raise CodeConstructionError("; ".join(self.condition_failures))
 
+    @cached_property
+    def condition_failures(self) -> tuple:
+        """Names of the violated generator conditions, empty when both
+        hold."""
+        tw, base = self.tower, self.tower.base
+        beta, s, l, g, h, k = self.beta, self.s, self.l, self.g, self.h, self.k
+        xa1 = Poly.xn_minus_1(base, self.alpha)
+        xb1 = Poly.xn_minus_1(base, beta)
         failures = []
         g_vanishes = divides(xb1, g)
         if not g_vanishes and not divides(k, h * (xb1 // g)):
@@ -500,9 +514,7 @@ class MixedCode:
         ])
         if not kernel_code.contains(member_word.expand()):
             failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
-        self.condition_failures = tuple(failures)
-        if strict and failures:
-            raise CodeConstructionError("; ".join(failures))
+        return tuple(failures)
 
     def generator_words(self):
         tw = self.tower

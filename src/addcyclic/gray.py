@@ -102,8 +102,14 @@ class GrayImageCode:
 def gray_image(code) -> GrayImageCode:
     """Row space of the Gray images of a code's basis words.  Linearity
     of the map makes this the image of the whole code; bijectivity keeps
-    the F_q-dimension equal to the source dimension."""
+    the F_q-dimension equal to the source dimension.  The image is built
+    once per generator matrix and memoized on it, so a cyclic code and
+    its closure share one image."""
     gm = code.closure if isinstance(code, (PureCode, MixedCode)) else code
+    return gm._memo("gray_image", _build_gray_image)
+
+
+def _build_gray_image(gm: GeneratorMatrixCode) -> GrayImageCode:
     tw = gm.tower
     alpha, beta = gm.alpha, gm.beta
     if alpha is None or beta is None:

@@ -6,7 +6,18 @@ pipeline checks three hypotheses — <G_alpha> self-orthogonal, G_beta
 with F_q-independent rows, and the Gray image of <G_beta> LCD — which
 together guarantee that the Gray image of the whole code is LCD.  The
 observed hull dimension of that image is always computed alongside as an
-independent check.
+independent check.  The hypotheses are read from the F_q-expanded
+matrix (`lcd_certificate`): G_alpha is its first alpha columns and G_beta
+composes its b and c columns.
+
+Memoized: the hull of a GeneratorMatrixCode is built once and kept on
+that code, as is its Gray image (`gray.gray_image`), so the certificate,
+`is_lcd` and the callers that already hold the image share one image and
+one hull.  This is sound because both are functions of the code's
+stored rref matrix, which is read-only, and of its split, which nothing
+reassigns; a memo lives and dies with its code, there is no cache keyed
+on contents.  The hull's dual basis is read from that stored rref and
+its pivots (`linalg.kernel_of_rref`) rather than eliminated again.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from .codes import (
     _document_int,
     load_tower,
 )
-from .gray import gray_block, gray_image
+from .gray import GrayImageCode, gray_block, gray_image
 from .poly import parse_scalar
 
 LCD_GUARANTEED = "LCD-guaranteed"
@@ -32,9 +43,14 @@ INAPPLICABLE = "inapplicable"
 
 
 def hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
-    """C ∩ C⊥ under the standard coordinatewise F_q inner product."""
+    """C ∩ C⊥ under the standard coordinatewise F_q inner product,
+    memoized on the code."""
+    return code._memo("hull", _build_hull)
+
+
+def _build_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
     f = code.field
-    dual_basis = linalg.kernel(f, code.matrix)
+    dual_basis = linalg.kernel_of_rref(f, code.matrix, code.pivots)
     basis = linalg.intersect(f, code.matrix, dual_basis)
     return GeneratorMatrixCode(code.tower, basis)
 
@@ -90,27 +106,24 @@ class LcdCertificate:
         return self.conclusion == LCD_GUARANTEED
 
 
-def lcd_pipeline(tower, alpha, beta, rows) -> LcdCertificate:
-    """Evaluate the three sufficiency hypotheses on a row-wise generator
-    matrix (rows are MixedWords) and report the observed hull dimension
-    of the Gray image of the generated code.
+def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
+    """Evaluate the three sufficiency hypotheses on an F_q-expanded
+    generator matrix (the layout of MixedWord.expand), rows taken as
+    given, and report the observed hull dimension of `image`, the Gray
+    image of the code those rows generate.
 
     `conclusion` is LCD-guaranteed only when all three hypotheses hold;
     the observed hull is reported either way, since the hypotheses are
     sufficient but not necessary.
     """
-    words = list(rows)
-    g_alpha = linalg.as_matrix([w.u for w in words], width=alpha)
-    g_beta = np.asarray([w.uprime for w in words], dtype=np.uint8).reshape(
-        len(words), beta
-    )
+    tower, alpha = image.base.tower, image.alpha
+    M = linalg.as_matrix(expanded, width=alpha + 2 * image.beta)
+    g_alpha = M[:, :alpha]
+    g_beta = tower.compose(M[:, alpha::2], M[:, alpha + 1 :: 2])
     self_orth = is_self_orthogonal(g_alpha, tower=tower)
     independent = rows_fq_independent(tower, g_beta)
     phi_c_beta = GeneratorMatrixCode(tower, gray_block(tower, g_beta))
     beta_lcd = is_lcd(phi_c_beta)
-    expanded = linalg.as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
-    code = GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta)
-    image = gray_image(code)
     observed = hull(image.base).rank
     ok = self_orth and independent and beta_lcd
     return LcdCertificate(
@@ -122,11 +135,17 @@ def lcd_pipeline(tower, alpha, beta, rows) -> LcdCertificate:
     )
 
 
+def lcd_pipeline(tower, alpha, beta, rows) -> LcdCertificate:
+    """The certificate of a row-wise generator matrix (rows are
+    MixedWords, duplicated or dependent rows kept as given)."""
+    expanded = linalg.as_matrix([w.expand() for w in rows], width=alpha + 2 * beta)
+    code = GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta)
+    return lcd_certificate(expanded, gray_image(code))
+
+
 def lcd_pipeline_code(code: MixedCode) -> LcdCertificate:
-    """Run the pipeline on a cyclic code's closure basis rows."""
-    return lcd_pipeline(
-        code.tower, code.alpha, code.beta, code.closure.mixed_words()
-    )
+    """The certificate of a cyclic code's closure basis rows."""
+    return lcd_certificate(code.closure.matrix, gray_image(code))
 
 
 def load_matrix_document(doc: dict):

@@ -8,8 +8,9 @@ vectorized per pivot: each pivot column costs one normalization of the
 pivot row and one `Field.axpy` gather (a + c*b from a single table) over
 every other row that is nonzero in that column; a block of candidate
 rows is reduced against a stored rref basis, and a matrix product
-accumulated, with the same one-gather step.  An intersection of row
-spaces is one Zassenhaus elimination.
+accumulated, with the same one-gather step.  A kernel is read from an
+rref and its pivots, so a stored basis needs no second elimination.  An
+intersection of row spaces is one Zassenhaus elimination.
 """
 
 from __future__ import annotations
@@ -70,15 +71,23 @@ def row_basis(field, mat):
 
 def kernel(field, mat):
     """Basis of the right null space {v : mat @ v = 0}, one row per vector."""
-    M = as_matrix(mat)
-    ncols = M.shape[1]
-    R, r, pivots = rref(field, M)
+    R, _, pivots = rref(field, mat)
+    return kernel_of_rref(field, R, pivots)
+
+
+def kernel_of_rref(field, R, pivots):
+    """`kernel` of a matrix already in rref, read from its first
+    len(pivots) rows and their pivot columns without eliminating again:
+    one vector per free column, 1 there and minus that column of R on
+    the pivots."""
+    pivots = np.asarray(pivots, dtype=np.intp)
+    ncols = R.shape[1]
     is_free = np.ones(ncols, dtype=bool)
     is_free[pivots] = False
     free = is_free.nonzero()[0]
     out = np.zeros((len(free), ncols), dtype=np.uint8)
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = field.neg(R[:r, free].T)
+    out[:, pivots] = field.neg(R[: len(pivots), free].T)
     return out
 
 

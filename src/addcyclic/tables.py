@@ -40,7 +40,7 @@ from .distance import (
 )
 from .fields import tower as get_tower
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
-from .lcd import hull, is_lcd, lcd_pipeline, load_matrix_document
+from .lcd import is_lcd, lcd_certificate, load_matrix_document
 from .poly import parse_poly
 
 OPTIMALITY_NOTE = (
@@ -504,8 +504,8 @@ def _verify_table3(entry, budget, seed):
     rep.d_mode = "exact"
     if res.value != entry.expected_d:
         mism.append(f"d {res.value} != expected {entry.expected_d}")
-    cert = lcd_pipeline(tw, alpha, beta, words)
-    lcd_now = hull(image.base).rank == 0
+    cert = lcd_certificate(expanded, image)
+    lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"
     details.append(
         f"certificate: self-orth={cert.c_alpha_self_orthogonal} "

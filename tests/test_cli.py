@@ -134,6 +134,17 @@ def test_tables_id3_exit_zero(capsys):
     assert len(lines) == 11
 
 
+def test_tables_text_is_csv_plus_summary(capsys):
+    _, csv_out, _ = run(capsys, ["tables", "--id", "3", "--format", "csv"])
+    code, text_out, _ = run(capsys, ["tables", "--id", "3"])
+    assert code == 0
+    assert text_out.startswith(csv_out)
+    summary = text_out[len(csv_out):]
+    assert summary.startswith("# exact 10, bound 0, skipped 0, mismatches 0\n# ")
+    assert summary.endswith("excluded from pass/fail.\n")
+    assert summary.count("\n") == 2
+
+
 def test_tables_bad_id(capsys):
     code, _, err = run(capsys, ["tables", "--id", "9"])
     assert code == 2

@@ -31,7 +31,7 @@ from addcyclic.codes import (
     _form_matrix,
 )
 from addcyclic.fields import tower
-from addcyclic.poly import Poly, combine_components, lift, parse_poly, poly_gcd
+from addcyclic.poly import Poly, combine_components, divides, lift, parse_poly, poly_gcd
 
 T3 = tower(3)
 T4 = tower(4)
@@ -276,6 +276,81 @@ def test_build_mixed_membership_error_strict():
     lenient = MixedCode(T3, 3, 3, bad["s"], bad["l"], bad["g"], bad["h"],
                         bad["k"], strict=False)
     assert lenient.condition_failures
+
+
+def reference_condition_failures(code):
+    """The eager check MixedCode.__init__ ran on every code before the
+    conditions were checked on first read."""
+    tw, alpha, beta = code.tower, code.alpha, code.beta
+    s, l, g, h, k = code.s, code.l, code.g, code.h, code.k
+    base = tw.base
+    xa1 = Poly.xn_minus_1(base, alpha)
+    xb1 = Poly.xn_minus_1(base, beta)
+    failures = []
+    g_vanishes = divides(xb1, g)
+    if not g_vanishes and not divides(k, h * (xb1 // g)):
+        failures.append("k does not divide h*(x^beta-1)/g")
+    leftover = lift(xa1 // s, tw.ext) * l
+    member_word = MixedWord.from_polys(tw, 0, beta, Poly.zero(base), leftover)
+    kernel_code = module_closure(tw, 0, beta, [
+        MixedWord.from_polys(tw, 0, beta, Poly.zero(base),
+                             combine_components(g, h, tw)),
+        MixedWord.from_polys(tw, 0, beta, Poly.zero(base),
+                             combine_components(Poly.zero(base), k, tw)),
+    ])
+    if not kernel_code.contains(member_word.expand()):
+        failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
+    return tuple(failures)
+
+
+DIVISIBILITY = "k does not divide h*(x^beta-1)/g"
+MEMBERSHIP = "((x^alpha-1)/s)*l is not in <g+wh, wk>"
+# (alpha, beta, s, l, g, h, k) over F_3 and the conditions they violate
+CONDITION_CASES = [
+    ((1, 3, "1", "x^2+x+1", "x+2", "x+2", "x^3+2"), ()),
+    ((3, 3, "1", "2w+2", "1", "x", "x^3+2"), ()),
+    ((3, 3, "1", "0", "x+2", "1", "x^3+2"), (DIVISIBILITY,)),
+    ((1, 3, "1", "1", "0", "0", "0"), (MEMBERSHIP,)),
+    ((3, 3, "x^3+2", "1", "x^3+2", "0", "x^3+2"), (MEMBERSHIP,)),
+    ((1, 3, "1", "1", "x+2", "1", "x^3+2"), (DIVISIBILITY, MEMBERSHIP)),
+]
+
+
+def test_lazy_condition_failures_match_eager_check():
+    for (alpha, beta, s, l, g, h, k), violated in CONDITION_CASES:
+        args = (T3, alpha, beta, P(s), P(l, ext=True), P(g), P(h), P(k))
+        lenient = MixedCode(*args, strict=False)
+        assert "condition_failures" not in vars(lenient)  # checked on read
+        assert reference_condition_failures(lenient) == violated
+        assert lenient.condition_failures == violated
+        if violated:
+            with pytest.raises(CodeConstructionError) as info:
+                MixedCode(*args)
+            assert str(info.value) == "; ".join(violated)
+        else:
+            assert MixedCode(*args).condition_failures == ()
+
+
+def test_lazy_condition_failures_match_eager_check_randomized():
+    rng = random.Random(227)
+    seen = set()
+    for trial in range(120):
+        tw = tower((2, 3, 4, 5, 7, 8)[trial % 6])
+        f = tw.base
+        alpha, beta = rng.randrange(1, 6), rng.randrange(1, 7)
+        if trial % 3 == 0:
+            code = random_mixed_code(rng, tw, alpha, beta)
+        else:
+            code = MixedCode(
+                tw, alpha, beta, random_divisor(rng, f, alpha),
+                Poly(tw.ext, [rng.randrange(tw.ext.order) for _ in range(beta)]),
+                random_divisor(rng, f, beta),
+                Poly(f, [rng.randrange(f.order) for _ in range(beta)]),
+                random_divisor(rng, f, beta), strict=False)
+        expected = reference_condition_failures(code)
+        assert code.condition_failures == expected
+        seen.add(expected)
+    assert () in seen and (DIVISIBILITY,) in seen and (MEMBERSHIP,) in seen
 
 
 def test_build_mixed_all_zero():

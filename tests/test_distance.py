@@ -37,7 +37,10 @@ SWEEP_TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8))
 
 
 def naive_min_distance(field, matrix, groups):
-    """Independent oracle: full message-space enumeration, plain Python."""
+    """Independent oracle: full message-space enumeration, plain Python
+    over the field's addition and multiplication tables as lists."""
+    add = field.add_table.tolist()
+    mul = field.mul_table.tolist()
     matrix = [list(int(x) for x in row) for row in matrix]
     ncols = len(matrix[0]) if matrix else 0
     best = None
@@ -47,8 +50,9 @@ def naive_min_distance(field, matrix, groups):
         vec = [0] * ncols
         for c, row in zip(msg, matrix):
             if c:
+                mul_c = mul[c]
                 for i, entry in enumerate(row):
-                    vec[i] = int(field.add(vec[i], field.mul(c, entry)))
+                    vec[i] = add[vec[i]][mul_c[entry]]
         w = sum(1 for grp in groups if any(vec[i] for i in grp))
         if best is None or w < best:
             best = w

@@ -1,5 +1,7 @@
 """Hulls, LCD checks, and the sufficiency pipeline."""
 
+import importlib
+import json
 import random
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 
 from addcyclic import linalg
 from addcyclic import lcd
+from addcyclic.cli import main
 from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, MixedWord
 from addcyclic.fields import tower
-from addcyclic.gray import gray_block, gray_image
+from addcyclic.gray import gray_block, gray_image, gray_rows
 from addcyclic.lcd import (
     INAPPLICABLE,
     LCD_GUARANTEED,
@@ -17,6 +20,7 @@ from addcyclic.lcd import (
     is_lcd,
     is_self_orthogonal,
     lcd_pipeline,
+    lcd_pipeline_code,
     load_matrix_document,
     rows_fq_independent,
 )
@@ -26,6 +30,7 @@ from addcyclic.tables import (
     WORKED_EXAMPLE_PHI_FULL,
     WORKED_EXAMPLE_ROW,
     build_table3_words,
+    verify_entry,
 )
 
 from test_codes import random_mixed_code
@@ -280,3 +285,173 @@ def test_load_matrix_document_and_definition_share_tower_parsing():
                   "f2": "x^2+x+2"}
     matrix = {"q": 3, "alpha": 0, "beta": 1, "rows": [["1"]], "f2": "x^2+x+2"}
     assert load_definition(definition).tower is load_matrix_document(matrix)[0]
+
+
+# -- the matrix-read certificate and the memoized image and hull --------------
+
+QS = (2, 3, 4, 5, 7, 8)
+
+
+def reference_hull(code):
+    """C ∩ C⊥ from a fresh kernel elimination, no memo."""
+    f = code.field
+    return GeneratorMatrixCode(
+        code.tower, linalg.intersect(f, code.matrix, linalg.kernel(f, code.matrix)))
+
+
+def reference_lcd_pipeline(tower, alpha, beta, rows):
+    """The words-based pipeline the matrix-read certificate replaced: the
+    hypotheses from the MixedWords' parts, the observed hull from a Gray
+    image and a hull built afresh."""
+    words = list(rows)
+    g_alpha = linalg.as_matrix([w.u for w in words], width=alpha)
+    g_beta = np.asarray([w.uprime for w in words], dtype=np.uint8).reshape(
+        len(words), beta)
+    self_orth = is_self_orthogonal(g_alpha, tower=tower)
+    independent = rows_fq_independent(tower, g_beta)
+    phi_c_beta = GeneratorMatrixCode(tower, gray_block(tower, g_beta))
+    beta_lcd = reference_hull(phi_c_beta).rank == 0
+    expanded = linalg.as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
+    code = GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta)
+    image = GeneratorMatrixCode(tower, gray_rows(tower, alpha, code.matrix))
+    ok = self_orth and independent and beta_lcd
+    return lcd.LcdCertificate(
+        c_alpha_self_orthogonal=self_orth,
+        g_beta_rows_independent=independent,
+        phi_c_beta_lcd=beta_lcd,
+        conclusion=LCD_GUARANTEED if ok else INAPPLICABLE,
+        hull_dimension_observed=reference_hull(image).rank,
+    )
+
+
+def random_lcd_cases(seed, count):
+    """(tower, code) pairs: seeded random mixed codes over every q."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        tw = tower(QS[trial % len(QS)])
+        yield tw, random_mixed_code(rng, tw, rng.randrange(1, 5), rng.randrange(1, 6))
+
+
+def closure_words(code):
+    gm = code.closure
+    return [MixedWord.from_expanded(gm.tower, gm.alpha, gm.beta, row)
+            for row in gm.matrix]
+
+
+def test_memoized_image_and_hull_equal_fresh_results():
+    for tw, code in random_lcd_cases(229, 60):
+        gm = code.closure
+        image = gray_image(code)
+        assert gray_image(gm) is image and gray_image(code) is image
+        h = hull(image.base)
+        assert hull(image.base) is h
+        # a fresh copy of the same matrix, nothing memoized on it
+        fresh = GeneratorMatrixCode(tw, np.array(gm.matrix), alpha=gm.alpha,
+                                    beta=gm.beta, spanning_rows=gm.spanning_rows)
+        fresh_image = GeneratorMatrixCode(tw, gray_rows(tw, gm.alpha, fresh.matrix))
+        assert np.array_equal(image.matrix, fresh_image.matrix)
+        assert np.array_equal(image.base.spanning_rows,
+                              gray_rows(tw, gm.alpha, fresh.spanning_rows))
+        assert np.array_equal(h.matrix, reference_hull(fresh_image).matrix)
+        assert np.array_equal(hull(gm).matrix, reference_hull(fresh).matrix)
+        assert is_lcd(image.base) == (reference_hull(fresh_image).rank == 0)
+
+
+def test_stored_matrices_are_read_only():
+    tw, code = next(random_lcd_cases(233, 1))
+    image = gray_image(code)
+    for gm in (code.closure, image.base, hull(image.base)):
+        with pytest.raises(ValueError):
+            gm.matrix[..., :1] = 1
+
+
+def test_certificate_matches_words_pipeline_randomized():
+    for tw, code in random_lcd_cases(239, 60):
+        words = closure_words(code)
+        expected = reference_lcd_pipeline(tw, code.alpha, code.beta, words)
+        assert lcd_pipeline_code(code) == expected
+        assert lcd_pipeline(tw, code.alpha, code.beta, words) == expected
+        # the given rows, dependent ones included, not their span's basis
+        doubled = words + words[:1]
+        assert (lcd_pipeline(tw, code.alpha, code.beta, doubled)
+                == reference_lcd_pipeline(tw, code.alpha, code.beta, doubled))
+
+
+def test_certificate_matches_words_pipeline_on_documents():
+    tw, alpha, beta, words = example_words()
+    replaced = []
+    for i, w in enumerate(words):
+        u = [0] * alpha
+        u[i] = 1
+        replaced.append(MixedWord(tw, tuple(u), w.uprime))
+    for rows in (words, words + [words[0]], replaced):
+        assert (lcd_pipeline(tw, alpha, beta, rows)
+                == reference_lcd_pipeline(tw, alpha, beta, rows))
+    for entry in TABLE3:
+        tw, alpha, beta, words = build_table3_words(entry)
+        assert (lcd_pipeline(tw, alpha, beta, words)
+                == reference_lcd_pipeline(tw, alpha, beta, words))
+
+
+def count_calls(monkeypatch, module_names, name):
+    """Wrap the function `name` wherever the named modules hold it and
+    return the list of first arguments it is called with."""
+    seen = []
+    modules = [importlib.import_module(f"addcyclic.{m}") for m in module_names]
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return seen
+
+
+def image_hulls(hull_args, image_width):
+    """Hull calls on the Gray image of the whole code (not on the image
+    of its beta part, which is narrower)."""
+    return [c for c in hull_args if c.width == image_width]
+
+
+def test_one_image_and_one_hull_per_table3_row(monkeypatch):
+    images = count_calls(monkeypatch, ("gray", "lcd", "tables", "cli"), "gray_image")
+    hulls = count_calls(monkeypatch, ("lcd", "tables", "cli"), "hull")
+    built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
+    for entry in TABLE3:
+        del images[:], hulls[:], built[:]
+        rep = verify_entry(entry)
+        assert rep.status == "ok" and rep.lcd == "yes"
+        assert len(images) == 1 and len(built) == 1
+        assert len(image_hulls(hulls, entry.expected_n)) == 1
+
+
+def test_one_image_and_one_hull_per_lcd_command(monkeypatch, capsys):
+    images = count_calls(monkeypatch, ("gray", "lcd", "tables", "cli"), "gray_image")
+    hulls = count_calls(monkeypatch, ("lcd", "tables", "cli"), "hull")
+    built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
+    doc = json.dumps({"q": 3, "alpha": 4, "beta": 2,
+                      "rows": [["1", "1", "1", "0", "w", "w"],
+                               ["1", "2", "0", "1", "2", "w+1"]]})
+    assert main(["lcd", "--input", doc, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lcd"] is True and out["hull_dimension_observed"] == 0
+    assert len(images) == 1 and len(built) == 1
+    assert len(image_hulls(hulls, 8)) == 1
+
+
+def test_workload_pipeline_shares_the_image_and_hull(monkeypatch):
+    # the benchmark's algebra sequence: is_lcd on the image, then the
+    # certificate of the same cyclic code
+    built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
+    hull_builds = count_calls(monkeypatch, ("lcd",), "_build_hull")
+    for tw, code in random_lcd_cases(241, 12):
+        del built[:], hull_builds[:]
+        image = gray_image(code)
+        verdict = is_lcd(image.base)
+        cert = lcd_pipeline_code(code)
+        assert verdict == (cert.hull_dimension_observed == 0)
+        assert len(built) == 1
+        assert len(image_hulls(hull_builds, image.length)) == 1

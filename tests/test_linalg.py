@@ -280,6 +280,21 @@ def test_rref_matches_row_by_row_reference():
             assert np.array_equal(linalg.kernel(field, M), reference_kernel(field, M))
 
 
+def test_kernel_of_rref_matches_kernel_on_reduced_input():
+    # a stored basis is the nonzero rref rows with a tuple of pivots, as
+    # GeneratorMatrixCode keeps it; the full rref keeps its zero rows
+    rng = np.random.default_rng(13)
+    for field in ORACLE_FIELDS:
+        full = [np.eye(n, dtype=np.uint8) for n in (1, 4)]
+        for M in [*oracle_matrices(field, rng), *full]:
+            R, r, pivots = linalg.rref(field, M)
+            expected = reference_kernel(field, M)
+            for stored in (R, R[:r]):
+                got = linalg.kernel_of_rref(field, stored, tuple(pivots))
+                assert got.dtype == np.uint8 and np.array_equal(got, expected)
+                assert np.array_equal(linalg.kernel(field, stored), expected)
+
+
 def test_determinant_matches_row_by_row_reference():
     rng = np.random.default_rng(7)
     for field in ORACLE_FIELDS:
