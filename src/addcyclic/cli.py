@@ -328,6 +328,9 @@ def main(argv=None):
     if args.budget < 1:
         print("budget must be >= 1", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+    if args.seed < 0:
+        print("seed must be >= 0", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
     return args.func(args)
 
 

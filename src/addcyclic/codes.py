@@ -25,6 +25,8 @@ from .fields import (
     FieldTower,
     tower as get_tower,
 )
+# the codeword enumerator lives in linalg; both names stay importable here
+from .linalg import _combination_blocks, _suffix_block  # noqa: F401
 from .poly import (
     Poly,
     combine_components,
@@ -154,42 +156,6 @@ def inner_product(x: MixedWord, y: MixedWord) -> int:
 
 # ---------------------------------------------------------------------------
 # generator-matrix codes (the ground truth)
-
-
-def _scaled(field, rows, scalars):
-    """Every scalar multiple of every row: shape (len(scalars), len(rows), width)."""
-    scalars = np.asarray(scalars, dtype=np.intp)
-    return field.mul(scalars[:, None, None], rows[None, :, :])
-
-
-def _suffix_block(field, rows):
-    """All q^len(rows) combinations of the given rows in message order:
-    the combination with coefficients (c_0, ..., c_{k-1}) sits at the
-    base-q index c_0 c_1 ... c_{k-1}, the first row most significant."""
-    width = rows.shape[1]
-    block = np.zeros((1, width), dtype=np.uint8)
-    for multiples in _scaled(field, rows, range(field.order)).swapaxes(0, 1):
-        block = field.add(block[:, None, :], multiples[None, :, :])
-        block = block.reshape(-1, width)
-    return block
-
-
-def _combination_blocks(field, rows, max_rows):
-    """The combinations of `_suffix_block(field, rows)`, in the same
-    order, produced lazily as consecutive blocks of at most
-    max(max_rows, q) rows: the trailing rows form one block that is
-    shifted by each combination of the leading rows in turn."""
-    q = field.order
-    low = len(rows)
-    while low > 1 and q**low > max_rows:
-        low -= 1
-    block = _suffix_block(field, rows[len(rows) - low :])
-    if low == len(rows):
-        yield block
-        return
-    for high in _combination_blocks(field, rows[: len(rows) - low], max_rows):
-        for word in high:
-            yield field.add(word, block)
 
 
 @dataclass(eq=False)

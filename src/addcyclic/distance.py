@@ -32,12 +32,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import linalg
-from .codes import (
-    GeneratorMatrixCode,
-    _combination_blocks,
-    _scaled,
-    _suffix_block,
-)
+from .codes import GeneratorMatrixCode
+from .linalg import _combination_blocks, _scaled, _suffix_block
 
 DEFAULT_BUDGET = 2**24
 _BLOCK_TARGET = 2**16  # row count the suffix block and each prefix block aim for

@@ -10,10 +10,20 @@ The quadratic extension F_q2 = F_q[w]/<f2> packs the pair b + w*c as
 b + q*c, so base-field elements embed as themselves and decomposition
 into components is divmod by q.
 
-All arithmetic goes through precomputed tables (the fields at play have
-at most 256 elements), so every operation accepts ints or numpy arrays.
+Arithmetic goes through precomputed tables (the fields at play have at
+most 256 elements; characteristic-2 array addition is the exception
+below), so every operation accepts ints or numpy arrays.
 A row operation a + c*b is one gather from a three-way table built on
 first use.
+
+In characteristic 2 the sum of two uint8 arrays is their XOR.  Addition
+acts digit by digit on the packed codes, recursively down to the prime
+field, and for p = 2 every level's digit is a group of bits (each base
+is a power of 2) whose prime-field sum is bitwise addition mod 2: XOR.
+Each element is its own negative there, so subtraction is addition.  A
+uint8 XOR is about 100 times faster than the two-index table gather on
+a 2000 x 34 block; scalars keep the table lookup, which is faster than
+wrapping a Python-int XOR as a numpy uint8.
 """
 
 from __future__ import annotations
@@ -131,13 +141,22 @@ class Field:
 
     # -- arithmetic (ints or numpy arrays) --------------------------------
 
+    # add and sub XOR two uint8 arrays in characteristic 2 (module
+    # docstring); any other operands, scalars included, read the table
+
     def add(self, a, b):
+        if (self.p == 2 and type(a) is type(b) is np.ndarray
+                and a.dtype == b.dtype == np.uint8):
+            return a ^ b
         return self.add_table[a, b]
 
     def neg(self, a):
         return self.neg_table[a]
 
     def sub(self, a, b):
+        if (self.p == 2 and type(a) is type(b) is np.ndarray
+                and a.dtype == b.dtype == np.uint8):
+            return a ^ b
         return self.add_table[a, self.neg_table[b]]
 
     def mul(self, a, b):

@@ -11,6 +11,23 @@ rows is reduced against a stored rref basis, and a matrix product
 accumulated, with the same one-gather step.  A kernel is read from an
 rref and its pivots, so a stored basis needs no second elimination.  An
 intersection of row spaces is one Zassenhaus elimination.
+
+The message-order enumerator of row combinations lives here too, shared
+by the codeword lists of `codes` and the distance engines, and a tall
+matrix product is built from it by the "Four Russians" table method
+(Arlazarov, Dinic, Kronrod and Faradzev, 1970; M4RM in Albrecht, Bard
+and Hart, ACM TOMS 2010): each chunk of t consecutive rows of B is
+enumerated as its q^t combinations, and every row of A picks its
+combination by the base-q value of its t entries, one row gather and one
+addition per chunk instead of one a + c*b gather per row of B.  The
+chunk width is the largest t with q^t <= rows(A) // 16, so a table
+never has more than a sixteenth as many rows as the product; with
+t = 1 (under 64 rows at any q) the per-row loop runs.  Measured over
+q in {2, 3, 4, 8} with inner dimension 20 and width 30, tables forced
+to t = 2 on small products are up to 1.7x slower at 16 rows and break
+even at 32 to 64 rows; at 2000 rows the rule's tables are 3x faster
+over F_3 and 12 to 28x faster over F_2, F_4 and F_8, where the
+additions are XORs.
 """
 
 from __future__ import annotations
@@ -142,15 +159,71 @@ def intersect(field, a, b):
     return R[:r][right, n:]
 
 
+def _scaled(field, rows, scalars):
+    """Every scalar multiple of every row: shape (len(scalars), len(rows), width)."""
+    scalars = np.asarray(scalars, dtype=np.intp)
+    return field.mul(scalars[:, None, None], rows[None, :, :])
+
+
+def _suffix_block(field, rows):
+    """All q^len(rows) combinations of the given rows in message order:
+    the combination with coefficients (c_0, ..., c_{k-1}) sits at the
+    base-q index c_0 c_1 ... c_{k-1}, the first row most significant."""
+    width = rows.shape[1]
+    block = np.zeros((1, width), dtype=np.uint8)
+    for multiples in _scaled(field, rows, range(field.order)).swapaxes(0, 1):
+        block = field.add(block[:, None, :], multiples[None, :, :])
+        block = block.reshape(len(block) * field.order, width)
+    return block
+
+
+def _combination_blocks(field, rows, max_rows):
+    """The combinations of `_suffix_block(field, rows)`, in the same
+    order, produced lazily as consecutive blocks of at most
+    max(max_rows, q) rows: the trailing rows form one block that is
+    shifted by each combination of the leading rows in turn."""
+    q = field.order
+    low = len(rows)
+    while low > 1 and q**low > max_rows:
+        low -= 1
+    block = _suffix_block(field, rows[len(rows) - low :])
+    if low == len(rows):
+        yield block
+        return
+    for high in _combination_blocks(field, rows[: len(rows) - low], max_rows):
+        for word in high:
+            yield field.add(word, block)
+
+
+def _chunk_width(order, nrows):
+    """Rows of B per combination table in a product with `nrows` rows of
+    A: the largest t >= 1 with order**t <= nrows // 16."""
+    t = 1
+    while order ** (t + 1) <= nrows // 16:
+        t += 1
+    return t
+
+
 def matmul(field, a, b):
-    """Matrix product over the field."""
+    """Matrix product over the field: one a + c*b gather per row of B,
+    or, for a tall A, one gather from a combination table per chunk of
+    rows of B (module docstring)."""
     A = as_matrix(a)
     B = as_matrix(b)
     if A.shape[1] != B.shape[0]:
         raise ValueError("inner dimensions differ")
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
-    for k in range(A.shape[1]):
-        out = field.axpy(out, A[:, k : k + 1], B[k : k + 1, :])
+    t = _chunk_width(field.order, A.shape[0])
+    if t == 1:
+        for k in range(A.shape[1]):
+            out = field.axpy(out, A[:, k : k + 1], B[k : k + 1, :])
+        return out
+    for start in range(0, A.shape[1], t):
+        chunk = B[start : start + t]
+        # message-order index of each row's digits, the first most significant
+        place = field.order ** np.arange(len(chunk) - 1, -1, -1, dtype=np.intp)
+        index = A[:, start : start + t] @ place
+        out = field.add(out, _suffix_block(field, chunk)[index])
     return out
 
 

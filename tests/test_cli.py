@@ -188,6 +188,20 @@ def test_bad_budget(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["params", "--input", json.dumps({"q": 4, "beta": 9, "g": "x+1", "h": "0",
+                                      "k": "x+1"}),
+     "--budget", "1", "--seed", "-1"],
+    ["tables", "--id", "1", "--seed", "-1"],
+], ids=["params", "tables"])
+def test_negative_seed_exits_2(capsys, argv):
+    # exit 1 is kept for a verification mismatch
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "seed must be >= 0\n"
+
+
 @pytest.mark.parametrize("command,doc,message", [
     # an empty matrix, and no coordinates at all
     ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": []}, "nonempty list"),

@@ -218,3 +218,42 @@ def test_axpy_table_is_built_on_first_use():
     assert "axpy_table" not in vars(f)
     assert int(f.axpy(1, 2, 3)) == 2
     assert f.axpy_table.shape == (5, 5, 5)
+
+
+# every field the characteristic-2 towers build, F_2 up to F_256
+CHAR2_FIELDS = [f for q in (2, 4, 8, 16)
+                for f in (tower(q).prime, tower(q).base, tower(q).ext)]
+ODD_FIELDS = [f for q in (3, 5, 7, 9) for f in (tower(q).base, tower(q).ext)]
+
+
+def _field_id(f):
+    return f"F{f.order}" + (f"/{f.modulus}" if f.modulus else "")
+
+
+@pytest.mark.parametrize("f", CHAR2_FIELDS, ids=_field_id)
+def test_char2_add_and_sub_match_the_add_table(f):
+    # XOR on arrays, the table on scalars: both must read as add_table
+    table = f.add_table
+    for a in range(f.order):
+        for b in range(f.order):
+            for x, y in ((a, b), (np.uint8(a), np.uint8(b))):
+                for got in (f.add(x, y), f.sub(x, y)):
+                    assert type(got) is np.uint8 and got == table[a, b]
+    col = np.arange(f.order, dtype=np.uint8)[:, None]
+    for got in (f.add(col, col.T), f.sub(col, col.T), f.add(col.T, col)):
+        assert got.dtype == np.uint8 and got.shape == table.shape
+        assert np.array_equal(got, table)
+    # a uint8 array with a scalar broadcasts like the table too
+    for x in (3 % f.order, np.uint8(1)):
+        assert np.array_equal(f.add(col, x), table[col, x])
+        assert f.add(col, x).dtype == np.uint8
+
+
+@pytest.mark.parametrize("f", ODD_FIELDS, ids=_field_id)
+def test_odd_characteristic_add_and_sub_use_the_table(f):
+    col = np.arange(f.order, dtype=np.uint8)[:, None]
+    added, subtracted = f.add(col, col.T), f.sub(col, col.T)
+    assert added.dtype == subtracted.dtype == np.uint8
+    assert np.array_equal(added, f.add_table)
+    assert np.array_equal(subtracted, f.add_table[col, f.neg_table[col.T]])
+    assert not np.array_equal(added, col ^ col.T)

@@ -373,3 +373,71 @@ def test_matmul_matches_entrywise_dot():
                 for j in range(n):
                     expected[i, j] = field.dot(A[i], B[:, j]) if k else 0
             assert np.array_equal(linalg.matmul(field, A, B), expected)
+
+
+# -- the per-row product, kept as the oracle of the combination tables --
+
+
+def reference_matmul(field, A, B):
+    """One a + c*b step per row of B, read from add_table and mul_table
+    directly, so characteristic-2 XOR addition is checked, not used."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
+    for k in range(A.shape[1]):
+        out = field.add_table[out, field.mul_table[A[:, k : k + 1], B[k : k + 1, :]]]
+    return out
+
+
+# base fields of order 2 .. 16, and extensions of order 16, 64 and 256
+MATMUL_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8, 9, 16)] + [
+    tower(4).ext, tower(8).ext, tower(16).ext]
+
+
+@pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")
+def test_matmul_matches_per_row_reference(field):
+    rng = np.random.default_rng(field.order)
+    q = field.order
+    # the smallest product with two-row tables, where it stays small
+    first_table = [16 * q**2] if 16 * q**2 <= 2**16 else []
+    for m in [0, 1, 63, 64, 65, 127, 128, 2000] + first_table:
+        t = linalg._chunk_width(q, m)
+        for k in sorted({0, 1, t - 1, t, t + 1, 26}):
+            for n in (0, 7):
+                A = rng.integers(0, q, size=(m, k), dtype=np.uint8)
+                B = rng.integers(0, q, size=(k, n), dtype=np.uint8)
+                got = linalg.matmul(field, A, B)
+                assert got.dtype == np.uint8 and got.shape == (m, n)
+                assert np.array_equal(got, reference_matmul(field, A, B)), (m, k, n)
+
+
+@pytest.mark.parametrize("q,rows,t", [
+    (2, 63, 1), (2, 64, 2), (2, 127, 2), (2, 128, 3), (2, 2000, 6),
+    (3, 143, 1), (3, 144, 2), (4, 255, 1), (4, 256, 2), (4, 2000, 3),
+    (8, 1023, 1), (8, 1024, 2), (8, 2000, 2),
+    (256, 2000, 1), (256, 16 * 256**2 - 1, 1), (256, 16 * 256**2, 2)])
+def test_chunk_width_is_largest_t_with_q_power_t_at_most_rows_over_16(q, rows, t):
+    assert linalg._chunk_width(q, rows) == t
+
+
+def test_products_under_64_rows_keep_the_per_row_loop():
+    assert {linalg._chunk_width(q, m) for q in (2, 3, 256) for m in range(64)} == {1}
+
+
+@pytest.mark.parametrize("field,m,uses_tables", [
+    (tower(2).base, 63, False), (tower(2).base, 64, True), (F3, 40, False),
+    (F4, 255, False), (F4, 256, True), (F4, 2000, True),
+    (tower(16).ext, 2000, False)],
+    ids=lambda v: f"F{v.order}" if hasattr(v, "order") else str(v))
+def test_matmul_takes_the_path_of_its_shape(monkeypatch, field, m, uses_tables):
+    steps = []
+    axpy = field.axpy
+
+    def counted(*args):
+        steps.append(1)
+        return axpy(*args)
+
+    monkeypatch.setattr(field, "axpy", counted)
+    rng = np.random.default_rng(m)
+    A = rng.integers(0, field.order, size=(m, 5), dtype=np.uint8)
+    B = rng.integers(0, field.order, size=(5, 4), dtype=np.uint8)
+    assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
+    assert len(steps) == (0 if uses_tables else 5)
