@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -620,27 +621,42 @@ def projections(code):
 @dataclass(frozen=True)
 class SingletonResult:
     attains: bool
-    slack: int
+    slack: Fraction
+
+
+def _log_exact(x: int, base: int):
+    """e with base**e == x, or None when x is no power of base."""
+    e = 0
+    while x > 1 and x % base == 0:
+        x //= base
+        e += 1
+    return e if x == 1 else None
 
 
 def singleton_check(n: int, size: int, alphabet: int, d: int) -> SingletonResult:
-    """Compare |C| against alphabet^(n-d+1).  `slack` is the difference of
-    the alphabet-base logarithms; a negative bound violation raises, since
-    it means the distance was miscomputed."""
+    """Compare |C| against alphabet^(n-d+1) exactly.  `slack` is the
+    difference of the alphabet-base logarithms, a Fraction: an F_q-linear
+    code over the alphabet F_q2 has |C| = q^r, so its slack is
+    (n-d+1) - r/2, a half-integer when r is odd.  A negative slack raises,
+    since it means the distance was miscomputed."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    k = 0
-    m = size
-    while m > 1:
-        if m % alphabet:
-            raise ValueError("size is not a power of the alphabet size")
-        m //= alphabet
-        k += 1
-    slack = (n - d + 1) - k
+    if alphabet < 2:
+        raise ValueError("alphabet size must be >= 2")
+    # size and alphabet are powers of a common integer exactly when both
+    # are powers of the smallest integer the alphabet size is a power of
+    root = next(b for b in range(2, alphabet + 1)
+                if _log_exact(alphabet, b) is not None)
+    k = _log_exact(size, root)
+    if k is None:
+        raise ValueError(f"size {size} is not a power of {root}, "
+                         f"as the alphabet size {alphabet} is")
+    log_size = Fraction(k, _log_exact(alphabet, root))
+    slack = (n - d + 1) - log_size
     if slack < 0:
         raise ValueError(
-            f"Singleton bound violated: |C| = {alphabet}^{k} > {alphabet}^{n - d + 1}"
-        )
+            f"Singleton bound violated: |C| = {alphabet}^{log_size} > "
+            f"{alphabet}^{n - d + 1}")
     return SingletonResult(slack == 0, slack)
 
 

@@ -16,6 +16,17 @@ below), so every operation accepts ints or numpy arrays.
 A row operation a + c*b is one gather from a three-way table built on
 first use.
 
+An extension's tables are built from its subfield's by whole-array
+gathers.  With D the (order, m) matrix of every element's subfield
+digits, the add table packs sub.add[D[a], D[b]] by the place values
+base^i.  The mul table accumulates the m^2 digit products
+sub.mul[D[a, i], D[b, j]] into 2m-1 coefficient planes over the whole
+order x order grid, then folds each plane above degree m-1 into the
+planes below it through the monic modulus, t^m = -(f_0 + ... +
+f_{m-1} t^(m-1)), before packing.  neg and inv are the first zero of
+each add row and the first one of each mul row; a nonzero row without
+a one is a zero divisor, so the modulus was reducible.
+
 In characteristic 2 the sum of two uint8 arrays is their XOR.  Addition
 acts digit by digit on the packed codes, recursively down to the prime
 field, and for p = 2 every level's digit is a group of bits (each base
@@ -83,61 +94,45 @@ class Field:
             self.order = p
             add = np.add.outer(np.arange(p), np.arange(p)) % p
             mul = np.multiply.outer(np.arange(p), np.arange(p)) % p
+            self.add_table = add.astype(np.uint8)
+            self.mul_table = mul.astype(np.uint8)
         else:
             if self.modulus is None or self.modulus[-1] != 1:
                 raise ValueError("extension requires a monic modulus")
             self.degree = len(self.modulus) - 1
             self.order = subfield.order ** self.degree
-            add = np.zeros((self.order, self.order), dtype=np.uint8)
-            mul = np.zeros((self.order, self.order), dtype=np.uint8)
-            for a in range(self.order):
-                da = self._digits(a)
-                for b in range(self.order):
-                    db = self._digits(b)
-                    add[a, b] = self._pack([subfield.add(x, y) for x, y in zip(da, db)])
-                    mul[a, b] = self._pack(self._polymul_mod(da, db))
-        self.add_table = add.astype(np.uint8)
-        self.mul_table = mul.astype(np.uint8)
-        self.neg_table = np.array(
-            [int(np.where(self.add_table[a] == 0)[0][0]) for a in range(self.order)],
-            dtype=np.uint8,
-        )
-        inv = np.zeros(self.order, dtype=np.uint8)
-        for a in range(1, self.order):
-            hits = np.where(self.mul_table[a] == 1)[0]
-            if len(hits) == 0:
-                raise ValueError("modulus is not irreducible: found a zero divisor")
-            inv[a] = hits[0]
-        self.inv_table = inv
+            self.add_table, self.mul_table = self._extension_tables()
+        # the first b with a + b = 0, and the first b with a*b = 1
+        self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.uint8)
+        units = self.mul_table == 1
+        if not units[1:].any(axis=1).all():
+            raise ValueError("modulus is not irreducible: found a zero divisor")
+        self.inv_table = np.argmax(units, axis=1).astype(np.uint8)
         self._signature = (p, self.modulus, subfield._signature if subfield else None)
 
-    def _digits(self, a):
-        base = self.subfield.order
-        return [(a // base**i) % base for i in range(self.degree)]
-
-    def _pack(self, digits):
-        base = self.subfield.order
-        return sum(int(d) * base**i for i, d in enumerate(digits))
-
-    def _polymul_mod(self, da, db):
-        sub = self.subfield
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                prod[i + j] = int(sub.add(prod[i + j], sub.mul(x, y)))
-        # reduce by the monic modulus
-        for d in range(len(prod) - 1, self.degree - 1, -1):
-            c = prod[d]
-            if c == 0:
-                continue
-            prod[d] = 0
-            for i, mc in enumerate(self.modulus[:-1]):
-                prod[d - self.degree + i] = int(
-                    sub.add(prod[d - self.degree + i], sub.neg(sub.mul(c, mc)))
-                )
-        return prod[: self.degree]
+    def _extension_tables(self):
+        """(add, mul) tables of F_sub[t]/<modulus> by whole-grid gathers
+        on the subfield's tables (module docstring)."""
+        sub, m = self.subfield, self.degree
+        place = (sub.order ** np.arange(m)).astype(np.uint8)
+        # digits[a, i] is the coefficient of t^i in element a
+        digits = (np.arange(self.order)[:, None] // place % sub.order).astype(np.uint8)
+        left, right = digits[:, None, :], digits[None, :, :]
+        # packed values are at most 255, so the uint8 sums cannot wrap
+        add = (sub.add_table[left, right] * place).sum(axis=-1, dtype=np.uint8)
+        coeffs = np.zeros((2 * m - 1, self.order, self.order), dtype=np.uint8)
+        for i in range(m):
+            for j in range(m):
+                coeffs[i + j] = sub.add_table[
+                    coeffs[i + j], sub.mul_table[left[..., i], right[..., j]]]
+        # t^m = -(f_0 + ... + f_{m-1} t^(m-1)): fold each plane above
+        # degree m-1 into the m planes below it, highest first
+        for d in range(2 * m - 2, m - 1, -1):
+            for i, f in enumerate(self.modulus[:-1]):
+                minus_f = sub.neg_table[sub.mul_table[:, f]]
+                coeffs[d - m + i] = sub.add_table[coeffs[d - m + i], minus_f[coeffs[d]]]
+        mul = (coeffs[:m] * place[:, None, None]).sum(axis=0, dtype=np.uint8)
+        return add, mul
 
     # -- arithmetic (ints or numpy arrays) --------------------------------
 
@@ -185,14 +180,6 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(int(self.inv(a)), -e)
-        r = 1
-        for _ in range(e):
-            r = int(self.mul(r, a))
-        return r
 
     def sum(self, arr, axis=None):
         """Field sum of a numpy array along `axis` (None: all entries)."""

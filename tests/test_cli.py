@@ -54,6 +54,20 @@ def test_params_zero_code(capsys):
     assert "distance: None (undefined)" in out
 
 
+@pytest.mark.parametrize("q, n, rank", [(3, 4, 7), (9, 4, 7), (16, 3, 5)])
+def test_params_odd_rank_pure_code_reports_half_slack(capsys, q, n, rank):
+    # |C| = q^rank is no power of q^2: the slack (n-d+1) - rank/2 with
+    # d = 1 is a half-integer, reported without a traceback
+    doc = json.dumps({"q": q, "beta": n, "g": "x+1", "h": "0", "k": "1"})
+    code, out, err = run(capsys, ["params", "--input", doc])
+    assert code == 0 and "Traceback" not in err
+    assert f"dimension (F_q rank): {rank}" in out
+    assert "distance: 1 (exact)" in out
+    assert "singleton: slack:1/2" in out.splitlines()
+    code, out, _ = run(capsys, ["params", "--input", doc, "--format", "json"])
+    assert code == 0 and json.loads(out)["singleton"] == "slack:1/2"
+
+
 def test_distance_report_undefined_only_for_zero_code():
     tw = tower(3)
     zero = GeneratorMatrixCode(tw, np.zeros((0, 4), dtype=np.uint8))

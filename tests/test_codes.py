@@ -1,6 +1,7 @@
 """Code construction, closures, spanning sets, duals, cyclicity."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from addcyclic.codes import (
     MixedCode,
     MixedWord,
     PureCode,
+    SingletonResult,
     canonicalize_pure,
     dual,
     extract_mixed_generators,
@@ -545,6 +547,25 @@ def test_singleton_examples():
 def test_singleton_violation_raises():
     with pytest.raises(ValueError):
         singleton_check(5, 16**4, 16, 3)
+
+
+def test_singleton_odd_power_of_q():
+    # |C| = 3^7 over the alphabet F_9: 9^(7/2), so the slack against
+    # 9^(n-d+1) is a half-integer and the bound is never attained
+    res = singleton_check(4, 3**7, 9, 1)
+    assert not res.attains and res.slack == Fraction(1, 2)
+    assert str(res.slack) == "1/2"
+    assert singleton_check(4, 3**8, 9, 1) == SingletonResult(True, 0)
+    assert singleton_check(3, 4**5, 16, 1).slack == Fraction(1, 2)
+    assert singleton_check(3, 16**5, 256, 1).slack == Fraction(1, 2)
+    # 3^9 = 9^4.5 > 9^4
+    with pytest.raises(ValueError, match="Singleton bound violated"):
+        singleton_check(4, 3**9, 9, 1)
+    # sizes sharing no root with the alphabet size are still refused
+    with pytest.raises(ValueError, match="not a power"):
+        singleton_check(4, 2**7, 9, 1)
+    with pytest.raises(ValueError, match="not a power"):
+        singleton_check(4, 6, 4, 1)
 
 
 # -- generator extraction ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Field tower arithmetic: worked values, axioms, irreducibility oracles."""
 
+import hashlib
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -120,8 +122,11 @@ def test_lagrange_exhaustive():
     # x^(|F|-1) = 1 for every nonzero x, all fields up to order 64
     for tw in TOWERS:
         for f in (tw.base, tw.ext):
-            for x in range(1, f.order):
-                assert f.pow(x, f.order - 1) == 1
+            x = np.arange(1, f.order, dtype=np.uint8)
+            power = np.ones_like(x)
+            for _ in range(f.order - 1):
+                power = f.mul(power, x)
+            assert np.all(power == 1)
 
 
 @pytest.mark.parametrize("tw", TOWERS, ids=lambda t: f"q{t.q}")
@@ -257,3 +262,87 @@ def test_odd_characteristic_add_and_sub_use_the_table(f):
     assert np.array_equal(added, f.add_table)
     assert np.array_equal(subtracted, f.add_table[col, f.neg_table[col.T]])
     assert not np.array_equal(added, col ^ col.T)
+
+
+# -- table construction against the per-pair reference -----------------------
+
+
+@lru_cache(maxsize=None)
+def reference_field_tables(field):
+    """(add, mul, neg, inv) of `field` built one element pair at a time:
+    one scalar subfield operation per digit, on the reference tables of
+    the subfield (never the library's), with schoolbook multiplication
+    reduced term by term by the monic modulus."""
+    if field.subfield is None:
+        p = field.p
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        mul = [[(a * b) % p for b in range(p)] for a in range(p)]
+    else:
+        s_add, s_mul, s_neg, _ = (t.tolist() for t in
+                                  reference_field_tables(field.subfield))
+        base, m, modulus = field.subfield.order, field.degree, field.modulus
+
+        def digits(a):
+            return [(a // base**i) % base for i in range(m)]
+
+        def pack(ds):
+            return sum(d * base**i for i, d in enumerate(ds))
+
+        def polymul_mod(da, db):
+            prod = [0] * (2 * m - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    prod[i + j] = s_add[prod[i + j]][s_mul[x][y]]
+            for d in range(2 * m - 2, m - 1, -1):
+                c, prod[d] = prod[d], 0
+                for i, f in enumerate(modulus[:-1]):
+                    prod[d - m + i] = s_add[prod[d - m + i]][s_neg[s_mul[c][f]]]
+            return prod[:m]
+
+        order = base**m
+        add = [[pack([s_add[x][y] for x, y in zip(digits(a), digits(b))])
+                for b in range(order)] for a in range(order)]
+        mul = [[pack(polymul_mod(digits(a), digits(b))) for b in range(order)]
+               for a in range(order)]
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return tuple(np.array(t, dtype=np.uint8) for t in (add, mul, neg, inv))
+
+
+TABLE_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+TABLE_TOWERS = [(f"q{q}", tower(q)) for q in TABLE_QS] + [
+    ("q4-f2=(2,1,1)", tower(4, f2=(2, 1, 1))),
+    ("q4-f2=(3,1,1)", tower(4, f2=(3, 1, 1))),
+    ("q8-f1=(1,0,1,1)", tower(8, f1=(1, 0, 1, 1))),
+]
+TABLE_FIELDS = [(f"{name}-{level}", getattr(tw, level))
+                for name, tw in TABLE_TOWERS for level in ("prime", "base", "ext")]
+
+
+@pytest.mark.parametrize("f", [f for _, f in TABLE_FIELDS],
+                         ids=[name for name, _ in TABLE_FIELDS])
+def test_tables_match_the_per_pair_construction(f):
+    for name, want in zip(("add_table", "mul_table", "neg_table", "inv_table"),
+                          reference_field_tables(f)):
+        got = getattr(f, name)
+        assert got.dtype == np.uint8 and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+def test_table_digest_is_pinned():
+    # the element encoding is part of every report: the sha256 of all
+    # tables of the default towers, in this order, must never move
+    digest = hashlib.sha256()
+    for q in TABLE_QS:
+        tw = tower(q)
+        for f in (tw.prime, tw.base, tw.ext):
+            for t in (f.add_table, f.mul_table, f.neg_table, f.inv_table):
+                digest.update(t.tobytes(order="C"))
+    assert digest.hexdigest() == (
+        "56fbb7dcc7939ee44c84f386f5109574eb9dc5c349f9246823dc789a832870c0")
+
+
+def test_reducible_modulus_raises_zero_divisor():
+    # x^2 + 1 = (x + 1)^2 over F_2: x + 1 has no inverse
+    with pytest.raises(ValueError, match="found a zero divisor"):
+        Field(2, modulus=(1, 0, 1), subfield=Field(2))
