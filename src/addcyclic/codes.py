@@ -26,8 +26,7 @@ from .fields import (
     FieldTower,
     tower as get_tower,
 )
-# the codeword enumerator lives in linalg; both names stay importable here
-from .linalg import _combination_blocks, _suffix_block  # noqa: F401
+from .linalg import _suffix_block
 from .poly import (
     Poly,
     combine_components,

@@ -120,8 +120,11 @@ def _build_gray_image(gm: GeneratorMatrixCode) -> GrayImageCode:
     if gm.spanning_rows is not None:
         image.spanning_rows = gray_rows(tw, alpha, gm.spanning_rows)
     # classification is defined for alpha, beta >= 1; a pure code's image
-    # is just the doubled extension block
-    label = classify_gray_image(alpha, beta) if alpha >= 1 else "extension block only"
+    # is just the doubled extension block, a beta = 0 code's its alpha block
+    if alpha >= 1 and beta >= 1:
+        label = classify_gray_image(alpha, beta)
+    else:
+        label = "extension block only" if beta else "alpha block only"
     return GrayImageCode(image, alpha, beta, label)
 
 

@@ -84,9 +84,10 @@ def is_lcd(code: GeneratorMatrixCode) -> bool:
 
 def rows_fq_independent(tower, rows) -> bool:
     """True iff the given F_q2 rows are linearly independent over F_q
-    (full rank of the 2*beta-wide base-field expansion)."""
+    (full rank of the 2*beta-wide base-field expansion).  No rows are
+    independent; rows of length 0 are zero vectors, so they are not."""
     rows = np.asarray(rows, dtype=np.uint8)
-    if rows.size == 0:
+    if len(rows) == 0:
         return True
     b, c = tower.decompose(rows)
     expanded = np.concatenate([b, c], axis=1)
@@ -121,8 +122,10 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     g_alpha = M[:, :alpha]
     g_beta = tower.compose(M[:, alpha::2], M[:, alpha + 1 :: 2])
     self_orth = is_self_orthogonal(g_alpha, tower=tower)
-    independent = rows_fq_independent(tower, g_beta)
     phi_c_beta = GeneratorMatrixCode(tower, gray_block(tower, g_beta))
+    # the Gray block is the expansion [b | c] under the invertible column
+    # map (b, c) -> (b + c, c): its rank is that of rows_fq_independent
+    independent = phi_c_beta.rank == len(g_beta)
     beta_lcd = is_lcd(phi_c_beta)
     observed = hull(image.base).rank
     ok = self_orth and independent and beta_lcd

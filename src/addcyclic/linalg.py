@@ -177,24 +177,6 @@ def _suffix_block(field, rows):
     return block
 
 
-def _combination_blocks(field, rows, max_rows):
-    """The combinations of `_suffix_block(field, rows)`, in the same
-    order, produced lazily as consecutive blocks of at most
-    max(max_rows, q) rows: the trailing rows form one block that is
-    shifted by each combination of the leading rows in turn."""
-    q = field.order
-    low = len(rows)
-    while low > 1 and q**low > max_rows:
-        low -= 1
-    block = _suffix_block(field, rows[len(rows) - low :])
-    if low == len(rows):
-        yield block
-        return
-    for high in _combination_blocks(field, rows[: len(rows) - low], max_rows):
-        for word in high:
-            yield field.add(word, block)
-
-
 def _chunk_width(order, nrows):
     """Rows of B per combination table in a product with `nrows` rows of
     A: the largest t >= 1 with order**t <= nrows // 16."""

@@ -141,6 +141,23 @@ def test_lcd_table3_row1(capsys):
     assert payload["gray_image"]["distance"]["d"] == 5
 
 
+def test_lcd_without_extension_block(capsys):
+    # beta = 0: the Gray image is the alpha block itself, and the one row
+    # of G_beta, of length 0, is not F_q-independent
+    doc = json.dumps({"q": 3, "alpha": 2, "beta": 0, "rows": [["1", "2"]]})
+    code, out, _ = run(capsys, ["lcd", "--input", doc, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["g_beta_rows_independent"] is False
+    assert payload["c_alpha_self_orthogonal"] is False  # 1 + 4 = 2 in F_3
+    assert payload["conclusion"] == "inapplicable"
+    assert payload["hull_dimension_observed"] == 0 and payload["lcd"] is True
+    assert payload["gray_image"] == {"length": 2, "dimension": 1,
+                                     "distance": {"d": 2, "mode": "exact"}}
+    code, out, _ = run(capsys, ["lcd", "--input", doc])
+    assert code == 0 and "conclusion: inapplicable" in out
+
+
 def test_tables_id3_exit_zero(capsys):
     code, out, _ = run(capsys, ["tables", "--id", "3", "--format", "csv"])
     assert code == 0

@@ -4,13 +4,15 @@ The oracle below iterates the whole message space with itertools and
 computes weights group by group in pure Python; it shares no code with
 the vectorized engine it checks.  The chunked upper-bound sweep is
 checked against its per-combination loop (`reference_upper`), the
-projective coset search against the partition loop it replaced
-(`reference_exact`), and the weight kernel's fast paths against
+exact engine, whole-code weighing and Brouwer-Zimmermann search alike,
+against a partition loop over every prefix/suffix split of the message
+space (`reference_exact`), and the weight kernel's fast paths against
 `bitwise_or.reduceat`.
 """
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -65,7 +67,7 @@ def groups_of(profile):
 
 
 def reference_exact(code, profile, suffix_rows):
-    """The partition loop the projective coset search replaced: every
+    """The whole message space split into prefix and suffix rows: every
     prefix message, its coset built by adding the prefix word to the
     suffix block.  Returns the minimum weight."""
     field = code.field
@@ -251,18 +253,16 @@ def test_exact_matches_oracle_on_gray_images():
 
 
 def test_partition_split_independence():
-    # different suffix sizes must give identical results
+    # every prefix/suffix split of the reference gives the engine's value
     rng = random.Random(109)
     for _ in range(25):
         code = random_mixed_code(rng, T3, rng.randrange(1, 4), rng.randrange(1, 4))
         if code.dimension < 2:
             continue
         profile = WeightProfile.mixed(code.alpha, code.beta)
-        values = {
-            min_distance_exact(code.closure, profile, suffix_rows=s).value
-            for s in range(1, code.dimension + 1)
-        }
-        assert len(values) == 1
+        values = {reference_exact(code.closure, profile, s)
+                  for s in range(1, code.dimension + 1)}
+        assert values == {min_distance_exact(code.closure, profile).value}
 
 
 def test_upper_bound_finds_table1_bound_row():
@@ -404,7 +404,7 @@ def random_matrix_code(nprng, tw, rank, width):
 
 def test_exact_matches_reference_for_every_split():
     # mixed, singleton and reduceat-grouped profiles over q in {2,...,8};
-    # every suffix_rows from 1 to rank puts the prefix leads everywhere
+    # the reference splits the messages after every row
     rng = random.Random(151)
     nprng = np.random.default_rng(151)
     kinds = set()
@@ -424,8 +424,8 @@ def test_exact_matches_reference_for_every_split():
             continue
         kinds.add({None: "reduceat", profile.width: "singletons"}.get(
             profile._pair_split, "mixed"))
+        value = min_distance_exact(gm, profile).value
         for s in range(1, gm.rank + 1):
-            value = min_distance_exact(gm, profile, suffix_rows=s).value
             assert value == reference_exact(gm, profile, s)
             above_one += s < gm.rank and value > 1
         checked += 1
@@ -433,47 +433,180 @@ def test_exact_matches_reference_for_every_split():
     assert above_one >= 30  # many runs searched prefixes without an early exit
 
 
-def test_exact_counts_projective_cosets():
-    # no weight-1 word: every projective prefix coset is weighed
-    code = build_table2_code(TABLE2[8])
-    img = gray_image(code)
-    q, r = 3, img.rank
-    for s in range(1, r + 1):
-        res = min_distance_exact(img.base, WeightProfile.singletons(9), suffix_rows=s)
-        assert res.value == 3
-        assert res.witnesses_examined == q**s - 1 + q**s * (q ** (r - s) - 1) // (q - 1)
+def leading_one_messages(q, k, weight):
+    """Messages over F_q of exactly `weight` nonzero entries, the first
+    of them 1."""
+    return [m for m in product(range(q), repeat=k)
+            if sum(c != 0 for c in m) == weight
+            and m[next(i for i, c in enumerate(m) if c)] == 1]
 
 
-def test_projective_blocks_are_bounded_and_normalized():
+def test_exact_counts_brouwer_zimmermann_words():
+    # table-2 row 6, the [29, 15, 8] image: an information set of 15
+    # columns and a disjoint one of 14 (k - r = 1).  After layers 1..4
+    # of the first form and 1..3 of the second the bound is
+    # (4 + 1) + (3 + 1 - 1) = 8 = d, so the search stops there
+    img = gray_image(build_table2_code(TABLE2[5], strict=False))
+    profile = WeightProfile.singletons(29)
+    sets = list(distance._information_sets(img.base.field, img.matrix,
+                                           img.base.pivots, profile))
+    assert [len(pivots) for _, pivots, _ in sets] == [15, 14]
+    layer = [comb(15, w) * 2 ** (w - 1) for w in range(5)]
+    res = min_distance_exact(img.base, profile)
+    assert res.value == 8 and res.exact
+    assert res.witnesses_examined == sum(layer[1:5]) + sum(layer[1:4]) == 15010
+    # at most _WHOLE_CODE words: every nonzero word, table-2 row 9
+    small = gray_image(build_table2_code(TABLE2[8]))
+    assert small.base.size <= distance._WHOLE_CODE
+    res = min_distance_exact(small.base, WeightProfile.singletons(9))
+    assert res.witnesses_examined == small.base.size - 1
+
+
+def test_layer_blocks_are_bounded_and_normalized():
     nprng = np.random.default_rng(157)
     for q in (2, 3, 4, 5):
         field = tower(q).base
-        rows = random_matrix_code(nprng, tower(q), 5, 7).matrix
+        rows = nprng.integers(0, q, size=(5, 7), dtype=np.uint8)
         k = len(rows)
-        blocks = list(distance._projective_blocks(field, rows, 10))
-        assert all(len(b) <= max(10, q) for b in blocks)
-        words = np.vstack(blocks)
-        assert len(words) == (q**k - 1) // (q - 1)
-        msgs = np.array([m for m in product(range(q), repeat=k)
-                         if any(m) and m[next(i for i, c in enumerate(m) if c)] == 1],
-                        dtype=np.uint8)
-        expected = np.zeros((len(msgs), rows.shape[1]), dtype=np.uint8)
-        for t in range(k):
-            expected = field.add(expected, field.mul(msgs[:, t : t + 1], rows[t : t + 1]))
-        assert sorted(map(tuple, words)) == sorted(map(tuple, expected))
+        for w in range(1, k + 1):
+            blocks = list(distance._layer_blocks(field, rows, w, 10))
+            assert all(len(b) <= max(10, k * (q - 1)) for b, _ in blocks)
+            words = np.vstack([b for b, _ in blocks])
+            last = np.concatenate([i for _, i in blocks])
+            msgs = np.array(leading_one_messages(q, k, w), dtype=np.uint8)
+            expected = np.zeros((len(msgs), rows.shape[1]), dtype=np.uint8)
+            for t in range(k):
+                expected = field.add(expected, field.mul(msgs[:, t : t + 1],
+                                                         rows[t : t + 1]))
+            assert len(words) == len(msgs) == comb(k, w) * (q - 1) ** (w - 1)
+            # each word is listed once, with the last row it combines
+            last_row = [max(np.flatnonzero(m)) for m in msgs]
+            assert sorted(zip(map(tuple, words), last)) == sorted(
+                zip(map(tuple, expected), last_row))
 
 
-def test_combination_blocks_match_suffix_block():
-    from addcyclic.codes import _combination_blocks
-    nprng = np.random.default_rng(163)
-    for q in (2, 3, 7):
-        field = tower(q).base
-        for k in range(0, 5):
-            rows = nprng.integers(0, q, size=(k, 6), dtype=np.uint8)
-            for max_rows in (1, 8, 50, 10**6):
-                blocks = list(_combination_blocks(field, rows, max_rows))
-                assert all(len(b) <= max(max_rows, q) for b in blocks)
-                assert np.array_equal(np.vstack(blocks), _suffix_block(field, rows))
+def fine_profile(rng, width):
+    """Singletons, singletons then pairs, or groups of one to three
+    columns (the reduceat path, almost always): finer groupings than the
+    arbitrary cuts of `random_profile`, which often leave one group of
+    most columns and so a distance of 1."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return WeightProfile.singletons(width)
+    if kind == 1:
+        beta = rng.randrange(width // 2 + 1)
+        return WeightProfile.mixed(width - 2 * beta, beta)
+    starts = [0]
+    while starts[-1] + 3 < width:
+        starts.append(starts[-1] + rng.randrange(1, 4))
+    return WeightProfile(tuple(starts), width)
+
+
+def bz_case_code(rng, nprng, tw, kind):
+    """A random code and profile for the Brouwer-Zimmermann checks:
+    kind 0 a mixed closure, 1 a random matrix, 2 a random matrix with a
+    unit row or a row of weight two (a distance of 1 or 2)."""
+    if kind == 0:
+        code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 5))
+        gm = code.closure
+        profile = (WeightProfile.mixed(code.alpha, code.beta)
+                   if rng.randrange(2) else fine_profile(rng, gm.width))
+        return gm, profile
+    rank = rng.randrange(2, 8)
+    width = rng.randrange(rank + 1, 3 * rank + 2)
+    mat = nprng.integers(0, tw.q, size=(rank, width), dtype=np.uint8)
+    if kind == 2:
+        mat[0] = 0
+        mat[0, rng.sample(range(width), rng.randrange(1, 3))] = 1
+    return GeneratorMatrixCode(tw, mat), fine_profile(rng, width)
+
+
+def test_brouwer_zimmermann_matches_reference():
+    # the search called directly, whatever the code's size, on singleton,
+    # mixed and reduceat-grouped profiles over q in {2, ..., 8}
+    rng = random.Random(181)
+    nprng = np.random.default_rng(181)
+    kinds, values, partial, checked = set(), set(), 0, 0
+    while checked < 240:
+        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        gm, profile = bz_case_code(rng, nprng, tw, checked % 3)
+        if gm.rank == 0 or gm.size > 3**8:
+            continue
+        value, examined = distance._brouwer_zimmermann(gm.field, gm.matrix,
+                                                      gm.pivots, profile)
+        assert value == reference_exact(gm, profile, rng.randrange(1, gm.rank + 1))
+        assert 1 <= examined <= (gm.size - 1) // (tw.q - 1) * len(profile.group_starts)
+        sets = list(distance._information_sets(gm.field, gm.matrix, gm.pivots,
+                                               profile))
+        partial += len(sets) > 1 and len(sets[-1][1]) < gm.rank
+        kinds.add({None: "reduceat", profile.width: "singletons"}.get(
+            profile._pair_split, "mixed"))
+        values.add(value)
+        checked += 1
+    assert kinds == {"mixed", "singletons", "reduceat"}
+    assert {1, 2} <= values and max(values) >= 4
+    assert partial >= 40  # later information sets short of rank k
+
+
+def test_information_sets_are_disjoint_and_systematic():
+    rng = random.Random(191)
+    nprng = np.random.default_rng(191)
+    for trial in range(60):
+        tw = SWEEP_TOWERS[trial % len(SWEEP_TOWERS)]
+        gm, profile = bz_case_code(rng, nprng, tw, trial % 3)
+        if gm.rank == 0:
+            continue
+        groups = groups_of(profile)
+        group_of = {col: g for g, cols in enumerate(groups) for col in cols}
+        seen = set()
+        for form, pivots, need in distance._information_sets(
+                gm.field, gm.matrix, gm.pivots, profile):
+            # same code, and the set's r pivot columns carry an identity
+            assert GeneratorMatrixCode(tw, form).equals(gm)
+            r = len(pivots)
+            assert np.array_equal(form[:r][:, pivots], np.eye(r, dtype=np.uint8))
+            assert not form[r:][:, pivots].any()
+            held = {group_of[c] for c in pivots}
+            assert not held & seen
+            seen |= held
+            counts = sorted((sum(group_of[c] == g for c in pivots) for g in held),
+                            reverse=True)
+            for t in range(r + 1):
+                assert need[t] == next(m for m in range(len(counts) + 1)
+                                       if sum(counts[:m]) >= t)
+
+
+def test_exact_above_the_cut_matches_reference(monkeypatch):
+    # codes of more than _WHOLE_CODE words go to the search; with a block
+    # target of 64 words every layer comes in many blocks, none larger
+    monkeypatch.setattr(distance, "_BLOCK_TARGET", 64)
+    sizes = []
+    weights = WeightProfile.weights
+
+    def record(profile, block):
+        sizes.append(len(block))
+        return weights(profile, block)
+
+    monkeypatch.setattr(WeightProfile, "weights", record)
+    rng = random.Random(193)
+    nprng = np.random.default_rng(193)
+    shapes = ((2, 13, 30), (2, 14, 28), (3, 8, 20), (3, 9, 18), (4, 7, 16), (8, 5, 12))
+    kinds, checked = set(), 0
+    while checked < 18:
+        q, rank, width = shapes[checked % len(shapes)]
+        gm = random_matrix_code(nprng, tower(q), rank, width)
+        profile = fine_profile(rng, width)
+        if gm.size <= distance._WHOLE_CODE:
+            continue
+        sizes.clear()
+        res = min_distance_exact(gm, profile)
+        assert res.witnesses_examined == sum(sizes) < gm.size - 1
+        assert max(sizes) <= 64
+        assert res.value == reference_exact(gm, profile, rank // 2)
+        kinds.add({None: "reduceat", profile.width: "singletons"}.get(
+            profile._pair_split, "mixed"))
+        checked += 1
+    assert kinds == {"mixed", "singletons", "reduceat"}
 
 
 def test_distances_match_weights_of_difference():

@@ -8,7 +8,13 @@ import pytest
 
 from addcyclic import linalg
 from addcyclic import gray
-from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, MixedCode, MixedWord
+from addcyclic.codes import (
+    GeneratorMatrixCode,
+    InvariantViolation,
+    MixedCode,
+    MixedWord,
+    projections,
+)
 from addcyclic.distance import WeightProfile, min_distance_exact
 from addcyclic.fields import tower
 from addcyclic.gray import (
@@ -129,6 +135,22 @@ def test_image_of_zero_code():
                      Poly.zero(T3.base), Poly.zero(T3.base), Poly.zero(T3.base))
     img = gray_image(code)
     assert img.rank == 0
+
+
+def test_images_of_projections():
+    # C_alpha has beta = 0: its image is the alpha block itself; C_beta
+    # has alpha = 0: its image is the doubled extension block
+    rng = random.Random(89)
+    for _ in range(40):
+        code = random_mixed_code(rng, rng.choice((T3, T4)),
+                                 rng.randrange(1, 4), rng.randrange(1, 4))
+        c_alpha, c_beta = projections(code)
+        img = gray_image(c_alpha)
+        assert img.classification == "alpha block only"
+        assert np.array_equal(img.matrix, c_alpha.matrix)
+        img = gray_image(c_beta)
+        assert img.classification == "extension block only"
+        assert img.rank == c_beta.rank and img.length == 2 * code.beta
 
 
 def test_image_dimension_preserved_randomized():

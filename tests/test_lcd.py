@@ -19,6 +19,7 @@ from addcyclic.lcd import (
     hull,
     is_lcd,
     is_self_orthogonal,
+    lcd_certificate,
     lcd_pipeline,
     lcd_pipeline_code,
     load_matrix_document,
@@ -141,6 +142,32 @@ def test_rows_fq_independent():
     assert rows_fq_independent(tw, g_beta)
     assert not rows_fq_independent(tw, np.vstack([g_beta[0], g_beta[0]]))
     assert rows_fq_independent(tw, g_beta[:1])
+
+
+def test_certificate_independence_matches_rows_fq_independent():
+    # the certificate reads independence from the rank of the Gray block
+    # of G_beta; the oracle ranks its [b | c] expansion.  They agree on
+    # independent and dependent G_beta, beta = 0 (rows of length 0) included
+    rng = random.Random(239)
+    nprng = np.random.default_rng(239)
+    seen = set()
+    for trial in range(160):
+        tw = tower((2, 3, 4, 8)[trial % 4])
+        alpha, beta = rng.randrange(0, 4), rng.randrange(0, 5)
+        if alpha + beta == 0:
+            continue
+        m = rng.randrange(1, 6)
+        expanded = nprng.integers(0, tw.q, size=(m, alpha + 2 * beta), dtype=np.uint8)
+        if m > 1 and rng.randrange(2):
+            # the last row a combination of the others
+            coeffs = nprng.integers(0, tw.q, size=(1, m - 1), dtype=np.uint8)
+            expanded[-1] = linalg.matmul(tw.base, coeffs, expanded[:-1])[0]
+        image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
+        cert = lcd_certificate(expanded, image)
+        g_beta = tw.compose(expanded[:, alpha::2], expanded[:, alpha + 1 :: 2])
+        assert cert.g_beta_rows_independent == rows_fq_independent(tw, g_beta)
+        seen.add((beta == 0, cert.g_beta_rows_independent))
+    assert seen == {(False, True), (False, False), (True, False)}
 
 
 def test_pipeline_worked_example():
