@@ -72,7 +72,6 @@ from .poly import (
     format_poly,
     parse_poly,
     parse_scalar,
-    poly_ext_gcd,
     poly_gcd,
 )
 from .tables import TABLE1, TABLE2, TABLE3, TableEntry, verify_all, verify_entry

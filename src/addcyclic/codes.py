@@ -27,15 +27,7 @@ from .fields import (
     tower as get_tower,
 )
 from .linalg import _suffix_block
-from .poly import (
-    Poly,
-    combine_components,
-    divides,
-    lift,
-    parse_poly,
-    poly_ext_gcd,
-    poly_gcd,
-)
+from .poly import Poly, combine_components, divides, lift, parse_poly
 
 
 class CodeConstructionError(ValueError):
@@ -365,28 +357,13 @@ def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
     words with zero first component, and h* is the w-part of a preimage of
     g*, reduced mod k*.  Both g* and k* are monic divisors of x^n - 1 (the
     zero ideal is represented by x^n - 1 itself) and the construction is
-    idempotent.
+    idempotent.  The triple is read from the echelon form of the module
+    closure of the raw words g + w*h and w*k (`_echelon_generators`).
     """
-    base = tw.base
-    xn1 = Poly.xn_minus_1(base, n)
-    if g.is_zero() or divides(xn1, g):
-        gstar = xn1
-        a = Poly.zero(base)
-    else:
-        gstar, a, _ = poly_ext_gcd(g, xn1)
-    kernel_gens = [xn1]
-    if not k.is_zero():
-        kernel_gens.append(k)
-    lifted = h * (xn1 // gstar)
-    if not lifted.is_zero():
-        kernel_gens.append(lifted)
-    kstar = kernel_gens[0]
-    for p in kernel_gens[1:]:
-        kstar = poly_gcd(kstar, p)
-    hstar = (a * h) % xn1
-    if not kstar.is_zero():
-        hstar = hstar % kstar
-    return gstar.monic(), hstar, kstar.monic()
+    zero = Poly.zero(tw.base)
+    words = [MixedWord.from_polys(tw, 0, n, zero, combine_components(g, h, tw)),
+             MixedWord.from_polys(tw, 0, n, zero, combine_components(zero, k, tw))]
+    return _echelon_generators(module_closure(tw, 0, n, words))
 
 
 # ---------------------------------------------------------------------------
@@ -673,69 +650,66 @@ class ExtractedGenerators:
     closure_ok: bool
 
 
-def _alpha_kernel(code: GeneratorMatrixCode):
-    """Rref basis of the codewords whose alpha part is zero: the stored
-    basis rows that pivot past the alpha block.  The other rows pivot
-    inside it, so their alpha parts are independent."""
-    return code.matrix[np.asarray(code.pivots, dtype=np.intp) >= code.alpha]
+def _echelon_generators(gm: GeneratorMatrixCode):
+    """Generator polynomials of a cyclic code, read from one echelon form.
+
+    The code's columns are ordered as the alpha block, then the b parts,
+    then the c parts of the beta block, each highest degree first, and
+    reduced once.  The rows pivoting in a part span, as polynomials, the
+    ideal that part holds once the parts before it vanish, and the last
+    of them is its monic word of lowest degree: the ideal's generator
+    (MacWilliams-Sloane ch. 7).  So the last row pivoting in the alpha
+    block is (s | l), among the b parts (0 | g + w*h) and among the c
+    parts (0 | w*k), with l and h reduced against the rows below them.  A
+    part with no pivot gives x^n - 1 and zero.  Returns (s, l, g, h, k),
+    or (g, h, k) when alpha = 0.
+    """
+    tw, alpha, beta = gm.tower, gm.alpha, gm.beta
+    base = tw.base
+    down = np.arange(beta - 1, -1, -1)
+    order = np.concatenate([np.arange(alpha - 1, -1, -1),
+                            alpha + 2 * down, alpha + 2 * down + 1])
+    R, r, pivots = linalg.rref(base, gm.matrix[:, order])
+    rows = np.empty((r, gm.width), dtype=np.uint8)
+    rows[:, order] = R[:r]
+    # the part of each pivot: 0 alpha, 1 b, 2 c; later rows overwrite
+    parts = np.searchsorted([alpha, alpha + beta], pivots, side="right")
+    last = {int(part): i for i, part in enumerate(parts)}
+    b, c = rows[:, alpha::2], rows[:, alpha + 1 :: 2]
+    xb1 = Poly.xn_minus_1(base, beta)
+    g, h = ((Poly(base, b[last[1]]), Poly(base, c[last[1]])) if 1 in last
+            else (xb1, Poly.zero(base)))
+    k = Poly(base, c[last[2]]) if 2 in last else xb1
+    if not alpha:
+        return g, h, k
+    s, l = ((Poly(base, rows[last[0], :alpha]),
+             Poly(tw.ext, tw.compose(b[last[0]], c[last[0]]))) if 0 in last
+            else (Poly.xn_minus_1(base, alpha), Poly.zero(tw.ext)))
+    return s, l, g, h, k
 
 
 def extract_mixed_generators(code: GeneratorMatrixCode):
     """Recover a generator quintuple (s, l, g, h, k) for a cyclic mixed
-    code given by its matrix.  Best effort: the result always satisfies
-    the divisibility conditions, and closure_ok records whether its
-    module closure reproduces the input row space exactly."""
+    code given by its matrix, read from one echelon form
+    (`_echelon_generators`).  Best effort: the quintuple always satisfies
+    the divisibility conditions and generates the smallest cyclic code
+    holding the input, and closure_ok records whether that is the input
+    itself, that is whether the input is cyclic."""
     tw = code.tower
     alpha, beta = code.alpha, code.beta
     if alpha is None or beta is None or alpha < 1:
         raise ValueError("extraction needs a mixed split with alpha >= 1")
-    base = tw.base
-    xa1 = Poly.xn_minus_1(base, alpha)
-    alpha_polys = [Poly(base, u) for u in code.matrix[:, :alpha] if u.any()]
-    if alpha_polys:
-        s = xa1
-        for p in alpha_polys:
-            s = poly_gcd(s, p)
-    else:
-        s = xa1
-    # a word whose alpha part is exactly s
-    svec = s.cyclic_vector(alpha)
-    sol = linalg.solve(base, code.matrix[:, :alpha].T, svec)
-    if sol is None:
-        l = Poly.zero(tw.ext)
-    else:
-        word = tw.base.sum(tw.base.mul(sol[:, None], code.matrix), axis=0)
-        mixed = MixedWord.from_expanded(tw, alpha, beta, word)
-        l = Poly(tw.ext, mixed.uprime)
-    # the kernel of the alpha projection, as a pure code on the beta side
-    ker = _alpha_kernel(code)
-    xb1 = Poly.xn_minus_1(base, beta)
-    g = xb1
-    for row in ker:
-        bp = Poly(base, [int(x) for x in row[alpha::2]])
-        if not bp.is_zero():
-            g = poly_gcd(g, bp)
-    # k: generator of the ideal of c-parts of words with both u and b zero
-    c_selector = np.zeros((beta, alpha + 2 * beta), dtype=np.uint8)
-    for j in range(beta):
-        c_selector[j, alpha + 2 * j + 1] = 1
-    c_code = linalg.intersect(base, code.matrix, c_selector)
-    k = xb1
-    for row in c_code:
-        cp = Poly(base, [int(x) for x in row[alpha + 1 :: 2]])
-        if not cp.is_zero():
-            k = poly_gcd(k, cp)
-    # h: the c-part of some kernel word whose b-part equals g
-    h = Poly.zero(base)
-    if not divides(xb1, g) and len(ker):
-        bcols = ker[:, alpha::2]
-        sol_h = linalg.solve(base, bcols.T, g.cyclic_vector(beta))
-        if sol_h is not None:
-            word = tw.base.sum(tw.base.mul(sol_h[:, None], ker), axis=0)
-            h = Poly(base, [int(x) for x in word[alpha + 1 :: 2]])
-    g, h, k = canonicalize_pure(tw, beta, g, h, k)
-    candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
-    ok = candidate.closure.equals(code)
+    s, l, g, h, k = _echelon_generators(code)
+    try:
+        candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
+        ok = candidate.closure.equals(code)
+    except CodeConstructionError:
+        ok = False
+    if not ok:
+        # not cyclic: read the smallest cyclic code holding it instead
+        span = module_closure(tw, alpha, beta, [
+            MixedWord.from_expanded(tw, alpha, beta, row) for row in code.matrix])
+        s, l, g, h, k = _echelon_generators(span)
     return ExtractedGenerators(s, l, g, h, k, ok)
 
 

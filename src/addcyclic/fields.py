@@ -351,15 +351,14 @@ def _tower(q, f1, f2):
 # -- irreducibility by exhaustive search -----------------------------------
 
 
-def poly_eval(field, coeffs, x):
-    acc = 0
+def _evaluations(field, coeffs):
+    """f(x) for every element x of the field, in one vectorised Horner
+    pass: entry x of the result is the value at x."""
+    xs = np.arange(field.order, dtype=np.uint8)
+    acc = np.zeros_like(xs)
     for c in reversed(coeffs):
-        acc = int(field.add(field.mul(acc, x), c))
+        acc = field.add(field.mul(acc, xs), c)
     return acc
-
-
-def has_root(field, coeffs):
-    return any(poly_eval(field, coeffs, x) == 0 for x in field.elements())
 
 
 def _check_f2(base, f2):
@@ -367,7 +366,7 @@ def _check_f2(base, f2):
         raise ValueError("f2 must be a monic quadratic")
     if any(not 0 <= c < base.order for c in f2):
         raise ValueError("f2 coefficients must lie in the base field")
-    if has_root(base, f2):
+    if not _evaluations(base, f2).all():
         raise ValueError(f"f2 {f2} is reducible: it has a root in the base field")
 
 
@@ -382,32 +381,20 @@ def _check_f1(prime, f1, m):
 
 def _is_irreducible(field, coeffs):
     """Trial division by every monic polynomial of degree <= deg/2."""
+    from .poly import Poly  # poly imports this module
+
     deg = len(coeffs) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
+    f = Poly(field, coeffs)
     for d in range(1, deg // 2 + 1):
         for packed in range(field.order**d):
             divisor = [(packed // field.order**i) % field.order for i in range(d)] + [1]
-            if _poly_divides(field, divisor, coeffs):
+            if (f % Poly(field, divisor)).is_zero():
                 return False
     return True
-
-
-def _poly_divides(field, a, b):
-    rem = list(b)
-    da = len(a) - 1
-    while len(rem) - 1 >= da and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < da:
-            break
-        c = int(field.div(rem[-1], a[-1]))
-        shift = len(rem) - 1 - da
-        for i, ac in enumerate(a):
-            rem[shift + i] = int(field.sub(rem[shift + i], field.mul(c, ac)))
-    return not any(rem)
 
 
 def _search_irreducible(field, deg):
@@ -415,7 +402,7 @@ def _search_irreducible(field, deg):
     for packed in range(field.order**deg):
         coeffs = tuple((packed // field.order**i) % field.order for i in range(deg)) + (1,)
         if deg == 2:
-            ok = not has_root(field, coeffs)
+            ok = _evaluations(field, coeffs).all()
         else:
             ok = _is_irreducible(field, coeffs)
         if ok:

@@ -80,12 +80,6 @@ def rank(field, mat):
     return rref(field, mat)[1]
 
 
-def row_basis(field, mat):
-    """Canonical basis of the row space: the nonzero rows of the rref."""
-    R, r, _ = rref(field, mat)
-    return R[:r].copy()
-
-
 def kernel(field, mat):
     """Basis of the right null space {v : mat @ v = 0}, one row per vector."""
     R, _, pivots = rref(field, mat)
@@ -121,25 +115,6 @@ def reduce_rows(field, basis, pivots, rows):
     for i, pc in enumerate(pivots):
         V = field.axpy(V, field.neg(V[:, pc, None]), basis[i])
     return V
-
-
-def in_rowspace(field, mat, vec):
-    """Membership of a vector in the row space of `mat`: appending it
-    leaves the rank unchanged."""
-    v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
-    M = as_matrix(mat, width=v.shape[1])
-    return rank(field, np.vstack([M, v])) == rank(field, M)
-
-
-def rowspace_equal(field, a, b):
-    """True iff the two matrices span the same row space."""
-    A = as_matrix(a)
-    B = as_matrix(b, width=A.shape[1])
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    ra = row_basis(field, A)
-    rb = row_basis(field, B)
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
 
 
 def intersect(field, a, b):
@@ -207,20 +182,6 @@ def matmul(field, a, b):
         index = A[:, start : start + t] @ place
         out = field.add(out, _suffix_block(field, chunk)[index])
     return out
-
-
-def solve(field, mat, rhs):
-    """One solution x of mat @ x = rhs, or None when inconsistent."""
-    M = as_matrix(mat)
-    v = np.asarray(rhs, dtype=np.uint8)
-    aug = np.hstack([M, v.reshape(-1, 1)])
-    R, r, pivots = rref(field, aug)
-    if M.shape[1] in pivots:
-        return None
-    x = np.zeros(M.shape[1], dtype=np.uint8)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, -1]
-    return x
 
 
 def determinant(field, mat):

@@ -196,24 +196,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_ext_gcd(a: Poly, b: Poly):
-    """Monic g = gcd(a, b) together with s, t such that s*a + t*b = g."""
-    a._check(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = int(f.inv(r0.coeffs[-1]))
-    return r0.monic(), s0.scale(lead), t0.scale(lead)
-
-
 def divides(a: Poly, b: Poly) -> bool:
     """True iff a | b; a must be nonzero."""
     if a.is_zero():

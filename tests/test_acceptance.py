@@ -10,7 +10,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from addcyclic import linalg
 from addcyclic.codes import (
     MixedCode,
     MixedWord,
@@ -40,6 +39,7 @@ from addcyclic.tables import (
 from test_codes import random_mixed_code, random_pure_code
 from test_distance import groups_of, naive_min_distance
 from test_lcd import example_words
+from test_linalg import rowspace_equal
 
 T3 = tower(3)
 T4 = tower(4)
@@ -192,9 +192,9 @@ def test_criterion_4_table3_and_worked_example():
         and hull(img.base).rank == 0
         and (phib.width, phib.rank, d_beta) == (8, 3, 4)
         and hull(phib).rank == 0
-        and linalg.rowspace_equal(tw.base, img.matrix,
+        and rowspace_equal(tw.base, img.matrix,
                                   np.array(WORKED_EXAMPLE_PHI_FULL, np.uint8))
-        and linalg.rowspace_equal(tw.base, phib.matrix,
+        and rowspace_equal(tw.base, phib.matrix,
                                   np.array(WORKED_EXAMPLE_PHI_BETA, np.uint8))
         and cert.conclusion == LCD_GUARANTEED
         and cert.c_alpha_self_orthogonal

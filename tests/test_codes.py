@@ -12,6 +12,7 @@ from addcyclic.codes import (
     CanonicalFormError,
     CodeConstructionError,
     MAX_CLOSURE_CELLS,
+    ExtractedGenerators,
     GeneratorMatrixCode,
     MixedCode,
     MixedWord,
@@ -28,12 +29,15 @@ from addcyclic.codes import (
     projections,
     singleton_check,
     star,
-    _alpha_kernel,
     _closure_order,
     _form_matrix,
 )
 from addcyclic.fields import tower
 from addcyclic.poly import Poly, combine_components, divides, lift, parse_poly, poly_gcd
+from addcyclic.tables import TABLE2, build_table2_code
+
+from test_linalg import in_rowspace, row_basis, rowspace_equal, solve
+from test_poly import ext_gcd
 
 T3 = tower(3)
 T4 = tower(4)
@@ -143,7 +147,7 @@ def test_pure_basis_table_row():
     assert len(words) == 6  # (5 - 0) + (5 - 4)
     mat = linalg.as_matrix([w.expand() for w in words], width=10)
     assert linalg.rank(T4.base, mat) == 6  # F_q-independent
-    assert linalg.rowspace_equal(T4.base, mat, code.closure.matrix)
+    assert rowspace_equal(T4.base, mat, code.closure.matrix)
 
 
 def test_pure_basis_trivial_kernel():
@@ -183,6 +187,32 @@ def test_pure_closure_matches_bruteforce_span():
 # -- canonicalization ---------------------------------------------------------
 
 
+def reference_canonicalize_pure(tw, n, g, h, k):
+    """The canonical triple by polynomial arithmetic, kept as the oracle
+    of the echelon read: g* = gcd(g, x^n - 1) = a*g + t*(x^n - 1), k* the
+    gcd of x^n - 1, k and h*(x^n - 1)/g*, and h* = a*h reduced mod k*."""
+    base = tw.base
+    xn1 = Poly.xn_minus_1(base, n)
+    if g.is_zero() or divides(xn1, g):
+        gstar = xn1
+        a = Poly.zero(base)
+    else:
+        gstar, a, _ = ext_gcd(g, xn1)
+    kernel_gens = [xn1]
+    if not k.is_zero():
+        kernel_gens.append(k)
+    lifted = h * (xn1 // gstar)
+    if not lifted.is_zero():
+        kernel_gens.append(lifted)
+    kstar = kernel_gens[0]
+    for p in kernel_gens[1:]:
+        kstar = poly_gcd(kstar, p)
+    hstar = (a * h) % xn1
+    if not kstar.is_zero():
+        hstar = hstar % kstar
+    return gstar.monic(), hstar, kstar.monic()
+
+
 def test_canonicalize_known_degenerate():
     gs, hs, ks = canonicalize_pure(T3, 3, P("x^3+2"), P("2x^2+2x+2"), P("x^3+2"))
     assert gs == P("x^3+2")
@@ -212,6 +242,7 @@ def test_canonicalize_idempotent_and_closure_preserving():
         h = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(n + 2))])
         k = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(n + 2))])
         gs, hs, ks = canonicalize_pure(tw, n, g, h, k)
+        assert (gs, hs, ks) == reference_canonicalize_pure(tw, n, g, h, k)
         assert canonicalize_pure(tw, n, gs, hs, ks) == (gs, hs, ks)
         raw = module_closure(tw, 0, n, PureCode(tw, n, gs, hs, ks).generator_words())
         # original triple need not satisfy the divisor conditions, so build
@@ -507,7 +538,7 @@ def test_block_membership_agrees_with_in_rowspace():
             tw.base, nprng.integers(0, q, size=(5, k), dtype=np.uint8), gm.matrix)
         others = nprng.integers(0, q, size=(5, n), dtype=np.uint8)
         for row in np.vstack([members, others]):
-            expected = linalg.in_rowspace(tw.base, gm.matrix, row)
+            expected = in_rowspace(tw.base, gm.matrix, row)
             assert gm.contains(row) == expected
             assert gm.contains_rows(np.vstack([members, row])) == expected
         assert gm.contains_rows(members)
@@ -590,6 +621,160 @@ def test_extract_generators_of_dual():
     assert got.closure_ok
 
 
+def reference_extract(code):
+    """Generator extraction by gcds, particular solutions and an
+    intersection, kept as the oracle of the echelon read: s is the gcd of
+    the alpha parts, l the beta part of a word whose alpha part is s, g
+    the gcd of the b parts of the alpha kernel, k the gcd of the c parts
+    of the words with u = b = 0, h the c part of a kernel word whose b
+    part is g, then (g, h, k) made canonical."""
+    tw = code.tower
+    alpha, beta = code.alpha, code.beta
+    base = tw.base
+    s = Poly.xn_minus_1(base, alpha)
+    for u in code.matrix[:, :alpha]:
+        if u.any():
+            s = poly_gcd(s, Poly(base, u))
+    sol = solve(base, code.matrix[:, :alpha].T, s.cyclic_vector(alpha))
+    if sol is None:
+        l = Poly.zero(tw.ext)
+    else:
+        word = base.sum(base.mul(sol[:, None], code.matrix), axis=0)
+        l = Poly(tw.ext, MixedWord.from_expanded(tw, alpha, beta, word).uprime)
+    # the rows pivoting past the alpha block span the alpha kernel
+    ker = code.matrix[np.asarray(code.pivots, dtype=np.intp) >= alpha]
+    xb1 = Poly.xn_minus_1(base, beta)
+    g = xb1
+    for row in ker:
+        if row[alpha::2].any():
+            g = poly_gcd(g, Poly(base, row[alpha::2]))
+    c_selector = np.zeros((beta, alpha + 2 * beta), dtype=np.uint8)
+    c_selector[np.arange(beta), alpha + 2 * np.arange(beta) + 1] = 1
+    k = xb1
+    for row in linalg.intersect(base, code.matrix, c_selector):
+        if row[alpha + 1 :: 2].any():
+            k = poly_gcd(k, Poly(base, row[alpha + 1 :: 2]))
+    h = Poly.zero(base)
+    if not divides(xb1, g) and len(ker):
+        sol_h = solve(base, ker[:, alpha::2].T, g.cyclic_vector(beta))
+        if sol_h is not None:
+            word = base.sum(base.mul(sol_h[:, None], ker), axis=0)
+            h = Poly(base, word[alpha + 1 :: 2])
+    g, h, k = reference_canonicalize_pure(tw, beta, g, h, k)
+    candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
+    return ExtractedGenerators(s, l, g, h, k, candidate.closure.equals(code))
+
+
+def random_lenient_code(rng, tw, alpha, beta):
+    """A code shaped like the benchmark's algebra items: s, g and k are
+    divisors of x^n - 1 or their cofactors, h and l are arbitrary, and
+    the generator conditions are left unchecked."""
+    f = tw.base
+
+    def divisor(n):
+        d = random_divisor(rng, f, n)
+        return (Poly.xn_minus_1(f, n) // d).monic() if rng.random() < 0.5 else d
+
+    def anything(field):
+        return Poly(field, [rng.randrange(field.order) for _ in range(beta)])
+
+    return MixedCode(tw, alpha, beta, divisor(alpha), anything(tw.ext),
+                     divisor(beta), anything(f), divisor(beta), strict=False)
+
+
+def check_extraction(gm):
+    """The echelon read agrees with the reference on s, g, h, k and
+    closure_ok, reproduces the cyclic code gm, and is a fixed point: the
+    quintuple read from its own closure is the same, l included."""
+    got, want = extract_mixed_generators(gm), reference_extract(gm)
+    assert (got.s, got.g, got.h, got.k, got.closure_ok) == (
+        want.s, want.g, want.h, want.k, want.closure_ok)
+    assert got.closure_ok
+    again = MixedCode(gm.tower, gm.alpha, gm.beta, got.s, got.l, got.g, got.h,
+                      got.k, strict=False)
+    assert extract_mixed_generators(again.closure) == got
+
+
+def test_extraction_matches_reference_on_lenient_codes_and_duals():
+    rng = random.Random(211)
+    towers = [tower(q) for q in (2, 3, 4, 5, 7, 8)]
+    for i in range(150):
+        tw = towers[i % len(towers)]
+        code = random_lenient_code(rng, tw, rng.randrange(1, 7), rng.randrange(1, 9))
+        for gm in (code.closure, dual(code)):
+            check_extraction(gm)
+
+
+def test_extraction_matches_reference_on_table2_and_duals():
+    for entry in TABLE2:
+        code = build_table2_code(entry)
+        for gm in (code.closure, dual(code)):
+            check_extraction(gm)
+
+
+def test_extraction_matches_reference_on_degenerate_codes():
+    for tw in (T3, T4, tower(2)):
+        for alpha, beta in ((1, 1), (2, 3), (3, 2)):
+            f = tw.base
+            zero, one = Poly.zero(f), Poly.one(f)
+            nothing = MixedCode(tw, alpha, beta, zero, Poly.zero(tw.ext), zero, zero,
+                                zero, strict=False)
+            everything = MixedCode(tw, alpha, beta, one, Poly.zero(tw.ext), one, zero,
+                                   one, strict=False)
+            assert nothing.dimension == 0
+            assert everything.dimension == alpha + 2 * beta
+            for code in (nothing, everything):
+                for gm in (code.closure, dual(code)):
+                    check_extraction(gm)
+            got = extract_mixed_generators(nothing.closure)
+            assert got.s == Poly.xn_minus_1(f, alpha) and got.l.is_zero()
+            assert got.g == got.k == Poly.xn_minus_1(f, beta) and got.h.is_zero()
+
+
+def test_extraction_reads_table2_row8_by_hand():
+    # s = x^2+x+1 = (x-1)^2 generates the alpha projection.  With
+    # g = x^3-1 the kernel is spanned by w*h = 2w(x^2+x+1), w*k = 0 and
+    # ((x^3-1)/s)*(s | l) = (0 | (x-1)(w+1)(x^2+x+1)) = 0, so g* = x^3-1,
+    # h* = 0, k* = x^2+x+1, and l = (w+1)(x^2+x+1) loses its w-part
+    # x^2+x+1, a multiple of k*, once reduced against the kernel rows
+    code = build_table2_code(TABLE2[7])
+    got = extract_mixed_generators(code.closure)
+    assert (got.s, got.l, got.g, got.h, got.k) == (
+        P("x^2+x+1"), P("x^2+x+1", ext=True), P("x^3+2"), Poly.zero(T3.base),
+        P("x^2+x+1"))
+    assert got.closure_ok
+
+
+def test_extraction_of_a_code_that_is_not_cyclic():
+    """Best effort off the cyclic codes: the generators of the smallest
+    cyclic code holding it, still divisors, with closure_ok false."""
+    rng = random.Random(223)
+    nprng = np.random.default_rng(223)
+    seen = 0
+    for _ in range(40):
+        tw = rng.choice((T3, T4, T8))
+        alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
+        width = alpha + 2 * beta
+        gm = GeneratorMatrixCode(
+            tw, nprng.integers(0, tw.q, size=(rng.randrange(1, width), width),
+                               dtype=np.uint8), alpha=alpha, beta=beta)
+        if is_cyclic(gm):
+            continue
+        seen += 1
+        got = extract_mixed_generators(gm)
+        assert not got.closure_ok
+        f = tw.base
+        assert divides(got.s, Poly.xn_minus_1(f, alpha))
+        for p in (got.g, got.k):
+            assert divides(p, Poly.xn_minus_1(f, beta))
+        span = MixedCode(tw, alpha, beta, got.s, got.l, got.g, got.h, got.k,
+                         strict=False).closure
+        assert span.contains_code(gm) and is_cyclic(span)
+        assert span.equals(module_closure(tw, alpha, beta, [
+            MixedWord.from_expanded(tw, alpha, beta, row) for row in gm.matrix]))
+    assert seen >= 20
+
+
 # -- definition documents --------------------------------------------------------------
 
 
@@ -654,7 +839,7 @@ def test_closure_rows_and_dual_match_row_loops():
             constraints += [b, c]
         cons = linalg.as_matrix(constraints, width=gm.width)
         assert np.array_equal(dual(gm).matrix,
-                              linalg.row_basis(tw.base, linalg.kernel(tw.base, cons)))
+                              row_basis(tw.base, linalg.kernel(tw.base, cons)))
 
 
 # -- one permutation test, the stored-basis kernel and equality ----------------
@@ -703,25 +888,6 @@ def test_invariant_under_agrees_with_roll_shift():
         invariant_under(orbit, np.arange(orbit.width - 1))
 
 
-def test_alpha_kernel_agrees_with_selector_intersection():
-    from test_linalg import reference_intersect
-    rng = random.Random(191)
-    nprng = np.random.default_rng(191)
-    for _ in range(60):
-        tw = rng.choice((T3, T4, T8))
-        alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
-        code = random_mixed_code(rng, tw, alpha, beta).closure
-        width = alpha + 2 * beta
-        raw = GeneratorMatrixCode(
-            tw, nprng.integers(0, tw.q, size=(rng.randrange(0, width + 2), width),
-                               dtype=np.uint8), alpha=alpha, beta=beta)
-        selector = np.hstack([np.zeros((2 * beta, alpha), dtype=np.uint8),
-                              np.eye(2 * beta, dtype=np.uint8)])
-        for gm in (code, dual(code), raw):
-            expected = reference_intersect(tw.base, gm.matrix, selector)
-            assert np.array_equal(_alpha_kernel(gm), expected)
-
-
 def test_equals_agrees_with_rowspace_equal():
     rng = np.random.default_rng(193)
     for tw in (T3, T4, T8):
@@ -733,7 +899,7 @@ def test_equals_agrees_with_rowspace_equal():
             B = linalg.matmul(tw.base, mixer, A) if k else np.zeros((0, n), np.uint8)
             C = rng.integers(0, tw.q, size=(k, n), dtype=np.uint8)
             for other in (B, C):
-                expected = linalg.rowspace_equal(tw.base, A, other)
+                expected = rowspace_equal(tw.base, A, other)
                 assert GeneratorMatrixCode(tw, A).equals(
                     GeneratorMatrixCode(tw, other)) == expected
     assert not GeneratorMatrixCode(T3, np.zeros((0, 2), np.uint8)).equals(

@@ -12,11 +12,12 @@ from addcyclic.fields import (
     Field,
     FieldMismatchError,
     FieldTower,
+    _evaluations,
+    _is_irreducible,
     format_element,
-    has_root,
-    poly_eval,
     tower,
 )
+from addcyclic.poly import Poly
 
 T3 = tower(3)
 T4 = tower(4)
@@ -158,23 +159,48 @@ def test_inverses_randomized():
 def test_default_moduli_irreducible_by_root_search():
     # quadratic is irreducible over its base iff it has no root there
     for tw in TOWERS:
-        assert not has_root(tw.base, tw.f2)
+        assert _evaluations(tw.base, tw.f2).all()
     assert T4.f2 == (2, 1, 1)   # x^2 + x + u over F_4
     assert T8.f2 == (1, 1, 1)   # x^2 + x + 1 over F_8
     assert T3.f2 == (1, 0, 1)   # x^2 + 1 over F_3
 
 
+def monic_polys(field, degree):
+    """Every monic polynomial of the given degree, as a Poly."""
+    for packed in range(field.order**degree):
+        yield Poly(field, [(packed // field.order**i) % field.order
+                           for i in range(degree)] + [1])
+
+
+@pytest.mark.parametrize("field,top", [(tower(2).base, 5), (T3.base, 4), (T4.base, 3)],
+                         ids=("F2", "F3", "F4"))
+def test_irreducibility_matches_products_of_monic_factors(field, top):
+    # oracle: the reducible monic polynomials are the products of two
+    # monic factors of positive degree; in degree 2 and 3 exactly those
+    # have a root, which is what the Horner pass over all elements sees
+    for degree in range(1, top + 1):
+        reducible = {(a * b).coeffs for i in range(1, degree // 2 + 1)
+                     for a in monic_polys(field, i)
+                     for b in monic_polys(field, degree - i)}
+        for f in monic_polys(field, degree):
+            assert _is_irreducible(field, f.coeffs) == (f.coeffs not in reducible)
+            values = _evaluations(field, f.coeffs)
+            assert [int(v) for v in values] == [f(x) for x in field.elements()]
+            if degree in (2, 3):
+                assert bool(values.all()) == (f.coeffs not in reducible)
+
+
 def test_reducible_f2_rejected():
     # x^2 - 1 = (x-1)(x+1) has roots everywhere
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"f2 \(2, 0, 1\) is reducible: it has a root"):
         FieldTower(3, f2=(2, 0, 1))
     # x^2+1 is reducible over F_2: 1 is a root
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has a root in the base field"):
         FieldTower(4, f1=(1, 1, 1), f2=(1, 0, 1))
 
 
 def test_reducible_f1_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"f1 \(1, 0, 1\) is reducible over F_2"):
         FieldTower(4, f1=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
 
 
@@ -193,7 +219,7 @@ def test_format_element():
 
 def test_poly_eval_helper():
     # f2 of the q=3 tower has no roots but f(w) = 0 in the extension
-    assert poly_eval(T3.ext, T3.f2, T3.omega) == 0
+    assert _evaluations(T3.ext, T3.f2)[T3.omega] == 0
 
 
 def test_tower_accepts_coefficient_lists():

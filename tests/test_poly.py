@@ -12,7 +12,6 @@ from addcyclic.poly import (
     format_poly,
     parse_poly,
     parse_scalar,
-    poly_ext_gcd,
     poly_gcd,
 )
 
@@ -63,6 +62,23 @@ def test_divmod_identity_randomized():
 
 # -- gcd ---------------------------------------------------------------------
 
+def ext_gcd(a: Poly, b: Poly):
+    """Monic g = gcd(a, b) together with s, t such that s*a + t*b = g, by
+    the extended Euclidean algorithm: the oracle behind the reference
+    canonical triple in test_codes."""
+    f = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(f), Poly.zero(f)
+    t0, t1 = Poly.zero(f), Poly.one(f)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    lead = int(f.inv(r0.coeffs[-1]))
+    return r0.monic(), s0.scale(lead), t0.scale(lead)
+
+
 def test_gcd_examples():
     assert poly_gcd(P("x^3+2"), P("x^4+2x")) == P("x^3+2")
     a = P("2x^2+x")
@@ -89,7 +105,7 @@ def test_gcd_properties_randomized():
             for p in (a, b):
                 if not p.is_zero():
                     assert divides(g, p)
-            g2, s, t = poly_ext_gcd(a, b)
+            g2, s, t = ext_gcd(a, b)
             assert g2 == g
             assert s * a + t * b == g
 
