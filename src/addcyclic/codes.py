@@ -240,6 +240,14 @@ def _closure_order(alpha, beta):
     return math.lcm(alpha, beta) if alpha else beta
 
 
+def _closure_rows(alpha, beta, expanded):
+    """The spanning rows of a module closure: every x-shift of each
+    expanded generator row, a generator's shifts in order."""
+    width = alpha + 2 * beta
+    shifts = _shift_columns(alpha, beta, np.arange(_closure_order(alpha, beta)))
+    return np.asarray(expanded, dtype=np.uint8).reshape(-1, width)[:, shifts].reshape(-1, width)
+
+
 def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCode:
     """F_q-row space of all x-shifts of the generators, in rref.
 
@@ -247,10 +255,7 @@ def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCo
     many shifts of each generator suffice.  This matrix is the
     authoritative codeword-set representation.
     """
-    width = alpha + 2 * beta
-    shifts = _shift_columns(alpha, beta, np.arange(_closure_order(alpha, beta)))
-    expanded = np.array([gen.expand() for gen in generators], dtype=np.uint8)
-    mat = expanded.reshape(-1, width)[:, shifts].reshape(-1, width)
+    mat = _closure_rows(alpha, beta, [gen.expand() for gen in generators])
     return GeneratorMatrixCode(tw, mat, alpha=alpha, beta=beta, spanning_rows=mat)
 
 
@@ -357,13 +362,14 @@ def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
     words with zero first component, and h* is the w-part of a preimage of
     g*, reduced mod k*.  Both g* and k* are monic divisors of x^n - 1 (the
     zero ideal is represented by x^n - 1 itself) and the construction is
-    idempotent.  The triple is read from the echelon form of the module
-    closure of the raw words g + w*h and w*k (`_echelon_generators`).
+    idempotent.  The triple is read from one degree-ordered elimination of
+    the x-shifts of the raw words g + w*h and w*k, the spanning rows of
+    their module closure (`_echelon_generators`).
     """
     zero = Poly.zero(tw.base)
     words = [MixedWord.from_polys(tw, 0, n, zero, combine_components(g, h, tw)),
              MixedWord.from_polys(tw, 0, n, zero, combine_components(zero, k, tw))]
-    return _echelon_generators(module_closure(tw, 0, n, words))
+    return _echelon_generators(tw, 0, n, _closure_rows(0, n, [w.expand() for w in words]))
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +656,11 @@ class ExtractedGenerators:
     closure_ok: bool
 
 
-def _echelon_generators(gm: GeneratorMatrixCode):
-    """Generator polynomials of a cyclic code, read from one echelon form.
+def _echelon_generators(tw: FieldTower, alpha, beta, spanning):
+    """Generator polynomials of the cyclic code spanned by the rows of
+    `spanning` (expanded layout), read from one echelon form.
 
-    The code's columns are ordered as the alpha block, then the b parts,
+    The columns are ordered as the alpha block, then the b parts,
     then the c parts of the beta block, each highest degree first, and
     reduced once.  The rows pivoting in a part span, as polynomials, the
     ideal that part holds once the parts before it vanish, and the last
@@ -664,13 +671,12 @@ def _echelon_generators(gm: GeneratorMatrixCode):
     part with no pivot gives x^n - 1 and zero.  Returns (s, l, g, h, k),
     or (g, h, k) when alpha = 0.
     """
-    tw, alpha, beta = gm.tower, gm.alpha, gm.beta
     base = tw.base
     down = np.arange(beta - 1, -1, -1)
     order = np.concatenate([np.arange(alpha - 1, -1, -1),
                             alpha + 2 * down, alpha + 2 * down + 1])
-    R, r, pivots = linalg.rref(base, gm.matrix[:, order])
-    rows = np.empty((r, gm.width), dtype=np.uint8)
+    R, r, pivots = linalg.rref(base, spanning[:, order])
+    rows = np.empty((r, len(order)), dtype=np.uint8)
     rows[:, order] = R[:r]
     # the part of each pivot: 0 alpha, 1 b, 2 c; later rows overwrite
     parts = np.searchsorted([alpha, alpha + beta], pivots, side="right")
@@ -699,7 +705,7 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
     alpha, beta = code.alpha, code.beta
     if alpha is None or beta is None or alpha < 1:
         raise ValueError("extraction needs a mixed split with alpha >= 1")
-    s, l, g, h, k = _echelon_generators(code)
+    s, l, g, h, k = _echelon_generators(tw, alpha, beta, code.matrix)
     try:
         candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
         ok = candidate.closure.equals(code)
@@ -707,9 +713,8 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
         ok = False
     if not ok:
         # not cyclic: read the smallest cyclic code holding it instead
-        span = module_closure(tw, alpha, beta, [
-            MixedWord.from_expanded(tw, alpha, beta, row) for row in code.matrix])
-        s, l, g, h, k = _echelon_generators(span)
+        s, l, g, h, k = _echelon_generators(
+            tw, alpha, beta, _closure_rows(alpha, beta, code.matrix))
     return ExtractedGenerators(s, l, g, h, k, ok)
 
 

@@ -3,14 +3,37 @@
 Matrices are 2-D numpy uint8 arrays of field elements; every function
 takes the Field as its first argument.  This is the ground-truth engine
 behind dimensions, duals and hulls: everything is reduced row echelon
-form, kernels, intersections and row-space tests.  Elimination is
-vectorized per pivot: each pivot column costs one normalization of the
-pivot row and one `Field.axpy` gather (a + c*b from a single table) over
-every other row that is nonzero in that column; a block of candidate
-rows is reduced against a stored rref basis, and a matrix product
-accumulated, with the same one-gather step.  A kernel is read from an
-rref and its pivots, so a stored basis needs no second elimination.  An
-intersection of row spaces is one Zassenhaus elimination.
+form, kernels, intersections and row-space tests.  A kernel is read
+from an rref and its pivots, so a stored basis needs no second
+elimination.  An intersection of row spaces is one Zassenhaus
+elimination.
+
+Elimination (`rref`, `determinant`, and `reduce_rows` against a stored
+rref basis) works on rows held as `bytes`, one byte per entry, so that,
+as in M4RI's packed rows (Albrecht, Bard and Hart, ACM TOMS 2010), a
+row operation acts on the whole row at once.  A row is scaled by
+`bytes.translate` through a 256-byte multiply-by-c table, and a + c*b
+is one big-integer operation on `int.from_bytes(row, "big")`:
+
+- characteristic 2: XOR, as the packed codes add digit by digit mod 2
+  (see `fields`);
+- odd characteristic: the entry is held in a lane code, its base-p
+  digits d_i read as the digits sum d_i (2p-1)^i.  A lane digit of a
+  sum of two codes is at most 2p - 2, so lanes never carry, and while
+  (2p-1)^digits <= 256 a row adds as one integer and one `translate`
+  maps each byte's lane sum back to the code of the field sum.  That
+  covers the prime fields up to 13 (whose code is the element), F_9,
+  F_25, F_27 and F_49;
+- F_81, F_121 and F_169, whose lane sums would not fit a byte: one
+  `add_table` gather per row operation, in the same loop.
+
+The tables are built on a field's first elimination.  Repeated and zero
+rows are dropped before eliminating, and rows that reach zero as it
+goes; the rref, whose other rows are zero, does not change.  On the
+small matrices of the code pipeline this costs a fraction of the numpy
+call overhead of one vectorized gather per pivot.  A matrix product
+accumulates one `Field.axpy` gather (a + c*b from a single table) per
+row of B.
 
 The message-order enumerator of row combinations lives here too, shared
 by the codeword lists of `codes` and the distance engines, and a tall
@@ -32,6 +55,9 @@ additions are XORs.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -45,6 +71,137 @@ def as_matrix(rows, width=None):
     raise ValueError("expected a 2-D matrix")
 
 
+class _ByteRows:
+    """Row arithmetic of one field on rows held as bytes (module
+    docstring).  A byte is the code of an entry, 0 for zero: the element
+    itself, or its lane code.  `encode` and `decode` move between uint8
+    matrices and lists of such rows, `by_inverse[c]` and `by_minus[c]`
+    are the `translate` tables scaling a row by 1/c and -c (c a code),
+    and `add(row, operand(other))` is row + other."""
+
+    def __init__(self, field):
+        p, order = field.p, field.order
+        digits = round(math.log(order, p))
+        lane = 2 * p - 1
+        elements, sums = np.arange(order), np.arange(256)
+        if p > 2 and lane**digits <= 256:
+            place = np.arange(digits)
+            code = (elements[:, None] // p**place % p) @ lane**place
+            # the element whose code is each lane sum's digits mod p
+            element = (sums[:, None] // lane**place % lane % p) @ p**place
+            self.add, self.operand = self._add_lanes, self._int
+        else:
+            code, element = elements, np.where(sums < order, sums, 0)
+            if p == 2:
+                self.add, self.operand = self._add_xor, self._int
+            else:
+                self.add, self.operand = self._add_gather, self._array
+        code, self.element = code.astype(np.uint8), element.astype(np.uint8)
+        identity = np.array_equal(code, elements)
+        self.encoding = None if identity else code.tobytes().ljust(256, b"\0")
+        self.decoding = None if identity else self.element.tobytes()
+        self.normal = code[self.element].tobytes()  # a lane sum to its code
+        self.add_table = field.add_table
+        scaled = code[field.mul_table[:, self.element]]  # row c: x to c*x
+        self.by_inverse, self.by_minus = [None] * 256, [None] * 256
+        for c in range(1, order):
+            self.by_inverse[code[c]] = scaled[field.inv_table[c]].tobytes()
+            self.by_minus[code[c]] = scaled[field.neg_table[c]].tobytes()
+
+    def encode(self, mat):
+        """The rows of a uint8 matrix as byte rows."""
+        data = mat.tobytes()
+        if self.encoding is not None:
+            data = data.translate(self.encoding)
+        width = mat.shape[1]
+        return [data[i * width : (i + 1) * width] for i in range(mat.shape[0])]
+
+    def decode(self, rows, shape):
+        """The uint8 matrix of the given shape whose first rows are the
+        byte rows given, and the rest zero."""
+        data = b"".join(rows)
+        if self.decoding is not None:
+            data = data.translate(self.decoding)
+        data = bytearray(data.ljust(shape[0] * shape[1], b"\0"))
+        return np.frombuffer(data, dtype=np.uint8).reshape(shape)
+
+    @staticmethod
+    def _int(row):
+        return int.from_bytes(row, "big")
+
+    @staticmethod
+    def _array(row):
+        return np.frombuffer(row, dtype=np.uint8)
+
+    @staticmethod
+    def _add_xor(row, operand):
+        return (int.from_bytes(row, "big") ^ operand).to_bytes(len(row), "big")
+
+    def _add_lanes(self, row, operand):
+        lanes = int.from_bytes(row, "big") + operand
+        return lanes.to_bytes(len(row), "big").translate(self.normal)
+
+    def _add_gather(self, row, operand):
+        return self.add_table[np.frombuffer(row, dtype=np.uint8), operand].tobytes()
+
+
+@lru_cache(maxsize=None)
+def _byte_rows(field):
+    return _ByteRows(field)
+
+
+def _eliminate(arith, rows, width, above=True):
+    """Gauss-Jordan elimination of byte rows of the given width.
+
+    Returns (reduced, pivots, leads, swaps): the nonzero rows of the
+    rref, the pivot column of each, the entry (a code) each pivot row
+    held there before it was scaled to 1, and the number of row swaps.
+    Repeated and zero rows are dropped first, and rows that reach zero
+    as they go; neither changes the rref, whose other rows are zero.
+    With `above` false each pivot column is cleared below the pivot
+    only, which leaves an echelon form, not the rref, but the same
+    pivots, leads and swaps in about half the row operations.
+    """
+    zero = bytes(width)
+    rows = [row for row in dict.fromkeys(rows) if row != zero]
+    n = len(rows)
+    add, operand, by_inverse, by_minus = arith.add, arith.operand, arith.by_inverse, arith.by_minus
+    pivots, leads, swaps = [], [], 0
+    r = 0
+    for col in range(width):
+        if r == n:
+            break
+        hit = r
+        while hit < n and not rows[hit][col]:
+            hit += 1
+        if hit == n:
+            continue
+        if hit != r:
+            rows[r], rows[hit] = rows[hit], rows[r]
+            swaps += 1
+        lead = rows[r][col]
+        top = rows[r].translate(by_inverse[lead])
+        rows[r] = zero  # skipped below, as its entry is 0
+        # -c times the pivot row, prepared once per factor c
+        multiples = {}
+        for i in range(0 if above else r + 1, n):
+            row = rows[i]
+            c = row[col]
+            if c:
+                m = multiples.get(c)
+                if m is None:
+                    m = multiples[c] = operand(top.translate(by_minus[c]))
+                rows[i] = add(row, m)
+        rows[r] = top
+        pivots.append(col)
+        leads.append(lead)
+        r += 1
+        if zero in rows:
+            rows = [row for row in rows if row != zero]
+            n = len(rows)
+    return rows[:r], pivots, leads, swaps
+
+
 def rref(field, mat):
     """Reduced row echelon form.
 
@@ -52,28 +209,10 @@ def rref(field, mat):
     shape, its first `rank` rows are the nonzero rows, and `pivots` lists
     the pivot column of each of those rows.
     """
-    R = as_matrix(mat).copy()
-    nrows, ncols = R.shape
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        nonzero = R[:, col].nonzero()[0]
-        k = nonzero.searchsorted(r)
-        if k == nonzero.size:
-            continue
-        hit = nonzero[k]
-        if hit != r:
-            # row r was zero in this column: `others` keeps its indices
-            R[[r, hit]] = R[[hit, r]]
-        R[r] = field.mul(field.inv(R[r, col]), R[r])
-        others = nonzero[nonzero != hit]
-        if others.size:
-            R[others] = field.axpy(R[others], field.neg(R[others, col, None]), R[r])
-        pivots.append(col)
-        r += 1
-    return R, r, pivots
+    M = as_matrix(mat)
+    arith = _byte_rows(field)
+    reduced, pivots, _, _ = _eliminate(arith, arith.encode(M), M.shape[1])
+    return arith.decode(reduced, M.shape), len(pivots), pivots
 
 
 def rank(field, mat):
@@ -106,15 +245,26 @@ def reduce_rows(field, basis, pivots, rows):
     """Residues of a block of rows after elimination against rref basis
     rows, `pivots` giving the pivot column of each basis row.  A row lies
     in the row space of the basis iff its residue is zero."""
-    V = as_matrix(rows, width=basis.shape[1]).copy()
+    V = as_matrix(rows, width=basis.shape[1])
     if V.shape[1] != basis.shape[1]:
         raise ValueError(f"row width {V.shape[1]} does not match the basis "
                          f"width {basis.shape[1]}")
-    # rref basis rows vanish on each other's pivot columns, so one pass
-    # in pivot order clears every pivot column
-    for i, pc in enumerate(pivots):
-        V = field.axpy(V, field.neg(V[:, pc, None]), basis[i])
-    return V
+    arith = _byte_rows(field)
+    add, operand, by_minus = arith.add, arith.operand, arith.by_minus
+    steps = [(pc, row, {}) for pc, row in zip(pivots, arith.encode(basis))]
+    residues = []
+    for v in arith.encode(V):
+        # rref basis rows vanish on each other's pivot columns, so one
+        # pass in pivot order clears every pivot column
+        for pc, row, multiples in steps:
+            c = v[pc]
+            if c:
+                m = multiples.get(c)
+                if m is None:
+                    m = multiples[c] = operand(row.translate(by_minus[c]))
+                v = add(v, m)
+        residues.append(v)
+    return arith.decode(residues, V.shape)
 
 
 def intersect(field, a, b):
@@ -185,23 +335,17 @@ def matmul(field, a, b):
 
 
 def determinant(field, mat):
-    """Determinant of a square matrix by Gaussian elimination."""
-    M = as_matrix(mat).copy()
+    """Determinant of a square matrix: (-1)^swaps times the product of the
+    pivot entries of its elimination, or 0 below full rank."""
+    M = as_matrix(mat)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for col in range(n):
-        below = col + np.flatnonzero(M[col:, col])
-        if not below.size:
-            return 0
-        hit = below[0]
-        if hit != col:
-            M[[col, hit]] = M[[hit, col]]
-            det = int(field.neg(det))
-        det = int(field.mul(det, int(M[col, col])))
-        rest = below[1:]
-        if rest.size:
-            factors = field.mul(field.neg(field.inv(M[col, col])), M[rest, col, None])
-            M[rest] = field.axpy(M[rest], factors, M[col])
+    arith = _byte_rows(field)
+    _, _, leads, swaps = _eliminate(arith, arith.encode(M), n, above=False)
+    if len(leads) < n:
+        return 0
+    det = int(field.neg(1)) if swaps % 2 else 1
+    for lead in leads:
+        det = int(field.mul(det, int(arith.element[lead])))
     return det

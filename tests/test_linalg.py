@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from addcyclic import linalg
-from addcyclic.fields import tower
+from addcyclic.fields import Field, tower
 
 T3 = tower(3)
 F3 = T3.base
@@ -263,14 +263,32 @@ def reference_determinant(field, mat):
     return det
 
 
-# fields of order 2, 3, 4, 5, 7, 8, 9, 16 and 64
-ORACLE_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8)] + [
-    tower(3).ext, tower(4).ext, tower(8).ext]
+# F_27 is no tower's field, but its lane code is the widest that fits a byte
+F27 = Field(3, modulus=(1, 2, 0, 1), subfield=Field(3), symbol="u")
+
+# every tower's base field (q from 2 to 16; tower(3).ext is tower(9).base),
+# the extensions of order 16, 25, 49, 64, 81, 121, 169 and 256, and F_27
+ORACLE_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
+    tower(q).ext for q in (4, 5, 7, 8, 9, 11, 13, 16)] + [F27]
+
+
+def field_id(field):
+    return f"F{field.order}" + (f"/{field.modulus}" if field.modulus else "")
+
+
+def tall_matrix(field, rng):
+    """528 x 44, the shape of the tallest module closure the algebra
+    benchmark eliminates: rank at most 24, with repeated rows."""
+    q = field.order
+    M = linalg.matmul(field, rng.integers(0, q, size=(500, 24), dtype=np.uint8),
+                      rng.integers(0, q, size=(24, 44), dtype=np.uint8))
+    return np.vstack([M, M[rng.integers(0, len(M), size=28)]])
 
 
 def oracle_matrices(field, rng):
     """Seeded matrices of every shape class: zero, zero columns, tall,
-    wide, square, rank-deficient, already reduced and empty."""
+    wide, square, rank-deficient, repeated rows, already reduced and
+    empty, and one 528 x 44 matrix."""
     q = field.order
 
     def rand(m, n):
@@ -279,11 +297,14 @@ def oracle_matrices(field, rng):
     yield np.zeros((3, 5), dtype=np.uint8)
     yield np.zeros((0, 4), dtype=np.uint8)
     yield np.zeros((4, 0), dtype=np.uint8)
+    yield np.zeros((0, 0), dtype=np.uint8)
+    yield tall_matrix(field, rng)
     for _ in range(12):
         m, n = rng.integers(1, 9, size=2)
         M = rand(m, n)
         M[:, rng.integers(0, n, size=rng.integers(0, n + 1))] = 0  # zero columns
         yield M
+        yield M[rng.integers(0, m, size=m + 3)]  # repeated rows
         yield rand(int(m) + 8, n)  # tall
         yield rand(m, int(n) + 8)  # wide
         low = linalg.matmul(field, rand(int(m) + 4, 2), rand(2, n))  # rank <= 2
@@ -339,12 +360,30 @@ def test_kernel_of_rref_matches_kernel_on_reduced_input():
 def test_determinant_matches_row_by_row_reference():
     rng = np.random.default_rng(7)
     for field in ORACLE_FIELDS:
+        q = field.order
+        squares = [np.zeros((0, 0), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8),
+                   rng.integers(0, q, size=(44, 44), dtype=np.uint8),
+                   tall_matrix(field, rng)[:44]]
         for _ in range(20):
             n = int(rng.integers(1, 7))
-            M = rng.integers(0, field.order, size=(n, n), dtype=np.uint8)
+            M = rng.integers(0, q, size=(n, n), dtype=np.uint8)
             if rng.random() < 0.3:
                 M[int(rng.integers(n))] = 0
+            squares.append(M)
+            squares.append(M[rng.permutation(n)])  # every swap parity
+            if n > 1:
+                squares.append(M[[0] + list(range(n - 1))])  # a repeated row
+        for M in squares:
             assert linalg.determinant(field, M) == reference_determinant(field, M)
+
+
+def reference_reduce_rows(field, basis, pivots, rows):
+    """One a - c*b row update per basis row and row of the block."""
+    V = linalg.as_matrix(rows, width=basis.shape[1]).copy()
+    for v in V:
+        for i, pc in enumerate(pivots):
+            v[:] = field.sub(v, field.mul(int(v[pc]), basis[i]))
+    return V
 
 
 def test_reduce_rows_agrees_with_in_rowspace():
@@ -363,6 +402,71 @@ def test_reduce_rows_agrees_with_in_rowspace():
             for row, res in zip(block, residues):
                 assert (not res.any()) == in_rowspace(field, gens, row)
             assert not residues[: len(members)].any()
+
+
+def test_reduce_rows_matches_row_by_row_reference():
+    rng = np.random.default_rng(17)
+    for field in ORACLE_FIELDS:
+        for M in oracle_matrices(field, rng):
+            R, r, pivots = linalg.rref(field, M)
+            width = M.shape[1]
+            blocks = [np.zeros((0, width), dtype=np.uint8), np.zeros((3, width), dtype=np.uint8),
+                      M, rng.integers(0, field.order, size=(5, width), dtype=np.uint8)]
+            for basis in (R[:r], np.zeros((0, width), dtype=np.uint8)):
+                used = pivots if len(basis) else []
+                for V in blocks:
+                    got = linalg.reduce_rows(field, basis, used, V)
+                    assert got.dtype == np.uint8 and got.shape == V.shape
+                    assert np.array_equal(got, reference_reduce_rows(field, basis, used, V))
+
+
+# -- byte rows: the row code, its scaling tables and its addition --
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=field_id)
+def test_byte_row_code_round_trip_and_scaling(field):
+    arith = linalg._byte_rows(field)
+    elements = np.arange(field.order, dtype=np.uint8)[None, :]
+    rows = arith.encode(elements)
+    assert np.array_equal(arith.decode(rows, elements.shape), elements)
+    assert np.array_equal(arith.decode(rows * 2, (3, field.order)),
+                          np.vstack([elements, elements, 0 * elements]))
+    for c in range(1, field.order):
+        code = arith.encode(np.array([[c]], dtype=np.uint8))[0][0]
+        for table, factor in ((arith.by_inverse, field.inv_table[c]),
+                              (arith.by_minus, field.neg_table[c])):
+            scaled = arith.decode([rows[0].translate(table[code])], elements.shape)
+            assert np.array_equal(scaled, field.mul_table[factor, elements])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=field_id)
+def test_byte_row_addition_on_every_pair_without_carries(field):
+    """Every pair (a, b) sits in one full-width row between lanes holding
+    the maximal element q - 1 (every base-p digit p - 1) on both sides,
+    whose lane sum is the largest, so a carry out of any lane would
+    change its neighbour.  The row is tiled past several machine words."""
+    arith = linalg._byte_rows(field)
+    q = field.order
+    a, b = np.divmod(np.arange(q * q), q)
+    top = np.full_like(a, q - 1)
+    reps = -(-200 // (2 * q * q))
+    x = np.tile(np.stack([a, top], axis=1).ravel(), reps).astype(np.uint8)[None, :]
+    y = np.tile(np.stack([b, top], axis=1).ravel(), reps).astype(np.uint8)[None, :]
+    [row_x], [row_y] = arith.encode(x), arith.encode(y)
+    got = arith.decode([arith.add(row_x, arith.operand(row_y))], x.shape)
+    assert np.array_equal(got, field.add_table[x, y])
+
+
+@pytest.mark.parametrize("field,add", [
+    (tower(2).base, "_add_xor"), (tower(16).ext, "_add_xor"),
+    (tower(13).base, "_add_lanes"), (tower(9).base, "_add_lanes"),
+    (tower(5).ext, "_add_lanes"), (F27, "_add_lanes"), (tower(7).ext, "_add_lanes"),
+    (tower(9).ext, "_add_gather"), (tower(11).ext, "_add_gather"),
+    (tower(13).ext, "_add_gather")], ids=lambda v: v if isinstance(v, str) else field_id(v))
+def test_byte_row_addition_by_field(field, add):
+    # characteristic 2 adds by XOR; an odd field adds lane codes while
+    # (2p - 1)^digits fits a byte, and gathers from add_table beyond
+    assert linalg._byte_rows(field).add.__name__ == add
 
 
 def test_reduce_rows_width_mismatch():
