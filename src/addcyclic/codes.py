@@ -528,23 +528,6 @@ class MixedCode:
 # duality, cyclicity, projections
 
 
-def _form_matrix(tw: FieldTower, alpha, beta):
-    """Gram matrix of the F_q2-valued form on the expanded F_q basis."""
-    n = alpha + 2 * beta
-    ext = tw.ext
-    B = np.zeros((n, n), dtype=np.uint8)
-    for i in range(alpha):
-        B[i, i] = tw.omega
-    wsq = int(ext.mul(tw.omega, tw.omega))
-    for j in range(beta):
-        b = alpha + 2 * j
-        B[b, b] = 1
-        B[b, b + 1] = tw.omega
-        B[b + 1, b] = tw.omega
-        B[b + 1, b + 1] = wsq
-    return B
-
-
 def dual(code) -> GeneratorMatrixCode:
     """All words orthogonal to the code under the mixed inner product.
 
@@ -555,10 +538,16 @@ def dual(code) -> GeneratorMatrixCode:
     gm = code.closure if isinstance(code, (PureCode, MixedCode)) else code
     if gm.alpha is None or gm.beta is None:
         raise ValueError("dual needs the mixed-alphabet split")
-    tw = gm.tower
-    B = _form_matrix(tw, gm.alpha, gm.beta)
-    # row i of `forms` is the form of basis row i against each unit vector
-    forms = linalg.matmul(tw.ext, gm.matrix, B)
+    tw, M, a = gm.tower, gm.matrix, gm.alpha
+    # row i of `forms` is the form of basis row i against each unit
+    # vector of the expanded F_q basis.  The form's matrix is w on the
+    # alpha diagonal and [[1, w], [w, w^2]] on each beta pair, so a pair
+    # (b, c) of a row has forms z = b + w*c and w*z.
+    z = tw.compose(M[:, a::2], M[:, a + 1 :: 2])
+    forms = np.empty_like(M)
+    forms[:, :a] = tw.ext.mul(tw.omega, M[:, :a])
+    forms[:, a::2] = z
+    forms[:, a + 1 :: 2] = tw.ext.mul(tw.omega, z)
     b, c = tw.decompose(forms)
     constraints = np.stack([b, c], axis=1).reshape(-1, gm.width)
     basis = linalg.kernel(tw.base, constraints)

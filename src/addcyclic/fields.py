@@ -14,11 +14,13 @@ Arithmetic goes through precomputed tables (the fields at play have at
 most 256 elements; characteristic-2 array addition is the exception
 below), so every operation accepts ints or numpy arrays.  `axpy`,
 a + c*b in one gather from a three-way table built on first use, is
-the step of a matrix product and of the sampled distance sweep.
-Elimination does not call this class per row: `linalg` holds rows as
-bytes, scales them by `bytes.translate` through rows of mul_table, and
-adds them as big integers, by XOR in characteristic 2 (below) and in a
-carry-free lane code of the base-p digits otherwise.
+the step of the sampled distance sweep.  `linalg` does not call this
+class per row.  Elimination holds rows as bytes, scales them by
+`bytes.translate` through rows of mul_table, and adds them as big
+integers, by XOR in characteristic 2 (below) and in a carry-free lane
+code of the base-p digits otherwise.  A small matrix product is one
+integer product over the base-p digits, which are an element's F_p
+coordinates on every level of the tower.
 
 An extension's tables are built from its subfield's by whole-array
 gathers.  With D the (order, m) matrix of every element's subfield
@@ -170,8 +172,7 @@ class Field:
 
     def axpy(self, a, c, b):
         """a + c*b in one table gather (arrays broadcast): the step of
-        `linalg.matmul`, one row of B at a time, and of the upper-bound
-        sweep in `distance`."""
+        the upper-bound sweep in `distance`."""
         return self.axpy_table[a, c, b]
 
     def inv(self, a):

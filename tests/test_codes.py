@@ -30,7 +30,6 @@ from addcyclic.codes import (
     singleton_check,
     star,
     _closure_order,
-    _form_matrix,
 )
 from addcyclic.fields import tower
 from addcyclic.poly import Poly, combine_components, divides, lift, parse_poly, poly_gcd
@@ -477,6 +476,55 @@ def test_dual_of_full_and_zero():
     full = GeneratorMatrixCode(T3, full_basis, alpha=2, beta=2)
     assert dual(full).rank == 0
     assert dual(zero).rank == 6
+
+
+def _form_matrix(tw, alpha, beta):
+    """Gram matrix of the F_q2-valued form on the expanded F_q basis."""
+    n = alpha + 2 * beta
+    ext = tw.ext
+    B = np.zeros((n, n), dtype=np.uint8)
+    for i in range(alpha):
+        B[i, i] = tw.omega
+    wsq = int(ext.mul(tw.omega, tw.omega))
+    for j in range(beta):
+        b = alpha + 2 * j
+        B[b, b] = 1
+        B[b, b + 1] = tw.omega
+        B[b + 1, b] = tw.omega
+        B[b + 1, b + 1] = wsq
+    return B
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_dual_constraints_match_the_product_with_the_form_matrix(monkeypatch, q):
+    """`dual` writes the forms down from the form matrix's blocks; its
+    constraints are byte-identical to those of the product M·B."""
+    seen = []
+    kernel = linalg.kernel
+
+    def recorded(field, mat):
+        seen.append(mat)
+        return kernel(field, mat)
+
+    monkeypatch.setattr(linalg, "kernel", recorded)
+    tw = tower(q)
+    rng = np.random.default_rng(q)
+    for alpha, beta, rows in [(0, 3, 5), (1, 2, 4), (3, 4, 9), (2, 1, 1),
+                              (4, 0, 3), (2, 3, 0), (0, 5, 0)]:
+        n = alpha + 2 * beta
+        code = GeneratorMatrixCode(
+            tw, rng.integers(0, q, size=(rows, n), dtype=np.uint8),
+            alpha=alpha, beta=beta)
+        forms = linalg.matmul(tw.ext, code.matrix, _form_matrix(tw, alpha, beta))
+        b, c = tw.decompose(forms)
+        expected = np.stack([b, c], axis=1).reshape(-1, n)
+        seen.clear()
+        dm = dual(code)
+        assert len(seen) == 1
+        assert seen[0].dtype == expected.dtype
+        assert seen[0].shape == expected.shape
+        assert seen[0].tobytes() == expected.tobytes()
+        assert np.array_equal(dm.matrix, row_basis(tw.base, kernel(tw.base, expected)))
 
 
 def orthogonality_matrix(tw, alpha, beta, cwords, dwords):

@@ -520,7 +520,8 @@ def test_matmul_matches_entrywise_dot():
             assert np.array_equal(linalg.matmul(field, A, B), expected)
 
 
-# -- the per-row product, kept as the oracle of the combination tables --
+# -- the per-row product, kept as the oracle of the digit product and the
+# -- combination tables
 
 
 def reference_matmul(field, A, B):
@@ -532,9 +533,12 @@ def reference_matmul(field, A, B):
     return out
 
 
-# base fields of order 2 .. 16, and extensions of order 16, 64 and 256
+# base fields of order 2 .. 16, extensions of order 16, 64 and 256, and
+# the odd-characteristic extensions F_25, F_27, F_49, F_81, F_121 and
+# F_169, whose elements have more than one base-p digit
 MATMUL_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8, 9, 16)] + [
-    tower(4).ext, tower(8).ext, tower(16).ext]
+    tower(4).ext, tower(8).ext, tower(16).ext] + [
+    tower(5).ext, F27, tower(7).ext, tower(9).ext, tower(11).ext, tower(13).ext]
 
 
 @pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")
@@ -563,7 +567,7 @@ def test_chunk_width_is_largest_t_with_q_power_t_at_most_rows_over_16(q, rows, t
     assert linalg._chunk_width(q, rows) == t
 
 
-def test_products_under_64_rows_keep_the_per_row_loop():
+def test_products_under_64_rows_take_the_digit_product():
     assert {linalg._chunk_width(q, m) for q in (2, 3, 256) for m in range(64)} == {1}
 
 
@@ -573,16 +577,48 @@ def test_products_under_64_rows_keep_the_per_row_loop():
     (tower(16).ext, 2000, False)],
     ids=lambda v: f"F{v.order}" if hasattr(v, "order") else str(v))
 def test_matmul_takes_the_path_of_its_shape(monkeypatch, field, m, uses_tables):
-    steps = []
-    axpy = field.axpy
+    """Combination tables are built exactly when the chunk width exceeds
+    1, one per chunk of rows of B; no shape steps through `Field.axpy`."""
+    tables, steps = [], []
+    suffix_block, axpy = linalg._suffix_block, field.axpy
 
-    def counted(*args):
+    def counted_tables(*args):
+        tables.append(1)
+        return suffix_block(*args)
+
+    def counted_steps(*args):
         steps.append(1)
         return axpy(*args)
 
-    monkeypatch.setattr(field, "axpy", counted)
+    monkeypatch.setattr(linalg, "_suffix_block", counted_tables)
+    monkeypatch.setattr(field, "axpy", counted_steps)
     rng = np.random.default_rng(m)
     A = rng.integers(0, field.order, size=(m, 5), dtype=np.uint8)
     B = rng.integers(0, field.order, size=(5, 4), dtype=np.uint8)
     assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
-    assert len(steps) == (0 if uses_tables else 5)
+    t = linalg._chunk_width(field.order, m)
+    assert uses_tables == (t > 1)
+    assert len(tables) == (len(range(0, 5, t)) if uses_tables else 0)
+    assert not steps
+
+
+@pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")
+def test_matmul_of_transposed_and_sliced_operands(field):
+    """Non-contiguous views, as the Gram products of `lcd` pass them."""
+    rng = np.random.default_rng(field.order + 1)
+    R = rng.integers(0, field.order, size=(30, 20), dtype=np.uint8)
+    tall = rng.integers(0, field.order, size=(2000, 12), dtype=np.uint8)
+    for A, B in ((R, R.T), (R[:, 3:11], R[:8, ::2]), (R[::3, 1::2], R.T[:10, 5:]),
+                 (tall[:, 2:9], R[:7, ::3]), (tall[::2, ::2], R[:6])):
+        assert not (A.flags.c_contiguous and B.flags.c_contiguous)
+        assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
+
+
+def test_matmul_with_a_long_inner_dimension_over_f13():
+    """Sums of 2,500 products of the largest digits, and random ones."""
+    field = tower(13).base
+    rng = np.random.default_rng(13)
+    for A, B in ((np.full((6, 2500), 12, np.uint8), np.full((2500, 5), 12, np.uint8)),
+                 (rng.integers(0, 13, size=(40, 2048), dtype=np.uint8),
+                  rng.integers(0, 13, size=(2048, 9), dtype=np.uint8))):
+        assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
