@@ -9,6 +9,11 @@ the cardinality formula, canonical triples — is treated as a set of
 claims that are checked against that matrix, because degenerate
 generator choices (e.g. g ≡ 0 mod x^beta - 1) do occur in practice and
 break the formulas.
+
+A pure code is the mixed code with alpha = 0 and beta = n, and the two
+share one implementation: generator words, divisor checks, closure and
+cardinality.  The degree-counted spanning set is read from the
+closure's spanning rows, which hold each generator's x-shifts in order.
 """
 
 from __future__ import annotations
@@ -260,69 +265,117 @@ def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCo
 
 
 # ---------------------------------------------------------------------------
-# pure codes over F_q2
+# pure and mixed codes
 
 
-class PureCode:
-    """An additive cyclic code over F_q2 of length n, generated (as an
-    F_q[x]-module of F_q2[x]/<x^n - 1>) by g + w*h and w*k, where g, h, k
-    have base-field coefficients and g, k divide x^n - 1.
+@dataclass(frozen=True)
+class Cardinality:
+    formula: int
+    actual: int
 
-    A polynomial vanishing mod x^n - 1 is normalized to x^n - 1 itself
-    (the zero ideal's representative), which keeps degree bookkeeping
-    consistent: q^(n - deg) = 1.
-    """
+    @property
+    def agree(self):
+        return self.formula == self.actual
 
-    def __init__(self, tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
-        if n < 1:
-            raise ValueError("length must be positive")
-        for name, p in (("g", g), ("h", h), ("k", k)):
-            if p.field != tw.base:
-                raise CodeConstructionError(f"{name} must have base-field coefficients")
-        xn1 = Poly.xn_minus_1(tw.base, n)
-        g = xn1 if g.is_zero() else g
-        k = xn1 if k.is_zero() else k
-        if not divides(g, xn1):
-            raise CodeConstructionError(f"g = {g} does not divide x^{n}-1 over F_{tw.q}")
-        if not divides(k, xn1):
-            raise CodeConstructionError(f"k = {k} does not divide x^{n}-1 over F_{tw.q}")
-        self.tower = tw
-        self.n = n
-        self.g = g
-        self.h = h
-        self.k = k
+
+@dataclass(frozen=True)
+class SpanningSet:
+    words: tuple
+    spans_ok: bool
+
+
+def _check_base_field(tw, **polys):
+    for name, p in polys.items():
+        if p.field != tw.base:
+            raise CodeConstructionError(f"{name} must have base-field coefficients")
+
+
+def _divisor(name, p, n, field, where=""):
+    """p as a divisor of x^n - 1: zero becomes x^n - 1 (the zero ideal's
+    representative, so that q^(n - deg) = 1); anything else must divide."""
+    xn1 = Poly.xn_minus_1(field, n)
+    p = xn1 if p.is_zero() else p
+    if not divides(p, xn1):
+        raise CodeConstructionError(f"{name} = {p} does not divide x^{n}-1{where}")
+    return p
+
+
+def _beta_generators(tw, alpha, beta, g, h, k):
+    """The generator words (0 | g + w*h) and (0 | w*k)."""
+    zero = Poly.zero(tw.base)
+    return [MixedWord.from_polys(tw, alpha, beta, zero, combine_components(g, h, tw)),
+            MixedWord.from_polys(tw, alpha, beta, zero, combine_components(zero, k, tw))]
+
+
+class _CyclicCode:
+    """What pure and mixed codes share.  The codeword set is the module
+    closure of `generator_words()`; the degree-counted spanning set takes
+    the first `_degree_counts()[i]` x-shifts of generator i, rows the
+    closure already holds."""
 
     @cached_property
     def closure(self) -> GeneratorMatrixCode:
-        return module_closure(self.tower, 0, self.n, self.generator_words())
-
-    def generator_words(self):
-        tw = self.tower
-        gwh = combine_components(self.g, self.h, tw)
-        wk = combine_components(Poly.zero(tw.base), self.k, tw)
-        return [
-            MixedWord.from_polys(tw, 0, self.n, Poly.zero(tw.base), gwh),
-            MixedWord.from_polys(tw, 0, self.n, Poly.zero(tw.base), wk),
-        ]
+        return module_closure(self.tower, self.alpha, self.beta,
+                              self.generator_words())
 
     @property
     def dimension(self):
         """F_q-dimension of the codeword set."""
         return self.closure.rank
 
-    def cardinality(self):
-        """(formula, actual): q^(n-deg g) * q^(n-deg k) against q^rank."""
+    def cardinality(self) -> Cardinality:
+        """(formula, actual): q^(sum of the degree counts) against q^rank;
+        they agree exactly when the degree-counted spanning set spans."""
         q = self.tower.q
-        formula = q ** (self.n - self.g.degree()) * q ** (self.n - self.k.degree())
-        return Cardinality(formula, q**self.closure.rank)
+        return Cardinality(q ** sum(self._degree_counts()), q**self.closure.rank)
+
+    def _degree_counted_rows(self):
+        """The degree-counted spanning set in expanded form: generator i
+        contributes rows i*L ... i*L + counts[i] - 1 of the closure's
+        spanning rows, which hold its L = `_closure_order` shifts in order."""
+        order = _closure_order(self.alpha, self.beta)
+        rows = self.closure.spanning_rows
+        return np.concatenate([rows[i * order : i * order + count]
+                               for i, count in enumerate(self._degree_counts())])
+
+    def _words(self, rows):
+        return [MixedWord.from_expanded(self.tower, self.alpha, self.beta, row)
+                for row in rows]
+
+
+class PureCode(_CyclicCode):
+    """An additive cyclic code over F_q2 of length n, generated (as an
+    F_q[x]-module of F_q2[x]/<x^n - 1>) by g + w*h and w*k, where g, h, k
+    have base-field coefficients and g, k divide x^n - 1: the mixed code
+    with alpha = 0 and beta = n.
+
+    A polynomial vanishing mod x^n - 1 is normalized to x^n - 1 itself
+    (the zero ideal's representative), which keeps degree bookkeeping
+    consistent: q^(n - deg) = 1.
+    """
+
+    alpha = 0
+
+    def __init__(self, tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
+        if n < 1:
+            raise ValueError("length must be positive")
+        _check_base_field(tw, g=g, h=h, k=k)
+        where = f" over F_{tw.q}"
+        self.tower = tw
+        self.n = self.beta = n
+        self.g = _divisor("g", g, n, tw.base, where)
+        self.h = h
+        self.k = _divisor("k", k, n, tw.base, where)
+
+    def generator_words(self):
+        return _beta_generators(self.tower, 0, self.n, self.g, self.h, self.k)
+
+    def _degree_counts(self):
+        return [self.n - self.g.degree(), self.n - self.k.degree()]
 
     def is_canonical(self):
         g2, h2, k2 = canonicalize_pure(self.tower, self.n, self.g, self.h, self.k)
-        return (
-            self.g.monic() == g2
-            and self.k.monic() == k2
-            and (self.h % self.k if not self.k.is_zero() else self.h) == h2
-        )
+        return self.g.monic() == g2 and self.k.monic() == k2 and self.h % self.k == h2
 
     def basis_words(self):
         """The spanning set {x^i (g + w h)} ∪ {w x^j k} with
@@ -335,18 +388,7 @@ class PureCode:
                 "generators are not canonical, so the degree-counted set need "
                 "not span; canonicalize first or use the module closure"
             )
-        tw = self.tower
-        words = []
-        gwh, wk = self.generator_words()
-        cur = gwh
-        for _ in range(self.n - self.g.degree()):
-            words.append(cur)
-            cur = cur.shift()
-        cur = wk
-        for _ in range(self.n - self.k.degree()):
-            words.append(cur)
-            cur = cur.shift()
-        return words
+        return self._words(self._degree_counted_rows())
 
     def __repr__(self):
         return (
@@ -366,36 +408,11 @@ def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
     the x-shifts of the raw words g + w*h and w*k, the spanning rows of
     their module closure (`_echelon_generators`).
     """
-    zero = Poly.zero(tw.base)
-    words = [MixedWord.from_polys(tw, 0, n, zero, combine_components(g, h, tw)),
-             MixedWord.from_polys(tw, 0, n, zero, combine_components(zero, k, tw))]
+    words = _beta_generators(tw, 0, n, g, h, k)
     return _echelon_generators(tw, 0, n, _closure_rows(0, n, [w.expand() for w in words]))
 
 
-# ---------------------------------------------------------------------------
-# mixed codes
-
-
-@dataclass(frozen=True)
-class Cardinality:
-    formula: int
-    actual: int
-
-    @property
-    def agree(self):
-        return self.formula == self.actual
-
-
-@dataclass(frozen=True)
-class SpanningSet:
-    words: tuple
-    spans_ok: bool
-
-    def sizes(self):
-        return len(self.words)
-
-
-class MixedCode:
+class MixedCode(_CyclicCode):
     """An additive cyclic code of block length (alpha, beta), generated by
     (s | l), (0 | g + w h) and (0 | w k), where s | x^alpha - 1 and
     g, k | x^beta - 1 with base-field coefficients, and l has F_q2
@@ -416,27 +433,17 @@ class MixedCode:
                  s: Poly, l: Poly, g: Poly, h: Poly, k: Poly, strict=True):
         if alpha < 1 or beta < 1:
             raise ValueError("block lengths must be positive")
-        for name, p in (("s", s), ("g", g), ("h", h), ("k", k)):
-            if p.field != tw.base:
-                raise CodeConstructionError(f"{name} must have base-field coefficients")
+        _check_base_field(tw, s=s, g=g, h=h, k=k)
         if l.field != tw.ext:
             raise CodeConstructionError("l must have top-field coefficients")
-        base = tw.base
-        xa1 = Poly.xn_minus_1(base, alpha)
-        xb1 = Poly.xn_minus_1(base, beta)
-        s = xa1 if s.is_zero() else s
-        g = xb1 if g.is_zero() else g
-        k = xb1 if k.is_zero() else k
-        if not divides(s, xa1):
-            raise CodeConstructionError(f"s = {s} does not divide x^{alpha}-1")
-        if not divides(g, xb1):
-            raise CodeConstructionError(f"g = {g} does not divide x^{beta}-1")
-        if not divides(k, xb1):
-            raise CodeConstructionError(f"k = {k} does not divide x^{beta}-1")
         self.tower = tw
         self.alpha = alpha
         self.beta = beta
-        self.s, self.l, self.g, self.h, self.k = s, l, g, h, k
+        self.s = _divisor("s", s, alpha, tw.base)
+        self.l = l
+        self.g = _divisor("g", g, beta, tw.base)
+        self.h = h
+        self.k = _divisor("k", k, beta, tw.base)
         if strict and self.condition_failures:
             raise CodeConstructionError("; ".join(self.condition_failures))
 
@@ -455,67 +462,28 @@ class MixedCode:
         # membership of ((x^alpha-1)/s) * l in the beta-side kernel module
         leftover = lift(xa1 // s, tw.ext) * l
         member_word = MixedWord.from_polys(tw, 0, beta, Poly.zero(base), leftover)
-        kernel_code = module_closure(tw, 0, beta, [
-            MixedWord.from_polys(tw, 0, beta, Poly.zero(base),
-                                 combine_components(g, h, tw)),
-            MixedWord.from_polys(tw, 0, beta, Poly.zero(base),
-                                 combine_components(Poly.zero(base), k, tw)),
-        ])
+        kernel_code = module_closure(tw, 0, beta, _beta_generators(tw, 0, beta, g, h, k))
         if not kernel_code.contains(member_word.expand()):
             failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
         return tuple(failures)
 
     def generator_words(self):
         tw = self.tower
-        return [
-            MixedWord.from_polys(tw, self.alpha, self.beta, self.s, self.l),
-            MixedWord.from_polys(tw, self.alpha, self.beta, Poly.zero(tw.base),
-                                 combine_components(self.g, self.h, tw)),
-            MixedWord.from_polys(tw, self.alpha, self.beta, Poly.zero(tw.base),
-                                 combine_components(Poly.zero(tw.base), self.k, tw)),
-        ]
+        return [MixedWord.from_polys(tw, self.alpha, self.beta, self.s, self.l),
+                *_beta_generators(tw, self.alpha, self.beta, self.g, self.h, self.k)]
 
-    @cached_property
-    def closure(self) -> GeneratorMatrixCode:
-        return module_closure(self.tower, self.alpha, self.beta,
-                              self.generator_words())
-
-    @property
-    def dimension(self):
-        return self.closure.rank
+    def _degree_counts(self):
+        return [self.alpha - self.s.degree(), self.beta - self.g.degree(),
+                self.beta - self.k.degree()]
 
     def spanning_set(self) -> SpanningSet:
         """The degree-counted spanning set S1 ∪ S2 ∪ S3 (x-shift ranges of
         the three generators, |S1| = alpha - deg s, |S2| = beta - deg g,
         |S3| = beta - deg k), with spans_ok reporting whether its span
         really is the whole code."""
-        gens = self.generator_words()
-        counts = [
-            self.alpha - self.s.degree(),
-            self.beta - self.g.degree(),
-            self.beta - self.k.degree(),
-        ]
-        words = []
-        for gen, count in zip(gens, counts):
-            cur = gen
-            for _ in range(max(count, 0)):
-                words.append(cur)
-                cur = cur.shift()
-        mat = linalg.as_matrix([w.expand() for w in words],
-                               width=self.alpha + 2 * self.beta)
-        ok = GeneratorMatrixCode(self.tower, mat).equals(self.closure)
-        return SpanningSet(tuple(words), ok)
-
-    def cardinality(self) -> Cardinality:
-        """(formula, actual) sizes; they agree exactly when the
-        degree-counted spanning set spans."""
-        q = self.tower.q
-        exponent = (
-            (self.alpha - self.s.degree())
-            + (self.beta - self.g.degree())
-            + (self.beta - self.k.degree())
-        )
-        return Cardinality(q**exponent, q**self.closure.rank)
+        rows = self._degree_counted_rows()
+        spans_ok = linalg.rank(self.tower.base, rows) == self.closure.rank
+        return SpanningSet(tuple(self._words(rows)), spans_ok)
 
     def __repr__(self):
         return (
@@ -535,7 +503,7 @@ def dual(code) -> GeneratorMatrixCode:
     w-components of the F_q2-valued form.  Solved as one kernel
     computation over F_q.
     """
-    gm = code.closure if isinstance(code, (PureCode, MixedCode)) else code
+    gm = code.closure if isinstance(code, _CyclicCode) else code
     if gm.alpha is None or gm.beta is None:
         raise ValueError("dual needs the mixed-alphabet split")
     tw, M, a = gm.tower, gm.matrix, gm.alpha
@@ -579,7 +547,7 @@ def is_cyclic(code: GeneratorMatrixCode, alpha=None, beta=None) -> bool:
 def projections(code):
     """(C_alpha, C_beta): images under the two coordinate projections,
     with the beta side kept in F_q-expanded form."""
-    gm = code.closure if isinstance(code, (PureCode, MixedCode)) else code
+    gm = code.closure if isinstance(code, _CyclicCode) else code
     if gm.alpha is None or gm.beta is None:
         raise ValueError("projections need the mixed-alphabet split")
     tw = gm.tower

@@ -184,9 +184,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_table[a]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def sum(self, arr, axis=None):
         """Field sum of a numpy array along `axis` (None: all entries)."""
         arr = np.asarray(arr, dtype=np.uint8)

@@ -361,7 +361,7 @@ def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0,
     elif entry.table_id == 2:
         rep = _verify_table2(entry, budget, seed, long)
     elif entry.table_id == 3:
-        rep = _verify_table3(entry, budget, seed)
+        rep = _verify_table3(entry, budget, seed, long)
     else:
         raise ValueError(f"unknown table id {entry.table_id}")
     rep.runtime = time.perf_counter() - start
@@ -425,6 +425,24 @@ def _verify_table1(entry, budget, seed):
     return _finish(rep, mism, details)
 
 
+def _image_distance(rep, entry, image, budget, long, mism, details):
+    """The exact distance of a Gray image, recorded on `rep`, when its
+    3^k codewords fit the budget or `long` is given; otherwise the
+    distance is marked skipped and None is returned."""
+    size = 3**image.rank
+    if size > budget and not long:
+        rep.d_mode = "skipped"
+        details.append("distance enumeration needs --long")
+        return None
+    profile = WeightProfile.singletons(image.length)
+    res = min_distance_exact(image.base, profile, budget=max(budget, size))
+    rep.computed_d = res.value
+    rep.d_mode = "exact"
+    if res.value != entry.expected_d:
+        mism.append(f"d {res.value} != expected {entry.expected_d}")
+    return res
+
+
 def _verify_table2(entry, budget, seed, long):
     rep = EntryReport(
         table=2, row=entry.row, expected_n=entry.expected_n,
@@ -457,20 +475,10 @@ def _verify_table2(entry, budget, seed, long):
         mism.append("Gray image not shift-invariant")
     if "a" in entry.footnotes and image.classification != QUASI_CYCLIC_3:
         mism.append("expected quasi-cyclic of index 3")
-    size = 3**image.rank
-    if size <= budget or long:
-        profile = WeightProfile.singletons(image.length)
-        res = min_distance_exact(image.base, profile, budget=max(budget, size))
-        rep.computed_d = res.value
-        rep.d_mode = "exact"
-        if res.value != entry.expected_d:
-            mism.append(f"d {res.value} != expected {entry.expected_d}")
-        if entry.remark == "MDS":
-            if res.value != image.length - image.rank + 1:
-                mism.append("MDS remark but d != n-k+1")
-    else:
-        rep.d_mode = "skipped"
-        details.append("distance enumeration needs --long")
+    res = _image_distance(rep, entry, image, budget, long, mism, details)
+    if res is not None and entry.remark == "MDS":
+        if res.value != image.length - image.rank + 1:
+            mism.append("MDS remark but d != n-k+1")
     if "b" in entry.footnotes:
         lcd_now = is_lcd(image.base)
         rep.lcd = "yes" if lcd_now else "no"
@@ -479,7 +487,7 @@ def _verify_table2(entry, budget, seed, long):
     return _finish(rep, mism, details)
 
 
-def _verify_table3(entry, budget, seed):
+def _verify_table3(entry, budget, seed, long):
     rep = EntryReport(
         table=3, row=entry.row, expected_n=entry.expected_n,
         expected_k=entry.expected_k, expected_d=entry.expected_d,
@@ -498,12 +506,7 @@ def _verify_table3(entry, budget, seed):
         mism.append(f"length {image.length} != expected {entry.expected_n}")
     if image.rank != entry.expected_k:
         mism.append(f"dimension {image.rank} != expected {entry.expected_k}")
-    profile = WeightProfile.singletons(image.length)
-    res = min_distance_exact(image.base, profile, budget=budget)
-    rep.computed_d = res.value
-    rep.d_mode = "exact"
-    if res.value != entry.expected_d:
-        mism.append(f"d {res.value} != expected {entry.expected_d}")
+    _image_distance(rep, entry, image, budget, long, mism, details)
     cert = lcd_certificate(expanded, image)
     lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"

@@ -165,6 +165,15 @@ def test_tables_id3_exit_zero(capsys):
     assert len(lines) == 11
 
 
+def test_tables_id3_under_a_small_budget_exits_zero(capsys):
+    # the k = 3 rows need 27 codewords: skipped, not a budget traceback
+    code, out, _ = run(capsys, ["tables", "--id", "3", "--budget", "9",
+                                "--format", "json"])
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["skipped"] > 0 and summary["mismatch"] == 0
+
+
 def test_tables_text_is_csv_plus_summary(capsys):
     _, csv_out, _ = run(capsys, ["tables", "--id", "3", "--format", "csv"])
     code, text_out, _ = run(capsys, ["tables", "--id", "3"])

@@ -10,6 +10,7 @@ import pytest
 from addcyclic import linalg
 from addcyclic.codes import (
     CanonicalFormError,
+    Cardinality,
     CodeConstructionError,
     MAX_CLOSURE_CELLS,
     ExtractedGenerators,
@@ -18,6 +19,7 @@ from addcyclic.codes import (
     MixedWord,
     PureCode,
     SingletonResult,
+    SpanningSet,
     canonicalize_pure,
     dual,
     extract_mixed_generators,
@@ -425,6 +427,123 @@ def test_cardinality_agreement_iff_spans_ok():
         assert span.spans_ok == code.cardinality().agree
         if span.spans_ok:
             assert len(span.words) == code.dimension
+
+
+# -- degree-counted spanning sets against the shift loop ----------------------
+
+
+def reference_degree_counted_words(code):
+    """The degree-counted spanning set built word by word: generator i
+    of (s | l), (0 | g + w*h), (0 | w*k) followed by its x-shifts, as
+    many words as its degree count."""
+    tw, zero = code.tower, Poly.zero(code.tower.base)
+    if isinstance(code, MixedCode):
+        alpha, beta = code.alpha, code.beta
+        gens = [(code.s, code.l, alpha - code.s.degree())]
+    else:
+        alpha, beta = 0, code.n
+        gens = []
+    gens += [(zero, combine_components(code.g, code.h, tw), beta - code.g.degree()),
+             (zero, combine_components(zero, code.k, tw), beta - code.k.degree())]
+    words = []
+    for a, b, count in gens:
+        cur = MixedWord.from_polys(tw, alpha, beta, a, b)
+        for _ in range(count):
+            words.append(cur)
+            cur = cur.shift()
+    return words
+
+
+def reference_spans_ok(code, words):
+    width = code.closure.width
+    mat = linalg.as_matrix([w.expand() for w in words], width=width)
+    return GeneratorMatrixCode(code.tower, mat).equals(code.closure)
+
+
+DEGREE_COUNT_TOWERS = [tower(q) for q in (2, 3, 4, 5, 7, 8)]
+
+
+def check_spanning_set(code):
+    want = reference_degree_counted_words(code)
+    span = code.spanning_set()
+    assert span.words == tuple(want)
+    assert span.spans_ok == reference_spans_ok(code, want)
+    assert code.cardinality() == Cardinality(code.tower.q ** len(want),
+                                             code.tower.q ** code.dimension)
+
+
+def check_basis_words(code):
+    want = reference_degree_counted_words(code)
+    assert code.cardinality().formula == code.tower.q ** len(want)
+    if not code.is_canonical():
+        with pytest.raises(CanonicalFormError):
+            code.basis_words()
+        code = PureCode(code.tower, code.n,
+                        *canonicalize_pure(code.tower, code.n, code.g, code.h, code.k))
+        want = reference_degree_counted_words(code)
+    assert code.basis_words() == want
+    assert reference_spans_ok(code, want)
+
+
+def test_spanning_set_matches_the_shift_loop():
+    rng = random.Random(419)
+    for i in range(120):
+        tw = DEGREE_COUNT_TOWERS[i % len(DEGREE_COUNT_TOWERS)]
+        alpha, beta = rng.randrange(1, 7), rng.randrange(1, 8)
+        make = random_mixed_code if i % 2 else random_lenient_code
+        check_spanning_set(make(rng, tw, alpha, beta))
+
+
+def test_basis_words_match_the_shift_loop():
+    rng = random.Random(421)
+    for i in range(120):
+        tw = DEGREE_COUNT_TOWERS[i % len(DEGREE_COUNT_TOWERS)]
+        check_basis_words(random_pure_code(rng, tw, rng.randrange(1, 9)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_degree_counts_of_zero_generators(q):
+    tw = tower(q)
+    f, zero, one = tw.base, Poly.zero(tw.base), Poly.one(tw.base)
+    xa1, xb1 = Poly.xn_minus_1(f, 3), Poly.xn_minus_1(f, 4)
+    lw, l0 = Poly(tw.ext, [tw.omega, 1]), Poly.zero(tw.ext)
+    mixed = [
+        MixedCode(tw, 3, 4, xa1, lw, one, zero, one, strict=False),  # s = x^3-1
+        MixedCode(tw, 3, 4, one, l0, xb1, zero, one, strict=False),  # g = x^4-1
+        MixedCode(tw, 3, 4, one, l0, one, zero, xb1, strict=False),  # k = x^4-1
+        MixedCode(tw, 3, 4, zero, l0, zero, zero, zero),
+    ]
+    for code in mixed:
+        check_spanning_set(code)
+    assert mixed[-1].spanning_set() == SpanningSet((), True)
+    pure = [PureCode(tw, 4, xb1, zero, one), PureCode(tw, 4, one, zero, xb1),
+            PureCode(tw, 4, zero, zero, zero)]
+    for code in pure:
+        check_basis_words(code)
+    assert pure[-1].basis_words() == []
+
+
+def test_divisor_messages_of_both_constructors():
+    def message(build):
+        with pytest.raises(CodeConstructionError) as exc:
+            build()
+        return str(exc.value)
+
+    one, zero = P("1"), Poly.zero(T3.base)
+    assert message(lambda: PureCode(T4, 5, P("x^2+1", T4), Poly.zero(T4.base),
+                                    P("1", T4))) == \
+        "g = x^2+1 does not divide x^5-1 over F_4"
+    assert message(lambda: PureCode(T3, 4, one, zero, P("x^2+x+1"))) == \
+        "k = x^2+x+1 does not divide x^4-1 over F_3"
+    assert message(lambda: MixedCode(T3, 3, 3, P("x^2+1"), Poly.zero(T3.ext),
+                                     one, zero, one)) == \
+        "s = x^2+1 does not divide x^3-1"
+    assert message(lambda: MixedCode(T3, 3, 4, one, Poly.zero(T3.ext),
+                                     P("x^2+x+1"), zero, one)) == \
+        "g = x^2+x+1 does not divide x^4-1"
+    assert message(lambda: MixedCode(T3, 3, 4, one, Poly.zero(T3.ext),
+                                     one, zero, P("x^2+x+1"))) == \
+        "k = x^2+x+1 does not divide x^4-1"
 
 
 # -- the module action ----------------------------------------------------------

@@ -94,6 +94,21 @@ def test_verify_table2_small_budget_marks_skips():
     assert skipped and all(e.computed_k == e.expected_k for e in skipped)
 
 
+def test_verify_table3_small_budget_marks_skips():
+    rep = verify_all(3, budget=9)
+    assert not rep.has_mismatch
+    for e in rep.entries:
+        # 3^2 is exactly the budget, 3^3 is over it
+        assert e.d_mode == ("exact" if e.expected_k == 2 else "skipped")
+        assert (e.computed_d is None) == (e.d_mode == "skipped")
+        assert e.computed_k == e.expected_k
+        assert e.lcd == "yes"  # the LCD column does not depend on d
+    assert {e.expected_k for e in rep.entries} == {2, 3}
+    skipped = [e for e in rep.entries if e.d_mode == "skipped"]
+    assert all("distance enumeration needs --long" in e.details for e in skipped)
+    assert verify_all(3, budget=9, long=True) == verify_all(3)
+
+
 def test_row8_discrepancy_flagged_not_failed():
     rep = verify_entry(TABLE2[7])
     assert rep.status == "ok"
