@@ -10,13 +10,14 @@ Subcommands:
   tables  — run the verification harness over the built-in tables
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage/parse error,
-3 I/O error.
+3 I/O error, a reader that closes standard output early included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .codes import (
@@ -102,8 +103,6 @@ def cmd_params(args):
     card = code.cardinality()
     mixed_dist = None
     if isinstance(code, MixedCode):
-        span = code.spanning_set()
-        spans_ok = span.spans_ok
         blocks = {"alpha": code.alpha, "beta": code.beta}
         failures = list(code.condition_failures)
         if gm.rank:
@@ -120,7 +119,6 @@ def cmd_params(args):
         else:
             dist = {"d": None, "mode": "undefined"}
     else:
-        spans_ok = card.agree
         blocks = {"n": code.n}
         failures = []
         dist = _distance_report(gm, WeightProfile.mixed(0, code.n),
@@ -129,7 +127,7 @@ def cmd_params(args):
         "blocks": blocks,
         "dimension": gm.rank,
         "cardinality": {"formula": card.formula, "actual": card.actual},
-        "spans_ok": spans_ok,
+        "spans_ok": card.agree,
         "distance": dist,
         "condition_failures": failures,
     }
@@ -142,7 +140,7 @@ def cmd_params(args):
     lines = [f"block lengths: {blocks}",
              f"dimension (F_q rank): {gm.rank}",
              f"cardinality: formula {card.formula}, actual {card.actual}",
-             f"spanning set spans: {spans_ok}"]
+             f"spanning set spans: {card.agree}"]
     if failures:
         lines.append("generator conditions violated: " + "; ".join(failures))
     lines.append(f"distance: {dist['d']} ({dist['mode']})")
@@ -289,31 +287,31 @@ def build_parser():
                     "duals, Gray images, LCD certificates, table verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="definition document: path or inline JSON")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="max codewords for exact distance enumeration")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled distance bounds")
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
-        p.add_argument("--lenient", action="store_true",
-                       help="accept generator quintuples that violate the "
-                            "canonical-form conditions")
-
-    for name, fn in (("params", cmd_params), ("dual", cmd_dual),
-                     ("gray", cmd_gray), ("lcd", cmd_lcd)):
+    options = {
+        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                         help="max codewords for exact distance enumeration"),
+        "--seed": dict(type=int, default=0, help="seed for sampled distance bounds"),
+        "--lenient": dict(action="store_true",
+                          help="accept generator quintuples that violate the "
+                               "canonical-form conditions"),
+    }
+    # each subcommand takes only the options it reads
+    for name, fn, names in (("params", cmd_params, ("--budget", "--seed", "--lenient")),
+                            ("dual", cmd_dual, ("--lenient",)),
+                            ("gray", cmd_gray, ("--budget", "--seed", "--lenient")),
+                            ("lcd", cmd_lcd, ("--budget", "--seed"))):
         p = sub.add_parser(name)
-        common(p)
+        p.add_argument("--input", required=True,
+                       help="definition document: path or inline JSON")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        for option in names:
+            p.add_argument(option, **options[option])
         p.set_defaults(func=fn)
 
     p = sub.add_parser("tables")
     p.add_argument("--id", default="all", help="1, 2, 3 or all")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", **options["--budget"])
+    p.add_argument("--seed", **options["--seed"])
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--long", action="store_true",
                    help="also run enumerations beyond the default budget")
@@ -325,13 +323,21 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits 2 on usage errors
-    if args.budget < 1:
+    if getattr(args, "budget", 1) < 1:
         print("budget must be >= 1", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         print("seed must be >= 0", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early: point it at devnull so
+        # that the flush at exit stays quiet, as the Python docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(IO_ERROR)
+    return status
 
 
 if __name__ == "__main__":

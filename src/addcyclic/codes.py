@@ -480,10 +480,13 @@ class MixedCode(_CyclicCode):
         """The degree-counted spanning set S1 ∪ S2 ∪ S3 (x-shift ranges of
         the three generators, |S1| = alpha - deg s, |S2| = beta - deg g,
         |S3| = beta - deg k), with spans_ok reporting whether its span
-        really is the whole code."""
+        really is the whole code.  Its rows are F_q-independent: only S1
+        has nonzero alpha parts, only S2 nonzero b parts among the rest,
+        and within each of those parts and the c parts of S3 the shifts
+        x^i*s, x^i*g, x^j*k have distinct degrees below the block length.
+        So the set spans exactly when it has as many rows as the rank."""
         rows = self._degree_counted_rows()
-        spans_ok = linalg.rank(self.tower.base, rows) == self.closure.rank
-        return SpanningSet(tuple(self._words(rows)), spans_ok)
+        return SpanningSet(tuple(self._words(rows)), len(rows) == self.closure.rank)
 
     def __repr__(self):
         return (

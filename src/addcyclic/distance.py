@@ -9,40 +9,42 @@ matrix is written in systematic form over several information sets
 whose symbol groups are disjoint: the stored rref first, then, greedily,
 the pivots of one rref per set with the still unused groups' columns
 ordered first, until no unused group adds rank.  In each form the
-messages of weight w = 1, 2, ... are weighed, only those whose leading
-coefficient is 1 (scaling keeps the weight), each built from a message
-of weight w - 1 by one addition of a multiple of a row.  Once every
-message of weight <= w has been weighed in the form of set j, of rank
-r, a word not yet seen has at least t = w + 1 - (k - r) nonzero pivot
-coordinates there, so at least as many nonzero symbols as the fewest
-groups of the set whose pivot counts sum to t: t for singleton groups,
-ceil(t/2) when every group holds two pivots.  Summed over the sets this
-bounds every unseen word from below, and the search stops as soon as
-the bound reaches the lightest word found (at the latest when one form
-has weighed all its messages).  Words are weighed in blocks of at most
-_BLOCK_TARGET, so memory stays bounded.  The budget applies to q^rank,
+messages of weight w = 1, 2, ... are weighed (layer w below), only
+those whose leading coefficient is 1 (scaling keeps the weight).  Once
+every message of weight <= w has been weighed in the form of set j, of
+rank r, a word not yet seen has at least t = w + 1 - (k - r) nonzero
+pivot coordinates there, so at least as many nonzero symbols as the
+fewest groups of the set whose pivot counts sum to t: t for singleton
+groups, ceil(t/2) when every group holds two pivots.  Summed over the
+sets this bounds every unseen word from below, and the search stops as
+soon as the bound reaches the lightest word found (at the latest when
+one form has weighed all its messages).  The budget applies to q^rank,
 whatever the search weighs.  Codes beyond it get a seeded randomized
-upper bound instead, reinforced with a deterministic sweep of sparse
-combinations of the generating rows.  The sweep builds no candidate:
-the weight of a + c*b is the symbol distance from a to -c*b.  Every
-negated multiple of the row pool is formed once, and so is every scaled
-pair pool[i] + b*pool[j] of the triple pool; the pairs and triples are
-then weighed as distances between row gathers of those blocks, over
-fixed-size chunks of index combinations, and only a running minimum
-weight is kept between chunks.
+upper bound instead, reinforced with a deterministic sweep of layers 1
+and 2 of the basis and generating rows and layer 3 of the generating
+rows.
+
+Both engines take their combinations from one enumerator, `_Layers`:
+layer w of a list of rows holds the combinations of exactly w of them
+with leading coefficient 1.  Its words with last row m are the words a
+of layer w - 1 with last row below m, each plus c*row_m, and the weight
+of a + c*row_m is the symbol distance from a to -c*row_m.  So layer w is
+weighed unbuilt, as slices of layer w - 1 against the q - 1 negated
+multiples of row_m, at most _BLOCK_TARGET (search) or _SWEEP_CHUNK
+(sweep) words at once.  Layer w - 1 is formed, sorted by last row, when
+layer w is first asked for, and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
 
 import numpy as np
 
 from . import linalg
 from .codes import GeneratorMatrixCode
-from .linalg import _scaled, _suffix_block
+from .linalg import _suffix_block
 
 DEFAULT_BUDGET = 2**24
 # Codes of at most this many words are weighed whole: the rref per
@@ -147,12 +149,6 @@ def weight(vec, profile: WeightProfile) -> int:
     return int(profile.weights(np.asarray(vec).reshape(1, -1))[0])
 
 
-def _index_tuples(count, k):
-    """All k-subsets of range(count), lexicographic, as a (C, k) intp array."""
-    flat = chain.from_iterable(combinations(range(count), k))
-    return np.fromiter(flat, dtype=np.intp).reshape(-1, k)
-
-
 def _lightest_nonzero(profile, best, block, word=0):
     """min(best, smallest nonzero distance between the broadcast rows of
     block and word); with word = 0 these are the weights of the block."""
@@ -161,33 +157,46 @@ def _lightest_nonzero(profile, best, block, word=0):
     return min(best, int(weights.min())) if weights.size else best
 
 
-def _layer_blocks(field, rows, weight, max_words):
-    """Every combination of exactly `weight` of the rows whose first
-    nonzero coefficient is 1, lazily, in blocks of at most
-    max(max_words, len(rows) * (q - 1)) words, each word with the index
-    of the last row it combines.  Layer w is built from layer w - 1 by
-    adding c * row_i for every row i after that last row and every
-    c != 0: one addition per word, of a multiple formed once."""
-    k, q = len(rows), field.order
-    if weight == 1:
-        yield rows, np.arange(k)
-        return
-    # multiples[c - 1, i] = c * rows[i]
-    multiples = _scaled(field, rows, range(1, q))
-    for words, last in _layer_blocks(field, rows, weight - 1, max_words):
-        children = (k - 1 - last) * (q - 1)
-        before = np.concatenate([[0], np.cumsum(children)])  # children of parents < i
-        start = 0
-        while start < len(words):
-            # the parents from start on whose children fit in one block
-            stop = max(start + 1, int(np.searchsorted(before, before[start] + max_words,
-                                                      "right")) - 1)
-            parent = np.repeat(np.arange(start, stop), children[start:stop])
-            offset = np.arange(parent.size) - (before[parent] - before[start])
-            row = last[parent] + 1 + offset // (q - 1)
-            if row.size:
-                yield field.add(words[parent], multiples[offset % (q - 1), row]), row
-            start = stop
+class _Layers:
+    """The layers of `rows` (module docstring).  A formed layer is one
+    array sorted by last row, with ends[m] its words of last row <= m."""
+
+    def __init__(self, field, rows):
+        self.field, self.rows = field, rows
+        self._formed = [(rows, np.arange(1, len(rows) + 1))]
+
+    @cached_property
+    def negated(self):
+        """negated[m, c - 1] = -c * rows[m], formed when layer 2 is first
+        weighed: a search that stops in layer 1 never needs it."""
+        field = self.field
+        return field.mul(self.rows[:, None], field.neg(np.arange(1, field.order))[:, None])
+
+    def layer(self, weight):
+        """(words, ends) of layer `weight`, forming the layers below it
+        on first use."""
+        while len(self._formed) < weight:
+            words, ends = self._formed[-1]
+            parts = [self.field.sub(words[: ends[m - 1], None], self.negated[m])
+                     .reshape(-1, words.shape[1]) for m in range(1, len(self.rows))]
+            self._formed.append((np.concatenate([words[:0]] + parts),
+                                 np.cumsum([0] + [len(part) for part in parts])))
+        return self._formed[weight - 1]
+
+    def weighings(self, weight, max_words):
+        """Pairs (a, b) whose broadcast differences a - b are the words
+        of layer `weight` in its order, without forming that layer:
+        layer 1 as one pair, any other in pairs of at most
+        max(max_words, q - 1) words."""
+        if weight == 1:
+            yield self.rows, np.zeros_like(self.rows[:1])
+            return
+        words, ends = self.layer(weight - 1)
+        step = max(1, max_words // (self.field.order - 1))
+        for m in range(1, len(self.rows)):
+            prefix = words[: ends[m - 1], None]
+            for start in range(0, len(prefix), step):
+                yield prefix[start : start + step], self.negated[m]
 
 
 def _information_sets(field, matrix, pivots, profile):
@@ -237,12 +246,14 @@ def _brouwer_zimmermann(field, matrix, pivots, profile):
                    for w, (_, piv, need) in zip(done, sets))
 
     best, examined = profile.width + 1, 0
-    while best > bound():
+    layers = [_Layers(field, form) for form, _, _ in sets]
+    while best > (target := bound()):
         j = done.index(min(done))
-        for block, _ in _layer_blocks(field, sets[j][0], done[j] + 1, _BLOCK_TARGET):
-            best = min(best, int(profile.weights(block).min()))
-            examined += len(block)
-            if best <= bound():
+        for a, b in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
+            weights = profile.distances(a, b)
+            best = min(best, int(weights.min()))
+            examined += weights.size
+            if best <= target:
                 return best, examined
         done[j] += 1
     return best, examined
@@ -284,44 +295,23 @@ def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
     r = code.rank
     if r == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    # the weight of a + c*b is its distance from -c*b, c = 1 .. q-1
-    negated = field.neg(np.arange(1, q))
-    pool = [code.matrix]
-    if code.spanning_rows is not None:
-        pool.append(code.spanning_rows)
-    rows = np.unique(np.vstack(pool), axis=0)
-    rows = rows[np.any(rows, axis=1)]
-    best = _lightest_nonzero(profile, profile.width + 1, rows)
-    examined = len(rows)
-    # scaled pairs rows[i] + c*rows[j], i < j, c != 0
-    negscaled = _scaled(field, rows, negated)
-    pairs = _index_tuples(len(rows), 2)
-    step = max(1, _SWEEP_CHUNK // (q - 1))
-    for start in range(0, len(pairs), step):
-        i, j = pairs[start : start + step].T
-        best = _lightest_nonzero(profile, best, rows[i], negscaled[:, j])
-        examined += (q - 1) * len(i)
+    def distinct(block):
+        block = np.unique(np.asarray(block, dtype=np.uint8), axis=0)
+        return block[np.any(block, axis=1)]
+
+    spanning = code.spanning_rows
+    rows = distinct(code.matrix if spanning is None else np.vstack([code.matrix, spanning]))
     # sparse triples of the raw generating rows: x-shifts of the defining
     # generators are where low-weight words tend to live
-    triple_pool = code.spanning_rows if code.spanning_rows is not None else rows
-    triple_pool = np.unique(np.asarray(triple_pool, dtype=np.uint8), axis=0)
-    triple_pool = triple_pool[np.any(triple_pool, axis=1)]
+    triple_pool = rows if spanning is None else distinct(spanning)
+    sweeps = [(rows, 1), (rows, 2)]
     if len(triple_pool) <= _TRIPLE_POOL_MAX:
-        # sums[b, pair_id[i, j]] = pool[i] + b*pool[j] for every pair i < j
-        first, second = _index_tuples(len(triple_pool), 2).T
-        pair_id = np.zeros((len(triple_pool),) * 2, dtype=np.intp)
-        pair_id[first, second] = np.arange(len(first))
-        sums = field.axpy(triple_pool[first], np.arange(1, q)[:, None, None],
-                          triple_pool[second])
-        negscaled = _scaled(field, triple_pool, negated)
-        triples = _index_tuples(len(triple_pool), 3)
-        step = max(1, _SWEEP_CHUNK // (q - 1) ** 2)
-        for start in range(0, len(triples), step):
-            i, j, k = triples[start : start + step].T
-            # candidate [b, c, t] = sums[b, (i, j)] + c*pool[k]
-            best = _lightest_nonzero(profile, best, sums[:, None, pair_id[i, j]],
-                                     negscaled[None, :, k])
-            examined += (q - 1) ** 2 * len(i)
+        sweeps.append((triple_pool, 3))
+    best, examined = profile.width + 1, 0
+    for pool, weight in sweeps:
+        for a, b in _Layers(field, pool).weighings(weight, _SWEEP_CHUNK):
+            best = _lightest_nonzero(profile, best, a, b)
+            examined += len(a) * len(b)
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
     msgs = msgs[np.any(msgs, axis=1)]

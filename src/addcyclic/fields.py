@@ -12,13 +12,11 @@ into components is divmod by q.
 
 Arithmetic goes through precomputed tables (the fields at play have at
 most 256 elements; characteristic-2 array addition is the exception
-below), so every operation accepts ints or numpy arrays.  `axpy`,
-a + c*b in one gather from a three-way table built on first use, is
-the step of the sampled distance sweep.  `linalg` does not call this
-class per row.  Elimination holds rows as bytes, scales them by
-`bytes.translate` through rows of mul_table, and adds them as big
-integers, by XOR in characteristic 2 (below) and in a carry-free lane
-code of the base-p digits otherwise.  A small matrix product is one
+below), so every operation accepts ints or numpy arrays.  `linalg`
+does not call this class per row.  Elimination holds rows as bytes,
+scales them by `bytes.translate` through rows of mul_table, and adds
+them as big integers, by XOR in characteristic 2 (below) and in a
+carry-free lane code of the base-p digits otherwise.  A small matrix product is one
 integer product over the base-p digits, which are an element's F_p
 coordinates on every level of the tower.
 
@@ -46,7 +44,7 @@ wrapping a Python-int XOR as a numpy uint8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +83,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 class Field:
     """A finite field of order <= 256, either F_p or an extension F_sub[t]/<modulus>.
 
-    Carries add/mul/neg/inv lookup tables; `add`, `mul`, `axpy`, etc.
+    Carries add/mul/neg/inv lookup tables; `add`, `mul`, `sub`, etc.
     broadcast over numpy arrays.  `symbol` is the display name of the
     adjoined generator ('u' for the middle level, 'w' for the top level).
     """
@@ -162,18 +160,6 @@ class Field:
 
     def mul(self, a, b):
         return self.mul_table[a, b]
-
-    @cached_property
-    def axpy_table(self):
-        """axpy_table[a, c, b] = a + c*b: order^3 bytes (16 MiB for
-        F_256), so it is built on the first row operation, not with the
-        field."""
-        return self.add_table[:, self.mul_table]
-
-    def axpy(self, a, c, b):
-        """a + c*b in one table gather (arrays broadcast): the step of
-        the upper-bound sweep in `distance`."""
-        return self.axpy_table[a, c, b]
 
     def inv(self, a):
         if isinstance(a, (int, np.integer)):

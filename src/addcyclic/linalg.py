@@ -45,8 +45,8 @@ packed back by place value.  Over a prime field this is (A @ B) mod p.
 Sums of k*m products below p^2 cannot overflow int64, so int64 needs
 no exactness argument; float64 BLAS was no faster.  Over the 450 Gram
 products of a 150-code algebra pass at seed 0 the digit product takes
-0.025 s, and the one `Field.axpy` gather per row of B it replaced took
-0.083 to 0.089 s.
+0.025 s, and the loop it replaced, one a + c*b table gather per row of
+B, took 0.083 to 0.089 s.
 
 The message-order enumerator of row combinations lives here too, shared
 by the codeword lists of `codes` and the distance engines, and a tall

@@ -1,10 +1,15 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import addcyclic
 from addcyclic.cli import _distance_report, main
 from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.distance import WeightProfile
@@ -293,3 +298,35 @@ def test_absurd_block_lengths_exit_2(capsys, doc):
         code, _, err = run(capsys, [command, "--input", json.dumps(doc)])
         assert code == 2
         assert err.startswith("invalid code definition") and "closure matrix" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--budget", "5"],
+    ["dual", "--seed", "1"],
+    ["lcd", "--lenient"],
+    ["params", "--format", "csv"],
+    ["dual", "--format", "csv"],
+    ["gray", "--format", "csv"],
+    ["lcd", "--format", "csv"],
+], ids=" ".join)
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    doc = TABLE3_ROW1 if argv[0] == "lcd" else ROW9
+    code, out, err = run(capsys, argv + ["--input", doc])
+    assert code == 2
+    assert out == "" and "usage:" in err
+
+
+def test_early_closed_stdout_exits_3_without_traceback():
+    # the JSON matrix is larger than a pipe buffer, so the writer meets
+    # the closed pipe whenever it starts writing
+    doc = json.dumps({"q": 3, "alpha": 1, "beta": 60, "s": "1", "l": "0",
+                      "g": "1", "h": "0", "k": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(addcyclic.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "addcyclic", "gray", "--format", "json",
+         "--budget", "1", "--input", doc],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 3
+    assert b"Traceback" not in err

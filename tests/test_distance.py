@@ -379,8 +379,6 @@ def test_upper_sweep_small_pools():
     zero = GeneratorMatrixCode(T3, np.zeros((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         min_distance_upper(zero, WeightProfile.singletons(4))
-    for count, k in ((0, 2), (1, 2), (2, 3)):
-        assert distance._index_tuples(count, k).shape == (0, k)
 
 
 def test_upper_sweep_skips_triples_past_forty_rows():
@@ -462,27 +460,43 @@ def test_exact_counts_brouwer_zimmermann_words():
     assert res.witnesses_examined == small.base.size - 1
 
 
+def layer_order(msg):
+    """Sort key of a message in its layer: its last row, then the
+    message without that entry, then the entry."""
+    support = np.flatnonzero(msg)
+    if not support.size:
+        return ()
+    m = support[-1]
+    rest = list(msg)
+    rest[m] = 0
+    return (m, layer_order(rest), msg[m])
+
+
 def test_layer_blocks_are_bounded_and_normalized():
     nprng = np.random.default_rng(157)
     for q in (2, 3, 4, 5):
         field = tower(q).base
         rows = nprng.integers(0, q, size=(5, 7), dtype=np.uint8)
         k = len(rows)
+        layers = distance._Layers(field, rows)
         for w in range(1, k + 1):
-            blocks = list(distance._layer_blocks(field, rows, w, 10))
-            assert all(len(b) <= max(10, k * (q - 1)) for b, _ in blocks)
-            words = np.vstack([b for b, _ in blocks])
-            last = np.concatenate([i for _, i in blocks])
-            msgs = np.array(leading_one_messages(q, k, w), dtype=np.uint8)
+            pairs = list(layers.weighings(w, 10))
+            assert all(len(a) * len(b) <= max(10, q - 1) for a, b in pairs)
+            weighed = np.vstack([field.sub(a, b).reshape(-1, 7) for a, b in pairs])
+            words, ends = layers.layer(w)
+            msgs = sorted(leading_one_messages(q, k, w), key=layer_order)
+            msgs = np.array(msgs, dtype=np.uint8)
             expected = np.zeros((len(msgs), rows.shape[1]), dtype=np.uint8)
             for t in range(k):
                 expected = field.add(expected, field.mul(msgs[:, t : t + 1],
                                                          rows[t : t + 1]))
             assert len(words) == len(msgs) == comb(k, w) * (q - 1) ** (w - 1)
-            # each word is listed once, with the last row it combines
-            last_row = [max(np.flatnonzero(m)) for m in msgs]
-            assert sorted(zip(map(tuple, words), last)) == sorted(
-                zip(map(tuple, expected), last_row))
+            # the weighings and the formed layer list the words in
+            # message order, sorted by the last row they combine
+            assert np.array_equal(weighed, expected)
+            assert np.array_equal(words, expected)
+            last_row = np.array([max(np.flatnonzero(m)) for m in msgs])
+            assert np.array_equal(ends, [np.sum(last_row <= m) for m in range(k)])
 
 
 def fine_profile(rng, width):
@@ -578,16 +592,17 @@ def test_information_sets_are_disjoint_and_systematic():
 
 def test_exact_above_the_cut_matches_reference(monkeypatch):
     # codes of more than _WHOLE_CODE words go to the search; with a block
-    # target of 64 words every layer comes in many blocks, none larger
+    # target of 64 words every layer comes in many weighings, none larger
     monkeypatch.setattr(distance, "_BLOCK_TARGET", 64)
     sizes = []
-    weights = WeightProfile.weights
+    distances = WeightProfile.distances
 
-    def record(profile, block):
-        sizes.append(len(block))
-        return weights(profile, block)
+    def record(profile, block, word):
+        weighed = distances(profile, block, word)
+        sizes.append(weighed.size)
+        return weighed
 
-    monkeypatch.setattr(WeightProfile, "weights", record)
+    monkeypatch.setattr(WeightProfile, "distances", record)
     rng = random.Random(193)
     nprng = np.random.default_rng(193)
     shapes = ((2, 13, 30), (2, 14, 28), (3, 8, 20), (3, 9, 18), (4, 7, 16), (8, 5, 12))

@@ -228,29 +228,6 @@ def test_tower_accepts_coefficient_lists():
     assert tower(4, f2=[2, 1, 1]).f2 == (2, 1, 1)
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16))
-def test_axpy_matches_add_of_mul(q):
-    # exhaustive on F_q and F_q2, except a seeded sample on F_256
-    tw = tower(q)
-    rng = np.random.default_rng(q)
-    for f in (tw.base, tw.ext):
-        if f.order ** 3 <= 2**20:
-            a, c, b = np.indices((f.order,) * 3).reshape(3, -1)
-        else:
-            a, c, b = rng.integers(0, f.order, size=(3, 200_000))
-        got = f.axpy(a, c, b)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, f.add(a, f.mul(c, b)))
-        assert int(f.axpy(int(a[-1]), int(c[-1]), int(b[-1]))) == int(got[-1])
-
-
-def test_axpy_table_is_built_on_first_use():
-    f = Field(5)
-    assert "axpy_table" not in vars(f)
-    assert int(f.axpy(1, 2, 3)) == 2
-    assert f.axpy_table.shape == (5, 5, 5)
-
-
 # every field the characteristic-2 towers build, F_2 up to F_256
 CHAR2_FIELDS = [f for q in (2, 4, 8, 16)
                 for f in (tower(q).prime, tower(q).base, tower(q).ext)]
