@@ -35,6 +35,7 @@ from .distance import (
     DistanceBudgetError,
     DistanceResult,
     WeightProfile,
+    min_distance,
     min_distance_exact,
     min_distance_upper,
     weight,

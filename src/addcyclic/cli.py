@@ -31,13 +31,7 @@ from .codes import (
     load_definition,
     singleton_check,
 )
-from .distance import (
-    DEFAULT_BUDGET,
-    DistanceBudgetError,
-    WeightProfile,
-    min_distance_exact,
-    min_distance_upper,
-)
+from .distance import DEFAULT_BUDGET, WeightProfile, min_distance
 from .gray import gray_image, shift_invariance_check
 from .lcd import lcd_certificate, load_matrix_document
 from .linalg import as_matrix
@@ -77,16 +71,14 @@ def _load_code(args, strict=True):
 
 
 def _distance_report(gm, profile, budget, seed):
-    """Exact distance within the budget, else a seeded upper bound; only
-    the zero code, which has no nonzero words, is "undefined"."""
+    """The distance `distance.min_distance` settles; only the zero code,
+    which has no nonzero words, is "undefined"."""
     if gm.rank == 0:
         return {"d": None, "mode": "undefined"}
-    try:
-        res = min_distance_exact(gm, profile, budget=budget)
+    res = min_distance(gm, profile, budget, seed)
+    if res.exact:
         return {"d": res.value, "mode": "exact"}
-    except DistanceBudgetError:
-        res = min_distance_upper(gm, profile, seed=seed)
-        return {"d": res.value, "mode": "bound", "seed": seed}
+    return {"d": res.value, "mode": "bound", "seed": res.seed}
 
 
 def _emit(payload, fmt, lines):
@@ -105,19 +97,16 @@ def cmd_params(args):
     if isinstance(code, MixedCode):
         blocks = {"alpha": code.alpha, "beta": code.beta}
         failures = list(code.condition_failures)
+        # the headline distance is the Gray-image one (the parameters
+        # these codes are tabulated under); the mixed-alphabet distance
+        # of a nonzero code is reported alongside
+        image = gray_image(code)
+        dist = _distance_report(image.base, WeightProfile.singletons(image.length),
+                                args.budget, args.seed)
         if gm.rank:
-            # the headline distance is the Gray-image one (the parameters
-            # these codes are tabulated under); the mixed-alphabet
-            # distance is reported alongside
-            image = gray_image(code)
-            dist = _distance_report(
-                image.base, WeightProfile.singletons(image.length),
-                args.budget, args.seed)
             mixed_dist = _distance_report(
                 gm, WeightProfile.mixed(code.alpha, code.beta),
                 args.budget, args.seed)
-        else:
-            dist = {"d": None, "mode": "undefined"}
     else:
         blocks = {"n": code.n}
         failures = []
@@ -244,19 +233,7 @@ def cmd_lcd(args):
 
 
 def cmd_tables(args):
-    if args.id != "all":
-        try:
-            tid = int(args.id)
-        except ValueError:
-            print(f"unknown table id {args.id!r}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        if tid not in (1, 2, 3):
-            print(f"unknown table id {args.id!r}", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        which = tid
-    else:
-        which = "all"
-    report = verify_all(which, budget=args.budget, seed=args.seed,
+    report = verify_all(args.id, budget=args.budget, seed=args.seed,
                         long=args.long)
     if args.format == "json":
         out = report.to_json()
@@ -309,7 +286,7 @@ def build_parser():
         p.set_defaults(func=fn)
 
     p = sub.add_parser("tables")
-    p.add_argument("--id", default="all", help="1, 2, 3 or all")
+    p.add_argument("--id", default="all", choices=("1", "2", "3", "all"))
     p.add_argument("--budget", **options["--budget"])
     p.add_argument("--seed", **options["--seed"])
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

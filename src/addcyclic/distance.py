@@ -33,6 +33,14 @@ weighed unbuilt, as slices of layer w - 1 against the q - 1 negated
 multiples of row_m, at most _BLOCK_TARGET (search) or _SWEEP_CHUNK
 (sweep) words at once.  Layer w - 1 is formed, sorted by last row, when
 layer w is first asked for, and kept.
+
+The q^rank budget bounds the search's work but not its memory (table-1
+row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
+6), so the search refuses, as past the budget, to form a layer of more
+than _MAX_LAYER_CELLS cells (words x columns); the sweep forms at most
+layer 2 of _TRIPLE_POOL_MAX rows.  `min_distance`, the distance the CLI
+and table 1 report, falls back on the upper bound when the search
+refuses.
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ _WHOLE_CODE = 2**12
 _BLOCK_TARGET = 2**16  # most words weighed at once by the exact search
 _SWEEP_CHUNK = 2**14  # candidate rows per block in the upper-bound sweep
 _TRIPLE_POOL_MAX = 40  # larger raw generating sets skip the triple sweep
+# cells (words x columns) of the largest layer formed, 64 MiB as uint8,
+# the size of codes.MAX_CLOSURE_CELLS
+_MAX_LAYER_CELLS = 2**26
 
 
 class DistanceBudgetError(ValueError):
@@ -68,6 +79,17 @@ class DistanceBudgetError(ValueError):
         )
         self.required = required
         self.budget = budget
+
+
+class _LayerCapError(DistanceBudgetError):
+    """A layer of the exact search would pass its cap of cells."""
+
+    def __init__(self, weight, words, width, cap):
+        ValueError.__init__(
+            self, f"exact search would form layer {weight} of {words} words "
+                  f"x {width} columns, past the cap of {cap} cells")
+        self.required = words * width
+        self.budget = cap
 
 
 @dataclass(frozen=True)
@@ -159,10 +181,11 @@ def _lightest_nonzero(profile, best, block, word=0):
 
 class _Layers:
     """The layers of `rows` (module docstring).  A formed layer is one
-    array sorted by last row, with ends[m] its words of last row <= m."""
+    array sorted by last row, with ends[m] its words of last row <= m.
+    A layer of more than `max_cells` cells, if given, is refused."""
 
-    def __init__(self, field, rows):
-        self.field, self.rows = field, rows
+    def __init__(self, field, rows, max_cells=None):
+        self.field, self.rows, self.max_cells = field, rows, max_cells
         self._formed = [(rows, np.arange(1, len(rows) + 1))]
 
     @cached_property
@@ -177,6 +200,10 @@ class _Layers:
         on first use."""
         while len(self._formed) < weight:
             words, ends = self._formed[-1]
+            count = (self.field.order - 1) * int(ends[:-1].sum())
+            if self.max_cells is not None and count * words.shape[1] > self.max_cells:
+                raise _LayerCapError(len(self._formed) + 1, count,
+                                     words.shape[1], self.max_cells)
             parts = [self.field.sub(words[: ends[m - 1], None], self.negated[m])
                      .reshape(-1, words.shape[1]) for m in range(1, len(self.rows))]
             self._formed.append((np.concatenate([words[:0]] + parts),
@@ -246,7 +273,7 @@ def _brouwer_zimmermann(field, matrix, pivots, profile):
                    for w, (_, piv, need) in zip(done, sets))
 
     best, examined = profile.width + 1, 0
-    layers = [_Layers(field, form) for form, _, _ in sets]
+    layers = [_Layers(field, form, _MAX_LAYER_CELLS) for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
         for a, b in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
@@ -259,14 +286,27 @@ def _brouwer_zimmermann(field, matrix, pivots, profile):
     return best, examined
 
 
+def min_distance(code: GeneratorMatrixCode, profile: WeightProfile,
+                 budget: int = DEFAULT_BUDGET, seed: int = 0) -> 'DistanceResult':
+    """The distance the CLI and table 1 report: `min_distance_exact`
+    within the budget, `min_distance_upper` with the given seed when the
+    exact engine refuses (past the budget, or a layer past
+    _MAX_LAYER_CELLS).  `exact` on the result says which one ran."""
+    try:
+        return min_distance_exact(code, profile, budget=budget)
+    except DistanceBudgetError:
+        return min_distance_upper(code, profile, seed=seed)
+
+
 def min_distance_exact(code: GeneratorMatrixCode, profile: WeightProfile,
                        budget: int = DEFAULT_BUDGET) -> 'DistanceResult':
     """Exact minimum symbol weight over all nonzero codewords.
 
-    Deterministic; refuses when q^rank exceeds `budget`.  Codes of at
-    most _WHOLE_CODE words are weighed whole, larger ones by the
-    Brouwer-Zimmermann search; `witnesses_examined` counts the words
-    weighed.
+    Deterministic; refuses with a DistanceBudgetError when q^rank
+    exceeds `budget` or the search would form a layer past
+    _MAX_LAYER_CELLS.  Codes of at most _WHOLE_CODE words are weighed
+    whole, larger ones by the Brouwer-Zimmermann search;
+    `witnesses_examined` counts the words weighed.
     """
     field = code.field
     r = code.rank

@@ -71,14 +71,15 @@ def is_self_orthogonal(code_or_rows, tower=None) -> bool:
 
 
 def is_lcd(code: GeneratorMatrixCode) -> bool:
-    """Trivial hull, cross-checked against det(G Gᵀ) != 0 for the
-    full-rank basis G; the two criteria must agree."""
+    """Trivial hull, cross-checked against the Gram matrix G Gᵀ of the
+    full-rank basis G having full rank k, which over a field is
+    det(G Gᵀ) != 0; the two criteria must agree."""
     f = code.field
     by_hull = hull(code).rank == 0
     gram = linalg.matmul(f, code.matrix, code.matrix.T)
-    by_det = linalg.determinant(f, gram) != 0 if code.rank else True
-    if by_hull != by_det:
-        raise InvariantViolation("hull test and Gram-determinant test disagree")
+    by_gram = linalg.rank(f, gram) == code.rank
+    if by_hull != by_gram:
+        raise InvariantViolation("hull test and Gram-rank test disagree")
     return by_hull
 
 

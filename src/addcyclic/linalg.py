@@ -8,8 +8,8 @@ from an rref and its pivots, so a stored basis needs no second
 elimination.  An intersection of row spaces is one Zassenhaus
 elimination.
 
-Elimination (`rref`, `determinant`, and `reduce_rows` against a stored
-rref basis) works on rows held as `bytes`, one byte per entry, so that,
+Elimination (`rref`, `rank`, and `reduce_rows` against a stored rref
+basis) works on rows held as `bytes`, one byte per entry, so that,
 as in M4RI's packed rows (Albrecht, Bard and Hart, ACM TOMS 2010), a
 row operation acts on the whole row at once.  A row is scaled by
 `bytes.translate` through a 256-byte multiply-by-c table, and a + c*b
@@ -112,13 +112,13 @@ class _ByteRows:
                 self.add, self.operand = self._add_xor, self._int
             else:
                 self.add, self.operand = self._add_gather, self._array
-        code, self.element = code.astype(np.uint8), element.astype(np.uint8)
+        code, element = code.astype(np.uint8), element.astype(np.uint8)
         identity = np.array_equal(code, elements)
         self.encoding = None if identity else code.tobytes().ljust(256, b"\0")
-        self.decoding = None if identity else self.element.tobytes()
-        self.normal = code[self.element].tobytes()  # a lane sum to its code
+        self.decoding = None if identity else element.tobytes()
+        self.normal = code[element].tobytes()  # a lane sum to its code
         self.add_table = field.add_table
-        scaled = code[field.mul_table[:, self.element]]  # row c: x to c*x
+        scaled = code[field.mul_table[:, element]]  # row c: x to c*x
         self.by_inverse, self.by_minus = [None] * 256, [None] * 256
         for c in range(1, order):
             self.by_inverse[code[c]] = scaled[field.inv_table[c]].tobytes()
@@ -169,20 +169,18 @@ def _byte_rows(field):
 def _eliminate(arith, rows, width, above=True):
     """Gauss-Jordan elimination of byte rows of the given width.
 
-    Returns (reduced, pivots, leads, swaps): the nonzero rows of the
-    rref, the pivot column of each, the entry (a code) each pivot row
-    held there before it was scaled to 1, and the number of row swaps.
-    Repeated and zero rows are dropped first, and rows that reach zero
-    as they go; neither changes the rref, whose other rows are zero.
-    With `above` false each pivot column is cleared below the pivot
-    only, which leaves an echelon form, not the rref, but the same
-    pivots, leads and swaps in about half the row operations.
+    Returns (reduced, pivots): the nonzero rows of the rref and the
+    pivot column of each.  Repeated and zero rows are dropped first, and
+    rows that reach zero as they go; neither changes the rref, whose
+    other rows are zero.  With `above` false each pivot column is
+    cleared below the pivot only, which leaves an echelon form, not the
+    rref, but the same pivots in about half the row operations.
     """
     zero = bytes(width)
     rows = [row for row in dict.fromkeys(rows) if row != zero]
     n = len(rows)
     add, operand, by_inverse, by_minus = arith.add, arith.operand, arith.by_inverse, arith.by_minus
-    pivots, leads, swaps = [], [], 0
+    pivots = []
     r = 0
     for col in range(width):
         if r == n:
@@ -192,11 +190,8 @@ def _eliminate(arith, rows, width, above=True):
             hit += 1
         if hit == n:
             continue
-        if hit != r:
-            rows[r], rows[hit] = rows[hit], rows[r]
-            swaps += 1
-        lead = rows[r][col]
-        top = rows[r].translate(by_inverse[lead])
+        rows[r], rows[hit] = rows[hit], rows[r]
+        top = rows[r].translate(by_inverse[rows[r][col]])
         rows[r] = zero  # skipped below, as its entry is 0
         # -c times the pivot row, prepared once per factor c
         multiples = {}
@@ -210,12 +205,11 @@ def _eliminate(arith, rows, width, above=True):
                 rows[i] = add(row, m)
         rows[r] = top
         pivots.append(col)
-        leads.append(lead)
         r += 1
         if zero in rows:
             rows = [row for row in rows if row != zero]
             n = len(rows)
-    return rows[:r], pivots, leads, swaps
+    return rows[:r], pivots
 
 
 def rref(field, mat):
@@ -227,12 +221,16 @@ def rref(field, mat):
     """
     M = as_matrix(mat)
     arith = _byte_rows(field)
-    reduced, pivots, _, _ = _eliminate(arith, arith.encode(M), M.shape[1])
+    reduced, pivots = _eliminate(arith, arith.encode(M), M.shape[1])
     return arith.decode(reduced, M.shape), len(pivots), pivots
 
 
 def rank(field, mat):
-    return rref(field, mat)[1]
+    """Rank: the pivot count of the elimination below the pivots only,
+    with nothing decoded."""
+    M = as_matrix(mat)
+    arith = _byte_rows(field)
+    return len(_eliminate(arith, arith.encode(M), M.shape[1], above=False)[1])
 
 
 def kernel(field, mat):
@@ -366,20 +364,3 @@ def matmul(field, a, b):
         index = A[:, start : start + t] @ place
         out = field.add(out, _suffix_block(field, chunk)[index])
     return out
-
-
-def determinant(field, mat):
-    """Determinant of a square matrix: (-1)^swaps times the product of the
-    pivot entries of its elimination, or 0 below full rank."""
-    M = as_matrix(mat)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("determinant of a non-square matrix")
-    arith = _byte_rows(field)
-    _, _, leads, swaps = _eliminate(arith, arith.encode(M), n, above=False)
-    if len(leads) < n:
-        return 0
-    det = int(field.neg(1)) if swaps % 2 else 1
-    for lead in leads:
-        det = int(field.mul(det, int(arith.element[lead])))
-    return det

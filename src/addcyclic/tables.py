@@ -11,18 +11,23 @@ generator/matrix strings of their source:
             LCD claims, rows [n, k, d] for the Gray image.
 
 verify_all rebuilds every row from its literals and classifies each
-claim as exactly verified, bound-verified or skipped.  Sizes always come
-from the module-closure rank; distances use the exact engine inside the
-codeword budget and the seeded sampling bound beyond it.  "Optimal" and
-"BKLC" remarks reference external databases and are stored as metadata
-only — they are never part of pass/fail.
+claim as exactly verified, bound-verified or skipped.  Every row goes
+through verify_entry, which builds its report and records its
+mismatches; the table's own checks add to them.  Sizes always come from
+the module-closure rank.  Table 1's distances are settled by
+`distance.min_distance`: exact within the codeword budget, the seeded
+upper bound past it.  The Gray images of tables 2 and 3 share one step:
+length, dimension and an exact distance, skipped past the budget
+without `long` or when the exact search refuses a layer past its memory
+cap.  "Optimal" and "BKLC" remarks reference external databases and are
+stored as metadata only — they are never part of pass/fail.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from . import linalg
 from .codes import (
@@ -35,8 +40,8 @@ from .distance import (
     DEFAULT_BUDGET,
     DistanceBudgetError,
     WeightProfile,
+    min_distance,
     min_distance_exact,
-    min_distance_upper,
 )
 from .fields import tower as get_tower
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
@@ -281,6 +286,8 @@ class EntryReport:
     lcd: str = "-"
     status: str = "ok"             # ok | mismatch | error
     details: tuple = ()
+    # the one field left out of the serialized reports, which must be
+    # byte-identical across reruns with the same seed and budget
     runtime: float = dc_field(default=0.0, compare=False)
 
     CSV_FIELDS = (
@@ -290,30 +297,11 @@ class EntryReport:
     )
 
     def csv_row(self):
-        return [
-            str(self.table), str(self.row), str(self.expected_n),
-            self.expected_k_or_size, str(self.expected_d),
-            "" if self.computed_n is None else str(self.computed_n),
-            "" if self.computed_size is None else str(self.computed_size),
-            "" if self.computed_d is None else str(self.computed_d),
-            self.d_mode, self.singleton, self.qc, self.lcd, self.status,
-        ]
+        values = (getattr(self, name) for name in self.CSV_FIELDS)
+        return ["" if value is None else str(value) for value in values]
 
     def as_dict(self):
-        # runtime intentionally omitted: reports must be byte-identical
-        # across reruns with the same seed and budget
-        return {
-            "table": self.table, "row": self.row,
-            "expected_n": self.expected_n, "expected_k": self.expected_k,
-            "expected_k_or_size": self.expected_k_or_size,
-            "expected_d": self.expected_d,
-            "computed_n": self.computed_n,
-            "computed_size": self.computed_size,
-            "computed_k": self.computed_k, "computed_d": self.computed_d,
-            "d_mode": self.d_mode, "singleton": self.singleton,
-            "qc": self.qc, "lcd": self.lcd, "status": self.status,
-            "details": list(self.details),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 @dataclass
@@ -325,9 +313,8 @@ class VerificationReport:
     def counts(self):
         out = {"exact": 0, "bound": 0, "skipped": 0, "mismatch": 0}
         for e in self.entries:
-            out[e.d_mode] = out.get(e.d_mode, 0) + 1
-            if e.status != "ok":
-                out["mismatch"] += 1
+            out[e.d_mode] += 1
+            out["mismatch"] += e.status != "ok"
         return out
 
     @property
@@ -335,10 +322,8 @@ class VerificationReport:
         return any(e.status != "ok" for e in self.entries)
 
     def to_csv(self) -> str:
-        lines = [",".join(EntryReport.CSV_FIELDS)]
-        for e in self.entries:
-            lines.append(",".join(e.csv_row()))
-        return "\n".join(lines) + "\n"
+        rows = [EntryReport.CSV_FIELDS] + [e.csv_row() for e in self.entries]
+        return "".join(",".join(row) + "\n" for row in rows)
 
     def to_json(self) -> str:
         payload = {
@@ -349,107 +334,99 @@ class VerificationReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _expected_size_t1(entry):
-    return entry.q ** entry.expected_k
-
-
 def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0,
                  long=False) -> EntryReport:
-    start = time.perf_counter()
-    if entry.table_id == 1:
-        rep = _verify_table1(entry, budget, seed)
-    elif entry.table_id == 2:
-        rep = _verify_table2(entry, budget, seed, long)
-    elif entry.table_id == 3:
-        rep = _verify_table3(entry, budget, seed, long)
-    else:
+    """Rebuild one row from its literals and check its claims; the
+    table's own checks append to the `mism` and `details` lists."""
+    if entry.table_id not in TABLES:
         raise ValueError(f"unknown table id {entry.table_id}")
+    start = time.perf_counter()
+    claimed = entry.q**entry.expected_k if entry.table_id == 1 else entry.expected_k
+    rep = EntryReport(
+        table=entry.table_id, row=entry.row, expected_n=entry.expected_n,
+        expected_k=entry.expected_k, expected_d=entry.expected_d,
+        expected_k_or_size=str(claimed),
+    )
+    mism, details = [], []
+    if entry.table_id == 1:
+        _verify_table1(rep, entry, budget, seed, mism, details)
+    elif entry.table_id == 2:
+        _verify_table2(rep, entry, budget, long, mism, details)
+    else:
+        _verify_table3(rep, entry, budget, long, mism, details)
+    if mism:
+        rep.status = "mismatch"
+        details += [f"MISMATCH: {m}" for m in mism]
+    rep.details = tuple(details)
     rep.runtime = time.perf_counter() - start
     return rep
 
 
-def _finish(rep, mismatches, details):
-    if mismatches:
-        rep.status = "mismatch"
-        details = list(details) + [f"MISMATCH: {m}" for m in mismatches]
-    rep.details = tuple(details)
-    return rep
-
-
-def _verify_table1(entry, budget, seed):
-    rep = EntryReport(
-        table=1, row=entry.row, expected_n=entry.expected_n,
-        expected_k=entry.expected_k, expected_d=entry.expected_d,
-        expected_k_or_size=str(_expected_size_t1(entry)),
-    )
-    mism, details = [], []
+def _verify_table1(rep, entry, budget, seed, mism, details):
     code = build_table1_code(entry)
     size = code.cardinality()
+    claimed = entry.q**entry.expected_k
     rep.computed_n = entry.n
     rep.computed_size = size.actual
     rep.computed_k = code.dimension
     if not size.agree:
         details.append(
             f"cardinality formula {size.formula} != rank-derived {size.actual}")
-    expected_size = _expected_size_t1(entry)
-    if size.actual != expected_size:
-        mism.append(f"size {size.actual} != expected {expected_size}")
-    if size.formula != expected_size:
-        mism.append(f"formula size {size.formula} != expected {expected_size}")
-    profile = WeightProfile.mixed(0, entry.n)
-    try:
-        res = min_distance_exact(code.closure, profile, budget=budget)
-        rep.computed_d = res.value
-        rep.d_mode = "exact"
+    if size.actual != claimed:
+        mism.append(f"size {size.actual} != expected {claimed}")
+    if size.formula != claimed:
+        mism.append(f"formula size {size.formula} != expected {claimed}")
+    res = min_distance(code.closure, WeightProfile.mixed(0, entry.n), budget, seed)
+    rep.computed_d = res.value
+    rep.d_mode = "exact" if res.exact else "bound"
+    if res.exact:
         if res.value != entry.expected_d:
             mism.append(f"d {res.value} != expected {entry.expected_d}")
-    except DistanceBudgetError:
-        res = min_distance_upper(code.closure, profile, seed=seed)
-        rep.computed_d = res.value
-        rep.d_mode = "bound"
-        if res.value < entry.expected_d:
-            mism.append(
-                f"found weight {res.value} below claimed d {entry.expected_d}")
-        elif res.value > entry.expected_d:
-            mism.append(
-                f"claimed weight {entry.expected_d} not found by sampling "
-                f"(best {res.value})")
-        else:
-            details.append(
-                f"d<= {entry.expected_d} confirmed by a witness codeword; "
-                "exactness out of desk scale")
-    sing = singleton_check(entry.n, expected_size, entry.q**2, entry.expected_d)
+    elif res.value < entry.expected_d:
+        mism.append(f"found weight {res.value} below claimed d {entry.expected_d}")
+    elif res.value > entry.expected_d:
+        mism.append(
+            f"claimed weight {entry.expected_d} not found by sampling "
+            f"(best {res.value})")
+    else:
+        details.append(
+            f"d<= {entry.expected_d} confirmed by a witness codeword; "
+            "exactness out of desk scale")
+    sing = singleton_check(entry.n, claimed, entry.q**2, entry.expected_d)
     rep.singleton = "attains" if sing.attains else f"slack:{sing.slack}"
     if not sing.attains:
         mism.append("Singleton bound not attained")
-    return _finish(rep, mism, details)
 
 
-def _image_distance(rep, entry, image, budget, long, mism, details):
-    """The exact distance of a Gray image, recorded on `rep`, when its
-    3^k codewords fit the budget or `long` is given; otherwise the
-    distance is marked skipped and None is returned."""
-    size = 3**image.rank
-    if size > budget and not long:
-        rep.d_mode = "skipped"
+def _verify_image(rep, entry, image, budget, long, mism, details):
+    """Length, dimension and distance of the Gray image of a table-2 or
+    table-3 row.  The distance is exact when the image's 3^k words fit
+    the budget or `long` is given; otherwise, or when the exact search
+    refuses a layer past its memory cap, it is marked skipped."""
+    rep.computed_n = image.length
+    rep.computed_k = image.rank
+    rep.computed_size = 3**image.rank
+    if image.length != entry.expected_n:
+        mism.append(f"length {image.length} != expected {entry.expected_n}")
+    if image.rank != entry.expected_k:
+        mism.append(f"dimension {image.rank} != expected {entry.expected_k}")
+    rep.d_mode = "skipped"
+    if rep.computed_size > budget and not long:
         details.append("distance enumeration needs --long")
-        return None
+        return
     profile = WeightProfile.singletons(image.length)
-    res = min_distance_exact(image.base, profile, budget=max(budget, size))
+    try:
+        res = min_distance_exact(image.base, profile, budget=rep.computed_size)
+    except DistanceBudgetError as exc:
+        details.append(f"distance enumeration refused: {exc}")
+        return
     rep.computed_d = res.value
     rep.d_mode = "exact"
     if res.value != entry.expected_d:
         mism.append(f"d {res.value} != expected {entry.expected_d}")
-    return res
 
 
-def _verify_table2(entry, budget, seed, long):
-    rep = EntryReport(
-        table=2, row=entry.row, expected_n=entry.expected_n,
-        expected_k=entry.expected_k, expected_d=entry.expected_d,
-        expected_k_or_size=str(entry.expected_k),
-    )
-    mism, details = [], []
+def _verify_table2(rep, entry, budget, long, mism, details):
     code = build_table2_code(entry, strict=False)
     if code.condition_failures:
         details.append(
@@ -462,51 +439,29 @@ def _verify_table2(entry, budget, seed, long):
             f"cardinality formula {card.formula} != closure {card.actual}; "
             f"degree-counted spanning set spans_ok={span.spans_ok}")
     image = gray_image(code)
-    rep.computed_n = image.length
-    rep.computed_k = image.rank
-    rep.computed_size = 3**image.rank
-    if image.length != entry.expected_n:
-        mism.append(f"length {image.length} != expected {entry.expected_n}")
-    if image.rank != entry.expected_k:
-        mism.append(f"dimension {image.rank} != expected {entry.expected_k}")
+    _verify_image(rep, entry, image, budget, long, mism, details)
     sigma_ok = shift_invariance_check(image)
     rep.qc = f"{image.classification}:{'ok' if sigma_ok else 'FAIL'}"
     if not sigma_ok:
         mism.append("Gray image not shift-invariant")
     if "a" in entry.footnotes and image.classification != QUASI_CYCLIC_3:
         mism.append("expected quasi-cyclic of index 3")
-    res = _image_distance(rep, entry, image, budget, long, mism, details)
-    if res is not None and entry.remark == "MDS":
-        if res.value != image.length - image.rank + 1:
-            mism.append("MDS remark but d != n-k+1")
+    if (entry.remark == "MDS" and rep.d_mode == "exact"
+            and rep.computed_d != image.length - image.rank + 1):
+        mism.append("MDS remark but d != n-k+1")
     if "b" in entry.footnotes:
         lcd_now = is_lcd(image.base)
         rep.lcd = "yes" if lcd_now else "no"
         if not lcd_now:
             mism.append("footnote claims LCD but hull is nontrivial")
-    return _finish(rep, mism, details)
 
 
-def _verify_table3(entry, budget, seed, long):
-    rep = EntryReport(
-        table=3, row=entry.row, expected_n=entry.expected_n,
-        expected_k=entry.expected_k, expected_d=entry.expected_d,
-        expected_k_or_size=str(entry.expected_k),
-    )
-    mism, details = [], []
+def _verify_table3(rep, entry, budget, long, mism, details):
     tw, alpha, beta, words = build_table3_words(entry)
     expanded = linalg.as_matrix([w.expand() for w in words],
                                 width=alpha + 2 * beta)
-    code = GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta)
-    image = gray_image(code)
-    rep.computed_n = image.length
-    rep.computed_k = image.rank
-    rep.computed_size = 3**image.rank
-    if image.length != entry.expected_n:
-        mism.append(f"length {image.length} != expected {entry.expected_n}")
-    if image.rank != entry.expected_k:
-        mism.append(f"dimension {image.rank} != expected {entry.expected_k}")
-    _image_distance(rep, entry, image, budget, long, mism, details)
+    image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
+    _verify_image(rep, entry, image, budget, long, mism, details)
     cert = lcd_certificate(expanded, image)
     lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"
@@ -519,20 +474,12 @@ def _verify_table3(entry, budget, seed, long):
         mism.append("LCD claimed but hull is nontrivial")
     if cert.guaranteed and cert.hull_dimension_observed != 0:
         mism.append("certificate guaranteed LCD but observed hull nonzero")
-    return _finish(rep, mism, details)
 
 
 def verify_all(table_id, budget=DEFAULT_BUDGET, seed=0, long=False):
     """Verify one table (1, 2, 3) or 'all'; deterministic entry order."""
-    if table_id == "all":
-        ids = (1, 2, 3)
-    else:
-        ids = (int(table_id),)
-        if ids[0] not in TABLES:
-            raise ValueError(f"no such table: {table_id}")
-    entries = []
-    for tid in ids:
-        for entry in TABLES[tid]:
-            entries.append(verify_entry(entry, budget=budget, seed=seed,
-                                         long=long))
-    return VerificationReport(entries)
+    ids = tuple(TABLES) if table_id == "all" else (int(table_id),)
+    if not set(ids) <= TABLES.keys():
+        raise ValueError(f"no such table: {table_id}")
+    return VerificationReport([verify_entry(entry, budget=budget, seed=seed, long=long)
+                               for tid in ids for entry in TABLES[tid]])

@@ -3,6 +3,7 @@ pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`
 (add --long-tests for the enumerations beyond the default budget).
 """
 
+import hashlib
 import random
 import time
 from itertools import product
@@ -28,6 +29,7 @@ from addcyclic.tables import (
     OPTIMALITY_NOTE,
     TABLE2,
     TABLE3,
+    VerificationReport,
     WORKED_EXAMPLE_PHI_BETA,
     WORKED_EXAMPLE_PHI_FULL,
     WORKED_EXAMPLE_ROW,
@@ -155,6 +157,24 @@ def test_criterion_3_table2(table2_report):
               "for k <= 15 within 10 minutes; QC/MDS/row-8 clauses hold",
            ok and in_time,
            f"elapsed {table2_report.elapsed:.1f}s" + "; ".join(problems))
+
+
+def test_report_bytes_are_pinned(table1_report, table2_report):
+    # sha256 of the default, small-budget and --long reports, the first
+    # as JSON and CSV: a report's bytes change only on purpose
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    everything = VerificationReport(
+        table1_report.entries + table2_report.entries + verify_all(3).entries)
+    assert digest(everything.to_json()) == (
+        "2f6b0ab7d7b875166decfbd162fd6b39d3bc660ef232730e1dfcb35d61605827")
+    assert digest(everything.to_csv()) == (
+        "80d538c94b6d04cad464d8bdc469e2d58b28fdac3bf899f8eb1d75ff7f6f4ed4")
+    assert digest(verify_all("all", budget=9).to_json()) == (
+        "ed4752a1458f2790c78ef569d00eb0509e1dc56f529e65969465765309b2b520")
+    assert digest(verify_all(2, long=True).to_json()) == (
+        "fae50ebd1b1837755a71e916d3d586564d6c349cc366547d9a741abc4d6724fb")
 
 
 @pytest.mark.long

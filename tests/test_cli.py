@@ -330,3 +330,26 @@ def test_early_closed_stdout_exits_3_without_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 3
     assert b"Traceback" not in err
+
+
+def test_exact_search_under_a_memory_cap_falls_back_to_the_bound():
+    # table-1 row 9 as a pure code, rank 26 over F_4, with a budget past
+    # 4^26: the search would form layers of gigabytes, so it refuses
+    # and the seeded bound reports d = 5 under a 2 GB address space
+    resource = pytest.importorskip("resource")
+    doc = json.dumps({"q": 4, "alpha": 0, "beta": 17, "g": "1",
+                      "h": "x^7+x^6+ux^3+u^2x",
+                      "k": "x^8+ux^7+ux^5+ux^4+ux^3+ux+1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(addcyclic.__file__).parents[1]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "addcyclic", "params", "--format", "json",
+         "--budget", str(10**20), "--input", doc],
+        capture_output=True, env=env, preexec_fn=cap, timeout=300)
+    assert proc.returncode in (0, 2)
+    assert b"Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert json.loads(proc.stdout)["distance"] == {"d": 5, "mode": "bound", "seed": 0}

@@ -22,6 +22,7 @@ from addcyclic.codes import GeneratorMatrixCode, MixedCode, _suffix_block
 from addcyclic.distance import (
     DistanceBudgetError,
     WeightProfile,
+    min_distance,
     min_distance_exact,
     min_distance_upper,
     weight,
@@ -292,6 +293,41 @@ def test_upper_bound_deterministic_per_seed():
     a = min_distance_upper(code.closure, profile, samples=1, seed=5)
     b = min_distance_upper(code.closure, profile, samples=1, seed=5)
     assert a == b
+
+
+def test_min_distance_is_exact_within_the_budget():
+    code = build_table1_code(TABLE1[0])  # 4^6 codewords
+    profile = WeightProfile.mixed(0, 5)
+    res = min_distance(code.closure, profile, budget=4**6, seed=5)
+    assert res == min_distance_exact(code.closure, profile)
+    assert res.exact and res.seed is None and res.value == 3
+
+
+def test_min_distance_past_the_budget_is_the_seeded_bound():
+    code = build_table1_code(TABLE1[6])  # 4^20 codewords
+    profile = WeightProfile.mixed(0, 13)
+    res = min_distance(code.closure, profile, budget=1000, seed=5)
+    assert res == min_distance_upper(code.closure, profile, seed=5)
+    assert not res.exact and res.seed == 5 and res.value == 4
+
+
+def test_layer_cap_refusal_falls_back_to_the_bound(monkeypatch):
+    # table-2 row 6's image: the search weighs layers 1..4 of a form of
+    # 15 rows over F_3, so it forms layer 2 (2 * C(15, 2) = 210 words)
+    # and layer 3 (4 * C(15, 3) = 1820 words), 29 columns each
+    img = gray_image(build_table2_code(TABLE2[5], strict=False))
+    profile = WeightProfile.singletons(29)
+    for cap, refused in ((210 * 29 - 1, "layer 2 of 210 words"),
+                         (210 * 29, "layer 3 of 1820 words")):
+        monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", cap)
+        with pytest.raises(DistanceBudgetError, match=refused):
+            min_distance_exact(img.base, profile)
+        res = min_distance(img.base, profile, seed=2)
+        assert res == min_distance_upper(img.base, profile, seed=2)
+        assert not res.exact
+    monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 1820 * 29)
+    assert min_distance(img.base, profile) == min_distance_exact(img.base, profile)
+    assert min_distance(img.base, profile).value == 8
 
 
 def test_singleton_bound_on_computed_distances():

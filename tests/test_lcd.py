@@ -125,7 +125,7 @@ def test_is_lcd_disagreement_raises(monkeypatch):
     tw, alpha, beta, words = example_words()
     phi = plain_code(tw, [gray_block(tw, w.uprime) for w in words])
     assert is_lcd(phi)
-    monkeypatch.setattr(lcd.linalg, "determinant", lambda field, mat: 0)
+    monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: 0)
     with pytest.raises(InvariantViolation):
         is_lcd(phi)
 
@@ -218,7 +218,7 @@ def test_hull_contained_in_code_and_dual():
 
 
 def test_lcd_criteria_agree_randomized():
-    # is_lcd itself asserts hull-rank and Gram-determinant agreement
+    # is_lcd itself asserts hull-rank and Gram-rank agreement
     rng = random.Random(97)
     for _ in range(1000):
         tw = rng.choice((T3, T4, tower(8)))

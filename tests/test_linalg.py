@@ -183,24 +183,6 @@ def test_solve():
     assert solve(F3, np.zeros((2, 2), np.uint8), np.array([1, 0], np.uint8)) is None
 
 
-def test_determinant():
-    assert linalg.determinant(F3, np.eye(3, dtype=np.uint8)) == 1
-    assert linalg.determinant(F3, np.zeros((2, 2), np.uint8)) == 0
-    M = np.array([[1, 1], [1, 2]], dtype=np.uint8)  # det = 2-1 = 1
-    assert linalg.determinant(F3, M) == 1
-
-
-def test_determinant_vs_singularity_randomized():
-    rng = random.Random(31)
-    for field in (F3, F4):
-        for _ in range(300):
-            n = rng.randrange(1, 5)
-            M = np.array([[rng.randrange(field.order) for _ in range(n)]
-                          for _ in range(n)], dtype=np.uint8)
-            nonsingular = linalg.rank(field, M) == n
-            assert (linalg.determinant(field, M) != 0) == nonsingular
-
-
 # -- the row-by-row elimination, kept as the oracle of the vectorized one --
 
 
@@ -241,26 +223,6 @@ def reference_kernel(field, mat):
         for i, pc in enumerate(pivots):
             out[row, pc] = field.neg(int(R[i, fc]))
     return out
-
-
-def reference_determinant(field, mat):
-    M = linalg.as_matrix(mat).copy()
-    n = M.shape[0]
-    det = 1
-    for col in range(n):
-        hit = next((i for i in range(col, n) if M[i, col]), None)
-        if hit is None:
-            return 0
-        if hit != col:
-            M[[col, hit]] = M[[hit, col]]
-            det = int(field.neg(det))
-        det = int(field.mul(det, int(M[col, col])))
-        inv = int(field.inv(int(M[col, col])))
-        for i in range(col + 1, n):
-            if M[i, col]:
-                factor = int(field.mul(inv, int(M[i, col])))
-                M[i] = field.sub(M[i], field.mul(factor, M[col]))
-    return det
 
 
 # F_27 is no tower's field, but its lane code is the widest that fits a byte
@@ -357,24 +319,21 @@ def test_kernel_of_rref_matches_kernel_on_reduced_input():
                 assert np.array_equal(linalg.kernel(field, stored), expected)
 
 
-def test_determinant_matches_row_by_row_reference():
-    rng = np.random.default_rng(7)
+def test_echelon_rank_matches_rref_rank():
+    # rank reads the pivots of the elimination below the pivots only;
+    # they must be the pivots of the rref, across XOR, lane and gather rows
+    rng = np.random.default_rng(31)
     for field in ORACLE_FIELDS:
         q = field.order
-        squares = [np.zeros((0, 0), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8),
-                   rng.integers(0, q, size=(44, 44), dtype=np.uint8),
-                   tall_matrix(field, rng)[:44]]
+        mats = list(oracle_matrices(field, rng))
         for _ in range(20):
-            n = int(rng.integers(1, 7))
-            M = rng.integers(0, q, size=(n, n), dtype=np.uint8)
+            m, n = (int(x) for x in rng.integers(1, 7, size=2))
+            M = rng.integers(0, q, size=(m, n), dtype=np.uint8)
             if rng.random() < 0.3:
-                M[int(rng.integers(n))] = 0
-            squares.append(M)
-            squares.append(M[rng.permutation(n)])  # every swap parity
-            if n > 1:
-                squares.append(M[[0] + list(range(n - 1))])  # a repeated row
-        for M in squares:
-            assert linalg.determinant(field, M) == reference_determinant(field, M)
+                M[int(rng.integers(m))] = 0
+            mats += [M, M[rng.permutation(m)], M[[0] + list(range(m - 1))]]
+        for M in mats:
+            assert linalg.rank(field, M) == linalg.rref(field, M)[1]
 
 
 def reference_reduce_rows(field, basis, pivots, rows):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from addcyclic import distance
 from addcyclic.fields import tower
 from addcyclic.poly import divides, parse_poly, Poly
 from addcyclic.tables import (
@@ -107,6 +108,17 @@ def test_verify_table3_small_budget_marks_skips():
     skipped = [e for e in rep.entries if e.d_mode == "skipped"]
     assert all("distance enumeration needs --long" in e.details for e in skipped)
     assert verify_all(3, budget=9, long=True) == verify_all(3)
+
+
+def test_refused_image_distance_is_skipped(monkeypatch):
+    # a layer past the exact search's memory cap, like a code past the
+    # budget, leaves the distance skipped and the row ok
+    monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 1000)
+    rep = verify_entry(TABLE2[5])  # [29, 15, 8]
+    assert rep.status == "ok" and rep.d_mode == "skipped"
+    assert rep.computed_d is None and rep.computed_k == 15
+    assert any(d.startswith("distance enumeration refused: exact search "
+                            "would form layer 2") for d in rep.details)
 
 
 def test_row8_discrepancy_flagged_not_failed():
