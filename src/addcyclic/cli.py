@@ -31,7 +31,7 @@ from .codes import (
     load_definition,
     singleton_check,
 )
-from .distance import DEFAULT_BUDGET, WeightProfile, min_distance
+from .distance import DEFAULT_BUDGET, min_distance
 from .gray import gray_image, shift_invariance_check
 from .lcd import lcd_certificate, load_matrix_document
 from .linalg import as_matrix
@@ -54,9 +54,12 @@ def _read_document(value):
         except OSError as exc:
             print(f"cannot read {value}: {exc}", file=sys.stderr)
             raise SystemExit(IO_ERROR)
+        except UnicodeDecodeError as exc:
+            print(f"{value} is not UTF-8 text: {exc}", file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"invalid JSON document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
@@ -70,12 +73,12 @@ def _load_code(args, strict=True):
         raise SystemExit(USAGE_ERROR)
 
 
-def _distance_report(gm, profile, budget, seed):
+def _distance_report(gm, budget, seed):
     """The distance `distance.min_distance` settles; only the zero code,
     which has no nonzero words, is "undefined"."""
     if gm.rank == 0:
         return {"d": None, "mode": "undefined"}
-    res = min_distance(gm, profile, budget, seed)
+    res = min_distance(gm, budget, seed)
     if res.exact:
         return {"d": res.value, "mode": "exact"}
     return {"d": res.value, "mode": "bound", "seed": res.seed}
@@ -101,17 +104,13 @@ def cmd_params(args):
         # these codes are tabulated under); the mixed-alphabet distance
         # of a nonzero code is reported alongside
         image = gray_image(code)
-        dist = _distance_report(image.base, WeightProfile.singletons(image.length),
-                                args.budget, args.seed)
+        dist = _distance_report(image.base, args.budget, args.seed)
         if gm.rank:
-            mixed_dist = _distance_report(
-                gm, WeightProfile.mixed(code.alpha, code.beta),
-                args.budget, args.seed)
+            mixed_dist = _distance_report(gm, args.budget, args.seed)
     else:
         blocks = {"n": code.n}
         failures = []
-        dist = _distance_report(gm, WeightProfile.mixed(0, code.n),
-                                args.budget, args.seed)
+        dist = _distance_report(gm, args.budget, args.seed)
     payload = {
         "blocks": blocks,
         "dimension": gm.rank,
@@ -172,9 +171,7 @@ def cmd_gray(args):
     code = _load_code(args, strict=not args.lenient)
     image = gray_image(code)
     sigma = shift_invariance_check(image)
-    dist = _distance_report(image.base,
-                            WeightProfile.singletons(image.length),
-                            args.budget, args.seed)
+    dist = _distance_report(image.base, args.budget, args.seed)
     payload = {
         "length": image.length,
         "dimension": image.rank,
@@ -206,9 +203,7 @@ def cmd_lcd(args):
     expanded = as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
     image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
     cert = lcd_certificate(expanded, image)
-    dist = _distance_report(image.base,
-                            WeightProfile.singletons(image.length),
-                            args.budget, args.seed)
+    dist = _distance_report(image.base, args.budget, args.seed)
     payload = {
         "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,
         "g_beta_rows_independent": cert.g_beta_rows_independent,

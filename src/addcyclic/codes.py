@@ -159,13 +159,13 @@ def inner_product(x: MixedWord, y: MixedWord) -> int:
 class GeneratorMatrixCode:
     """An F_q-linear code given by an rref basis matrix.
 
-    For codes on the mixed alphabet the width is alpha + 2*beta with the
-    expansion layout of MixedWord.expand; for plain F_q codes (Gray
-    images, hulls, projections) alpha/beta describe the original split
-    when meaningful and are otherwise None.  `pivots` holds the pivot
-    column of each basis row, for membership tests against the basis.
-    The stored matrix is read-only: codes derived from it are memoized on
-    this object (`_memo`) and must not go stale.
+    For codes on the mixed alphabet the width is alpha + 2*beta (checked)
+    with the expansion layout of MixedWord.expand, and the split sets the
+    weight of the code's words; plain F_q codes (Gray images, hulls)
+    leave alpha/beta None and weigh one symbol per column.  `pivots`
+    holds the pivot column of each basis row, for membership tests
+    against the basis.  The stored matrix is read-only: codes derived
+    from it are memoized on this object (`_memo`) and must not go stale.
     """
 
     tower: FieldTower
@@ -178,6 +178,9 @@ class GeneratorMatrixCode:
 
     def __post_init__(self):
         R, r, pivots = linalg.rref(self.tower.base, self.matrix)
+        if None not in (self.alpha, self.beta) and self.alpha + 2 * self.beta != R.shape[1]:
+            raise ValueError(f"split alpha={self.alpha}, beta={self.beta} does not "
+                             f"cover the {R.shape[1]} columns")
         self.matrix = R[:r].copy()
         self.matrix.setflags(write=False)
         self.pivots = tuple(pivots)

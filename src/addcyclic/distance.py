@@ -1,28 +1,29 @@
 """Minimum-distance computation.
 
-The exact engine weighs codewords against a declared weight profile
-(which coordinates form one alphabet symbol).  Codes of at most
-_WHOLE_CODE words are weighed whole.  Larger ones go to the
-Brouwer-Zimmermann search (Zimmermann 1996; Grassl, "Searching for
-linear codes with large minimum distance", 2006).  The rank-k generator
-matrix is written in systematic form over several information sets
-whose symbol groups are disjoint: the stored rref first, then, greedily,
-the pivots of one rref per set with the still unused groups' columns
-ordered first, until no unused group adds rank.  In each form the
-messages of weight w = 1, 2, ... are weighed (layer w below), only
-those whose leading coefficient is 1 (scaling keeps the weight).  Once
-every message of weight <= w has been weighed in the form of set j, of
-rank r, a word not yet seen has at least t = w + 1 - (k - r) nonzero
-pivot coordinates there, so at least as many nonzero symbols as the
-fewest groups of the set whose pivot counts sum to t: t for singleton
-groups, ceil(t/2) when every group holds two pivots.  Summed over the
-sets this bounds every unseen word from below, and the search stops as
-soon as the bound reaches the lightest word found (at the latest when
-one form has weighed all its messages).  The budget applies to q^rank,
-whatever the search weighs.  Codes beyond it get a seeded randomized
-upper bound instead, reinforced with a deterministic sweep of layers 1
-and 2 of the basis and generating rows and layer 3 of the generating
-rows.
+A code's alphabet sets its weight (`WeightProfile`): alpha F_q symbols
+of one column and beta F_q2 symbols of two when the code carries its
+split (alpha, beta), else one F_q symbol per column (Gray images,
+hulls).  Codes of at most _WHOLE_CODE words are weighed whole.  Larger
+ones go to the Brouwer-Zimmermann search (Zimmermann 1996; Grassl,
+"Searching for linear codes with large minimum distance", 2006).  The
+rank-k generator matrix is written in systematic form over several
+information sets whose symbols are disjoint: the stored rref first,
+then, greedily, the pivots of one rref per set with the still unused
+symbols' columns ordered first, until no unused symbol adds rank.  In
+each form the messages of weight w = 1, 2, ... are weighed (layer w
+below), only those whose leading coefficient is 1 (scaling keeps the
+weight).  Once every message of weight <= w has been weighed in the
+form of set j, of rank r, a word not yet seen has at least
+t = w + 1 - (k - r) nonzero pivot coordinates there, so at least as
+many nonzero symbols as the fewest symbols of the set whose pivot
+counts sum to t: t for F_q symbols, ceil(t/2) when every symbol holds
+two pivots.  Summed over the sets this bounds every unseen word from
+below, and the search stops as soon as the bound reaches the lightest
+word found (at the latest when one form has weighed all its messages).
+The budget applies to q^rank, whatever the search weighs.  Codes beyond
+it get a seeded randomized upper bound instead, reinforced with a
+deterministic sweep of layers 1 and 2 of the basis and generating rows
+and layer 3 of the generating rows.
 
 Both engines take their combinations from one enumerator, `_Layers`:
 layer w of a list of rows holds the combinations of exactly w of them
@@ -30,17 +31,17 @@ with leading coefficient 1.  Its words with last row m are the words a
 of layer w - 1 with last row below m, each plus c*row_m, and the weight
 of a + c*row_m is the symbol distance from a to -c*row_m.  So layer w is
 weighed unbuilt, as slices of layer w - 1 against the q - 1 negated
-multiples of row_m, at most _BLOCK_TARGET (search) or _SWEEP_CHUNK
-(sweep) words at once.  Layer w - 1 is formed, sorted by last row, when
-layer w is first asked for, and kept.
+multiples of row_m, at most _BLOCK_TARGET words at once.  Layer w - 1
+is formed, sorted by last row, when layer w is first asked for, and
+kept.
 
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
-6), so the search refuses, as past the budget, to form a layer of more
-than _MAX_LAYER_CELLS cells (words x columns); the sweep forms at most
-layer 2 of _TRIPLE_POOL_MAX rows.  `min_distance`, the distance the CLI
-and table 1 report, falls back on the upper bound when the search
-refuses.
+6), so `_Layers` refuses, as past the budget, to form a layer of more
+than _MAX_LAYER_CELLS cells (words x columns).  `min_distance`, the
+distance the CLI and table 1 report, falls back on the upper bound when
+the search refuses; the sweep skips its triples when their layer 2 is
+refused (a code thousands of columns wide).
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ DEFAULT_BUDGET = 2**24
 # rank-2 image with 11 sets 0.03 against 0.6 ms; 3^7 words take 0.37 ms
 # whole and 0.25 ms by the search, 4^6 words 0.24 against 0.28 ms.
 _WHOLE_CODE = 2**12
-_BLOCK_TARGET = 2**16  # most words weighed at once by the exact search
-_SWEEP_CHUNK = 2**14  # candidate rows per block in the upper-bound sweep
+_BLOCK_TARGET = 2**16  # most words weighed at once
 _TRIPLE_POOL_MAX = 40  # larger raw generating sets skip the triple sweep
 # cells (words x columns) of the largest layer formed, 64 MiB as uint8,
 # the size of codes.MAX_CLOSURE_CELLS
@@ -94,57 +94,39 @@ class _LayerCapError(DistanceBudgetError):
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Partition of the columns into alphabet symbols.
+    """The alphabet of a word: alpha F_q symbols, one column each, then
+    beta F_q2 symbols, two columns each (the layout of MixedWord.expand).
+    A symbol counts 1 toward the weight iff any of its columns is
+    nonzero."""
 
-    Groups must be consecutive runs covering all columns: alpha singletons
-    followed by beta pairs for mixed words, or all singletons for Gray
-    images.  A group counts 1 toward the weight iff any of its columns is
-    nonzero.
-    """
-
-    group_starts: tuple
-    width: int
+    alpha: int
+    beta: int
 
     def __post_init__(self):
-        starts = self.group_starts
-        if not starts or starts[0] != 0 or any(
-            a >= b for a, b in zip(starts, starts[1:])
-        ) or starts[-1] >= self.width:
-            raise ValueError("groups must be consecutive nonempty runs from 0")
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("alpha and beta must be nonnegative")
 
     @classmethod
     def mixed(cls, alpha, beta):
-        """alpha singleton groups, then beta two-column groups."""
-        starts = tuple(range(alpha)) + tuple(alpha + 2 * j for j in range(beta))
-        return cls(starts, alpha + 2 * beta)
+        return cls(alpha, beta)
 
     @classmethod
     def singletons(cls, n):
-        return cls(tuple(range(n)), n)
+        return cls(n, 0)
 
     @property
-    def groups(self):
-        return len(self.group_starts)
-
-    @cached_property
-    def _pair_split(self):
-        """Column count of the leading singleton groups when every later
-        group is a pair (the mixed and singleton profiles); None for any
-        other grouping."""
-        ends = self.group_starts[1:] + (self.width,)
-        sizes = [b - a for a, b in zip(self.group_starts, ends)]
-        split = next((i for i, size in enumerate(sizes) if size != 1), len(sizes))
-        return split if all(size == 2 for size in sizes[split:]) else None
+    def width(self):
+        return self.alpha + 2 * self.beta
 
     @cached_property
     def _tally(self):
-        """Narrowest unsigned dtype holding any weight: summing the groups
+        """Narrowest unsigned dtype holding any weight: summing the symbols
         in it is several times faster than in intp."""
-        return np.min_scalar_type(self.groups)
+        return np.min_scalar_type(self.alpha + self.beta)
 
     def distances(self, block, word) -> np.ndarray:
         """Symbol distances between the rows of `block` and `word`: the
-        number of groups in which they differ.  The operands broadcast
+        number of symbols in which they differ.  The operands broadcast
         as arrays of rows (a block against one word, or a block against
         a block), and the result has their broadcast shape without the
         row axis.  Column-major blocks are summed fastest."""
@@ -153,13 +135,13 @@ class WeightProfile:
         if block.shape[-1] != self.width or word.ndim and word.shape[-1] != self.width:
             raise ValueError("row width does not match the profile")
         differ = block != word
-        split = self._pair_split
-        if split is None:
-            grouped = np.bitwise_or.reduceat(differ, self.group_starts, axis=-1)
-            return grouped.sum(axis=-1, dtype=self._tally)
-        pairs = differ[..., split::2] | differ[..., split + 1::2]
-        return (differ[..., :split].sum(axis=-1, dtype=self._tally)
-                + pairs.sum(axis=-1, dtype=self._tally))
+        a, tally = self.alpha, self._tally
+        if not self.beta:
+            return differ.sum(axis=-1, dtype=tally)
+        weights = (differ[..., a::2] | differ[..., a + 1::2]).sum(axis=-1, dtype=tally)
+        if a:
+            weights += differ[..., :a].sum(axis=-1, dtype=tally)
+        return weights
 
     def weights(self, block) -> np.ndarray:
         """Vector of symbol weights for a block of row vectors."""
@@ -169,6 +151,14 @@ class WeightProfile:
 def weight(vec, profile: WeightProfile) -> int:
     """Number of alphabet symbols of a single word that are nonzero."""
     return int(profile.weights(np.asarray(vec).reshape(1, -1))[0])
+
+
+def _alphabet(code):
+    """The profile of a code's words: its split (alpha, beta) when set,
+    else F_q singletons (Gray images, hulls, bare generator matrices)."""
+    if code.alpha is None or code.beta is None:
+        return WeightProfile.singletons(code.width)
+    return WeightProfile(code.alpha, code.beta)
 
 
 def _lightest_nonzero(profile, best, block, word=0):
@@ -182,10 +172,10 @@ def _lightest_nonzero(profile, best, block, word=0):
 class _Layers:
     """The layers of `rows` (module docstring).  A formed layer is one
     array sorted by last row, with ends[m] its words of last row <= m.
-    A layer of more than `max_cells` cells, if given, is refused."""
+    A layer of more than _MAX_LAYER_CELLS cells is refused."""
 
-    def __init__(self, field, rows, max_cells=None):
-        self.field, self.rows, self.max_cells = field, rows, max_cells
+    def __init__(self, field, rows):
+        self.field, self.rows = field, rows
         self._formed = [(rows, np.arange(1, len(rows) + 1))]
 
     @cached_property
@@ -201,9 +191,9 @@ class _Layers:
         while len(self._formed) < weight:
             words, ends = self._formed[-1]
             count = (self.field.order - 1) * int(ends[:-1].sum())
-            if self.max_cells is not None and count * words.shape[1] > self.max_cells:
+            if count * words.shape[1] > _MAX_LAYER_CELLS:
                 raise _LayerCapError(len(self._formed) + 1, count,
-                                     words.shape[1], self.max_cells)
+                                     words.shape[1], _MAX_LAYER_CELLS)
             parts = [self.field.sub(words[: ends[m - 1], None], self.negated[m])
                      .reshape(-1, words.shape[1]) for m in range(1, len(self.rows))]
             self._formed.append((np.concatenate([words[:0]] + parts),
@@ -228,27 +218,26 @@ class _Layers:
 
 def _information_sets(field, matrix, pivots, profile):
     """Systematic forms of the full-rank `matrix` over information sets
-    whose symbol groups are disjoint, chosen greedily: the first is the
-    stored rref and its pivots; each next one is the pivot columns,
-    inside the groups no earlier set touches, of one rref with those
-    groups' columns ordered first.  Yields (form, pivots, need) per set,
-    the first r rows of the form carrying the identity on its r pivot
-    columns, and need[t] the fewest groups of the set that hold t of its
-    pivots for t <= r."""
-    ends = profile.group_starts[1:] + (profile.width,)
-    group = np.repeat(np.arange(profile.groups),
-                      np.subtract(ends, profile.group_starts))
-    used = np.zeros(profile.groups, dtype=bool)
+    whose symbols are disjoint, chosen greedily: the first is the stored
+    rref and its pivots; each next one is the pivot columns, inside the
+    symbols no earlier set touches, of one rref with those symbols'
+    columns ordered first.  Yields (form, pivots, need) per set, the
+    first r rows of the form carrying the identity on its r pivot
+    columns, and need[t] the fewest symbols of the set that hold t of
+    its pivots for t <= r."""
+    alpha, beta = profile.alpha, profile.beta
+    symbol = np.concatenate([np.arange(alpha), alpha + np.arange(2 * beta) // 2])
+    used = np.zeros(alpha + beta, dtype=bool)
     form, pivots = matrix, np.asarray(pivots, dtype=np.intp)
     while pivots.size:
-        held = np.bincount(group[pivots], minlength=profile.groups)
+        held = np.bincount(symbol[pivots], minlength=alpha + beta)
         covered = np.cumsum(np.sort(held)[::-1])
         need = np.searchsorted(covered, np.arange(pivots.size + 2)) + 1
         # t = r + 1 pivots: every message of the form was weighed, no word is unseen
         need[0], need[-1] = 0, profile.width + 1
         yield form, pivots, need
-        used[group[pivots]] = True
-        taken = used[group]
+        used[symbol[pivots]] = True
+        taken = used[symbol]
         free = (~taken).nonzero()[0]
         if not free.size:
             return
@@ -273,7 +262,7 @@ def _brouwer_zimmermann(field, matrix, pivots, profile):
                    for w, (_, piv, need) in zip(done, sets))
 
     best, examined = profile.width + 1, 0
-    layers = [_Layers(field, form, _MAX_LAYER_CELLS) for form, _, _ in sets]
+    layers = [_Layers(field, form) for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
         for a, b in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
@@ -286,21 +275,22 @@ def _brouwer_zimmermann(field, matrix, pivots, profile):
     return best, examined
 
 
-def min_distance(code: GeneratorMatrixCode, profile: WeightProfile,
-                 budget: int = DEFAULT_BUDGET, seed: int = 0) -> 'DistanceResult':
+def min_distance(code: GeneratorMatrixCode, budget: int = DEFAULT_BUDGET,
+                 seed: int = 0) -> 'DistanceResult':
     """The distance the CLI and table 1 report: `min_distance_exact`
     within the budget, `min_distance_upper` with the given seed when the
     exact engine refuses (past the budget, or a layer past
     _MAX_LAYER_CELLS).  `exact` on the result says which one ran."""
     try:
-        return min_distance_exact(code, profile, budget=budget)
+        return min_distance_exact(code, budget=budget)
     except DistanceBudgetError:
-        return min_distance_upper(code, profile, seed=seed)
+        return min_distance_upper(code, seed=seed)
 
 
-def min_distance_exact(code: GeneratorMatrixCode, profile: WeightProfile,
+def min_distance_exact(code: GeneratorMatrixCode,
                        budget: int = DEFAULT_BUDGET) -> 'DistanceResult':
-    """Exact minimum symbol weight over all nonzero codewords.
+    """Exact minimum symbol weight, in the code's alphabet, over all
+    nonzero codewords.
 
     Deterministic; refuses with a DistanceBudgetError when q^rank
     exceeds `budget` or the search would form a layer past
@@ -315,6 +305,7 @@ def min_distance_exact(code: GeneratorMatrixCode, profile: WeightProfile,
     total = field.order**r
     if total > budget:
         raise DistanceBudgetError(total, budget)
+    profile = _alphabet(code)
     if total <= _WHOLE_CODE:
         value = int(profile.weights(_suffix_block(field, code.matrix)[1:]).min())
         return DistanceResult(value=value, exact=True, witnesses_examined=total - 1)
@@ -322,8 +313,8 @@ def min_distance_exact(code: GeneratorMatrixCode, profile: WeightProfile,
     return DistanceResult(value=value, exact=True, witnesses_examined=examined)
 
 
-def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
-                       samples: int = 2000, seed: int = 0) -> 'DistanceResult':
+def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
+                       seed: int = 0) -> 'DistanceResult':
     """Upper bound: the lightest word among seeded random messages plus a
     deterministic sweep of all single rows, scaled pairs and scaled
     triples of the basis rows and (when recorded) the raw generating
@@ -347,11 +338,15 @@ def min_distance_upper(code: GeneratorMatrixCode, profile: WeightProfile,
     sweeps = [(rows, 1), (rows, 2)]
     if len(triple_pool) <= _TRIPLE_POOL_MAX:
         sweeps.append((triple_pool, 3))
+    profile = _alphabet(code)
     best, examined = profile.width + 1, 0
     for pool, weight in sweeps:
-        for a, b in _Layers(field, pool).weighings(weight, _SWEEP_CHUNK):
-            best = _lightest_nonzero(profile, best, a, b)
-            examined += len(a) * len(b)
+        try:
+            for a, b in _Layers(field, pool).weighings(weight, _BLOCK_TARGET):
+                best = _lightest_nonzero(profile, best, a, b)
+                examined += len(a) * len(b)
+        except _LayerCapError:  # the triples' layer 2 passes the cap: skip them
+            continue
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
     msgs = msgs[np.any(msgs, axis=1)]

@@ -34,19 +34,17 @@ from .codes import (
     GeneratorMatrixCode,
     MixedCode,
     PureCode,
+    load_definition,
     singleton_check,
 )
 from .distance import (
     DEFAULT_BUDGET,
     DistanceBudgetError,
-    WeightProfile,
     min_distance,
     min_distance_exact,
 )
-from .fields import tower as get_tower
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
 from .lcd import is_lcd, lcd_certificate, load_matrix_document
-from .poly import parse_poly
 
 OPTIMALITY_NOTE = (
     "Optimal/BKLC remarks cite external code databases and are recorded as "
@@ -233,26 +231,14 @@ WORKED_EXAMPLE_PHI_FULL = (
 
 
 def build_table1_code(entry: TableEntry) -> PureCode:
-    tw = get_tower(entry.q)
-    return PureCode(
-        tw, entry.n,
-        parse_poly(entry.g, tw.base, tw),
-        parse_poly(entry.h, tw.base, tw),
-        parse_poly(entry.k, tw.base, tw),
-    )
+    return load_definition({"q": entry.q, "beta": entry.n,
+                            "g": entry.g, "h": entry.h, "k": entry.k})
 
 
 def build_table2_code(entry: TableEntry, strict=False) -> MixedCode:
-    tw = get_tower(3)
-    return MixedCode(
-        tw, entry.alpha, entry.beta,
-        parse_poly(entry.s, tw.base, tw),
-        parse_poly(entry.l, tw.ext, tw),
-        parse_poly(entry.g, tw.base, tw),
-        parse_poly(entry.h, tw.base, tw),
-        parse_poly(entry.k, tw.base, tw),
-        strict=strict,
-    )
+    return load_definition({"q": entry.q, "alpha": entry.alpha, "beta": entry.beta,
+                            "s": entry.s, "l": entry.l,
+                            "g": entry.g, "h": entry.h, "k": entry.k}, strict=strict)
 
 
 def build_table3_words(entry: TableEntry):
@@ -376,7 +362,7 @@ def _verify_table1(rep, entry, budget, seed, mism, details):
         mism.append(f"size {size.actual} != expected {claimed}")
     if size.formula != claimed:
         mism.append(f"formula size {size.formula} != expected {claimed}")
-    res = min_distance(code.closure, WeightProfile.mixed(0, entry.n), budget, seed)
+    res = min_distance(code.closure, budget, seed)
     rep.computed_d = res.value
     rep.d_mode = "exact" if res.exact else "bound"
     if res.exact:
@@ -414,9 +400,8 @@ def _verify_image(rep, entry, image, budget, long, mism, details):
     if rep.computed_size > budget and not long:
         details.append("distance enumeration needs --long")
         return
-    profile = WeightProfile.singletons(image.length)
     try:
-        res = min_distance_exact(image.base, profile, budget=rep.computed_size)
+        res = min_distance_exact(image.base, budget=rep.computed_size)
     except DistanceBudgetError as exc:
         details.append(f"distance enumeration refused: {exc}")
         return

@@ -20,7 +20,7 @@ from addcyclic.codes import (
     is_cyclic,
     module_closure,
 )
-from addcyclic.distance import WeightProfile, min_distance_exact, min_distance_upper
+from addcyclic.distance import min_distance_exact, min_distance_upper
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image, gray_word, gray_word_inverse, shift_invariance_check
 from addcyclic.lcd import LCD_GUARANTEED, hull, is_lcd, lcd_pipeline
@@ -204,8 +204,8 @@ def test_criterion_4_table3_and_worked_example():
                                alpha=alpha, beta=beta)
     img = gray_image(code)
     phib = GeneratorMatrixCode(tw, [gray_block(tw, w.uprime) for w in words])
-    d_full = min_distance_exact(img.base, WeightProfile.singletons(12)).value
-    d_beta = min_distance_exact(phib, WeightProfile.singletons(8)).value
+    d_full = min_distance_exact(img.base).value
+    d_beta = min_distance_exact(phib).value
     cert = lcd_pipeline(tw, alpha, beta, words)
     example_ok = (
         (img.length, img.rank, d_full) == (12, 3, 7)
@@ -312,11 +312,9 @@ def test_criterion_5_property_suites():
             code = random_mixed_code(rng, T3, alpha, beta)
             if code.dimension == 0 or code.closure.size > 3**6:
                 continue
-            d_mixed = min_distance_exact(
-                code.closure, WeightProfile.mixed(alpha, beta)).value
+            d_mixed = min_distance_exact(code.closure).value
             img = gray_image(code)
-            d_gray = min_distance_exact(
-                img.base, WeightProfile.singletons(img.length)).value
+            d_gray = min_distance_exact(img.base).value
             assert d_gray >= d_mixed
             checked += 1
 
@@ -360,10 +358,9 @@ def test_criterion_5_property_suites():
             code = random_mixed_code(rng, tw, alpha, beta)
             if code.dimension == 0 or code.closure.size > 3**8:
                 continue
-            profile = WeightProfile.mixed(alpha, beta)
-            fast = min_distance_exact(code.closure, profile).value
+            fast = min_distance_exact(code.closure).value
             slow = naive_min_distance(tw.base, code.closure.matrix,
-                                      groups_of(profile))
+                                      groups_of(alpha, beta))
             assert fast == slow
             checked += 1
 

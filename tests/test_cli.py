@@ -12,7 +12,6 @@ import pytest
 import addcyclic
 from addcyclic.cli import _distance_report, main
 from addcyclic.codes import GeneratorMatrixCode
-from addcyclic.distance import WeightProfile
 from addcyclic.fields import tower
 
 ROW9 = json.dumps({"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
@@ -76,17 +75,10 @@ def test_params_odd_rank_pure_code_reports_half_slack(capsys, q, n, rank):
 def test_distance_report_undefined_only_for_zero_code():
     tw = tower(3)
     zero = GeneratorMatrixCode(tw, np.zeros((0, 4), dtype=np.uint8))
-    assert _distance_report(zero, WeightProfile.singletons(4), 1000, 0) == {
-        "d": None, "mode": "undefined"}
-    # a width-4 code against a width-6 profile is a caller error, not an
-    # undefined distance
+    assert _distance_report(zero, 1000, 0) == {"d": None, "mode": "undefined"}
     code = GeneratorMatrixCode(tw, np.array([[1, 2, 0, 1]], dtype=np.uint8))
-    with pytest.raises(ValueError, match="width"):
-        _distance_report(code, WeightProfile.mixed(0, 3), 1000, 0)
-    assert _distance_report(code, WeightProfile.singletons(4), 1000, 0) == {
-        "d": 3, "mode": "exact"}
-    assert _distance_report(code, WeightProfile.singletons(4), 1, 7) == {
-        "d": 3, "mode": "bound", "seed": 7}
+    assert _distance_report(code, 1000, 0) == {"d": 3, "mode": "exact"}
+    assert _distance_report(code, 1, 7) == {"d": 3, "mode": "bound", "seed": 7}
 
 
 def test_params_malformed_polynomial(capsys):
@@ -285,6 +277,24 @@ def test_non_object_document_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, [command, "--input", str(path)])
         assert code == 2
         assert "JSON object" in err
+
+
+def test_non_utf8_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"q":3}')
+    for command in ("params", "lcd"):
+        code, _, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert "is not UTF-8 text" in err and err.count("\n") == 1
+
+
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"a":' * 100000 + "1" + "}" * 100000)
+    for command in ("params", "lcd"):
+        code, _, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert err.startswith("invalid JSON document") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("doc", [

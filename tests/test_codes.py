@@ -1073,6 +1073,19 @@ def test_equals_agrees_with_rowspace_equal():
         GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8)))
 
 
+def test_generator_matrix_code_refuses_a_split_off_its_width():
+    # the split sets the weight of the code's words, so alpha + 2 * beta
+    # must be the width; a code without a split weighs F_q columns
+    mat = np.array([[1, 2, 0, 1]], dtype=np.uint8)
+    for alpha, beta in ((0, 3), (1, 1), (4, 1), (3, 0), (0, 0)):
+        with pytest.raises(ValueError, match="does not cover the 4 columns"):
+            GeneratorMatrixCode(T3, mat, alpha=alpha, beta=beta)
+    for alpha, beta in ((4, 0), (2, 1), (0, 2), (None, None)):
+        assert GeneratorMatrixCode(T3, mat, alpha=alpha, beta=beta).width == 4
+    with pytest.raises(ValueError, match="does not cover the 3 columns"):
+        GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8), alpha=1, beta=0)
+
+
 def test_closure_limit_rejects_absurd_block_lengths():
     for alpha, beta in ((0, 200_000), (997, 1009)):
         doc = {"q": 3, "alpha": alpha, "beta": beta, "s": "1", "l": "0",

@@ -6,8 +6,8 @@ the vectorized engine it checks.  The chunked upper-bound sweep is
 checked against its per-combination loop (`reference_upper`), the
 exact engine, whole-code weighing and Brouwer-Zimmermann search alike,
 against a partition loop over every prefix/suffix split of the message
-space (`reference_exact`), and the weight kernel's fast paths against
-`bitwise_or.reduceat`.
+space (`reference_exact`), and the weight kernel against
+`bitwise_or.reduceat` over the column groups of (alpha, beta).
 """
 
 import random
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from addcyclic import distance
-from addcyclic.codes import GeneratorMatrixCode, MixedCode, _suffix_block
+from addcyclic.codes import GeneratorMatrixCode, MixedCode, _suffix_block, projections
 from addcyclic.distance import (
     DistanceBudgetError,
     WeightProfile,
@@ -29,10 +29,11 @@ from addcyclic.distance import (
 )
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image
+from addcyclic.lcd import hull
 from addcyclic.poly import parse_poly
 from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
 
-from test_codes import random_mixed_code
+from test_codes import random_mixed_code, random_pure_code
 
 T3 = tower(3)
 T4 = tower(4)
@@ -62,20 +63,38 @@ def naive_min_distance(field, matrix, groups):
     return best
 
 
-def groups_of(profile):
-    starts = list(profile.group_starts) + [profile.width]
-    return [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+def groups_of(alpha, beta):
+    """Column groups of the alphabet (alpha, beta): alpha singletons,
+    then beta pairs."""
+    return ([(i,) for i in range(alpha)]
+            + [(alpha + 2 * j, alpha + 2 * j + 1) for j in range(beta)])
 
 
-def reference_exact(code, profile, suffix_rows):
+def split_of(code):
+    """(alpha, beta) of the alphabet a code's words are weighed in: its
+    split, or one F_q symbol per column when it has none."""
+    if code.alpha is None or code.beta is None:
+        return code.width, 0
+    return code.alpha, code.beta
+
+
+def reference_weights(alpha, beta, block):
+    """Symbol weights through bitwise_or.reduceat over groups_of(alpha, beta)."""
+    nz = np.asarray(block) != 0
+    starts = [group[0] for group in groups_of(alpha, beta)]
+    return np.bitwise_or.reduceat(nz, starts, axis=1).sum(axis=1)
+
+
+def reference_exact(code, suffix_rows):
     """The whole message space split into prefix and suffix rows: every
     prefix message, its coset built by adding the prefix word to the
     suffix block.  Returns the minimum weight."""
     field = code.field
     q = field.order
     r = code.rank
+    split = split_of(code)
     suffix = _suffix_block(field, code.matrix[r - suffix_rows :])
-    best = int(profile.weights(suffix)[1:].min())
+    best = int(reference_weights(*split, suffix)[1:].min())
     for msg in product(range(q), repeat=r - suffix_rows):
         if not any(msg):
             continue
@@ -84,15 +103,16 @@ def reference_exact(code, profile, suffix_rows):
             if c:
                 prefix = field.add(prefix, field.mul(c, row))
         block = field.add(prefix[None, :], suffix)
-        best = min(best, int(profile.weights(block).min()))
+        best = min(best, int(reference_weights(*split, block).min()))
         if best == 1:
             break
     return best
 
 
-def reference_upper(code, profile, samples=2000, seed=0):
+def reference_upper(code, samples=2000, seed=0, split=None):
     """The witness sweep one combination at a time, stacking every
-    candidate: (value, witnesses_examined) of min_distance_upper."""
+    candidate: (value, witnesses_examined) of min_distance_upper, the
+    value weighed in the alphabet `split` (by default the code's own)."""
     field = code.field
     q = field.order
     r = code.rank
@@ -130,34 +150,27 @@ def reference_upper(code, profile, samples=2000, seed=0):
     stacked = np.vstack(candidates)
     examined = len(stacked)
     stacked = stacked[np.any(stacked, axis=1)]
-    return int(profile.weights(stacked).min()), examined
+    split = split_of(code) if split is None else split
+    return int(reference_weights(*split, stacked).min()), examined
 
 
-def assert_upper_matches_reference(code, profile, samples=2000, seed=0):
-    res = min_distance_upper(code, profile, samples=samples, seed=seed)
+def assert_upper_matches_reference(code, samples=2000, seed=0):
+    res = min_distance_upper(code, samples=samples, seed=seed)
     assert (res.value, res.witnesses_examined) == reference_upper(
-        code, profile, samples=samples, seed=seed)
+        code, samples=samples, seed=seed)
     assert not res.exact and res.seed == seed
     return res
 
 
-def reference_weights(profile, block):
-    """Symbol weights through bitwise_or.reduceat, for every grouping."""
-    nz = np.asarray(block) != 0
-    return np.bitwise_or.reduceat(nz, profile.group_starts, axis=1).sum(axis=1)
+def random_split(rng, width):
+    """(alpha, beta) with alpha + 2 * beta = width: F_q symbols only, F_q2
+    symbols only (even widths) or both."""
+    beta = rng.randrange(width // 2 + 1)
+    return width - 2 * beta, beta
 
 
-def random_profile(rng, width):
-    """Singletons, singletons then pairs, or an arbitrary grouping."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return WeightProfile.singletons(width)
-    if kind == 1:
-        alpha = rng.randrange(width + 1)
-        alpha += (width - alpha) % 2
-        return WeightProfile.mixed(alpha, (width - alpha) // 2)
-    cuts = sorted(rng.sample(range(1, width), rng.randrange(width))) if width > 1 else []
-    return WeightProfile(tuple([0] + cuts), width)
+def split_kind(alpha, beta):
+    return "pairs" if not alpha else "singletons" if not beta else "mixed"
 
 
 def test_weight_examples():
@@ -180,9 +193,7 @@ def test_gray_image_weight_can_exceed_mixed_weight():
 
 def test_weight_profile_validation():
     with pytest.raises(ValueError):
-        WeightProfile((1, 2), 4)  # does not start at 0
-    with pytest.raises(ValueError):
-        WeightProfile((0, 0), 2)  # not increasing
+        WeightProfile(-1, 2)
     with pytest.raises(ValueError):
         weight([1, 0, 0], WeightProfile.singletons(2))
 
@@ -190,33 +201,33 @@ def test_weight_profile_validation():
 def test_exact_all_ones_span():
     rows = np.ones((1, 9), dtype=np.uint8)
     gm = GeneratorMatrixCode(T3, rows)
-    res = min_distance_exact(gm, WeightProfile.singletons(9))
+    res = min_distance_exact(gm)
     assert res.value == 9 and res.exact
 
 
 def test_exact_table1_row1():
     code = build_table1_code(TABLE1[0])
-    res = min_distance_exact(code.closure, WeightProfile.mixed(0, 5))
+    res = min_distance_exact(code.closure)
     assert res.value == 3
 
 
 def test_exact_table2_row9_gray():
     code = build_table2_code(TABLE2[8])
     img = gray_image(code)
-    res = min_distance_exact(img.base, WeightProfile.singletons(9))
+    res = min_distance_exact(img.base)
     assert res.value == 3
 
 
 def test_exact_zero_code():
     gm = GeneratorMatrixCode(T3, np.zeros((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
-        min_distance_exact(gm, WeightProfile.singletons(4))
+        min_distance_exact(gm)
 
 
 def test_budget_refusal_names_requirement():
     code = build_table1_code(TABLE1[6])  # 4^20 codewords
     with pytest.raises(DistanceBudgetError) as info:
-        min_distance_exact(code.closure, WeightProfile.mixed(0, 13), budget=1000)
+        min_distance_exact(code.closure, budget=1000)
     assert info.value.required == 4**20
     assert info.value.budget == 1000
 
@@ -230,10 +241,9 @@ def test_exact_matches_naive_oracle_randomized():
         code = random_mixed_code(rng, tw, alpha, beta)
         if code.dimension == 0 or code.closure.size > 3**8:
             continue
-        profile = WeightProfile.mixed(alpha, beta)
-        res = min_distance_exact(code.closure, profile)
+        res = min_distance_exact(code.closure)
         oracle = naive_min_distance(tw.base, code.closure.matrix,
-                                    groups_of(profile))
+                                    groups_of(alpha, beta))
         assert res.value == oracle
         checked += 1
 
@@ -246,11 +256,39 @@ def test_exact_matches_oracle_on_gray_images():
         if code.dimension == 0 or code.closure.size > 3**7:
             continue
         img = gray_image(code)
-        profile = WeightProfile.singletons(img.length)
-        res = min_distance_exact(img.base, profile)
-        oracle = naive_min_distance(T3.base, img.matrix, groups_of(profile))
+        res = min_distance_exact(img.base)
+        oracle = naive_min_distance(T3.base, img.matrix, groups_of(img.length, 0))
         assert res.value == oracle
         checked += 1
+
+
+def test_engines_weigh_in_the_code_alphabet():
+    # the alphabet comes from the code: mixed closures (alpha, beta),
+    # pure closures (0, n), Gray images and their hulls (no split, one
+    # F_q symbol per column) and the projections (alpha, 0) and
+    # (0, beta); both engines against oracles weighing in that alphabet
+    rng = random.Random(211)
+    covered = [0] * 6
+    for trial in range(30):
+        tw = (T3, T4)[trial % 2]
+        alpha, beta = rng.randrange(1, 4), rng.randrange(1, 4)
+        code = random_mixed_code(rng, tw, alpha, beta)
+        pure = random_pure_code(rng, tw, rng.randrange(2, 5))
+        image = gray_image(code).base
+        c_alpha, c_beta = projections(code)
+        cases = ((code.closure, alpha, beta), (pure.closure, 0, pure.n),
+                 (image, image.width, 0), (hull(image), image.width, 0),
+                 (c_alpha, alpha, 0), (c_beta, 0, beta))
+        for i, (gm, a, b) in enumerate(cases):
+            if gm.rank == 0 or gm.size > 3**7:
+                continue
+            oracle = naive_min_distance(gm.field, gm.matrix, groups_of(a, b))
+            assert min_distance_exact(gm).value == oracle
+            res = min_distance_upper(gm, samples=20, seed=trial)
+            assert (res.value, res.witnesses_examined) == reference_upper(
+                gm, samples=20, seed=trial, split=(a, b))
+            covered[i] += 1
+    assert min(covered) >= 8  # every kind, nonzero hulls included
 
 
 def test_partition_split_independence():
@@ -260,16 +298,15 @@ def test_partition_split_independence():
         code = random_mixed_code(rng, T3, rng.randrange(1, 4), rng.randrange(1, 4))
         if code.dimension < 2:
             continue
-        profile = WeightProfile.mixed(code.alpha, code.beta)
-        values = {reference_exact(code.closure, profile, s)
+        values = {reference_exact(code.closure, s)
                   for s in range(1, code.dimension + 1)}
-        assert values == {min_distance_exact(code.closure, profile).value}
+        assert values == {min_distance_exact(code.closure).value}
 
 
 def test_upper_bound_finds_table1_bound_row():
     entry = TABLE1[18]  # q=8, n=17, claimed d=5, |C| = 8^26
     code = build_table1_code(entry)
-    res = min_distance_upper(code.closure, WeightProfile.mixed(0, 17), seed=0)
+    res = min_distance_upper(code.closure, seed=0)
     assert res.value == 5
     assert not res.exact
 
@@ -280,34 +317,30 @@ def test_upper_bound_never_below_exact():
         code = random_mixed_code(rng, T3, rng.randrange(1, 4), rng.randrange(1, 4))
         if code.dimension == 0:
             continue
-        profile = WeightProfile.mixed(code.alpha, code.beta)
-        exact = min_distance_exact(code.closure, profile).value
-        upper = min_distance_upper(code.closure, profile,
-                                   samples=50, seed=rng.randrange(1000)).value
+        exact = min_distance_exact(code.closure).value
+        upper = min_distance_upper(code.closure, samples=50,
+                                   seed=rng.randrange(1000)).value
         assert upper >= exact
 
 
 def test_upper_bound_deterministic_per_seed():
     code = build_table1_code(TABLE1[6])
-    profile = WeightProfile.mixed(0, 13)
-    a = min_distance_upper(code.closure, profile, samples=1, seed=5)
-    b = min_distance_upper(code.closure, profile, samples=1, seed=5)
+    a = min_distance_upper(code.closure, samples=1, seed=5)
+    b = min_distance_upper(code.closure, samples=1, seed=5)
     assert a == b
 
 
 def test_min_distance_is_exact_within_the_budget():
     code = build_table1_code(TABLE1[0])  # 4^6 codewords
-    profile = WeightProfile.mixed(0, 5)
-    res = min_distance(code.closure, profile, budget=4**6, seed=5)
-    assert res == min_distance_exact(code.closure, profile)
+    res = min_distance(code.closure, budget=4**6, seed=5)
+    assert res == min_distance_exact(code.closure)
     assert res.exact and res.seed is None and res.value == 3
 
 
 def test_min_distance_past_the_budget_is_the_seeded_bound():
     code = build_table1_code(TABLE1[6])  # 4^20 codewords
-    profile = WeightProfile.mixed(0, 13)
-    res = min_distance(code.closure, profile, budget=1000, seed=5)
-    assert res == min_distance_upper(code.closure, profile, seed=5)
+    res = min_distance(code.closure, budget=1000, seed=5)
+    assert res == min_distance_upper(code.closure, seed=5)
     assert not res.exact and res.seed == 5 and res.value == 4
 
 
@@ -316,18 +349,17 @@ def test_layer_cap_refusal_falls_back_to_the_bound(monkeypatch):
     # 15 rows over F_3, so it forms layer 2 (2 * C(15, 2) = 210 words)
     # and layer 3 (4 * C(15, 3) = 1820 words), 29 columns each
     img = gray_image(build_table2_code(TABLE2[5], strict=False))
-    profile = WeightProfile.singletons(29)
     for cap, refused in ((210 * 29 - 1, "layer 2 of 210 words"),
                          (210 * 29, "layer 3 of 1820 words")):
         monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", cap)
         with pytest.raises(DistanceBudgetError, match=refused):
-            min_distance_exact(img.base, profile)
-        res = min_distance(img.base, profile, seed=2)
-        assert res == min_distance_upper(img.base, profile, seed=2)
+            min_distance_exact(img.base)
+        res = min_distance(img.base, seed=2)
+        assert res == min_distance_upper(img.base, seed=2)
         assert not res.exact
     monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 1820 * 29)
-    assert min_distance(img.base, profile) == min_distance_exact(img.base, profile)
-    assert min_distance(img.base, profile).value == 8
+    assert min_distance(img.base) == min_distance_exact(img.base)
+    assert min_distance(img.base).value == 8
 
 
 def test_singleton_bound_on_computed_distances():
@@ -339,8 +371,7 @@ def test_singleton_bound_on_computed_distances():
         if code.dimension == 0:
             continue
         img = gray_image(code)
-        d = min_distance_exact(img.base,
-                               WeightProfile.singletons(img.length)).value
+        d = min_distance_exact(img.base).value
         assert d <= img.length - img.rank + 1
 
 
@@ -350,21 +381,13 @@ def test_weight_kernel_matches_reduceat_oracle():
     kinds = set()
     for _ in range(300):
         width = rng.randrange(1, 14)
-        profile = random_profile(rng, width)
-        kinds.add(profile._pair_split is None)
+        split = random_split(rng, width)
+        kinds.add(split_kind(*split))
         block = nprng.integers(0, rng.choice((2, 3, 9)),
                                size=(rng.randrange(0, 40), width), dtype=np.uint8)
-        assert np.array_equal(profile.weights(block),
-                              reference_weights(profile, block))
-    assert kinds == {True, False}  # both the fast path and reduceat ran
-
-
-def test_weight_kernel_fast_path_split():
-    assert WeightProfile.singletons(5)._pair_split == 5
-    assert WeightProfile.mixed(3, 2)._pair_split == 3
-    assert WeightProfile.mixed(0, 4)._pair_split == 0
-    assert WeightProfile((0, 2, 3), 4)._pair_split is None  # pair, then singletons
-    assert WeightProfile((0, 1, 4), 6)._pair_split is None  # a triple
+        assert np.array_equal(WeightProfile(*split).weights(block),
+                              reference_weights(*split, block))
+    assert kinds == {"singletons", "pairs", "mixed"}  # every part of the kernel ran
 
 
 def test_upper_sweep_matches_reference_on_random_codes():
@@ -376,8 +399,7 @@ def test_upper_sweep_matches_reference_on_random_codes():
         code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
         if code.dimension == 0:
             continue
-        profile = WeightProfile.mixed(code.alpha, code.beta)
-        assert_upper_matches_reference(code.closure, profile, samples=60,
+        assert_upper_matches_reference(code.closure, samples=60,
                                        seed=rng.randrange(1000))
         seen.add(tw.q)
         checked += 1
@@ -386,14 +408,14 @@ def test_upper_sweep_matches_reference_on_random_codes():
 
 def test_upper_sweep_matches_reference_on_table1_row7():
     code = build_table1_code(TABLE1[6])
-    res = assert_upper_matches_reference(code.closure, WeightProfile.mixed(0, 13))
+    res = assert_upper_matches_reference(code.closure)
     assert res.value == TABLE1[6].expected_d
 
 
 def test_upper_sweep_chunk_boundaries(monkeypatch):
-    # a chunk of 13 rows splits the pairs and triples into many blocks
+    # a block of 13 rows splits the pairs and triples into many blocks
     # whose sizes do not divide the number of combinations
-    monkeypatch.setattr(distance, "_SWEEP_CHUNK", 13)
+    monkeypatch.setattr(distance, "_BLOCK_TARGET", 13)
     rng = random.Random(139)
     checked = 0
     while checked < 12:
@@ -401,9 +423,7 @@ def test_upper_sweep_chunk_boundaries(monkeypatch):
         code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(2, 4))
         if code.dimension < 3:
             continue
-        profile = WeightProfile.mixed(code.alpha, code.beta)
-        assert_upper_matches_reference(code.closure, profile, samples=20,
-                                       seed=checked)
+        assert_upper_matches_reference(code.closure, samples=20, seed=checked)
         checked += 1
 
 
@@ -411,10 +431,10 @@ def test_upper_sweep_small_pools():
     # one and two nonzero rows: the pair and triple combinations run empty
     for rows in ([[1, 0, 2, 0]], [[1, 0, 2, 0], [0, 1, 1, 1]]):
         gm = GeneratorMatrixCode(T3, np.array(rows, dtype=np.uint8))
-        assert_upper_matches_reference(gm, WeightProfile.singletons(4), samples=5)
+        assert_upper_matches_reference(gm, samples=5)
     zero = GeneratorMatrixCode(T3, np.zeros((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
-        min_distance_upper(zero, WeightProfile.singletons(4))
+        min_distance_upper(zero)
 
 
 def test_upper_sweep_skips_triples_past_forty_rows():
@@ -424,21 +444,23 @@ def test_upper_sweep_skips_triples_past_forty_rows():
     pool = np.unique(np.vstack([gm.matrix, mat]), axis=0)
     m = int(np.any(pool, axis=1).sum())
     assert len(np.unique(mat, axis=0)) > 40
-    res = assert_upper_matches_reference(gm, WeightProfile.singletons(12),
-                                         samples=30, seed=3)
+    res = assert_upper_matches_reference(gm, samples=30, seed=3)
     sampled = int(np.any(np.random.default_rng(3).integers(
         0, 3, size=(30, gm.rank), dtype=np.uint8), axis=1).sum())
     assert res.witnesses_examined == m + 2 * (m * (m - 1) // 2) + sampled
 
 
-def random_matrix_code(nprng, tw, rank, width):
+def random_matrix_code(nprng, tw, rank, width, split=(None, None)):
+    alpha, beta = split
     return GeneratorMatrixCode(
-        tw, nprng.integers(0, tw.q, size=(rank, width), dtype=np.uint8))
+        tw, nprng.integers(0, tw.q, size=(rank, width), dtype=np.uint8),
+        alpha=alpha, beta=beta)
 
 
 def test_exact_matches_reference_for_every_split():
-    # mixed, singleton and reduceat-grouped profiles over q in {2,...,8};
-    # the reference splits the messages after every row
+    # mixed closures, their Gray images and random matrices with random
+    # splits over q in {2,...,8}; the reference splits the messages
+    # after every row
     rng = random.Random(151)
     nprng = np.random.default_rng(151)
     kinds = set()
@@ -448,22 +470,20 @@ def test_exact_matches_reference_for_every_split():
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
         if checked % 2:
             code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
-            gm = code.closure
-            profile = (WeightProfile.mixed(code.alpha, code.beta)
-                       if rng.randrange(2) else random_profile(rng, gm.width))
+            gm = code.closure if rng.randrange(2) else gray_image(code).base
         else:
-            gm = random_matrix_code(nprng, tw, rng.randrange(1, 6), rng.randrange(4, 11))
-            profile = random_profile(rng, gm.width)
+            width = rng.randrange(4, 11)
+            gm = random_matrix_code(nprng, tw, rng.randrange(1, 6), width,
+                                    random_split(rng, width))
         if gm.rank == 0 or gm.size > 2**12:
             continue
-        kinds.add({None: "reduceat", profile.width: "singletons"}.get(
-            profile._pair_split, "mixed"))
-        value = min_distance_exact(gm, profile).value
+        kinds.add(split_kind(*split_of(gm)))
+        value = min_distance_exact(gm).value
         for s in range(1, gm.rank + 1):
-            assert value == reference_exact(gm, profile, s)
+            assert value == reference_exact(gm, s)
             above_one += s < gm.rank and value > 1
         checked += 1
-    assert kinds == {"mixed", "singletons", "reduceat"}
+    assert kinds == {"mixed", "singletons", "pairs"}
     assert above_one >= 30  # many runs searched prefixes without an early exit
 
 
@@ -481,18 +501,18 @@ def test_exact_counts_brouwer_zimmermann_words():
     # of the first form and 1..3 of the second the bound is
     # (4 + 1) + (3 + 1 - 1) = 8 = d, so the search stops there
     img = gray_image(build_table2_code(TABLE2[5], strict=False))
-    profile = WeightProfile.singletons(29)
     sets = list(distance._information_sets(img.base.field, img.matrix,
-                                           img.base.pivots, profile))
+                                           img.base.pivots,
+                                           WeightProfile.singletons(29)))
     assert [len(pivots) for _, pivots, _ in sets] == [15, 14]
     layer = [comb(15, w) * 2 ** (w - 1) for w in range(5)]
-    res = min_distance_exact(img.base, profile)
+    res = min_distance_exact(img.base)
     assert res.value == 8 and res.exact
     assert res.witnesses_examined == sum(layer[1:5]) + sum(layer[1:4]) == 15010
     # at most _WHOLE_CODE words: every nonzero word, table-2 row 9
     small = gray_image(build_table2_code(TABLE2[8]))
     assert small.base.size <= distance._WHOLE_CODE
-    res = min_distance_exact(small.base, WeightProfile.singletons(9))
+    res = min_distance_exact(small.base)
     assert res.witnesses_examined == small.base.size - 1
 
 
@@ -535,65 +555,48 @@ def test_layer_blocks_are_bounded_and_normalized():
             assert np.array_equal(ends, [np.sum(last_row <= m) for m in range(k)])
 
 
-def fine_profile(rng, width):
-    """Singletons, singletons then pairs, or groups of one to three
-    columns (the reduceat path, almost always): finer groupings than the
-    arbitrary cuts of `random_profile`, which often leave one group of
-    most columns and so a distance of 1."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return WeightProfile.singletons(width)
-    if kind == 1:
-        beta = rng.randrange(width // 2 + 1)
-        return WeightProfile.mixed(width - 2 * beta, beta)
-    starts = [0]
-    while starts[-1] + 3 < width:
-        starts.append(starts[-1] + rng.randrange(1, 4))
-    return WeightProfile(tuple(starts), width)
-
-
 def bz_case_code(rng, nprng, tw, kind):
-    """A random code and profile for the Brouwer-Zimmermann checks:
-    kind 0 a mixed closure, 1 a random matrix, 2 a random matrix with a
-    unit row or a row of weight two (a distance of 1 or 2)."""
+    """A random code for the Brouwer-Zimmermann checks: kind 0 a mixed
+    closure or its Gray image, 1 a random matrix, 2 a random matrix with
+    a unit row or a row of weight two (a distance of 1 or 2); a random
+    matrix has a random split or, one time in three, none."""
     if kind == 0:
         code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 5))
-        gm = code.closure
-        profile = (WeightProfile.mixed(code.alpha, code.beta)
-                   if rng.randrange(2) else fine_profile(rng, gm.width))
-        return gm, profile
+        return code.closure if rng.randrange(2) else gray_image(code).base
     rank = rng.randrange(2, 8)
     width = rng.randrange(rank + 1, 3 * rank + 2)
     mat = nprng.integers(0, tw.q, size=(rank, width), dtype=np.uint8)
     if kind == 2:
         mat[0] = 0
         mat[0, rng.sample(range(width), rng.randrange(1, 3))] = 1
-    return GeneratorMatrixCode(tw, mat), fine_profile(rng, width)
+    alpha, beta = random_split(rng, width) if rng.randrange(3) else (None, None)
+    return GeneratorMatrixCode(tw, mat, alpha=alpha, beta=beta)
 
 
 def test_brouwer_zimmermann_matches_reference():
-    # the search called directly, whatever the code's size, on singleton,
-    # mixed and reduceat-grouped profiles over q in {2, ..., 8}
+    # the search called directly, whatever the code's size, on F_q
+    # symbols, F_q2 symbols and both over q in {2, ..., 8}
     rng = random.Random(181)
     nprng = np.random.default_rng(181)
     kinds, values, partial, checked = set(), set(), 0, 0
     while checked < 240:
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
-        gm, profile = bz_case_code(rng, nprng, tw, checked % 3)
+        gm = bz_case_code(rng, nprng, tw, checked % 3)
         if gm.rank == 0 or gm.size > 3**8:
             continue
+        split = split_of(gm)
+        profile = WeightProfile(*split)
         value, examined = distance._brouwer_zimmermann(gm.field, gm.matrix,
                                                       gm.pivots, profile)
-        assert value == reference_exact(gm, profile, rng.randrange(1, gm.rank + 1))
-        assert 1 <= examined <= (gm.size - 1) // (tw.q - 1) * len(profile.group_starts)
+        assert value == reference_exact(gm, rng.randrange(1, gm.rank + 1))
+        assert 1 <= examined <= (gm.size - 1) // (tw.q - 1) * sum(split)
         sets = list(distance._information_sets(gm.field, gm.matrix, gm.pivots,
                                                profile))
         partial += len(sets) > 1 and len(sets[-1][1]) < gm.rank
-        kinds.add({None: "reduceat", profile.width: "singletons"}.get(
-            profile._pair_split, "mixed"))
+        kinds.add(split_kind(*split))
         values.add(value)
         checked += 1
-    assert kinds == {"mixed", "singletons", "reduceat"}
+    assert kinds == {"mixed", "singletons", "pairs"}
     assert {1, 2} <= values and max(values) >= 4
     assert partial >= 40  # later information sets short of rank k
 
@@ -603,14 +606,15 @@ def test_information_sets_are_disjoint_and_systematic():
     nprng = np.random.default_rng(191)
     for trial in range(60):
         tw = SWEEP_TOWERS[trial % len(SWEEP_TOWERS)]
-        gm, profile = bz_case_code(rng, nprng, tw, trial % 3)
+        gm = bz_case_code(rng, nprng, tw, trial % 3)
         if gm.rank == 0:
             continue
-        groups = groups_of(profile)
+        split = split_of(gm)
+        groups = groups_of(*split)
         group_of = {col: g for g, cols in enumerate(groups) for col in cols}
         seen = set()
         for form, pivots, need in distance._information_sets(
-                gm.field, gm.matrix, gm.pivots, profile):
+                gm.field, gm.matrix, gm.pivots, WeightProfile(*split)):
             # same code, and the set's r pivot columns carry an identity
             assert GeneratorMatrixCode(tw, form).equals(gm)
             r = len(pivots)
@@ -645,19 +649,19 @@ def test_exact_above_the_cut_matches_reference(monkeypatch):
     kinds, checked = set(), 0
     while checked < 18:
         q, rank, width = shapes[checked % len(shapes)]
-        gm = random_matrix_code(nprng, tower(q), rank, width)
-        profile = fine_profile(rng, width)
+        # F_q symbols only, F_q2 symbols only, then both, in turn
+        beta = (0, width // 2, rng.randrange(1, width // 2))[checked % 3]
+        gm = random_matrix_code(nprng, tower(q), rank, width, (width - 2 * beta, beta))
         if gm.size <= distance._WHOLE_CODE:
             continue
         sizes.clear()
-        res = min_distance_exact(gm, profile)
+        res = min_distance_exact(gm)
         assert res.witnesses_examined == sum(sizes) < gm.size - 1
         assert max(sizes) <= 64
-        assert res.value == reference_exact(gm, profile, rank // 2)
-        kinds.add({None: "reduceat", profile.width: "singletons"}.get(
-            profile._pair_split, "mixed"))
+        assert res.value == reference_exact(gm, rank // 2)
+        kinds.add(split_kind(*split_of(gm)))
         checked += 1
-    assert kinds == {"mixed", "singletons", "reduceat"}
+    assert kinds == {"mixed", "singletons", "pairs"}
 
 
 def test_distances_match_weights_of_difference():
@@ -666,7 +670,7 @@ def test_distances_match_weights_of_difference():
     for _ in range(200):
         field = rng.choice(SWEEP_TOWERS).base
         width = rng.randrange(1, 14)
-        profile = random_profile(rng, width)
+        profile = WeightProfile(*random_split(rng, width))
         block = nprng.integers(0, field.order, size=(rng.randrange(0, 40), width),
                                dtype=np.uint8)
         if rng.randrange(2):
@@ -690,9 +694,9 @@ def test_budget_applies_to_all_codewords_not_projective_count():
     total = 3**gm.rank
     assert (total - 1) // 2 < total - 1  # the projective count would fit
     with pytest.raises(DistanceBudgetError) as info:
-        min_distance_exact(gm, WeightProfile.singletons(9), budget=total - 1)
+        min_distance_exact(gm, budget=total - 1)
     assert info.value.required == total
-    assert min_distance_exact(gm, WeightProfile.singletons(9), budget=total).value == 3
+    assert min_distance_exact(gm, budget=total).value == 3
 
 
 def test_distances_between_blocks_match_weights_of_difference():
@@ -701,7 +705,7 @@ def test_distances_between_blocks_match_weights_of_difference():
     for _ in range(150):
         field = rng.choice(SWEEP_TOWERS).base
         width = rng.randrange(1, 14)
-        profile = random_profile(rng, width)
+        profile = WeightProfile(*random_split(rng, width))
         rows = rng.randrange(0, 12)
         a = nprng.integers(0, field.order, size=(rows, width), dtype=np.uint8)
         b = nprng.integers(0, field.order, size=(3, rows, width), dtype=np.uint8)
@@ -720,6 +724,21 @@ def test_distances_between_blocks_match_weights_of_difference():
                                               np.zeros((2, 2), np.uint8))
 
 
+def test_upper_sweep_skips_triples_past_the_layer_cap(monkeypatch):
+    # the triple sweep forms layer 2 of its pool, here 2 * C(6, 2) = 30
+    # words x 12 columns; past the cap the 4 * C(6, 3) triples are skipped
+    rng = np.random.default_rng(151)
+    mat = rng.integers(1, 3, size=(6, 12), dtype=np.uint8)
+    gm = GeneratorMatrixCode(T3, mat, spanning_rows=mat)
+    full = min_distance_upper(gm, samples=30, seed=3)
+    monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 30 * 12 - 1)
+    res = min_distance_upper(gm, samples=30, seed=3)
+    assert res.witnesses_examined == full.witnesses_examined - 4 * comb(6, 3)
+    assert res.value >= full.value
+    monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 30 * 12)
+    assert min_distance_upper(gm, samples=30, seed=3) == full
+
+
 def test_upper_sweep_triple_pool_edges():
     # triple pools of exactly 3 rows (one triple) and of _TRIPLE_POOL_MAX
     # rows (the largest pool that still gets the triple sweep)
@@ -731,8 +750,7 @@ def test_upper_sweep_triple_pool_edges():
             if len(np.unique(mat, axis=0)) == m and mat.any(axis=1).all():
                 break
         gm = GeneratorMatrixCode(tw, mat, spanning_rows=mat)
-        res = assert_upper_matches_reference(gm, WeightProfile.singletons(width),
-                                             samples=25, seed=m)
+        res = assert_upper_matches_reference(gm, samples=25, seed=m)
         pool = np.unique(np.vstack([gm.matrix, mat]), axis=0)
         p = int(np.any(pool, axis=1).sum())
         sampled = int(np.any(np.random.default_rng(m).integers(
@@ -794,8 +812,7 @@ def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
         field = tw.base
         weighed.clear()
         gm = code.closure
-        min_distance_upper(gm, WeightProfile.mixed(code.alpha, code.beta),
-                           samples=15, seed=checked)
+        min_distance_upper(gm, samples=15, seed=checked)
         assert np.array_equal(sorted_rows(np.vstack(weighed)),
                               sorted_rows(reference_candidates(gm, 15, checked)))
         checked += 1

@@ -15,7 +15,7 @@ from addcyclic.codes import (
     MixedWord,
     projections,
 )
-from addcyclic.distance import WeightProfile, min_distance_exact
+from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
 from addcyclic.gray import (
     CYCLIC_EQUIVALENT,
@@ -125,7 +125,7 @@ def test_image_code_table2_row1():
                      P("x+2"), P("x+2"), P("x^3+2"))
     img = gray_image(code)
     assert (img.length, img.rank) == (7, 3)
-    d = min_distance_exact(img.base, WeightProfile.singletons(7)).value
+    d = min_distance_exact(img.base).value
     assert d == 4
 
 
@@ -194,11 +194,9 @@ def test_distance_lemma_on_enumerable_codes():
         code = random_mixed_code(rng, T3, alpha, beta)
         if code.dimension == 0 or code.closure.size > 3**8:
             continue
-        d_mixed = min_distance_exact(
-            code.closure, WeightProfile.mixed(alpha, beta)).value
+        d_mixed = min_distance_exact(code.closure).value
         img = gray_image(code)
-        d_gray = min_distance_exact(
-            img.base, WeightProfile.singletons(img.length)).value
+        d_gray = min_distance_exact(img.base).value
         assert d_gray >= d_mixed
         checked += 1
 
