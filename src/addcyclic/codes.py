@@ -177,7 +177,10 @@ class GeneratorMatrixCode:
     _derived: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        R, r, pivots = linalg.rref(self.tower.base, self.matrix)
+        M = linalg.as_matrix(self.matrix)
+        if (M >= self.tower.q).any():
+            raise ValueError(f"entry {M.max()} lies outside F_{self.tower.q}")
+        R, r, pivots = linalg.rref(self.tower.base, M)
         if None not in (self.alpha, self.beta) and self.alpha + 2 * self.beta != R.shape[1]:
             raise ValueError(f"split alpha={self.alpha}, beta={self.beta} does not "
                              f"cover the {R.shape[1]} columns")
@@ -537,17 +540,13 @@ def invariant_under(code: GeneratorMatrixCode, perm) -> bool:
     return code.contains_rows(code.matrix[:, perm])
 
 
-def is_cyclic(code: GeneratorMatrixCode, alpha=None, beta=None) -> bool:
+def is_cyclic(code: GeneratorMatrixCode) -> bool:
     """True iff the row space is closed under the simultaneous right
     cyclic shift of the alpha block and the beta block (the latter acting
     on (b, c) column pairs jointly)."""
-    alpha = code.alpha if alpha is None else alpha
-    beta = code.beta if beta is None else beta
-    if alpha is None or beta is None:
+    if code.alpha is None or code.beta is None:
         raise ValueError("cyclicity needs the block split")
-    if code.width != alpha + 2 * beta:
-        raise ValueError("matrix width does not match the declared split")
-    return invariant_under(code, _shift_columns(alpha, beta, 1))
+    return invariant_under(code, _shift_columns(code.alpha, code.beta, 1))
 
 
 def projections(code):

@@ -56,8 +56,10 @@ class FieldMismatchError(ValueError):
 # Defining polynomials used when the caller does not supply one,
 # as coefficient tuples, low degree first.
 _DEFAULT_F1 = {
-    4: (1, 1, 1),      # x^2 + x + 1 over F_2
-    8: (1, 1, 0, 1),   # x^3 + x + 1 over F_2
+    4: (1, 1, 1),         # x^2 + x + 1 over F_2
+    8: (1, 1, 0, 1),      # x^3 + x + 1 over F_2
+    9: (1, 0, 1),         # x^2 + 1 over F_3
+    16: (1, 1, 0, 0, 1),  # x^4 + x + 1 over F_2
 }
 _DEFAULT_F2 = {
     3: (1, 0, 1),      # x^2 + 1 over F_3
@@ -258,10 +260,11 @@ class FieldTower:
     base, ext : the Field objects for F_q and F_q2
     omega     : the adjoined root of f2, as an integer element of `ext`
 
-    Both defining polynomials are checked for irreducibility at
-    construction by exhaustive search: f1 by trial division against every
-    monic polynomial of degree <= deg(f1)/2 over F_p, f2 by evaluating at
-    all q elements of F_q.  Immutable after construction.
+    Irreducibility is checked by building the field: F_sub[t]/<f> has a
+    zero divisor exactly when f is reducible, and Field rejects it.  The
+    default f1 is a constant; the default f2 is a constant or, where
+    there is none, the first monic quadratic with no root in F_q.
+    Immutable after construction.
     """
 
     def __init__(self, q, f1=None, f2=None):
@@ -278,16 +281,16 @@ class FieldTower:
             self.f1 = None
             self.base = self.prime
         else:
-            self.f1 = tuple(f1) if f1 is not None else _DEFAULT_F1.get(q)
-            if self.f1 is None:
-                self.f1 = _search_irreducible(self.prime, m)
+            self.f1 = tuple(f1) if f1 is not None else _DEFAULT_F1[q]
             _check_f1(self.prime, self.f1, m)
-            self.base = Field(p, modulus=self.f1, subfield=self.prime, symbol="u")
+            self.base = _extension(self.prime, self.f1, "u",
+                                   f"f1 {self.f1} is reducible over F_{p}")
         self.f2 = tuple(f2) if f2 is not None else _DEFAULT_F2.get(q)
         if self.f2 is None:
-            self.f2 = _search_irreducible(self.base, 2)
+            self.f2 = _first_irreducible_quadratic(self.base)
         _check_f2(self.base, self.f2)
-        self.ext = Field(p, modulus=self.f2, subfield=self.base, symbol="w")
+        self.ext = _extension(self.base, self.f2, "w", f"f2 {self.f2} is reducible: "
+                              "it has a root in the base field")
         self.omega = self.base.order  # 0 + 1*w
 
     # -- moving between the two levels ------------------------------------
@@ -337,17 +340,7 @@ def _tower(q, f1, f2):
     return FieldTower(q, f1=f1, f2=f2)
 
 
-# -- irreducibility by exhaustive search -----------------------------------
-
-
-def _evaluations(field, coeffs):
-    """f(x) for every element x of the field, in one vectorised Horner
-    pass: entry x of the result is the value at x."""
-    xs = np.arange(field.order, dtype=np.uint8)
-    acc = np.zeros_like(xs)
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, xs), c)
-    return acc
+# -- the defining polynomials ---------------------------------------------
 
 
 def _check_f2(base, f2):
@@ -355,8 +348,6 @@ def _check_f2(base, f2):
         raise ValueError("f2 must be a monic quadratic")
     if any(not 0 <= c < base.order for c in f2):
         raise ValueError("f2 coefficients must lie in the base field")
-    if not _evaluations(base, f2).all():
-        raise ValueError(f"f2 {f2} is reducible: it has a root in the base field")
 
 
 def _check_f1(prime, f1, m):
@@ -364,39 +355,28 @@ def _check_f1(prime, f1, m):
         raise ValueError(f"f1 must be monic of degree {m}")
     if any(not 0 <= c < prime.order for c in f1):
         raise ValueError("f1 coefficients must lie in the prime field")
-    if not _is_irreducible(prime, f1):
-        raise ValueError(f"f1 {f1} is reducible over F_{prime.order}")
 
 
-def _is_irreducible(field, coeffs):
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    from .poly import Poly  # poly imports this module
-
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    f = Poly(field, coeffs)
-    for d in range(1, deg // 2 + 1):
-        for packed in range(field.order**d):
-            divisor = [(packed // field.order**i) % field.order for i in range(d)] + [1]
-            if (f % Poly(field, divisor)).is_zero():
-                return False
-    return True
+def _extension(subfield, modulus, symbol, reducible):
+    """subfield[t]/<modulus>, whose construction is the irreducibility
+    test: the shape checks have passed, so a ValueError from Field is a
+    zero divisor and `reducible` says which modulus has one."""
+    try:
+        return Field(subfield.p, modulus=modulus, subfield=subfield, symbol=symbol)
+    except ValueError:
+        raise ValueError(reducible) from None
 
 
-def _search_irreducible(field, deg):
-    """Smallest (in packed-coefficient order) monic irreducible of degree `deg`."""
-    for packed in range(field.order**deg):
-        coeffs = tuple((packed // field.order**i) % field.order for i in range(deg)) + (1,)
-        if deg == 2:
-            ok = _evaluations(field, coeffs).all()
-        else:
-            ok = _is_irreducible(field, coeffs)
-        if ok:
-            return coeffs
-    raise ValueError(f"no irreducible of degree {deg} found")  # unreachable
+def _first_irreducible_quadratic(base):
+    """The first monic x^2 + c1*x + c0 over `base`, in packed order
+    c0 + q*c1, with no root in `base`: the first whose -c0 is not a
+    value of x^2 + c1*x."""
+    xs = np.arange(base.order)
+    # values[c1, x] = x^2 + c1*x
+    values = base.add_table[base.mul_table[xs, xs], base.mul_table]
+    rooted = (values[:, :, None] == base.neg_table).any(axis=1)  # [c1, c0]
+    c1, c0 = divmod(int(np.argmin(rooted)), base.order)
+    return (c0, c1, 1)
 
 
 # -- element rendering ------------------------------------------------------

@@ -35,7 +35,7 @@ from .codes import (
     _document_int,
     load_tower,
 )
-from .gray import GrayImageCode, gray_block, gray_image
+from .gray import GrayImageCode, gray_image, gray_rows
 from .poly import parse_scalar
 
 LCD_GUARANTEED = "LCD-guaranteed"
@@ -120,13 +120,11 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     """
     tower, alpha = image.base.tower, image.alpha
     M = linalg.as_matrix(expanded, width=alpha + 2 * image.beta)
-    g_alpha = M[:, :alpha]
-    g_beta = tower.compose(M[:, alpha::2], M[:, alpha + 1 :: 2])
-    self_orth = is_self_orthogonal(g_alpha, tower=tower)
-    phi_c_beta = GeneratorMatrixCode(tower, gray_block(tower, g_beta))
+    self_orth = is_self_orthogonal(M[:, :alpha], tower=tower)
+    phi_c_beta = GeneratorMatrixCode(tower, gray_rows(tower, 0, M[:, alpha:]))
     # the Gray block is the expansion [b | c] under the invertible column
     # map (b, c) -> (b + c, c): its rank is that of rows_fq_independent
-    independent = phi_c_beta.rank == len(g_beta)
+    independent = phi_c_beta.rank == len(M)
     beta_lcd = is_lcd(phi_c_beta)
     observed = hull(image.base).rank
     ok = self_orth and independent and beta_lcd

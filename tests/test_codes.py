@@ -1086,6 +1086,20 @@ def test_generator_matrix_code_refuses_a_split_off_its_width():
         GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8), alpha=1, beta=0)
 
 
+@pytest.mark.parametrize("q,mat,entry", [
+    (3, [[5, 1, 0], [0, 1, 1]], 5),      # odd prime: the lane code
+    (4, [[7, 1, 0]], 7),                 # characteristic 2: XOR rows
+    (9, [[12, 1, 0], [0, 1, 30]], 30),   # odd prime power: the lane code
+])
+def test_generator_matrix_code_refuses_entries_outside_fq(q, mat, entry):
+    # the elimination has no scaling table for such an entry, so the
+    # stored matrix would be no rref of the input
+    with pytest.raises(ValueError, match=f"entry {entry} lies outside F_{q}"):
+        GeneratorMatrixCode(tower(q), np.array(mat, np.uint8))
+    inside = np.array(mat, np.uint8) % q
+    assert GeneratorMatrixCode(tower(q), inside).rank == linalg.rank(tower(q).base, inside)
+
+
 def test_closure_limit_rejects_absurd_block_lengths():
     for alpha, beta in ((0, 200_000), (997, 1009)):
         doc = {"q": 3, "alpha": alpha, "beta": beta, "s": "1", "l": "0",

@@ -12,8 +12,7 @@ from addcyclic.fields import (
     Field,
     FieldMismatchError,
     FieldTower,
-    _evaluations,
-    _is_irreducible,
+    _first_irreducible_quadratic,
     format_element,
     tower,
 )
@@ -159,7 +158,8 @@ def test_inverses_randomized():
 def test_default_moduli_irreducible_by_root_search():
     # quadratic is irreducible over its base iff it has no root there
     for tw in TOWERS:
-        assert _evaluations(tw.base, tw.f2).all()
+        f2 = Poly(tw.base, tw.f2)
+        assert all(f2(x) for x in tw.base.elements())
     assert T4.f2 == (2, 1, 1)   # x^2 + x + u over F_4
     assert T8.f2 == (1, 1, 1)   # x^2 + x + 1 over F_8
     assert T3.f2 == (1, 0, 1)   # x^2 + 1 over F_3
@@ -176,18 +176,24 @@ def monic_polys(field, degree):
                          ids=("F2", "F3", "F4"))
 def test_irreducibility_matches_products_of_monic_factors(field, top):
     # oracle: the reducible monic polynomials are the products of two
-    # monic factors of positive degree; in degree 2 and 3 exactly those
-    # have a root, which is what the Horner pass over all elements sees
+    # monic factors of positive degree; building F[t]/<f> must succeed
+    # exactly for the others, and the f2 search must return the first
+    # irreducible quadratic in packed order
     for degree in range(1, top + 1):
         reducible = {(a * b).coeffs for i in range(1, degree // 2 + 1)
                      for a in monic_polys(field, i)
                      for b in monic_polys(field, degree - i)}
         for f in monic_polys(field, degree):
-            assert _is_irreducible(field, f.coeffs) == (f.coeffs not in reducible)
-            values = _evaluations(field, f.coeffs)
-            assert [int(v) for v in values] == [f(x) for x in field.elements()]
-            if degree in (2, 3):
-                assert bool(values.all()) == (f.coeffs not in reducible)
+            if f.coeffs in reducible:
+                with pytest.raises(ValueError, match="zero divisor"):
+                    Field(field.p, modulus=f.coeffs, subfield=field)
+            else:
+                ext = Field(field.p, modulus=f.coeffs, subfield=field)
+                assert ext.order == field.order ** degree
+        if degree == 2:
+            first = next(f.coeffs for f in monic_polys(field, 2)
+                         if f.coeffs not in reducible)
+            assert _first_irreducible_quadratic(field) == first
 
 
 def test_reducible_f2_rejected():
@@ -202,6 +208,13 @@ def test_reducible_f2_rejected():
 def test_reducible_f1_rejected():
     with pytest.raises(ValueError, match=r"f1 \(1, 0, 1\) is reducible over F_2"):
         FieldTower(4, f1=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
+
+
+def test_searched_f2_over_an_overridden_f1():
+    # these towers have no default f2 and take the first quadratic with
+    # no root over their own base field
+    assert tower(9, f1=(2, 1, 1)).f2 == tower(9, f1=(2, 2, 1)).f2 == (3, 0, 1)
+    assert tower(16, f1=(1, 0, 0, 1, 1)).f2 == tower(16, f1=(1, 1, 1, 1, 1)).f2 == (2, 1, 1)
 
 
 def test_non_prime_power_rejected():
@@ -219,7 +232,7 @@ def test_format_element():
 
 def test_poly_eval_helper():
     # f2 of the q=3 tower has no roots but f(w) = 0 in the extension
-    assert _evaluations(T3.ext, T3.f2)[T3.omega] == 0
+    assert Poly(T3.ext, T3.f2)(T3.omega) == 0
 
 
 def test_tower_accepts_coefficient_lists():
