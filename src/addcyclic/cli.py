@@ -228,8 +228,7 @@ def cmd_lcd(args):
 
 
 def cmd_tables(args):
-    report = verify_all(args.id, budget=args.budget, seed=args.seed,
-                        long=args.long)
+    report = verify_all(args.id, budget=args.budget, seed=args.seed)
     if args.format == "json":
         out = report.to_json()
     elif args.format == "csv":
@@ -285,8 +284,6 @@ def build_parser():
     p.add_argument("--budget", **options["--budget"])
     p.add_argument("--seed", **options["--seed"])
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--long", action="store_true",
-                   help="also run enumerations beyond the default budget")
     p.add_argument("--output", help="write the report to a file")
     p.set_defaults(func=cmd_tables)
     return parser

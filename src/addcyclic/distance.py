@@ -107,10 +107,6 @@ class WeightProfile:
             raise ValueError("alpha and beta must be nonnegative")
 
     @classmethod
-    def mixed(cls, alpha, beta):
-        return cls(alpha, beta)
-
-    @classmethod
     def singletons(cls, n):
         return cls(n, 0)
 

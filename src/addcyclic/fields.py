@@ -187,9 +187,6 @@ class Field:
     def dot(self, x, y):
         return self.sum(self.mul(np.asarray(x), np.asarray(y)))
 
-    def elements(self):
-        return range(self.order)
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):

@@ -77,9 +77,21 @@ from functools import lru_cache
 import numpy as np
 
 
+_BYTES = np.arange(256)
+
+
 def as_matrix(rows, width=None):
-    """Coerce a row list to a uint8 matrix, fixing the width when empty."""
-    m = np.asarray(rows, dtype=np.uint8)
+    """Coerce a row list to a uint8 matrix, fixing the width when empty.
+    A uint8 array is taken as it is; any other input must hold integers
+    in 0..255, so that no entry wraps round in the cast."""
+    m = np.asarray(rows)
+    if m.dtype != np.uint8:
+        outside = ~np.isin(m, _BYTES)
+        if outside.any():
+            at = tuple(int(i) for i in np.argwhere(outside)[0])
+            raise ValueError(f"entry {m[at].item()!r} at {at} is not an "
+                             "integer in 0..255")
+        m = m.astype(np.uint8)
     if m.ndim == 2:
         return m
     if m.size == 0:

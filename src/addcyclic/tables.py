@@ -17,9 +17,9 @@ mismatches; the table's own checks add to them.  Sizes always come from
 the module-closure rank.  Table 1's distances are settled by
 `distance.min_distance`: exact within the codeword budget, the seeded
 upper bound past it.  The Gray images of tables 2 and 3 share one step:
-length, dimension and an exact distance, skipped past the budget
-without `long` or when the exact search refuses a layer past its memory
-cap.  "Optimal" and "BKLC" remarks reference external databases and are
+length, dimension and an exact distance, skipped when the exact search
+refuses it: past the budget, or for a layer past its memory cap.
+"Optimal" and "BKLC" remarks reference external databases and are
 stored as metadata only — they are never part of pass/fail.
 """
 
@@ -320,8 +320,7 @@ class VerificationReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0,
-                 long=False) -> EntryReport:
+def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0) -> EntryReport:
     """Rebuild one row from its literals and check its claims; the
     table's own checks append to the `mism` and `details` lists."""
     if entry.table_id not in TABLES:
@@ -337,9 +336,9 @@ def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0,
     if entry.table_id == 1:
         _verify_table1(rep, entry, budget, seed, mism, details)
     elif entry.table_id == 2:
-        _verify_table2(rep, entry, budget, long, mism, details)
+        _verify_table2(rep, entry, budget, mism, details)
     else:
-        _verify_table3(rep, entry, budget, long, mism, details)
+        _verify_table3(rep, entry, budget, mism, details)
     if mism:
         rep.status = "mismatch"
         details += [f"MISMATCH: {m}" for m in mism]
@@ -384,11 +383,11 @@ def _verify_table1(rep, entry, budget, seed, mism, details):
         mism.append("Singleton bound not attained")
 
 
-def _verify_image(rep, entry, image, budget, long, mism, details):
+def _verify_image(rep, entry, image, budget, mism, details):
     """Length, dimension and distance of the Gray image of a table-2 or
-    table-3 row.  The distance is exact when the image's 3^k words fit
-    the budget or `long` is given; otherwise, or when the exact search
-    refuses a layer past its memory cap, it is marked skipped."""
+    table-3 row.  The distance is exact unless the exact search refuses
+    it: the image's 3^k words pass the budget, or a layer would pass its
+    memory cap.  Then it is skipped, and the details say why."""
     rep.computed_n = image.length
     rep.computed_k = image.rank
     rep.computed_size = 3**image.rank
@@ -396,22 +395,18 @@ def _verify_image(rep, entry, image, budget, long, mism, details):
         mism.append(f"length {image.length} != expected {entry.expected_n}")
     if image.rank != entry.expected_k:
         mism.append(f"dimension {image.rank} != expected {entry.expected_k}")
-    rep.d_mode = "skipped"
-    if rep.computed_size > budget and not long:
-        details.append("distance enumeration needs --long")
-        return
     try:
-        res = min_distance_exact(image.base, budget=rep.computed_size)
+        res = min_distance_exact(image.base, budget=budget)
     except DistanceBudgetError as exc:
+        rep.d_mode = "skipped"
         details.append(f"distance enumeration refused: {exc}")
         return
     rep.computed_d = res.value
-    rep.d_mode = "exact"
     if res.value != entry.expected_d:
         mism.append(f"d {res.value} != expected {entry.expected_d}")
 
 
-def _verify_table2(rep, entry, budget, long, mism, details):
+def _verify_table2(rep, entry, budget, mism, details):
     code = build_table2_code(entry, strict=False)
     if code.condition_failures:
         details.append(
@@ -424,7 +419,7 @@ def _verify_table2(rep, entry, budget, long, mism, details):
             f"cardinality formula {card.formula} != closure {card.actual}; "
             f"degree-counted spanning set spans_ok={span.spans_ok}")
     image = gray_image(code)
-    _verify_image(rep, entry, image, budget, long, mism, details)
+    _verify_image(rep, entry, image, budget, mism, details)
     sigma_ok = shift_invariance_check(image)
     rep.qc = f"{image.classification}:{'ok' if sigma_ok else 'FAIL'}"
     if not sigma_ok:
@@ -441,12 +436,12 @@ def _verify_table2(rep, entry, budget, long, mism, details):
             mism.append("footnote claims LCD but hull is nontrivial")
 
 
-def _verify_table3(rep, entry, budget, long, mism, details):
+def _verify_table3(rep, entry, budget, mism, details):
     tw, alpha, beta, words = build_table3_words(entry)
     expanded = linalg.as_matrix([w.expand() for w in words],
                                 width=alpha + 2 * beta)
     image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
-    _verify_image(rep, entry, image, budget, long, mism, details)
+    _verify_image(rep, entry, image, budget, mism, details)
     cert = lcd_certificate(expanded, image)
     lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"
@@ -461,10 +456,10 @@ def _verify_table3(rep, entry, budget, long, mism, details):
         mism.append("certificate guaranteed LCD but observed hull nonzero")
 
 
-def verify_all(table_id, budget=DEFAULT_BUDGET, seed=0, long=False):
+def verify_all(table_id, budget=DEFAULT_BUDGET, seed=0):
     """Verify one table (1, 2, 3) or 'all'; deterministic entry order."""
     ids = tuple(TABLES) if table_id == "all" else (int(table_id),)
     if not set(ids) <= TABLES.keys():
         raise ValueError(f"no such table: {table_id}")
-    return VerificationReport([verify_entry(entry, budget=budget, seed=seed, long=long)
+    return VerificationReport([verify_entry(entry, budget=budget, seed=seed)
                                for tid in ids for entry in TABLES[tid]])

@@ -1,6 +1,5 @@
 """Acceptance criteria, one test per criterion, each printing a
-pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`
-(add --long-tests for the enumerations beyond the default budget).
+pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import hashlib
@@ -160,28 +159,29 @@ def test_criterion_3_table2(table2_report):
 
 
 def test_report_bytes_are_pinned(table1_report, table2_report):
-    # sha256 of the default, small-budget and --long reports, the first
-    # as JSON and CSV: a report's bytes change only on purpose
+    # sha256 of the default, small-budget and 3^18-budget reports, the
+    # first as JSON and CSV: a report's bytes change only on purpose
     def digest(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
     everything = VerificationReport(
         table1_report.entries + table2_report.entries + verify_all(3).entries)
     assert digest(everything.to_json()) == (
-        "2f6b0ab7d7b875166decfbd162fd6b39d3bc660ef232730e1dfcb35d61605827")
+        "3ad4dd9ee40e27437a7229141a827cd1953393b6a43ca4b7bca20bbe32484649")
     assert digest(everything.to_csv()) == (
         "80d538c94b6d04cad464d8bdc469e2d58b28fdac3bf899f8eb1d75ff7f6f4ed4")
     assert digest(verify_all("all", budget=9).to_json()) == (
-        "ed4752a1458f2790c78ef569d00eb0509e1dc56f529e65969465765309b2b520")
-    assert digest(verify_all(2, long=True).to_json()) == (
+        "da7376e1b74f27617f18d5c5f9403cf94a4a624e8e7dd1da9a4f570f4d9e335f")
+    assert digest(verify_all(2, budget=3**18).to_json()) == (
         "fae50ebd1b1837755a71e916d3d586564d6c349cc366547d9a741abc4d6724fb")
+    assert digest(verify_all("all", budget=3**18).to_json()) == (
+        "ee7dbe6b5650e03f70145124cdcb7443717c0dc6c68b5fab147211974ea030f6")
 
 
-@pytest.mark.long
 def test_criterion_3_long_row():
     entry = TABLE2[6]  # [35, 18, 11]
-    rep = verify_entry(entry, long=True)
-    report(3, "table 2 dimension-18 row verifies exactly under --long",
+    rep = verify_entry(entry, budget=3**18)
+    report(3, "table 2 dimension-18 row verifies exactly at a 3^18 budget",
            rep.status == "ok" and rep.d_mode == "exact"
            and rep.computed_d == entry.expected_d,
            f"computed {rep.computed_d}")

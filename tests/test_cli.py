@@ -182,6 +182,21 @@ def test_tables_text_is_csv_plus_summary(capsys):
     assert summary.count("\n") == 2
 
 
+def test_tables_long_is_gone(capsys):
+    # the budget alone gates the Gray-image distances
+    code, out, err = run(capsys, ["tables", "--id", "2", "--long"])
+    assert code == 2
+    assert out == "" and "usage:" in err
+
+
+def test_tables_budget_settles_the_3_18_word_row(capsys):
+    code, out, _ = run(capsys, ["tables", "--id", "2", "--budget", str(3**18),
+                                "--format", "json"])
+    assert code == 0
+    row7 = json.loads(out)["entries"][6]
+    assert (row7["row"], row7["d_mode"], row7["computed_d"]) == (7, "exact", 11)
+
+
 def test_tables_bad_id(capsys):
     code, _, err = run(capsys, ["tables", "--id", "9"])
     assert code == 2

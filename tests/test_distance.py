@@ -174,7 +174,7 @@ def split_kind(alpha, beta):
 
 
 def test_weight_examples():
-    prof = WeightProfile.mixed(2, 2)
+    prof = WeightProfile(2, 2)
     assert weight([1, 0, 0, 0, 0, 1], prof) == 2
     assert weight([0, 0, 0, 0, 0, 0], prof) == 0
     assert weight([1, 1], WeightProfile.singletons(2)) == 2
@@ -185,7 +185,7 @@ def test_gray_image_weight_can_exceed_mixed_weight():
     from addcyclic.codes import MixedWord
     from addcyclic.gray import gray_word
     w = MixedWord(T3, (), (T3.omega,))
-    assert weight(w.expand(), WeightProfile.mixed(0, 1)) == 1
+    assert weight(w.expand(), WeightProfile(0, 1)) == 1
     img = gray_word(w)
     assert list(img) == [1, 1]
     assert weight(img, WeightProfile.singletons(2)) == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from addcyclic import linalg
+from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.fields import Field, tower
 
 T3 = tower(3)
@@ -25,6 +26,26 @@ def span_set(field, mat):
             acc = field.add(acc, field.mul(c, row))
         out.add(tuple(int(x) for x in acc))
     return out
+
+
+# -- input coercion -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, rows, entry", [
+    ("code", np.array([[256, 1, 0]]), "256"),
+    ("code", np.array([[258, 1, 1]]), "258"),
+    ("code", np.array([[-1, 1, 0]]), "-1"),
+    ("code", [[256, 1, 0]], "256"),
+    ("code", [[1.5, 1, 0]], "1.5"),
+    ("rank", np.array([[256, 1], [0, 1]]), "256"),
+])
+def test_as_matrix_refuses_entries_a_byte_cannot_hold(build, rows, entry):
+    # a bare cast to uint8 would wrap 256 to 0 and truncate 1.5 to 1
+    with pytest.raises(ValueError, match=f"entry {entry} at \\(0, 0\\)"):
+        if build == "code":
+            GeneratorMatrixCode(T3, rows)
+        else:
+            linalg.rank(F3, rows)
 
 
 # -- row-space oracles, built on rank alone -----------------------------------

@@ -106,8 +106,11 @@ def test_verify_table3_small_budget_marks_skips():
         assert e.lcd == "yes"  # the LCD column does not depend on d
     assert {e.expected_k for e in rep.entries} == {2, 3}
     skipped = [e for e in rep.entries if e.d_mode == "skipped"]
-    assert all("distance enumeration needs --long" in e.details for e in skipped)
-    assert verify_all(3, budget=9, long=True) == verify_all(3)
+    refusal = ("distance enumeration refused: exact enumeration needs 27 "
+               "codewords but the budget is 9; raise the budget or use "
+               "min_distance_upper")
+    assert all(refusal in e.details for e in skipped)
+    assert verify_all(3, budget=27) == verify_all(3)
 
 
 def test_refused_image_distance_is_skipped(monkeypatch):
