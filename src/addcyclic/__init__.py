@@ -40,7 +40,7 @@ from .distance import (
     min_distance_upper,
     weight,
 )
-from .fields import Elem, Field, FieldMismatchError, FieldTower, tower
+from .fields import Field, FieldMismatchError, FieldTower, tower
 from .gray import (
     CYCLIC_EQUIVALENT,
     GENERALIZED_QC,

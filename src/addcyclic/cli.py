@@ -123,7 +123,7 @@ def cmd_params(args):
         payload["mixed_distance"] = mixed_dist
     if dist["d"] is not None and isinstance(code, PureCode):
         # single-alphabet Singleton bound; a mixed alphabet has no single Q
-        sing = singleton_check(code.n, card.actual, code.tower.q ** 2, dist["d"])
+        sing = singleton_check(code.n, gm.rank, dist["d"])
         payload["singleton"] = "attains" if sing.attains else f"slack:{sing.slack}"
     lines = [f"block lengths: {blocks}",
              f"dimension (F_q rank): {gm.rank}",

@@ -177,9 +177,7 @@ class GeneratorMatrixCode:
     _derived: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        M = linalg.as_matrix(self.matrix)
-        if (M >= self.tower.q).any():
-            raise ValueError(f"entry {M.max()} lies outside F_{self.tower.q}")
+        M = linalg.as_matrix(self.matrix, field=self.tower.base)
         R, r, pivots = linalg.rref(self.tower.base, M)
         if None not in (self.alpha, self.beta) and self.alpha + 2 * self.beta != R.shape[1]:
             raise ValueError(f"split alpha={self.alpha}, beta={self.beta} does not "
@@ -212,11 +210,13 @@ class GeneratorMatrixCode:
         return self.tower.q ** self.rank
 
     def contains(self, vec) -> bool:
-        return self.contains_rows(np.asarray(vec, dtype=np.uint8).reshape(1, -1))
+        return self.contains_rows([vec])
 
     def contains_rows(self, rows) -> bool:
         """True iff every row of the block is a codeword: one elimination
-        of the whole block against the stored rref basis."""
+        of the whole block against the stored rref basis.  An entry
+        outside F_q is refused, as the constructor refuses it."""
+        rows = linalg.as_matrix(rows, width=self.width, field=self.field)
         residues = linalg.reduce_rows(self.field, self.matrix, self.pivots, rows)
         return not residues.any()
 
@@ -568,39 +568,18 @@ class SingletonResult:
     slack: Fraction
 
 
-def _log_exact(x: int, base: int):
-    """e with base**e == x, or None when x is no power of base."""
-    e = 0
-    while x > 1 and x % base == 0:
-        x //= base
-        e += 1
-    return e if x == 1 else None
-
-
-def singleton_check(n: int, size: int, alphabet: int, d: int) -> SingletonResult:
-    """Compare |C| against alphabet^(n-d+1) exactly.  `slack` is the
-    difference of the alphabet-base logarithms, a Fraction: an F_q-linear
-    code over the alphabet F_q2 has |C| = q^r, so its slack is
-    (n-d+1) - r/2, a half-integer when r is odd.  A negative slack raises,
-    since it means the distance was miscomputed."""
+def singleton_check(n: int, rank: int, d: int) -> SingletonResult:
+    """Compare an F_q-linear code of F_q-rank `rank` and length n over
+    the alphabet F_q2 against the Singleton bound exactly: |C| = q^rank
+    = (q^2)^(rank/2) against (q^2)^(n-d+1).  `slack` is (n-d+1) - rank/2,
+    a Fraction, a half-integer when the rank is odd.  A negative slack
+    raises, since it means the distance was miscomputed."""
     if d < 1:
         raise ValueError("distance must be >= 1")
-    if alphabet < 2:
-        raise ValueError("alphabet size must be >= 2")
-    # size and alphabet are powers of a common integer exactly when both
-    # are powers of the smallest integer the alphabet size is a power of
-    root = next(b for b in range(2, alphabet + 1)
-                if _log_exact(alphabet, b) is not None)
-    k = _log_exact(size, root)
-    if k is None:
-        raise ValueError(f"size {size} is not a power of {root}, "
-                         f"as the alphabet size {alphabet} is")
-    log_size = Fraction(k, _log_exact(alphabet, root))
-    slack = (n - d + 1) - log_size
+    slack = (n - d + 1) - Fraction(rank, 2)
     if slack < 0:
         raise ValueError(
-            f"Singleton bound violated: |C| = {alphabet}^{log_size} > "
-            f"{alphabet}^{n - d + 1}")
+            f"Singleton bound violated: |C| = q^{rank} > (q^2)^{n - d + 1}")
     return SingletonResult(slack == 0, slack)
 
 

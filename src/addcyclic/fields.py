@@ -12,13 +12,14 @@ into components is divmod by q.
 
 Arithmetic goes through precomputed tables (the fields at play have at
 most 256 elements; characteristic-2 array addition is the exception
-below), so every operation accepts ints or numpy arrays.  `linalg`
-does not call this class per row.  Elimination holds rows as bytes,
-scales them by `bytes.translate` through rows of mul_table, and adds
-them as big integers, by XOR in characteristic 2 (below) and in a
-carry-free lane code of the base-p digits otherwise.  A small matrix product is one
-integer product over the base-p digits, which are an element's F_p
-coordinates on every level of the tower.
+below), so every operation accepts ints or numpy arrays, and there is
+no element class.  `linalg` does not call this class per row.
+Elimination holds rows as bytes, scales them by `bytes.translate`
+through rows of mul_table, and adds them as big integers, by XOR in
+characteristic 2 (below) and in a carry-free lane code of the base-p
+digits otherwise.  A small matrix product is one integer product over
+the base-p digits, which are an element's F_p coordinates on every
+level of the tower.
 
 An extension's tables are built from its subfield's by whole-array
 gathers.  With D the (order, m) matrix of every element's subfield
@@ -43,7 +44,6 @@ wrapping a Python-int XOR as a numpy uint8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -199,55 +199,6 @@ class Field:
         return f"Field(order={self.order})"
 
 
-@dataclass(frozen=True)
-class Elem:
-    """A field element tagged with its field, for the checked public API."""
-
-    field: Field
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.order:
-            raise ValueError(f"value {self.value} out of range for {self.field}")
-
-    def _check(self, other):
-        if not isinstance(other, Elem):
-            raise TypeError("expected an Elem")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"operands live in different fields "
-                f"(orders {self.field.order} and {other.field.order})"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return Elem(self.field, int(self.field.add(self.value, other.value)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Elem(self.field, int(self.field.sub(self.value, other.value)))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Elem(self.field, int(self.field.mul(self.value, other.value)))
-
-    def __neg__(self):
-        return Elem(self.field, int(self.field.neg(self.value)))
-
-    def inverse(self):
-        return Elem(self.field, int(self.field.inv(self.value)))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __str__(self):
-        return format_element(self.field, self.value)
-
-
 class FieldTower:
     """The tower F_p <= F_q <= F_q2 with fixed defining polynomials.
 
@@ -300,17 +251,6 @@ class FieldTower:
         """Base-field components (b, c) of z = b + w*c (arrays ok)."""
         z = np.asarray(z)
         return z % self.q, z // self.q
-
-    @property
-    def u(self):
-        """Generator of F_q over F_p (only for proper prime powers q)."""
-        if self.m == 1:
-            raise ValueError("prime base field has no adjoined generator")
-        return Elem(self.base, self.p)
-
-    @property
-    def w(self):
-        return Elem(self.ext, self.omega)
 
     def __eq__(self, other):
         return (

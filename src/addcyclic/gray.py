@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
     MixedWord,
     PureCode,
+    _shift_columns,
     invariant_under,
 )
 
@@ -40,7 +42,7 @@ def gray_rows(tower, alpha, rows) -> np.ndarray:
     """Gray images of F_q-expanded rows (the layout of MixedWord.expand),
     one output row per input row: [u | b + c | c] from the column slices
     u = [:, :alpha], b = [:, alpha::2] and c = [:, alpha+1::2]."""
-    m = np.asarray(rows, dtype=np.uint8)
+    m = linalg.as_matrix(rows, field=tower.base)
     b, c = m[:, alpha::2], m[:, alpha + 1 :: 2]
     return np.hstack([m[:, :alpha], tower.base.add(b, c), c])
 
@@ -136,7 +138,9 @@ def shift_invariance_check(image: GrayImageCode) -> bool:
     alpha = beta this is exactly quasi-cyclicity of index 3 on three
     equal blocks."""
     alpha, beta = image.alpha, image.beta
-    half = (np.arange(beta) - 1) % beta
-    sigma = np.concatenate([(np.arange(alpha) - 1) % alpha,
-                            alpha + half, alpha + beta + half])
+    # the expanded column behind each image column: u, b_j for b_j + c_j,
+    # then c_j; sigma is x on the expanded columns read through it
+    behind = np.concatenate([np.arange(alpha), alpha + 2 * np.arange(beta),
+                             alpha + 1 + 2 * np.arange(beta)])
+    sigma = np.argsort(behind)[_shift_columns(alpha, beta, 1)[behind]]
     return invariant_under(image.base, sigma)

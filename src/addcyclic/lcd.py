@@ -87,7 +87,7 @@ def rows_fq_independent(tower, rows) -> bool:
     """True iff the given F_q2 rows are linearly independent over F_q
     (full rank of the 2*beta-wide base-field expansion).  No rows are
     independent; rows of length 0 are zero vectors, so they are not."""
-    rows = np.asarray(rows, dtype=np.uint8)
+    rows = linalg.as_matrix(rows, field=tower.ext)
     if len(rows) == 0:
         return True
     b, c = tower.decompose(rows)

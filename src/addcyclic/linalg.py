@@ -23,9 +23,12 @@ is one big-integer operation on `int.from_bytes(row, "big")`:
   (2p-1)^digits <= 256 a row adds as one integer and one `translate`
   maps each byte's lane sum back to the code of the field sum.  That
   covers the prime fields up to 13 (whose code is the element), F_9,
-  F_25, F_27 and F_49;
-- F_81, F_121 and F_169, whose lane sums would not fit a byte: one
-  `add_table` gather per row operation, in the same loop.
+  F_25, F_27 and F_49.
+
+Elimination over F_81, F_121 or F_169, whose lane sums would not fit a
+byte, raises a ValueError naming the field.  None of them is a tower's
+base field, and the codes are F_q-linear, so nothing eliminates over
+them; `matmul` still serves them.
 
 The tables are built on a field's first elimination.  Repeated and zero
 rows are dropped before eliminating, and rows that reach zero as it
@@ -80,10 +83,11 @@ import numpy as np
 _BYTES = np.arange(256)
 
 
-def as_matrix(rows, width=None):
+def as_matrix(rows, width=None, field=None):
     """Coerce a row list to a uint8 matrix, fixing the width when empty.
     A uint8 array is taken as it is; any other input must hold integers
-    in 0..255, so that no entry wraps round in the cast."""
+    in 0..255, so that no entry wraps round in the cast.  Given a field,
+    an entry past its order is refused too."""
     m = np.asarray(rows)
     if m.dtype != np.uint8:
         outside = ~np.isin(m, _BYTES)
@@ -92,6 +96,8 @@ def as_matrix(rows, width=None):
             raise ValueError(f"entry {m[at].item()!r} at {at} is not an "
                              "integer in 0..255")
         m = m.astype(np.uint8)
+    if field is not None and (m >= field.order).any():
+        raise ValueError(f"entry {m.max()} lies outside F_{field.order}")
     if m.ndim == 2:
         return m
     if m.size == 0:
@@ -105,31 +111,30 @@ class _ByteRows:
     itself, or its lane code.  `encode` and `decode` move between uint8
     matrices and lists of such rows, `by_inverse[c]` and `by_minus[c]`
     are the `translate` tables scaling a row by 1/c and -c (c a code),
-    and `add(row, operand(other))` is row + other."""
+    and `add(row, int.from_bytes(other, "big"))` is row + other."""
 
     def __init__(self, field):
         p, order = field.p, field.order
         digits = round(math.log(order, p))
         lane = 2 * p - 1
         elements, sums = np.arange(order), np.arange(256)
-        if p > 2 and lane**digits <= 256:
+        if p == 2:
+            code, element = elements, np.where(sums < order, sums, 0)
+            self.add = self._add_xor
+        elif lane**digits <= 256:
             place = np.arange(digits)
             code = (elements[:, None] // p**place % p) @ lane**place
             # the element whose code is each lane sum's digits mod p
             element = (sums[:, None] // lane**place % lane % p) @ p**place
-            self.add, self.operand = self._add_lanes, self._int
+            self.add = self._add_lanes
         else:
-            code, element = elements, np.where(sums < order, sums, 0)
-            if p == 2:
-                self.add, self.operand = self._add_xor, self._int
-            else:
-                self.add, self.operand = self._add_gather, self._array
+            raise ValueError(f"no elimination over F_{order}: its lane sums, "
+                             f"{digits} digits in base {lane}, do not fit a byte")
         code, element = code.astype(np.uint8), element.astype(np.uint8)
         identity = np.array_equal(code, elements)
         self.encoding = None if identity else code.tobytes().ljust(256, b"\0")
         self.decoding = None if identity else element.tobytes()
         self.normal = code[element].tobytes()  # a lane sum to its code
-        self.add_table = field.add_table
         scaled = code[field.mul_table[:, element]]  # row c: x to c*x
         self.by_inverse, self.by_minus = [None] * 256, [None] * 256
         for c in range(1, order):
@@ -154,23 +159,12 @@ class _ByteRows:
         return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
     @staticmethod
-    def _int(row):
-        return int.from_bytes(row, "big")
-
-    @staticmethod
-    def _array(row):
-        return np.frombuffer(row, dtype=np.uint8)
-
-    @staticmethod
     def _add_xor(row, operand):
         return (int.from_bytes(row, "big") ^ operand).to_bytes(len(row), "big")
 
     def _add_lanes(self, row, operand):
         lanes = int.from_bytes(row, "big") + operand
         return lanes.to_bytes(len(row), "big").translate(self.normal)
-
-    def _add_gather(self, row, operand):
-        return self.add_table[np.frombuffer(row, dtype=np.uint8), operand].tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +185,7 @@ def _eliminate(arith, rows, width, above=True):
     zero = bytes(width)
     rows = [row for row in dict.fromkeys(rows) if row != zero]
     n = len(rows)
-    add, operand, by_inverse, by_minus = arith.add, arith.operand, arith.by_inverse, arith.by_minus
+    add, by_inverse, by_minus = arith.add, arith.by_inverse, arith.by_minus
     pivots = []
     r = 0
     for col in range(width):
@@ -213,7 +207,7 @@ def _eliminate(arith, rows, width, above=True):
             if c:
                 m = multiples.get(c)
                 if m is None:
-                    m = multiples[c] = operand(top.translate(by_minus[c]))
+                    m = multiples[c] = int.from_bytes(top.translate(by_minus[c]), "big")
                 rows[i] = add(row, m)
         rows[r] = top
         pivots.append(col)
@@ -276,7 +270,7 @@ def reduce_rows(field, basis, pivots, rows):
         raise ValueError(f"row width {V.shape[1]} does not match the basis "
                          f"width {basis.shape[1]}")
     arith = _byte_rows(field)
-    add, operand, by_minus = arith.add, arith.operand, arith.by_minus
+    add, by_minus = arith.add, arith.by_minus
     steps = [(pc, row, {}) for pc, row in zip(pivots, arith.encode(basis))]
     residues = []
     for v in arith.encode(V):
@@ -287,7 +281,7 @@ def reduce_rows(field, basis, pivots, rows):
             if c:
                 m = multiples.get(c)
                 if m is None:
-                    m = multiples[c] = operand(row.translate(by_minus[c]))
+                    m = multiples[c] = int.from_bytes(row.translate(by_minus[c]), "big")
                 v = add(v, m)
         residues.append(v)
     return arith.decode(residues, V.shape)

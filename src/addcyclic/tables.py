@@ -377,7 +377,7 @@ def _verify_table1(rep, entry, budget, seed, mism, details):
         details.append(
             f"d<= {entry.expected_d} confirmed by a witness codeword; "
             "exactness out of desk scale")
-    sing = singleton_check(entry.n, claimed, entry.q**2, entry.expected_d)
+    sing = singleton_check(entry.n, entry.expected_k, entry.expected_d)
     rep.singleton = "attains" if sing.attains else f"slack:{sing.slack}"
     if not sing.attains:
         mism.append("Singleton bound not attained")

@@ -7,8 +7,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from addcyclic.codes import MixedWord
 from addcyclic.fields import (
-    Elem,
     Field,
     FieldMismatchError,
     FieldTower,
@@ -24,58 +24,51 @@ T8 = tower(8)
 TOWERS = (T3, T4, T8)
 
 
-def e(field, v):
-    return Elem(field, v)
-
-
 def test_add_mod3():
-    assert e(T3.base, 2) + e(T3.base, 2) == e(T3.base, 1)
+    assert T3.base.add(2, 2) == 1
 
 
 def test_add_char2():
-    u = T4.u
-    assert u + u == e(T4.base, 0)
+    u = T4.p  # u is encoded by its digits (0, 1) base 2
+    assert T4.base.add(u, u) == 0
 
 
 def test_add_f9_componentwise():
     # (2+w) + (1+2w) = 0
-    a = e(T3.ext, int(T3.compose(2, 1)))
-    b = e(T3.ext, int(T3.compose(1, 2)))
-    assert (a + b).value == 0
+    a, b = int(T3.compose(2, 1)), int(T3.compose(1, 2))
+    assert T3.ext.add(a, b) == 0
 
 
 def test_mul_f4_defining_poly():
-    u = T4.u
-    assert u * u == e(T4.base, int(T4.base.add(T4.p, 1)))  # u^2 = u+1
+    u = T4.p
+    assert T4.base.mul(u, u) == T4.base.add(u, 1)  # u^2 = u+1
 
 
 def test_mul_f8_defining_poly():
-    u = T8.u
-    assert (u * u * u).value == 3  # u^3 = u+1, encoded as digits (1,1,0) base 2
+    f, u = T8.base, T8.p
+    assert f.mul(f.mul(u, u), u) == 3  # u^3 = u+1, encoded as digits (1,1,0) base 2
 
 
 def test_mul_f9_omega():
     # w(w+1) = w^2 + w = 2 + w
-    w = T3.w
-    one = e(T3.ext, 1)
-    assert (w * (w + one)).value == int(T3.compose(2, 1))
+    f, w = T3.ext, T3.omega
+    assert f.mul(w, f.add(w, 1)) == int(T3.compose(2, 1))
 
 
 def test_inv_f4():
-    u = T4.u
-    assert u.inverse().value == int(T4.base.add(T4.p, 1))  # u+1
+    u = T4.p
+    assert T4.base.inv(u) == T4.base.add(u, 1)  # u+1
 
 
 def test_inv_f9():
-    w = T3.w
-    two_w = e(T3.ext, int(T3.compose(0, 2)))
-    assert w.inverse() == two_w
+    # w^-1 = 2w, as w^2 = -1
+    assert T3.ext.inv(T3.omega) == int(T3.compose(0, 2))
 
 
 def test_inv_zero_raises():
     for tw in TOWERS:
         with pytest.raises(ZeroDivisionError):
-            e(tw.ext, 0).inverse()
+            tw.ext.inv(0)
         with pytest.raises(ZeroDivisionError):
             tw.base.inv(0)
 
@@ -97,10 +90,13 @@ def test_inv_zero_raises_for_every_argument_kind():
 
 
 def test_tower_mismatch():
+    # polynomials and words from different towers do not mix
     with pytest.raises(FieldMismatchError):
-        e(T3.base, 1) + e(T4.base, 1)
+        Poly(T3.base, (1,)) + Poly(T4.base, (1,))
     with pytest.raises(FieldMismatchError):
-        e(T3.base, 1) * e(T3.ext, 1)
+        Poly(T3.base, (1,)) * Poly(T3.ext, (1,))
+    with pytest.raises(FieldMismatchError):
+        MixedWord(T3, (1,), (1,)) + MixedWord(T4, (1,), (1,))
 
 
 def test_decompose_examples():
