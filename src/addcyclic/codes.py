@@ -87,12 +87,18 @@ class MixedWord:
 
     @classmethod
     def from_expanded(cls, tower, alpha, beta, vec):
-        vec = np.asarray(vec, dtype=np.uint8)
-        if len(vec) != alpha + 2 * beta:
+        """The word of an expanded row (the layout of `expand`); an entry
+        outside F_q is refused."""
+        return cls._from_rows(tower, alpha, beta, linalg.as_matrix([vec], field=tower.base))[0]
+
+    @classmethod
+    def _from_rows(cls, tower, alpha, beta, rows):
+        """The words of a uint8 block of expanded rows over F_q."""
+        if rows.shape[1] != alpha + 2 * beta:
             raise ValueError("expanded width does not match the block lengths")
-        u = tuple(int(x) for x in vec[:alpha])
-        up = tuple(int(x) for x in tower.compose(vec[alpha::2], vec[alpha + 1 :: 2]))
-        return cls(tower, u, up)
+        uprimes = tower.compose(rows[:, alpha::2], rows[:, alpha + 1 :: 2]).tolist()
+        return [cls(tower, tuple(u), tuple(up))
+                for u, up in zip(rows[:, :alpha].tolist(), uprimes)]
 
     @classmethod
     def from_polys(cls, tower, alpha, beta, a: Poly, b: Poly):
@@ -345,8 +351,7 @@ class _CyclicCode:
                                for i, count in enumerate(self._degree_counts())])
 
     def _words(self, rows):
-        return [MixedWord.from_expanded(self.tower, self.alpha, self.beta, row)
-                for row in rows]
+        return MixedWord._from_rows(self.tower, self.alpha, self.beta, rows)
 
 
 class PureCode(_CyclicCode):

@@ -35,10 +35,21 @@ multiples of row_m, at most _BLOCK_TARGET words at once.  Layer w - 1
 is formed, sorted by last row, when layer w is first asked for, and
 kept.
 
+The engines weigh symbol words, one byte per symbol: the alpha F_q
+columns as they are, each F_q2 pair (b, c) packed as its element
+b + q*c (`_pack`).  Packing is F_q-linear, since F_q embeds in F_q2 as
+the same integers, so the layers combine packed rows by F_q2's
+subtraction and its products with c in F_q, and a distance is the
+count of differing bytes, one comparison over alpha + beta bytes with
+no OR of column pairs.  A code without F_q2 symbols is its own symbol
+words over F_q.  Forms, sweep pools and the sample are packed once.
+
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
 6), so `_Layers` refuses, as past the budget, to form a layer of more
-than _MAX_LAYER_CELLS cells (words x columns).  `min_distance`, the
+than _MAX_LAYER_CELLS cells, words x expanded columns (alpha + 2 beta;
+a packed word holds alpha + beta bytes, so a formed layer takes at most
+the cap in bytes).  `min_distance`, the
 distance the CLI and table 1 report, falls back on the upper bound when
 the search refuses; the sweep skips its triples when their layer 2 is
 refused (a code thousands of columns wide).
@@ -64,8 +75,8 @@ DEFAULT_BUDGET = 2**24
 _WHOLE_CODE = 2**12
 _BLOCK_TARGET = 2**16  # most words weighed at once
 _TRIPLE_POOL_MAX = 40  # larger raw generating sets skip the triple sweep
-# cells (words x columns) of the largest layer formed, 64 MiB as uint8,
-# the size of codes.MAX_CLOSURE_CELLS
+# cells (words x expanded columns) of the largest layer formed, at most
+# 64 MiB packed, the size of codes.MAX_CLOSURE_CELLS
 _MAX_LAYER_CELLS = 2**26
 
 
@@ -97,7 +108,8 @@ class WeightProfile:
     """The alphabet of a word: alpha F_q symbols, one column each, then
     beta F_q2 symbols, two columns each (the layout of MixedWord.expand).
     A symbol counts 1 toward the weight iff any of its columns is
-    nonzero."""
+    nonzero.  The engines weigh packed symbol words instead
+    (`_distances`, module docstring)."""
 
     alpha: int
     beta: int
@@ -157,21 +169,47 @@ def _alphabet(code):
     return WeightProfile(code.alpha, code.beta)
 
 
-def _lightest_nonzero(profile, best, block, word=0):
+def _pack(tower, alpha, block):
+    """The expanded rows of `block` (alpha F_q columns, then F_q2 pairs)
+    one byte per symbol: the alpha columns as they are, then each pair
+    (b, c) as its F_q2 element b + q*c.  F_q-linear (module docstring)."""
+    pairs = tower.compose(block[..., alpha::2], block[..., alpha + 1::2])
+    return np.concatenate([block[..., :alpha], pairs], axis=-1) if alpha else pairs
+
+
+def _symbols(code):
+    """(field, pack) of a code's symbol words: F_q2 and `_pack` for a
+    code with F_q2 symbols, else F_q and the identity."""
+    profile = _alphabet(code)
+    if not profile.beta:
+        return code.field, lambda block: block
+    return code.tower.ext, lambda block: _pack(code.tower, profile.alpha, block)
+
+
+def _distances(a, b):
+    """Symbol distances between the broadcast rows of symbol words a and
+    b: the number of bytes in which they differ."""
+    return (a != b).sum(axis=-1, dtype=np.min_scalar_type(np.shape(a)[-1]))
+
+
+def _lightest_nonzero(best, block, word=0):
     """min(best, smallest nonzero distance between the broadcast rows of
-    block and word); with word = 0 these are the weights of the block."""
-    weights = profile.distances(block, word)
+    symbol words block and word); with word = 0 these are the weights of
+    the block."""
+    weights = _distances(block, word)
     weights = weights[weights > 0]
     return min(best, int(weights.min())) if weights.size else best
 
 
 class _Layers:
-    """The layers of `rows` (module docstring).  A formed layer is one
-    array sorted by last row, with ends[m] its words of last row <= m.
-    A layer of more than _MAX_LAYER_CELLS cells is refused."""
+    """The layers of `rows`, symbol words over `field` combined with the
+    coefficients 1..scalars - 1 of F_q (module docstring).  A formed
+    layer is one array sorted by last row, with ends[m] its words of last
+    row <= m.  A layer of more than _MAX_LAYER_CELLS cells, counted on
+    the expanded `width`, is refused."""
 
-    def __init__(self, field, rows):
-        self.field, self.rows = field, rows
+    def __init__(self, field, rows, scalars, width):
+        self.field, self.rows, self.scalars, self.width = field, rows, scalars, width
         self._formed = [(rows, np.arange(1, len(rows) + 1))]
 
     @cached_property
@@ -179,17 +217,17 @@ class _Layers:
         """negated[m, c - 1] = -c * rows[m], formed when layer 2 is first
         weighed: a search that stops in layer 1 never needs it."""
         field = self.field
-        return field.mul(self.rows[:, None], field.neg(np.arange(1, field.order))[:, None])
+        return field.mul(self.rows[:, None], field.neg(np.arange(1, self.scalars))[:, None])
 
     def layer(self, weight):
         """(words, ends) of layer `weight`, forming the layers below it
         on first use."""
         while len(self._formed) < weight:
             words, ends = self._formed[-1]
-            count = (self.field.order - 1) * int(ends[:-1].sum())
-            if count * words.shape[1] > _MAX_LAYER_CELLS:
+            count = (self.scalars - 1) * int(ends[:-1].sum())
+            if count * self.width > _MAX_LAYER_CELLS:
                 raise _LayerCapError(len(self._formed) + 1, count,
-                                     words.shape[1], _MAX_LAYER_CELLS)
+                                     self.width, _MAX_LAYER_CELLS)
             parts = [self.field.sub(words[: ends[m - 1], None], self.negated[m])
                      .reshape(-1, words.shape[1]) for m in range(1, len(self.rows))]
             self._formed.append((np.concatenate([words[:0]] + parts),
@@ -205,7 +243,7 @@ class _Layers:
             yield self.rows, np.zeros_like(self.rows[:1])
             return
         words, ends = self.layer(weight - 1)
-        step = max(1, max_words // (self.field.order - 1))
+        step = max(1, max_words // (self.scalars - 1))
         for m in range(1, len(self.rows)):
             prefix = words[: ends[m - 1], None]
             for start in range(0, len(prefix), step):
@@ -244,12 +282,12 @@ def _information_sets(field, matrix, pivots, profile):
         form[:, order] = reduced
 
 
-def _brouwer_zimmermann(field, matrix, pivots, profile):
-    """(minimum weight, words weighed) of the row space of a full-rank
-    `matrix` in rref with the given pivots, by the Brouwer-Zimmermann
-    search (module docstring)."""
-    k = len(matrix)
-    sets = list(_information_sets(field, matrix, pivots, profile))
+def _brouwer_zimmermann(code):
+    """(minimum weight, words weighed) of a code of nonzero rank, by the
+    Brouwer-Zimmermann search (module docstring)."""
+    field, profile = code.field, _alphabet(code)
+    k = code.rank
+    sets = list(_information_sets(field, code.matrix, code.pivots, profile))
     done = [0] * len(sets)  # every message of weight <= done[j] weighed in form j
 
     def bound():
@@ -258,11 +296,13 @@ def _brouwer_zimmermann(field, matrix, pivots, profile):
                    for w, (_, piv, need) in zip(done, sets))
 
     best, examined = profile.width + 1, 0
-    layers = [_Layers(field, form) for form, _, _ in sets]
+    symbols, pack = _symbols(code)
+    layers = [_Layers(symbols, pack(form), field.order, profile.width)
+              for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
         for a, b in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
-            weights = profile.distances(a, b)
+            weights = _distances(a, b)
             best = min(best, int(weights.min()))
             examined += weights.size
             if best <= target:
@@ -301,11 +341,11 @@ def min_distance_exact(code: GeneratorMatrixCode,
     total = field.order**r
     if total > budget:
         raise DistanceBudgetError(total, budget)
-    profile = _alphabet(code)
     if total <= _WHOLE_CODE:
-        value = int(profile.weights(_suffix_block(field, code.matrix)[1:]).min())
+        _, pack = _symbols(code)
+        value = int(_distances(pack(_suffix_block(field, code.matrix)[1:]), 0).min())
         return DistanceResult(value=value, exact=True, witnesses_examined=total - 1)
-    value, examined = _brouwer_zimmermann(field, code.matrix, code.pivots, profile)
+    value, examined = _brouwer_zimmermann(code)
     return DistanceResult(value=value, exact=True, witnesses_examined=examined)
 
 
@@ -334,12 +374,13 @@ def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
     sweeps = [(rows, 1), (rows, 2)]
     if len(triple_pool) <= _TRIPLE_POOL_MAX:
         sweeps.append((triple_pool, 3))
-    profile = _alphabet(code)
-    best, examined = profile.width + 1, 0
+    symbols, pack = _symbols(code)
+    best, examined = code.width + 1, 0
     for pool, weight in sweeps:
         try:
-            for a, b in _Layers(field, pool).weighings(weight, _BLOCK_TARGET):
-                best = _lightest_nonzero(profile, best, a, b)
+            layers = _Layers(symbols, pack(pool), q, code.width)
+            for a, b in layers.weighings(weight, _BLOCK_TARGET):
+                best = _lightest_nonzero(best, a, b)
                 examined += len(a) * len(b)
         except _LayerCapError:  # the triples' layer 2 passes the cap: skip them
             continue
@@ -347,7 +388,7 @@ def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
     msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
     msgs = msgs[np.any(msgs, axis=1)]
     if len(msgs):
-        best = _lightest_nonzero(profile, best, linalg.matmul(field, msgs, code.matrix))
+        best = _lightest_nonzero(best, pack(linalg.matmul(field, msgs, code.matrix)))
         examined += len(msgs)
     return DistanceResult(value=best, exact=False,
                           witnesses_examined=examined, seed=seed)

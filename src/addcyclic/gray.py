@@ -53,8 +53,9 @@ def gray_word(word: MixedWord) -> np.ndarray:
 
 
 def gray_word_inverse(tower, alpha, beta, vec) -> MixedWord:
-    """Inverse of gray_word; the map is bijective."""
-    vec = np.asarray(vec, dtype=np.uint8)
+    """Inverse of gray_word; the map is bijective.  An entry outside F_q
+    is refused."""
+    vec = linalg.as_matrix([vec], field=tower.base)[0]
     if len(vec) != alpha + 2 * beta:
         raise ValueError("vector length does not match the split")
     u = tuple(int(x) for x in vec[:alpha])

@@ -1095,6 +1095,17 @@ def test_generator_matrix_code_refuses_entries_outside_fq(q, mat, entry):
     assert GeneratorMatrixCode(tower(q), inside).rank == linalg.rank(tower(q).base, inside)
 
 
+@pytest.mark.parametrize("vec,message", [
+    (np.array([256, 1, 1]), "entry 256 at .* is not an integer in 0..255"),
+    ([1, 4, 1], "entry 4 lies outside F_3"),
+], ids=["256-array", "4"])
+def test_from_expanded_refuses_entries_outside_fq(vec, message):
+    # a cast to bytes would wrap 256 to 0, and (4, 1) would pack as the
+    # F_9 element 7, a pair whose b lies outside F_3
+    with pytest.raises(ValueError, match=message):
+        MixedWord.from_expanded(T3, 1, 1, vec)
+
+
 def test_closure_limit_rejects_absurd_block_lengths():
     for alpha, beta in ((0, 200_000), (997, 1009)):
         doc = {"q": 3, "alpha": alpha, "beta": beta, "s": "1", "l": "0",

@@ -37,7 +37,14 @@ from test_codes import random_mixed_code, random_pure_code
 
 T3 = tower(3)
 T4 = tower(4)
-SWEEP_TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8))
+SWEEP_TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+
+
+def block_stop(tw):
+    """Exclusive upper end of random block lengths over `tw` in the sweep
+    checks: their references build every triple one word at a time,
+    (q - 1)^2 words per triple, so codes above F_8 are kept short."""
+    return 4 if tw.q <= 8 else 3
 
 
 def naive_min_distance(field, matrix, groups):
@@ -76,6 +83,15 @@ def split_of(code):
     if code.alpha is None or code.beta is None:
         return code.width, 0
     return code.alpha, code.beta
+
+
+def unpack(tw, alpha, block):
+    """Expanded rows of symbol words (alpha F_q symbols, then F_q2
+    symbols), each F_q2 symbol split by `decompose` into its pair."""
+    block = np.asarray(block)
+    b, c = tw.decompose(block[..., alpha:])
+    pairs = np.stack([b, c], axis=-1).reshape(*block.shape[:-1], -1)
+    return np.concatenate([block[..., :alpha], pairs], axis=-1).astype(np.uint8)
 
 
 def reference_weights(alpha, beta, block):
@@ -396,14 +412,15 @@ def test_upper_sweep_matches_reference_on_random_codes():
     checked = 0
     while checked < 48:
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
-        code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
+        code = random_mixed_code(rng, tw, rng.randrange(1, 4),
+                                 rng.randrange(1, block_stop(tw)))
         if code.dimension == 0:
             continue
         assert_upper_matches_reference(code.closure, samples=60,
                                        seed=rng.randrange(1000))
         seen.add(tw.q)
         checked += 1
-    assert seen == {2, 3, 4, 5, 7, 8}
+    assert seen == {tw.q for tw in SWEEP_TOWERS}
 
 
 def test_upper_sweep_matches_reference_on_table1_row7():
@@ -420,7 +437,8 @@ def test_upper_sweep_chunk_boundaries(monkeypatch):
     checked = 0
     while checked < 12:
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
-        code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(2, 4))
+        code = random_mixed_code(rng, tw, rng.randrange(1, 4),
+                                 rng.randrange(2, block_stop(tw)))
         if code.dimension < 3:
             continue
         assert_upper_matches_reference(code.closure, samples=20, seed=checked)
@@ -459,14 +477,14 @@ def random_matrix_code(nprng, tw, rank, width, split=(None, None)):
 
 def test_exact_matches_reference_for_every_split():
     # mixed closures, their Gray images and random matrices with random
-    # splits over q in {2,...,8}; the reference splits the messages
+    # splits over q in {2,...,16}; the reference splits the messages
     # after every row
     rng = random.Random(151)
     nprng = np.random.default_rng(151)
     kinds = set()
     above_one = 0
     checked = 0
-    while checked < 60:
+    while checked < 100:
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
         if checked % 2:
             code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
@@ -529,16 +547,26 @@ def layer_order(msg):
 
 
 def test_layer_blocks_are_bounded_and_normalized():
+    # symbol words over F_q (seven F_q symbols) and over F_q2 (one F_q
+    # symbol and three F_q2 symbols packed), combined over F_q
     nprng = np.random.default_rng(157)
-    for q in (2, 3, 4, 5):
-        field = tower(q).base
+    for q, packed in ((2, False), (3, False), (4, False), (5, False),
+                      (3, True), (4, True)):
+        tw = tower(q)
+        field = tw.base
         rows = nprng.integers(0, q, size=(5, 7), dtype=np.uint8)
         k = len(rows)
-        layers = distance._Layers(field, rows)
+        if packed:
+            layers = distance._Layers(tw.ext, distance._pack(tw, 1, rows), q, 7)
+            expand = lambda block: unpack(tw, 1, block)
+        else:
+            layers = distance._Layers(field, rows, q, 7)
+            expand = lambda block: block
         for w in range(1, k + 1):
             pairs = list(layers.weighings(w, 10))
             assert all(len(a) * len(b) <= max(10, q - 1) for a, b in pairs)
-            weighed = np.vstack([field.sub(a, b).reshape(-1, 7) for a, b in pairs])
+            weighed = np.vstack([expand(layers.field.sub(a, b)).reshape(-1, 7)
+                                 for a, b in pairs])
             words, ends = layers.layer(w)
             msgs = sorted(leading_one_messages(q, k, w), key=layer_order)
             msgs = np.array(msgs, dtype=np.uint8)
@@ -550,7 +578,7 @@ def test_layer_blocks_are_bounded_and_normalized():
             # the weighings and the formed layer list the words in
             # message order, sorted by the last row they combine
             assert np.array_equal(weighed, expected)
-            assert np.array_equal(words, expected)
+            assert np.array_equal(expand(words), expected)
             last_row = np.array([max(np.flatnonzero(m)) for m in msgs])
             assert np.array_equal(ends, [np.sum(last_row <= m) for m in range(k)])
 
@@ -575,7 +603,7 @@ def bz_case_code(rng, nprng, tw, kind):
 
 def test_brouwer_zimmermann_matches_reference():
     # the search called directly, whatever the code's size, on F_q
-    # symbols, F_q2 symbols and both over q in {2, ..., 8}
+    # symbols, F_q2 symbols and both over q in {2, ..., 16}
     rng = random.Random(181)
     nprng = np.random.default_rng(181)
     kinds, values, partial, checked = set(), set(), 0, 0
@@ -586,8 +614,7 @@ def test_brouwer_zimmermann_matches_reference():
             continue
         split = split_of(gm)
         profile = WeightProfile(*split)
-        value, examined = distance._brouwer_zimmermann(gm.field, gm.matrix,
-                                                      gm.pivots, profile)
+        value, examined = distance._brouwer_zimmermann(gm)
         assert value == reference_exact(gm, rng.randrange(1, gm.rank + 1))
         assert 1 <= examined <= (gm.size - 1) // (tw.q - 1) * sum(split)
         sets = list(distance._information_sets(gm.field, gm.matrix, gm.pivots,
@@ -635,19 +662,20 @@ def test_exact_above_the_cut_matches_reference(monkeypatch):
     # target of 64 words every layer comes in many weighings, none larger
     monkeypatch.setattr(distance, "_BLOCK_TARGET", 64)
     sizes = []
-    distances = WeightProfile.distances
+    distances = distance._distances
 
-    def record(profile, block, word):
-        weighed = distances(profile, block, word)
+    def record(block, word):
+        weighed = distances(block, word)
         sizes.append(weighed.size)
         return weighed
 
-    monkeypatch.setattr(WeightProfile, "distances", record)
+    monkeypatch.setattr(distance, "_distances", record)
     rng = random.Random(193)
     nprng = np.random.default_rng(193)
-    shapes = ((2, 13, 30), (2, 14, 28), (3, 8, 20), (3, 9, 18), (4, 7, 16), (8, 5, 12))
+    shapes = ((2, 13, 30), (2, 14, 28), (3, 8, 20), (3, 9, 18), (4, 7, 16), (8, 5, 12),
+              (9, 4, 10), (13, 4, 8))
     kinds, checked = set(), 0
-    while checked < 18:
+    while checked < 24:
         q, rank, width = shapes[checked % len(shapes)]
         # F_q symbols only, F_q2 symbols only, then both, in turn
         beta = (0, width // 2, rng.randrange(1, width // 2))[checked % 3]
@@ -681,6 +709,31 @@ def test_distances_match_weights_of_difference():
         assert np.array_equal(profile.distances(block, 0), profile.weights(block))
     with pytest.raises(ValueError):
         WeightProfile.singletons(3).distances(np.zeros((2, 3), np.uint8), [0, 0])
+
+
+@pytest.mark.parametrize("tw", SWEEP_TOWERS, ids=lambda tw: f"q{tw.q}")
+def test_symbol_packing_is_fq_linear(tw):
+    # the engines weigh F_q2 pairs (b, c) packed as b + q*c: packing must
+    # turn F_q differences and F_q multiples of expanded rows into those
+    # of F_q2, and weigh them alike
+    rng = random.Random(227 + tw.q)
+    nprng = np.random.default_rng(227 + tw.q)
+    base, ext = tw.base, tw.ext
+    for _ in range(10):
+        alpha, beta = rng.randrange(4), rng.randrange(1, 5)
+        profile = WeightProfile(alpha, beta)
+        x, y = nprng.integers(0, tw.q, size=(2, rng.randrange(1, 20), profile.width),
+                              dtype=np.uint8)
+        c = nprng.integers(0, tw.q, size=(len(x), 1), dtype=np.uint8)
+
+        def pack(block):
+            return distance._pack(tw, alpha, block)
+
+        assert np.array_equal(pack(base.sub(x, y)), ext.sub(pack(x), pack(y)))
+        assert np.array_equal(pack(base.mul(c, x)), ext.mul(c, pack(x)))
+        assert np.array_equal(unpack(tw, alpha, pack(x)), x)
+        assert np.array_equal(distance._distances(pack(x), pack(y)),
+                              profile.distances(x, y))
 
 
 def test_weights_hold_more_than_255_groups():
@@ -722,6 +775,22 @@ def test_distances_between_blocks_match_weights_of_difference():
     with pytest.raises(ValueError):
         WeightProfile.singletons(3).distances(np.zeros((2, 3), np.uint8),
                                               np.zeros((2, 2), np.uint8))
+
+
+def test_layer_cap_counts_expanded_columns_of_a_pure_code(monkeypatch):
+    # F_q2 symbols only: the search weighs words of 14 symbols, but the
+    # cap counts the 28 expanded columns, so layer 3 (336 words) is
+    # refused one cell below 336 * 28 and formed at it
+    mat = np.random.default_rng(309).integers(0, 3, size=(9, 28), dtype=np.uint8)
+    gm = GeneratorMatrixCode(T3, mat, alpha=0, beta=14)
+    assert gm.rank == 9 and gm.size > distance._WHOLE_CODE
+    monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 336 * 28 - 1)
+    with pytest.raises(DistanceBudgetError, match="layer 3 of 336 words x 28 columns"):
+        min_distance_exact(gm)
+    monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 336 * 28)
+    res = min_distance_exact(gm)
+    assert (res.value, res.witnesses_examined) == (6, 2259)
+    assert res.value == reference_exact(gm, 4)
 
 
 def test_upper_sweep_skips_triples_past_the_layer_cap(monkeypatch):
@@ -791,25 +860,27 @@ def sorted_rows(block):
 
 
 def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
-    # each weighing of `distances(block, word)` stands for the words
-    # block - word; together they must be the reference candidates
+    # each weighing of the symbol words `block` against `word` stands for
+    # the words block - word, over F_q2; expanded, together they must be
+    # the reference candidates
     weighed = []
     lightest = distance._lightest_nonzero
 
-    def record(profile, best, block, word=0):
+    def record(best, block, word=0):
         block, word = np.broadcast_arrays(np.atleast_2d(block), word)
-        weighed.append(field.sub(block, word).reshape(-1, profile.width))
-        return lightest(profile, best, block, word)
+        symbols = tw.ext.sub(block, word)
+        weighed.append(unpack(tw, gm.alpha, symbols).reshape(-1, gm.width))
+        return lightest(best, block, word)
 
     monkeypatch.setattr(distance, "_lightest_nonzero", record)
     rng = random.Random(199)
     checked = 0
     while checked < 18:
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
-        code = random_mixed_code(rng, tw, rng.randrange(1, 3), rng.randrange(1, 4))
+        code = random_mixed_code(rng, tw, rng.randrange(1, 3),
+                                 rng.randrange(1, block_stop(tw)))
         if code.dimension < 2:
             continue
-        field = tw.base
         weighed.clear()
         gm = code.closure
         min_distance_upper(gm, samples=15, seed=checked)

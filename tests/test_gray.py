@@ -67,6 +67,18 @@ def test_gray_roundtrip_randomized():
         assert gray_word_inverse(tw, alpha, beta, gray_word(w)) == w
 
 
+@pytest.mark.parametrize("vec,message", [
+    ([5, 1, 1], "entry 5 lies outside F_3"),
+    ([256, 1, 1], "entry 256 at .* is not an integer in 0..255"),
+    (np.array([256, 1, 1]), "entry 256 at .* is not an integer in 0..255"),
+], ids=["5", "256-list", "256-array"])
+def test_gray_word_inverse_refuses_entries_outside_fq(vec, message):
+    # an image word lies in F_q^(alpha + 2 beta): 5 would pass into u as an
+    # element outside F_3, and a cast to bytes would wrap 256 to 0
+    with pytest.raises(ValueError, match=message):
+        gray_word_inverse(T3, 1, 1, vec)
+
+
 def test_gray_linearity_randomized():
     rng = random.Random(71)
     for _ in range(2_000):
