@@ -34,11 +34,9 @@ from .distance import (
     DEFAULT_BUDGET,
     DistanceBudgetError,
     DistanceResult,
-    WeightProfile,
     min_distance,
     min_distance_exact,
     min_distance_upper,
-    weight,
 )
 from .fields import Field, FieldMismatchError, FieldTower, tower
 from .gray import (

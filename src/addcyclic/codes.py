@@ -60,6 +60,12 @@ class MixedWord:
     u: tuple
     uprime: tuple
 
+    def __post_init__(self):
+        t = self.tower
+        for name, block, order in (("u", self.u, t.q), ("u'", self.uprime, t.ext.order)):
+            if block and not 0 <= min(block) <= max(block) < order:
+                raise ValueError(f"an entry of {name} lies outside F_{order}")
+
     @property
     def alpha(self):
         return len(self.u)
@@ -96,9 +102,8 @@ class MixedWord:
         """The words of a uint8 block of expanded rows over F_q."""
         if rows.shape[1] != alpha + 2 * beta:
             raise ValueError("expanded width does not match the block lengths")
-        uprimes = tower.compose(rows[:, alpha::2], rows[:, alpha + 1 :: 2]).tolist()
-        return [cls(tower, tuple(u), tuple(up))
-                for u, up in zip(rows[:, :alpha].tolist(), uprimes)]
+        return [cls(tower, tuple(word[:alpha]), tuple(word[alpha:]))
+                for word in _pack(tower, alpha, rows).tolist()]
 
     @classmethod
     def from_polys(cls, tower, alpha, beta, a: Poly, b: Poly):
@@ -165,12 +170,12 @@ def inner_product(x: MixedWord, y: MixedWord) -> int:
 class GeneratorMatrixCode:
     """An F_q-linear code given by an rref basis matrix.
 
-    For codes on the mixed alphabet the width is alpha + 2*beta (checked)
-    with the expansion layout of MixedWord.expand, and the split sets the
-    weight of the code's words; plain F_q codes (Gray images, hulls)
-    leave alpha/beta None and weigh one symbol per column.  `pivots`
-    holds the pivot column of each basis row, for membership tests
-    against the basis.  The stored matrix is read-only: codes derived
+    For codes on the mixed alphabet the split (alpha, beta), both set
+    and nonnegative, covers the width alpha + 2*beta (checked) with the
+    expansion layout of MixedWord.expand, and sets the weight of the
+    code's words; plain F_q codes (Gray images, hulls) leave both None
+    and weigh one symbol per column.  `pivots` holds the pivot column of
+    each basis row, for membership tests against the basis.  The stored matrix is read-only: codes derived
     from it are memoized on this object (`_memo`) and must not go stale.
     """
 
@@ -184,10 +189,16 @@ class GeneratorMatrixCode:
 
     def __post_init__(self):
         M = linalg.as_matrix(self.matrix, field=self.tower.base)
+        if (self.alpha is None) != (self.beta is None):
+            raise ValueError("a split needs both alpha and beta, or neither")
+        if self.alpha is not None:
+            if self.alpha < 0 or self.beta < 0:
+                raise ValueError(f"split alpha={self.alpha}, beta={self.beta} "
+                                 "has a negative block length")
+            if self.alpha + 2 * self.beta != M.shape[1]:
+                raise ValueError(f"split alpha={self.alpha}, beta={self.beta} does not "
+                                 f"cover the {M.shape[1]} columns")
         R, r, pivots = linalg.rref(self.tower.base, M)
-        if None not in (self.alpha, self.beta) and self.alpha + 2 * self.beta != R.shape[1]:
-            raise ValueError(f"split alpha={self.alpha}, beta={self.beta} does not "
-                             f"cover the {R.shape[1]} columns")
         self.matrix = R[:r].copy()
         self.matrix.setflags(write=False)
         self.pivots = tuple(pivots)
@@ -249,6 +260,14 @@ def _shift_columns(alpha, beta, t):
         (np.arange(alpha) - t) % alpha,
         alpha + 2 * ((cols // 2 - t) % beta) + cols % 2,
     ], axis=-1)
+
+
+def _pack(tower, alpha, block):
+    """The expanded rows of `block` one entry per symbol: the alpha F_q
+    columns as they are, then each F_q2 pair (b, c) as its element
+    b + q*c.  F_q-linear, since F_q embeds in F_q2 as the same integers."""
+    pairs = tower.compose(block[..., alpha::2], block[..., alpha + 1::2])
+    return np.concatenate([block[..., :alpha], pairs], axis=-1) if alpha else pairs
 
 
 def _closure_order(alpha, beta):

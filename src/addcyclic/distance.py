@@ -1,10 +1,10 @@
 """Minimum-distance computation.
 
-A code's alphabet sets its weight (`WeightProfile`): alpha F_q symbols
-of one column and beta F_q2 symbols of two when the code carries its
-split (alpha, beta), else one F_q symbol per column (Gray images,
-hulls).  Codes of at most _WHOLE_CODE words are weighed whole.  Larger
-ones go to the Brouwer-Zimmermann search (Zimmermann 1996; Grassl,
+A code's split is its alphabet: alpha F_q symbols of one column and
+beta F_q2 symbols of two when the code carries a split (alpha, beta),
+else one F_q symbol per column (Gray images, hulls).  Codes of at most
+_WHOLE_CODE words are weighed whole.  Larger ones go to the
+Brouwer-Zimmermann search (Zimmermann 1996; Grassl,
 "Searching for linear codes with large minimum distance", 2006).  The
 rank-k generator matrix is written in systematic form over several
 information sets whose symbols are disjoint: the stored rref first,
@@ -37,22 +37,22 @@ kept.
 
 The engines weigh symbol words, one byte per symbol: the alpha F_q
 columns as they are, each F_q2 pair (b, c) packed as its element
-b + q*c (`_pack`).  Packing is F_q-linear, since F_q embeds in F_q2 as
-the same integers, so the layers combine packed rows by F_q2's
+b + q*c (`codes._pack`).  Packing is F_q-linear, since F_q embeds in
+F_q2 as the same integers, so the layers combine packed rows by F_q2's
 subtraction and its products with c in F_q, and a distance is the
-count of differing bytes, one comparison over alpha + beta bytes with
-no OR of column pairs.  A code without F_q2 symbols is its own symbol
-words over F_q.  Forms, sweep pools and the sample are packed once.
+count of differing bytes over alpha + beta symbols.  A code without
+F_q2 symbols is its own symbol words over F_q.  Forms, sweep pools and
+the sample are packed once.
 
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
 6), so `_Layers` refuses, as past the budget, to form a layer of more
 than _MAX_LAYER_CELLS cells, words x expanded columns (alpha + 2 beta;
 a packed word holds alpha + beta bytes, so a formed layer takes at most
-the cap in bytes).  `min_distance`, the
-distance the CLI and table 1 report, falls back on the upper bound when
-the search refuses; the sweep skips its triples when their layer 2 is
-refused (a code thousands of columns wide).
+the cap in bytes).  `min_distance`, the distance the CLI and table 1
+report, falls back on the upper bound when the search refuses; the
+sweep skips its triples when their layer 2 is refused (a code thousands
+of columns wide).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrixCode
+from .codes import GeneratorMatrixCode, _pack
 from .linalg import _suffix_block
 
 DEFAULT_BUDGET = 2**24
@@ -103,87 +103,19 @@ class _LayerCapError(DistanceBudgetError):
         self.budget = cap
 
 
-@dataclass(frozen=True)
-class WeightProfile:
-    """The alphabet of a word: alpha F_q symbols, one column each, then
-    beta F_q2 symbols, two columns each (the layout of MixedWord.expand).
-    A symbol counts 1 toward the weight iff any of its columns is
-    nonzero.  The engines weigh packed symbol words instead
-    (`_distances`, module docstring)."""
-
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-
-    @classmethod
-    def singletons(cls, n):
-        return cls(n, 0)
-
-    @property
-    def width(self):
-        return self.alpha + 2 * self.beta
-
-    @cached_property
-    def _tally(self):
-        """Narrowest unsigned dtype holding any weight: summing the symbols
-        in it is several times faster than in intp."""
-        return np.min_scalar_type(self.alpha + self.beta)
-
-    def distances(self, block, word) -> np.ndarray:
-        """Symbol distances between the rows of `block` and `word`: the
-        number of symbols in which they differ.  The operands broadcast
-        as arrays of rows (a block against one word, or a block against
-        a block), and the result has their broadcast shape without the
-        row axis.  Column-major blocks are summed fastest."""
-        block = np.atleast_2d(np.asarray(block))
-        word = np.asarray(word)
-        if block.shape[-1] != self.width or word.ndim and word.shape[-1] != self.width:
-            raise ValueError("row width does not match the profile")
-        differ = block != word
-        a, tally = self.alpha, self._tally
-        if not self.beta:
-            return differ.sum(axis=-1, dtype=tally)
-        weights = (differ[..., a::2] | differ[..., a + 1::2]).sum(axis=-1, dtype=tally)
-        if a:
-            weights += differ[..., :a].sum(axis=-1, dtype=tally)
-        return weights
-
-    def weights(self, block) -> np.ndarray:
-        """Vector of symbol weights for a block of row vectors."""
-        return self.distances(block, 0)
-
-
-def weight(vec, profile: WeightProfile) -> int:
-    """Number of alphabet symbols of a single word that are nonzero."""
-    return int(profile.weights(np.asarray(vec).reshape(1, -1))[0])
-
-
 def _alphabet(code):
-    """The profile of a code's words: its split (alpha, beta) when set,
-    else F_q singletons (Gray images, hulls, bare generator matrices)."""
-    if code.alpha is None or code.beta is None:
-        return WeightProfile.singletons(code.width)
-    return WeightProfile(code.alpha, code.beta)
-
-
-def _pack(tower, alpha, block):
-    """The expanded rows of `block` (alpha F_q columns, then F_q2 pairs)
-    one byte per symbol: the alpha columns as they are, then each pair
-    (b, c) as its F_q2 element b + q*c.  F_q-linear (module docstring)."""
-    pairs = tower.compose(block[..., alpha::2], block[..., alpha + 1::2])
-    return np.concatenate([block[..., :alpha], pairs], axis=-1) if alpha else pairs
+    """(alpha, beta) of a code's words: its split when set, else one F_q
+    symbol per column (Gray images, hulls, bare generator matrices)."""
+    return (code.width, 0) if code.alpha is None else (code.alpha, code.beta)
 
 
 def _symbols(code):
     """(field, pack) of a code's symbol words: F_q2 and `_pack` for a
     code with F_q2 symbols, else F_q and the identity."""
-    profile = _alphabet(code)
-    if not profile.beta:
+    alpha, beta = _alphabet(code)
+    if not beta:
         return code.field, lambda block: block
-    return code.tower.ext, lambda block: _pack(code.tower, profile.alpha, block)
+    return code.tower.ext, lambda block: _pack(code.tower, alpha, block)
 
 
 def _distances(a, b):
@@ -250,7 +182,7 @@ class _Layers:
                 yield prefix[start : start + step], self.negated[m]
 
 
-def _information_sets(field, matrix, pivots, profile):
+def _information_sets(field, matrix, pivots, alpha, beta):
     """Systematic forms of the full-rank `matrix` over information sets
     whose symbols are disjoint, chosen greedily: the first is the stored
     rref and its pivots; each next one is the pivot columns, inside the
@@ -259,7 +191,6 @@ def _information_sets(field, matrix, pivots, profile):
     first r rows of the form carrying the identity on its r pivot
     columns, and need[t] the fewest symbols of the set that hold t of
     its pivots for t <= r."""
-    alpha, beta = profile.alpha, profile.beta
     symbol = np.concatenate([np.arange(alpha), alpha + np.arange(2 * beta) // 2])
     used = np.zeros(alpha + beta, dtype=bool)
     form, pivots = matrix, np.asarray(pivots, dtype=np.intp)
@@ -268,7 +199,7 @@ def _information_sets(field, matrix, pivots, profile):
         covered = np.cumsum(np.sort(held)[::-1])
         need = np.searchsorted(covered, np.arange(pivots.size + 2)) + 1
         # t = r + 1 pivots: every message of the form was weighed, no word is unseen
-        need[0], need[-1] = 0, profile.width + 1
+        need[0], need[-1] = 0, matrix.shape[1] + 1
         yield form, pivots, need
         used[symbol[pivots]] = True
         taken = used[symbol]
@@ -285,9 +216,8 @@ def _information_sets(field, matrix, pivots, profile):
 def _brouwer_zimmermann(code):
     """(minimum weight, words weighed) of a code of nonzero rank, by the
     Brouwer-Zimmermann search (module docstring)."""
-    field, profile = code.field, _alphabet(code)
-    k = code.rank
-    sets = list(_information_sets(field, code.matrix, code.pivots, profile))
+    field, k = code.field, code.rank
+    sets = list(_information_sets(field, code.matrix, code.pivots, *_alphabet(code)))
     done = [0] * len(sets)  # every message of weight <= done[j] weighed in form j
 
     def bound():
@@ -295,9 +225,9 @@ def _brouwer_zimmermann(code):
         return sum(int(need[max(0, w + 1 - (k - len(piv)))])
                    for w, (_, piv, need) in zip(done, sets))
 
-    best, examined = profile.width + 1, 0
+    best, examined = code.width + 1, 0
     symbols, pack = _symbols(code)
-    layers = [_Layers(symbols, pack(form), field.order, profile.width)
+    layers = [_Layers(symbols, pack(form), field.order, code.width)
               for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))

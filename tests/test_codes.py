@@ -1081,6 +1081,22 @@ def test_generator_matrix_code_refuses_a_split_off_its_width():
         GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8), alpha=1, beta=0)
 
 
+def test_generator_matrix_code_refuses_a_negative_block_length():
+    # -2 + 2 * 3 covers the 4 columns, but no alphabet has -2 symbols
+    with pytest.raises(ValueError, match="negative block length"):
+        GeneratorMatrixCode(tower(3), [[1, 0, 1, 2]], alpha=-2, beta=3)
+    with pytest.raises(ValueError, match="negative block length"):
+        GeneratorMatrixCode(tower(3), [[1, 0, 1]], alpha=5, beta=-1)
+
+
+def test_generator_matrix_code_refuses_half_a_split():
+    # a split with one block length unset would be weighed as F_q columns
+    mat = np.ones((1, 5), np.uint8)
+    for alpha, beta in ((3, None), (None, 1), (5, None), (None, 0)):
+        with pytest.raises(ValueError, match="both alpha and beta, or neither"):
+            GeneratorMatrixCode(T3, mat, alpha=alpha, beta=beta)
+
+
 @pytest.mark.parametrize("q,mat,entry", [
     (3, [[5, 1, 0], [0, 1, 1]], 5),      # odd prime: the lane code
     (4, [[7, 1, 0]], 7),                 # characteristic 2: XOR rows
@@ -1104,6 +1120,32 @@ def test_from_expanded_refuses_entries_outside_fq(vec, message):
     # F_9 element 7, a pair whose b lies outside F_3
     with pytest.raises(ValueError, match=message):
         MixedWord.from_expanded(T3, 1, 1, vec)
+
+
+@pytest.mark.parametrize("u,uprime,message", [
+    ((5,), (1,), "an entry of u lies outside F_3"),
+    ((0,), (100,), "an entry of u' lies outside F_9"),
+    ((1, 2), (8, 9), "an entry of u' lies outside F_9"),
+    ((-1,), (), "an entry of u lies outside F_3"),
+], ids=["u-5", "uprime-100", "uprime-9", "u-negative"])
+def test_mixed_word_refuses_entries_outside_its_fields(u, uprime, message):
+    # (5 | 100) would expand to [5, 1, 33], entries outside F_3
+    with pytest.raises(ValueError, match=message):
+        MixedWord(T3, u, uprime)
+
+
+def test_mixed_word_arithmetic_stays_in_its_fields():
+    # star, sums and from_polys build their words through the checked
+    # constructor, at the edges of F_q and F_q2
+    for q in (2, 3, 16):
+        tw = tower(q)
+        top, ext_top = q - 1, q * q - 1
+        w = word(tw, (top, 0, 1), (ext_top, 0, q))
+        for built in (w + w, star(Poly(tw.base, [1, top]), w)):
+            assert built.expand().max() < q
+        made = MixedWord.from_polys(tw, 2, 3, Poly(tw.base, [top, 1]),
+                                    Poly(tw.ext, [ext_top, 0, q]))
+        assert made.u == (top, 1) and made.uprime == (ext_top, 0, q)
 
 
 def test_closure_limit_rejects_absurd_block_lengths():

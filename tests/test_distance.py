@@ -6,8 +6,10 @@ the vectorized engine it checks.  The chunked upper-bound sweep is
 checked against its per-combination loop (`reference_upper`), the
 exact engine, whole-code weighing and Brouwer-Zimmermann search alike,
 against a partition loop over every prefix/suffix split of the message
-space (`reference_exact`), and the weight kernel against
-`bitwise_or.reduceat` over the column groups of (alpha, beta).
+space (`reference_exact`).  The references weigh expanded rows by
+`bitwise_or.reduceat` over the column groups of (alpha, beta)
+(`reference_weights`), so they check the engines' packing of each F_q2
+pair into one symbol as well as their search.
 """
 
 import random
@@ -18,14 +20,19 @@ import numpy as np
 import pytest
 
 from addcyclic import distance
-from addcyclic.codes import GeneratorMatrixCode, MixedCode, _suffix_block, projections
+from addcyclic.codes import (
+    GeneratorMatrixCode,
+    MixedCode,
+    MixedWord,
+    _pack,
+    _suffix_block,
+    projections,
+)
 from addcyclic.distance import (
     DistanceBudgetError,
-    WeightProfile,
     min_distance,
     min_distance_exact,
     min_distance_upper,
-    weight,
 )
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image
@@ -189,29 +196,16 @@ def split_kind(alpha, beta):
     return "pairs" if not alpha else "singletons" if not beta else "mixed"
 
 
-def test_weight_examples():
-    prof = WeightProfile(2, 2)
-    assert weight([1, 0, 0, 0, 0, 1], prof) == 2
-    assert weight([0, 0, 0, 0, 0, 0], prof) == 0
-    assert weight([1, 1], WeightProfile.singletons(2)) == 2
-
-
 def test_gray_image_weight_can_exceed_mixed_weight():
-    # the word (0 | w) has mixed weight 1; its image (1, 1) has weight 2
-    from addcyclic.codes import MixedWord
+    # the word (0 | w) weighs 1 in F_9 symbols and its image (1, 1) 2 in
+    # F_3 symbols: the distances of the one-row codes they span
     from addcyclic.gray import gray_word
     w = MixedWord(T3, (), (T3.omega,))
-    assert weight(w.expand(), WeightProfile(0, 1)) == 1
     img = gray_word(w)
     assert list(img) == [1, 1]
-    assert weight(img, WeightProfile.singletons(2)) == 2
-
-
-def test_weight_profile_validation():
-    with pytest.raises(ValueError):
-        WeightProfile(-1, 2)
-    with pytest.raises(ValueError):
-        weight([1, 0, 0], WeightProfile.singletons(2))
+    mixed = GeneratorMatrixCode(T3, [w.expand()], alpha=0, beta=1)
+    assert min_distance_exact(mixed).value == 1
+    assert min_distance_exact(GeneratorMatrixCode(T3, [img])).value == 2
 
 
 def test_exact_all_ones_span():
@@ -391,21 +385,6 @@ def test_singleton_bound_on_computed_distances():
         assert d <= img.length - img.rank + 1
 
 
-def test_weight_kernel_matches_reduceat_oracle():
-    rng = random.Random(131)
-    nprng = np.random.default_rng(131)
-    kinds = set()
-    for _ in range(300):
-        width = rng.randrange(1, 14)
-        split = random_split(rng, width)
-        kinds.add(split_kind(*split))
-        block = nprng.integers(0, rng.choice((2, 3, 9)),
-                               size=(rng.randrange(0, 40), width), dtype=np.uint8)
-        assert np.array_equal(WeightProfile(*split).weights(block),
-                              reference_weights(*split, block))
-    assert kinds == {"singletons", "pairs", "mixed"}  # every part of the kernel ran
-
-
 def test_upper_sweep_matches_reference_on_random_codes():
     rng = random.Random(137)
     seen = set()
@@ -520,8 +499,7 @@ def test_exact_counts_brouwer_zimmermann_words():
     # (4 + 1) + (3 + 1 - 1) = 8 = d, so the search stops there
     img = gray_image(build_table2_code(TABLE2[5], strict=False))
     sets = list(distance._information_sets(img.base.field, img.matrix,
-                                           img.base.pivots,
-                                           WeightProfile.singletons(29)))
+                                           img.base.pivots, 29, 0))
     assert [len(pivots) for _, pivots, _ in sets] == [15, 14]
     layer = [comb(15, w) * 2 ** (w - 1) for w in range(5)]
     res = min_distance_exact(img.base)
@@ -557,7 +535,7 @@ def test_layer_blocks_are_bounded_and_normalized():
         rows = nprng.integers(0, q, size=(5, 7), dtype=np.uint8)
         k = len(rows)
         if packed:
-            layers = distance._Layers(tw.ext, distance._pack(tw, 1, rows), q, 7)
+            layers = distance._Layers(tw.ext, _pack(tw, 1, rows), q, 7)
             expand = lambda block: unpack(tw, 1, block)
         else:
             layers = distance._Layers(field, rows, q, 7)
@@ -613,12 +591,11 @@ def test_brouwer_zimmermann_matches_reference():
         if gm.rank == 0 or gm.size > 3**8:
             continue
         split = split_of(gm)
-        profile = WeightProfile(*split)
         value, examined = distance._brouwer_zimmermann(gm)
         assert value == reference_exact(gm, rng.randrange(1, gm.rank + 1))
         assert 1 <= examined <= (gm.size - 1) // (tw.q - 1) * sum(split)
         sets = list(distance._information_sets(gm.field, gm.matrix, gm.pivots,
-                                               profile))
+                                               *split))
         partial += len(sets) > 1 and len(sets[-1][1]) < gm.rank
         kinds.add(split_kind(*split))
         values.add(value)
@@ -641,7 +618,7 @@ def test_information_sets_are_disjoint_and_systematic():
         group_of = {col: g for g, cols in enumerate(groups) for col in cols}
         seen = set()
         for form, pivots, need in distance._information_sets(
-                gm.field, gm.matrix, gm.pivots, WeightProfile(*split)):
+                gm.field, gm.matrix, gm.pivots, *split):
             # same code, and the set's r pivot columns carry an identity
             assert GeneratorMatrixCode(tw, form).equals(gm)
             r = len(pivots)
@@ -692,53 +669,38 @@ def test_exact_above_the_cut_matches_reference(monkeypatch):
     assert kinds == {"mixed", "singletons", "pairs"}
 
 
-def test_distances_match_weights_of_difference():
-    rng = random.Random(167)
-    nprng = np.random.default_rng(167)
-    for _ in range(200):
-        field = rng.choice(SWEEP_TOWERS).base
-        width = rng.randrange(1, 14)
-        profile = WeightProfile(*random_split(rng, width))
-        block = nprng.integers(0, field.order, size=(rng.randrange(0, 40), width),
-                               dtype=np.uint8)
-        if rng.randrange(2):
-            block = np.asfortranarray(block)
-        word = nprng.integers(0, field.order, size=width, dtype=np.uint8)
-        assert np.array_equal(profile.distances(block, word),
-                              profile.weights(field.sub(block, word)))
-        assert np.array_equal(profile.distances(block, 0), profile.weights(block))
-    with pytest.raises(ValueError):
-        WeightProfile.singletons(3).distances(np.zeros((2, 3), np.uint8), [0, 0])
-
-
 @pytest.mark.parametrize("tw", SWEEP_TOWERS, ids=lambda tw: f"q{tw.q}")
 def test_symbol_packing_is_fq_linear(tw):
     # the engines weigh F_q2 pairs (b, c) packed as b + q*c: packing must
     # turn F_q differences and F_q multiples of expanded rows into those
-    # of F_q2, and weigh them alike
+    # of F_q2, and count the differing column groups of expanded rows
     rng = random.Random(227 + tw.q)
     nprng = np.random.default_rng(227 + tw.q)
     base, ext = tw.base, tw.ext
     for _ in range(10):
         alpha, beta = rng.randrange(4), rng.randrange(1, 5)
-        profile = WeightProfile(alpha, beta)
-        x, y = nprng.integers(0, tw.q, size=(2, rng.randrange(1, 20), profile.width),
+        x, y = nprng.integers(0, tw.q, size=(2, rng.randrange(1, 20), alpha + 2 * beta),
                               dtype=np.uint8)
         c = nprng.integers(0, tw.q, size=(len(x), 1), dtype=np.uint8)
 
         def pack(block):
-            return distance._pack(tw, alpha, block)
+            return _pack(tw, alpha, block)
 
         assert np.array_equal(pack(base.sub(x, y)), ext.sub(pack(x), pack(y)))
         assert np.array_equal(pack(base.mul(c, x)), ext.mul(c, pack(x)))
         assert np.array_equal(unpack(tw, alpha, pack(x)), x)
         assert np.array_equal(distance._distances(pack(x), pack(y)),
-                              profile.distances(x, y))
+                              reference_weights(alpha, beta, base.sub(x, y)))
 
 
 def test_weights_hold_more_than_255_groups():
-    profile = WeightProfile.singletons(300)
-    assert profile.weights(np.ones((2, 300), dtype=np.uint8)).tolist() == [300, 300]
+    # one all-ones row of 300 F_3 symbols, past a uint8 tally, and the
+    # same row as 150 F_9 symbols, a tally of symbols and not columns
+    ones = np.ones((1, 300), dtype=np.uint8)
+    for alpha, beta, d in ((None, None, 300), (0, 150, 150)):
+        gm = GeneratorMatrixCode(T3, ones, alpha=alpha, beta=beta)
+        assert min_distance_exact(gm).value == d
+        assert min_distance_upper(gm, samples=5).value == d
 
 
 def test_budget_applies_to_all_codewords_not_projective_count():
@@ -750,31 +712,6 @@ def test_budget_applies_to_all_codewords_not_projective_count():
         min_distance_exact(gm, budget=total - 1)
     assert info.value.required == total
     assert min_distance_exact(gm, budget=total).value == 3
-
-
-def test_distances_between_blocks_match_weights_of_difference():
-    rng = random.Random(173)
-    nprng = np.random.default_rng(173)
-    for _ in range(150):
-        field = rng.choice(SWEEP_TOWERS).base
-        width = rng.randrange(1, 14)
-        profile = WeightProfile(*random_split(rng, width))
-        rows = rng.randrange(0, 12)
-        a = nprng.integers(0, field.order, size=(rows, width), dtype=np.uint8)
-        b = nprng.integers(0, field.order, size=(3, rows, width), dtype=np.uint8)
-        got = profile.distances(a, b)
-        assert got.shape == (3, rows)
-        expected = profile.weights(field.sub(a, b).reshape(-1, width))
-        assert np.array_equal(got.ravel(), expected)
-        # broadcasting both ways: (3, 1, rows) against (1, 2, rows)
-        c = nprng.integers(0, field.order, size=(2, rows, width), dtype=np.uint8)
-        got = profile.distances(b[:, None], c[None])
-        for x in range(3):
-            for y in range(2):
-                assert np.array_equal(got[x, y], profile.distances(b[x], c[y]))
-    with pytest.raises(ValueError):
-        WeightProfile.singletons(3).distances(np.zeros((2, 3), np.uint8),
-                                              np.zeros((2, 2), np.uint8))
 
 
 def test_layer_cap_counts_expanded_columns_of_a_pure_code(monkeypatch):
