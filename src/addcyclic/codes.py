@@ -271,28 +271,50 @@ def _pack(tower, alpha, block):
 
 
 def _closure_order(alpha, beta):
-    """The order of x on the ambient module (lcm(alpha, beta), or beta
-    for a pure code): that many shifts of each generator span the code."""
-    return math.lcm(alpha, beta) if alpha else beta
+    """The order of x on the ambient module F_q^alpha x F_q2^beta:
+    lcm(alpha, beta), or the other length when one block is empty.  The
+    x-shifts of a word repeat after that many."""
+    if not alpha and not beta:
+        raise ValueError(f"split alpha={alpha}, beta={beta} has no coordinates")
+    return math.lcm(alpha, beta) if alpha and beta else alpha + beta
 
 
-def _closure_rows(alpha, beta, expanded):
-    """The spanning rows of a module closure: every x-shift of each
-    expanded generator row, a generator's shifts in order."""
+def _span_degree(alpha, beta):
+    """The degree m of x's minimal polynomial on the ambient module,
+    lcm(x^alpha - 1, x^beta - 1): alpha + beta - gcd(alpha, beta), or the
+    other length when one block is empty.  Every word's annihilator
+    divides it, so the first m x-shifts of a word span all of them
+    (MacWilliams-Sloane ch. 7); m <= `_closure_order`."""
+    if alpha and beta:
+        return alpha + beta - math.gcd(alpha, beta)
+    return _closure_order(alpha, beta)
+
+
+def _closure_rows(alpha, beta, expanded, count=None):
+    """The spanning rows of a module closure: the first `count` x-shifts
+    (all `_closure_order` of them by default) of each expanded generator
+    row, a generator's shifts in order."""
     width = alpha + 2 * beta
-    shifts = _shift_columns(alpha, beta, np.arange(_closure_order(alpha, beta)))
+    if count is None:
+        count = _closure_order(alpha, beta)
+    shifts = _shift_columns(alpha, beta, np.arange(count))
     return np.asarray(expanded, dtype=np.uint8).reshape(-1, width)[:, shifts].reshape(-1, width)
 
 
 def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCode:
     """F_q-row space of all x-shifts of the generators, in rref.
 
-    x has order dividing lcm(alpha, beta) on the ambient module, so that
-    many shifts of each generator suffice.  This matrix is the
+    The spanning rows kept on the code are every shift, `_closure_order`
+    of each generator in order; only the first `_span_degree` of each,
+    which span the same space, are eliminated.  The rref is canonical,
+    so the matrix is that of the full set.  This matrix is the
     authoritative codeword-set representation.
     """
+    order, m = _closure_order(alpha, beta), _span_degree(alpha, beta)
     mat = _closure_rows(alpha, beta, [gen.expand() for gen in generators])
-    return GeneratorMatrixCode(tw, mat, alpha=alpha, beta=beta, spanning_rows=mat)
+    width = alpha + 2 * beta
+    eliminated = mat.reshape(-1, order, width)[:, :m].reshape(-1, width)
+    return GeneratorMatrixCode(tw, eliminated, alpha=alpha, beta=beta, spanning_rows=mat)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +700,8 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
         ok = False
     if not ok:
         # not cyclic: read the smallest cyclic code holding it instead
-        s, l, g, h, k = _echelon_generators(
-            tw, alpha, beta, _closure_rows(alpha, beta, code.matrix))
+        s, l, g, h, k = _echelon_generators(tw, alpha, beta, _closure_rows(
+            alpha, beta, code.matrix, _span_degree(alpha, beta)))
     return ExtractedGenerators(s, l, g, h, k, ok)
 
 

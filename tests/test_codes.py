@@ -1,5 +1,6 @@
 """Code construction, closures, spanning sets, duals, cyclicity."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -32,6 +33,9 @@ from addcyclic.codes import (
     singleton_check,
     star,
     _closure_order,
+    _closure_rows,
+    _echelon_generators,
+    _span_degree,
 )
 from addcyclic.fields import tower
 from addcyclic.poly import Poly, combine_components, divides, lift, parse_poly, poly_gcd
@@ -937,6 +941,29 @@ def test_extraction_of_a_code_that_is_not_cyclic():
     assert seen >= 20
 
 
+def test_extraction_fallback_reads_the_full_shift_set():
+    """Off the cyclic codes, the generators read from the first
+    alpha + beta - gcd shifts of each basis row are those read from all
+    lcm(alpha, beta) of them."""
+    rng = random.Random(229)
+    nprng = np.random.default_rng(229)
+    seen = 0
+    for _ in range(30):
+        tw = rng.choice((T3, T4, T8, tower(9)))
+        alpha, beta = rng.choice([shape for shape in CLOSURE_SHAPES if shape[0]])
+        width = alpha + 2 * beta
+        gm = GeneratorMatrixCode(
+            tw, nprng.integers(0, tw.q, size=(rng.randrange(1, 4), width),
+                               dtype=np.uint8), alpha=alpha, beta=beta)
+        got = extract_mixed_generators(gm)
+        if got.closure_ok:
+            continue
+        seen += 1
+        want = _echelon_generators(tw, alpha, beta, _closure_rows(alpha, beta, gm.matrix))
+        assert (got.s, got.l, got.g, got.h, got.k) == want
+    assert seen >= 20
+
+
 # -- definition documents --------------------------------------------------------------
 
 
@@ -974,14 +1001,20 @@ def test_words_match_list_based_enumeration():
     assert np.array_equal(zero.words(), np.zeros((1, 3), dtype=np.uint8))
 
 
+CLOSURE_SHAPES = ((2, 3), (3, 4), (4, 6), (6, 3), (1, 5), (0, 5), (11, 16))
+
+
 def test_closure_rows_and_dual_match_row_loops():
-    """module_closure lists each generator's x-shifts in order, and dual
-    solves the constraints built one basis row at a time."""
-    import math
+    """module_closure lists each generator's x-shifts in order, its
+    matrix and pivots are the rref of all of them although it eliminates
+    only a prefix of each generator's, and dual solves the constraints
+    built one basis row at a time."""
     rng = random.Random(89)
-    for _ in range(60):
-        tw = rng.choice((T3, T4, T8))
-        alpha, beta = rng.randrange(0, 4), rng.randrange(1, 5)
+    cases = [(rng.choice((T3, T4, T8)), rng.randrange(0, 4), rng.randrange(1, 5))
+             for _ in range(60)]
+    cases += [(tw, alpha, beta) for tw in (T3, T4, T8, tower(9))
+              for alpha, beta in CLOSURE_SHAPES]
+    for tw, alpha, beta in cases:
         if alpha:
             code = random_mixed_code(rng, tw, alpha, beta)
         else:
@@ -994,6 +1027,8 @@ def test_closure_rows_and_dual_match_row_loops():
                 gen = gen.shift()
         gm = code.closure
         assert np.array_equal(gm.spanning_rows, np.array(rows, dtype=np.uint8))
+        R, r, pivots = linalg.rref(tw.base, gm.spanning_rows)
+        assert np.array_equal(gm.matrix, R[:r]) and gm.pivots == tuple(pivots)
         B = _form_matrix(tw, alpha, beta)
         constraints = []
         for x in gm.matrix:
@@ -1002,6 +1037,42 @@ def test_closure_rows_and_dual_match_row_loops():
         cons = linalg.as_matrix(constraints, width=gm.width)
         assert np.array_equal(dual(gm).matrix,
                               row_basis(tw.base, linalg.kernel(tw.base, cons)))
+
+
+def test_first_shifts_of_a_word_span_all_of_them():
+    """The first m = alpha + beta - gcd(alpha, beta) x-shifts of any word
+    span all lcm(alpha, beta) of them, and m is tight: the word
+    (1, 0, ... | 1, 0, ...), whose annihilator is x's whole minimal
+    polynomial lcm(x^alpha - 1, x^beta - 1), has m independent shifts."""
+    nprng = np.random.default_rng(227)
+    for tw in (T3, T4, T8, tower(9)):
+        for alpha, beta in CLOSURE_SHAPES:
+            m = _span_degree(alpha, beta)
+            assert m == (alpha + beta - math.gcd(alpha, beta) if alpha else beta)
+            width = alpha + 2 * beta
+            unit = np.zeros(width, dtype=np.uint8)
+            unit[[0, alpha]] = 1
+            for vec in (unit, *nprng.integers(0, tw.q, size=(3, width), dtype=np.uint8)):
+                shifts = _closure_rows(alpha, beta, vec)
+                assert len(shifts) == _closure_order(alpha, beta) >= m
+                assert linalg.rank(tw.base, shifts[:m]) == linalg.rank(tw.base, shifts)
+            assert linalg.rank(tw.base, _closure_rows(alpha, beta, unit)) == m
+
+
+def test_closure_of_one_empty_block():
+    """A split with one empty block closes under the other block's
+    shifts alone; a split with no coordinates is refused by name."""
+    assert (_closure_order(2, 0), _span_degree(2, 0)) == (2, 2)
+    assert (_closure_order(0, 5), _span_degree(0, 5)) == (5, 5)
+    gm = module_closure(T3, 2, 0, [word(T3, (1, 0), ())])
+    assert gm.rank == 2 and gm.spanning_rows.shape == (2, 2)
+    gm = module_closure(T4, 3, 0, [word(T4, (1, 1, 0), ())])
+    assert gm.rank == 2 and is_cyclic(gm)
+    for split in (_closure_order, _span_degree):
+        with pytest.raises(ValueError, match="alpha=0, beta=0"):
+            split(0, 0)
+    with pytest.raises(ValueError, match="alpha=0, beta=0"):
+        module_closure(T3, 0, 0, [])
 
 
 # -- one permutation test, the stored-basis kernel and equality ----------------
