@@ -30,10 +30,17 @@ layer w of a list of rows holds the combinations of exactly w of them
 with leading coefficient 1.  Its words with last row m are the words a
 of layer w - 1 with last row below m, each plus c*row_m, and the weight
 of a + c*row_m is the symbol distance from a to -c*row_m.  So layer w is
-weighed unbuilt, as slices of layer w - 1 against the q - 1 negated
-multiples of row_m, at most _BLOCK_TARGET words at once.  Layer w - 1
-is formed, sorted by last row, when layer w is first asked for, and
-kept.
+weighed unbuilt, as prefixes of layer w - 1 against the q - 1 negated
+multiples of row_m.  Layer w - 1 is formed, sorted by last row, when
+layer w is first asked for, and kept.
+
+Rows and layers are held symbol-major, one array row per symbol, so a
+block of words is weighed by one compare and one sum over the symbols,
+however few they are (`_lightest_nonzero`).  A block groups consecutive
+last rows: the prefix the widest of them needs, against all their
+negated multiples, each row's cells past its own prefix masked, as long
+as the block computes at most _BLOCK_TARGET cells.  A row whose prefix
+alone passes that is weighed in slices.
 
 The engines weigh symbol words, one byte per symbol: the alpha F_q
 columns as they are, each F_q2 pair (b, c) packed as its element
@@ -69,11 +76,12 @@ from .linalg import _suffix_block
 DEFAULT_BUDGET = 2**24
 # Codes of at most this many words are weighed whole: the rref per
 # information set costs more than the words it saves.  Measured on the
-# table rows: 3^6 words take 0.19 ms whole and 0.50 ms by the search, a
-# rank-2 image with 11 sets 0.03 against 0.6 ms; 3^7 words take 0.37 ms
-# whole and 0.25 ms by the search, 4^6 words 0.24 against 0.28 ms.
+# table rows (best of 41, one core of a 2-core VM): 3^6 words take 0.19
+# to 0.21 ms whole and 0.30 to 0.36 ms by the search, a rank-2 image
+# with 11 sets 0.06 against 0.78 ms; 3^7 words take 0.45 ms whole and
+# 0.32 ms by the search, 4^6 words 0.23 against 0.30 ms.
 _WHOLE_CODE = 2**12
-_BLOCK_TARGET = 2**16  # most words weighed at once
+_BLOCK_TARGET = 2**16  # most cells (words) a block computes
 _TRIPLE_POOL_MAX = 40  # larger raw generating sets skip the triple sweep
 # cells (words x expanded columns) of the largest layer formed, at most
 # 64 MiB packed, the size of codes.MAX_CLOSURE_CELLS
@@ -118,36 +126,50 @@ def _symbols(code):
     return code.tower.ext, lambda block: _pack(code.tower, alpha, block)
 
 
-def _distances(a, b):
-    """Symbol distances between the broadcast rows of symbol words a and
-    b: the number of bytes in which they differ."""
-    return (a != b).sum(axis=-1, dtype=np.min_scalar_type(np.shape(a)[-1]))
+def _lightest_nonzero(best, negated, words, lengths):
+    """(min(best, weight of the lightest nonzero word), words counted)
+    of one block of symbol-major arrays: negated (symbols, K, G), the K
+    negated multiples of G rows; words (symbols, P), a prefix of a
+    layer; and the G rows' prefix lengths.  Cell (c, g, p) is the word
+    words[:, p] - negated[:, c, g], counted when p < lengths[g]; its
+    weight is the number of symbols in which the two differ."""
+    symbols, prefix = words.shape
+    dtype = np.min_scalar_type(symbols)
+    weights = (negated[:, :, :, None] != words[:, None, None, :]).sum(axis=0, dtype=dtype)
+    # unsigned: weight 0 wraps to the top value, which no word reaches
+    weights -= 1
+    masked = np.arange(prefix) >= np.asarray(lengths)[:, None]
+    top = np.iinfo(dtype).max
+    lightest = int(weights.min(initial=top, where=~masked))
+    if lightest < top:
+        best = min(best, lightest + 1)
+    return best, negated.shape[1] * int(np.sum(lengths))
 
 
-def _lightest_nonzero(best, block, word=0):
-    """min(best, smallest nonzero distance between the broadcast rows of
-    symbol words block and word); with word = 0 these are the weights of
-    the block."""
-    weights = _distances(block, word)
-    weights = weights[weights > 0]
-    return min(best, int(weights.min())) if weights.size else best
+def _lightest_word(best, block):
+    """min(best, weight of the lightest nonzero word) of row-major
+    symbol words."""
+    words = np.ascontiguousarray(block.T)
+    return _lightest_nonzero(best, np.zeros_like(words[:, :1, None]), words, [len(block)])[0]
 
 
 class _Layers:
     """The layers of `rows`, symbol words over `field` combined with the
-    coefficients 1..scalars - 1 of F_q (module docstring).  A formed
+    coefficients 1..scalars - 1 of F_q (module docstring).  Rows and
+    formed layers are held symbol-major, (symbols, words).  A formed
     layer is one array sorted by last row, with ends[m] its words of last
     row <= m.  A layer of more than _MAX_LAYER_CELLS cells, counted on
     the expanded `width`, is refused."""
 
     def __init__(self, field, rows, scalars, width):
-        self.field, self.rows, self.scalars, self.width = field, rows, scalars, width
-        self._formed = [(rows, np.arange(1, len(rows) + 1))]
+        self.field, self.scalars, self.width = field, scalars, width
+        self.rows = np.ascontiguousarray(rows.T)
+        self._formed = [(self.rows, np.arange(1, len(rows) + 1))]
 
     @cached_property
     def negated(self):
-        """negated[m, c - 1] = -c * rows[m], formed when layer 2 is first
-        weighed: a search that stops in layer 1 never needs it."""
+        """negated[:, c - 1, m] = -c times row m, formed when layer 2 is
+        first weighed: a search that stops in layer 1 never needs it."""
         field = self.field
         return field.mul(self.rows[:, None], field.neg(np.arange(1, self.scalars))[:, None])
 
@@ -160,26 +182,47 @@ class _Layers:
             if count * self.width > _MAX_LAYER_CELLS:
                 raise _LayerCapError(len(self._formed) + 1, count,
                                      self.width, _MAX_LAYER_CELLS)
-            parts = [self.field.sub(words[: ends[m - 1], None], self.negated[m])
-                     .reshape(-1, words.shape[1]) for m in range(1, len(self.rows))]
-            self._formed.append((np.concatenate([words[:0]] + parts),
-                                 np.cumsum([0] + [len(part) for part in parts])))
+            parts = [self.field.sub(words[:, : ends[m - 1], None], self.negated[:, None, :, m])
+                     .reshape(len(words), -1) for m in range(1, len(ends))]
+            self._formed.append((np.concatenate([words[:, :0]] + parts, axis=1),
+                                 np.cumsum([0] + [part.shape[1] for part in parts])))
         return self._formed[weight - 1]
 
     def weighings(self, weight, max_words):
-        """Pairs (a, b) whose broadcast differences a - b are the words
-        of layer `weight` in its order, without forming that layer:
-        layer 1 as one pair, any other in pairs of at most
-        max(max_words, q - 1) words."""
+        """Blocks (negated, words, lengths) of `_lightest_nonzero` that
+        count each word of layer `weight` once, without forming that
+        layer, in layer order when each row's cells are read prefix word
+        by prefix word.  Layer 1 is the rows against zero, in slices of
+        max_words.  Above it, consecutive last rows m0..m1-1 share one
+        block, the prefix of layer weight - 1 the widest of them needs
+        against all their negated multiples, while K * G * P <= max_words
+        (K = q - 1 scalars, G rows, P words in that prefix); a row whose
+        prefix alone passes max_words // K words is sliced.  No block
+        computes more than max(max_words, K) cells."""
         if weight == 1:
-            yield self.rows, np.zeros_like(self.rows[:1])
+            zero = np.zeros_like(self.rows[:, :1, None])
+            for start in range(0, self.rows.shape[1], max_words):
+                block = self.rows[:, start : start + max_words]
+                yield zero, block, [block.shape[1]]
             return
         words, ends = self.layer(weight - 1)
-        step = max(1, max_words // (self.scalars - 1))
-        for m in range(1, len(self.rows)):
-            prefix = words[: ends[m - 1], None]
-            for start in range(0, len(prefix), step):
-                yield prefix[start : start + step], self.negated[m]
+        multiples, rows = self.scalars - 1, len(ends)
+        step = max(1, max_words // multiples)
+        m0 = 1
+        while m0 < rows:
+            length = ends[m0 - 1]
+            if length > step:
+                for start in range(0, length, step):
+                    block = words[:, start : min(start + step, length)]
+                    yield self.negated[:, :, m0 : m0 + 1], block, [block.shape[1]]
+                m0 += 1
+                continue
+            m1 = m0 + 1
+            while m1 < rows and multiples * (m1 + 1 - m0) * ends[m1 - 1] <= max_words:
+                m1 += 1
+            if ends[m1 - 2]:
+                yield self.negated[:, :, m0:m1], words[:, : ends[m1 - 2]], ends[m0 - 1 : m1 - 1]
+            m0 = m1
 
 
 def _information_sets(field, matrix, pivots, alpha, beta):
@@ -231,10 +274,9 @@ def _brouwer_zimmermann(code):
               for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
-        for a, b in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
-            weights = _distances(a, b)
-            best = min(best, int(weights.min()))
-            examined += weights.size
+        for block in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
+            best, counted = _lightest_nonzero(best, *block)
+            examined += counted
             if best <= target:
                 return best, examined
         done[j] += 1
@@ -273,7 +315,7 @@ def min_distance_exact(code: GeneratorMatrixCode,
         raise DistanceBudgetError(total, budget)
     if total <= _WHOLE_CODE:
         _, pack = _symbols(code)
-        value = int(_distances(pack(_suffix_block(field, code.matrix)[1:]), 0).min())
+        value = _lightest_word(code.width + 1, pack(_suffix_block(field, code.matrix)[1:]))
         return DistanceResult(value=value, exact=True, witnesses_examined=total - 1)
     value, examined = _brouwer_zimmermann(code)
     return DistanceResult(value=value, exact=True, witnesses_examined=examined)
@@ -309,16 +351,16 @@ def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
     for pool, weight in sweeps:
         try:
             layers = _Layers(symbols, pack(pool), q, code.width)
-            for a, b in layers.weighings(weight, _BLOCK_TARGET):
-                best = _lightest_nonzero(best, a, b)
-                examined += len(a) * len(b)
+            for block in layers.weighings(weight, _BLOCK_TARGET):
+                best, counted = _lightest_nonzero(best, *block)
+                examined += counted
         except _LayerCapError:  # the triples' layer 2 passes the cap: skip them
             continue
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
     msgs = msgs[np.any(msgs, axis=1)]
     if len(msgs):
-        best = _lightest_nonzero(best, pack(linalg.matmul(field, msgs, code.matrix)))
+        best = _lightest_word(best, pack(linalg.matmul(field, msgs, code.matrix)))
         examined += len(msgs)
     return DistanceResult(value=best, exact=False,
                           witnesses_examined=examined, seed=seed)

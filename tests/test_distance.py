@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from addcyclic import distance
+from addcyclic import distance, linalg
 from addcyclic.codes import (
     GeneratorMatrixCode,
     MixedCode,
@@ -512,6 +512,19 @@ def test_exact_counts_brouwer_zimmermann_words():
     assert res.witnesses_examined == small.base.size - 1
 
 
+@pytest.mark.parametrize("row, d, examined", [(16, 7, 5_579_331), (19, 14, 1_748_262)])
+def test_brouwer_zimmermann_proves_table1_duals(row, d, examined):
+    # the F_q duals (`linalg.kernel`) of table-1 rows 16 and 19 as pure
+    # codes, with the budget lifted: d = K + 1, Singleton, found after
+    # millions of words weighed in grouped blocks
+    code = build_table1_code(TABLE1[row - 1]).closure
+    dual = GeneratorMatrixCode(code.tower, linalg.kernel(code.field, code.matrix),
+                               alpha=0, beta=code.beta)
+    assert d == code.rank // 2 + 1
+    res = min_distance_exact(dual, budget=dual.size)
+    assert (res.value, res.exact, res.witnesses_examined) == (d, True, examined)
+
+
 def layer_order(msg):
     """Sort key of a message in its layer: its last row, then the
     message without that entry, then the entry."""
@@ -522,6 +535,21 @@ def layer_order(msg):
     rest = list(msg)
     rest[m] = 0
     return (m, layer_order(rest), msg[m])
+
+
+def block_words(field, negated, words, lengths):
+    """The words a block of `_Layers.weighings` stands for, row-major and
+    in layer order: row g's first lengths[g] prefix words, each minus
+    its negated multiples in turn."""
+    cells = field.sub(words[:, None, None, :], negated[:, :, :, None])
+    return np.concatenate([words.T[:0]] + [
+        cells[:, :, g, :length].transpose(2, 1, 0).reshape(-1, len(words))
+        for g, length in enumerate(lengths)])
+
+
+def block_cells(negated, words):
+    """Cells a block computes, K * G * P."""
+    return negated.shape[1] * negated.shape[2] * words.shape[1]
 
 
 def test_layer_blocks_are_bounded_and_normalized():
@@ -541,10 +569,11 @@ def test_layer_blocks_are_bounded_and_normalized():
             layers = distance._Layers(field, rows, q, 7)
             expand = lambda block: block
         for w in range(1, k + 1):
-            pairs = list(layers.weighings(w, 10))
-            assert all(len(a) * len(b) <= max(10, q - 1) for a, b in pairs)
-            weighed = np.vstack([expand(layers.field.sub(a, b)).reshape(-1, 7)
-                                 for a, b in pairs])
+            blocks = list(layers.weighings(w, 10))
+            assert all(block_cells(negated, words) <= max(10, q - 1)
+                       for negated, words, _ in blocks)
+            weighed = np.vstack([expand(block_words(layers.field, *block))
+                                 for block in blocks])
             words, ends = layers.layer(w)
             msgs = sorted(leading_one_messages(q, k, w), key=layer_order)
             msgs = np.array(msgs, dtype=np.uint8)
@@ -552,13 +581,56 @@ def test_layer_blocks_are_bounded_and_normalized():
             for t in range(k):
                 expected = field.add(expected, field.mul(msgs[:, t : t + 1],
                                                          rows[t : t + 1]))
-            assert len(words) == len(msgs) == comb(k, w) * (q - 1) ** (w - 1)
+            assert words.shape[1] == len(msgs) == comb(k, w) * (q - 1) ** (w - 1)
             # the weighings and the formed layer list the words in
             # message order, sorted by the last row they combine
             assert np.array_equal(weighed, expected)
-            assert np.array_equal(expand(words), expected)
+            assert np.array_equal(expand(words.T), expected)
             last_row = np.array([max(np.flatnonzero(m)) for m in msgs])
             assert np.array_equal(ends, [np.sum(last_row <= m) for m in range(k)])
+
+
+def counted_cells(negated, words, lengths):
+    """The cells (g, p) that `_lightest_nonzero` counts in a block of
+    this shape, probed one at a time: in the probe of (g, p) that cell
+    weighs 1 and every other cell 2 or 3."""
+    _, scalars, rows = negated.shape
+    width = words.shape[1]
+    counted = []
+    for g, p in product(range(rows), range(width)):
+        probe_negated = np.ones((3, scalars, rows), dtype=np.uint8)
+        probe_negated[0] = 0
+        probe_negated[1, :, g] = 0
+        probe_words = np.zeros((3, width), dtype=np.uint8)
+        probe_words[0] = 1
+        probe_words[0, p] = 0
+        if distance._lightest_nonzero(4, probe_negated, probe_words, lengths)[0] == 1:
+            counted.append((g, p))
+    return counted
+
+
+@pytest.mark.parametrize("max_words", [1, 5, 64, 2**16])
+def test_grouped_blocks_list_exactly_the_layer(max_words):
+    # over F_q rows and packed F_q2 rows: the cells each block counts are
+    # the prefix cells of its rows, together the layer's words in layer
+    # order, and no block computes more than max(max_words, q - 1) cells
+    nprng = np.random.default_rng(163)
+    for q, packed in ((2, False), (3, False), (5, False), (3, True), (4, True)):
+        tw = tower(q)
+        rows = nprng.integers(0, q, size=(6, 5), dtype=np.uint8)
+        field = tw.ext if packed else tw.base
+        layers = distance._Layers(field, _pack(tw, 1, rows) if packed else rows, q, 5)
+        for w in range(1, len(rows) + 1):
+            weighed = []
+            for negated, words, lengths in layers.weighings(w, max_words):
+                assert block_cells(negated, words) <= max(max_words, q - 1)
+                prefixes = [(g, p) for g, length in enumerate(lengths)
+                            for p in range(length)]
+                assert counted_cells(negated, words, lengths) == prefixes
+                counted = distance._lightest_nonzero(6, negated, words, lengths)[1]
+                assert counted == negated.shape[1] * len(prefixes)
+                weighed.append(block_words(field, negated, words, lengths))
+            assert np.array_equal(np.vstack(weighed), layers.layer(w)[0].T)
 
 
 def bz_case_code(rng, nprng, tw, kind):
@@ -636,17 +708,19 @@ def test_information_sets_are_disjoint_and_systematic():
 
 def test_exact_above_the_cut_matches_reference(monkeypatch):
     # codes of more than _WHOLE_CODE words go to the search; with a block
-    # target of 64 words every layer comes in many weighings, none larger
+    # target of 64 words every layer comes in many weighings, none
+    # computing more cells
     monkeypatch.setattr(distance, "_BLOCK_TARGET", 64)
-    sizes = []
-    distances = distance._distances
+    sizes, cells = [], []
+    lightest = distance._lightest_nonzero
 
-    def record(block, word):
-        weighed = distances(block, word)
-        sizes.append(weighed.size)
-        return weighed
+    def record(best, negated, words, lengths):
+        best, counted = lightest(best, negated, words, lengths)
+        sizes.append(counted)
+        cells.append(block_cells(negated, words))
+        return best, counted
 
-    monkeypatch.setattr(distance, "_distances", record)
+    monkeypatch.setattr(distance, "_lightest_nonzero", record)
     rng = random.Random(193)
     nprng = np.random.default_rng(193)
     shapes = ((2, 13, 30), (2, 14, 28), (3, 8, 20), (3, 9, 18), (4, 7, 16), (8, 5, 12),
@@ -660,9 +734,10 @@ def test_exact_above_the_cut_matches_reference(monkeypatch):
         if gm.size <= distance._WHOLE_CODE:
             continue
         sizes.clear()
+        cells.clear()
         res = min_distance_exact(gm)
         assert res.witnesses_examined == sum(sizes) < gm.size - 1
-        assert max(sizes) <= 64
+        assert max(cells) <= 64
         assert res.value == reference_exact(gm, rank // 2)
         kinds.add(split_kind(*split_of(gm)))
         checked += 1
@@ -689,8 +764,13 @@ def test_symbol_packing_is_fq_linear(tw):
         assert np.array_equal(pack(base.sub(x, y)), ext.sub(pack(x), pack(y)))
         assert np.array_equal(pack(base.mul(c, x)), ext.mul(c, pack(x)))
         assert np.array_equal(unpack(tw, alpha, pack(x)), x)
-        assert np.array_equal(distance._distances(pack(x), pack(y)),
-                              reference_weights(alpha, beta, base.sub(x, y)))
+        # each row of x weighed against the same row of y, a block of
+        # one word; a zero word counts but is not the lightest
+        none = alpha + beta + 1
+        weighed = [distance._lightest_nonzero(none, b[:, None, None], a[:, None], [1])
+                   for a, b in zip(pack(x), pack(y))]
+        assert weighed == [(int(d) or none, 1)
+                           for d in reference_weights(alpha, beta, base.sub(x, y))]
 
 
 def test_weights_hold_more_than_255_groups():
@@ -797,17 +877,14 @@ def sorted_rows(block):
 
 
 def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
-    # each weighing of the symbol words `block` against `word` stands for
-    # the words block - word, over F_q2; expanded, together they must be
-    # the reference candidates
+    # each block stands for the words it counts, over F_q2; expanded,
+    # together they must be the reference candidates
     weighed = []
     lightest = distance._lightest_nonzero
 
-    def record(best, block, word=0):
-        block, word = np.broadcast_arrays(np.atleast_2d(block), word)
-        symbols = tw.ext.sub(block, word)
-        weighed.append(unpack(tw, gm.alpha, symbols).reshape(-1, gm.width))
-        return lightest(best, block, word)
+    def record(best, *block):
+        weighed.append(unpack(tw, gm.alpha, block_words(tw.ext, *block)))
+        return lightest(best, *block)
 
     monkeypatch.setattr(distance, "_lightest_nonzero", record)
     rng = random.Random(199)
