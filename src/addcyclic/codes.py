@@ -13,7 +13,7 @@ break the formulas.
 A pure code is the mixed code with alpha = 0 and beta = n, and the two
 share one implementation: generator words, divisor checks, closure and
 cardinality.  The degree-counted spanning set is read from the
-closure's spanning rows, which hold each generator's x-shifts in order.
+closure's spanning rows, which hold each generator's first x-shifts in order.
 """
 
 from __future__ import annotations
@@ -270,51 +270,34 @@ def _pack(tower, alpha, block):
     return np.concatenate([block[..., :alpha], pairs], axis=-1) if alpha else pairs
 
 
-def _closure_order(alpha, beta):
-    """The order of x on the ambient module F_q^alpha x F_q2^beta:
-    lcm(alpha, beta), or the other length when one block is empty.  The
-    x-shifts of a word repeat after that many."""
-    if not alpha and not beta:
-        raise ValueError(f"split alpha={alpha}, beta={beta} has no coordinates")
-    return math.lcm(alpha, beta) if alpha and beta else alpha + beta
-
-
 def _span_degree(alpha, beta):
     """The degree m of x's minimal polynomial on the ambient module,
     lcm(x^alpha - 1, x^beta - 1): alpha + beta - gcd(alpha, beta), or the
     other length when one block is empty.  Every word's annihilator
     divides it, so the first m x-shifts of a word span all of them
-    (MacWilliams-Sloane ch. 7); m <= `_closure_order`."""
-    if alpha and beta:
-        return alpha + beta - math.gcd(alpha, beta)
-    return _closure_order(alpha, beta)
+    (MacWilliams-Sloane ch. 7)."""
+    if not alpha and not beta:
+        raise ValueError(f"split alpha={alpha}, beta={beta} has no coordinates")
+    return alpha + beta - math.gcd(alpha, beta) if alpha and beta else alpha + beta
 
 
-def _closure_rows(alpha, beta, expanded, count=None):
-    """The spanning rows of a module closure: the first `count` x-shifts
-    (all `_closure_order` of them by default) of each expanded generator
-    row, a generator's shifts in order."""
+def _closure_rows(alpha, beta, expanded):
+    """The spanning rows of a module closure: the first `_span_degree`
+    x-shifts of each expanded generator row, a generator's shifts in
+    order."""
     width = alpha + 2 * beta
-    if count is None:
-        count = _closure_order(alpha, beta)
-    shifts = _shift_columns(alpha, beta, np.arange(count))
+    shifts = _shift_columns(alpha, beta, np.arange(_span_degree(alpha, beta)))
     return np.asarray(expanded, dtype=np.uint8).reshape(-1, width)[:, shifts].reshape(-1, width)
 
 
 def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCode:
-    """F_q-row space of all x-shifts of the generators, in rref.
-
-    The spanning rows kept on the code are every shift, `_closure_order`
-    of each generator in order; only the first `_span_degree` of each,
-    which span the same space, are eliminated.  The rref is canonical,
-    so the matrix is that of the full set.  This matrix is the
-    authoritative codeword-set representation.
+    """F_q-row space of all x-shifts of the generators, in rref: the
+    first `_span_degree` shifts of each generator span them all, and they
+    are both the rows eliminated and the spanning rows kept on the code.
+    This matrix is the authoritative codeword-set representation.
     """
-    order, m = _closure_order(alpha, beta), _span_degree(alpha, beta)
-    mat = _closure_rows(alpha, beta, [gen.expand() for gen in generators])
-    width = alpha + 2 * beta
-    eliminated = mat.reshape(-1, order, width)[:, :m].reshape(-1, width)
-    return GeneratorMatrixCode(tw, eliminated, alpha=alpha, beta=beta, spanning_rows=mat)
+    rows = _closure_rows(alpha, beta, [gen.expand() for gen in generators])
+    return GeneratorMatrixCode(tw, rows, alpha=alpha, beta=beta, spanning_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +367,11 @@ class _CyclicCode:
 
     def _degree_counted_rows(self):
         """The degree-counted spanning set in expanded form: generator i
-        contributes rows i*L ... i*L + counts[i] - 1 of the closure's
-        spanning rows, which hold its L = `_closure_order` shifts in order."""
-        order = _closure_order(self.alpha, self.beta)
+        contributes rows i*m ... i*m + counts[i] - 1 of the closure's
+        spanning rows, its first m = `_span_degree` shifts (counts <= m)."""
+        m = _span_degree(self.alpha, self.beta)
         rows = self.closure.spanning_rows
-        return np.concatenate([rows[i * order : i * order + count]
+        return np.concatenate([rows[i * m : i * m + count]
                                for i, count in enumerate(self._degree_counts())])
 
     def _words(self, rows):
@@ -579,10 +562,11 @@ def dual(code) -> GeneratorMatrixCode:
 
 def invariant_under(code: GeneratorMatrixCode, perm) -> bool:
     """True iff the row space is closed under the column permutation
-    that puts column perm[j] of a word in column j."""
+    that puts column perm[j] of a word in column j; anything but a
+    permutation of range(width) is refused."""
     perm = np.asarray(perm, dtype=np.intp)
-    if perm.shape != (code.width,):
-        raise ValueError("permutation length does not match the code width")
+    if not np.array_equal(np.sort(perm), np.arange(code.width)):
+        raise ValueError("perm is not a permutation of the code's columns")
     return code.contains_rows(code.matrix[:, perm])
 
 
@@ -700,8 +684,8 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
         ok = False
     if not ok:
         # not cyclic: read the smallest cyclic code holding it instead
-        s, l, g, h, k = _echelon_generators(tw, alpha, beta, _closure_rows(
-            alpha, beta, code.matrix, _span_degree(alpha, beta)))
+        s, l, g, h, k = _echelon_generators(
+            tw, alpha, beta, _closure_rows(alpha, beta, code.matrix))
     return ExtractedGenerators(s, l, g, h, k, ok)
 
 
@@ -709,9 +693,10 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
 # definition documents
 
 
-# Largest module-closure spanning matrix (generators x order of x, by
-# alpha + 2*beta columns) a definition document may ask for: 64 MiB of
-# field entries, far beyond every built-in table row.
+# Bound on a definition's block lengths, far beyond every built-in table
+# row: generators x lcm(alpha, beta) (the order of x) x (alpha + 2*beta)
+# entries, the whole x-orbit, not the `_span_degree` shifts a closure
+# builds, so that (997, 1009), whose parameters take minutes, is refused.
 MAX_CLOSURE_CELLS = 2**26
 
 
@@ -752,13 +737,15 @@ def load_definition(doc: dict, strict=True):
     """Build a code from the JSON definition document:
     {"q": int, "alpha": int, "beta": int, "s","l","g","h","k": str,
      "f1": str?, "f2": str?}.  Pure codes use alpha = 0 (s, l omitted).
-    Block lengths whose module-closure spanning matrix would exceed
-    MAX_CLOSURE_CELLS entries are rejected before anything is built."""
+    Block lengths whose generators' x-orbit would pass MAX_CLOSURE_CELLS
+    entries are rejected before anything is built."""
     tw = load_tower(doc)
     alpha = _document_int(doc, "alpha", 0)
     beta = _document_int(doc, "beta")
     generators = 3 if alpha else 2
-    cells = generators * _closure_order(alpha, beta) * (alpha + 2 * beta)
+    # lcm(alpha, 0) is 0; _span_degree then gives the other length, or refuses (0, 0)
+    order = math.lcm(alpha, beta) or _span_degree(alpha, beta)
+    cells = generators * order * (alpha + 2 * beta)
     if cells > MAX_CLOSURE_CELLS:
         raise ValueError(
             f"block lengths alpha={alpha}, beta={beta} need a {cells}-entry "

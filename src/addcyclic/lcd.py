@@ -57,15 +57,15 @@ def _build_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
 
 def is_self_orthogonal(code_or_rows, tower=None) -> bool:
     """True iff all pairwise dot products of the rows vanish (so the span
-    is contained in its dual)."""
+    is contained in its dual).  Raw rows outside F_q are refused."""
     if isinstance(code_or_rows, GeneratorMatrixCode):
         rows = code_or_rows.matrix
         f = code_or_rows.field
     else:
         if tower is None:
             raise ValueError("raw rows need the tower argument")
-        rows = linalg.as_matrix(code_or_rows)
         f = tower.base
+        rows = linalg.as_matrix(code_or_rows, field=f)
     gram = linalg.matmul(f, rows, rows.T)
     return not gram.any()
 
@@ -116,10 +116,12 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
 
     `conclusion` is LCD-guaranteed only when all three hypotheses hold;
     the observed hull is reported either way, since the hypotheses are
-    sufficient but not necessary.
+    sufficient but not necessary; a matrix of another width is refused.
     """
-    tower, alpha = image.base.tower, image.alpha
-    M = linalg.as_matrix(expanded, width=alpha + 2 * image.beta)
+    tower, alpha, width = image.base.tower, image.alpha, image.alpha + 2 * image.beta
+    M = linalg.as_matrix(expanded, width=width)
+    if M.shape[1] != width:
+        raise ValueError(f"expanded width {M.shape[1]} is not alpha + 2*beta = {width}")
     self_orth = is_self_orthogonal(M[:, :alpha], tower=tower)
     phi_c_beta = GeneratorMatrixCode(tower, gray_rows(tower, 0, M[:, alpha:]))
     # the Gray block is the expansion [b | c] under the invertible column

@@ -32,9 +32,9 @@ from addcyclic.codes import (
     projections,
     singleton_check,
     star,
-    _closure_order,
     _closure_rows,
     _echelon_generators,
+    _shift_columns,
     _span_degree,
 )
 from addcyclic.fields import tower
@@ -941,6 +941,21 @@ def test_extraction_of_a_code_that_is_not_cyclic():
     assert seen >= 20
 
 
+def x_order(alpha, beta):
+    """The order of x on F_q^alpha x F_q2^beta: lcm(alpha, beta), or the
+    other length when one block is empty.  A word has no more distinct
+    x-shifts than that."""
+    return math.lcm(alpha, beta) or alpha + beta
+
+
+def full_orbit(alpha, beta, expanded):
+    """All `x_order` x-shifts of each expanded row, a row's shifts in
+    order: the whole orbit that a closure's first shifts must span."""
+    width = alpha + 2 * beta
+    shifts = _shift_columns(alpha, beta, np.arange(x_order(alpha, beta)))
+    return np.asarray(expanded, dtype=np.uint8).reshape(-1, width)[:, shifts].reshape(-1, width)
+
+
 def test_extraction_fallback_reads_the_full_shift_set():
     """Off the cyclic codes, the generators read from the first
     alpha + beta - gcd shifts of each basis row are those read from all
@@ -959,7 +974,7 @@ def test_extraction_fallback_reads_the_full_shift_set():
         if got.closure_ok:
             continue
         seen += 1
-        want = _echelon_generators(tw, alpha, beta, _closure_rows(alpha, beta, gm.matrix))
+        want = _echelon_generators(tw, alpha, beta, full_orbit(alpha, beta, gm.matrix))
         assert (got.s, got.l, got.g, got.h, got.k) == want
     assert seen >= 20
 
@@ -1005,10 +1020,10 @@ CLOSURE_SHAPES = ((2, 3), (3, 4), (4, 6), (6, 3), (1, 5), (0, 5), (11, 16))
 
 
 def test_closure_rows_and_dual_match_row_loops():
-    """module_closure lists each generator's x-shifts in order, its
-    matrix and pivots are the rref of all of them although it eliminates
-    only a prefix of each generator's, and dual solves the constraints
-    built one basis row at a time."""
+    """module_closure keeps each generator's first alpha + beta -
+    gcd(alpha, beta) x-shifts in order, its matrix and pivots are the rref
+    of all lcm(alpha, beta) of them although it builds only that prefix,
+    and dual solves the constraints built one basis row at a time."""
     rng = random.Random(89)
     cases = [(rng.choice((T3, T4, T8)), rng.randrange(0, 4), rng.randrange(1, 5))
              for _ in range(60)]
@@ -1020,14 +1035,16 @@ def test_closure_rows_and_dual_match_row_loops():
         else:
             code = random_pure_code(rng, tw, beta)
         order = math.lcm(alpha, beta) if alpha else beta
+        m = alpha + beta - math.gcd(alpha, beta) if alpha else beta
         rows = []
         for gen in code.generator_words():
             for _ in range(order):
                 rows.append(gen.expand())
                 gen = gen.shift()
+        rows = np.array(rows, dtype=np.uint8).reshape(-1, order, alpha + 2 * beta)
         gm = code.closure
-        assert np.array_equal(gm.spanning_rows, np.array(rows, dtype=np.uint8))
-        R, r, pivots = linalg.rref(tw.base, gm.spanning_rows)
+        assert np.array_equal(gm.spanning_rows, rows[:, :m].reshape(-1, gm.width))
+        R, r, pivots = linalg.rref(tw.base, rows.reshape(-1, gm.width))
         assert np.array_equal(gm.matrix, R[:r]) and gm.pivots == tuple(pivots)
         B = _form_matrix(tw, alpha, beta)
         constraints = []
@@ -1053,26 +1070,30 @@ def test_first_shifts_of_a_word_span_all_of_them():
             unit = np.zeros(width, dtype=np.uint8)
             unit[[0, alpha]] = 1
             for vec in (unit, *nprng.integers(0, tw.q, size=(3, width), dtype=np.uint8)):
-                shifts = _closure_rows(alpha, beta, vec)
-                assert len(shifts) == _closure_order(alpha, beta) >= m
+                shifts = full_orbit(alpha, beta, vec)
+                assert len(shifts) == x_order(alpha, beta) >= m
+                assert np.array_equal(_closure_rows(alpha, beta, vec), shifts[:m])
                 assert linalg.rank(tw.base, shifts[:m]) == linalg.rank(tw.base, shifts)
             assert linalg.rank(tw.base, _closure_rows(alpha, beta, unit)) == m
 
 
 def test_closure_of_one_empty_block():
     """A split with one empty block closes under the other block's
-    shifts alone; a split with no coordinates is refused by name."""
-    assert (_closure_order(2, 0), _span_degree(2, 0)) == (2, 2)
-    assert (_closure_order(0, 5), _span_degree(0, 5)) == (5, 5)
+    shifts alone, all of them; a split with no coordinates is refused by
+    name, also by a definition document."""
+    assert (x_order(2, 0), _span_degree(2, 0)) == (2, 2)
+    assert (x_order(0, 5), _span_degree(0, 5)) == (5, 5)
     gm = module_closure(T3, 2, 0, [word(T3, (1, 0), ())])
     assert gm.rank == 2 and gm.spanning_rows.shape == (2, 2)
+    assert np.array_equal(gm.spanning_rows, full_orbit(2, 0, [1, 0]))
     gm = module_closure(T4, 3, 0, [word(T4, (1, 1, 0), ())])
     assert gm.rank == 2 and is_cyclic(gm)
-    for split in (_closure_order, _span_degree):
-        with pytest.raises(ValueError, match="alpha=0, beta=0"):
-            split(0, 0)
+    with pytest.raises(ValueError, match="alpha=0, beta=0"):
+        _span_degree(0, 0)
     with pytest.raises(ValueError, match="alpha=0, beta=0"):
         module_closure(T3, 0, 0, [])
+    with pytest.raises(ValueError, match="alpha=0, beta=0"):
+        load_definition({"q": 3, "alpha": 0, "beta": 0, "g": "1", "h": "0", "k": "1"})
 
 
 # -- one permutation test, the stored-basis kernel and equality ----------------
@@ -1107,8 +1128,7 @@ def test_invariant_under_agrees_with_roll_shift():
         width = alpha + 2 * beta
         shift = lambda m: reference_shift_columns(alpha, beta, m)
         vec = nprng.integers(0, tw.q, size=width, dtype=np.uint8)
-        orbit = orbit_span(tw, vec, shift, _closure_order(alpha, beta),
-                           alpha=alpha, beta=beta)
+        orbit = orbit_span(tw, vec, shift, x_order(alpha, beta), alpha=alpha, beta=beta)
         extra = nprng.integers(0, tw.q, size=(1, width), dtype=np.uint8)
         for gm in (orbit, GeneratorMatrixCode(tw, np.vstack([orbit.matrix, extra]),
                                               alpha=alpha, beta=beta)):
@@ -1119,6 +1139,14 @@ def test_invariant_under_agrees_with_roll_shift():
     assert outcomes == {True, False}
     with pytest.raises(ValueError):
         invariant_under(orbit, np.arange(orbit.width - 1))
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 5, 2], [-1, 0, 1], [1, 2, 2]])
+def test_invariant_under_refuses_what_is_not_a_permutation(perm):
+    gm = GeneratorMatrixCode(T3, [[1, 1, 0]])
+    with pytest.raises(ValueError, match="not a permutation"):
+        invariant_under(gm, perm)
+    assert invariant_under(gm, [1, 0, 2]) and not invariant_under(gm, [2, 1, 0])
 
 
 def test_equals_agrees_with_rowspace_equal():
@@ -1232,5 +1260,5 @@ def test_closure_limit_admits_every_table_row():
     for entry in TABLE1 + TABLE2 + TABLE3:
         alpha = entry.alpha or 0
         beta = entry.beta if entry.beta is not None else entry.n
-        cells = (3 if alpha else 2) * _closure_order(alpha, beta) * (alpha + 2 * beta)
+        cells = (3 if alpha else 2) * x_order(alpha, beta) * (alpha + 2 * beta)
         assert cells <= MAX_CLOSURE_CELLS

@@ -115,6 +115,14 @@ def test_gray_rows_match_gray_word():
             assert np.array_equal(gray_word(w), reference_gray_word(w))
 
 
+@pytest.mark.parametrize("alpha,width", [(1, 4), (0, 3), (2, 1)])
+def test_gray_rows_refuses_a_width_without_whole_pairs(alpha, width):
+    # an odd beta part would pair b with the next coordinate's b
+    with pytest.raises(ValueError, match=f"width {width} is not alpha={alpha}"):
+        gray_rows(T3, alpha, np.ones((1, width), dtype=np.uint8))
+    assert gray_rows(T3, 1, [[1, 0, 1]]).tolist() == [[1, 1, 1]]
+
+
 def test_gray_image_rank_loss_raises(monkeypatch):
     code = MixedCode(T3, 1, 3, P("1"), P("x^2+x+1", ext=True),
                      P("x+2"), P("x+2"), P("x^3+2"))
@@ -231,9 +239,8 @@ def reference_shift_columns_image(alpha, beta, mat):
 
 
 def test_shift_invariance_agrees_with_roll_sigma():
-    from addcyclic.codes import _closure_order
     from addcyclic.gray import GrayImageCode
-    from test_codes import orbit_span
+    from test_codes import orbit_span, x_order
     rng = random.Random(197)
     nprng = np.random.default_rng(197)
     outcomes = set()
@@ -243,7 +250,7 @@ def test_shift_invariance_agrees_with_roll_sigma():
         width = alpha + 2 * beta
         sigma = lambda m: reference_shift_columns_image(alpha, beta, m)
         vec = nprng.integers(0, tw.q, size=width, dtype=np.uint8)
-        orbit = orbit_span(tw, vec, sigma, _closure_order(alpha, beta))
+        orbit = orbit_span(tw, vec, sigma, x_order(alpha, beta))
         extra = nprng.integers(0, tw.q, size=(1, width), dtype=np.uint8)
         for base in (orbit, GeneratorMatrixCode(tw, np.vstack([orbit.matrix, extra]))):
             img = GrayImageCode(base, alpha, beta, "")

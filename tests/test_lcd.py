@@ -137,6 +137,24 @@ def test_is_self_orthogonal_examples():
     assert is_self_orthogonal(np.zeros((0, 3), np.uint8), tower=T3)
 
 
+@pytest.mark.parametrize("rows", [[[3, 0]], np.array([[1, 1], [0, 5]], np.uint8)])
+def test_is_self_orthogonal_refuses_raw_entries_outside_fq(rows):
+    # 3 and 5 are no elements of F_3: the Gram product would look them up
+    # in F_3's tables
+    with pytest.raises(ValueError, match="lies outside F_3"):
+        is_self_orthogonal(rows, tower=T3)
+
+
+@pytest.mark.parametrize("width", [4, 7, 0])
+def test_certificate_refuses_a_matrix_of_the_wrong_width(width):
+    # the image is of a (1, 2) split, 5 expanded columns wide
+    expanded = np.array([[1, 1, 0, 0, 1], [0, 0, 1, 2, 0]], dtype=np.uint8)
+    image = gray_image(GeneratorMatrixCode(T3, expanded, alpha=1, beta=2))
+    assert lcd_certificate(expanded, image).hull_dimension_observed >= 0
+    with pytest.raises(ValueError, match=f"width {width} is not alpha"):
+        lcd_certificate(np.ones((2, width), dtype=np.uint8), image)
+
+
 def test_rows_fq_independent():
     tw, alpha, beta, words = example_words()
     g_beta = np.array([w.uprime for w in words], dtype=np.uint8)
