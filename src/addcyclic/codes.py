@@ -693,10 +693,11 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
 # definition documents
 
 
-# Bound on a definition's block lengths, far beyond every built-in table
-# row: generators x lcm(alpha, beta) (the order of x) x (alpha + 2*beta)
-# entries, the whole x-orbit, not the `_span_degree` shifts a closure
-# builds, so that (997, 1009), whose parameters take minutes, is refused.
+# Bound on the entries of a definition's x-orbit: generators x
+# lcm(alpha, beta) (the order of x) x (alpha + 2*beta).  It bounds the
+# block lengths, far beyond every built-in table row, not the matrix a
+# closure builds from `_span_degree` shifts: counted on that matrix,
+# (997, 1009), whose parameters take minutes, would pass.
 MAX_CLOSURE_CELLS = 2**26
 
 
@@ -743,13 +744,15 @@ def load_definition(doc: dict, strict=True):
     alpha = _document_int(doc, "alpha", 0)
     beta = _document_int(doc, "beta")
     generators = 3 if alpha else 2
-    # lcm(alpha, 0) is 0; _span_degree then gives the other length, or refuses (0, 0)
+    # the x-orbit's entries; lcm(alpha, 0) is 0, and _span_degree then
+    # gives the other length, or refuses (0, 0)
     order = math.lcm(alpha, beta) or _span_degree(alpha, beta)
     cells = generators * order * (alpha + 2 * beta)
     if cells > MAX_CLOSURE_CELLS:
         raise ValueError(
-            f"block lengths alpha={alpha}, beta={beta} need a {cells}-entry "
-            f"closure matrix; the limit is {MAX_CLOSURE_CELLS}")
+            f"block lengths alpha={alpha}, beta={beta} give an x-orbit of {cells} "
+            f"entries ({generators} generators x {order} shifts x {alpha + 2 * beta} "
+            f"columns); the limit is {MAX_CLOSURE_CELLS}")
     g = _document_poly(doc, "g", tw.base, tw)
     h = _document_poly(doc, "h", tw.base, tw)
     k = _document_poly(doc, "k", tw.base, tw)

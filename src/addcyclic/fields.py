@@ -38,8 +38,10 @@ field, and for p = 2 every level's digit is a group of bits (each base
 is a power of 2) whose prime-field sum is bitwise addition mod 2: XOR.
 Each element is its own negative there, so subtraction is addition.  A
 uint8 XOR is about 100 times faster than the two-index table gather on
-a 2000 x 34 block; scalars keep the table lookup, which is faster than
-wrapping a Python-int XOR as a numpy uint8.
+a 2000 x 34 block; scalars passed here keep the table lookup, which is
+faster than wrapping a Python-int XOR as a numpy uint8.  Scalar work in
+bulk does not come here: `poly` does its coefficient arithmetic in
+Python lists derived from these tables, one list index per operation.
 """
 
 from __future__ import annotations

@@ -3,16 +3,42 @@
 Coefficients are stored low degree first with no trailing zeros, so the
 zero polynomial has an empty coefficient tuple and degree() == -1.
 
+Coefficient arithmetic reads the field's tables as nested Python lists
+(`_scalars`), derived once per field from its numpy tables.  A
+polynomial's coefficients are a handful of Python ints, one at a time,
+and `mul[a][b]` costs a list index where `field.mul_table[a, b]` costs a
+numpy scalar lookup and an `int()`; whole arrays stay with `Field`.
+
 The text format is the one used throughout the built-in code tables:
 sums of terms like `x^4`, `ux^2`, `(2w+2)x`, `u^2`, `2w+1`.  There is no
 minus sign; negatives are written through their field representatives.
+A power of x is read as its monomial, not as repeated products.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 from .fields import Field, FieldMismatchError, format_element
+
+
+class _Scalars(NamedTuple):
+    """A field's add, mul, neg and inv tables as Python lists:
+    add[a][b] = a + b, mul[a][b] = a*b, neg[a] = -a, inv[a] = 1/a (a != 0)."""
+
+    add: list
+    mul: list
+    neg: list
+    inv: list
+
+
+@lru_cache(maxsize=None)
+def _scalars(field):
+    return _Scalars(field.add_table.tolist(), field.mul_table.tolist(),
+                    field.neg_table.tolist(), field.inv_table.tolist())
 
 
 class PolyParseError(ValueError):
@@ -33,7 +59,7 @@ class Poly:
         cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        if any(not 0 <= c < field.order for c in cs):
+        if cs and (min(cs) < 0 or max(cs) >= field.order):
             raise ValueError("coefficient out of range for the field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -58,7 +84,7 @@ class Poly:
     @classmethod
     def xn_minus_1(cls, field, n):
         cs = [0] * (n + 1)
-        cs[0] = int(field.neg(1))
+        cs[0] = _scalars(field).neg[1]
         cs[n] = 1
         return cls(field, cs)
 
@@ -97,53 +123,56 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, [int(f.add(self[i], other[i])) for i in range(n)])
+        add = _scalars(self.field).add
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly(self.field, [add[x][y] for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
         self._check(other)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(f, [int(f.sub(self[i], other[i])) for i in range(n)])
+        return self + -other
 
     def __neg__(self):
-        f = self.field
-        return Poly(f, [int(f.neg(c)) for c in self.coeffs])
+        neg = _scalars(self.field).neg
+        return Poly(self.field, [neg[c] for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
         if self.is_zero() or other.is_zero():
             return Poly.zero(f)
+        add, mul, *_ = _scalars(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = int(f.add(out[i + j], f.mul(a, b)))
+            by_a = mul[a]
+            for j, b in enumerate(other.coeffs, i):
+                out[j] = add[out[j]][by_a[b]]
         return Poly(f, out)
 
     def scale(self, c):
-        f = self.field
-        return Poly(f, [int(f.mul(c, a)) for a in self.coeffs])
+        by_c = _scalars(self.field).mul[c]
+        return Poly(self.field, [by_c[a] for a in self.coeffs])
 
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
+        add, mul, neg, inv = _scalars(f)
         rem = list(self.coeffs)
         db = other.degree()
-        lead_inv = int(f.inv(other.coeffs[-1]))
+        by_lead_inv = mul[inv[other.coeffs[-1]]]
         quot = [0] * max(0, len(rem) - db)
         while len(rem) - 1 >= db:
-            c = int(f.mul(rem[-1], lead_inv))
+            c = by_lead_inv[rem[-1]]
             shift = len(rem) - 1 - db
             quot[shift] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[shift + i] = int(f.sub(rem[shift + i], f.mul(c, bc)))
+            by_minus_c = mul[neg[c]]
+            for i, bc in enumerate(other.coeffs, shift):
+                rem[i] = add[rem[i]][by_minus_c[bc]]
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)
@@ -157,24 +186,24 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(int(self.field.inv(self.coeffs[-1])))
+        return self.scale(_scalars(self.field).inv[self.coeffs[-1]])
 
     def __call__(self, x):
-        f = self.field
+        add, mul, *_ = _scalars(self.field)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = int(f.add(f.mul(acc, x), c))
+            acc = add[mul[acc][x]][c]
         return acc
 
     # -- the quotient ring F[x]/<x^n - 1> -----------------------------------
 
     def cyclic_vector(self, n):
         """Coefficient vector of this polynomial mod x^n - 1, as a numpy array."""
-        f = self.field
-        v = np.zeros(n, dtype=np.uint8)
+        add = _scalars(self.field).add
+        v = [0] * n
         for d, c in enumerate(self.coeffs):
-            v[d % n] = f.add(v[d % n], c)
-        return v
+            v[d % n] = add[v[d % n]][c]
+        return np.array(v, dtype=np.uint8)
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -302,6 +331,8 @@ class _Parser:
                                      self.text, pos + 1)
             self.take()
             self._check_degree(max(value, base.degree() * value), pos)
+            if base.coeffs == (0, 1):  # x^value
+                return Poly(self.field, [0] * value + [1])
             acc = Poly.one(self.field)
             for _ in range(value):
                 acc = acc * base

@@ -322,7 +322,7 @@ def test_absurd_block_lengths_exit_2(capsys, doc):
     for command in ("params", "dual", "gray"):
         code, _, err = run(capsys, [command, "--input", json.dumps(doc)])
         assert code == 2
-        assert err.startswith("invalid code definition") and "closure matrix" in err
+        assert err.startswith("invalid code definition") and "x-orbit of" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1251,7 +1251,7 @@ def test_closure_limit_rejects_absurd_block_lengths():
     for alpha, beta in ((0, 200_000), (997, 1009)):
         doc = {"q": 3, "alpha": alpha, "beta": beta, "s": "1", "l": "0",
                "g": "1", "h": "0", "k": "1"}
-        with pytest.raises(ValueError, match="closure matrix"):
+        with pytest.raises(ValueError, match="x-orbit of"):
             load_definition(doc)
 
 

@@ -876,6 +876,21 @@ def sorted_rows(block):
     return block[np.lexsort(block.T[::-1])]
 
 
+def test_distinct_rows_are_np_unique_without_the_zero_row():
+    # the sweep's pools, and so its candidates, keep np.unique's order
+    rng = np.random.default_rng(2602)
+    for q, width in ((2, 4), (3, 6), (4, 9), (16, 3)):
+        rows = rng.integers(0, q, size=(30, width), dtype=np.uint8)
+        block = np.vstack([rows, rows[rng.integers(0, 30, size=20)],
+                           np.zeros((3, width), dtype=np.uint8)])
+        block = block[rng.permutation(len(block))]
+        expected = np.unique(block, axis=0)
+        got = distance._distinct_rows(block)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected[expected.any(axis=1)])
+    assert distance._distinct_rows(np.zeros((4, 5), dtype=np.uint8)).shape == (0, 5)
+
+
 def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
     # each block stands for the words it counts, over F_q2; expanded,
     # together they must be the reference candidates

@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from addcyclic.fields import tower
 from addcyclic.poly import (
     Poly,
     PolyParseError,
+    _scalars,
     divides,
     format_poly,
     parse_poly,
@@ -22,6 +24,100 @@ T8 = tower(8)
 
 def P(text, tw=T3, ext=False):
     return parse_poly(text, tw.ext if ext else tw.base, tw)
+
+
+# -- list tables against the numpy tables ---------------------------------
+
+
+def test_scalar_tables_equal_the_numpy_tables():
+    orders = set()
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        tw = tower(q)
+        for f in (tw.prime, tw.base, tw.ext):
+            orders.add(f.order)
+            tables = _scalars(f)
+            for got, want in zip(tables, (f.add_table, f.mul_table,
+                                          f.neg_table, f.inv_table)):
+                assert np.array_equal(np.array(got), want)
+                assert all(type(c) is int for c in np.array(got, dtype=object).flat)
+    assert {81, 121, 169, 256} <= orders
+
+
+# numpy-table references for Poly arithmetic: coefficient tuples in, a
+# Poly out, one `add_table`/`mul_table` lookup per scalar operation
+
+
+def table_sum(f, a, b, negate=False):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(f, [f.add_table[a[i], f.neg_table[b[i]] if negate else b[i]]
+                    for i in range(n)])
+
+
+def table_product(f, a, b):
+    out = [0] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = f.add_table[out[i + j], f.mul_table[x, y]]
+    return Poly(f, out)
+
+
+def table_scale(f, c, a):
+    return Poly(f, [f.mul_table[c, x] for x in a.coeffs])
+
+
+def table_divmod(f, a, b):
+    rem, db = list(a.coeffs), b.degree()
+    quot = [0] * max(0, len(rem) - db)
+    while len(rem) - 1 >= db:
+        c = f.mul_table[rem[-1], f.inv_table[b.coeffs[-1]]]
+        shift = len(rem) - 1 - db
+        quot[shift] = c
+        for i, y in enumerate(b.coeffs):
+            rem[shift + i] = f.add_table[rem[shift + i], f.neg_table[f.mul_table[c, y]]]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Poly(f, quot), Poly(f, rem)
+
+
+def table_value(f, a, x):
+    acc = 0
+    for c in reversed(a.coeffs):
+        acc = f.add_table[f.mul_table[acc, x], c]
+    return int(acc)
+
+
+def table_fold(f, a, n):
+    v = np.zeros(n, dtype=np.uint8)
+    for d, c in enumerate(a.coeffs):
+        v[d % n] = f.add_table[v[d % n], c]
+    return v
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 8, 9))
+def test_poly_arithmetic_equals_the_numpy_table_reference(q):
+    tw = tower(q)
+    rng = random.Random(2600 + q)
+    for f in (tw.base, tw.ext):
+        def draw(terms):
+            return Poly(f, [rng.randrange(f.order) for _ in range(terms)])
+
+        for _ in range(80):
+            a, b = draw(rng.randrange(9)), draw(rng.randrange(9))
+            c, x = rng.randrange(f.order), rng.randrange(f.order)
+            assert a + b == table_sum(f, a, b)
+            assert a - b == table_sum(f, a, b, negate=True)
+            assert -a == table_sum(f, Poly.zero(f), a, negate=True)
+            assert a * b == table_product(f, a, b)
+            assert a.scale(c) == table_scale(f, c, a)
+            assert a(x) == table_value(f, a, x)
+            assert type(a(x)) is int
+            n = rng.randrange(1, 7)
+            folded = a.cyclic_vector(n)
+            assert folded.dtype == np.uint8
+            assert np.array_equal(folded, table_fold(f, a, n))
+            if not b.is_zero():
+                assert divmod(a, b) == table_divmod(f, a, b)
+                assert b.monic() == table_scale(f, f.inv_table[b.coeffs[-1]], b)
 
 
 # -- divmod ------------------------------------------------------------------
@@ -147,6 +243,29 @@ def test_parse_bounds_degree_and_nesting():
             P(text)
         assert info.value.pos == pos
     assert P("(" * 64 + "x" + ")" * 64) == P("x")
+
+
+def test_powers_of_x_are_monomials(monkeypatch):
+    f = T4.base
+    power = Poly.one(f)
+    for e in range(41):
+        assert P(f"x^{e}", T4) == power
+        power = power * Poly.x(f)
+    other = Poly.one(f)
+    for e in range(9):  # any other base is still raised by products
+        assert P(f"(x+u)^{e}", T4) == other
+        other = other * P("x+u", T4)
+    products = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert P("x^1024").coeffs == (0,) * 1024 + (1,)
+    assert P("ux^1000+x^999", T4).coeffs == (0,) * 999 + (1, T4.p)
+    assert len(products) <= 2
 
 
 def test_parse_rejects_minus():
