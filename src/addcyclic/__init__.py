@@ -7,7 +7,6 @@ minimum distances, and a verification harness for the built-in tables.
 """
 
 from .codes import (
-    CanonicalFormError,
     Cardinality,
     CodeConstructionError,
     ExtractedGenerators,
@@ -18,17 +17,13 @@ from .codes import (
     PureCode,
     SingletonResult,
     SpanningSet,
-    canonicalize_pure,
     dual,
     extract_mixed_generators,
-    inner_product,
     invariant_under,
     is_cyclic,
     load_definition,
     module_closure,
-    projections,
     singleton_check,
-    star,
 )
 from .distance import (
     DEFAULT_BUDGET,
@@ -45,10 +40,7 @@ from .gray import (
     QUASI_CYCLIC_3,
     GrayImageCode,
     classify_gray_image,
-    gray_block,
     gray_image,
-    gray_word,
-    gray_word_inverse,
     shift_invariance_check,
 )
 from .lcd import (
@@ -59,10 +51,8 @@ from .lcd import (
     is_lcd,
     is_self_orthogonal,
     lcd_certificate,
-    lcd_pipeline,
     lcd_pipeline_code,
     load_matrix_document,
-    rows_fq_independent,
 )
 from .poly import (
     Poly,

@@ -22,7 +22,6 @@ import sys
 
 from .codes import (
     CodeConstructionError,
-    GeneratorMatrixCode,
     MixedCode,
     PureCode,
     dual,
@@ -33,8 +32,7 @@ from .codes import (
 )
 from .distance import DEFAULT_BUDGET, min_distance
 from .gray import gray_image, shift_invariance_check
-from .lcd import lcd_certificate, load_matrix_document
-from .linalg import as_matrix
+from .lcd import _words_certificate, load_matrix_document
 from .poly import PolyParseError, format_poly
 from .tables import verify_all
 
@@ -200,9 +198,7 @@ def cmd_lcd(args):
     except DOCUMENT_ERRORS as exc:
         print(f"invalid matrix document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    expanded = as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
-    image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
-    cert = lcd_certificate(expanded, image)
+    image, cert = _words_certificate(tw, alpha, beta, words)
     dist = _distance_report(image.base, args.budget, args.seed)
     payload = {
         "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,

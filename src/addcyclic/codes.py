@@ -5,7 +5,7 @@ code object is its F_q-expanded generator matrix: each F_q2 coordinate
 contributes two F_q columns (the b then the c component of b + w*c), and
 the codeword set is the F_q-row space of all x-shifts of the generators
 (the module closure).  Generator-polynomial bookkeeping — spanning sets,
-the cardinality formula, canonical triples — is treated as a set of
+the cardinality formula, the generator conditions — is treated as a set of
 claims that are checked against that matrix, because degenerate
 generator choices (e.g. g ≡ 0 mod x^beta - 1) do occur in practice and
 break the formulas.
@@ -26,21 +26,12 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .fields import (
-    FieldMismatchError,
-    FieldTower,
-    tower as get_tower,
-)
-from .linalg import _suffix_block
+from .fields import FieldTower, tower as get_tower
 from .poly import Poly, combine_components, divides, lift, parse_poly
 
 
 class CodeConstructionError(ValueError):
     """A generator-polynomial condition failed; the message names it."""
-
-
-class CanonicalFormError(ValueError):
-    """Operation requires canonical generators; use the module closure instead."""
 
 
 class InvariantViolation(RuntimeError):
@@ -74,12 +65,6 @@ class MixedWord:
     def beta(self):
         return len(self.uprime)
 
-    def shift(self):
-        """Simultaneous right cyclic shift of both blocks (= multiply by x)."""
-        u = self.u[-1:] + self.u[:-1]
-        up = self.uprime[-1:] + self.uprime[:-1]
-        return MixedWord(self.tower, u, up)
-
     def expand(self):
         """F_q expansion: [u | b_0, c_0, ..., b_{beta-1}, c_{beta-1}]."""
         t = self.tower
@@ -90,12 +75,6 @@ class MixedWord:
         out[self.alpha :: 2][: self.beta] = b
         out[self.alpha + 1 :: 2] = c
         return out
-
-    @classmethod
-    def from_expanded(cls, tower, alpha, beta, vec):
-        """The word of an expanded row (the layout of `expand`); an entry
-        outside F_q is refused."""
-        return cls._from_rows(tower, alpha, beta, linalg.as_matrix([vec], field=tower.base))[0]
 
     @classmethod
     def _from_rows(cls, tower, alpha, beta, rows):
@@ -111,55 +90,6 @@ class MixedWord:
         u = tuple(int(v) for v in a.cyclic_vector(alpha)) if alpha else ()
         up = tuple(int(v) for v in b.cyclic_vector(beta))
         return cls(tower, u, up)
-
-    def __add__(self, other):
-        if other.tower != self.tower:
-            raise FieldMismatchError("words from different towers")
-        if (other.alpha, other.beta) != (self.alpha, self.beta):
-            raise ValueError("block lengths differ")
-        t = self.tower
-        u = tuple(int(t.base.add(x, y)) for x, y in zip(self.u, other.u))
-        up = tuple(int(t.ext.add(x, y)) for x, y in zip(self.uprime, other.uprime))
-        return MixedWord(t, u, up)
-
-    def scale(self, c):
-        """Multiply by a base-field scalar."""
-        t = self.tower
-        u = tuple(int(t.base.mul(c, x)) for x in self.u)
-        up = tuple(int(t.ext.mul(c, x)) for x in self.uprime)
-        return MixedWord(t, u, up)
-
-    def is_zero(self):
-        return not any(self.u) and not any(self.uprime)
-
-
-def star(s: Poly, word: MixedWord) -> MixedWord:
-    """The module action s(x) * (u | u') = (s·u mod x^alpha - 1 | s·u' mod x^beta - 1).
-
-    s must have base-field coefficients; x * word is the simultaneous
-    right cyclic shift of both blocks.
-    """
-    if s.field != word.tower.base:
-        raise FieldMismatchError("scalar polynomial must be over the base field")
-    acc = MixedWord(word.tower, (0,) * word.alpha, (0,) * word.beta)
-    shifted = word
-    for d in range(s.degree() + 1):
-        if s[d]:
-            acc = acc + shifted.scale(s[d])
-        shifted = shifted.shift()
-    return acc
-
-
-def inner_product(x: MixedWord, y: MixedWord) -> int:
-    """w * sum(u_i v_i) + sum(u'_j v'_j), an element of F_q2."""
-    if x.tower != y.tower:
-        raise FieldMismatchError("words from different towers")
-    if (x.alpha, x.beta) != (y.alpha, y.beta):
-        raise ValueError("block lengths differ")
-    t = x.tower
-    sa = t.base.dot(np.asarray(x.u, np.uint8), np.asarray(y.u, np.uint8)) if x.alpha else 0
-    sb = t.ext.dot(np.asarray(x.uprime, np.uint8), np.asarray(y.uprime, np.uint8))
-    return int(t.ext.add(t.ext.mul(t.omega, int(sa)), int(sb)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +174,6 @@ class GeneratorMatrixCode:
         """Same row space: the stored rref bases are canonical, so they
         are compared as they stand."""
         return self.width == other.width and np.array_equal(self.matrix, other.matrix)
-
-    def words(self):
-        """All q^rank codewords in message order (small codes only)."""
-        return _suffix_block(self.field, self.matrix)
 
 
 def _shift_columns(alpha, beta, t):
@@ -365,17 +291,23 @@ class _CyclicCode:
         q = self.tower.q
         return Cardinality(q ** sum(self._degree_counts()), q**self.closure.rank)
 
-    def _degree_counted_rows(self):
-        """The degree-counted spanning set in expanded form: generator i
+    def spanning_set(self) -> SpanningSet:
+        """The degree-counted spanning set S1 ∪ S2 ∪ S3 (x-shift ranges of
+        the generators, |S1| = alpha - deg s, |S2| = beta - deg g,
+        |S3| = beta - deg k; a pure code has no S1), with spans_ok
+        reporting whether its span really is the whole code.  Generator i
         contributes rows i*m ... i*m + counts[i] - 1 of the closure's
-        spanning rows, its first m = `_span_degree` shifts (counts <= m)."""
+        spanning rows, its first m = `_span_degree` shifts (counts <= m).
+        The rows are F_q-independent: only S1 has nonzero alpha parts, only
+        S2 nonzero b parts among the rest, and within each of those parts
+        and the c parts of S3 the shifts x^i*s, x^i*g, x^j*k have distinct
+        degrees below the block length.  So the set spans exactly when it
+        has as many rows as the rank."""
         m = _span_degree(self.alpha, self.beta)
-        rows = self.closure.spanning_rows
-        return np.concatenate([rows[i * m : i * m + count]
+        rows = np.concatenate([self.closure.spanning_rows[i * m : i * m + count]
                                for i, count in enumerate(self._degree_counts())])
-
-    def _words(self, rows):
-        return MixedWord._from_rows(self.tower, self.alpha, self.beta, rows)
+        words = MixedWord._from_rows(self.tower, self.alpha, self.beta, rows)
+        return SpanningSet(tuple(words), len(rows) == self.closure.rank)
 
 
 class PureCode(_CyclicCode):
@@ -408,43 +340,11 @@ class PureCode(_CyclicCode):
     def _degree_counts(self):
         return [self.n - self.g.degree(), self.n - self.k.degree()]
 
-    def is_canonical(self):
-        g2, h2, k2 = canonicalize_pure(self.tower, self.n, self.g, self.h, self.k)
-        return self.g.monic() == g2 and self.k.monic() == k2 and self.h % self.k == h2
-
-    def basis_words(self):
-        """The spanning set {x^i (g + w h)} ∪ {w x^j k} with
-        i < n - deg g and j < n - deg k.  Only valid (an actual F_q-basis)
-        for canonical generator triples; otherwise it can fail to span and
-        this method refuses.
-        """
-        if not self.is_canonical():
-            raise CanonicalFormError(
-                "generators are not canonical, so the degree-counted set need "
-                "not span; canonicalize first or use the module closure"
-            )
-        return self._words(self._degree_counted_rows())
-
     def __repr__(self):
         return (
             f"PureCode(q={self.tower.q}, n={self.n}, g={self.g}, "
             f"h={self.h}, k={self.k})"
         )
-
-
-def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
-    """Canonical generator triple (g*, h*, k*) with the same module closure.
-
-    g* generates the ideal of first components, k* the ideal of w-parts of
-    words with zero first component, and h* is the w-part of a preimage of
-    g*, reduced mod k*.  Both g* and k* are monic divisors of x^n - 1 (the
-    zero ideal is represented by x^n - 1 itself) and the construction is
-    idempotent.  The triple is read from one degree-ordered elimination of
-    the x-shifts of the raw words g + w*h and w*k, the spanning rows of
-    their module closure (`_echelon_generators`).
-    """
-    words = _beta_generators(tw, 0, n, g, h, k)
-    return _echelon_generators(tw, 0, n, _closure_rows(0, n, [w.expand() for w in words]))
 
 
 class MixedCode(_CyclicCode):
@@ -511,18 +411,6 @@ class MixedCode(_CyclicCode):
         return [self.alpha - self.s.degree(), self.beta - self.g.degree(),
                 self.beta - self.k.degree()]
 
-    def spanning_set(self) -> SpanningSet:
-        """The degree-counted spanning set S1 ∪ S2 ∪ S3 (x-shift ranges of
-        the three generators, |S1| = alpha - deg s, |S2| = beta - deg g,
-        |S3| = beta - deg k), with spans_ok reporting whether its span
-        really is the whole code.  Its rows are F_q-independent: only S1
-        has nonzero alpha parts, only S2 nonzero b parts among the rest,
-        and within each of those parts and the c parts of S3 the shifts
-        x^i*s, x^i*g, x^j*k have distinct degrees below the block length.
-        So the set spans exactly when it has as many rows as the rank."""
-        rows = self._degree_counted_rows()
-        return SpanningSet(tuple(self._words(rows)), len(rows) == self.closure.rank)
-
     def __repr__(self):
         return (
             f"MixedCode(q={self.tower.q}, alpha={self.alpha}, beta={self.beta}, "
@@ -531,7 +419,7 @@ class MixedCode(_CyclicCode):
 
 
 # ---------------------------------------------------------------------------
-# duality, cyclicity, projections
+# duality and cyclicity
 
 
 def dual(code) -> GeneratorMatrixCode:
@@ -577,19 +465,6 @@ def is_cyclic(code: GeneratorMatrixCode) -> bool:
     if code.alpha is None or code.beta is None:
         raise ValueError("cyclicity needs the block split")
     return invariant_under(code, _shift_columns(code.alpha, code.beta, 1))
-
-
-def projections(code):
-    """(C_alpha, C_beta): images under the two coordinate projections,
-    with the beta side kept in F_q-expanded form."""
-    gm = code.closure if isinstance(code, _CyclicCode) else code
-    if gm.alpha is None or gm.beta is None:
-        raise ValueError("projections need the mixed-alphabet split")
-    tw = gm.tower
-    a = gm.alpha
-    c_alpha = GeneratorMatrixCode(tw, gm.matrix[:, :a], alpha=a, beta=0)
-    c_beta = GeneratorMatrixCode(tw, gm.matrix[:, a:], alpha=0, beta=gm.beta)
-    return c_alpha, c_beta
 
 
 @dataclass(frozen=True)

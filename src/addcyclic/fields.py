@@ -174,21 +174,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_table[a]
 
-    def sum(self, arr, axis=None):
-        """Field sum of a numpy array along `axis` (None: all entries)."""
-        arr = np.asarray(arr, dtype=np.uint8)
-        if axis is None:
-            arr = arr.reshape(-1)
-            axis = 0
-        arr = np.moveaxis(arr, axis, 0)
-        acc = np.zeros(arr.shape[1:], dtype=np.uint8)
-        for row in arr:
-            acc = self.add_table[acc, row]
-        return acc if acc.shape else int(acc)
-
-    def dot(self, x, y):
-        return self.sum(self.mul(np.asarray(x), np.asarray(y)))
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):

@@ -19,7 +19,6 @@ from .codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
-    MixedWord,
     PureCode,
     _shift_columns,
     invariant_under,
@@ -28,14 +27,6 @@ from .codes import (
 QUASI_CYCLIC_3 = "quasi-cyclic index 3"
 GENERALIZED_QC = "generalized quasi-cyclic"
 CYCLIC_EQUIVALENT = "equivalent to cyclic"
-
-
-def gray_block(tower, uprime) -> np.ndarray:
-    """Map a vector over F_q2 to the doubled vector (b+c pairs first, then
-    c); a matrix is mapped row by row."""
-    up = np.asarray(uprime, dtype=np.uint8)
-    b, c = tower.decompose(up)
-    return np.concatenate([tower.base.add(b, c), c], axis=-1).astype(np.uint8)
 
 
 def gray_rows(tower, alpha, rows) -> np.ndarray:
@@ -47,25 +38,6 @@ def gray_rows(tower, alpha, rows) -> np.ndarray:
         raise ValueError(f"width {m.shape[1]} is not alpha={alpha} plus (b, c) pairs")
     b, c = m[:, alpha::2], m[:, alpha + 1 :: 2]
     return np.hstack([m[:, :alpha], tower.base.add(b, c), c])
-
-
-def gray_word(word: MixedWord) -> np.ndarray:
-    """Map a mixed word to F_q^(alpha + 2 beta)."""
-    return gray_rows(word.tower, word.alpha, word.expand()[None])[0]
-
-
-def gray_word_inverse(tower, alpha, beta, vec) -> MixedWord:
-    """Inverse of gray_word; the map is bijective.  An entry outside F_q
-    is refused."""
-    vec = linalg.as_matrix([vec], field=tower.base)[0]
-    if len(vec) != alpha + 2 * beta:
-        raise ValueError("vector length does not match the split")
-    u = tuple(int(x) for x in vec[:alpha])
-    bc = vec[alpha : alpha + beta]
-    c = vec[alpha + beta :]
-    b = tower.base.sub(bc, c)
-    up = tuple(int(x) for x in tower.compose(b, c))
-    return MixedWord(tower, u, up)
 
 
 def classify_gray_image(alpha: int, beta: int) -> str:

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg
 from .codes import (
     GeneratorMatrixCode,
@@ -55,19 +53,11 @@ def _build_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
     return GeneratorMatrixCode(code.tower, basis)
 
 
-def is_self_orthogonal(code_or_rows, tower=None) -> bool:
-    """True iff all pairwise dot products of the rows vanish (so the span
-    is contained in its dual).  Raw rows outside F_q are refused."""
-    if isinstance(code_or_rows, GeneratorMatrixCode):
-        rows = code_or_rows.matrix
-        f = code_or_rows.field
-    else:
-        if tower is None:
-            raise ValueError("raw rows need the tower argument")
-        f = tower.base
-        rows = linalg.as_matrix(code_or_rows, field=f)
-    gram = linalg.matmul(f, rows, rows.T)
-    return not gram.any()
+def is_self_orthogonal(rows, tower) -> bool:
+    """True iff all pairwise dot products of the rows vanish (so their
+    span is contained in its dual).  Rows outside F_q are refused."""
+    rows = linalg.as_matrix(rows, field=tower.base)
+    return not linalg.matmul(tower.base, rows, rows.T).any()
 
 
 def is_lcd(code: GeneratorMatrixCode) -> bool:
@@ -81,18 +71,6 @@ def is_lcd(code: GeneratorMatrixCode) -> bool:
     if by_hull != by_gram:
         raise InvariantViolation("hull test and Gram-rank test disagree")
     return by_hull
-
-
-def rows_fq_independent(tower, rows) -> bool:
-    """True iff the given F_q2 rows are linearly independent over F_q
-    (full rank of the 2*beta-wide base-field expansion).  No rows are
-    independent; rows of length 0 are zero vectors, so they are not."""
-    rows = linalg.as_matrix(rows, field=tower.ext)
-    if len(rows) == 0:
-        return True
-    b, c = tower.decompose(rows)
-    expanded = np.concatenate([b, c], axis=1)
-    return linalg.rank(tower.base, expanded) == rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +103,7 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     self_orth = is_self_orthogonal(M[:, :alpha], tower=tower)
     phi_c_beta = GeneratorMatrixCode(tower, gray_rows(tower, 0, M[:, alpha:]))
     # the Gray block is the expansion [b | c] under the invertible column
-    # map (b, c) -> (b + c, c): its rank is that of rows_fq_independent
+    # map (b, c) -> (b + c, c): its rank is the rows' F_q-rank
     independent = phi_c_beta.rank == len(M)
     beta_lcd = is_lcd(phi_c_beta)
     observed = hull(image.base).rank
@@ -139,12 +117,13 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     )
 
 
-def lcd_pipeline(tower, alpha, beta, rows) -> LcdCertificate:
-    """The certificate of a row-wise generator matrix (rows are
-    MixedWords, duplicated or dependent rows kept as given)."""
-    expanded = linalg.as_matrix([w.expand() for w in rows], width=alpha + 2 * beta)
-    code = GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta)
-    return lcd_certificate(expanded, gray_image(code))
+def _words_certificate(tower, alpha, beta, words):
+    """(image, certificate) of a row-wise generator matrix of MixedWords:
+    the Gray image of the code the rows generate, and the certificate of
+    the rows as given, duplicated or dependent rows kept."""
+    expanded = linalg.as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
+    image = gray_image(GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta))
+    return image, lcd_certificate(expanded, image)
 
 
 def lcd_pipeline_code(code: MixedCode) -> LcdCertificate:

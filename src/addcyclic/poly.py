@@ -12,7 +12,8 @@ numpy scalar lookup and an `int()`; whole arrays stay with `Field`.
 The text format is the one used throughout the built-in code tables:
 sums of terms like `x^4`, `ux^2`, `(2w+2)x`, `u^2`, `2w+1`.  There is no
 minus sign; negatives are written through their field representatives.
-A power of x is read as its monomial, not as repeated products.
+A power of x is read as its monomial, any other power by square and
+multiply.
 """
 
 from __future__ import annotations
@@ -129,10 +130,6 @@ class Poly:
             a, b = b, a
         return Poly(self.field, [add[x][y] for x, y in zip(a, b)] + list(a[len(b):]))
 
-    def __sub__(self, other):
-        self._check(other)
-        return self + -other
-
     def __neg__(self):
         neg = _scalars(self.field).neg
         return Poly(self.field, [neg[c] for c in self.coeffs])
@@ -187,13 +184,6 @@ class Poly:
         if self.is_zero():
             return self
         return self.scale(_scalars(self.field).inv[self.coeffs[-1]])
-
-    def __call__(self, x):
-        add, mul, *_ = _scalars(self.field)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add[mul[acc][x]][c]
-        return acc
 
     # -- the quotient ring F[x]/<x^n - 1> -----------------------------------
 
@@ -333,9 +323,14 @@ class _Parser:
             self._check_degree(max(value, base.degree() * value), pos)
             if base.coeffs == (0, 1):  # x^value
                 return Poly(self.field, [0] * value + [1])
+            # square and multiply: at most 2 * value.bit_length() products
             acc = Poly.one(self.field)
-            for _ in range(value):
-                acc = acc * base
+            while value:
+                if value & 1:
+                    acc = acc * base
+                value >>= 1
+                if value:
+                    base = base * base
             return acc
         return base
 

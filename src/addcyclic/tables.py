@@ -29,9 +29,7 @@ import json
 import time
 from dataclasses import dataclass, field as dc_field, fields
 
-from . import linalg
 from .codes import (
-    GeneratorMatrixCode,
     MixedCode,
     PureCode,
     load_definition,
@@ -44,7 +42,7 @@ from .distance import (
     min_distance_exact,
 )
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
-from .lcd import is_lcd, lcd_certificate, load_matrix_document
+from .lcd import _words_certificate, is_lcd, load_matrix_document
 
 OPTIMALITY_NOTE = (
     "Optimal/BKLC remarks cite external code databases and are recorded as "
@@ -437,12 +435,8 @@ def _verify_table2(rep, entry, budget, mism, details):
 
 
 def _verify_table3(rep, entry, budget, mism, details):
-    tw, alpha, beta, words = build_table3_words(entry)
-    expanded = linalg.as_matrix([w.expand() for w in words],
-                                width=alpha + 2 * beta)
-    image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
+    image, cert = _words_certificate(*build_table3_words(entry))
     _verify_image(rep, entry, image, budget, mism, details)
-    cert = lcd_certificate(expanded, image)
     lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"
     details.append(

@@ -1,0 +1,164 @@
+"""Reference definitions the tests compare the library against: word by
+word or entry by entry, what the library computes on whole matrices.
+The library's callers need none of them."""
+
+import numpy as np
+
+from addcyclic import linalg
+from addcyclic.codes import GeneratorMatrixCode, MixedWord, _CyclicCode
+from addcyclic.codes import _beta_generators, _closure_rows, _echelon_generators
+from addcyclic.fields import FieldMismatchError, FieldTower
+from addcyclic.linalg import _suffix_block
+from addcyclic.poly import Poly, _scalars
+
+
+def field_sum(field, arr, axis=None):
+    """Field sum of a numpy array along `axis` (None: all entries)."""
+    arr = np.asarray(arr, dtype=np.uint8)
+    if axis is None:
+        arr = arr.reshape(-1)
+        axis = 0
+    arr = np.moveaxis(arr, axis, 0)
+    acc = np.zeros(arr.shape[1:], dtype=np.uint8)
+    for row in arr:
+        acc = field.add_table[acc, row]
+    return acc if acc.shape else int(acc)
+
+
+def dot(field, x, y):
+    return field_sum(field, field.mul(np.asarray(x), np.asarray(y)))
+
+
+def evaluate(p: Poly, x):
+    """p(x), by Horner's rule over the field's scalar tables."""
+    add, mul, *_ = _scalars(p.field)
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = add[mul[acc][x]][c]
+    return acc
+
+
+def shift_word(word: MixedWord) -> MixedWord:
+    """Simultaneous right cyclic shift of both blocks (= multiply by x)."""
+    u = word.u[-1:] + word.u[:-1]
+    up = word.uprime[-1:] + word.uprime[:-1]
+    return MixedWord(word.tower, u, up)
+
+
+def add_words(word: MixedWord, other: MixedWord) -> MixedWord:
+    if other.tower != word.tower:
+        raise FieldMismatchError("words from different towers")
+    if (other.alpha, other.beta) != (word.alpha, word.beta):
+        raise ValueError("block lengths differ")
+    t = word.tower
+    u = tuple(int(t.base.add(x, y)) for x, y in zip(word.u, other.u))
+    up = tuple(int(t.ext.add(x, y)) for x, y in zip(word.uprime, other.uprime))
+    return MixedWord(t, u, up)
+
+
+def scale_word(word: MixedWord, c) -> MixedWord:
+    """Multiply by a base-field scalar."""
+    t = word.tower
+    u = tuple(int(t.base.mul(c, x)) for x in word.u)
+    up = tuple(int(t.ext.mul(c, x)) for x in word.uprime)
+    return MixedWord(t, u, up)
+
+
+def is_zero_word(word: MixedWord) -> bool:
+    return not any(word.u) and not any(word.uprime)
+
+
+def star(s: Poly, word: MixedWord) -> MixedWord:
+    """The module action s(x) * (u | u') = (s·u mod x^alpha - 1 | s·u' mod x^beta - 1).
+
+    s must have base-field coefficients; x * word is the simultaneous
+    right cyclic shift of both blocks.
+    """
+    if s.field != word.tower.base:
+        raise FieldMismatchError("scalar polynomial must be over the base field")
+    acc = MixedWord(word.tower, (0,) * word.alpha, (0,) * word.beta)
+    shifted = word
+    for d in range(s.degree() + 1):
+        if s[d]:
+            acc = add_words(acc, scale_word(shifted, s[d]))
+        shifted = shift_word(shifted)
+    return acc
+
+
+def inner_product(x: MixedWord, y: MixedWord) -> int:
+    """w * sum(u_i v_i) + sum(u'_j v'_j), an element of F_q2."""
+    if x.tower != y.tower:
+        raise FieldMismatchError("words from different towers")
+    if (x.alpha, x.beta) != (y.alpha, y.beta):
+        raise ValueError("block lengths differ")
+    t = x.tower
+    sa = dot(t.base, np.asarray(x.u, np.uint8), np.asarray(y.u, np.uint8)) if x.alpha else 0
+    sb = dot(t.ext, np.asarray(x.uprime, np.uint8), np.asarray(y.uprime, np.uint8))
+    return int(t.ext.add(t.ext.mul(t.omega, int(sa)), int(sb)))
+
+
+def gray_block(tower, uprime) -> np.ndarray:
+    """Map a vector over F_q2 to the doubled vector (b+c pairs first, then
+    c); a matrix is mapped row by row."""
+    up = np.asarray(uprime, dtype=np.uint8)
+    b, c = tower.decompose(up)
+    return np.concatenate([tower.base.add(b, c), c], axis=-1).astype(np.uint8)
+
+
+def gray_word_inverse(tower, alpha, beta, vec) -> MixedWord:
+    """Inverse of the Gray map on one word; the map is bijective.  An
+    entry outside F_q is refused."""
+    vec = linalg.as_matrix([vec], field=tower.base)[0]
+    if len(vec) != alpha + 2 * beta:
+        raise ValueError("vector length does not match the split")
+    u = tuple(int(x) for x in vec[:alpha])
+    bc = vec[alpha : alpha + beta]
+    c = vec[alpha + beta :]
+    b = tower.base.sub(bc, c)
+    up = tuple(int(x) for x in tower.compose(b, c))
+    return MixedWord(tower, u, up)
+
+
+def codewords(code: GeneratorMatrixCode):
+    """All q^rank codewords in message order (small codes only)."""
+    return _suffix_block(code.field, code.matrix)
+
+
+def projections(code):
+    """(C_alpha, C_beta): images under the two coordinate projections,
+    with the beta side kept in F_q-expanded form."""
+    gm = code.closure if isinstance(code, _CyclicCode) else code
+    if gm.alpha is None or gm.beta is None:
+        raise ValueError("projections need the mixed-alphabet split")
+    tw = gm.tower
+    a = gm.alpha
+    c_alpha = GeneratorMatrixCode(tw, gm.matrix[:, :a], alpha=a, beta=0)
+    c_beta = GeneratorMatrixCode(tw, gm.matrix[:, a:], alpha=0, beta=gm.beta)
+    return c_alpha, c_beta
+
+
+def rows_fq_independent(tower, rows) -> bool:
+    """True iff the given F_q2 rows are linearly independent over F_q
+    (full rank of the 2*beta-wide base-field expansion).  No rows are
+    independent; rows of length 0 are zero vectors, so they are not."""
+    rows = linalg.as_matrix(rows, field=tower.ext)
+    if len(rows) == 0:
+        return True
+    b, c = tower.decompose(rows)
+    expanded = np.concatenate([b, c], axis=1)
+    return linalg.rank(tower.base, expanded) == rows.shape[0]
+
+
+def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
+    """Canonical generator triple (g*, h*, k*) with the same module closure.
+
+    g* generates the ideal of first components, k* the ideal of w-parts of
+    words with zero first component, and h* is the w-part of a preimage of
+    g*, reduced mod k*.  Both g* and k* are monic divisors of x^n - 1 (the
+    zero ideal is represented by x^n - 1 itself) and the construction is
+    idempotent.  The triple is read from one degree-ordered elimination of
+    the x-shifts of the raw words g + w*h and w*k, the spanning rows of
+    their module closure (`_echelon_generators`).
+    """
+    words = _beta_generators(tw, 0, n, g, h, k)
+    return _echelon_generators(tw, 0, n, _closure_rows(0, n, [w.expand() for w in words]))

@@ -14,15 +14,14 @@ from addcyclic.codes import (
     MixedCode,
     MixedWord,
     PureCode,
-    canonicalize_pure,
     dual,
     is_cyclic,
     module_closure,
 )
 from addcyclic.distance import min_distance_exact, min_distance_upper
 from addcyclic.fields import tower
-from addcyclic.gray import gray_image, gray_word, gray_word_inverse, shift_invariance_check
-from addcyclic.lcd import LCD_GUARANTEED, hull, is_lcd, lcd_pipeline
+from addcyclic.gray import gray_image, gray_rows, shift_invariance_check
+from addcyclic.lcd import LCD_GUARANTEED, _words_certificate, hull, is_lcd
 from addcyclic.poly import Poly, combine_components, divides, poly_gcd
 from addcyclic.tables import (
     OPTIMALITY_NOTE,
@@ -37,6 +36,7 @@ from addcyclic.tables import (
     verify_entry,
 )
 
+from oracles import canonicalize_pure, codewords, gray_block, gray_word_inverse
 from test_codes import random_mixed_code, random_pure_code
 from test_distance import groups_of, naive_min_distance
 from test_lcd import example_words
@@ -199,14 +199,13 @@ def test_criterion_4_table3_and_worked_example():
     # certificate with all three hypotheses
     tw, alpha, beta, words = example_words()
     from addcyclic.codes import GeneratorMatrixCode
-    from addcyclic.gray import gray_block
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
                                alpha=alpha, beta=beta)
     img = gray_image(code)
     phib = GeneratorMatrixCode(tw, [gray_block(tw, w.uprime) for w in words])
     d_full = min_distance_exact(img.base).value
     d_beta = min_distance_exact(phib).value
-    cert = lcd_pipeline(tw, alpha, beta, words)
+    cert = _words_certificate(tw, alpha, beta, words)[1]
     example_ok = (
         (img.length, img.rank, d_full) == (12, 3, 7)
         and hull(img.base).rank == 0
@@ -290,7 +289,7 @@ def test_criterion_5_property_suites():
             if code.closure.size * dm.size > 2**20:
                 continue
             pairs = orthogonality_matrix(T3, alpha, beta,
-                                         code.closure.words(), dm.words())
+                                         codewords(code.closure), codewords(dm))
             assert not pairs.any()
             checked += 1
         assert checked >= 1000
@@ -302,7 +301,8 @@ def test_criterion_5_property_suites():
             alpha, beta = rng.randrange(1, 5), rng.randrange(1, 5)
             w = MixedWord(tw, tuple(rng.randrange(tw.q) for _ in range(alpha)),
                           tuple(rng.randrange(tw.q**2) for _ in range(beta)))
-            assert gray_word_inverse(tw, alpha, beta, gray_word(w)) == w
+            image = gray_rows(tw, alpha, w.expand()[None])[0]
+            assert gray_word_inverse(tw, alpha, beta, image) == w
 
     def gray_distance_lemma():
         rng = random.Random(6)
@@ -378,7 +378,7 @@ def test_criterion_5_property_suites():
             words = [MixedWord(T3, rng.choice(alpha_pool[alpha]),
                                tuple(rng.randrange(9) for _ in range(beta)))
                      for _ in range(k)]
-            cert = lcd_pipeline(T3, alpha, beta, words)
+            cert = _words_certificate(T3, alpha, beta, words)[1]
             if cert.conclusion == LCD_GUARANTEED:
                 held += 1
                 assert cert.hull_dimension_observed == 0

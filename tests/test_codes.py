@@ -10,7 +10,6 @@ import pytest
 
 from addcyclic import linalg
 from addcyclic.codes import (
-    CanonicalFormError,
     Cardinality,
     CodeConstructionError,
     MAX_CLOSURE_CELLS,
@@ -21,17 +20,13 @@ from addcyclic.codes import (
     PureCode,
     SingletonResult,
     SpanningSet,
-    canonicalize_pure,
     dual,
     extract_mixed_generators,
-    inner_product,
     invariant_under,
     is_cyclic,
     load_definition,
     module_closure,
-    projections,
     singleton_check,
-    star,
     _closure_rows,
     _echelon_generators,
     _shift_columns,
@@ -41,6 +36,8 @@ from addcyclic.fields import tower
 from addcyclic.poly import Poly, combine_components, divides, lift, parse_poly, poly_gcd
 from addcyclic.tables import TABLE2, build_table2_code
 
+from oracles import add_words, canonicalize_pure, codewords, field_sum, inner_product
+from oracles import is_zero_word, projections, scale_word, shift_word, star
 from test_linalg import in_rowspace, row_basis, rowspace_equal, solve
 from test_poly import ext_gcd
 
@@ -73,11 +70,11 @@ def span_words(code):
         w = frontier.pop()
         for g in gens:
             for c in range(1, tw.q):
-                cand = w + g.scale(c)
+                cand = add_words(w, scale_word(g, c))
                 if cand not in seen:
                     seen.add(cand)
                     frontier.append(cand)
-        shifted = w.shift()
+        shifted = shift_word(w)
         if shifted not in seen:
             seen.add(shifted)
             frontier.append(shifted)
@@ -148,7 +145,7 @@ def test_build_pure_divisibility_error():
 
 def test_pure_basis_table_row():
     code = PureCode(T4, 5, P("1", T4), P("x^2+ux", T4), P("x^4+x^3+x^2+x+1", T4))
-    words = code.basis_words()
+    words = code.spanning_set().words
     assert len(words) == 6  # (5 - 0) + (5 - 4)
     mat = linalg.as_matrix([w.expand() for w in words], width=10)
     assert linalg.rank(T4.base, mat) == 6  # F_q-independent
@@ -158,7 +155,7 @@ def test_pure_basis_table_row():
 def test_pure_basis_trivial_kernel():
     # g=1, h=0, k = x^n-1: the embedded copy of F_q^n
     code = PureCode(T3, 4, P("1"), Poly.zero(T3.base), P("x^4+2"))
-    words = code.basis_words()
+    words = code.spanning_set().words
     assert len(words) == 4
     assert code.dimension == 4
 
@@ -166,19 +163,11 @@ def test_pure_basis_trivial_kernel():
 def test_pure_basis_omega_copy():
     # g = x^n-1, h = 0, k = 1: the set w*F_q^n
     code = PureCode(T3, 4, P("x^4+2"), Poly.zero(T3.base), P("1"))
-    words = code.basis_words()
+    words = code.spanning_set().words
     assert len(words) == 4
     for w in words:
         b = [x % 3 for x in w.uprime]
         assert not any(b)
-
-
-def test_pure_basis_refuses_noncanonical():
-    # g == 0 mod x^n-1 with h nonzero is not canonical
-    code = PureCode(T3, 3, P("x^3+2"), P("2x^2+2x+2"), P("x^3+2"))
-    assert not code.is_canonical()
-    with pytest.raises(CanonicalFormError):
-        code.basis_words()
 
 
 def test_pure_closure_matches_bruteforce_span():
@@ -260,8 +249,10 @@ def test_canonicalize_idempotent_and_closure_preserving():
         ])
         assert raw.equals(original)
         canon_code = PureCode(tw, n, gs, hs, ks)
-        assert canon_code.is_canonical()
-        assert len(canon_code.basis_words()) == canon_code.dimension
+        g2, h2, k2 = canonicalize_pure(tw, n, canon_code.g, canon_code.h, canon_code.k)
+        assert (canon_code.g.monic(), canon_code.h % canon_code.k,
+                canon_code.k.monic()) == (g2, h2, k2)
+        assert len(canon_code.spanning_set().words) == canon_code.dimension
         cases += 1
 
 
@@ -391,6 +382,18 @@ def test_lazy_condition_failures_match_eager_check_randomized():
     assert () in seen and (DIVISIBILITY,) in seen and (MEMBERSHIP,) in seen
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "k | h*(x^beta-1)/g is not checked when g = 0 mod x^beta - 1; the mend adds "
+    "a details line to table-2 row 8 and so moves the report digest the "
+    "benchmark pins (perfbench/reference.py): it waits for a benchmark change"))
+def test_a_condition_fails_exactly_when_the_formula_misses_the_closure():
+    code = load_definition({"q": 3, "alpha": 2, "beta": 1, "s": "0", "l": "w",
+                            "g": "0", "h": "1", "k": "0"}, strict=False)
+    card = code.cardinality()
+    assert (card.formula, card.actual) == (1, 3)
+    assert bool(code.condition_failures) == (not card.agree)
+
+
 def test_build_mixed_all_zero():
     code = MixedCode(T3, 2, 2, Poly.zero(T3.base), Poly.zero(T3.ext),
                      Poly.zero(T3.base), Poly.zero(T3.base), Poly.zero(T3.base))
@@ -454,7 +457,7 @@ def reference_degree_counted_words(code):
         cur = MixedWord.from_polys(tw, alpha, beta, a, b)
         for _ in range(count):
             words.append(cur)
-            cur = cur.shift()
+            cur = shift_word(cur)
     return words
 
 
@@ -477,15 +480,13 @@ def check_spanning_set(code):
 
 
 def check_basis_words(code):
+    """A pure code's spanning set is its degree-counted words, spans_ok
+    saying whether they span; those of its canonical triple always span."""
+    check_spanning_set(code)
+    code = PureCode(code.tower, code.n,
+                    *canonicalize_pure(code.tower, code.n, code.g, code.h, code.k))
     want = reference_degree_counted_words(code)
-    assert code.cardinality().formula == code.tower.q ** len(want)
-    if not code.is_canonical():
-        with pytest.raises(CanonicalFormError):
-            code.basis_words()
-        code = PureCode(code.tower, code.n,
-                        *canonicalize_pure(code.tower, code.n, code.g, code.h, code.k))
-        want = reference_degree_counted_words(code)
-    assert code.basis_words() == want
+    assert code.spanning_set().words == tuple(want)
     assert reference_spans_ok(code, want)
 
 
@@ -524,7 +525,7 @@ def test_degree_counts_of_zero_generators(q):
             PureCode(tw, 4, zero, zero, zero)]
     for code in pure:
         check_basis_words(code)
-    assert pure[-1].basis_words() == []
+    assert pure[-1].spanning_set() == SpanningSet((), True)
 
 
 def test_divisor_messages_of_both_constructors():
@@ -559,14 +560,14 @@ def test_star_x_is_shift():
         alpha, beta = rng.randrange(1, 5), rng.randrange(1, 5)
         w = word(T3, [rng.randrange(3) for _ in range(alpha)],
                  [rng.randrange(9) for _ in range(beta)])
-        assert star(P("x"), w) == w.shift()
+        assert star(P("x"), w) == shift_word(w)
 
 
 def test_star_identity_and_annihilator():
     w = word(T3, (1, 2, 0), (4, 0, 7))
     assert star(P("1"), w) == w
     z = star(P("x^3+2"), w)  # x^3-1 kills both blocks when alpha = beta = 3
-    assert z.is_zero()
+    assert is_zero_word(z)
 
 
 def test_shift_order_divides_lcm():
@@ -578,7 +579,7 @@ def test_shift_order_divides_lcm():
                  [rng.randrange(9) for _ in range(beta)])
         cur = w
         for _ in range(math.lcm(alpha, beta)):
-            cur = cur.shift()
+            cur = shift_word(cur)
         assert cur == w
 
 
@@ -654,7 +655,7 @@ def orthogonality_matrix(tw, alpha, beta, cwords, dwords):
     """All pairwise inner products, vectorized through the form matrix."""
     B = _form_matrix(tw, alpha, beta)
     ext = tw.ext
-    left = ext.sum(ext.mul(cwords[:, :, None], B[None, :, :]), axis=1)
+    left = field_sum(ext, ext.mul(cwords[:, :, None], B[None, :, :]), axis=1)
     out = np.zeros((len(cwords), len(dwords)), dtype=np.uint8)
     for t in range(B.shape[0]):
         out = ext.add(out, ext.mul(left[:, t : t + 1], dwords[None, :, t]))
@@ -670,8 +671,8 @@ def test_dual_orthogonality_full_enumeration():
         dm = dual(code.closure)
         if code.closure.size * dm.size > 2**20:
             continue
-        cw = code.closure.words()
-        dw = dm.words()
+        cw = codewords(code.closure)
+        dw = codewords(dm)
         assert not orthogonality_matrix(T3, alpha, beta, cw, dw).any()
         checked += 1
 
@@ -805,8 +806,8 @@ def reference_extract(code):
     if sol is None:
         l = Poly.zero(tw.ext)
     else:
-        word = base.sum(base.mul(sol[:, None], code.matrix), axis=0)
-        l = Poly(tw.ext, MixedWord.from_expanded(tw, alpha, beta, word).uprime)
+        word = field_sum(base, base.mul(sol[:, None], code.matrix), axis=0)
+        l = Poly(tw.ext, MixedWord._from_rows(tw, alpha, beta, word[None])[0].uprime)
     # the rows pivoting past the alpha block span the alpha kernel
     ker = code.matrix[np.asarray(code.pivots, dtype=np.intp) >= alpha]
     xb1 = Poly.xn_minus_1(base, beta)
@@ -824,7 +825,7 @@ def reference_extract(code):
     if not divides(xb1, g) and len(ker):
         sol_h = solve(base, ker[:, alpha::2].T, g.cyclic_vector(beta))
         if sol_h is not None:
-            word = base.sum(base.mul(sol_h[:, None], ker), axis=0)
+            word = field_sum(base, base.mul(sol_h[:, None], ker), axis=0)
             h = Poly(base, word[alpha + 1 :: 2])
     g, h, k = reference_canonicalize_pure(tw, beta, g, h, k)
     candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
@@ -936,8 +937,8 @@ def test_extraction_of_a_code_that_is_not_cyclic():
         span = MixedCode(tw, alpha, beta, got.s, got.l, got.g, got.h, got.k,
                          strict=False).closure
         assert span.contains_code(gm) and is_cyclic(span)
-        assert span.equals(module_closure(tw, alpha, beta, [
-            MixedWord.from_expanded(tw, alpha, beta, row) for row in gm.matrix]))
+        assert span.equals(module_closure(
+            tw, alpha, beta, MixedWord._from_rows(tw, alpha, beta, gm.matrix)))
     assert seen >= 20
 
 
@@ -1011,9 +1012,9 @@ def test_words_match_list_based_enumeration():
             for row in gm.matrix:
                 multiples = np.array([f.mul(c, row) for c in range(f.order)])
                 acc = f.add(acc[:, None, :], multiples[None, :, :]).reshape(-1, gm.width)
-            assert np.array_equal(gm.words(), acc)
+            assert np.array_equal(codewords(gm), acc)
     zero = module_closure(T3, 1, 1, [])
-    assert np.array_equal(zero.words(), np.zeros((1, 3), dtype=np.uint8))
+    assert np.array_equal(codewords(zero), np.zeros((1, 3), dtype=np.uint8))
 
 
 CLOSURE_SHAPES = ((2, 3), (3, 4), (4, 6), (6, 3), (1, 5), (0, 5), (11, 16))
@@ -1040,7 +1041,7 @@ def test_closure_rows_and_dual_match_row_loops():
         for gen in code.generator_words():
             for _ in range(order):
                 rows.append(gen.expand())
-                gen = gen.shift()
+                gen = shift_word(gen)
         rows = np.array(rows, dtype=np.uint8).reshape(-1, order, alpha + 2 * beta)
         gm = code.closure
         assert np.array_equal(gm.spanning_rows, rows[:, :m].reshape(-1, gm.width))
@@ -1049,7 +1050,7 @@ def test_closure_rows_and_dual_match_row_loops():
         B = _form_matrix(tw, alpha, beta)
         constraints = []
         for x in gm.matrix:
-            b, c = tw.decompose(tw.ext.sum(tw.ext.mul(x[:, None], B), axis=0))
+            b, c = tw.decompose(field_sum(tw.ext, tw.ext.mul(x[:, None], B), axis=0))
             constraints += [b, c]
         cons = linalg.as_matrix(constraints, width=gm.width)
         assert np.array_equal(dual(gm).matrix,
@@ -1218,7 +1219,7 @@ def test_from_expanded_refuses_entries_outside_fq(vec, message):
     # a cast to bytes would wrap 256 to 0, and (4, 1) would pack as the
     # F_9 element 7, a pair whose b lies outside F_3
     with pytest.raises(ValueError, match=message):
-        MixedWord.from_expanded(T3, 1, 1, vec)
+        MixedWord._from_rows(T3, 1, 1, linalg.as_matrix([vec], field=T3.base))
 
 
 @pytest.mark.parametrize("u,uprime,message", [
@@ -1240,7 +1241,7 @@ def test_mixed_word_arithmetic_stays_in_its_fields():
         tw = tower(q)
         top, ext_top = q - 1, q * q - 1
         w = word(tw, (top, 0, 1), (ext_top, 0, q))
-        for built in (w + w, star(Poly(tw.base, [1, top]), w)):
+        for built in (add_words(w, w), star(Poly(tw.base, [1, top]), w)):
             assert built.expand().max() < q
         made = MixedWord.from_polys(tw, 2, 3, Poly(tw.base, [top, 1]),
                                     Poly(tw.ext, [ext_top, 0, q]))

@@ -25,8 +25,6 @@ from addcyclic.codes import (
     MixedCode,
     MixedWord,
     _pack,
-    _suffix_block,
-    projections,
 )
 from addcyclic.distance import (
     DistanceBudgetError,
@@ -37,9 +35,11 @@ from addcyclic.distance import (
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image
 from addcyclic.lcd import hull
+from addcyclic.linalg import _suffix_block
 from addcyclic.poly import parse_poly
 from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
 
+from oracles import field_sum, projections
 from test_codes import random_mixed_code, random_pure_code
 
 T3 = tower(3)
@@ -132,45 +132,37 @@ def reference_exact(code, suffix_rows):
     return best
 
 
-def reference_upper(code, samples=2000, seed=0, split=None):
-    """The witness sweep one combination at a time, stacking every
-    candidate: (value, witnesses_examined) of min_distance_upper, the
-    value weighed in the alphabet `split` (by default the code's own)."""
+def reference_candidates(code, samples, seed):
+    """Every word the sweep and the sample weigh, built one combination at
+    a time, as rows of one block."""
     field = code.field
-    q = field.order
-    r = code.rank
-    pool = [code.matrix]
-    if code.spanning_rows is not None:
-        pool.append(code.spanning_rows)
+    nonzero = range(1, field.order)
+    pool = [code.matrix] if code.spanning_rows is None else [code.matrix,
+                                                             code.spanning_rows]
     rows = np.unique(np.vstack(pool), axis=0)
     rows = rows[np.any(rows, axis=1)]
-    candidates = [rows]
-    nonzero = range(1, q)
+    words = list(rows)
     for i, j in combinations(range(len(rows)), 2):
-        candidates.append(np.array(
-            [field.add(rows[i], field.mul(c, rows[j])) for c in nonzero],
-            dtype=np.uint8))
-    triple_pool = code.spanning_rows if code.spanning_rows is not None else rows
-    triple_pool = np.unique(np.asarray(triple_pool, dtype=np.uint8), axis=0)
+        words += [field.add(rows[i], field.mul(c, rows[j])) for c in nonzero]
+    triple_pool = rows if code.spanning_rows is None else code.spanning_rows
+    triple_pool = np.unique(triple_pool, axis=0)
     triple_pool = triple_pool[np.any(triple_pool, axis=1)]
-    if len(triple_pool) <= 40:
-        for i, j, k in combinations(range(len(triple_pool)), 3):
-            for b in nonzero:
-                candidates.append(np.array(
-                    [field.add(field.add(triple_pool[i],
-                                         field.mul(b, triple_pool[j])),
-                               field.mul(c, triple_pool[k]))
-                     for c in nonzero], dtype=np.uint8))
-    rng = np.random.default_rng(seed)
-    msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
-    msgs = msgs[np.any(msgs, axis=1)]
-    if len(msgs):
-        sampled = np.zeros((len(msgs), code.width), dtype=np.uint8)
-        for t in range(r):
-            sampled = field.add(sampled, field.mul(msgs[:, t : t + 1],
-                                                   code.matrix[t : t + 1, :]))
-        candidates.append(sampled)
-    stacked = np.vstack(candidates)
+    if len(triple_pool) <= 40:  # distance._TRIPLE_POOL_MAX
+        for i, j, k in combinations(triple_pool, 3):
+            words += [field.add(field.add(i, field.mul(b, j)), field.mul(c, k))
+                      for b in nonzero for c in nonzero]
+    msgs = np.random.default_rng(seed).integers(
+        0, field.order, size=(samples, code.rank), dtype=np.uint8)
+    for msg in msgs[np.any(msgs, axis=1)]:
+        words.append(field_sum(field, field.mul(msg[:, None], code.matrix), axis=0))
+    return np.array(words, dtype=np.uint8).reshape(-1, code.width)
+
+
+def reference_upper(code, samples=2000, seed=0, split=None):
+    """(value, witnesses_examined) of min_distance_upper: every candidate
+    stacked, the value weighed in the alphabet `split` (by default the
+    code's own)."""
+    stacked = reference_candidates(code, samples, seed)
     examined = len(stacked)
     stacked = stacked[np.any(stacked, axis=1)]
     split = split_of(code) if split is None else split
@@ -199,9 +191,9 @@ def split_kind(alpha, beta):
 def test_gray_image_weight_can_exceed_mixed_weight():
     # the word (0 | w) weighs 1 in F_9 symbols and its image (1, 1) 2 in
     # F_3 symbols: the distances of the one-row codes they span
-    from addcyclic.gray import gray_word
+    from addcyclic.gray import gray_rows
     w = MixedWord(T3, (), (T3.omega,))
-    img = gray_word(w)
+    img = gray_rows(T3, 0, w.expand()[None])[0]
     assert list(img) == [1, 1]
     mixed = GeneratorMatrixCode(T3, [w.expand()], alpha=0, beta=1)
     assert min_distance_exact(mixed).value == 1
@@ -844,32 +836,6 @@ def test_upper_sweep_triple_pool_edges():
         triples = m * (m - 1) * (m - 2) // 6
         assert res.witnesses_examined == (p + (q - 1) * (p * (p - 1) // 2)
                                           + (q - 1) ** 2 * triples + sampled)
-
-
-def reference_candidates(code, samples, seed):
-    """Every word the sweep and the sample weigh, built one at a time
-    (the candidates of `reference_upper`), as rows of one block."""
-    field = code.field
-    nonzero = range(1, field.order)
-    pool = [code.matrix] if code.spanning_rows is None else [code.matrix,
-                                                             code.spanning_rows]
-    rows = np.unique(np.vstack(pool), axis=0)
-    rows = rows[np.any(rows, axis=1)]
-    words = list(rows)
-    for i, j in combinations(range(len(rows)), 2):
-        words += [field.add(rows[i], field.mul(c, rows[j])) for c in nonzero]
-    triple_pool = rows if code.spanning_rows is None else code.spanning_rows
-    triple_pool = np.unique(triple_pool, axis=0)
-    triple_pool = triple_pool[np.any(triple_pool, axis=1)]
-    if len(triple_pool) <= distance._TRIPLE_POOL_MAX:
-        for i, j, k in combinations(triple_pool, 3):
-            words += [field.add(field.add(i, field.mul(b, j)), field.mul(c, k))
-                      for b in nonzero for c in nonzero]
-    msgs = np.random.default_rng(seed).integers(
-        0, field.order, size=(samples, code.rank), dtype=np.uint8)
-    for msg in msgs[np.any(msgs, axis=1)]:
-        words.append(field.sum(field.mul(msg[:, None], code.matrix), axis=0))
-    return np.array(words, dtype=np.uint8).reshape(-1, code.width)
 
 
 def sorted_rows(block):

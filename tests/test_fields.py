@@ -18,6 +18,8 @@ from addcyclic.fields import (
 )
 from addcyclic.poly import Poly
 
+from oracles import add_words, evaluate
+
 T3 = tower(3)
 T4 = tower(4)
 T8 = tower(8)
@@ -96,7 +98,7 @@ def test_tower_mismatch():
     with pytest.raises(FieldMismatchError):
         Poly(T3.base, (1,)) * Poly(T3.ext, (1,))
     with pytest.raises(FieldMismatchError):
-        MixedWord(T3, (1,), (1,)) + MixedWord(T4, (1,), (1,))
+        add_words(MixedWord(T3, (1,), (1,)), MixedWord(T4, (1,), (1,)))
 
 
 def test_decompose_examples():
@@ -155,7 +157,7 @@ def test_default_moduli_irreducible_by_root_search():
     # quadratic is irreducible over its base iff it has no root there
     for tw in TOWERS:
         f2 = Poly(tw.base, tw.f2)
-        assert all(f2(x) for x in range(tw.base.order))
+        assert all(evaluate(f2, x) for x in range(tw.base.order))
     assert T4.f2 == (2, 1, 1)   # x^2 + x + u over F_4
     assert T8.f2 == (1, 1, 1)   # x^2 + x + 1 over F_8
     assert T3.f2 == (1, 0, 1)   # x^2 + 1 over F_3
@@ -228,7 +230,7 @@ def test_format_element():
 
 def test_poly_eval_helper():
     # f2 of the q=3 tower has no roots but f(w) = 0 in the extension
-    assert Poly(T3.ext, T3.f2)(T3.omega) == 0
+    assert evaluate(Poly(T3.ext, T3.f2), T3.omega) == 0
 
 
 def test_tower_accepts_coefficient_lists():

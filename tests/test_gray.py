@@ -13,7 +13,6 @@ from addcyclic.codes import (
     InvariantViolation,
     MixedCode,
     MixedWord,
-    projections,
 )
 from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
@@ -22,15 +21,13 @@ from addcyclic.gray import (
     GENERALIZED_QC,
     QUASI_CYCLIC_3,
     classify_gray_image,
-    gray_block,
     gray_image,
     gray_rows,
-    gray_word,
-    gray_word_inverse,
     shift_invariance_check,
 )
 from addcyclic.poly import parse_poly
 
+from oracles import add_words, gray_block, gray_word_inverse, projections, scale_word
 from test_codes import random_mixed_code
 
 T3 = tower(3)
@@ -39,6 +36,11 @@ T4 = tower(4)
 
 def P(text, tw=T3, ext=False):
     return parse_poly(text, tw.ext if ext else tw.base, tw)
+
+
+def gray_word(w):
+    """The Gray image of one word: its row of `gray_rows`."""
+    return gray_rows(w.tower, w.alpha, w.expand()[None])[0]
 
 
 def test_gray_block_examples():
@@ -89,7 +91,7 @@ def test_gray_linearity_randomized():
         y = MixedWord(tw, tuple(rng.randrange(tw.q) for _ in range(alpha)),
                       tuple(rng.randrange(tw.q**2) for _ in range(beta)))
         a = rng.randrange(tw.q)
-        lhs = gray_word(x.scale(a) + y)
+        lhs = gray_word(add_words(scale_word(x, a), y))
         rhs = tw.base.add(tw.base.mul(a, gray_word(x)), gray_word(y))
         assert np.array_equal(lhs, np.asarray(rhs))
 

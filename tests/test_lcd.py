@@ -12,18 +12,17 @@ from addcyclic import lcd
 from addcyclic.cli import main
 from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, MixedWord
 from addcyclic.fields import tower
-from addcyclic.gray import gray_block, gray_image, gray_rows
+from addcyclic.gray import gray_image, gray_rows
 from addcyclic.lcd import (
     INAPPLICABLE,
     LCD_GUARANTEED,
+    _words_certificate,
     hull,
     is_lcd,
     is_self_orthogonal,
     lcd_certificate,
-    lcd_pipeline,
     lcd_pipeline_code,
     load_matrix_document,
-    rows_fq_independent,
 )
 from addcyclic.tables import (
     TABLE3,
@@ -34,6 +33,7 @@ from addcyclic.tables import (
     verify_entry,
 )
 
+from oracles import codewords, gray_block, inner_product, rows_fq_independent
 from test_codes import random_mixed_code
 from test_linalg import in_rowspace, rowspace_equal
 
@@ -62,7 +62,7 @@ def test_hull_of_self_orthogonal_projection():
     assert rowspace_equal(
         tw.base, c_alpha.matrix,
         np.array([[1, 1, 1, 0], [1, 2, 0, 1]], np.uint8))
-    assert is_self_orthogonal(c_alpha)
+    assert is_self_orthogonal(c_alpha.matrix, tw)
     h = hull(c_alpha)
     assert h.rank == 2
     assert rowspace_equal(tw.base, h.matrix, c_alpha.matrix)
@@ -70,16 +70,14 @@ def test_hull_of_self_orthogonal_projection():
 
 def test_worked_example_dual_orthogonality_by_enumeration():
     # |C| = 27: check every pair against the mixed inner product directly
-    from addcyclic.codes import dual, inner_product
+    from addcyclic.codes import dual
     tw, alpha, beta, words = example_words()
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
                                alpha=alpha, beta=beta)
     dm = dual(code)
     assert code.size == 27
-    for cvec in code.words():
-        c = MixedWord.from_expanded(tw, alpha, beta, cvec)
-        for dvec in dm.words():
-            d = MixedWord.from_expanded(tw, alpha, beta, dvec)
+    for c in MixedWord._from_rows(tw, alpha, beta, codewords(code)):
+        for d in MixedWord._from_rows(tw, alpha, beta, codewords(dm)):
             assert inner_product(c, d) == 0
 
 
@@ -191,7 +189,7 @@ def test_certificate_independence_matches_rows_fq_independent():
 
 def test_pipeline_worked_example():
     tw, alpha, beta, words = example_words()
-    cert = lcd_pipeline(tw, alpha, beta, words)
+    cert = _words_certificate(tw, alpha, beta, words)[1]
     assert cert.c_alpha_self_orthogonal
     assert cert.g_beta_rows_independent
     assert cert.phi_c_beta_lcd
@@ -202,7 +200,7 @@ def test_pipeline_worked_example():
 def test_pipeline_duplicate_beta_rows_inapplicable():
     tw, alpha, beta, words = example_words()
     dup = words + [words[0]]
-    cert = lcd_pipeline(tw, alpha, beta, dup)
+    cert = _words_certificate(tw, alpha, beta, dup)[1]
     assert not cert.g_beta_rows_independent
     assert cert.conclusion == INAPPLICABLE
     assert cert.hull_dimension_observed >= 0  # still reported
@@ -215,7 +213,7 @@ def test_pipeline_identity_alpha_inapplicable():
         u = [0] * alpha
         u[i] = 1
         replaced.append(MixedWord(tw, tuple(u), w.uprime))
-    cert = lcd_pipeline(tw, alpha, beta, replaced)
+    cert = _words_certificate(tw, alpha, beta, replaced)[1]
     assert not cert.c_alpha_self_orthogonal
     assert cert.conclusion == INAPPLICABLE
 
@@ -276,7 +274,7 @@ def test_sufficiency_theorem_soundness_randomized():
                           tuple(rng.randrange(9) for _ in range(beta)))
                 for _ in range(k)
             ]
-        cert = lcd_pipeline(tw, alpha, beta, words)
+        cert = _words_certificate(tw, alpha, beta, words)[1]
         if cert.conclusion == LCD_GUARANTEED:
             guaranteed += 1
             multi += len(words) > 1
@@ -380,8 +378,7 @@ def random_lcd_cases(seed, count):
 
 def closure_words(code):
     gm = code.closure
-    return [MixedWord.from_expanded(gm.tower, gm.alpha, gm.beta, row)
-            for row in gm.matrix]
+    return MixedWord._from_rows(gm.tower, gm.alpha, gm.beta, gm.matrix)
 
 
 def test_memoized_image_and_hull_equal_fresh_results():
@@ -416,10 +413,10 @@ def test_certificate_matches_words_pipeline_randomized():
         words = closure_words(code)
         expected = reference_lcd_pipeline(tw, code.alpha, code.beta, words)
         assert lcd_pipeline_code(code) == expected
-        assert lcd_pipeline(tw, code.alpha, code.beta, words) == expected
+        assert _words_certificate(tw, code.alpha, code.beta, words)[1] == expected
         # the given rows, dependent ones included, not their span's basis
         doubled = words + words[:1]
-        assert (lcd_pipeline(tw, code.alpha, code.beta, doubled)
+        assert (_words_certificate(tw, code.alpha, code.beta, doubled)[1]
                 == reference_lcd_pipeline(tw, code.alpha, code.beta, doubled))
 
 
@@ -431,11 +428,11 @@ def test_certificate_matches_words_pipeline_on_documents():
         u[i] = 1
         replaced.append(MixedWord(tw, tuple(u), w.uprime))
     for rows in (words, words + [words[0]], replaced):
-        assert (lcd_pipeline(tw, alpha, beta, rows)
+        assert (_words_certificate(tw, alpha, beta, rows)[1]
                 == reference_lcd_pipeline(tw, alpha, beta, rows))
     for entry in TABLE3:
         tw, alpha, beta, words = build_table3_words(entry)
-        assert (lcd_pipeline(tw, alpha, beta, words)
+        assert (_words_certificate(tw, alpha, beta, words)[1]
                 == reference_lcd_pipeline(tw, alpha, beta, words))
 
 

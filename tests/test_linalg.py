@@ -10,7 +10,8 @@ from addcyclic import linalg
 from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.fields import Field, tower
 from addcyclic.gray import gray_rows
-from addcyclic.lcd import rows_fq_independent
+
+from oracles import dot, field_sum, rows_fq_independent
 
 T3 = tower(3)
 F3 = T3.base
@@ -148,7 +149,7 @@ def test_kernel_all_ones_brute_force():
     k = linalg.kernel(F3, np.array([[1, 1, 1]], dtype=np.uint8))
     assert k.shape[0] == 2
     for row in k:
-        assert int(F3.sum(row)) == 0
+        assert int(field_sum(F3, row)) == 0
     assert span_set(F3, k) == expected
 
 
@@ -532,7 +533,7 @@ def test_matmul_matches_entrywise_dot():
             expected = np.zeros((m, n), dtype=np.uint8)
             for i in range(m):
                 for j in range(n):
-                    expected[i, j] = field.dot(A[i], B[:, j]) if k else 0
+                    expected[i, j] = dot(field, A[i], B[:, j]) if k else 0
             assert np.array_equal(linalg.matmul(field, A, B), expected)
 
 

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import math
+
 from addcyclic.fields import tower
 from addcyclic.poly import (
     Poly,
@@ -16,6 +18,8 @@ from addcyclic.poly import (
     parse_scalar,
     poly_gcd,
 )
+
+from oracles import evaluate
 
 T3 = tower(3)
 T4 = tower(4)
@@ -105,12 +109,12 @@ def test_poly_arithmetic_equals_the_numpy_table_reference(q):
             a, b = draw(rng.randrange(9)), draw(rng.randrange(9))
             c, x = rng.randrange(f.order), rng.randrange(f.order)
             assert a + b == table_sum(f, a, b)
-            assert a - b == table_sum(f, a, b, negate=True)
+            assert a + -b == table_sum(f, a, b, negate=True)
             assert -a == table_sum(f, Poly.zero(f), a, negate=True)
             assert a * b == table_product(f, a, b)
             assert a.scale(c) == table_scale(f, c, a)
-            assert a(x) == table_value(f, a, x)
-            assert type(a(x)) is int
+            assert evaluate(a, x) == table_value(f, a, x)
+            assert type(evaluate(a, x)) is int
             n = rng.randrange(1, 7)
             folded = a.cyclic_vector(n)
             assert folded.dtype == np.uint8
@@ -169,8 +173,8 @@ def ext_gcd(a: Poly, b: Poly):
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
+        s0, s1 = s1, s0 + -(q * s1)
+        t0, t1 = t1, t0 + -(q * t1)
     lead = int(f.inv(r0.coeffs[-1]))
     return r0.monic(), s0.scale(lead), t0.scale(lead)
 
@@ -245,16 +249,24 @@ def test_parse_bounds_degree_and_nesting():
     assert P("(" * 64 + "x" + ")" * 64) == P("x")
 
 
+# bases other than x, over the base field of each tower
+POWER_BASES = {3: ("x+2", "2x", "2x^2+x+1", "2"), 4: ("x+u", "ux", "ux^2+1", "u"),
+               8: ("x+u", "u^3x^2+x+1", "u^2"), 9: ("x+u", "ux^2+2x+1", "u+1")}
+
+
 def test_powers_of_x_are_monomials(monkeypatch):
     f = T4.base
     power = Poly.one(f)
     for e in range(41):
         assert P(f"x^{e}", T4) == power
         power = power * Poly.x(f)
-    other = Poly.one(f)
-    for e in range(9):  # any other base is still raised by products
-        assert P(f"(x+u)^{e}", T4) == other
-        other = other * P("x+u", T4)
+    for q, bases in POWER_BASES.items():  # other bases: square and multiply
+        for text in bases:
+            other = Poly.one(tower(q).base)
+            for e in range(41):
+                assert P(f"({text})^{e}", tower(q)) == other
+                other = other * P(text, tower(q))
+    assert P("(x+1)^1024", T4) == P("x^1024+1", T4)  # Frobenius
     products = []
     mul = Poly.__mul__
 
@@ -266,6 +278,10 @@ def test_powers_of_x_are_monomials(monkeypatch):
     assert P("x^1024").coeffs == (0,) * 1024 + (1,)
     assert P("ux^1000+x^999", T4).coeffs == (0,) * 999 + (1, T4.p)
     assert len(products) <= 2
+    for e in (2, 3, 7, 40, 255, 1000, 1023, 1024):
+        del products[:]
+        P(f"(x+1)^{e}", T4)
+        assert len(products) <= 2 * math.ceil(math.log2(e)) + 2
 
 
 def test_parse_rejects_minus():
