@@ -36,11 +36,14 @@ layer w is first asked for, and kept.
 
 Rows and layers are held symbol-major, one array row per symbol, so a
 block of words is weighed by one compare and one sum over the symbols,
-however few they are (`_lightest_nonzero`).  A block groups consecutive
-last rows: the prefix the widest of them needs, against all their
-negated multiples, each row's cells past its own prefix masked, as long
-as the block computes at most _BLOCK_TARGET cells.  A row whose prefix
-alone passes that is weighed in slices.
+however few they are (`_lightest_nonzero`).  The sum adds the compare's
+bools as bytes, with no cast to a wider integer.  A block groups
+consecutive last rows: the prefix the widest of them needs, against all
+their negated multiples, as long as the block computes at most
+_BLOCK_TARGET cells.  The cells past a row's own prefix are set by one
+broadcast OR to the value a zero word wraps to, which never counts, so
+a plain min finds the lightest word.  A row whose prefix alone passes
+_BLOCK_TARGET is weighed in slices.
 
 The engines weigh symbol words, one byte per symbol: the alpha F_q
 columns as they are, each F_q2 pair (b, c) packed as its element
@@ -65,7 +68,7 @@ of columns wide).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,24 +140,40 @@ def _distinct_rows(block):
     return np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8).reshape(-1, width)
 
 
+@lru_cache(maxsize=None)
+def _weight_type(symbols):
+    """(dtype, top) of the weights of words of `symbols` symbols: the
+    least unsigned type that holds `symbols`, and its top value, which
+    no weight minus 1 reaches."""
+    dtype = np.min_scalar_type(symbols)
+    return dtype, dtype.type(np.iinfo(dtype).max)
+
+
 def _lightest_nonzero(best, negated, words, lengths):
     """(min(best, weight of the lightest nonzero word), words counted)
     of one block of symbol-major arrays: negated (symbols, K, G), the K
     negated multiples of G rows; words (symbols, P), a prefix of a
     layer; and the G rows' prefix lengths.  Cell (c, g, p) is the word
     words[:, p] - negated[:, c, g], counted when p < lengths[g]; its
-    weight is the number of symbols in which the two differ."""
+    weight is the number of symbols in which the two differ.
+
+    The compare's bools are summed as their bytes, which skips numpy's
+    bool-to-int cast.  Weights are held minus 1 in an unsigned type, so
+    weight 0 wraps to the top value, which no word reaches; one
+    broadcast OR sets the cells past their row's prefix to it too, when
+    a row is short, and a plain min over the block finds the lightest."""
     symbols, prefix = words.shape
-    dtype = np.min_scalar_type(symbols)
-    weights = (negated[:, :, :, None] != words[:, None, None, :]).sum(axis=0, dtype=dtype)
-    # unsigned: weight 0 wraps to the top value, which no word reaches
+    dtype, top = _weight_type(symbols)
+    different = negated[:, :, :, None] != words[:, None, None, :]
+    weights = different.view(np.uint8).sum(axis=0, dtype=dtype)
     weights -= 1
-    masked = np.arange(prefix) >= np.asarray(lengths)[:, None]
-    top = np.iinfo(dtype).max
-    lightest = int(weights.min(initial=top, where=~masked))
+    lengths = np.asarray(lengths)
+    if lengths.min(initial=prefix) < prefix:
+        weights |= (np.arange(prefix) >= lengths[:, None]) * top
+    lightest = int(weights.min(initial=top))
     if lightest < top:
         best = min(best, lightest + 1)
-    return best, negated.shape[1] * int(np.sum(lengths))
+    return best, negated.shape[1] * int(lengths.sum())
 
 
 def _lightest_word(best, block):

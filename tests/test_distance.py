@@ -582,6 +582,85 @@ def test_layer_blocks_are_bounded_and_normalized():
             assert np.array_equal(ends, [np.sum(last_row <= m) for m in range(k)])
 
 
+def reference_lightest(best, negated, words, lengths):
+    """`_lightest_nonzero` cell by cell: the symbols in which
+    words[:, p] and negated[:, c, g] differ, for p < lengths[g]."""
+    counted = 0
+    for c, g in product(range(negated.shape[1]), range(negated.shape[2])):
+        for p in range(lengths[g]):
+            weight = sum(int(a != b) for a, b in zip(words[:, p], negated[:, c, g]))
+            counted += 1
+            if weight:
+                best = min(best, weight)
+    return best, counted
+
+
+# no engine passes a best this large: a block that counts no nonzero
+# word must leave it as it is
+NO_WORD = 10**6
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 17, 255, 256, 300])
+def test_lightest_nonzero_matches_the_cell_by_cell_reference(symbols):
+    # staircase prefix lengths (the short rows OR-masked), all lengths
+    # full (no mask), with zero words planted inside and outside the
+    # prefixes; past 255 symbols the weights are uint16
+    nprng = np.random.default_rng(271 + symbols)
+    # a small alphabet, so that light words and zero words occur
+    values = 2 if symbols > 8 else 3
+    for _ in range(6):
+        scalars, rows, prefix = (int(v) for v in nprng.integers(1, 6, size=3))
+        negated = nprng.integers(0, values, size=(symbols, scalars, rows), dtype=np.uint8)
+        words = nprng.integers(0, values, size=(symbols, prefix), dtype=np.uint8)
+        staircase = np.sort(nprng.integers(0, prefix + 1, size=rows))
+        for lengths in (staircase, [prefix] * rows, list(staircase[::-1])):
+            # a zero word in every row, at a random position
+            zeroed = words.copy()
+            for g in range(rows):
+                zeroed[:, nprng.integers(prefix)] = negated[:, nprng.integers(scalars), g]
+            for block in (words, zeroed):
+                for best in (NO_WORD, symbols + 1, 2):
+                    assert (distance._lightest_nonzero(best, negated, block, lengths)
+                            == reference_lightest(best, negated, block, lengths))
+
+
+@pytest.mark.parametrize("symbols", [5, 17, 300])
+def test_lightest_nonzero_never_weighs_past_the_prefix(symbols):
+    nprng = np.random.default_rng(277 + symbols)
+    v0 = nprng.integers(0, 2, size=symbols, dtype=np.uint8)
+    light = v0.copy()
+    light[0] ^= 1
+    # every multiple of every row is v0, every cell inside the staircase
+    # prefixes a zero word, which never counts, and the only nonzero cells
+    # (weight 1) lie past every row's prefix: best stays as it is
+    negated = np.repeat(v0[:, None, None], 2, axis=1).repeat(3, axis=2)
+    words = np.column_stack([v0, v0, v0, light])
+    for lengths in ([1, 2, 3], [3, 3, 3]):
+        expected = (NO_WORD, 2 * sum(lengths))
+        assert reference_lightest(NO_WORD, negated, words, lengths) == expected
+        assert distance._lightest_nonzero(NO_WORD, negated, words, lengths) == expected
+    # rows 1 and 2 are the complement of row 0: row 0's only light cell,
+    # weight 1, lies past its prefix of 2, and the lightest counted word
+    # is that cell's column against rows 1 and 2
+    negated[:, :, 1:] ^= 1
+    words = np.column_stack([v0 ^ 1, v0 ^ 1, v0 ^ 1, light])
+    expected = (symbols - 1, 2 * 10)
+    assert reference_lightest(NO_WORD, negated, words, [2, 4, 4]) == expected
+    assert distance._lightest_nonzero(NO_WORD, negated, words, [2, 4, 4]) == expected
+    # the same cell inside its prefix is found
+    assert distance._lightest_nonzero(NO_WORD, negated, words, [4, 4, 4]) == (1, 24)
+
+
+def test_lightest_nonzero_of_an_empty_block():
+    # no words, or rows whose prefixes are empty: best is unchanged and
+    # no word is counted
+    negated = np.zeros((4, 2, 3), dtype=np.uint8)
+    empty = np.zeros((4, 0), dtype=np.uint8)
+    for words, lengths in ((empty, [0, 0, 0]), (np.ones((4, 5), np.uint8), [0, 0, 0])):
+        assert distance._lightest_nonzero(7, negated, words, lengths) == (7, 0)
+    assert distance._lightest_nonzero(7, negated[:, :, :0], empty, []) == (7, 0)
+
+
 def counted_cells(negated, words, lengths):
     """The cells (g, p) that `_lightest_nonzero` counts in a block of
     this shape, probed one at a time: in the probe of (g, p) that cell

@@ -575,6 +575,22 @@ def test_matmul_matches_per_row_reference(field):
                 assert np.array_equal(got, reference_matmul(field, A, B)), (m, k, n)
 
 
+@pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")
+def test_tall_matmul_gathers_the_last_table_row(field):
+    """A of all q - 1: every chunk's index is q^t - 1, the last row of
+    its table, and the last chunk, over an inner dimension that is not a
+    multiple of t, is shorter than t."""
+    rng = np.random.default_rng(field.order + 2)
+    q = field.order
+    for m in [2000] + ([16 * q**2] if 16 * q**2 <= 2**16 else []):
+        t = linalg._chunk_width(q, m)
+        k = 2 * t + 1
+        A = np.full((m, k), q - 1, dtype=np.uint8)
+        for B in (rng.integers(0, q, size=(k, 7), dtype=np.uint8),
+                  np.full((k, 7), q - 1, dtype=np.uint8)):
+            assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
+
+
 @pytest.mark.parametrize("q,rows,t", [
     (2, 63, 1), (2, 64, 2), (2, 127, 2), (2, 128, 3), (2, 2000, 6),
     (3, 143, 1), (3, 144, 2), (4, 255, 1), (4, 256, 2), (4, 2000, 3),
