@@ -13,7 +13,6 @@ from .codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
-    MixedWord,
     PureCode,
     SingletonResult,
     SpanningSet,

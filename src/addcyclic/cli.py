@@ -32,7 +32,7 @@ from .codes import (
 )
 from .distance import DEFAULT_BUDGET, min_distance
 from .gray import gray_image, shift_invariance_check
-from .lcd import _words_certificate, load_matrix_document
+from .lcd import _rows_certificate, load_matrix_document
 from .poly import PolyParseError, format_poly
 from .tables import verify_all
 
@@ -194,11 +194,11 @@ def cmd_gray(args):
 def cmd_lcd(args):
     doc = _read_document(args.input)
     try:
-        tw, alpha, beta, words = load_matrix_document(doc)
+        tw, alpha, beta, expanded = load_matrix_document(doc)
     except DOCUMENT_ERRORS as exc:
         print(f"invalid matrix document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    image, cert = _words_certificate(tw, alpha, beta, words)
+    image, cert = _rows_certificate(tw, alpha, beta, expanded)
     dist = _distance_report(image.base, args.budget, args.seed)
     payload = {
         "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,

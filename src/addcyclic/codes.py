@@ -1,17 +1,23 @@
 """Additive cyclic codes over F_q2 and over the mixed alphabet F_q x F_q2.
 
-A word is (u | u') in F_q^alpha x F_q2^beta.  The ground truth for every
-code object is its F_q-expanded generator matrix: each F_q2 coordinate
-contributes two F_q columns (the b then the c component of b + w*c), and
-the codeword set is the F_q-row space of all x-shifts of the generators
-(the module closure).  Generator-polynomial bookkeeping — spanning sets,
-the cardinality formula, the generator conditions — is treated as a set of
-claims that are checked against that matrix, because degenerate
-generator choices (e.g. g ≡ 0 mod x^beta - 1) do occur in practice and
-break the formulas.
+A word is (u | u') in F_q^alpha x F_q2^beta.  The library holds every
+word as its F_q-expanded row
+
+    [u_0, ..., u_{alpha-1} | b_0, c_0, ..., b_{beta-1}, c_{beta-1}],
+
+each F_q2 coordinate u'_j = b_j + w*c_j giving two F_q columns, the b
+then the c component (`FieldTower.decompose`); this is the one word
+format, of generators, spanning sets, closures and matrix documents.
+The ground truth for every code object is its F_q-expanded generator
+matrix: the codeword set is the F_q-row space of all x-shifts of the
+generators (the module closure).  Generator-polynomial bookkeeping —
+spanning sets, the cardinality formula, the generator conditions — is
+treated as a set of claims that are checked against that matrix,
+because degenerate generator choices (e.g. g ≡ 0 mod x^beta - 1) do
+occur in practice and break the formulas.
 
 A pure code is the mixed code with alpha = 0 and beta = n, and the two
-share one implementation: generator words, divisor checks, closure and
+share one implementation: generator rows, divisor checks, closure and
 cardinality.  The degree-counted spanning set is read from the
 closure's spanning rows, which hold each generator's first x-shifts in order.
 """
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .fields import FieldTower, tower as get_tower
-from .poly import Poly, combine_components, divides, lift, parse_poly
+from .poly import Poly, divides, lift, parse_poly
 
 
 class CodeConstructionError(ValueError):
@@ -40,59 +46,6 @@ class InvariantViolation(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# words
-
-
-@dataclass(frozen=True)
-class MixedWord:
-    """(u | u') with u over F_q (length alpha) and u' over F_q2 (length beta)."""
-
-    tower: FieldTower
-    u: tuple
-    uprime: tuple
-
-    def __post_init__(self):
-        t = self.tower
-        for name, block, order in (("u", self.u, t.q), ("u'", self.uprime, t.ext.order)):
-            if block and not 0 <= min(block) <= max(block) < order:
-                raise ValueError(f"an entry of {name} lies outside F_{order}")
-
-    @property
-    def alpha(self):
-        return len(self.u)
-
-    @property
-    def beta(self):
-        return len(self.uprime)
-
-    def expand(self):
-        """F_q expansion: [u | b_0, c_0, ..., b_{beta-1}, c_{beta-1}]."""
-        t = self.tower
-        out = np.zeros(self.alpha + 2 * self.beta, dtype=np.uint8)
-        out[: self.alpha] = self.u
-        up = np.asarray(self.uprime, dtype=np.uint8)
-        b, c = t.decompose(up)
-        out[self.alpha :: 2][: self.beta] = b
-        out[self.alpha + 1 :: 2] = c
-        return out
-
-    @classmethod
-    def _from_rows(cls, tower, alpha, beta, rows):
-        """The words of a uint8 block of expanded rows over F_q."""
-        if rows.shape[1] != alpha + 2 * beta:
-            raise ValueError("expanded width does not match the block lengths")
-        return [cls(tower, tuple(word[:alpha]), tuple(word[alpha:]))
-                for word in _pack(tower, alpha, rows).tolist()]
-
-    @classmethod
-    def from_polys(cls, tower, alpha, beta, a: Poly, b: Poly):
-        """Word with u = a mod x^alpha - 1 and u' = b mod x^beta - 1."""
-        u = tuple(int(v) for v in a.cyclic_vector(alpha)) if alpha else ()
-        up = tuple(int(v) for v in b.cyclic_vector(beta))
-        return cls(tower, u, up)
-
-
-# ---------------------------------------------------------------------------
 # generator-matrix codes (the ground truth)
 
 
@@ -102,7 +55,7 @@ class GeneratorMatrixCode:
 
     For codes on the mixed alphabet the split (alpha, beta), both set
     and nonnegative, covers the width alpha + 2*beta (checked) with the
-    expansion layout of MixedWord.expand, and sets the weight of the
+    expanded layout of the module docstring, and sets the weight of the
     code's words; plain F_q codes (Gray images, hulls) leave both None
     and weigh one symbol per column.  `pivots` holds the pivot column of
     each basis row, for membership tests against the basis.  The stored matrix is read-only: codes derived
@@ -216,13 +169,14 @@ def _closure_rows(alpha, beta, expanded):
     return np.asarray(expanded, dtype=np.uint8).reshape(-1, width)[:, shifts].reshape(-1, width)
 
 
-def module_closure(tw: FieldTower, alpha, beta, generators) -> GeneratorMatrixCode:
-    """F_q-row space of all x-shifts of the generators, in rref: the
-    first `_span_degree` shifts of each generator span them all, and they
-    are both the rows eliminated and the spanning rows kept on the code.
-    This matrix is the authoritative codeword-set representation.
+def module_closure(tw: FieldTower, alpha, beta, rows) -> GeneratorMatrixCode:
+    """F_q-row space of all x-shifts of the expanded generator rows, in
+    rref: the first `_span_degree` shifts of each generator span them
+    all, and they are both the rows eliminated and the spanning rows kept
+    on the code.  This matrix is the authoritative codeword-set
+    representation.
     """
-    rows = _closure_rows(alpha, beta, [gen.expand() for gen in generators])
+    rows = _closure_rows(alpha, beta, rows)
     return GeneratorMatrixCode(tw, rows, alpha=alpha, beta=beta, spanning_rows=rows)
 
 
@@ -240,9 +194,9 @@ class Cardinality:
         return self.formula == self.actual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningSet:
-    words: tuple
+    rows: np.ndarray
     spans_ok: bool
 
 
@@ -262,23 +216,31 @@ def _divisor(name, p, n, field, where=""):
     return p
 
 
-def _beta_generators(tw, alpha, beta, g, h, k):
-    """The generator words (0 | g + w*h) and (0 | w*k)."""
-    zero = Poly.zero(tw.base)
-    return [MixedWord.from_polys(tw, alpha, beta, zero, combine_components(g, h, tw)),
-            MixedWord.from_polys(tw, alpha, beta, zero, combine_components(zero, k, tw))]
+def _generator_rows(tw, alpha, beta, g, h, k, s=None, l=None):
+    """The expanded generator rows (0 | g + w*h) and (0 | w*k), led by
+    (s | l) when s is given: u = s mod x^alpha - 1, the (b, c) columns of
+    l mod x^beta - 1 split by `tower.decompose`, (g, h) and (0, k) on the
+    (b, c) columns, each mod x^beta - 1."""
+    rows = np.zeros((3, alpha + 2 * beta), dtype=np.uint8)
+    if s is not None:
+        rows[0, :alpha] = s.cyclic_vector(alpha)
+        rows[0, alpha::2], rows[0, alpha + 1 :: 2] = tw.decompose(l.cyclic_vector(beta))
+    rows[1, alpha::2] = g.cyclic_vector(beta)
+    rows[1, alpha + 1 :: 2] = h.cyclic_vector(beta)
+    rows[2, alpha + 1 :: 2] = k.cyclic_vector(beta)
+    return rows if s is not None else rows[1:]
 
 
 class _CyclicCode:
     """What pure and mixed codes share.  The codeword set is the module
-    closure of `generator_words()`; the degree-counted spanning set takes
+    closure of `generator_rows()`; the degree-counted spanning set takes
     the first `_degree_counts()[i]` x-shifts of generator i, rows the
     closure already holds."""
 
     @cached_property
     def closure(self) -> GeneratorMatrixCode:
         return module_closure(self.tower, self.alpha, self.beta,
-                              self.generator_words())
+                              self.generator_rows())
 
     @property
     def dimension(self):
@@ -306,8 +268,7 @@ class _CyclicCode:
         m = _span_degree(self.alpha, self.beta)
         rows = np.concatenate([self.closure.spanning_rows[i * m : i * m + count]
                                for i, count in enumerate(self._degree_counts())])
-        words = MixedWord._from_rows(self.tower, self.alpha, self.beta, rows)
-        return SpanningSet(tuple(words), len(rows) == self.closure.rank)
+        return SpanningSet(rows, len(rows) == self.closure.rank)
 
 
 class PureCode(_CyclicCode):
@@ -334,8 +295,8 @@ class PureCode(_CyclicCode):
         self.h = h
         self.k = _divisor("k", k, n, tw.base, where)
 
-    def generator_words(self):
-        return _beta_generators(self.tower, 0, self.n, self.g, self.h, self.k)
+    def generator_rows(self):
+        return _generator_rows(self.tower, 0, self.n, self.g, self.h, self.k)
 
     def _degree_counts(self):
         return [self.n - self.g.degree(), self.n - self.k.degree()]
@@ -396,16 +357,15 @@ class MixedCode(_CyclicCode):
             failures.append("k does not divide h*(x^beta-1)/g")
         # membership of ((x^alpha-1)/s) * l in the beta-side kernel module
         leftover = lift(xa1 // s, tw.ext) * l
-        member_word = MixedWord.from_polys(tw, 0, beta, Poly.zero(base), leftover)
-        kernel_code = module_closure(tw, 0, beta, _beta_generators(tw, 0, beta, g, h, k))
-        if not kernel_code.contains(member_word.expand()):
+        member, *kernel = _generator_rows(tw, 0, beta, g, h, k,
+                                          s=Poly.zero(base), l=leftover)
+        if not module_closure(tw, 0, beta, kernel).contains(member):
             failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
         return tuple(failures)
 
-    def generator_words(self):
-        tw = self.tower
-        return [MixedWord.from_polys(tw, self.alpha, self.beta, self.s, self.l),
-                *_beta_generators(tw, self.alpha, self.beta, self.g, self.h, self.k)]
+    def generator_rows(self):
+        return _generator_rows(self.tower, self.alpha, self.beta, self.g, self.h,
+                               self.k, s=self.s, l=self.l)
 
     def _degree_counts(self):
         return [self.alpha - self.s.degree(), self.beta - self.g.degree(),
@@ -514,8 +474,8 @@ def _echelon_generators(tw: FieldTower, alpha, beta, spanning):
     (MacWilliams-Sloane ch. 7).  So the last row pivoting in the alpha
     block is (s | l), among the b parts (0 | g + w*h) and among the c
     parts (0 | w*k), with l and h reduced against the rows below them.  A
-    part with no pivot gives x^n - 1 and zero.  Returns (s, l, g, h, k),
-    or (g, h, k) when alpha = 0.
+    part with no pivot gives x^n - 1 and zero.  Returns (s, l, g, h, k);
+    with alpha = 0 the last three are a pure code's (g, h, k).
     """
     base = tw.base
     down = np.arange(beta - 1, -1, -1)
@@ -532,8 +492,6 @@ def _echelon_generators(tw: FieldTower, alpha, beta, spanning):
     g, h = ((Poly(base, b[last[1]]), Poly(base, c[last[1]])) if 1 in last
             else (xb1, Poly.zero(base)))
     k = Poly(base, c[last[2]]) if 2 in last else xb1
-    if not alpha:
-        return g, h, k
     s, l = ((Poly(base, rows[last[0], :alpha]),
              Poly(tw.ext, tw.compose(b[last[0]], c[last[0]]))) if 0 in last
             else (Poly.xn_minus_1(base, alpha), Poly.zero(tw.ext)))

@@ -55,18 +55,13 @@ class FieldMismatchError(ValueError):
     """Operands belong to different fields or different towers."""
 
 
-# Defining polynomials used when the caller does not supply one,
-# as coefficient tuples, low degree first.
+# Defining polynomials of F_q over F_p used when the caller does not
+# supply one, as coefficient tuples, low degree first.
 _DEFAULT_F1 = {
     4: (1, 1, 1),         # x^2 + x + 1 over F_2
     8: (1, 1, 0, 1),      # x^3 + x + 1 over F_2
     9: (1, 0, 1),         # x^2 + 1 over F_3
     16: (1, 1, 0, 0, 1),  # x^4 + x + 1 over F_2
-}
-_DEFAULT_F2 = {
-    3: (1, 0, 1),      # x^2 + 1 over F_3
-    4: (2, 1, 1),      # x^2 + x + u over F_4   (2 encodes u)
-    8: (1, 1, 1),      # x^2 + x + 1 over F_8
 }
 
 
@@ -197,8 +192,9 @@ class FieldTower:
 
     Irreducibility is checked by building the field: F_sub[t]/<f> has a
     zero divisor exactly when f is reducible, and Field rejects it.  The
-    default f1 is a constant; the default f2 is a constant or, where
-    there is none, the first monic quadratic with no root in F_q.
+    default f1 is a constant; the default f2 is the first monic quadratic
+    with no root in F_q, in packed order (x^2 + 1 over F_3, x^2 + x + u
+    over F_4, x^2 + x + 1 over F_8).
     Immutable after construction.
     """
 
@@ -220,9 +216,8 @@ class FieldTower:
             _check_f1(self.prime, self.f1, m)
             self.base = _extension(self.prime, self.f1, "u",
                                    f"f1 {self.f1} is reducible over F_{p}")
-        self.f2 = tuple(f2) if f2 is not None else _DEFAULT_F2.get(q)
-        if self.f2 is None:
-            self.f2 = _first_irreducible_quadratic(self.base)
+        self.f2 = (tuple(f2) if f2 is not None
+                   else _first_irreducible_quadratic(self.base))
         _check_f2(self.base, self.f2)
         self.ext = _extension(self.base, self.f2, "w", f"f2 {self.f2} is reducible: "
                               "it has a root in the base field")

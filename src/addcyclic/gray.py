@@ -30,9 +30,10 @@ CYCLIC_EQUIVALENT = "equivalent to cyclic"
 
 
 def gray_rows(tower, alpha, rows) -> np.ndarray:
-    """Gray images of F_q-expanded rows (the layout of MixedWord.expand),
-    one output row per input row: [u | b + c | c] from the column slices
-    u = [:, :alpha], b = [:, alpha::2] and c = [:, alpha+1::2]; a half pair is refused."""
+    """Gray images of F_q-expanded rows (the layout of the `codes`
+    module), one output row per input row: [u | b + c | c] from the
+    column slices u = [:, :alpha], b = [:, alpha::2] and
+    c = [:, alpha+1::2]; a half pair is refused."""
     m = linalg.as_matrix(rows, field=tower.base)
     if m.shape[1] < alpha or (m.shape[1] - alpha) % 2:
         raise ValueError(f"width {m.shape[1]} is not alpha={alpha} plus (b, c) pairs")

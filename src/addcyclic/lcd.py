@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
-    MixedWord,
     _document_int,
     load_tower,
 )
@@ -88,7 +89,7 @@ class LcdCertificate:
 
 def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     """Evaluate the three sufficiency hypotheses on an F_q-expanded
-    generator matrix (the layout of MixedWord.expand), rows taken as
+    generator matrix (the layout of the `codes` module), rows taken as
     given, and report the observed hull dimension of `image`, the Gray
     image of the code those rows generate.
 
@@ -117,11 +118,10 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     )
 
 
-def _words_certificate(tower, alpha, beta, words):
-    """(image, certificate) of a row-wise generator matrix of MixedWords:
-    the Gray image of the code the rows generate, and the certificate of
-    the rows as given, duplicated or dependent rows kept."""
-    expanded = linalg.as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
+def _rows_certificate(tower, alpha, beta, expanded):
+    """(image, certificate) of an F_q-expanded generator matrix: the Gray
+    image of the code the rows generate, and the certificate of the rows
+    as given, duplicated or dependent rows kept."""
     image = gray_image(GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta))
     return image, lcd_certificate(expanded, image)
 
@@ -133,9 +133,11 @@ def lcd_pipeline_code(code: MixedCode) -> LcdCertificate:
 
 def load_matrix_document(doc: dict):
     """Parse {"q": int, "alpha": int, "beta": int, "rows": [[literals]],
-    "f1": str?, "f2": str?} into (tower, alpha, beta, [MixedWord]); the
+    "f1": str?, "f2": str?} into (tower, alpha, beta, expanded): the
     first alpha entries of each row are F_q literals, the rest F_q2
-    literals."""
+    literals, each split into its (b, c) columns by `tower.decompose`, so
+    that `expanded` is a uint8 matrix in the layout of the `codes`
+    module."""
     tw = load_tower(doc)
     alpha = _document_int(doc, "alpha")
     beta = _document_int(doc, "beta")
@@ -145,13 +147,13 @@ def load_matrix_document(doc: dict):
     if not isinstance(rows, list) or not rows or not all(
             isinstance(row, list) for row in rows):
         raise ValueError("rows must be a nonempty list of rows")
-    words = []
-    for row in rows:
+    expanded = np.zeros((len(rows), alpha + 2 * beta), dtype=np.uint8)
+    for out, row in zip(expanded, rows):
         if len(row) != alpha + beta:
             raise ValueError(
                 f"row has {len(row)} entries, expected alpha + beta = {alpha + beta}"
             )
-        u = tuple(parse_scalar(str(e), tw.base, tw) for e in row[:alpha])
-        up = tuple(parse_scalar(str(e), tw.ext, tw) for e in row[alpha:])
-        words.append(MixedWord(tw, u, up))
-    return tw, alpha, beta, words
+        out[:alpha] = [parse_scalar(str(e), tw.base, tw) for e in row[:alpha]]
+        out[alpha::2], out[alpha + 1 :: 2] = tw.decompose(
+            [parse_scalar(str(e), tw.ext, tw) for e in row[alpha:]])
+    return tw, alpha, beta, expanded

@@ -227,12 +227,6 @@ def lift(p: Poly, ext_field: Field) -> Poly:
     return Poly(ext_field, p.coeffs)
 
 
-def combine_components(b: Poly, c: Poly, tower) -> Poly:
-    """The polynomial b + w*c over F_q2 from base-field components."""
-    n = max(len(b.coeffs), len(c.coeffs))
-    return Poly(tower.ext, [b[i] + tower.q * c[i] for i in range(n)])
-
-
 # -- parser -------------------------------------------------------------------
 
 _SYMBOL_ALIASES = {"y": "x"}  # some source tables misprint y for x

@@ -42,7 +42,7 @@ from .distance import (
     min_distance_exact,
 )
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
-from .lcd import _words_certificate, is_lcd, load_matrix_document
+from .lcd import _rows_certificate, is_lcd, load_matrix_document
 
 OPTIMALITY_NOTE = (
     "Optimal/BKLC remarks cite external code databases and are recorded as "
@@ -239,7 +239,7 @@ def build_table2_code(entry: TableEntry, strict=False) -> MixedCode:
                             "g": entry.g, "h": entry.h, "k": entry.k}, strict=strict)
 
 
-def build_table3_words(entry: TableEntry):
+def build_table3_rows(entry: TableEntry):
     return load_matrix_document({
         "q": entry.q,
         "alpha": entry.alpha,
@@ -435,7 +435,7 @@ def _verify_table2(rep, entry, budget, mism, details):
 
 
 def _verify_table3(rep, entry, budget, mism, details):
-    image, cert = _words_certificate(*build_table3_words(entry))
+    image, cert = _rows_certificate(*build_table3_rows(entry))
     _verify_image(rep, entry, image, budget, mism, details)
     lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"

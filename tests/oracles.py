@@ -1,15 +1,107 @@
 """Reference definitions the tests compare the library against: word by
 word or entry by entry, what the library computes on whole matrices.
-The library's callers need none of them."""
+The library's callers need none of them.
+
+`MixedWord` is the tests' independent word type: (u | u') held as
+tuples of F_q and F_q2 elements, where the library holds only the
+expanded row [u | b_0, c_0, ..., b_{beta-1}, c_{beta-1}]."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from addcyclic import linalg
-from addcyclic.codes import GeneratorMatrixCode, MixedWord, _CyclicCode
-from addcyclic.codes import _beta_generators, _closure_rows, _echelon_generators
+from addcyclic.codes import GeneratorMatrixCode, _CyclicCode
+from addcyclic.codes import _closure_rows, _echelon_generators, load_tower
 from addcyclic.fields import FieldMismatchError, FieldTower
 from addcyclic.linalg import _suffix_block
-from addcyclic.poly import Poly, _scalars
+from addcyclic.poly import Poly, _scalars, parse_scalar
+
+
+@dataclass(frozen=True)
+class MixedWord:
+    """(u | u') with u over F_q (length alpha) and u' over F_q2 (length beta)."""
+
+    tower: FieldTower
+    u: tuple
+    uprime: tuple
+
+    def __post_init__(self):
+        t = self.tower
+        for name, block, order in (("u", self.u, t.q), ("u'", self.uprime, t.ext.order)):
+            if block and not 0 <= min(block) <= max(block) < order:
+                raise ValueError(f"an entry of {name} lies outside F_{order}")
+
+    @property
+    def alpha(self):
+        return len(self.u)
+
+    @property
+    def beta(self):
+        return len(self.uprime)
+
+    def expand(self):
+        """F_q expansion: [u | b_0, c_0, ..., b_{beta-1}, c_{beta-1}]."""
+        t = self.tower
+        out = np.zeros(self.alpha + 2 * self.beta, dtype=np.uint8)
+        out[: self.alpha] = self.u
+        b, c = t.decompose(np.asarray(self.uprime, dtype=np.uint8))
+        out[self.alpha :: 2][: self.beta] = b
+        out[self.alpha + 1 :: 2] = c
+        return out
+
+    @classmethod
+    def from_rows(cls, tower, alpha, beta, rows):
+        """The words of a uint8 block of expanded rows over F_q."""
+        if rows.shape[1] != alpha + 2 * beta:
+            raise ValueError("expanded width does not match the block lengths")
+        return [cls(tower, tuple(int(x) for x in row[:alpha]),
+                    tuple(int(z) for z in tower.compose(row[alpha::2], row[alpha + 1 :: 2])))
+                for row in rows]
+
+    @classmethod
+    def from_polys(cls, tower, alpha, beta, a: Poly, b: Poly):
+        """Word with u = a mod x^alpha - 1 and u' = b mod x^beta - 1."""
+        u = tuple(int(v) for v in a.cyclic_vector(alpha)) if alpha else ()
+        up = tuple(int(v) for v in b.cyclic_vector(beta))
+        return cls(tower, u, up)
+
+
+def expand_words(words, width):
+    """The expanded rows of a list of words, a uint8 block of `width` columns."""
+    return linalg.as_matrix([w.expand() for w in words], width=width)
+
+
+def combine_components(b: Poly, c: Poly, tower) -> Poly:
+    """The polynomial b + w*c over F_q2 from base-field components."""
+    n = max(len(b.coeffs), len(c.coeffs))
+    return Poly(tower.ext, [b[i] + tower.q * c[i] for i in range(n)])
+
+
+def beta_generator_words(tw, alpha, beta, g, h, k):
+    """The generator words (0 | g + w*h) and (0 | w*k), built from polynomials."""
+    zero = Poly.zero(tw.base)
+    return [MixedWord.from_polys(tw, alpha, beta, zero, combine_components(g, h, tw)),
+            MixedWord.from_polys(tw, alpha, beta, zero, combine_components(zero, k, tw))]
+
+
+def generator_words(code):
+    """A pure or mixed code's generator words: (s | l) for a mixed code,
+    then (0 | g + w*h) and (0 | w*k)."""
+    tw, alpha, beta = code.tower, code.alpha, code.beta
+    lead = [MixedWord.from_polys(tw, alpha, beta, code.s, code.l)] if alpha else []
+    return lead + beta_generator_words(tw, alpha, beta, code.g, code.h, code.k)
+
+
+def document_words(doc):
+    """(tower, alpha, beta, words) of a well-formed matrix document, each
+    row parsed literal by literal into a word."""
+    tw = load_tower(doc)
+    alpha = doc["alpha"]
+    words = [MixedWord(tw, tuple(parse_scalar(str(e), tw.base, tw) for e in row[:alpha]),
+                       tuple(parse_scalar(str(e), tw.ext, tw) for e in row[alpha:]))
+             for row in doc["rows"]]
+    return tw, alpha, doc["beta"], words
 
 
 def field_sum(field, arr, axis=None):
@@ -158,7 +250,8 @@ def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
     zero ideal is represented by x^n - 1 itself) and the construction is
     idempotent.  The triple is read from one degree-ordered elimination of
     the x-shifts of the raw words g + w*h and w*k, the spanning rows of
-    their module closure (`_echelon_generators`).
+    their module closure (`_echelon_generators`, whose last three entries
+    are a pure code's triple).
     """
-    words = _beta_generators(tw, 0, n, g, h, k)
-    return _echelon_generators(tw, 0, n, _closure_rows(0, n, [w.expand() for w in words]))
+    words = beta_generator_words(tw, 0, n, g, h, k)
+    return _echelon_generators(tw, 0, n, _closure_rows(0, n, expand_words(words, 2 * n)))[2:]

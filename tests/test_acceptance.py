@@ -12,7 +12,6 @@ import pytest
 
 from addcyclic.codes import (
     MixedCode,
-    MixedWord,
     PureCode,
     dual,
     is_cyclic,
@@ -21,8 +20,8 @@ from addcyclic.codes import (
 from addcyclic.distance import min_distance_exact, min_distance_upper
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image, gray_rows, shift_invariance_check
-from addcyclic.lcd import LCD_GUARANTEED, _words_certificate, hull, is_lcd
-from addcyclic.poly import Poly, combine_components, divides, poly_gcd
+from addcyclic.lcd import LCD_GUARANTEED, hull, is_lcd
+from addcyclic.poly import Poly, divides, poly_gcd
 from addcyclic.tables import (
     OPTIMALITY_NOTE,
     TABLE2,
@@ -31,15 +30,15 @@ from addcyclic.tables import (
     WORKED_EXAMPLE_PHI_BETA,
     WORKED_EXAMPLE_PHI_FULL,
     WORKED_EXAMPLE_ROW,
-    build_table3_words,
     verify_all,
     verify_entry,
 )
 
-from oracles import canonicalize_pure, codewords, gray_block, gray_word_inverse
+from oracles import MixedWord, beta_generator_words, canonicalize_pure, codewords
+from oracles import expand_words, gray_block, gray_word_inverse
 from test_codes import random_mixed_code, random_pure_code
 from test_distance import groups_of, naive_min_distance
-from test_lcd import example_words
+from test_lcd import example_words, words_certificate
 from test_linalg import rowspace_equal
 
 T3 = tower(3)
@@ -205,7 +204,7 @@ def test_criterion_4_table3_and_worked_example():
     phib = GeneratorMatrixCode(tw, [gray_block(tw, w.uprime) for w in words])
     d_full = min_distance_exact(img.base).value
     d_beta = min_distance_exact(phib).value
-    cert = _words_certificate(tw, alpha, beta, words)[1]
+    cert = words_certificate(tw, alpha, beta, words)
     example_ok = (
         (img.length, img.rank, d_full) == (12, 3, 7)
         and hull(img.base).rank == 0
@@ -328,7 +327,7 @@ def test_criterion_5_property_suites():
             card = code.cardinality()
             assert span.spans_ok == card.agree
             if span.spans_ok:
-                assert len(span.words) == code.dimension
+                assert len(span.rows) == code.dimension
 
     def canonicalization():
         rng = random.Random(8)
@@ -341,12 +340,8 @@ def test_criterion_5_property_suites():
             k = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(n + 2))])
             gs, hs, ks = canonicalize_pure(tw, n, g, h, k)
             assert canonicalize_pure(tw, n, gs, hs, ks) == (gs, hs, ks)
-            gwh = combine_components(g, h, tw)
-            wk = combine_components(Poly.zero(f), k, tw)
-            original = module_closure(tw, 0, n, [
-                MixedWord.from_polys(tw, 0, n, Poly.zero(f), gwh),
-                MixedWord.from_polys(tw, 0, n, Poly.zero(f), wk),
-            ])
+            original = module_closure(tw, 0, n, expand_words(
+                beta_generator_words(tw, 0, n, g, h, k), 2 * n))
             assert PureCode(tw, n, gs, hs, ks).closure.equals(original)
 
     def distance_oracle():
@@ -378,7 +373,7 @@ def test_criterion_5_property_suites():
             words = [MixedWord(T3, rng.choice(alpha_pool[alpha]),
                                tuple(rng.randrange(9) for _ in range(beta)))
                      for _ in range(k)]
-            cert = _words_certificate(T3, alpha, beta, words)[1]
+            cert = words_certificate(T3, alpha, beta, words)
             if cert.conclusion == LCD_GUARANTEED:
                 held += 1
                 assert cert.hull_dimension_observed == 0

@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import addcyclic
 from addcyclic.cli import _distance_report, main
 from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.fields import tower
+from addcyclic.tables import TABLE3
 
 ROW9 = json.dumps({"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
                    "g": "1", "h": "x", "k": "x^3+2"})
@@ -21,6 +23,15 @@ TABLE3_ROW1 = json.dumps({
     "rows": [["1", "1", "1", "0", "w", "w"],
              ["1", "2", "0", "1", "2", "w+1"]],
 })
+
+
+# table-1 row 1, and a code that violates the membership condition
+TABLE1_ROW1 = json.dumps({"q": 4, "beta": 5, "g": "1", "h": "x^2+ux",
+                          "k": "x^4+x^3+x^2+x+1"})
+VIOLATING = json.dumps({"q": 3, "alpha": 2, "beta": 3, "s": "1", "l": "w",
+                        "g": "x+2", "h": "0", "k": "x^3+2"})
+TABLE3_ROW6 = json.dumps({"q": 3, "alpha": TABLE3[5].alpha, "beta": TABLE3[5].beta,
+                          "rows": [list(r) for r in TABLE3[5].matrix]})
 
 
 def run(capsys, argv):
@@ -38,6 +49,29 @@ def test_params_row9(capsys):
     assert "dimension (F_q rank): 6" in out
     assert "formula 729, actual 729" in out
     assert "distance: 3 (exact)" in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["params", "--input", ROW9],
+     "3c6e352f1331635b1cf017bb879b5dc4ca5f243f1087018a1e27cd7c4fd98ff1"),
+    (["dual", "--lenient", "--input", ROW9],
+     "42ed6ddd104ff812bd8a372aec2f53f40c2825e4e8127b650725d50baac335f3"),
+    (["gray", "--input", ROW9],
+     "46b9496b9a71cb1da7b156fad995be2d98a669ab6387d54c03c1745ce8dff142"),
+    (["params", "--input", TABLE1_ROW1],
+     "c95d01f1df53aae6c31734a88df471071fa9127f09d15ed3cd3d3a2b956fe25c"),
+    (["params", "--lenient", "--input", VIOLATING],
+     "89b92675bee8867e15252eb4825a5e8115fbe7585be598bbfa1787a81c9c8395"),
+    (["dual", "--lenient", "--input", VIOLATING],
+     "243c1328f4498c40a5a9d040b6e584b9de1c8d296196bdc3746cb02e64016525"),
+    (["lcd", "--input", TABLE3_ROW6],
+     "579bc6a057d357d01ecd46c041496bb30b9729f4e6ad2bd93f6f7aaa04975e1b"),
+], ids=["params-row9", "dual-row9", "gray-row9", "params-table1-row1",
+        "params-violating", "dual-violating", "lcd-table3-row6"])
+def test_json_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_params_json_roundtrip(capsys):

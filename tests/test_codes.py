@@ -16,7 +16,6 @@ from addcyclic.codes import (
     ExtractedGenerators,
     GeneratorMatrixCode,
     MixedCode,
-    MixedWord,
     PureCode,
     SingletonResult,
     SpanningSet,
@@ -33,11 +32,12 @@ from addcyclic.codes import (
     _span_degree,
 )
 from addcyclic.fields import tower
-from addcyclic.poly import Poly, combine_components, divides, lift, parse_poly, poly_gcd
-from addcyclic.tables import TABLE2, build_table2_code
+from addcyclic.poly import Poly, divides, lift, parse_poly, poly_gcd
+from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
 
-from oracles import add_words, canonicalize_pure, codewords, field_sum, inner_product
-from oracles import is_zero_word, projections, scale_word, shift_word, star
+from oracles import MixedWord, add_words, beta_generator_words, canonicalize_pure, codewords
+from oracles import combine_components, expand_words, field_sum, generator_words
+from oracles import inner_product, is_zero_word, projections, scale_word, shift_word, star
 from test_linalg import in_rowspace, row_basis, rowspace_equal, solve
 from test_poly import ext_gcd
 
@@ -62,7 +62,7 @@ def span_words(code):
         alpha, beta = code.alpha, code.beta
     else:
         alpha, beta = 0, code.n
-    gens = code.generator_words()
+    gens = generator_words(code)
     zero = MixedWord(tw, (0,) * alpha, (0,) * beta)
     seen = {zero}
     frontier = [zero]
@@ -145,9 +145,8 @@ def test_build_pure_divisibility_error():
 
 def test_pure_basis_table_row():
     code = PureCode(T4, 5, P("1", T4), P("x^2+ux", T4), P("x^4+x^3+x^2+x+1", T4))
-    words = code.spanning_set().words
-    assert len(words) == 6  # (5 - 0) + (5 - 4)
-    mat = linalg.as_matrix([w.expand() for w in words], width=10)
+    mat = code.spanning_set().rows
+    assert len(mat) == 6  # (5 - 0) + (5 - 4)
     assert linalg.rank(T4.base, mat) == 6  # F_q-independent
     assert rowspace_equal(T4.base, mat, code.closure.matrix)
 
@@ -155,19 +154,16 @@ def test_pure_basis_table_row():
 def test_pure_basis_trivial_kernel():
     # g=1, h=0, k = x^n-1: the embedded copy of F_q^n
     code = PureCode(T3, 4, P("1"), Poly.zero(T3.base), P("x^4+2"))
-    words = code.spanning_set().words
-    assert len(words) == 4
+    assert len(code.spanning_set().rows) == 4
     assert code.dimension == 4
 
 
 def test_pure_basis_omega_copy():
     # g = x^n-1, h = 0, k = 1: the set w*F_q^n
     code = PureCode(T3, 4, P("x^4+2"), Poly.zero(T3.base), P("1"))
-    words = code.spanning_set().words
-    assert len(words) == 4
-    for w in words:
-        b = [x % 3 for x in w.uprime]
-        assert not any(b)
+    rows = code.spanning_set().rows
+    assert len(rows) == 4
+    assert not rows[:, 0::2].any()  # every b column is zero
 
 
 def test_pure_closure_matches_bruteforce_span():
@@ -238,21 +234,17 @@ def test_canonicalize_idempotent_and_closure_preserving():
         gs, hs, ks = canonicalize_pure(tw, n, g, h, k)
         assert (gs, hs, ks) == reference_canonicalize_pure(tw, n, g, h, k)
         assert canonicalize_pure(tw, n, gs, hs, ks) == (gs, hs, ks)
-        raw = module_closure(tw, 0, n, PureCode(tw, n, gs, hs, ks).generator_words())
+        raw = module_closure(tw, 0, n, PureCode(tw, n, gs, hs, ks).generator_rows())
         # original triple need not satisfy the divisor conditions, so build
         # its closure directly from words
-        gwh = combine_components(g, h, tw)
-        wk = combine_components(Poly.zero(f), k, tw)
-        original = module_closure(tw, 0, n, [
-            MixedWord.from_polys(tw, 0, n, Poly.zero(f), gwh),
-            MixedWord.from_polys(tw, 0, n, Poly.zero(f), wk),
-        ])
+        original = module_closure(tw, 0, n, expand_words(
+            beta_generator_words(tw, 0, n, g, h, k), 2 * n))
         assert raw.equals(original)
         canon_code = PureCode(tw, n, gs, hs, ks)
         g2, h2, k2 = canonicalize_pure(tw, n, canon_code.g, canon_code.h, canon_code.k)
         assert (canon_code.g.monic(), canon_code.h % canon_code.k,
                 canon_code.k.monic()) == (g2, h2, k2)
-        assert len(canon_code.spanning_set().words) == canon_code.dimension
+        assert len(canon_code.spanning_set().rows) == canon_code.dimension
         cases += 1
 
 
@@ -321,12 +313,8 @@ def reference_condition_failures(code):
         failures.append("k does not divide h*(x^beta-1)/g")
     leftover = lift(xa1 // s, tw.ext) * l
     member_word = MixedWord.from_polys(tw, 0, beta, Poly.zero(base), leftover)
-    kernel_code = module_closure(tw, 0, beta, [
-        MixedWord.from_polys(tw, 0, beta, Poly.zero(base),
-                             combine_components(g, h, tw)),
-        MixedWord.from_polys(tw, 0, beta, Poly.zero(base),
-                             combine_components(Poly.zero(base), k, tw)),
-    ])
+    kernel_code = module_closure(tw, 0, beta, expand_words(
+        beta_generator_words(tw, 0, beta, g, h, k), 2 * beta))
     if not kernel_code.contains(member_word.expand()):
         failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
     return tuple(failures)
@@ -405,7 +393,7 @@ def test_spanning_set_row9():
     code = MixedCode(T3, 3, 3, P("1"), P("2w+2", ext=True),
                      P("1"), P("x"), P("x^3+2"))
     span = code.spanning_set()
-    assert len(span.words) == 6 and span.spans_ok
+    assert len(span.rows) == 6 and span.spans_ok
     assert code.cardinality().agree
 
 
@@ -413,7 +401,7 @@ def test_spanning_set_row8_degenerate():
     code = MixedCode(T3, 3, 3, P("x^2+x+1"), P("(w+1)x^2+(w+1)x+w+1", ext=True),
                      P("x^3+2"), P("2x^2+2x+2"), P("x^3+2"))
     span = code.spanning_set()
-    assert len(span.words) == 1 and not span.spans_ok
+    assert len(span.rows) == 1 and not span.spans_ok
     card = code.cardinality()
     assert card.formula == 3 and card.actual == 9
 
@@ -422,7 +410,7 @@ def test_spanning_set_zero_code():
     code = MixedCode(T3, 2, 2, Poly.zero(T3.base), Poly.zero(T3.ext),
                      Poly.zero(T3.base), Poly.zero(T3.base), Poly.zero(T3.base))
     span = code.spanning_set()
-    assert span.words == () and span.spans_ok
+    assert span.rows.shape == (0, 6) and span.spans_ok
 
 
 def test_cardinality_agreement_iff_spans_ok():
@@ -433,7 +421,7 @@ def test_cardinality_agreement_iff_spans_ok():
         span = code.spanning_set()
         assert span.spans_ok == code.cardinality().agree
         if span.spans_ok:
-            assert len(span.words) == code.dimension
+            assert len(span.rows) == code.dimension
 
 
 # -- degree-counted spanning sets against the shift loop ----------------------
@@ -463,7 +451,7 @@ def reference_degree_counted_words(code):
 
 def reference_spans_ok(code, words):
     width = code.closure.width
-    mat = linalg.as_matrix([w.expand() for w in words], width=width)
+    mat = expand_words(words, width)
     return GeneratorMatrixCode(code.tower, mat).equals(code.closure)
 
 
@@ -473,7 +461,8 @@ DEGREE_COUNT_TOWERS = [tower(q) for q in (2, 3, 4, 5, 7, 8)]
 def check_spanning_set(code):
     want = reference_degree_counted_words(code)
     span = code.spanning_set()
-    assert span.words == tuple(want)
+    assert span.rows.dtype == np.uint8
+    assert np.array_equal(span.rows, expand_words(want, code.closure.width))
     assert span.spans_ok == reference_spans_ok(code, want)
     assert code.cardinality() == Cardinality(code.tower.q ** len(want),
                                              code.tower.q ** code.dimension)
@@ -486,7 +475,7 @@ def check_basis_words(code):
     code = PureCode(code.tower, code.n,
                     *canonicalize_pure(code.tower, code.n, code.g, code.h, code.k))
     want = reference_degree_counted_words(code)
-    assert code.spanning_set().words == tuple(want)
+    assert np.array_equal(code.spanning_set().rows, expand_words(want, 2 * code.n))
     assert reference_spans_ok(code, want)
 
 
@@ -506,6 +495,59 @@ def test_basis_words_match_the_shift_loop():
         check_basis_words(random_pure_code(rng, tw, rng.randrange(1, 9)))
 
 
+# -- generator and spanning rows against the word pipeline ---------------------
+
+
+def check_word_pipeline(code):
+    """The generator rows are the expanded generator words built from
+    the polynomials, row for row, and the spanning rows those of the
+    shift loop (`check_spanning_set`)."""
+    rows = code.generator_rows()
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, expand_words(generator_words(code),
+                                             code.alpha + 2 * code.beta))
+    check_spanning_set(code)
+
+
+def degenerate_code(rng, tw, alpha, beta, case):
+    """A lenient code with arbitrary h and l of degree up to twice the
+    block length (so both fold mod x^beta - 1), and by `case` g ≡ 0,
+    k ≡ 0, l = 0 or s = x^alpha - 1; alpha = 0 gives a pure code."""
+    f, zero = tw.base, Poly.zero(tw.base)
+    g, k = random_divisor(rng, f, beta), random_divisor(rng, f, beta)
+    h = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(2 * beta + 2))])
+    g = zero if case == 0 else g
+    k = zero if case == 1 else k
+    if not alpha:
+        return PureCode(tw, beta, g, h, k)
+    l = Poly(tw.ext, [rng.randrange(tw.ext.order) for _ in range(rng.randrange(2 * beta + 2))])
+    l = Poly.zero(tw.ext) if case == 2 else l
+    s = Poly.xn_minus_1(f, alpha) if case == 3 else random_divisor(rng, f, alpha)
+    return MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
+
+
+def test_generator_and_spanning_rows_match_the_word_pipeline():
+    for entry in TABLE1:
+        check_word_pipeline(build_table1_code(entry))
+    for entry in TABLE2:
+        check_word_pipeline(build_table2_code(entry))
+    rng = random.Random(431)
+    seen = set()
+    for i in range(300):
+        tw = tower((2, 3, 4, 8, 9)[i % 5])
+        alpha, beta = rng.randrange(0, 7), rng.randrange(1, 7)
+        case = (i // 5) % 5
+        code = degenerate_code(rng, tw, alpha, beta, case)
+        check_word_pipeline(code)
+        seen.add((alpha > 0, case))
+    assert seen == {(mixed, case) for mixed in (False, True) for case in range(5)}
+
+
+def empty_spanning_set(span, width):
+    return (isinstance(span, SpanningSet) and span.rows.shape == (0, width)
+            and span.spans_ok)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_degree_counts_of_zero_generators(q):
     tw = tower(q)
@@ -520,12 +562,12 @@ def test_degree_counts_of_zero_generators(q):
     ]
     for code in mixed:
         check_spanning_set(code)
-    assert mixed[-1].spanning_set() == SpanningSet((), True)
+    assert empty_spanning_set(mixed[-1].spanning_set(), 11)
     pure = [PureCode(tw, 4, xb1, zero, one), PureCode(tw, 4, one, zero, xb1),
             PureCode(tw, 4, zero, zero, zero)]
     for code in pure:
         check_basis_words(code)
-    assert pure[-1].spanning_set() == SpanningSet((), True)
+    assert empty_spanning_set(pure[-1].spanning_set(), 8)
 
 
 def test_divisor_messages_of_both_constructors():
@@ -807,7 +849,7 @@ def reference_extract(code):
         l = Poly.zero(tw.ext)
     else:
         word = field_sum(base, base.mul(sol[:, None], code.matrix), axis=0)
-        l = Poly(tw.ext, MixedWord._from_rows(tw, alpha, beta, word[None])[0].uprime)
+        l = Poly(tw.ext, MixedWord.from_rows(tw, alpha, beta, word[None])[0].uprime)
     # the rows pivoting past the alpha block span the alpha kernel
     ker = code.matrix[np.asarray(code.pivots, dtype=np.intp) >= alpha]
     xb1 = Poly.xn_minus_1(base, beta)
@@ -937,8 +979,7 @@ def test_extraction_of_a_code_that_is_not_cyclic():
         span = MixedCode(tw, alpha, beta, got.s, got.l, got.g, got.h, got.k,
                          strict=False).closure
         assert span.contains_code(gm) and is_cyclic(span)
-        assert span.equals(module_closure(
-            tw, alpha, beta, MixedWord._from_rows(tw, alpha, beta, gm.matrix)))
+        assert span.equals(module_closure(tw, alpha, beta, gm.matrix))
     assert seen >= 20
 
 
@@ -1038,7 +1079,7 @@ def test_closure_rows_and_dual_match_row_loops():
         order = math.lcm(alpha, beta) if alpha else beta
         m = alpha + beta - math.gcd(alpha, beta) if alpha else beta
         rows = []
-        for gen in code.generator_words():
+        for gen in generator_words(code):
             for _ in range(order):
                 rows.append(gen.expand())
                 gen = shift_word(gen)
@@ -1084,10 +1125,10 @@ def test_closure_of_one_empty_block():
     name, also by a definition document."""
     assert (x_order(2, 0), _span_degree(2, 0)) == (2, 2)
     assert (x_order(0, 5), _span_degree(0, 5)) == (5, 5)
-    gm = module_closure(T3, 2, 0, [word(T3, (1, 0), ())])
+    gm = module_closure(T3, 2, 0, [[1, 0]])
     assert gm.rank == 2 and gm.spanning_rows.shape == (2, 2)
     assert np.array_equal(gm.spanning_rows, full_orbit(2, 0, [1, 0]))
-    gm = module_closure(T4, 3, 0, [word(T4, (1, 1, 0), ())])
+    gm = module_closure(T4, 3, 0, [[1, 1, 0]])
     assert gm.rank == 2 and is_cyclic(gm)
     with pytest.raises(ValueError, match="alpha=0, beta=0"):
         _span_degree(0, 0)
@@ -1219,7 +1260,7 @@ def test_from_expanded_refuses_entries_outside_fq(vec, message):
     # a cast to bytes would wrap 256 to 0, and (4, 1) would pack as the
     # F_9 element 7, a pair whose b lies outside F_3
     with pytest.raises(ValueError, match=message):
-        MixedWord._from_rows(T3, 1, 1, linalg.as_matrix([vec], field=T3.base))
+        MixedWord.from_rows(T3, 1, 1, linalg.as_matrix([vec], field=T3.base))
 
 
 @pytest.mark.parametrize("u,uprime,message", [

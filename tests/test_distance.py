@@ -23,7 +23,6 @@ from addcyclic import distance, linalg
 from addcyclic.codes import (
     GeneratorMatrixCode,
     MixedCode,
-    MixedWord,
     _pack,
 )
 from addcyclic.distance import (
@@ -39,7 +38,7 @@ from addcyclic.linalg import _suffix_block
 from addcyclic.poly import parse_poly
 from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
 
-from oracles import field_sum, projections
+from oracles import MixedWord, field_sum, projections
 from test_codes import random_mixed_code, random_pure_code
 
 T3 = tower(3)

@@ -7,7 +7,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from addcyclic.codes import MixedWord
 from addcyclic.fields import (
     Field,
     FieldMismatchError,
@@ -18,7 +17,7 @@ from addcyclic.fields import (
 )
 from addcyclic.poly import Poly
 
-from oracles import add_words, evaluate
+from oracles import MixedWord, add_words, evaluate
 
 T3 = tower(3)
 T4 = tower(4)
@@ -209,8 +208,8 @@ def test_reducible_f1_rejected():
 
 
 def test_searched_f2_over_an_overridden_f1():
-    # these towers have no default f2 and take the first quadratic with
-    # no root over their own base field
+    # every tower takes the first quadratic with no root over its own
+    # base field, an overridden f1 included
     assert tower(9, f1=(2, 1, 1)).f2 == tower(9, f1=(2, 2, 1)).f2 == (3, 0, 1)
     assert tower(16, f1=(1, 0, 0, 1, 1)).f2 == tower(16, f1=(1, 1, 1, 1, 1)).f2 == (2, 1, 1)
 

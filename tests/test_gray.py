@@ -12,7 +12,6 @@ from addcyclic.codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
-    MixedWord,
 )
 from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
@@ -27,7 +26,7 @@ from addcyclic.gray import (
 )
 from addcyclic.poly import parse_poly
 
-from oracles import add_words, gray_block, gray_word_inverse, projections, scale_word
+from oracles import MixedWord, add_words, gray_block, gray_word_inverse, projections, scale_word
 from test_codes import random_mixed_code
 
 T3 = tower(3)

@@ -10,13 +10,13 @@ import pytest
 from addcyclic import linalg
 from addcyclic import lcd
 from addcyclic.cli import main
-from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, MixedWord
-from addcyclic.fields import tower
+from addcyclic.codes import GeneratorMatrixCode, InvariantViolation
+from addcyclic.fields import format_element, tower
 from addcyclic.gray import gray_image, gray_rows
 from addcyclic.lcd import (
     INAPPLICABLE,
     LCD_GUARANTEED,
-    _words_certificate,
+    _rows_certificate,
     hull,
     is_lcd,
     is_self_orthogonal,
@@ -29,11 +29,12 @@ from addcyclic.tables import (
     WORKED_EXAMPLE_PHI_BETA,
     WORKED_EXAMPLE_PHI_FULL,
     WORKED_EXAMPLE_ROW,
-    build_table3_words,
+    build_table3_rows,
     verify_entry,
 )
 
-from oracles import codewords, gray_block, inner_product, rows_fq_independent
+from oracles import MixedWord, codewords, document_words, expand_words, gray_block
+from oracles import inner_product, rows_fq_independent
 from test_codes import random_mixed_code
 from test_linalg import in_rowspace, rowspace_equal
 
@@ -41,8 +42,19 @@ T3 = tower(3)
 T4 = tower(4)
 
 
+def table3_document(entry):
+    return {"q": entry.q, "alpha": entry.alpha, "beta": entry.beta,
+            "rows": [list(r) for r in entry.matrix]}
+
+
 def example_words():
-    return build_table3_words(TABLE3[WORKED_EXAMPLE_ROW - 1])
+    """(tower, alpha, beta, words) of the worked example's matrix."""
+    return document_words(table3_document(TABLE3[WORKED_EXAMPLE_ROW - 1]))
+
+
+def words_certificate(tw, alpha, beta, words):
+    """The certificate of a matrix given as words, rows as given."""
+    return _rows_certificate(tw, alpha, beta, expand_words(words, alpha + 2 * beta))[1]
 
 
 def plain_code(field_tower, rows):
@@ -76,8 +88,8 @@ def test_worked_example_dual_orthogonality_by_enumeration():
                                alpha=alpha, beta=beta)
     dm = dual(code)
     assert code.size == 27
-    for c in MixedWord._from_rows(tw, alpha, beta, codewords(code)):
-        for d in MixedWord._from_rows(tw, alpha, beta, codewords(dm)):
+    for c in MixedWord.from_rows(tw, alpha, beta, codewords(code)):
+        for d in MixedWord.from_rows(tw, alpha, beta, codewords(dm)):
             assert inner_product(c, d) == 0
 
 
@@ -189,7 +201,7 @@ def test_certificate_independence_matches_rows_fq_independent():
 
 def test_pipeline_worked_example():
     tw, alpha, beta, words = example_words()
-    cert = _words_certificate(tw, alpha, beta, words)[1]
+    cert = words_certificate(tw, alpha, beta, words)
     assert cert.c_alpha_self_orthogonal
     assert cert.g_beta_rows_independent
     assert cert.phi_c_beta_lcd
@@ -200,7 +212,7 @@ def test_pipeline_worked_example():
 def test_pipeline_duplicate_beta_rows_inapplicable():
     tw, alpha, beta, words = example_words()
     dup = words + [words[0]]
-    cert = _words_certificate(tw, alpha, beta, dup)[1]
+    cert = words_certificate(tw, alpha, beta, dup)
     assert not cert.g_beta_rows_independent
     assert cert.conclusion == INAPPLICABLE
     assert cert.hull_dimension_observed >= 0  # still reported
@@ -213,7 +225,7 @@ def test_pipeline_identity_alpha_inapplicable():
         u = [0] * alpha
         u[i] = 1
         replaced.append(MixedWord(tw, tuple(u), w.uprime))
-    cert = _words_certificate(tw, alpha, beta, replaced)[1]
+    cert = words_certificate(tw, alpha, beta, replaced)
     assert not cert.c_alpha_self_orthogonal
     assert cert.conclusion == INAPPLICABLE
 
@@ -274,7 +286,7 @@ def test_sufficiency_theorem_soundness_randomized():
                           tuple(rng.randrange(9) for _ in range(beta)))
                 for _ in range(k)
             ]
-        cert = _words_certificate(tw, alpha, beta, words)[1]
+        cert = words_certificate(tw, alpha, beta, words)
         if cert.conclusion == LCD_GUARANTEED:
             guaranteed += 1
             multi += len(words) > 1
@@ -312,15 +324,36 @@ def test_pipeline_on_cyclic_code():
 def test_load_matrix_document_honours_tower_overrides():
     doc = {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"]],
            "f2": "x^2+x+2"}
-    tw, alpha, beta, words = load_matrix_document(doc)
+    tw, alpha, beta, expanded = load_matrix_document(doc)
     assert tw is tower(3, f2=[2, 1, 1]) and tw is not T3
-    assert words[0].tower is tw and words[0].uprime == (tw.omega,)
+    assert expanded.dtype == np.uint8 and expanded.tolist() == [[1, 0, 1]]  # 1 | 0 + 1*w
     # w^2 = -w - 2 = 2w + 1 under the override, w^2 = -1 = 2 by default
     assert tw.ext.mul(tw.omega, tw.omega) == tw.compose(1, 2)
     assert T3.ext.mul(T3.omega, T3.omega) == 2
     assert load_matrix_document(dict(doc, f2="x^2+1"))[0].f2 == T3.f2 == (1, 0, 1)
     f1_doc = {"q": 4, "alpha": 0, "beta": 1, "rows": [["u"]], "f1": "x^2+x+1"}
     assert load_matrix_document(f1_doc)[0] is tower(4, f1=(1, 1, 1))
+
+
+def test_load_matrix_document_matches_the_oracle_words():
+    # each literal split into its (b, c) columns: the expansion of the
+    # words parsed from the same literals, on every table-3 row and on
+    # seeded random documents with F_q2 entries of both components
+    docs = [table3_document(entry) for entry in TABLE3]
+    rng = random.Random(241)
+    for q in (2, 3, 4, 8, 9):
+        tw = tower(q)
+        for _ in range(10):
+            alpha, beta = rng.randrange(0, 4), rng.randrange(1, 5)
+            docs.append({"q": q, "alpha": alpha, "beta": beta, "rows": [
+                [format_element(tw.base, rng.randrange(q)) for _ in range(alpha)]
+                + [format_element(tw.ext, rng.randrange(q * q)) for _ in range(beta)]
+                for _ in range(rng.randrange(1, 4))]})
+    for doc in docs:
+        tw, alpha, beta, expanded = load_matrix_document(doc)
+        words = document_words(doc)[3]
+        assert expanded.dtype == np.uint8
+        assert np.array_equal(expanded, expand_words(words, alpha + 2 * beta))
 
 
 def test_load_matrix_document_and_definition_share_tower_parsing():
@@ -378,7 +411,7 @@ def random_lcd_cases(seed, count):
 
 def closure_words(code):
     gm = code.closure
-    return MixedWord._from_rows(gm.tower, gm.alpha, gm.beta, gm.matrix)
+    return MixedWord.from_rows(gm.tower, gm.alpha, gm.beta, gm.matrix)
 
 
 def test_memoized_image_and_hull_equal_fresh_results():
@@ -413,10 +446,10 @@ def test_certificate_matches_words_pipeline_randomized():
         words = closure_words(code)
         expected = reference_lcd_pipeline(tw, code.alpha, code.beta, words)
         assert lcd_pipeline_code(code) == expected
-        assert _words_certificate(tw, code.alpha, code.beta, words)[1] == expected
+        assert words_certificate(tw, code.alpha, code.beta, words) == expected
         # the given rows, dependent ones included, not their span's basis
         doubled = words + words[:1]
-        assert (_words_certificate(tw, code.alpha, code.beta, doubled)[1]
+        assert (words_certificate(tw, code.alpha, code.beta, doubled)
                 == reference_lcd_pipeline(tw, code.alpha, code.beta, doubled))
 
 
@@ -428,11 +461,12 @@ def test_certificate_matches_words_pipeline_on_documents():
         u[i] = 1
         replaced.append(MixedWord(tw, tuple(u), w.uprime))
     for rows in (words, words + [words[0]], replaced):
-        assert (_words_certificate(tw, alpha, beta, rows)[1]
+        assert (words_certificate(tw, alpha, beta, rows)
                 == reference_lcd_pipeline(tw, alpha, beta, rows))
     for entry in TABLE3:
-        tw, alpha, beta, words = build_table3_words(entry)
-        assert (_words_certificate(tw, alpha, beta, words)[1]
+        tw, alpha, beta, expanded = build_table3_rows(entry)
+        words = document_words(table3_document(entry))[3]
+        assert (_rows_certificate(tw, alpha, beta, expanded)[1]
                 == reference_lcd_pipeline(tw, alpha, beta, words))
 
 

@@ -14,7 +14,7 @@ from addcyclic.tables import (
     TABLE3,
     build_table1_code,
     build_table2_code,
-    build_table3_words,
+    build_table3_rows,
     verify_all,
     verify_entry,
 )
@@ -62,10 +62,10 @@ def test_table2_condition_status():
 
 def test_table3_matrices_parse():
     for e in TABLE3:
-        tw, alpha, beta, words = build_table3_words(e)
-        assert len(words) == e.expected_k or len(words) >= e.expected_k
-        for w in words:
-            assert w.alpha == e.alpha and w.beta == e.beta
+        tw, alpha, beta, expanded = build_table3_rows(e)
+        assert (alpha, beta) == (e.alpha, e.beta)
+        assert expanded.shape == (len(e.matrix), e.alpha + 2 * e.beta)
+        assert len(expanded) >= e.expected_k
 
 
 def test_verify_single_entry_table1():
