@@ -551,11 +551,16 @@ def _document_poly(doc, key, field, tower=None):
     return parse_poly(text, field, tower)
 
 
-def load_tower(doc: dict) -> FieldTower:
+def load_tower(doc: dict, keys) -> FieldTower:
     """The tower a JSON document names: {"q": int, "f1": str?, "f2": str?},
-    with the defining-polynomial overrides f1 over F_p and f2 over F_q."""
+    with the defining-polynomial overrides f1 over F_p and f2 over F_q.
+    A key outside `keys`, the document's whole set, is refused by name,
+    as a misspelt key would be read as missing."""
     if not isinstance(doc, dict):
         raise ValueError("the document must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}; the document takes {', '.join(keys)}")
     q = _document_int(doc, "q")
     tw = get_tower(q)
     f1 = None
@@ -571,9 +576,10 @@ def load_definition(doc: dict, strict=True):
     """Build a code from the JSON definition document:
     {"q": int, "alpha": int, "beta": int, "s","l","g","h","k": str,
      "f1": str?, "f2": str?}.  Pure codes use alpha = 0 (s, l omitted).
-    Block lengths whose generators' x-orbit would pass MAX_CLOSURE_CELLS
-    entries are rejected before anything is built."""
-    tw = load_tower(doc)
+    Any other key is refused by name.  Block lengths whose generators'
+    x-orbit would pass MAX_CLOSURE_CELLS entries are rejected before
+    anything is built."""
+    tw = load_tower(doc, ("q", "alpha", "beta", "s", "l", "g", "h", "k", "f1", "f2"))
     alpha = _document_int(doc, "alpha", 0)
     beta = _document_int(doc, "beta")
     generators = 3 if alpha else 2

@@ -16,8 +16,10 @@ that code, as is its Gray image (`gray.gray_image`), so the certificate,
 one hull.  This is sound because both are functions of the code's
 stored rref matrix, which is read-only, and of its split, which nothing
 reassigns; a memo lives and dies with its code, there is no cache keyed
-on contents.  The hull's dual basis is read from that stored rref and
-its pivots (`linalg.kernel_of_rref`) rather than eliminated again.
+on contents.  The hull is one kernel, C ∩ C⊥ = (C + C⊥)⊥, of the stored
+basis stacked on the dual basis read from its rref and pivots
+(`linalg.kernel_of_rref`); `is_lcd` cross-checks it against the Gram
+matrix G Gᵀ, which this route never forms.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ def hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
 
 
 def _build_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
+    """C ∩ C⊥ = (C + C⊥)⊥, one kernel (module docstring)."""
     f = code.field
-    dual_basis = linalg.kernel_of_rref(f, code.matrix, code.pivots)
-    basis = linalg.intersect(f, code.matrix, dual_basis)
-    return GeneratorMatrixCode(code.tower, basis)
+    stacked = np.vstack([code.matrix, linalg.kernel_of_rref(f, code.matrix, code.pivots)])
+    return GeneratorMatrixCode(code.tower, linalg.kernel(f, stacked))
 
 
 def is_self_orthogonal(rows, tower) -> bool:
@@ -137,8 +139,8 @@ def load_matrix_document(doc: dict):
     first alpha entries of each row are F_q literals, the rest F_q2
     literals, each split into its (b, c) columns by `tower.decompose`, so
     that `expanded` is a uint8 matrix in the layout of the `codes`
-    module."""
-    tw = load_tower(doc)
+    module.  Any other key is refused by name."""
+    tw = load_tower(doc, ("q", "alpha", "beta", "rows", "f1", "f2"))
     alpha = _document_int(doc, "alpha")
     beta = _document_int(doc, "beta")
     if alpha + beta == 0:

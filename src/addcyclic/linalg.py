@@ -3,10 +3,8 @@
 Matrices are 2-D numpy uint8 arrays of field elements; every function
 takes the Field as its first argument.  This is the ground-truth engine
 behind dimensions, duals and hulls: everything is reduced row echelon
-form, kernels, intersections and row-space tests.  A kernel is read
-from an rref and its pivots, so a stored basis needs no second
-elimination.  An intersection of row spaces is one Zassenhaus
-elimination.
+form, kernels and row-space tests.  A kernel is read from an rref and
+its pivots, so a stored basis needs no second elimination.
 
 Elimination (`rref`, `rank`, and `reduce_rows` against a stored rref
 basis) works on rows held as `bytes`, one byte per entry, so that,
@@ -291,23 +289,6 @@ def reduce_rows(field, basis, pivots, rows):
                 v = add(v, m)
         residues.append(v)
     return arith.decode(residues, V.shape)
-
-
-def intersect(field, a, b):
-    """Canonical (rref) basis of rowspace(a) ∩ rowspace(b), by one
-    Zassenhaus elimination of [A A; B 0].  Its rows are [x + y | x] with
-    x in rowspace(a) and y in rowspace(b); those zero on the left have
-    x = -y in both spaces.  They are the rref rows whose pivot lies in
-    the right half, and their right halves are already in rref."""
-    A = as_matrix(a)
-    B = as_matrix(b, width=A.shape[1])
-    n = A.shape[1]
-    if B.shape[1] != n:
-        raise ValueError(f"column counts differ: {n} vs {B.shape[1]}")
-    stacked = np.vstack([np.hstack([A, A]), np.hstack([B, np.zeros_like(B)])])
-    R, r, pivots = rref(field, stacked)
-    right = np.asarray(pivots, dtype=np.intp) >= n
-    return R[:r][right, n:]
 
 
 def _scaled(field, rows, scalars):

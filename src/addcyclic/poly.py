@@ -84,6 +84,8 @@ class Poly:
 
     @classmethod
     def xn_minus_1(cls, field, n):
+        if n == 0:
+            return cls.zero(field)  # x^0 - 1 = 0
         cs = [0] * (n + 1)
         cs[0] = _scalars(field).neg[1]
         cs[n] = 1

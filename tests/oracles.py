@@ -96,7 +96,7 @@ def generator_words(code):
 def document_words(doc):
     """(tower, alpha, beta, words) of a well-formed matrix document, each
     row parsed literal by literal into a word."""
-    tw = load_tower(doc)
+    tw = load_tower(doc, ("q", "alpha", "beta", "rows", "f1", "f2"))
     alpha = doc["alpha"]
     words = [MixedWord(tw, tuple(parse_scalar(str(e), tw.base, tw) for e in row[:alpha]),
                        tuple(parse_scalar(str(e), tw.ext, tw) for e in row[alpha:]))
@@ -209,6 +209,32 @@ def gray_word_inverse(tower, alpha, beta, vec) -> MixedWord:
     b = tower.base.sub(bc, c)
     up = tuple(int(x) for x in tower.compose(b, c))
     return MixedWord(tower, u, up)
+
+
+def intersect(field, a, b):
+    """Canonical (rref) basis of rowspace(a) ∩ rowspace(b), by one
+    Zassenhaus elimination of [A A; B 0].  Its rows are [x + y | x] with
+    x in rowspace(a) and y in rowspace(b); those zero on the left have
+    x = -y in both spaces.  They are the rref rows whose pivot lies in
+    the right half, and their right halves are already in rref.  Kept as
+    the oracle of the hull, which the library takes as one kernel."""
+    A = linalg.as_matrix(a)
+    B = linalg.as_matrix(b, width=A.shape[1])
+    n = A.shape[1]
+    if B.shape[1] != n:
+        raise ValueError(f"column counts differ: {n} vs {B.shape[1]}")
+    stacked = np.vstack([np.hstack([A, A]), np.hstack([B, np.zeros_like(B)])])
+    R, r, pivots = linalg.rref(field, stacked)
+    right = np.asarray(pivots, dtype=np.intp) >= n
+    return R[:r][right, n:]
+
+
+def reference_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
+    """C ∩ C⊥ by a Zassenhaus intersection of the basis with a fresh
+    kernel, no memo."""
+    f = code.field
+    return GeneratorMatrixCode(
+        code.tower, intersect(f, code.matrix, linalg.kernel(f, code.matrix)))
 
 
 def codewords(code: GeneratorMatrixCode):

@@ -5,22 +5,15 @@ pass/fail line.  Run with `pytest tests/test_acceptance.py -v -s`.
 import hashlib
 import random
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
-from addcyclic.codes import (
-    MixedCode,
-    PureCode,
-    dual,
-    is_cyclic,
-    module_closure,
-)
-from addcyclic.distance import min_distance_exact, min_distance_upper
+from addcyclic.codes import PureCode, dual, is_cyclic, module_closure
+from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
-from addcyclic.gray import gray_image, gray_rows, shift_invariance_check
-from addcyclic.lcd import LCD_GUARANTEED, hull, is_lcd
+from addcyclic.gray import gray_image, gray_rows
+from addcyclic.lcd import LCD_GUARANTEED, hull
 from addcyclic.poly import Poly, divides, poly_gcd
 from addcyclic.tables import (
     OPTIMALITY_NOTE,
@@ -29,14 +22,13 @@ from addcyclic.tables import (
     VerificationReport,
     WORKED_EXAMPLE_PHI_BETA,
     WORKED_EXAMPLE_PHI_FULL,
-    WORKED_EXAMPLE_ROW,
     verify_all,
     verify_entry,
 )
 
 from oracles import MixedWord, beta_generator_words, canonicalize_pure, codewords
 from oracles import expand_words, gray_block, gray_word_inverse
-from test_codes import random_mixed_code, random_pure_code
+from test_codes import random_mixed_code
 from test_distance import groups_of, naive_min_distance
 from test_lcd import example_words, words_certificate
 from test_linalg import rowspace_equal

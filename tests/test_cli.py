@@ -30,6 +30,13 @@ TABLE1_ROW1 = json.dumps({"q": 4, "beta": 5, "g": "1", "h": "x^2+ux",
                           "k": "x^4+x^3+x^2+x+1"})
 VIOLATING = json.dumps({"q": 3, "alpha": 2, "beta": 3, "s": "1", "l": "w",
                         "g": "x+2", "h": "0", "k": "x^3+2"})
+# a self-orthogonal matrix: its Gray image is its own hull, of dimension 3
+SELF_ORTHOGONAL = json.dumps({
+    "q": 3, "alpha": 4, "beta": 2,
+    "rows": [["1", "1", "1", "0", "0", "0"],
+             ["0", "1", "2", "1", "0", "0"],
+             ["0", "0", "0", "0", "1", "w"]],
+})
 TABLE3_ROW6 = json.dumps({"q": 3, "alpha": TABLE3[5].alpha, "beta": TABLE3[5].beta,
                           "rows": [list(r) for r in TABLE3[5].matrix]})
 
@@ -66,8 +73,11 @@ def test_params_row9(capsys):
      "243c1328f4498c40a5a9d040b6e584b9de1c8d296196bdc3746cb02e64016525"),
     (["lcd", "--input", TABLE3_ROW6],
      "579bc6a057d357d01ecd46c041496bb30b9729f4e6ad2bd93f6f7aaa04975e1b"),
+    (["lcd", "--input", SELF_ORTHOGONAL],
+     "e14ab0d318cd0bdd08cad2ecb1e2cceb879b9037f6a5cab4634a2a911dc7c519"),
 ], ids=["params-row9", "dual-row9", "gray-row9", "params-table1-row1",
-        "params-violating", "dual-violating", "lcd-table3-row6"])
+        "params-violating", "dual-violating", "lcd-table3-row6",
+        "lcd-self-orthogonal"])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0
@@ -312,6 +322,11 @@ def test_negative_seed_exits_2(capsys, argv):
     ("gray", {"q": 3, "alpha": 1, "beta": 1, "s": "1", "l": "1",
               "g": "1", "h": "0", "k": "1", "f2": ["x^2+1"]},
      "f2 must be a polynomial string"),
+    # a misspelt alpha would otherwise make table-2 row 9 a pure code
+    ("params", {"q": 3, "alhpa": 3, "beta": 3, "s": "1", "l": "2w+2",
+                "g": "1", "h": "x", "k": "x^3+2"}, "unknown key 'alhpa'"),
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"]], "f3": "x"},
+     "unknown key 'f3'"),
 ])
 def test_malformed_documents_exit_2(capsys, command, doc, message):
     code, _, err = run(capsys, [command, "--input", json.dumps(doc)])

@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -37,7 +36,8 @@ from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_cod
 
 from oracles import MixedWord, add_words, beta_generator_words, canonicalize_pure, codewords
 from oracles import combine_components, expand_words, field_sum, generator_words
-from oracles import inner_product, is_zero_word, projections, scale_word, shift_word, star
+from oracles import inner_product, intersect, is_zero_word, projections, scale_word
+from oracles import shift_word, star
 from test_linalg import in_rowspace, row_basis, rowspace_equal, solve
 from test_poly import ext_gcd
 
@@ -860,7 +860,7 @@ def reference_extract(code):
     c_selector = np.zeros((beta, alpha + 2 * beta), dtype=np.uint8)
     c_selector[np.arange(beta), alpha + 2 * np.arange(beta) + 1] = 1
     k = xb1
-    for row in linalg.intersect(base, code.matrix, c_selector):
+    for row in intersect(base, code.matrix, c_selector):
         if row[alpha + 1 :: 2].any():
             k = poly_gcd(k, Poly(base, row[alpha + 1 :: 2]))
     h = Poly.zero(base)
@@ -1036,6 +1036,15 @@ def test_load_definition_pure_with_moduli():
            "k": "x^4+x^3+x^2+x+1", "f1": "x^2+x+1", "f2": "x^2+x+u"}
     code = load_definition(doc)
     assert isinstance(code, PureCode) and code.dimension == 6
+
+
+@pytest.mark.parametrize("key", ["alhpa", "G", "f3", "rows"])
+def test_load_definition_refuses_keys_outside_its_set(key):
+    # a misspelt alpha would be read as missing, and make a pure code
+    doc = {"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
+           "g": "1", "h": "x", "k": "x^3+2", key: "1"}
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        load_definition(doc)
 
 
 def test_words_match_list_based_enumeration():

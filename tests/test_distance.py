@@ -20,11 +20,7 @@ import numpy as np
 import pytest
 
 from addcyclic import distance, linalg
-from addcyclic.codes import (
-    GeneratorMatrixCode,
-    MixedCode,
-    _pack,
-)
+from addcyclic.codes import GeneratorMatrixCode, _pack
 from addcyclic.distance import (
     DistanceBudgetError,
     min_distance,
@@ -35,7 +31,6 @@ from addcyclic.fields import tower
 from addcyclic.gray import gray_image
 from addcyclic.lcd import hull
 from addcyclic.linalg import _suffix_block
-from addcyclic.poly import parse_poly
 from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
 
 from oracles import MixedWord, field_sum, projections

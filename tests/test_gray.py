@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from addcyclic import linalg
 from addcyclic import gray
 from addcyclic.codes import (
     GeneratorMatrixCode,

@@ -3,6 +3,7 @@
 import importlib
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from addcyclic.tables import (
 )
 
 from oracles import MixedWord, codewords, document_words, expand_words, gray_block
-from oracles import inner_product, rows_fq_independent
+from oracles import inner_product, reference_hull, rows_fq_independent
 from test_codes import random_mixed_code
-from test_linalg import in_rowspace, rowspace_equal
+from test_linalg import ORACLE_FIELDS, field_id, in_rowspace, rowspace_equal
 
 T3 = tower(3)
 T4 = tower(4)
@@ -245,6 +246,76 @@ def test_hull_contained_in_code_and_dual():
             assert in_rowspace(tw.base, dual_basis, row)
 
 
+# -- the hull against the Zassenhaus oracle and brute force -------------------
+
+
+def oracle_tower(field):
+    """The tower over `field`, or, for the fields of ORACLE_FIELDS that
+    are no tower's base (the extensions and F_27), a stand-in holding the
+    two attributes a GeneratorMatrixCode and its hull read."""
+    if field.order <= 16 and tower(field.order).base is field:
+        return tower(field.order)
+    return SimpleNamespace(base=field, q=field.order)
+
+
+def self_dual_rows(field):
+    """A self-dual [4, 2] code: rows (1, 0, a, b) and (0, 1, -b, a) with
+    a^2 + b^2 = -1, which every finite field solves."""
+    minus_one = int(field.neg(1))
+    a, b = next((a, b) for a in range(field.order) for b in range(field.order)
+                if int(field.add(field.mul(a, a), field.mul(b, b))) == minus_one)
+    return np.array([[1, 0, a, b], [0, 1, int(field.neg(b)), a]], dtype=np.uint8)
+
+
+def hull_cases(field, rng, count, max_length):
+    """Seeded generator matrices over `field`: the zero code, the full
+    space, a self-dual code, and random codes, each also with random
+    combinations of its dual's rows appended and as a direct sum with
+    the self-dual code, so that hulls are trivial, partial and whole."""
+    q = field.order
+    sd = self_dual_rows(field)
+    yield np.zeros((0, 5), dtype=np.uint8)
+    yield np.eye(5, dtype=np.uint8)
+    yield sd
+    for _ in range(count):
+        n = int(rng.integers(1, max_length + 1))
+        M = rng.integers(0, q, size=(int(rng.integers(0, n + 1)), n), dtype=np.uint8)
+        yield M
+        dual = linalg.kernel(field, M)
+        if len(dual):
+            mix = rng.integers(0, q, size=(int(rng.integers(1, 3)), len(dual)), dtype=np.uint8)
+            yield np.vstack([M, linalg.matmul(field, mix, dual)])
+        yield np.block([[sd, np.zeros((2, n), np.uint8)],
+                        [np.zeros((len(M), 4), np.uint8), M]])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=field_id)
+def test_hull_matches_zassenhaus_oracle(field):
+    rng = np.random.default_rng(field.order)
+    tw = oracle_tower(field)
+    kinds = set()
+    for rows in hull_cases(field, rng, 12, 8):
+        code = GeneratorMatrixCode(tw, rows)
+        h = hull(code)
+        assert np.array_equal(h.matrix, reference_hull(code).matrix)
+        kinds.add("trivial" if h.rank == 0 else "whole" if h.rank == code.rank else "partial")
+    assert kinds == {"trivial", "partial", "whole"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hull_matches_brute_force(q):
+    # the hull is the words of C orthogonal to every basis row
+    tw = tower(q)
+    rng = np.random.default_rng(31 + q)
+    for rows in hull_cases(tw.base, rng, 6, 4):
+        code = GeneratorMatrixCode(tw, rows)
+        words = codewords(code)
+        orthogonal = words[~linalg.matmul(tw.base, words, code.matrix.T).any(axis=1)]
+        h = hull(code)
+        assert {w.tobytes() for w in codewords(h)} == {w.tobytes() for w in orthogonal}
+        assert q**h.rank == len(orthogonal)
+
+
 def test_lcd_criteria_agree_randomized():
     # is_lcd itself asserts hull-rank and Gram-rank agreement
     rng = random.Random(97)
@@ -298,6 +369,13 @@ def test_load_matrix_document_errors():
     with pytest.raises(ValueError):
         load_matrix_document({"q": 3, "alpha": 2, "beta": 1,
                               "rows": [["1", "2"]]})  # wrong width
+
+
+@pytest.mark.parametrize("key", ["row", "Rows", "s", "f3"])
+def test_load_matrix_document_refuses_keys_outside_its_set(key):
+    doc = {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"]], key: "1"}
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        load_matrix_document(doc)
 
 
 def test_pipeline_on_cyclic_code():
@@ -367,13 +445,6 @@ def test_load_matrix_document_and_definition_share_tower_parsing():
 # -- the matrix-read certificate and the memoized image and hull --------------
 
 QS = (2, 3, 4, 5, 7, 8)
-
-
-def reference_hull(code):
-    """C ∩ C⊥ from a fresh kernel elimination, no memo."""
-    f = code.field
-    return GeneratorMatrixCode(
-        code.tower, linalg.intersect(f, code.matrix, linalg.kernel(f, code.matrix)))
 
 
 def reference_lcd_pipeline(tower, alpha, beta, rows):

@@ -47,6 +47,21 @@ def test_scalar_tables_equal_the_numpy_tables():
     assert {81, 121, 169, 256} <= orders
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
+def test_xn_minus_1(q):
+    tw = tower(q)
+    for f in (tw.base, tw.ext):
+        assert Poly.xn_minus_1(f, 0).is_zero()  # x^0 - 1 = 0
+        for n in (1, 2, 5):
+            p = Poly.xn_minus_1(f, n)
+            assert p.coeffs == (int(f.neg(1)),) + (0,) * (n - 1) + (1,)
+            for a in range(f.order):
+                power = 1
+                for _ in range(n):
+                    power = int(f.mul(power, a))
+                assert evaluate(p, a) == int(f.sub(power, 1))
+
+
 # numpy-table references for Poly arithmetic: coefficient tuples in, a
 # Poly out, one `add_table`/`mul_table` lookup per scalar operation
 

@@ -12,7 +12,6 @@ from addcyclic.tables import (
     TABLE1,
     TABLE2,
     TABLE3,
-    build_table1_code,
     build_table2_code,
     build_table3_rows,
     verify_all,
