@@ -21,6 +21,7 @@ from .codes import (
     invariant_under,
     is_cyclic,
     load_definition,
+    load_matrix_document,
     module_closure,
     singleton_check,
 )
@@ -51,7 +52,6 @@ from .lcd import (
     is_self_orthogonal,
     lcd_certificate,
     lcd_pipeline_code,
-    load_matrix_document,
 )
 from .poly import (
     Poly,

@@ -28,11 +28,12 @@ from .codes import (
     extract_mixed_generators,
     is_cyclic,
     load_definition,
+    load_matrix_document,
     singleton_check,
 )
 from .distance import DEFAULT_BUDGET, min_distance
 from .gray import gray_image, shift_invariance_check
-from .lcd import _rows_certificate, load_matrix_document
+from .lcd import _rows_certificate
 from .poly import PolyParseError, format_poly
 from .tables import verify_all
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .fields import FieldTower, tower as get_tower
-from .poly import Poly, divides, lift, parse_poly
+from .poly import Poly, divides, lift, parse_poly, parse_scalar
 
 
 class CodeConstructionError(ValueError):
@@ -575,7 +575,8 @@ def load_tower(doc: dict, keys) -> FieldTower:
 def load_definition(doc: dict, strict=True):
     """Build a code from the JSON definition document:
     {"q": int, "alpha": int, "beta": int, "s","l","g","h","k": str,
-     "f1": str?, "f2": str?}.  Pure codes use alpha = 0 (s, l omitted).
+     "f1": str?, "f2": str?}.  Pure codes use alpha = 0, and an s or l
+    given with it is refused.
     Any other key is refused by name.  Block lengths whose generators'
     x-orbit would pass MAX_CLOSURE_CELLS entries are rejected before
     anything is built."""
@@ -596,7 +597,39 @@ def load_definition(doc: dict, strict=True):
     h = _document_poly(doc, "h", tw.base, tw)
     k = _document_poly(doc, "k", tw.base, tw)
     if alpha == 0:
+        for key in ("s", "l"):
+            if key in doc:
+                raise ValueError(f"{key} is read only when alpha > 0; a pure "
+                                 "code takes g, h and k")
         return PureCode(tw, beta, g, h, k)
     s = _document_poly(doc, "s", tw.base, tw)
     l = _document_poly(doc, "l", tw.ext, tw)
     return MixedCode(tw, alpha, beta, s, l, g, h, k, strict=strict)
+
+
+def load_matrix_document(doc: dict):
+    """Parse {"q": int, "alpha": int, "beta": int, "rows": [[literals]],
+    "f1": str?, "f2": str?} into (tower, alpha, beta, expanded): the
+    first alpha entries of each row are F_q literals, the rest F_q2
+    literals, each split into its (b, c) columns by `tower.decompose`, so
+    that `expanded` is a uint8 matrix in the expanded layout of the module
+    docstring.  Any other key is refused by name."""
+    tw = load_tower(doc, ("q", "alpha", "beta", "rows", "f1", "f2"))
+    alpha = _document_int(doc, "alpha")
+    beta = _document_int(doc, "beta")
+    if alpha + beta == 0:
+        raise ValueError("alpha + beta must be positive")
+    rows = doc["rows"]
+    if not isinstance(rows, list) or not rows or not all(
+            isinstance(row, list) for row in rows):
+        raise ValueError("rows must be a nonempty list of rows")
+    expanded = np.zeros((len(rows), alpha + 2 * beta), dtype=np.uint8)
+    for out, row in zip(expanded, rows):
+        if len(row) != alpha + beta:
+            raise ValueError(
+                f"row has {len(row)} entries, expected alpha + beta = {alpha + beta}"
+            )
+        out[:alpha] = [parse_scalar(str(e), tw.base, tw) for e in row[:alpha]]
+        out[alpha::2], out[alpha + 1 :: 2] = tw.decompose(
+            [parse_scalar(str(e), tw.ext, tw) for e in row[alpha:]])
+    return tw, alpha, beta, expanded

@@ -85,7 +85,7 @@ DEFAULT_BUDGET = 2**24
 # 0.32 ms by the search, 4^6 words 0.23 against 0.30 ms.
 _WHOLE_CODE = 2**12
 _BLOCK_TARGET = 2**16  # most cells (words) a block computes
-_TRIPLE_POOL_MAX = 40  # larger raw generating sets skip the triple sweep
+_TRIPLE_POOL_MAX = 40  # a larger triple pool skips the triple sweep
 # cells (words x expanded columns) of the largest layer formed, at most
 # 64 MiB packed, the size of codes.MAX_CLOSURE_CELLS
 _MAX_LAYER_CELLS = 2**26
@@ -354,9 +354,13 @@ def min_distance_exact(code: GeneratorMatrixCode,
 def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
                        seed: int = 0) -> 'DistanceResult':
     """Upper bound: the lightest word among seeded random messages plus a
-    deterministic sweep of all single rows, scaled pairs and scaled
-    triples of the basis rows and (when recorded) the raw generating
-    rows.  Reproducible from the seed; never below the true distance."""
+    deterministic sweep of all single rows and scaled pairs of the basis
+    rows and (when recorded) the raw generating rows, and of scaled
+    triples of the raw generating rows when recorded, else of the basis
+    rows.  The triples are skipped when their pool holds more than
+    _TRIPLE_POOL_MAX distinct rows, or when their layer 2 passes
+    _MAX_LAYER_CELLS.  Reproducible from the seed; never below the true
+    distance."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     field = code.field

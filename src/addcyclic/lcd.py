@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .codes import (
-    GeneratorMatrixCode,
-    InvariantViolation,
-    MixedCode,
-    _document_int,
-    load_tower,
-)
+from .codes import GeneratorMatrixCode, InvariantViolation, MixedCode
 from .gray import GrayImageCode, gray_image, gray_rows
-from .poly import parse_scalar
 
 LCD_GUARANTEED = "LCD-guaranteed"
 INAPPLICABLE = "inapplicable"
@@ -131,31 +124,3 @@ def _rows_certificate(tower, alpha, beta, expanded):
 def lcd_pipeline_code(code: MixedCode) -> LcdCertificate:
     """The certificate of a cyclic code's closure basis rows."""
     return lcd_certificate(code.closure.matrix, gray_image(code))
-
-
-def load_matrix_document(doc: dict):
-    """Parse {"q": int, "alpha": int, "beta": int, "rows": [[literals]],
-    "f1": str?, "f2": str?} into (tower, alpha, beta, expanded): the
-    first alpha entries of each row are F_q literals, the rest F_q2
-    literals, each split into its (b, c) columns by `tower.decompose`, so
-    that `expanded` is a uint8 matrix in the layout of the `codes`
-    module.  Any other key is refused by name."""
-    tw = load_tower(doc, ("q", "alpha", "beta", "rows", "f1", "f2"))
-    alpha = _document_int(doc, "alpha")
-    beta = _document_int(doc, "beta")
-    if alpha + beta == 0:
-        raise ValueError("alpha + beta must be positive")
-    rows = doc["rows"]
-    if not isinstance(rows, list) or not rows or not all(
-            isinstance(row, list) for row in rows):
-        raise ValueError("rows must be a nonempty list of rows")
-    expanded = np.zeros((len(rows), alpha + 2 * beta), dtype=np.uint8)
-    for out, row in zip(expanded, rows):
-        if len(row) != alpha + beta:
-            raise ValueError(
-                f"row has {len(row)} entries, expected alpha + beta = {alpha + beta}"
-            )
-        out[:alpha] = [parse_scalar(str(e), tw.base, tw) for e in row[:alpha]]
-        out[alpha::2], out[alpha + 1 :: 2] = tw.decompose(
-            [parse_scalar(str(e), tw.ext, tw) for e in row[alpha:]])
-    return tw, alpha, beta, expanded

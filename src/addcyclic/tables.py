@@ -1,17 +1,21 @@
 """Built-in reference tables of codes and the verification harness.
 
-Three tables ship with the library, all entries stored as the literal
-generator/matrix strings of their source:
+Three tables ship with the library.  Each row holds its code as the JSON
+document the CLI reads with `--input`, the generator and matrix literals
+copied from its source:
 
-  table 1 — additive cyclic codes over F_q2 (q = 4 and 8) claimed to
-            attain the Singleton bound, rows (n, (q^2)^K, d);
-  table 2 — Gray images over F_3 of mixed-alphabet additive cyclic codes
-            with block lengths [alpha, beta], rows [n, k, d];
-  table 3 — ternary codes built from raw mixed generator matrices, with
-            LCD claims, rows [n, k, d] for the Gray image.
+  table 1 — definition documents of additive cyclic codes over F_q2
+            (q = 4 and 8) claimed to attain the Singleton bound, rows
+            (n, (q^2)^K, d);
+  table 2 — definition documents of mixed-alphabet additive cyclic codes
+            with block lengths [alpha, beta], rows [n, k, d] for their
+            Gray images over F_3;
+  table 3 — matrix documents of raw mixed generator matrices, with LCD
+            claims, rows [n, k, d] for the Gray image.
 
-verify_all rebuilds every row from its literals and classifies each
-claim as exactly verified, bound-verified or skipped.  Every row goes
+verify_all builds every row from its document, through
+`codes.load_definition` or `codes.load_matrix_document`, and classifies
+each claim as exactly verified, bound-verified or skipped.  Every row goes
 through verify_entry, which builds its report and records its
 mismatches; the table's own checks add to them.  Sizes always come from
 the module-closure rank.  Table 1's distances are settled by
@@ -26,15 +30,9 @@ stored as metadata only — they are never part of pass/fail.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass
 
-from .codes import (
-    MixedCode,
-    PureCode,
-    load_definition,
-    singleton_check,
-)
+from .codes import load_definition, load_matrix_document, singleton_check
 from .distance import (
     DEFAULT_BUDGET,
     DistanceBudgetError,
@@ -42,7 +40,7 @@ from .distance import (
     min_distance_exact,
 )
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
-from .lcd import _rows_certificate, is_lcd, load_matrix_document
+from .lcd import _rows_certificate, is_lcd
 
 OPTIMALITY_NOTE = (
     "Optimal/BKLC remarks cite external code databases and are recorded as "
@@ -52,31 +50,33 @@ OPTIMALITY_NOTE = (
 
 @dataclass(frozen=True)
 class TableEntry:
+    """One table row: its claims, and its code as the JSON text of a
+    definition document (tables 1 and 2) or a matrix document (table 3),
+    which `addcyclic params` and `addcyclic lcd` read as it stands."""
+
     table_id: int
     row: int
-    q: int
     expected_n: int
     expected_k: int          # F_q-dimension (table 1: 2K, the F_q2-expansion)
     expected_d: int
-    n: int | None = None     # table 1 length
-    alpha: int | None = None
-    beta: int | None = None
-    s: str | None = None
-    l: str | None = None
-    g: str | None = None
-    h: str | None = None
-    k: str | None = None
-    matrix: tuple | None = None
+    document: str
     remark: str = ""
     footnotes: tuple = ()
     annotation: str = ""
 
+    @property
+    def doc(self) -> dict:
+        """The document, parsed afresh: editing it leaves the table as it is."""
+        return json.loads(self.document)
+
+    @property
+    def q(self) -> int:
+        return self.doc["q"]
+
 
 def _t1(row, q, n, g, h, k, K, d):
-    return TableEntry(
-        table_id=1, row=row, q=q, n=n, g=g, h=h, k=k,
-        expected_n=n, expected_k=2 * K, expected_d=d,
-    )
+    doc = {"q": q, "beta": n, "g": g, "h": h, "k": k}
+    return TableEntry(1, row, n, 2 * K, d, json.dumps(doc))
 
 
 TABLE1 = (
@@ -108,12 +108,9 @@ TABLE1 = (
 
 
 def _t2(row, s, g, h, k, l, alpha, beta, n, kdim, d, remark, foot, note=""):
-    return TableEntry(
-        table_id=2, row=row, q=3, alpha=alpha, beta=beta,
-        s=s, g=g, h=h, k=k, l=l,
-        expected_n=n, expected_k=kdim, expected_d=d,
-        remark=remark, footnotes=foot, annotation=note,
-    )
+    doc = {"q": 3, "alpha": alpha, "beta": beta,
+           "s": s, "l": l, "g": g, "h": h, "k": k}
+    return TableEntry(2, row, n, kdim, d, json.dumps(doc), remark, foot, note)
 
 
 def _ones(deg):
@@ -163,11 +160,8 @@ TABLE2 = (
 
 
 def _t3(row, alpha, beta, rows, n, kdim, d, remark):
-    return TableEntry(
-        table_id=3, row=row, q=3, alpha=alpha, beta=beta,
-        matrix=tuple(tuple(r) for r in rows),
-        expected_n=n, expected_k=kdim, expected_d=d, remark=remark,
-    )
+    doc = {"q": 3, "alpha": alpha, "beta": beta, "rows": rows}
+    return TableEntry(3, row, n, kdim, d, json.dumps(doc), remark)
 
 
 TABLE3 = (
@@ -225,30 +219,6 @@ WORKED_EXAMPLE_PHI_FULL = (
 
 
 # ---------------------------------------------------------------------------
-# building codes from entries
-
-
-def build_table1_code(entry: TableEntry) -> PureCode:
-    return load_definition({"q": entry.q, "beta": entry.n,
-                            "g": entry.g, "h": entry.h, "k": entry.k})
-
-
-def build_table2_code(entry: TableEntry, strict=False) -> MixedCode:
-    return load_definition({"q": entry.q, "alpha": entry.alpha, "beta": entry.beta,
-                            "s": entry.s, "l": entry.l,
-                            "g": entry.g, "h": entry.h, "k": entry.k}, strict=strict)
-
-
-def build_table3_rows(entry: TableEntry):
-    return load_matrix_document({
-        "q": entry.q,
-        "alpha": entry.alpha,
-        "beta": entry.beta,
-        "rows": [list(r) for r in entry.matrix],
-    })
-
-
-# ---------------------------------------------------------------------------
 # verification
 
 
@@ -270,9 +240,6 @@ class EntryReport:
     lcd: str = "-"
     status: str = "ok"             # ok | mismatch | error
     details: tuple = ()
-    # the one field left out of the serialized reports, which must be
-    # byte-identical across reruns with the same seed and budget
-    runtime: float = dc_field(default=0.0, compare=False)
 
     CSV_FIELDS = (
         "table", "row", "expected_n", "expected_k_or_size", "expected_d",
@@ -283,9 +250,6 @@ class EntryReport:
     def csv_row(self):
         values = (getattr(self, name) for name in self.CSV_FIELDS)
         return ["" if value is None else str(value) for value in values]
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 @dataclass
@@ -313,17 +277,16 @@ class VerificationReport:
         payload = {
             "note": self.note,
             "summary": self.counts,
-            "entries": [e.as_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0) -> EntryReport:
-    """Rebuild one row from its literals and check its claims; the
+    """Build one row from its document and check its claims; the
     table's own checks append to the `mism` and `details` lists."""
     if entry.table_id not in TABLES:
         raise ValueError(f"unknown table id {entry.table_id}")
-    start = time.perf_counter()
     claimed = entry.q**entry.expected_k if entry.table_id == 1 else entry.expected_k
     rep = EntryReport(
         table=entry.table_id, row=entry.row, expected_n=entry.expected_n,
@@ -341,15 +304,14 @@ def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=0) -> EntryRepor
         rep.status = "mismatch"
         details += [f"MISMATCH: {m}" for m in mism]
     rep.details = tuple(details)
-    rep.runtime = time.perf_counter() - start
     return rep
 
 
 def _verify_table1(rep, entry, budget, seed, mism, details):
-    code = build_table1_code(entry)
+    code = load_definition(entry.doc, strict=False)
     size = code.cardinality()
-    claimed = entry.q**entry.expected_k
-    rep.computed_n = entry.n
+    claimed = code.tower.q**entry.expected_k
+    rep.computed_n = code.n
     rep.computed_size = size.actual
     rep.computed_k = code.dimension
     if not size.agree:
@@ -375,7 +337,7 @@ def _verify_table1(rep, entry, budget, seed, mism, details):
         details.append(
             f"d<= {entry.expected_d} confirmed by a witness codeword; "
             "exactness out of desk scale")
-    sing = singleton_check(entry.n, entry.expected_k, entry.expected_d)
+    sing = singleton_check(code.n, entry.expected_k, entry.expected_d)
     rep.singleton = "attains" if sing.attains else f"slack:{sing.slack}"
     if not sing.attains:
         mism.append("Singleton bound not attained")
@@ -405,17 +367,17 @@ def _verify_image(rep, entry, image, budget, mism, details):
 
 
 def _verify_table2(rep, entry, budget, mism, details):
-    code = build_table2_code(entry, strict=False)
+    code = load_definition(entry.doc, strict=False)
     if code.condition_failures:
         details.append(
             "generator conditions violated (closure is still the codeword "
             "set): " + "; ".join(code.condition_failures))
     card = code.cardinality()
     if not card.agree:
-        span = code.spanning_set()
+        # the spanning set spans exactly when the formula meets the closure
         details.append(
             f"cardinality formula {card.formula} != closure {card.actual}; "
-            f"degree-counted spanning set spans_ok={span.spans_ok}")
+            "degree-counted spanning set spans_ok=False")
     image = gray_image(code)
     _verify_image(rep, entry, image, budget, mism, details)
     sigma_ok = shift_invariance_check(image)
@@ -435,7 +397,7 @@ def _verify_table2(rep, entry, budget, mism, details):
 
 
 def _verify_table3(rep, entry, budget, mism, details):
-    image, cert = _rows_certificate(*build_table3_rows(entry))
+    image, cert = _rows_certificate(*load_matrix_document(entry.doc))
     _verify_image(rep, entry, image, budget, mism, details)
     lcd_now = cert.hull_dimension_observed == 0
     rep.lcd = "yes" if lcd_now else "no"

@@ -60,7 +60,7 @@ def test_criterion_1_table1_exact_subset(table1_report):
     by_key = {}
     from addcyclic.tables import TABLE1
     for entry, rep in zip(TABLE1, table1_report.entries):
-        by_key[(entry.q, entry.n)] = (entry, rep)
+        by_key[(entry.q, entry.expected_n)] = (entry, rep)
     ok = True
     problems = []
     for key in sorted(subset):
@@ -91,7 +91,7 @@ def test_criterion_2_table1_bound_subset(table1_report):
     problems = []
     bound_rows = 0
     for entry, rep in zip(TABLE1, table1_report.entries):
-        if (entry.q, entry.n) in subset:
+        if (entry.q, entry.expected_n) in subset:
             continue
         good = (
             rep.status == "ok"
@@ -102,7 +102,7 @@ def test_criterion_2_table1_bound_subset(table1_report):
         bound_rows += rep.d_mode == "bound"
         if not good:
             ok = False
-            problems.append(f"({entry.q},{entry.n}): {rep}")
+            problems.append(f"({entry.q},{entry.expected_n}): {rep}")
     report(2, "table 1 remaining rows: sizes exact, claimed d confirmed "
               "by witness codewords (bound mode where out of scale)",
            ok and bound_rows >= 8, "; ".join(problems))

@@ -56,3 +56,15 @@ def test_every_attribute_the_workloads_reach_exists():
         if obj is None:
             missing.append(path)
     assert not missing
+
+
+def test_every_table_entry_has_what_the_workloads_read():
+    # the workloads key each row by (table_id, row) and build the tower of q
+    keys = set()
+    for table_id, entries in addcyclic.tables.TABLES.items():
+        for entry in entries:
+            assert entry.table_id == table_id
+            assert isinstance(entry.row, int) and isinstance(entry.q, int)
+            addcyclic.tower(entry.q)
+            keys.add((entry.table_id, entry.row))
+    assert len(keys) == sum(map(len, addcyclic.tables.TABLES.values()))

@@ -14,7 +14,7 @@ import addcyclic
 from addcyclic.cli import _distance_report, main
 from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.fields import tower
-from addcyclic.tables import TABLE3
+from addcyclic.tables import TABLE1, TABLE2, TABLE3, verify_entry
 
 ROW9 = json.dumps({"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
                    "g": "1", "h": "x", "k": "x^3+2"})
@@ -37,8 +37,7 @@ SELF_ORTHOGONAL = json.dumps({
              ["0", "1", "2", "1", "0", "0"],
              ["0", "0", "0", "0", "1", "w"]],
 })
-TABLE3_ROW6 = json.dumps({"q": 3, "alpha": TABLE3[5].alpha, "beta": TABLE3[5].beta,
-                          "rows": [list(r) for r in TABLE3[5].matrix]})
+TABLE3_ROW6 = TABLE3[5].document
 
 
 def run(capsys, argv):
@@ -82,6 +81,25 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("entry", TABLE1 + TABLE2 + TABLE3,
+                         ids=lambda e: f"table{e.table_id}-row{e.row}")
+def test_every_table_row_document_reproduces_its_report(capsys, entry):
+    # a row's document, given to `params` (tables 1 and 2, lenient as the
+    # harness is) or `lcd` (table 3), gives the report's dimension, its
+    # exact distance and its LCD column
+    rep = verify_entry(entry)
+    argv = ["lcd"] if entry.table_id == 3 else ["params", "--lenient"]
+    code, out, _ = run(capsys, argv + ["--format", "json", "--input", entry.document])
+    assert code == 0
+    payload = json.loads(out)
+    if entry.table_id == 3:
+        assert rep.lcd == ("yes" if payload["lcd"] else "no")
+        payload = payload["gray_image"]
+    assert payload["dimension"] == rep.computed_k
+    if rep.d_mode == "exact":
+        assert payload["distance"] == {"d": rep.computed_d, "mode": "exact"}
 
 
 def test_params_json_roundtrip(capsys):
@@ -327,6 +345,9 @@ def test_negative_seed_exits_2(capsys, argv):
                 "g": "1", "h": "x", "k": "x^3+2"}, "unknown key 'alhpa'"),
     ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"]], "f3": "x"},
      "unknown key 'f3'"),
+    # a pure code takes no s or l, which would otherwise go unread
+    ("params", {"q": 3, "beta": 4, "g": "x+1", "h": "0", "k": "1",
+                "s": "((garbage", "l": 42}, "s is read only when alpha > 0"),
 ])
 def test_malformed_documents_exit_2(capsys, command, doc, message):
     code, _, err = run(capsys, [command, "--input", json.dumps(doc)])

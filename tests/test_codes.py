@@ -32,7 +32,7 @@ from addcyclic.codes import (
 )
 from addcyclic.fields import tower
 from addcyclic.poly import Poly, divides, lift, parse_poly, poly_gcd
-from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
+from addcyclic.tables import TABLE1, TABLE2
 
 from oracles import MixedWord, add_words, beta_generator_words, canonicalize_pure, codewords
 from oracles import combine_components, expand_words, field_sum, generator_words
@@ -528,9 +528,9 @@ def degenerate_code(rng, tw, alpha, beta, case):
 
 def test_generator_and_spanning_rows_match_the_word_pipeline():
     for entry in TABLE1:
-        check_word_pipeline(build_table1_code(entry))
+        check_word_pipeline(load_definition(entry.doc))
     for entry in TABLE2:
-        check_word_pipeline(build_table2_code(entry))
+        check_word_pipeline(load_definition(entry.doc, strict=False))
     rng = random.Random(431)
     seen = set()
     for i in range(300):
@@ -916,7 +916,7 @@ def test_extraction_matches_reference_on_lenient_codes_and_duals():
 
 def test_extraction_matches_reference_on_table2_and_duals():
     for entry in TABLE2:
-        code = build_table2_code(entry)
+        code = load_definition(entry.doc, strict=False)
         for gm in (code.closure, dual(code)):
             check_extraction(gm)
 
@@ -946,7 +946,7 @@ def test_extraction_reads_table2_row8_by_hand():
     # ((x^3-1)/s)*(s | l) = (0 | (x-1)(w+1)(x^2+x+1)) = 0, so g* = x^3-1,
     # h* = 0, k* = x^2+x+1, and l = (w+1)(x^2+x+1) loses its w-part
     # x^2+x+1, a multiple of k*, once reduced against the kernel rows
-    code = build_table2_code(TABLE2[7])
+    code = load_definition(TABLE2[7].doc, strict=False)
     got = extract_mixed_generators(code.closure)
     assert (got.s, got.l, got.g, got.h, got.k) == (
         P("x^2+x+1"), P("x^2+x+1", ext=True), P("x^3+2"), Poly.zero(T3.base),
@@ -1300,8 +1300,9 @@ def test_mixed_word_arithmetic_stays_in_its_fields():
 
 def test_closure_limit_rejects_absurd_block_lengths():
     for alpha, beta in ((0, 200_000), (997, 1009)):
-        doc = {"q": 3, "alpha": alpha, "beta": beta, "s": "1", "l": "0",
-               "g": "1", "h": "0", "k": "1"}
+        doc = {"q": 3, "alpha": alpha, "beta": beta, "g": "1", "h": "0", "k": "1"}
+        if alpha:
+            doc.update(s="1", l="0")
         with pytest.raises(ValueError, match="x-orbit of"):
             load_definition(doc)
 
@@ -1309,7 +1310,7 @@ def test_closure_limit_rejects_absurd_block_lengths():
 def test_closure_limit_admits_every_table_row():
     from addcyclic.tables import TABLE1, TABLE2, TABLE3
     for entry in TABLE1 + TABLE2 + TABLE3:
-        alpha = entry.alpha or 0
-        beta = entry.beta if entry.beta is not None else entry.n
+        doc = entry.doc
+        alpha, beta = doc.get("alpha", 0), doc["beta"]
         cells = (3 if alpha else 2) * x_order(alpha, beta) * (alpha + 2 * beta)
         assert cells <= MAX_CLOSURE_CELLS

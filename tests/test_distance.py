@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from addcyclic import distance, linalg
-from addcyclic.codes import GeneratorMatrixCode, _pack
+from addcyclic.codes import GeneratorMatrixCode, _pack, load_definition
 from addcyclic.distance import (
     DistanceBudgetError,
     min_distance,
@@ -31,7 +31,7 @@ from addcyclic.fields import tower
 from addcyclic.gray import gray_image
 from addcyclic.lcd import hull
 from addcyclic.linalg import _suffix_block
-from addcyclic.tables import TABLE1, TABLE2, build_table1_code, build_table2_code
+from addcyclic.tables import TABLE1, TABLE2
 
 from oracles import MixedWord, field_sum, projections
 from test_codes import random_mixed_code, random_pure_code
@@ -202,13 +202,13 @@ def test_exact_all_ones_span():
 
 
 def test_exact_table1_row1():
-    code = build_table1_code(TABLE1[0])
+    code = load_definition(TABLE1[0].doc)
     res = min_distance_exact(code.closure)
     assert res.value == 3
 
 
 def test_exact_table2_row9_gray():
-    code = build_table2_code(TABLE2[8])
+    code = load_definition(TABLE2[8].doc, strict=False)
     img = gray_image(code)
     res = min_distance_exact(img.base)
     assert res.value == 3
@@ -221,7 +221,7 @@ def test_exact_zero_code():
 
 
 def test_budget_refusal_names_requirement():
-    code = build_table1_code(TABLE1[6])  # 4^20 codewords
+    code = load_definition(TABLE1[6].doc)  # 4^20 codewords
     with pytest.raises(DistanceBudgetError) as info:
         min_distance_exact(code.closure, budget=1000)
     assert info.value.required == 4**20
@@ -301,7 +301,7 @@ def test_partition_split_independence():
 
 def test_upper_bound_finds_table1_bound_row():
     entry = TABLE1[18]  # q=8, n=17, claimed d=5, |C| = 8^26
-    code = build_table1_code(entry)
+    code = load_definition(entry.doc)
     res = min_distance_upper(code.closure, seed=0)
     assert res.value == 5
     assert not res.exact
@@ -320,21 +320,21 @@ def test_upper_bound_never_below_exact():
 
 
 def test_upper_bound_deterministic_per_seed():
-    code = build_table1_code(TABLE1[6])
+    code = load_definition(TABLE1[6].doc)
     a = min_distance_upper(code.closure, samples=1, seed=5)
     b = min_distance_upper(code.closure, samples=1, seed=5)
     assert a == b
 
 
 def test_min_distance_is_exact_within_the_budget():
-    code = build_table1_code(TABLE1[0])  # 4^6 codewords
+    code = load_definition(TABLE1[0].doc)  # 4^6 codewords
     res = min_distance(code.closure, budget=4**6, seed=5)
     assert res == min_distance_exact(code.closure)
     assert res.exact and res.seed is None and res.value == 3
 
 
 def test_min_distance_past_the_budget_is_the_seeded_bound():
-    code = build_table1_code(TABLE1[6])  # 4^20 codewords
+    code = load_definition(TABLE1[6].doc)  # 4^20 codewords
     res = min_distance(code.closure, budget=1000, seed=5)
     assert res == min_distance_upper(code.closure, seed=5)
     assert not res.exact and res.seed == 5 and res.value == 4
@@ -344,7 +344,7 @@ def test_layer_cap_refusal_falls_back_to_the_bound(monkeypatch):
     # table-2 row 6's image: the search weighs layers 1..4 of a form of
     # 15 rows over F_3, so it forms layer 2 (2 * C(15, 2) = 210 words)
     # and layer 3 (4 * C(15, 3) = 1820 words), 29 columns each
-    img = gray_image(build_table2_code(TABLE2[5], strict=False))
+    img = gray_image(load_definition(TABLE2[5].doc, strict=False))
     for cap, refused in ((210 * 29 - 1, "layer 2 of 210 words"),
                          (210 * 29, "layer 3 of 1820 words")):
         monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", cap)
@@ -389,7 +389,7 @@ def test_upper_sweep_matches_reference_on_random_codes():
 
 
 def test_upper_sweep_matches_reference_on_table1_row7():
-    code = build_table1_code(TABLE1[6])
+    code = load_definition(TABLE1[6].doc)
     res = assert_upper_matches_reference(code.closure)
     assert res.value == TABLE1[6].expected_d
 
@@ -483,7 +483,7 @@ def test_exact_counts_brouwer_zimmermann_words():
     # columns and a disjoint one of 14 (k - r = 1).  After layers 1..4
     # of the first form and 1..3 of the second the bound is
     # (4 + 1) + (3 + 1 - 1) = 8 = d, so the search stops there
-    img = gray_image(build_table2_code(TABLE2[5], strict=False))
+    img = gray_image(load_definition(TABLE2[5].doc, strict=False))
     sets = list(distance._information_sets(img.base.field, img.matrix,
                                            img.base.pivots, 29, 0))
     assert [len(pivots) for _, pivots, _ in sets] == [15, 14]
@@ -492,7 +492,7 @@ def test_exact_counts_brouwer_zimmermann_words():
     assert res.value == 8 and res.exact
     assert res.witnesses_examined == sum(layer[1:5]) + sum(layer[1:4]) == 15010
     # at most _WHOLE_CODE words: every nonzero word, table-2 row 9
-    small = gray_image(build_table2_code(TABLE2[8]))
+    small = gray_image(load_definition(TABLE2[8].doc, strict=False))
     assert small.base.size <= distance._WHOLE_CODE
     res = min_distance_exact(small.base)
     assert res.witnesses_examined == small.base.size - 1
@@ -503,7 +503,7 @@ def test_brouwer_zimmermann_proves_table1_duals(row, d, examined):
     # the F_q duals (`linalg.kernel`) of table-1 rows 16 and 19 as pure
     # codes, with the budget lifted: d = K + 1, Singleton, found after
     # millions of words weighed in grouped blocks
-    code = build_table1_code(TABLE1[row - 1]).closure
+    code = load_definition(TABLE1[row - 1].doc).closure
     dual = GeneratorMatrixCode(code.tower, linalg.kernel(code.field, code.matrix),
                                alpha=0, beta=code.beta)
     assert d == code.rank // 2 + 1
@@ -849,7 +849,7 @@ def test_weights_hold_more_than_255_groups():
 
 
 def test_budget_applies_to_all_codewords_not_projective_count():
-    code = build_table2_code(TABLE2[8])
+    code = load_definition(TABLE2[8].doc, strict=False)
     gm = gray_image(code).base
     total = 3**gm.rank
     assert (total - 1) // 2 < total - 1  # the projective count would fit

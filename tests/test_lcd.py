@@ -11,7 +11,7 @@ import pytest
 from addcyclic import linalg
 from addcyclic import lcd
 from addcyclic.cli import main
-from addcyclic.codes import GeneratorMatrixCode, InvariantViolation
+from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, load_matrix_document
 from addcyclic.fields import format_element, tower
 from addcyclic.gray import gray_image, gray_rows
 from addcyclic.lcd import (
@@ -23,14 +23,12 @@ from addcyclic.lcd import (
     is_self_orthogonal,
     lcd_certificate,
     lcd_pipeline_code,
-    load_matrix_document,
 )
 from addcyclic.tables import (
     TABLE3,
     WORKED_EXAMPLE_PHI_BETA,
     WORKED_EXAMPLE_PHI_FULL,
     WORKED_EXAMPLE_ROW,
-    build_table3_rows,
     verify_entry,
 )
 
@@ -43,14 +41,9 @@ T3 = tower(3)
 T4 = tower(4)
 
 
-def table3_document(entry):
-    return {"q": entry.q, "alpha": entry.alpha, "beta": entry.beta,
-            "rows": [list(r) for r in entry.matrix]}
-
-
 def example_words():
     """(tower, alpha, beta, words) of the worked example's matrix."""
-    return document_words(table3_document(TABLE3[WORKED_EXAMPLE_ROW - 1]))
+    return document_words(TABLE3[WORKED_EXAMPLE_ROW - 1].doc)
 
 
 def words_certificate(tw, alpha, beta, words):
@@ -417,7 +410,7 @@ def test_load_matrix_document_matches_the_oracle_words():
     # each literal split into its (b, c) columns: the expansion of the
     # words parsed from the same literals, on every table-3 row and on
     # seeded random documents with F_q2 entries of both components
-    docs = [table3_document(entry) for entry in TABLE3]
+    docs = [entry.doc for entry in TABLE3]
     rng = random.Random(241)
     for q in (2, 3, 4, 8, 9):
         tw = tower(q)
@@ -535,8 +528,8 @@ def test_certificate_matches_words_pipeline_on_documents():
         assert (words_certificate(tw, alpha, beta, rows)
                 == reference_lcd_pipeline(tw, alpha, beta, rows))
     for entry in TABLE3:
-        tw, alpha, beta, expanded = build_table3_rows(entry)
-        words = document_words(table3_document(entry))[3]
+        tw, alpha, beta, expanded = load_matrix_document(entry.doc)
+        words = document_words(entry.doc)[3]
         assert (_rows_certificate(tw, alpha, beta, expanded)[1]
                 == reference_lcd_pipeline(tw, alpha, beta, words))
 

@@ -11,9 +11,8 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from addcyclic.cli import DOCUMENT_ERRORS
-from addcyclic.codes import load_definition
+from addcyclic.codes import load_definition, load_matrix_document
 from addcyclic.fields import tower
-from addcyclic.lcd import load_matrix_document
 from addcyclic.poly import Poly, format_poly, parse_poly
 
 FUZZ = settings(derandomize=True, max_examples=250, deadline=None,
@@ -74,11 +73,20 @@ F1 = st.sampled_from(["x^2+x+1", "x^3+x+1", "x^2+1", "x"])
 F2 = st.sampled_from(["x^2+1", "x^2+x+2", "x^2+x+u", "x^2+ux+1", "x^3"])
 LITERAL = st.one_of(st.sampled_from(["0", "1", "2", "u", "w", "2w+1", "uw"]),
                     st.integers(0, 9))
+
+
+def _pure_without_s_and_l(doc):
+    """A pure document (alpha 0) takes no s or l: drop them, so that pure
+    codes are built and not only refused."""
+    return doc if doc["alpha"] else {key: value for key, value in doc.items()
+                                     if key not in ("s", "l")}
+
+
 DEFINITIONS = documents(
     st.fixed_dictionaries(
         dict(q=Q, alpha=BLOCK, beta=BLOCK, s=BASE_EXPRESSIONS, l=EXPRESSIONS,
              g=BASE_EXPRESSIONS, h=BASE_EXPRESSIONS, k=BASE_EXPRESSIONS),
-        optional=dict(f1=F1, f2=F2)),
+        optional=dict(f1=F1, f2=F2)).map(_pure_without_s_and_l),
     ["q", "alpha", "beta", "s", "l", "g", "h", "k", "f1", "f2"])
 MATRICES = documents(
     st.tuples(BLOCK, BLOCK).flatmap(lambda ab: st.fixed_dictionaries(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from addcyclic import distance
+from addcyclic.codes import load_definition, load_matrix_document
 from addcyclic.fields import tower
 from addcyclic.poly import divides, parse_poly, Poly
 from addcyclic.tables import (
@@ -12,8 +13,6 @@ from addcyclic.tables import (
     TABLE1,
     TABLE2,
     TABLE3,
-    build_table2_code,
-    build_table3_rows,
     verify_all,
     verify_entry,
 )
@@ -27,44 +26,60 @@ def test_row_counts():
 
 def test_table1_literals_parse_and_divide():
     for e in TABLE1:
-        tw = tower(e.q)
-        g = parse_poly(e.g, tw.base, tw)
-        k = parse_poly(e.k, tw.base, tw)
-        xn1 = Poly.xn_minus_1(tw.base, e.n)
+        doc, tw = e.doc, tower(e.q)
+        g = parse_poly(doc["g"], tw.base, tw)
+        k = parse_poly(doc["k"], tw.base, tw)
+        xn1 = Poly.xn_minus_1(tw.base, doc["beta"])
         assert divides(g, xn1), f"row {e.row}: g does not divide"
         assert divides(k, xn1), f"row {e.row}: k does not divide"
-        parse_poly(e.h, tw.base, tw)
+        parse_poly(doc["h"], tw.base, tw)
 
 
 def test_table1_sizes_consistent():
     # the expected exponent matches the degrees of the stored generators
     for e in TABLE1:
-        tw = tower(e.q)
-        g = parse_poly(e.g, tw.base, tw)
-        k = parse_poly(e.k, tw.base, tw)
-        assert (e.n - g.degree()) + (e.n - k.degree()) == e.expected_k, e.row
+        doc, tw = e.doc, tower(e.q)
+        n = doc["beta"]
+        g = parse_poly(doc["g"], tw.base, tw)
+        k = parse_poly(doc["k"], tw.base, tw)
+        assert n == e.expected_n, e.row
+        assert (n - g.degree()) + (n - k.degree()) == e.expected_k, e.row
 
 
 def test_table2_literals_build():
     for e in TABLE2:
-        code = build_table2_code(e, strict=False)
+        code = load_definition(e.doc, strict=False)
         assert code.dimension == e.expected_k, f"row {e.row}"
-        assert e.expected_n == e.alpha + 2 * e.beta
+        assert e.expected_n == code.alpha + 2 * code.beta
 
 
 def test_table2_condition_status():
     violating = {3, 4, 5, 6, 7, 11, 12}
     for e in TABLE2:
-        code = build_table2_code(e, strict=False)
+        code = load_definition(e.doc, strict=False)
         assert bool(code.condition_failures) == (e.row in violating), e.row
 
 
 def test_table3_matrices_parse():
     for e in TABLE3:
-        tw, alpha, beta, expanded = build_table3_rows(e)
-        assert (alpha, beta) == (e.alpha, e.beta)
-        assert expanded.shape == (len(e.matrix), e.alpha + 2 * e.beta)
+        doc = e.doc
+        tw, alpha, beta, expanded = load_matrix_document(doc)
+        assert (alpha, beta) == (doc["alpha"], doc["beta"])
+        assert expanded.shape == (len(doc["rows"]), alpha + 2 * beta)
         assert len(expanded) >= e.expected_k
+
+
+def test_entries_are_their_documents_and_stay_frozen():
+    for e in TABLE1 + TABLE2 + TABLE3:
+        assert json.loads(e.document) == e.doc
+        assert e.q == e.doc["q"]
+    doc = TABLE3[0].doc
+    doc["rows"][0][0] = "2"
+    doc["q"] = 4
+    assert TABLE3[0].doc["rows"][0][0] == "1"
+    assert TABLE3[0].q == 3
+    with pytest.raises(AttributeError):
+        TABLE3[0].document = "{}"
 
 
 def test_verify_single_entry_table1():
