@@ -13,7 +13,6 @@ from .codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
-    PureCode,
     SingletonResult,
     SpanningSet,
     dual,

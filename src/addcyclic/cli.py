@@ -22,8 +22,6 @@ import sys
 
 from .codes import (
     CodeConstructionError,
-    MixedCode,
-    PureCode,
     dual,
     extract_mixed_generators,
     is_cyclic,
@@ -95,10 +93,10 @@ def cmd_params(args):
     code = _load_code(args, strict=not args.lenient)
     gm = code.closure
     card = code.cardinality()
+    failures = list(code.condition_failures)
     mixed_dist = None
-    if isinstance(code, MixedCode):
+    if code.alpha:
         blocks = {"alpha": code.alpha, "beta": code.beta}
-        failures = list(code.condition_failures)
         # the headline distance is the Gray-image one (the parameters
         # these codes are tabulated under); the mixed-alphabet distance
         # of a nonzero code is reported alongside
@@ -107,8 +105,7 @@ def cmd_params(args):
         if gm.rank:
             mixed_dist = _distance_report(gm, args.budget, args.seed)
     else:
-        blocks = {"n": code.n}
-        failures = []
+        blocks = {"n": code.beta}
         dist = _distance_report(gm, args.budget, args.seed)
     payload = {
         "blocks": blocks,
@@ -120,9 +117,9 @@ def cmd_params(args):
     }
     if mixed_dist is not None:
         payload["mixed_distance"] = mixed_dist
-    if dist["d"] is not None and isinstance(code, PureCode):
+    if dist["d"] is not None and not code.alpha:
         # single-alphabet Singleton bound; a mixed alphabet has no single Q
-        sing = singleton_check(code.n, gm.rank, dist["d"])
+        sing = singleton_check(code.beta, gm.rank, dist["d"])
         payload["singleton"] = "attains" if sing.attains else f"slack:{sing.slack}"
     lines = [f"block lengths: {blocks}",
              f"dimension (F_q rank): {gm.rank}",
@@ -149,7 +146,7 @@ def cmd_dual(args):
         "matrix": dm.matrix.tolist(),
     }
     lines = [f"dual dimension: {dm.rank}", f"dual is cyclic: {payload['cyclic']}"]
-    if isinstance(code, MixedCode):
+    if code.alpha:
         ext = extract_mixed_generators(dm)
         payload["generators"] = {
             "s": format_poly(ext.s), "l": format_poly(ext.l),

@@ -16,10 +16,11 @@ treated as a set of claims that are checked against that matrix,
 because degenerate generator choices (e.g. g ≡ 0 mod x^beta - 1) do
 occur in practice and break the formulas.
 
-A pure code is the mixed code with alpha = 0 and beta = n, and the two
-share one implementation: generator rows, divisor checks, closure and
-cardinality.  The degree-counted spanning set is read from the
-closure's spanning rows, which hold each generator's first x-shifts in order.
+One class, `MixedCode`, holds every cyclic code: a pure code, an
+additive cyclic code over F_q2 of length n, is the MixedCode with
+alpha = 0 and beta = n, and has no (s | l) generator.  The degree-counted
+spanning set is read from the closure's spanning rows, which hold each
+generator's first x-shifts in order.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def module_closure(tw: FieldTower, alpha, beta, rows) -> GeneratorMatrixCode:
 
 
 # ---------------------------------------------------------------------------
-# pure and mixed codes
+# cyclic codes
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ class SpanningSet:
 
 def _check_base_field(tw, **polys):
     for name, p in polys.items():
-        if p.field != tw.base:
+        if p is not None and p.field != tw.base:
             raise CodeConstructionError(f"{name} must have base-field coefficients")
 
 
@@ -231,11 +232,88 @@ def _generator_rows(tw, alpha, beta, g, h, k, s=None, l=None):
     return rows if s is not None else rows[1:]
 
 
-class _CyclicCode:
-    """What pure and mixed codes share.  The codeword set is the module
-    closure of `generator_rows()`; the degree-counted spanning set takes
-    the first `_degree_counts()[i]` x-shifts of generator i, rows the
-    closure already holds."""
+class MixedCode:
+    """An additive cyclic code of block length (alpha, beta), generated by
+    (s | l), (0 | g + w h) and (0 | w k), where s | x^alpha - 1 and
+    g, k | x^beta - 1 with base-field coefficients, and l has F_q2
+    coefficients.  The codeword set is the module closure of
+    `generator_rows()`.
+
+    At alpha = 0 it is a pure code, an additive cyclic code over F_q2 of
+    length beta generated by g + w h and w k alone: s and l are None
+    (anything else is refused), and a divisor error names the base
+    field.  A polynomial vanishing mod x^n - 1 is normalized to x^n - 1
+    itself (the zero ideal's representative), which keeps degree
+    bookkeeping consistent: q^(n - deg) = 1.
+
+    Two further generator conditions characterize the canonical
+    presentation of a code with alpha >= 1: k | h (x^beta - 1)/g (skipped
+    when g ≡ 0 mod x^beta - 1) and ((x^alpha - 1)/s) l ∈ <g + w h, w k>.
+    With strict=True (the default) a violation raises; with strict=False
+    the code is built anyway — its codeword set is still the perfectly
+    well-defined module closure of the three generators — and the names
+    of the violated conditions are reported by `condition_failures`,
+    checked when it is first read.  Published generator tables do
+    contain such degenerate rows.  A pure code's conditions are not
+    checked: its `condition_failures` is empty.
+    """
+
+    def __init__(self, tw: FieldTower, alpha: int, beta: int,
+                 s: Poly | None, l: Poly | None, g: Poly, h: Poly, k: Poly,
+                 strict=True):
+        if alpha < 0 or beta < 1:
+            raise ValueError(f"block lengths alpha={alpha}, beta={beta}: "
+                             "alpha must be >= 0 and beta >= 1")
+        if not alpha:
+            for name, p in (("s", s), ("l", l)):
+                if p is not None:
+                    raise ValueError(f"{name} must be None when alpha = 0; a pure "
+                                     "code takes g, h and k")
+        _check_base_field(tw, s=s, g=g, h=h, k=k)
+        if alpha and l.field != tw.ext:
+            raise CodeConstructionError("l must have top-field coefficients")
+        where = "" if alpha else f" over F_{tw.q}"
+        self.tower = tw
+        self.alpha = alpha
+        self.beta = beta
+        self.s = _divisor("s", s, alpha, tw.base) if alpha else None
+        self.l = l
+        self.g = _divisor("g", g, beta, tw.base, where)
+        self.h = h
+        self.k = _divisor("k", k, beta, tw.base, where)
+        if strict and self.condition_failures:
+            raise CodeConstructionError("; ".join(self.condition_failures))
+
+    @cached_property
+    def condition_failures(self) -> tuple:
+        """Names of the violated generator conditions, empty when both
+        hold and for a pure code."""
+        if not self.alpha:
+            return ()
+        tw, base = self.tower, self.tower.base
+        beta, s, l, g, h, k = self.beta, self.s, self.l, self.g, self.h, self.k
+        xa1 = Poly.xn_minus_1(base, self.alpha)
+        xb1 = Poly.xn_minus_1(base, beta)
+        failures = []
+        g_vanishes = divides(xb1, g)
+        if not g_vanishes and not divides(k, h * (xb1 // g)):
+            failures.append("k does not divide h*(x^beta-1)/g")
+        # membership of ((x^alpha-1)/s) * l in the beta-side kernel module
+        leftover = lift(xa1 // s, tw.ext) * l
+        member, *kernel = _generator_rows(tw, 0, beta, g, h, k,
+                                          s=Poly.zero(base), l=leftover)
+        if not module_closure(tw, 0, beta, kernel).contains(member):
+            failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
+        return tuple(failures)
+
+    def generator_rows(self):
+        return _generator_rows(self.tower, self.alpha, self.beta, self.g, self.h,
+                               self.k, s=self.s, l=self.l)
+
+    def _degree_counts(self):
+        """How many x-shifts of each generator the spanning set takes."""
+        lead = [self.alpha - self.s.degree()] if self.alpha else []
+        return lead + [self.beta - self.g.degree(), self.beta - self.k.degree()]
 
     @cached_property
     def closure(self) -> GeneratorMatrixCode:
@@ -270,107 +348,6 @@ class _CyclicCode:
                                for i, count in enumerate(self._degree_counts())])
         return SpanningSet(rows, len(rows) == self.closure.rank)
 
-
-class PureCode(_CyclicCode):
-    """An additive cyclic code over F_q2 of length n, generated (as an
-    F_q[x]-module of F_q2[x]/<x^n - 1>) by g + w*h and w*k, where g, h, k
-    have base-field coefficients and g, k divide x^n - 1: the mixed code
-    with alpha = 0 and beta = n.
-
-    A polynomial vanishing mod x^n - 1 is normalized to x^n - 1 itself
-    (the zero ideal's representative), which keeps degree bookkeeping
-    consistent: q^(n - deg) = 1.
-    """
-
-    alpha = 0
-
-    def __init__(self, tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
-        if n < 1:
-            raise ValueError("length must be positive")
-        _check_base_field(tw, g=g, h=h, k=k)
-        where = f" over F_{tw.q}"
-        self.tower = tw
-        self.n = self.beta = n
-        self.g = _divisor("g", g, n, tw.base, where)
-        self.h = h
-        self.k = _divisor("k", k, n, tw.base, where)
-
-    def generator_rows(self):
-        return _generator_rows(self.tower, 0, self.n, self.g, self.h, self.k)
-
-    def _degree_counts(self):
-        return [self.n - self.g.degree(), self.n - self.k.degree()]
-
-    def __repr__(self):
-        return (
-            f"PureCode(q={self.tower.q}, n={self.n}, g={self.g}, "
-            f"h={self.h}, k={self.k})"
-        )
-
-
-class MixedCode(_CyclicCode):
-    """An additive cyclic code of block length (alpha, beta), generated by
-    (s | l), (0 | g + w h) and (0 | w k), where s | x^alpha - 1 and
-    g, k | x^beta - 1 with base-field coefficients, and l has F_q2
-    coefficients.
-
-    Two further generator conditions characterize the canonical
-    presentation: k | h (x^beta - 1)/g (skipped when g ≡ 0 mod
-    x^beta - 1) and ((x^alpha - 1)/s) l ∈ <g + w h, w k>.  With
-    strict=True (the default) a violation raises; with strict=False the
-    code is built anyway — its codeword set is still the perfectly
-    well-defined module closure of the three generators — and the names
-    of the violated conditions are reported by `condition_failures`,
-    checked when it is first read.  Published generator tables do
-    contain such degenerate rows.
-    """
-
-    def __init__(self, tw: FieldTower, alpha: int, beta: int,
-                 s: Poly, l: Poly, g: Poly, h: Poly, k: Poly, strict=True):
-        if alpha < 1 or beta < 1:
-            raise ValueError("block lengths must be positive")
-        _check_base_field(tw, s=s, g=g, h=h, k=k)
-        if l.field != tw.ext:
-            raise CodeConstructionError("l must have top-field coefficients")
-        self.tower = tw
-        self.alpha = alpha
-        self.beta = beta
-        self.s = _divisor("s", s, alpha, tw.base)
-        self.l = l
-        self.g = _divisor("g", g, beta, tw.base)
-        self.h = h
-        self.k = _divisor("k", k, beta, tw.base)
-        if strict and self.condition_failures:
-            raise CodeConstructionError("; ".join(self.condition_failures))
-
-    @cached_property
-    def condition_failures(self) -> tuple:
-        """Names of the violated generator conditions, empty when both
-        hold."""
-        tw, base = self.tower, self.tower.base
-        beta, s, l, g, h, k = self.beta, self.s, self.l, self.g, self.h, self.k
-        xa1 = Poly.xn_minus_1(base, self.alpha)
-        xb1 = Poly.xn_minus_1(base, beta)
-        failures = []
-        g_vanishes = divides(xb1, g)
-        if not g_vanishes and not divides(k, h * (xb1 // g)):
-            failures.append("k does not divide h*(x^beta-1)/g")
-        # membership of ((x^alpha-1)/s) * l in the beta-side kernel module
-        leftover = lift(xa1 // s, tw.ext) * l
-        member, *kernel = _generator_rows(tw, 0, beta, g, h, k,
-                                          s=Poly.zero(base), l=leftover)
-        if not module_closure(tw, 0, beta, kernel).contains(member):
-            failures.append("((x^alpha-1)/s)*l is not in <g+wh, wk>")
-        return tuple(failures)
-
-    def generator_rows(self):
-        return _generator_rows(self.tower, self.alpha, self.beta, self.g, self.h,
-                               self.k, s=self.s, l=self.l)
-
-    def _degree_counts(self):
-        return [self.alpha - self.s.degree(), self.beta - self.g.degree(),
-                self.beta - self.k.degree()]
-
     def __repr__(self):
         return (
             f"MixedCode(q={self.tower.q}, alpha={self.alpha}, beta={self.beta}, "
@@ -389,7 +366,7 @@ def dual(code) -> GeneratorMatrixCode:
     w-components of the F_q2-valued form.  Solved as one kernel
     computation over F_q.
     """
-    gm = code.closure if isinstance(code, _CyclicCode) else code
+    gm = code.closure if isinstance(code, MixedCode) else code
     if gm.alpha is None or gm.beta is None:
         raise ValueError("dual needs the mixed-alphabet split")
     tw, M, a = gm.tower, gm.matrix, gm.alpha
@@ -575,8 +552,8 @@ def load_tower(doc: dict, keys) -> FieldTower:
 def load_definition(doc: dict, strict=True):
     """Build a code from the JSON definition document:
     {"q": int, "alpha": int, "beta": int, "s","l","g","h","k": str,
-     "f1": str?, "f2": str?}.  Pure codes use alpha = 0, and an s or l
-    given with it is refused.
+     "f1": str?, "f2": str?}, built as a `MixedCode`.  Pure codes use
+    alpha = 0 (or omit it), and an s or l given with it is refused.
     Any other key is refused by name.  Block lengths whose generators'
     x-orbit would pass MAX_CLOSURE_CELLS entries are rejected before
     anything is built."""
@@ -596,14 +573,15 @@ def load_definition(doc: dict, strict=True):
     g = _document_poly(doc, "g", tw.base, tw)
     h = _document_poly(doc, "h", tw.base, tw)
     k = _document_poly(doc, "k", tw.base, tw)
+    s = l = None
     if alpha == 0:
         for key in ("s", "l"):
             if key in doc:
                 raise ValueError(f"{key} is read only when alpha > 0; a pure "
                                  "code takes g, h and k")
-        return PureCode(tw, beta, g, h, k)
-    s = _document_poly(doc, "s", tw.base, tw)
-    l = _document_poly(doc, "l", tw.ext, tw)
+    else:
+        s = _document_poly(doc, "s", tw.base, tw)
+        l = _document_poly(doc, "l", tw.ext, tw)
     return MixedCode(tw, alpha, beta, s, l, g, h, k, strict=strict)
 
 

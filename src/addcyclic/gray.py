@@ -19,7 +19,6 @@ from .codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
-    PureCode,
     _shift_columns,
     invariant_under,
 )
@@ -83,7 +82,7 @@ def gray_image(code) -> GrayImageCode:
     the F_q-dimension equal to the source dimension.  The image is built
     once per generator matrix and memoized on it, so a cyclic code and
     its closure share one image."""
-    gm = code.closure if isinstance(code, (PureCode, MixedCode)) else code
+    gm = code.closure if isinstance(code, MixedCode) else code
     return gm._memo("gray_image", _build_gray_image)
 
 

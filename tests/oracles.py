@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from addcyclic import linalg
-from addcyclic.codes import GeneratorMatrixCode, _CyclicCode
+from addcyclic.codes import GeneratorMatrixCode, MixedCode
 from addcyclic.codes import _closure_rows, _echelon_generators, load_tower
 from addcyclic.fields import FieldMismatchError, FieldTower
 from addcyclic.linalg import _suffix_block
@@ -245,7 +245,7 @@ def codewords(code: GeneratorMatrixCode):
 def projections(code):
     """(C_alpha, C_beta): images under the two coordinate projections,
     with the beta side kept in F_q-expanded form."""
-    gm = code.closure if isinstance(code, _CyclicCode) else code
+    gm = code.closure if isinstance(code, MixedCode) else code
     if gm.alpha is None or gm.beta is None:
         raise ValueError("projections need the mixed-alphabet split")
     tw = gm.tower

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from addcyclic.codes import PureCode, dual, is_cyclic, module_closure
+from addcyclic.codes import MixedCode, dual, is_cyclic, module_closure
 from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image, gray_rows
@@ -334,7 +334,7 @@ def test_criterion_5_property_suites():
             assert canonicalize_pure(tw, n, gs, hs, ks) == (gs, hs, ks)
             original = module_closure(tw, 0, n, expand_words(
                 beta_generator_words(tw, 0, n, g, h, k), 2 * n))
-            assert PureCode(tw, n, gs, hs, ks).closure.equals(original)
+            assert MixedCode(tw, 0, n, None, None, gs, hs, ks).closure.equals(original)
 
     def distance_oracle():
         rng = random.Random(9)

@@ -12,7 +12,7 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 LAYERS = ("codes", "distance", "fields", "gray", "lcd", "linalg", "poly", "tables")
 EXPORTS = set("""
     Cardinality CodeConstructionError ExtractedGenerators GeneratorMatrixCode
-    InvariantViolation MixedCode PureCode SingletonResult SpanningSet
+    InvariantViolation MixedCode SingletonResult SpanningSet
     dual extract_mixed_generators invariant_under is_cyclic load_definition
     module_closure singleton_check DEFAULT_BUDGET DistanceBudgetError
     DistanceResult min_distance min_distance_exact min_distance_upper Field

@@ -66,6 +66,10 @@ def test_params_row9(capsys):
      "46b9496b9a71cb1da7b156fad995be2d98a669ab6387d54c03c1745ce8dff142"),
     (["params", "--input", TABLE1_ROW1],
      "c95d01f1df53aae6c31734a88df471071fa9127f09d15ed3cd3d3a2b956fe25c"),
+    (["dual", "--input", TABLE1_ROW1],
+     "6b985ef7dfe7dfaf57ae51bc7cc9f95e83d49897b349dcbbd9b9257ef55dc48c"),
+    (["gray", "--input", TABLE1_ROW1],
+     "be176c55f5be3e8783bbc6df85e73051e73d0791e93a1d127032ea2e55f85c86"),
     (["params", "--lenient", "--input", VIOLATING],
      "89b92675bee8867e15252eb4825a5e8115fbe7585be598bbfa1787a81c9c8395"),
     (["dual", "--lenient", "--input", VIOLATING],
@@ -75,8 +79,8 @@ def test_params_row9(capsys):
     (["lcd", "--input", SELF_ORTHOGONAL],
      "e14ab0d318cd0bdd08cad2ecb1e2cceb879b9037f6a5cab4634a2a911dc7c519"),
 ], ids=["params-row9", "dual-row9", "gray-row9", "params-table1-row1",
-        "params-violating", "dual-violating", "lcd-table3-row6",
-        "lcd-self-orthogonal"])
+        "dual-table1-row1", "gray-table1-row1", "params-violating",
+        "dual-violating", "lcd-table3-row6", "lcd-self-orthogonal"])
 def test_json_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv + ["--format", "json"])
     assert code == 0

@@ -15,7 +15,6 @@ from addcyclic.codes import (
     ExtractedGenerators,
     GeneratorMatrixCode,
     MixedCode,
-    PureCode,
     SingletonResult,
     SpanningSet,
     dual,
@@ -57,11 +56,7 @@ def word(tw, u, uprime):
 def span_words(code):
     """Oracle: iteratively close the generator words under addition and
     shifting, never touching the linear-algebra path."""
-    tw = code.tower
-    if isinstance(code, MixedCode):
-        alpha, beta = code.alpha, code.beta
-    else:
-        alpha, beta = 0, code.n
+    tw, alpha, beta = code.tower, code.alpha, code.beta
     gens = generator_words(code)
     zero = MixedWord(tw, (0,) * alpha, (0,) * beta)
     seen = {zero}
@@ -98,7 +93,7 @@ def random_pure_code(rng, tw, n):
     g = random_divisor(rng, f, n)
     k = random_divisor(rng, f, n)
     h = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(n + 1))])
-    return PureCode(tw, n, g, h, k)
+    return MixedCode(tw, 0, n, None, None, g, h, k)
 
 
 def random_mixed_code(rng, tw, alpha, beta):
@@ -125,14 +120,15 @@ def random_mixed_code(rng, tw, alpha, beta):
 
 
 def test_build_pure_table_row():
-    code = PureCode(T4, 5, P("1", T4), P("x^2+ux", T4), P("x^4+x^3+x^2+x+1", T4))
+    code = MixedCode(T4, 0, 5, None, None, P("1", T4), P("x^2+ux", T4),
+                     P("x^4+x^3+x^2+x+1", T4))
     assert code.dimension == 6
     card = code.cardinality()
     assert card.formula == card.actual == 4**6
 
 
 def test_build_pure_full_space():
-    code = PureCode(T3, 4, P("1"), Poly.zero(T3.base), P("1"))
+    code = MixedCode(T3, 0, 4, None, None, P("1"), Poly.zero(T3.base), P("1"))
     assert code.dimension == 8  # all of F_9^4 as an F_3 space
     assert code.cardinality().actual == 3 ** (2 * 4)
 
@@ -140,11 +136,41 @@ def test_build_pure_full_space():
 def test_build_pure_divisibility_error():
     # x^2+1 = (x+1)^2 does not divide the squarefree x^5-1 over F_4
     with pytest.raises(CodeConstructionError):
-        PureCode(T4, 5, P("x^2+1", T4), Poly.zero(T4.base), P("1", T4))
+        MixedCode(T4, 0, 5, None, None, P("x^2+1", T4), Poly.zero(T4.base), P("1", T4))
+
+
+@pytest.mark.parametrize("alpha, beta, s, l, named", [
+    (0, 4, "1", None, "s must be None"),
+    (0, 4, None, "w", "l must be None"),
+    (-1, 4, None, None, "alpha=-1"),
+    (0, 0, None, None, "beta=0"),
+    (2, 0, "1", "w", "beta=0"),
+])
+def test_constructor_refuses_block_lengths_and_stray_generators(alpha, beta, s, l, named):
+    # a pure code (alpha = 0) takes no s or l; alpha < 0 and beta < 1 are
+    # no block lengths
+    one = P("1")
+    with pytest.raises(ValueError) as exc:
+        MixedCode(T3, alpha, beta, s and P(s), l and P(l, ext=True), one, one, one)
+    assert named in str(exc.value)
+    assert not isinstance(exc.value, CodeConstructionError)
+
+
+@pytest.mark.parametrize("entry", TABLE1, ids=lambda e: f"row{e.row}")
+def test_constructor_and_load_definition_agree_on_table1(entry):
+    doc = entry.doc
+    tw = tower(doc["q"])
+    g, h, k = (parse_poly(doc[key], tw.base, tw) for key in "ghk")
+    built = MixedCode(tw, 0, doc["beta"], None, None, g, h, k)
+    loaded = load_definition(doc)
+    assert built.closure.equals(loaded.closure)
+    assert built.cardinality() == loaded.cardinality()
+    assert np.array_equal(built.spanning_set().rows, loaded.spanning_set().rows)
 
 
 def test_pure_basis_table_row():
-    code = PureCode(T4, 5, P("1", T4), P("x^2+ux", T4), P("x^4+x^3+x^2+x+1", T4))
+    code = MixedCode(T4, 0, 5, None, None, P("1", T4), P("x^2+ux", T4),
+                     P("x^4+x^3+x^2+x+1", T4))
     mat = code.spanning_set().rows
     assert len(mat) == 6  # (5 - 0) + (5 - 4)
     assert linalg.rank(T4.base, mat) == 6  # F_q-independent
@@ -153,14 +179,14 @@ def test_pure_basis_table_row():
 
 def test_pure_basis_trivial_kernel():
     # g=1, h=0, k = x^n-1: the embedded copy of F_q^n
-    code = PureCode(T3, 4, P("1"), Poly.zero(T3.base), P("x^4+2"))
+    code = MixedCode(T3, 0, 4, None, None, P("1"), Poly.zero(T3.base), P("x^4+2"))
     assert len(code.spanning_set().rows) == 4
     assert code.dimension == 4
 
 
 def test_pure_basis_omega_copy():
     # g = x^n-1, h = 0, k = 1: the set w*F_q^n
-    code = PureCode(T3, 4, P("x^4+2"), Poly.zero(T3.base), P("1"))
+    code = MixedCode(T3, 0, 4, None, None, P("x^4+2"), Poly.zero(T3.base), P("1"))
     rows = code.spanning_set().rows
     assert len(rows) == 4
     assert not rows[:, 0::2].any()  # every b column is zero
@@ -234,13 +260,14 @@ def test_canonicalize_idempotent_and_closure_preserving():
         gs, hs, ks = canonicalize_pure(tw, n, g, h, k)
         assert (gs, hs, ks) == reference_canonicalize_pure(tw, n, g, h, k)
         assert canonicalize_pure(tw, n, gs, hs, ks) == (gs, hs, ks)
-        raw = module_closure(tw, 0, n, PureCode(tw, n, gs, hs, ks).generator_rows())
+        raw = module_closure(tw, 0, n, MixedCode(tw, 0, n, None, None, gs, hs, ks)
+                             .generator_rows())
         # original triple need not satisfy the divisor conditions, so build
         # its closure directly from words
         original = module_closure(tw, 0, n, expand_words(
             beta_generator_words(tw, 0, n, g, h, k), 2 * n))
         assert raw.equals(original)
-        canon_code = PureCode(tw, n, gs, hs, ks)
+        canon_code = MixedCode(tw, 0, n, None, None, gs, hs, ks)
         g2, h2, k2 = canonicalize_pure(tw, n, canon_code.g, canon_code.h, canon_code.k)
         assert (canon_code.g.monic(), canon_code.h % canon_code.k,
                 canon_code.k.monic()) == (g2, h2, k2)
@@ -432,12 +459,8 @@ def reference_degree_counted_words(code):
     of (s | l), (0 | g + w*h), (0 | w*k) followed by its x-shifts, as
     many words as its degree count."""
     tw, zero = code.tower, Poly.zero(code.tower.base)
-    if isinstance(code, MixedCode):
-        alpha, beta = code.alpha, code.beta
-        gens = [(code.s, code.l, alpha - code.s.degree())]
-    else:
-        alpha, beta = 0, code.n
-        gens = []
+    alpha, beta = code.alpha, code.beta
+    gens = [(code.s, code.l, alpha - code.s.degree())] if alpha else []
     gens += [(zero, combine_components(code.g, code.h, tw), beta - code.g.degree()),
              (zero, combine_components(zero, code.k, tw), beta - code.k.degree())]
     words = []
@@ -472,10 +495,10 @@ def check_basis_words(code):
     """A pure code's spanning set is its degree-counted words, spans_ok
     saying whether they span; those of its canonical triple always span."""
     check_spanning_set(code)
-    code = PureCode(code.tower, code.n,
-                    *canonicalize_pure(code.tower, code.n, code.g, code.h, code.k))
+    code = MixedCode(code.tower, 0, code.beta, None, None,
+                     *canonicalize_pure(code.tower, code.beta, code.g, code.h, code.k))
     want = reference_degree_counted_words(code)
-    assert np.array_equal(code.spanning_set().rows, expand_words(want, 2 * code.n))
+    assert np.array_equal(code.spanning_set().rows, expand_words(want, 2 * code.beta))
     assert reference_spans_ok(code, want)
 
 
@@ -519,7 +542,7 @@ def degenerate_code(rng, tw, alpha, beta, case):
     g = zero if case == 0 else g
     k = zero if case == 1 else k
     if not alpha:
-        return PureCode(tw, beta, g, h, k)
+        return MixedCode(tw, 0, beta, None, None, g, h, k)
     l = Poly(tw.ext, [rng.randrange(tw.ext.order) for _ in range(rng.randrange(2 * beta + 2))])
     l = Poly.zero(tw.ext) if case == 2 else l
     s = Poly.xn_minus_1(f, alpha) if case == 3 else random_divisor(rng, f, alpha)
@@ -563,8 +586,9 @@ def test_degree_counts_of_zero_generators(q):
     for code in mixed:
         check_spanning_set(code)
     assert empty_spanning_set(mixed[-1].spanning_set(), 11)
-    pure = [PureCode(tw, 4, xb1, zero, one), PureCode(tw, 4, one, zero, xb1),
-            PureCode(tw, 4, zero, zero, zero)]
+    pure = [MixedCode(tw, 0, 4, None, None, xb1, zero, one),
+            MixedCode(tw, 0, 4, None, None, one, zero, xb1),
+            MixedCode(tw, 0, 4, None, None, zero, zero, zero)]
     for code in pure:
         check_basis_words(code)
     assert empty_spanning_set(pure[-1].spanning_set(), 8)
@@ -577,10 +601,11 @@ def test_divisor_messages_of_both_constructors():
         return str(exc.value)
 
     one, zero = P("1"), Poly.zero(T3.base)
-    assert message(lambda: PureCode(T4, 5, P("x^2+1", T4), Poly.zero(T4.base),
-                                    P("1", T4))) == \
+    assert message(lambda: MixedCode(T4, 0, 5, None, None, P("x^2+1", T4),
+                                     Poly.zero(T4.base), P("1", T4))) == \
         "g = x^2+1 does not divide x^5-1 over F_4"
-    assert message(lambda: PureCode(T3, 4, one, zero, P("x^2+x+1"))) == \
+    assert message(lambda: MixedCode(T3, 0, 4, None, None, one, zero,
+                                     P("x^2+x+1"))) == \
         "k = x^2+x+1 does not divide x^4-1 over F_3"
     assert message(lambda: MixedCode(T3, 3, 3, P("x^2+1"), Poly.zero(T3.ext),
                                      one, zero, one)) == \
@@ -773,7 +798,7 @@ def test_projections_zero_and_pure():
     zero = module_closure(T3, 2, 2, [])
     ca, cb = projections(zero)
     assert ca.rank == 0 and cb.rank == 0
-    pure = PureCode(T3, 3, P("1"), P("x"), P("x^3+2"))
+    pure = MixedCode(T3, 0, 3, None, None, P("1"), P("x"), P("x^3+2"))
     ca, cb = projections(pure.closure)
     assert ca.width == 0 and ca.rank == 0
     assert cb.rank == pure.dimension
@@ -1035,7 +1060,7 @@ def test_load_definition_pure_with_moduli():
     doc = {"q": 4, "alpha": 0, "beta": 5, "g": "1", "h": "x^2+ux",
            "k": "x^4+x^3+x^2+x+1", "f1": "x^2+x+1", "f2": "x^2+x+u"}
     code = load_definition(doc)
-    assert isinstance(code, PureCode) and code.dimension == 6
+    assert isinstance(code, MixedCode) and code.alpha == 0 and code.dimension == 6
 
 
 @pytest.mark.parametrize("key", ["alhpa", "G", "f3", "rows"])

@@ -272,7 +272,7 @@ def test_engines_weigh_in_the_code_alphabet():
         pure = random_pure_code(rng, tw, rng.randrange(2, 5))
         image = gray_image(code).base
         c_alpha, c_beta = projections(code)
-        cases = ((code.closure, alpha, beta), (pure.closure, 0, pure.n),
+        cases = ((code.closure, alpha, beta), (pure.closure, 0, pure.beta),
                  (image, image.width, 0), (hull(image), image.width, 0),
                  (c_alpha, alpha, 0), (c_beta, 0, beta))
         for i, (gm, a, b) in enumerate(cases):
