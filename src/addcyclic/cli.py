@@ -61,10 +61,10 @@ def _read_document(value):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_code(args, strict=True):
+def _load_code(args):
     doc = _read_document(args.input)
     try:
-        return load_definition(doc, strict=strict)
+        return load_definition(doc, strict=not args.lenient)
     except DOCUMENT_ERRORS as exc:
         print(f"invalid code definition: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -90,7 +90,7 @@ def _emit(payload, fmt, lines):
 
 
 def cmd_params(args):
-    code = _load_code(args, strict=not args.lenient)
+    code = _load_code(args)
     gm = code.closure
     card = code.cardinality()
     failures = list(code.condition_failures)
@@ -138,7 +138,7 @@ def cmd_params(args):
 
 
 def cmd_dual(args):
-    code = _load_code(args, strict=not args.lenient)
+    code = _load_code(args)
     dm = dual(code.closure)
     payload = {
         "dimension": dm.rank,
@@ -164,7 +164,7 @@ def cmd_dual(args):
 
 
 def cmd_gray(args):
-    code = _load_code(args, strict=not args.lenient)
+    code = _load_code(args)
     image = gray_image(code)
     sigma = shift_invariance_check(image)
     dist = _distance_report(image.base, args.budget, args.seed)
@@ -192,11 +192,11 @@ def cmd_gray(args):
 def cmd_lcd(args):
     doc = _read_document(args.input)
     try:
-        tw, alpha, beta, expanded = load_matrix_document(doc)
+        tw, beta, expanded = load_matrix_document(doc)
     except DOCUMENT_ERRORS as exc:
         print(f"invalid matrix document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    image, cert = _rows_certificate(tw, alpha, beta, expanded)
+    image, cert = _rows_certificate(tw, beta, expanded)
     dist = _distance_report(image.base, args.budget, args.seed)
     payload = {
         "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,

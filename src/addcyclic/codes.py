@@ -16,11 +16,13 @@ treated as a set of claims that are checked against that matrix,
 because degenerate generator choices (e.g. g ≡ 0 mod x^beta - 1) do
 occur in practice and break the formulas.
 
-One class, `MixedCode`, holds every cyclic code: a pure code, an
-additive cyclic code over F_q2 of length n, is the MixedCode with
-alpha = 0 and beta = n, and has no (s | l) generator.  The degree-counted
-spanning set is read from the closure's spanning rows, which hold each
-generator's first x-shifts in order.
+A `GeneratorMatrixCode` has one alphabet parameter, beta: its alpha is
+the width less 2*beta, and a plain F_q code (a Gray image, a hull, a
+bare matrix) is beta = 0.  One class, `MixedCode`, holds every cyclic
+code: a pure code, an additive cyclic code over F_q2 of length n, is
+the MixedCode with alpha = 0 and beta = n, and has no (s | l)
+generator.  The degree-counted spanning set is read from the closure's
+spanning rows, which hold each generator's first x-shifts in order.
 """
 
 from __future__ import annotations
@@ -54,34 +56,28 @@ class InvariantViolation(RuntimeError):
 class GeneratorMatrixCode:
     """An F_q-linear code given by an rref basis matrix.
 
-    For codes on the mixed alphabet the split (alpha, beta), both set
-    and nonnegative, covers the width alpha + 2*beta (checked) with the
-    expanded layout of the module docstring, and sets the weight of the
-    code's words; plain F_q codes (Gray images, hulls) leave both None
-    and weigh one symbol per column.  `pivots` holds the pivot column of
-    each basis row, for membership tests against the basis.  The stored matrix is read-only: codes derived
-    from it are memoized on this object (`_memo`) and must not go stale.
+    `beta` is the code's one alphabet parameter: the last 2*beta columns
+    are beta F_q2 symbols in the expanded layout of the module docstring,
+    the first alpha = width - 2*beta columns F_q symbols, and the split
+    sets the weight of the code's words.  A plain F_q code (a Gray image,
+    a hull, a bare matrix) is beta = 0.  `pivots` holds the pivot column
+    of each basis row, for membership tests against the basis.  The
+    stored matrix is read-only: codes derived from it are memoized on
+    this object (`_memo`) and must not go stale.
     """
 
     tower: FieldTower
     matrix: np.ndarray
-    alpha: int | None = None
-    beta: int | None = None
+    beta: int = 0
     spanning_rows: np.ndarray | None = dc_field(default=None, repr=False)
     pivots: tuple = dc_field(default=(), init=False, repr=False)
     _derived: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         M = linalg.as_matrix(self.matrix, field=self.tower.base)
-        if (self.alpha is None) != (self.beta is None):
-            raise ValueError("a split needs both alpha and beta, or neither")
-        if self.alpha is not None:
-            if self.alpha < 0 or self.beta < 0:
-                raise ValueError(f"split alpha={self.alpha}, beta={self.beta} "
-                                 "has a negative block length")
-            if self.alpha + 2 * self.beta != M.shape[1]:
-                raise ValueError(f"split alpha={self.alpha}, beta={self.beta} does not "
-                                 f"cover the {M.shape[1]} columns")
+        if not 0 <= 2 * self.beta <= M.shape[1]:
+            raise ValueError(f"beta={self.beta} does not fit the {M.shape[1]} "
+                             "columns: 0 <= 2*beta <= width")
         R, r, pivots = linalg.rref(self.tower.base, M)
         self.matrix = R[:r].copy()
         self.matrix.setflags(write=False)
@@ -105,6 +101,10 @@ class GeneratorMatrixCode:
     @property
     def width(self):
         return self.matrix.shape[1]
+
+    @property
+    def alpha(self):
+        return self.width - 2 * self.beta
 
     @property
     def size(self):
@@ -178,7 +178,7 @@ def module_closure(tw: FieldTower, alpha, beta, rows) -> GeneratorMatrixCode:
     representation.
     """
     rows = _closure_rows(alpha, beta, rows)
-    return GeneratorMatrixCode(tw, rows, alpha=alpha, beta=beta, spanning_rows=rows)
+    return GeneratorMatrixCode(tw, rows, beta=beta, spanning_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +241,11 @@ class MixedCode:
 
     At alpha = 0 it is a pure code, an additive cyclic code over F_q2 of
     length beta generated by g + w h and w k alone: s and l are None
-    (anything else is refused), and a divisor error names the base
-    field.  A polynomial vanishing mod x^n - 1 is normalized to x^n - 1
-    itself (the zero ideal's representative), which keeps degree
-    bookkeeping consistent: q^(n - deg) = 1.
+    (anything else is refused, as a None s or l is at alpha >= 1), and a
+    divisor error names the base field.  A polynomial vanishing mod
+    x^n - 1 is normalized to x^n - 1 itself (the zero ideal's
+    representative), which keeps degree bookkeeping consistent:
+    q^(n - deg) = 1.
 
     Two further generator conditions characterize the canonical
     presentation of a code with alpha >= 1: k | h (x^beta - 1)/g (skipped
@@ -264,11 +265,12 @@ class MixedCode:
         if alpha < 0 or beta < 1:
             raise ValueError(f"block lengths alpha={alpha}, beta={beta}: "
                              "alpha must be >= 0 and beta >= 1")
-        if not alpha:
-            for name, p in (("s", s), ("l", l)):
-                if p is not None:
-                    raise ValueError(f"{name} must be None when alpha = 0; a pure "
-                                     "code takes g, h and k")
+        for name, p in (("s", s), ("l", l)):
+            if not alpha and p is not None:
+                raise ValueError(f"{name} must be None when alpha = 0; a pure "
+                                 "code takes g, h and k")
+            if alpha and p is None:
+                raise ValueError(f"{name} is needed when alpha = {alpha} >= 1")
         _check_base_field(tw, s=s, g=g, h=h, k=k)
         if alpha and l.field != tw.ext:
             raise CodeConstructionError("l must have top-field coefficients")
@@ -360,15 +362,14 @@ class MixedCode:
 
 
 def dual(code) -> GeneratorMatrixCode:
-    """All words orthogonal to the code under the mixed inner product.
+    """All words orthogonal to the code under the mixed inner product;
+    at beta = 0 the Euclidean dual.
 
     Each generator contributes two F_q-linear constraints: the 1- and
     w-components of the F_q2-valued form.  Solved as one kernel
     computation over F_q.
     """
     gm = code.closure if isinstance(code, MixedCode) else code
-    if gm.alpha is None or gm.beta is None:
-        raise ValueError("dual needs the mixed-alphabet split")
     tw, M, a = gm.tower, gm.matrix, gm.alpha
     # row i of `forms` is the form of basis row i against each unit
     # vector of the expanded F_q basis.  The form's matrix is w on the
@@ -382,7 +383,7 @@ def dual(code) -> GeneratorMatrixCode:
     b, c = tw.decompose(forms)
     constraints = np.stack([b, c], axis=1).reshape(-1, gm.width)
     basis = linalg.kernel(tw.base, constraints)
-    return GeneratorMatrixCode(tw, basis, alpha=gm.alpha, beta=gm.beta)
+    return GeneratorMatrixCode(tw, basis, beta=gm.beta)
 
 
 def invariant_under(code: GeneratorMatrixCode, perm) -> bool:
@@ -398,9 +399,8 @@ def invariant_under(code: GeneratorMatrixCode, perm) -> bool:
 def is_cyclic(code: GeneratorMatrixCode) -> bool:
     """True iff the row space is closed under the simultaneous right
     cyclic shift of the alpha block and the beta block (the latter acting
-    on (b, c) column pairs jointly)."""
-    if code.alpha is None or code.beta is None:
-        raise ValueError("cyclicity needs the block split")
+    on (b, c) column pairs jointly); at beta = 0 the ordinary cyclic
+    shift."""
     return invariant_under(code, _shift_columns(code.alpha, code.beta, 1))
 
 
@@ -484,8 +484,8 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
     itself, that is whether the input is cyclic."""
     tw = code.tower
     alpha, beta = code.alpha, code.beta
-    if alpha is None or beta is None or alpha < 1:
-        raise ValueError("extraction needs a mixed split with alpha >= 1")
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"extraction needs alpha, beta >= 1, not alpha={alpha}, beta={beta}")
     s, l, g, h, k = _echelon_generators(tw, alpha, beta, code.matrix)
     try:
         candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
@@ -587,11 +587,12 @@ def load_definition(doc: dict, strict=True):
 
 def load_matrix_document(doc: dict):
     """Parse {"q": int, "alpha": int, "beta": int, "rows": [[literals]],
-    "f1": str?, "f2": str?} into (tower, alpha, beta, expanded): the
-    first alpha entries of each row are F_q literals, the rest F_q2
-    literals, each split into its (b, c) columns by `tower.decompose`, so
-    that `expanded` is a uint8 matrix in the expanded layout of the module
-    docstring.  Any other key is refused by name."""
+    "f1": str?, "f2": str?} into (tower, beta, expanded): the first
+    alpha entries of each row are F_q literals, the rest F_q2 literals,
+    each split into its (b, c) columns by `tower.decompose`, so that
+    `expanded` is a uint8 matrix in the expanded layout of the module
+    docstring, of width alpha + 2*beta.  Any other key is refused by
+    name."""
     tw = load_tower(doc, ("q", "alpha", "beta", "rows", "f1", "f2"))
     alpha = _document_int(doc, "alpha")
     beta = _document_int(doc, "beta")
@@ -610,4 +611,4 @@ def load_matrix_document(doc: dict):
         out[:alpha] = [parse_scalar(str(e), tw.base, tw) for e in row[:alpha]]
         out[alpha::2], out[alpha + 1 :: 2] = tw.decompose(
             [parse_scalar(str(e), tw.ext, tw) for e in row[alpha:]])
-    return tw, alpha, beta, expanded
+    return tw, beta, expanded

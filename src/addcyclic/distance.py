@@ -1,8 +1,8 @@
 """Minimum-distance computation.
 
 A code's split is its alphabet: alpha F_q symbols of one column and
-beta F_q2 symbols of two when the code carries a split (alpha, beta),
-else one F_q symbol per column (Gray images, hulls).  Codes of at most
+beta F_q2 symbols of two, so a plain code, beta = 0 (Gray images,
+hulls), weighs one F_q symbol per column.  Codes of at most
 _WHOLE_CODE words are weighed whole.  Larger ones go to the
 Brouwer-Zimmermann search (Zimmermann 1996; Grassl,
 "Searching for linear codes with large minimum distance", 2006).  The
@@ -114,19 +114,12 @@ class _LayerCapError(DistanceBudgetError):
         self.budget = cap
 
 
-def _alphabet(code):
-    """(alpha, beta) of a code's words: its split when set, else one F_q
-    symbol per column (Gray images, hulls, bare generator matrices)."""
-    return (code.width, 0) if code.alpha is None else (code.alpha, code.beta)
-
-
 def _symbols(code):
     """(field, pack) of a code's symbol words: F_q2 and `_pack` for a
     code with F_q2 symbols, else F_q and the identity."""
-    alpha, beta = _alphabet(code)
-    if not beta:
+    if not code.beta:
         return code.field, lambda block: block
-    return code.tower.ext, lambda block: _pack(code.tower, alpha, block)
+    return code.tower.ext, lambda block: _pack(code.tower, code.alpha, block)
 
 
 def _distinct_rows(block):
@@ -290,7 +283,7 @@ def _brouwer_zimmermann(code):
     """(minimum weight, words weighed) of a code of nonzero rank, by the
     Brouwer-Zimmermann search (module docstring)."""
     field, k = code.field, code.rank
-    sets = list(_information_sets(field, code.matrix, code.pivots, *_alphabet(code)))
+    sets = list(_information_sets(field, code.matrix, code.pivots, code.alpha, code.beta))
     done = [0] * len(sets)  # every message of weight <= done[j] weighed in form j
 
     def bound():

@@ -3,8 +3,9 @@
 Per coordinate b + w*c of the extension block the map emits (b + c, c);
 on a whole word (u | u') it produces (u, b_0+c_0, ..., b_{beta-1}+c_{beta-1},
 c_0, ..., c_{beta-1}), an F_q-linear bijection onto F_q^(alpha + 2 beta).
-Images of additive cyclic codes are quasi-cyclic of index 3 when
-alpha = beta, and more generally invariant under the block-shift
+The image is a plain F_q code (beta = 0), and a plain code is its own
+image.  Images of additive cyclic codes are quasi-cyclic of index 3
+when alpha = beta, and more generally invariant under the block-shift
 permutation that mirrors multiplication by x upstairs.
 """
 
@@ -44,9 +45,14 @@ def classify_gray_image(alpha: int, beta: int) -> str:
     """Structural class of the image of an additive cyclic code:
     index-3 quasi-cyclic when alpha = beta; generalized quasi-cyclic with
     block lengths (alpha, 2 beta) when 3 | alpha + 2 beta; otherwise
-    (label only) equivalent to a cyclic code of length alpha + 2 beta."""
-    if alpha < 1 or beta < 1:
-        raise ValueError("block lengths must be positive")
+    (label only) equivalent to a cyclic code of length alpha + 2 beta.
+    With one block empty the image is the other block: the doubled
+    extension block of a pure code (alpha = 0), the alpha block itself
+    of a plain code (beta = 0)."""
+    if alpha < 0 or beta < 0 or not alpha + beta:
+        raise ValueError(f"block lengths alpha={alpha}, beta={beta} must be >= 0, not both 0")
+    if not alpha or not beta:
+        return "extension block only" if beta else "alpha block only"
     if alpha == beta:
         return QUASI_CYCLIC_3
     if (alpha + 2 * beta) % 3 == 0:
@@ -56,12 +62,17 @@ def classify_gray_image(alpha: int, beta: int) -> str:
 
 @dataclass(eq=False)
 class GrayImageCode:
-    """An image code over F_q, remembering the source split."""
+    """The Gray image of a code: `base` is the image, a plain code over
+    F_q (beta = 0), and `alpha` and `beta` are the source code's split,
+    which sets the image's classification and its shift sigma."""
 
     base: GeneratorMatrixCode
     alpha: int
     beta: int
-    classification: str
+
+    @property
+    def classification(self):
+        return classify_gray_image(self.alpha, self.beta)
 
     @property
     def rank(self):
@@ -87,22 +98,13 @@ def gray_image(code) -> GrayImageCode:
 
 
 def _build_gray_image(gm: GeneratorMatrixCode) -> GrayImageCode:
-    tw = gm.tower
-    alpha, beta = gm.alpha, gm.beta
-    if alpha is None or beta is None:
-        raise ValueError("the Gray map needs the mixed-alphabet split")
+    tw, alpha = gm.tower, gm.alpha
     image = GeneratorMatrixCode(tw, gray_rows(tw, alpha, gm.matrix))
     if image.rank != gm.rank:
         raise InvariantViolation("Gray image lost rank; the map must be injective")
     if gm.spanning_rows is not None:
         image.spanning_rows = gray_rows(tw, alpha, gm.spanning_rows)
-    # classification is defined for alpha, beta >= 1; a pure code's image
-    # is just the doubled extension block, a beta = 0 code's its alpha block
-    if alpha >= 1 and beta >= 1:
-        label = classify_gray_image(alpha, beta)
-    else:
-        label = "extension block only" if beta else "alpha block only"
-    return GrayImageCode(image, alpha, beta, label)
+    return GrayImageCode(image, alpha, gm.beta)
 
 
 def shift_invariance_check(image: GrayImageCode) -> bool:

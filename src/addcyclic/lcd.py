@@ -92,7 +92,7 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     the observed hull is reported either way, since the hypotheses are
     sufficient but not necessary; a matrix of another width is refused.
     """
-    tower, alpha, width = image.base.tower, image.alpha, image.alpha + 2 * image.beta
+    tower, alpha, width = image.base.tower, image.alpha, image.length
     M = linalg.as_matrix(expanded, width=width)
     if M.shape[1] != width:
         raise ValueError(f"expanded width {M.shape[1]} is not alpha + 2*beta = {width}")
@@ -113,11 +113,11 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     )
 
 
-def _rows_certificate(tower, alpha, beta, expanded):
+def _rows_certificate(tower, beta, expanded):
     """(image, certificate) of an F_q-expanded generator matrix: the Gray
     image of the code the rows generate, and the certificate of the rows
     as given, duplicated or dependent rows kept."""
-    image = gray_image(GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta))
+    image = gray_image(GeneratorMatrixCode(tower, expanded, beta=beta))
     return image, lcd_certificate(expanded, image)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 from .codes import load_definition, load_matrix_document, singleton_check
 from .distance import (
@@ -254,7 +255,7 @@ class EntryReport:
 @dataclass
 class VerificationReport:
     entries: list
-    note: str = OPTIMALITY_NOTE
+    note: ClassVar[str] = OPTIMALITY_NOTE
 
     @property
     def counts(self):

@@ -246,12 +246,10 @@ def projections(code):
     """(C_alpha, C_beta): images under the two coordinate projections,
     with the beta side kept in F_q-expanded form."""
     gm = code.closure if isinstance(code, MixedCode) else code
-    if gm.alpha is None or gm.beta is None:
-        raise ValueError("projections need the mixed-alphabet split")
     tw = gm.tower
     a = gm.alpha
-    c_alpha = GeneratorMatrixCode(tw, gm.matrix[:, :a], alpha=a, beta=0)
-    c_beta = GeneratorMatrixCode(tw, gm.matrix[:, a:], alpha=0, beta=gm.beta)
+    c_alpha = GeneratorMatrixCode(tw, gm.matrix[:, :a])
+    c_beta = GeneratorMatrixCode(tw, gm.matrix[:, a:], beta=gm.beta)
     return c_alpha, c_beta
 
 

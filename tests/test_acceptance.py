@@ -190,8 +190,7 @@ def test_criterion_4_table3_and_worked_example():
     # certificate with all three hypotheses
     tw, alpha, beta, words = example_words()
     from addcyclic.codes import GeneratorMatrixCode
-    code = GeneratorMatrixCode(tw, [w.expand() for w in words],
-                               alpha=alpha, beta=beta)
+    code = GeneratorMatrixCode(tw, [w.expand() for w in words], beta=beta)
     img = gray_image(code)
     phib = GeneratorMatrixCode(tw, [gray_block(tw, w.uprime) for w in words])
     d_full = min_distance_exact(img.base).value

@@ -1,5 +1,6 @@
 """Code construction, closures, spanning sets, duals, cyclicity."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -145,10 +146,12 @@ def test_build_pure_divisibility_error():
     (-1, 4, None, None, "alpha=-1"),
     (0, 0, None, None, "beta=0"),
     (2, 0, "1", "w", "beta=0"),
+    (2, 3, None, "w", "s is needed"),
+    (2, 3, "1", None, "l is needed"),
 ])
 def test_constructor_refuses_block_lengths_and_stray_generators(alpha, beta, s, l, named):
-    # a pure code (alpha = 0) takes no s or l; alpha < 0 and beta < 1 are
-    # no block lengths
+    # a pure code (alpha = 0) takes no s or l, a code with alpha >= 1
+    # needs both; alpha < 0 and beta < 1 are no block lengths
     one = P("1")
     with pytest.raises(ValueError) as exc:
         MixedCode(T3, alpha, beta, s and P(s), l and P(l, ext=True), one, one, one)
@@ -664,7 +667,7 @@ def test_inner_product_examples():
 def test_dual_of_full_and_zero():
     zero = module_closure(T3, 2, 2, [])
     full_basis = np.eye(6, dtype=np.uint8)
-    full = GeneratorMatrixCode(T3, full_basis, alpha=2, beta=2)
+    full = GeneratorMatrixCode(T3, full_basis, beta=2)
     assert dual(full).rank == 0
     assert dual(zero).rank == 6
 
@@ -705,7 +708,7 @@ def test_dual_constraints_match_the_product_with_the_form_matrix(monkeypatch, q)
         n = alpha + 2 * beta
         code = GeneratorMatrixCode(
             tw, rng.integers(0, q, size=(rows, n), dtype=np.uint8),
-            alpha=alpha, beta=beta)
+            beta=beta)
         forms = linalg.matmul(tw.ext, code.matrix, _form_matrix(tw, alpha, beta))
         b, c = tw.decompose(forms)
         expected = np.stack([b, c], axis=1).reshape(-1, n)
@@ -787,8 +790,54 @@ def test_block_membership_agrees_with_in_rowspace():
 def test_unit_vector_span_not_cyclic():
     vec = np.zeros((1, 3 + 2 * 2), dtype=np.uint8)
     vec[0, 0] = 1
-    gm = GeneratorMatrixCode(T3, vec, alpha=3, beta=2)
+    gm = GeneratorMatrixCode(T3, vec, beta=2)
     assert not is_cyclic(gm)
+
+
+# -- plain codes: beta = 0 -------------------------------------------------------
+
+PLAIN_QS = (2, 3, 4, 5, 7, 8, 9, 16)
+
+
+def random_plain_codes(seed, per_field=40):
+    """Seeded plain F_q codes (beta = 0), per q of PLAIN_QS: the zero
+    code, the span of all cyclic shifts of a random row (cyclic by
+    construction) one time in three, else random rows."""
+    rng = np.random.default_rng(seed)
+    for q in PLAIN_QS:
+        tw = tower(q)
+        for i in range(per_field):
+            width = int(rng.integers(1, 9))
+            if i == 0:
+                mat = np.zeros((0, width), np.uint8)
+            elif i % 3 == 1:
+                row = rng.integers(0, q, size=width, dtype=np.uint8)
+                mat = np.stack([np.roll(row, t) for t in range(width)])
+            else:
+                rows = int(rng.integers(1, width + 1))
+                mat = rng.integers(0, q, size=(rows, width), dtype=np.uint8)
+            yield GeneratorMatrixCode(tw, mat)
+
+
+def test_dual_of_a_plain_code_is_its_euclidean_dual():
+    # at beta = 0 every column is an F_q symbol: the form is the dot
+    # product, so the dual is the kernel of the basis
+    for gm in random_plain_codes(401):
+        dm = dual(gm)
+        assert (gm.alpha, gm.beta, dm.beta) == (gm.width, 0, 0)
+        assert rowspace_equal(gm.field, dm.matrix, linalg.kernel(gm.field, gm.matrix))
+        assert gm.rank + dm.rank == gm.width
+        assert dual(dm).equals(gm)
+
+
+def test_is_cyclic_of_a_plain_code_is_the_ordinary_shift():
+    outcomes = set()
+    for gm in random_plain_codes(409):
+        rolled = np.roll(gm.matrix, 1, axis=1)
+        expected = all(in_rowspace(gm.field, gm.matrix, row) for row in rolled)
+        assert is_cyclic(gm) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 # -- projections ------------------------------------------------------------------
@@ -991,7 +1040,7 @@ def test_extraction_of_a_code_that_is_not_cyclic():
         width = alpha + 2 * beta
         gm = GeneratorMatrixCode(
             tw, nprng.integers(0, tw.q, size=(rng.randrange(1, width), width),
-                               dtype=np.uint8), alpha=alpha, beta=beta)
+                               dtype=np.uint8), beta=beta)
         if is_cyclic(gm):
             continue
         seen += 1
@@ -1036,7 +1085,7 @@ def test_extraction_fallback_reads_the_full_shift_set():
         width = alpha + 2 * beta
         gm = GeneratorMatrixCode(
             tw, nprng.integers(0, tw.q, size=(rng.randrange(1, 4), width),
-                               dtype=np.uint8), alpha=alpha, beta=beta)
+                               dtype=np.uint8), beta=beta)
         got = extract_mixed_generators(gm)
         if got.closure_ok:
             continue
@@ -1204,10 +1253,10 @@ def test_invariant_under_agrees_with_roll_shift():
         width = alpha + 2 * beta
         shift = lambda m: reference_shift_columns(alpha, beta, m)
         vec = nprng.integers(0, tw.q, size=width, dtype=np.uint8)
-        orbit = orbit_span(tw, vec, shift, x_order(alpha, beta), alpha=alpha, beta=beta)
+        orbit = orbit_span(tw, vec, shift, x_order(alpha, beta), beta=beta)
         extra = nprng.integers(0, tw.q, size=(1, width), dtype=np.uint8)
         for gm in (orbit, GeneratorMatrixCode(tw, np.vstack([orbit.matrix, extra]),
-                                              alpha=alpha, beta=beta)):
+                                              beta=beta)):
             expected = gm.contains_rows(shift(gm.matrix))
             assert is_cyclic(gm) == expected
             outcomes.add(expected)
@@ -1244,32 +1293,39 @@ def test_equals_agrees_with_rowspace_equal():
 
 
 def test_generator_matrix_code_refuses_a_split_off_its_width():
-    # the split sets the weight of the code's words, so alpha + 2 * beta
-    # must be the width; a code without a split weighs F_q columns
+    # the split sets the weight of the code's words: beta pairs fill the
+    # last 2 * beta columns and alpha = width - 2 * beta the rest; a plain
+    # code is beta = 0, one F_q symbol per column
     mat = np.array([[1, 2, 0, 1]], dtype=np.uint8)
-    for alpha, beta in ((0, 3), (1, 1), (4, 1), (3, 0), (0, 0)):
-        with pytest.raises(ValueError, match="does not cover the 4 columns"):
-            GeneratorMatrixCode(T3, mat, alpha=alpha, beta=beta)
-    for alpha, beta in ((4, 0), (2, 1), (0, 2), (None, None)):
-        assert GeneratorMatrixCode(T3, mat, alpha=alpha, beta=beta).width == 4
-    with pytest.raises(ValueError, match="does not cover the 3 columns"):
-        GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8), alpha=1, beta=0)
+    for beta in (3, 5):
+        with pytest.raises(ValueError, match=f"beta={beta} does not fit the 4 columns"):
+            GeneratorMatrixCode(T3, mat, beta=beta)
+    for beta, alpha in ((0, 4), (1, 2), (2, 0)):
+        gm = GeneratorMatrixCode(T3, mat, beta=beta)
+        assert (gm.width, gm.alpha, gm.beta) == (4, alpha, beta)
+    assert GeneratorMatrixCode(T3, mat).beta == 0
+    with pytest.raises(ValueError, match="beta=2 does not fit the 3 columns"):
+        GeneratorMatrixCode(T3, np.zeros((0, 3), np.uint8), beta=2)
 
 
 def test_generator_matrix_code_refuses_a_negative_block_length():
-    # -2 + 2 * 3 covers the 4 columns, but no alphabet has -2 symbols
-    with pytest.raises(ValueError, match="negative block length"):
-        GeneratorMatrixCode(tower(3), [[1, 0, 1, 2]], alpha=-2, beta=3)
-    with pytest.raises(ValueError, match="negative block length"):
-        GeneratorMatrixCode(tower(3), [[1, 0, 1]], alpha=5, beta=-1)
+    # beta = 3 on 4 columns would leave alpha = -2 symbols, and no
+    # alphabet has -1 pairs
+    with pytest.raises(ValueError, match="beta=3 does not fit the 4 columns"):
+        GeneratorMatrixCode(tower(3), [[1, 0, 1, 2]], beta=3)
+    with pytest.raises(ValueError, match="beta=-1 does not fit the 3 columns"):
+        GeneratorMatrixCode(tower(3), [[1, 0, 1]], beta=-1)
 
 
 def test_generator_matrix_code_refuses_half_a_split():
-    # a split with one block length unset would be weighed as F_q columns
-    mat = np.ones((1, 5), np.uint8)
-    for alpha, beta in ((3, None), (None, 1), (5, None), (None, 0)):
-        with pytest.raises(ValueError, match="both alpha and beta, or neither"):
-            GeneratorMatrixCode(T3, mat, alpha=alpha, beta=beta)
+    # beta is the one alphabet parameter: alpha, the split's other half,
+    # is read from the width, neither given nor set
+    params = inspect.signature(GeneratorMatrixCode).parameters
+    assert list(params) == ["tower", "matrix", "beta", "spanning_rows"]
+    gm = GeneratorMatrixCode(T3, np.ones((1, 5), np.uint8), beta=1)
+    with pytest.raises(AttributeError):
+        gm.alpha = 1
+    assert gm.alpha == 3
 
 
 @pytest.mark.parametrize("q,mat,entry", [

@@ -79,10 +79,8 @@ def groups_of(alpha, beta):
 
 
 def split_of(code):
-    """(alpha, beta) of the alphabet a code's words are weighed in: its
-    split, or one F_q symbol per column when it has none."""
-    if code.alpha is None or code.beta is None:
-        return code.width, 0
+    """(alpha, beta) of the alphabet a code's words are weighed in, one
+    F_q symbol per column for a plain code (beta = 0)."""
     return code.alpha, code.beta
 
 
@@ -152,30 +150,27 @@ def reference_candidates(code, samples, seed):
     return np.array(words, dtype=np.uint8).reshape(-1, code.width)
 
 
-def reference_upper(code, samples=2000, seed=0, split=None):
+def reference_upper(code, split, samples=2000, seed=0):
     """(value, witnesses_examined) of min_distance_upper: every candidate
-    stacked, the value weighed in the alphabet `split` (by default the
-    code's own)."""
+    stacked, the value weighed in the alphabet `split`, (alpha, beta)."""
     stacked = reference_candidates(code, samples, seed)
     examined = len(stacked)
     stacked = stacked[np.any(stacked, axis=1)]
-    split = split_of(code) if split is None else split
     return int(reference_weights(*split, stacked).min()), examined
 
 
 def assert_upper_matches_reference(code, samples=2000, seed=0):
     res = min_distance_upper(code, samples=samples, seed=seed)
     assert (res.value, res.witnesses_examined) == reference_upper(
-        code, samples=samples, seed=seed)
+        code, split_of(code), samples=samples, seed=seed)
     assert not res.exact and res.seed == seed
     return res
 
 
-def random_split(rng, width):
-    """(alpha, beta) with alpha + 2 * beta = width: F_q symbols only, F_q2
-    symbols only (even widths) or both."""
-    beta = rng.randrange(width // 2 + 1)
-    return width - 2 * beta, beta
+def random_beta(rng, width):
+    """beta with 0 <= 2 * beta <= width: F_q symbols only, F_q2 symbols
+    only (even widths) or both."""
+    return rng.randrange(width // 2 + 1)
 
 
 def split_kind(alpha, beta):
@@ -189,7 +184,7 @@ def test_gray_image_weight_can_exceed_mixed_weight():
     w = MixedWord(T3, (), (T3.omega,))
     img = gray_rows(T3, 0, w.expand()[None])[0]
     assert list(img) == [1, 1]
-    mixed = GeneratorMatrixCode(T3, [w.expand()], alpha=0, beta=1)
+    mixed = GeneratorMatrixCode(T3, [w.expand()], beta=1)
     assert min_distance_exact(mixed).value == 1
     assert min_distance_exact(GeneratorMatrixCode(T3, [img])).value == 2
 
@@ -260,8 +255,8 @@ def test_exact_matches_oracle_on_gray_images():
 
 def test_engines_weigh_in_the_code_alphabet():
     # the alphabet comes from the code: mixed closures (alpha, beta),
-    # pure closures (0, n), Gray images and their hulls (no split, one
-    # F_q symbol per column) and the projections (alpha, 0) and
+    # pure closures (0, n), Gray images and their hulls (plain codes,
+    # beta = 0, one F_q symbol per column) and the projections (alpha, 0) and
     # (0, beta); both engines against oracles weighing in that alphabet
     rng = random.Random(211)
     covered = [0] * 6
@@ -282,7 +277,7 @@ def test_engines_weigh_in_the_code_alphabet():
             assert min_distance_exact(gm).value == oracle
             res = min_distance_upper(gm, samples=20, seed=trial)
             assert (res.value, res.witnesses_examined) == reference_upper(
-                gm, samples=20, seed=trial, split=(a, b))
+                gm, (a, b), samples=20, seed=trial)
             covered[i] += 1
     assert min(covered) >= 8  # every kind, nonzero hulls included
 
@@ -433,11 +428,10 @@ def test_upper_sweep_skips_triples_past_forty_rows():
     assert res.witnesses_examined == m + 2 * (m * (m - 1) // 2) + sampled
 
 
-def random_matrix_code(nprng, tw, rank, width, split=(None, None)):
-    alpha, beta = split
+def random_matrix_code(nprng, tw, rank, width, beta=0):
     return GeneratorMatrixCode(
         tw, nprng.integers(0, tw.q, size=(rank, width), dtype=np.uint8),
-        alpha=alpha, beta=beta)
+        beta=beta)
 
 
 def test_exact_matches_reference_for_every_split():
@@ -457,7 +451,7 @@ def test_exact_matches_reference_for_every_split():
         else:
             width = rng.randrange(4, 11)
             gm = random_matrix_code(nprng, tw, rng.randrange(1, 6), width,
-                                    random_split(rng, width))
+                                    random_beta(rng, width))
         if gm.rank == 0 or gm.size > 2**12:
             continue
         kinds.add(split_kind(*split_of(gm)))
@@ -505,7 +499,7 @@ def test_brouwer_zimmermann_proves_table1_duals(row, d, examined):
     # millions of words weighed in grouped blocks
     code = load_definition(TABLE1[row - 1].doc).closure
     dual = GeneratorMatrixCode(code.tower, linalg.kernel(code.field, code.matrix),
-                               alpha=0, beta=code.beta)
+                               beta=code.beta)
     assert d == code.rank // 2 + 1
     res = min_distance_exact(dual, budget=dual.size)
     assert (res.value, res.exact, res.witnesses_examined) == (d, True, examined)
@@ -702,7 +696,7 @@ def bz_case_code(rng, nprng, tw, kind):
     """A random code for the Brouwer-Zimmermann checks: kind 0 a mixed
     closure or its Gray image, 1 a random matrix, 2 a random matrix with
     a unit row or a row of weight two (a distance of 1 or 2); a random
-    matrix has a random split or, one time in three, none."""
+    matrix has a random beta or, one time in three, beta = 0."""
     if kind == 0:
         code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 5))
         return code.closure if rng.randrange(2) else gray_image(code).base
@@ -712,8 +706,8 @@ def bz_case_code(rng, nprng, tw, kind):
     if kind == 2:
         mat[0] = 0
         mat[0, rng.sample(range(width), rng.randrange(1, 3))] = 1
-    alpha, beta = random_split(rng, width) if rng.randrange(3) else (None, None)
-    return GeneratorMatrixCode(tw, mat, alpha=alpha, beta=beta)
+    beta = random_beta(rng, width) if rng.randrange(3) else 0
+    return GeneratorMatrixCode(tw, mat, beta=beta)
 
 
 def test_brouwer_zimmermann_matches_reference():
@@ -795,7 +789,7 @@ def test_exact_above_the_cut_matches_reference(monkeypatch):
         q, rank, width = shapes[checked % len(shapes)]
         # F_q symbols only, F_q2 symbols only, then both, in turn
         beta = (0, width // 2, rng.randrange(1, width // 2))[checked % 3]
-        gm = random_matrix_code(nprng, tower(q), rank, width, (width - 2 * beta, beta))
+        gm = random_matrix_code(nprng, tower(q), rank, width, beta)
         if gm.size <= distance._WHOLE_CODE:
             continue
         sizes.clear()
@@ -842,8 +836,8 @@ def test_weights_hold_more_than_255_groups():
     # one all-ones row of 300 F_3 symbols, past a uint8 tally, and the
     # same row as 150 F_9 symbols, a tally of symbols and not columns
     ones = np.ones((1, 300), dtype=np.uint8)
-    for alpha, beta, d in ((None, None, 300), (0, 150, 150)):
-        gm = GeneratorMatrixCode(T3, ones, alpha=alpha, beta=beta)
+    for beta, d in ((0, 300), (150, 150)):
+        gm = GeneratorMatrixCode(T3, ones, beta=beta)
         assert min_distance_exact(gm).value == d
         assert min_distance_upper(gm, samples=5).value == d
 
@@ -864,7 +858,7 @@ def test_layer_cap_counts_expanded_columns_of_a_pure_code(monkeypatch):
     # cap counts the 28 expanded columns, so layer 3 (336 words) is
     # refused one cell below 336 * 28 and formed at it
     mat = np.random.default_rng(309).integers(0, 3, size=(9, 28), dtype=np.uint8)
-    gm = GeneratorMatrixCode(T3, mat, alpha=0, beta=14)
+    gm = GeneratorMatrixCode(T3, mat, beta=14)
     assert gm.rank == 9 and gm.size > distance._WHOLE_CODE
     monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 336 * 28 - 1)
     with pytest.raises(DistanceBudgetError, match="layer 3 of 336 words x 28 columns"):

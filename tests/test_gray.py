@@ -11,6 +11,7 @@ from addcyclic.codes import (
     GeneratorMatrixCode,
     InvariantViolation,
     MixedCode,
+    extract_mixed_generators,
 )
 from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
@@ -26,7 +27,7 @@ from addcyclic.gray import (
 from addcyclic.poly import parse_poly
 
 from oracles import MixedWord, add_words, gray_block, gray_word_inverse, projections, scale_word
-from test_codes import random_mixed_code
+from test_codes import random_mixed_code, random_plain_codes
 
 T3 = tower(3)
 T4 = tower(4)
@@ -136,8 +137,12 @@ def test_classification_cases():
     assert classify_gray_image(3, 3) == QUASI_CYCLIC_3
     assert classify_gray_image(1, 7) == GENERALIZED_QC      # 1 + 14 = 15
     assert classify_gray_image(3, 4) == CYCLIC_EQUIVALENT   # 3 + 8 = 11
-    with pytest.raises(ValueError):
-        classify_gray_image(0, 3)
+    # one empty block: the image is the other block
+    assert classify_gray_image(0, 3) == "extension block only"
+    assert classify_gray_image(3, 0) == "alpha block only"
+    for alpha, beta in ((0, 0), (-1, 3), (3, -1), (-2, 1)):
+        with pytest.raises(ValueError, match=f"alpha={alpha}, beta={beta}"):
+            classify_gray_image(alpha, beta)
 
 
 def test_image_code_table2_row1():
@@ -173,6 +178,28 @@ def test_images_of_projections():
         assert img.rank == c_beta.rank and img.length == 2 * code.beta
 
 
+def test_gray_image_of_a_plain_code_is_the_code():
+    # at beta = 0 the map is the identity; the image keeps the source
+    # split (width, 0), and no mixed generators are read from it
+    for gm in random_plain_codes(419):
+        image = gray_image(gm)
+        assert image.base.equals(gm)
+        assert (image.alpha, image.beta) == (gm.width, 0)
+        assert image.classification == "alpha block only"
+
+
+def test_extraction_refuses_a_gray_image():
+    # an image is a plain code, beta = 0, refused by name before
+    # anything is built
+    rng = random.Random(421)
+    for _ in range(20):
+        code = random_mixed_code(rng, rng.choice((T3, T4)),
+                                 rng.randrange(1, 4), rng.randrange(1, 4))
+        base = gray_image(code).base
+        with pytest.raises(ValueError, match=f"alpha={base.width}, beta=0"):
+            extract_mixed_generators(base)
+
+
 def test_image_dimension_preserved_randomized():
     rng = random.Random(73)
     for _ in range(200):
@@ -201,7 +228,7 @@ def test_random_subspace_not_shift_invariant():
     from addcyclic.gray import GrayImageCode
     vec = np.zeros((1, 3 + 2 * 3), dtype=np.uint8)
     vec[0, 0] = 1
-    img = GrayImageCode(GeneratorMatrixCode(T3, vec), 3, 3, QUASI_CYCLIC_3)
+    img = GrayImageCode(GeneratorMatrixCode(T3, vec), 3, 3)
     assert not shift_invariance_check(img)
 
 
@@ -253,7 +280,7 @@ def test_shift_invariance_agrees_with_roll_sigma():
         orbit = orbit_span(tw, vec, sigma, x_order(alpha, beta))
         extra = nprng.integers(0, tw.q, size=(1, width), dtype=np.uint8)
         for base in (orbit, GeneratorMatrixCode(tw, np.vstack([orbit.matrix, extra]))):
-            img = GrayImageCode(base, alpha, beta, "")
+            img = GrayImageCode(base, alpha, beta)
             expected = base.contains_rows(sigma(base.matrix))
             assert shift_invariance_check(img) == expected
             outcomes.add(expected)

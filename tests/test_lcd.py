@@ -48,7 +48,7 @@ def example_words():
 
 def words_certificate(tw, alpha, beta, words):
     """The certificate of a matrix given as words, rows as given."""
-    return _rows_certificate(tw, alpha, beta, expand_words(words, alpha + 2 * beta))[1]
+    return _rows_certificate(tw, beta, expand_words(words, alpha + 2 * beta))[1]
 
 
 def plain_code(field_tower, rows):
@@ -79,7 +79,7 @@ def test_worked_example_dual_orthogonality_by_enumeration():
     from addcyclic.codes import dual
     tw, alpha, beta, words = example_words()
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
-                               alpha=alpha, beta=beta)
+                               beta=beta)
     dm = dual(code)
     assert code.size == 27
     for c in MixedWord.from_rows(tw, alpha, beta, codewords(code)):
@@ -90,7 +90,7 @@ def test_worked_example_dual_orthogonality_by_enumeration():
 def test_hull_of_example_image_is_zero():
     tw, alpha, beta, words = example_words()
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
-                               alpha=alpha, beta=beta)
+                               beta=beta)
     img = gray_image(code)
     assert hull(img.base).rank == 0
 
@@ -108,7 +108,7 @@ def test_is_lcd_example_phi_beta():
 def test_worked_example_full_image_matches_printed_matrix():
     tw, alpha, beta, words = example_words()
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
-                               alpha=alpha, beta=beta)
+                               beta=beta)
     img = gray_image(code)
     assert rowspace_equal(tw.base, img.matrix,
                                  np.array(WORKED_EXAMPLE_PHI_FULL, np.uint8))
@@ -153,7 +153,7 @@ def test_is_self_orthogonal_refuses_raw_entries_outside_fq(rows):
 def test_certificate_refuses_a_matrix_of_the_wrong_width(width):
     # the image is of a (1, 2) split, 5 expanded columns wide
     expanded = np.array([[1, 1, 0, 0, 1], [0, 0, 1, 2, 0]], dtype=np.uint8)
-    image = gray_image(GeneratorMatrixCode(T3, expanded, alpha=1, beta=2))
+    image = gray_image(GeneratorMatrixCode(T3, expanded, beta=2))
     assert lcd_certificate(expanded, image).hull_dimension_observed >= 0
     with pytest.raises(ValueError, match=f"width {width} is not alpha"):
         lcd_certificate(np.ones((2, width), dtype=np.uint8), image)
@@ -185,7 +185,7 @@ def test_certificate_independence_matches_rows_fq_independent():
             # the last row a combination of the others
             coeffs = nprng.integers(0, tw.q, size=(1, m - 1), dtype=np.uint8)
             expanded[-1] = linalg.matmul(tw.base, coeffs, expanded[:-1])[0]
-        image = gray_image(GeneratorMatrixCode(tw, expanded, alpha=alpha, beta=beta))
+        image = gray_image(GeneratorMatrixCode(tw, expanded, beta=beta))
         cert = lcd_certificate(expanded, image)
         g_beta = tw.compose(expanded[:, alpha::2], expanded[:, alpha + 1 :: 2])
         assert cert.g_beta_rows_independent == rows_fq_independent(tw, g_beta)
@@ -395,7 +395,7 @@ def test_pipeline_on_cyclic_code():
 def test_load_matrix_document_honours_tower_overrides():
     doc = {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"]],
            "f2": "x^2+x+2"}
-    tw, alpha, beta, expanded = load_matrix_document(doc)
+    tw, beta, expanded = load_matrix_document(doc)
     assert tw is tower(3, f2=[2, 1, 1]) and tw is not T3
     assert expanded.dtype == np.uint8 and expanded.tolist() == [[1, 0, 1]]  # 1 | 0 + 1*w
     # w^2 = -w - 2 = 2w + 1 under the override, w^2 = -1 = 2 by default
@@ -421,10 +421,10 @@ def test_load_matrix_document_matches_the_oracle_words():
                 + [format_element(tw.ext, rng.randrange(q * q)) for _ in range(beta)]
                 for _ in range(rng.randrange(1, 4))]})
     for doc in docs:
-        tw, alpha, beta, expanded = load_matrix_document(doc)
+        tw, beta, expanded = load_matrix_document(doc)
         words = document_words(doc)[3]
         assert expanded.dtype == np.uint8
-        assert np.array_equal(expanded, expand_words(words, alpha + 2 * beta))
+        assert np.array_equal(expanded, expand_words(words, doc["alpha"] + 2 * beta))
 
 
 def test_load_matrix_document_and_definition_share_tower_parsing():
@@ -453,7 +453,7 @@ def reference_lcd_pipeline(tower, alpha, beta, rows):
     phi_c_beta = GeneratorMatrixCode(tower, gray_block(tower, g_beta))
     beta_lcd = reference_hull(phi_c_beta).rank == 0
     expanded = linalg.as_matrix([w.expand() for w in words], width=alpha + 2 * beta)
-    code = GeneratorMatrixCode(tower, expanded, alpha=alpha, beta=beta)
+    code = GeneratorMatrixCode(tower, expanded, beta=beta)
     image = GeneratorMatrixCode(tower, gray_rows(tower, alpha, code.matrix))
     ok = self_orth and independent and beta_lcd
     return lcd.LcdCertificate(
@@ -486,8 +486,8 @@ def test_memoized_image_and_hull_equal_fresh_results():
         h = hull(image.base)
         assert hull(image.base) is h
         # a fresh copy of the same matrix, nothing memoized on it
-        fresh = GeneratorMatrixCode(tw, np.array(gm.matrix), alpha=gm.alpha,
-                                    beta=gm.beta, spanning_rows=gm.spanning_rows)
+        fresh = GeneratorMatrixCode(tw, np.array(gm.matrix), beta=gm.beta,
+                                    spanning_rows=gm.spanning_rows)
         fresh_image = GeneratorMatrixCode(tw, gray_rows(tw, gm.alpha, fresh.matrix))
         assert np.array_equal(image.matrix, fresh_image.matrix)
         assert np.array_equal(image.base.spanning_rows,
@@ -528,10 +528,10 @@ def test_certificate_matches_words_pipeline_on_documents():
         assert (words_certificate(tw, alpha, beta, rows)
                 == reference_lcd_pipeline(tw, alpha, beta, rows))
     for entry in TABLE3:
-        tw, alpha, beta, expanded = load_matrix_document(entry.doc)
+        tw, beta, expanded = load_matrix_document(entry.doc)
         words = document_words(entry.doc)[3]
-        assert (_rows_certificate(tw, alpha, beta, expanded)[1]
-                == reference_lcd_pipeline(tw, alpha, beta, words))
+        assert (_rows_certificate(tw, beta, expanded)[1]
+                == reference_lcd_pipeline(tw, entry.doc["alpha"], beta, words))
 
 
 def count_calls(monkeypatch, module_names, name):
