@@ -2,8 +2,9 @@
 
 Construction from generator polynomials, ground-truth generator matrices
 via module closure, duals under the mixed inner product, Gray images and
-their quasi-cyclic classification, LCD certificates, exact and sampled
-minimum distances, and a verification harness for the built-in tables.
+their quasi-cyclic classification, LCD certificates, exact minimum
+distances and upper bounds, and a verification harness for the built-in
+tables.
 """
 
 from .codes import (

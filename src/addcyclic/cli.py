@@ -70,15 +70,15 @@ def _load_code(args):
         raise SystemExit(USAGE_ERROR)
 
 
-def _distance_report(gm, budget, seed):
+def _distance_report(gm, budget):
     """The distance `distance.min_distance` settles; only the zero code,
     which has no nonzero words, is "undefined"."""
     if gm.rank == 0:
         return {"d": None, "mode": "undefined"}
-    res = min_distance(gm, budget, seed)
+    res = min_distance(gm, budget)
     if res.exact:
         return {"d": res.value, "mode": "exact"}
-    return {"d": res.value, "mode": "bound", "seed": res.seed}
+    return {"d": res.value, "mode": "bound"}
 
 
 def _emit(payload, fmt, lines):
@@ -101,12 +101,12 @@ def cmd_params(args):
         # these codes are tabulated under); the mixed-alphabet distance
         # of a nonzero code is reported alongside
         image = gray_image(code)
-        dist = _distance_report(image.base, args.budget, args.seed)
+        dist = _distance_report(image.base, args.budget)
         if gm.rank:
-            mixed_dist = _distance_report(gm, args.budget, args.seed)
+            mixed_dist = _distance_report(gm, args.budget)
     else:
         blocks = {"n": code.beta}
-        dist = _distance_report(gm, args.budget, args.seed)
+        dist = _distance_report(gm, args.budget)
     payload = {
         "blocks": blocks,
         "dimension": gm.rank,
@@ -167,7 +167,7 @@ def cmd_gray(args):
     code = _load_code(args)
     image = gray_image(code)
     sigma = shift_invariance_check(image)
-    dist = _distance_report(image.base, args.budget, args.seed)
+    dist = _distance_report(image.base, args.budget)
     payload = {
         "length": image.length,
         "dimension": image.rank,
@@ -197,7 +197,7 @@ def cmd_lcd(args):
         print(f"invalid matrix document: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     image, cert = _rows_certificate(tw, beta, expanded)
-    dist = _distance_report(image.base, args.budget, args.seed)
+    dist = _distance_report(image.base, args.budget)
     payload = {
         "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,
         "g_beta_rows_independent": cert.g_beta_rows_independent,
@@ -222,7 +222,7 @@ def cmd_lcd(args):
 
 
 def cmd_tables(args):
-    report = verify_all(args.id, budget=args.budget, seed=args.seed)
+    report = verify_all(args.id, budget=args.budget)
     if args.format == "json":
         out = report.to_json()
     elif args.format == "csv":
@@ -255,16 +255,15 @@ def build_parser():
     options = {
         "--budget": dict(type=int, default=DEFAULT_BUDGET,
                          help="max codewords for exact distance enumeration"),
-        "--seed": dict(type=int, default=0, help="seed for sampled distance bounds"),
         "--lenient": dict(action="store_true",
                           help="accept generator quintuples that violate the "
                                "canonical-form conditions"),
     }
     # each subcommand takes only the options it reads
-    for name, fn, names in (("params", cmd_params, ("--budget", "--seed", "--lenient")),
+    for name, fn, names in (("params", cmd_params, ("--budget", "--lenient")),
                             ("dual", cmd_dual, ("--lenient",)),
-                            ("gray", cmd_gray, ("--budget", "--seed", "--lenient")),
-                            ("lcd", cmd_lcd, ("--budget", "--seed"))):
+                            ("gray", cmd_gray, ("--budget", "--lenient")),
+                            ("lcd", cmd_lcd, ("--budget",))):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True,
                        help="definition document: path or inline JSON")
@@ -276,7 +275,6 @@ def build_parser():
     p = sub.add_parser("tables")
     p.add_argument("--id", default="all", choices=("1", "2", "3", "all"))
     p.add_argument("--budget", **options["--budget"])
-    p.add_argument("--seed", **options["--seed"])
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", help="write the report to a file")
     p.set_defaults(func=cmd_tables)
@@ -288,9 +286,6 @@ def main(argv=None):
     args = parser.parse_args(argv)  # argparse exits 2 on usage errors
     if getattr(args, "budget", 1) < 1:
         print("budget must be >= 1", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    if getattr(args, "seed", 0) < 0:
-        print("seed must be >= 0", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     try:
         status = args.func(args)

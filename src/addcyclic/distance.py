@@ -21,9 +21,9 @@ two pivots.  Summed over the sets this bounds every unseen word from
 below, and the search stops as soon as the bound reaches the lightest
 word found (at the latest when one form has weighed all its messages).
 The budget applies to q^rank, whatever the search weighs.  Codes beyond
-it get a seeded randomized upper bound instead, reinforced with a
-deterministic sweep of layers 1 and 2 of the basis and generating rows
-and layer 3 of the generating rows.
+it get an upper bound instead: the lightest word of a deterministic
+sweep of layers 1 and 2 of the basis and generating rows and layer 3 of
+the generating rows.
 
 Both engines take their combinations from one enumerator, `_Layers`:
 layer w of a list of rows holds the combinations of exactly w of them
@@ -51,8 +51,8 @@ b + q*c (`codes._pack`).  Packing is F_q-linear, since F_q embeds in
 F_q2 as the same integers, so the layers combine packed rows by F_q2's
 subtraction and its products with c in F_q, and a distance is the
 count of differing bytes over alpha + beta symbols.  A code without
-F_q2 symbols is its own symbol words over F_q.  Forms, sweep pools and
-the sample are packed once.
+F_q2 symbols is its own symbol words over F_q.  Forms and sweep pools
+are packed once.
 
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
@@ -169,11 +169,12 @@ def _lightest_nonzero(best, negated, words, lengths):
     return best, negated.shape[1] * int(lengths.sum())
 
 
-def _lightest_word(best, block):
-    """min(best, weight of the lightest nonzero word) of row-major
-    symbol words."""
+def _lightest_word(block):
+    """Weight of the lightest nonzero word of row-major symbol words
+    (symbols + 1 if every word is zero)."""
     words = np.ascontiguousarray(block.T)
-    return _lightest_nonzero(best, np.zeros_like(words[:, :1, None]), words, [len(block)])[0]
+    zero = np.zeros_like(words[:, :1, None])
+    return _lightest_nonzero(len(words) + 1, zero, words, [len(block)])[0]
 
 
 class _Layers:
@@ -306,16 +307,16 @@ def _brouwer_zimmermann(code):
     return best, examined
 
 
-def min_distance(code: GeneratorMatrixCode, budget: int = DEFAULT_BUDGET,
-                 seed: int = 0) -> 'DistanceResult':
+def min_distance(code: GeneratorMatrixCode,
+                 budget: int = DEFAULT_BUDGET) -> 'DistanceResult':
     """The distance the CLI and table 1 report: `min_distance_exact`
-    within the budget, `min_distance_upper` with the given seed when the
-    exact engine refuses (past the budget, or a layer past
-    _MAX_LAYER_CELLS).  `exact` on the result says which one ran."""
+    within the budget, `min_distance_upper` when the exact engine
+    refuses (past the budget, or a layer past _MAX_LAYER_CELLS).
+    `exact` on the result says which one ran."""
     try:
         return min_distance_exact(code, budget=budget)
     except DistanceBudgetError:
-        return min_distance_upper(code, seed=seed)
+        return min_distance_upper(code)
 
 
 def min_distance_exact(code: GeneratorMatrixCode,
@@ -338,28 +339,21 @@ def min_distance_exact(code: GeneratorMatrixCode,
         raise DistanceBudgetError(total, budget)
     if total <= _WHOLE_CODE:
         _, pack = _symbols(code)
-        value = _lightest_word(code.width + 1, pack(_suffix_block(field, code.matrix)[1:]))
+        value = _lightest_word(pack(_suffix_block(field, code.matrix)[1:]))
         return DistanceResult(value=value, exact=True, witnesses_examined=total - 1)
     value, examined = _brouwer_zimmermann(code)
     return DistanceResult(value=value, exact=True, witnesses_examined=examined)
 
 
-def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
-                       seed: int = 0) -> 'DistanceResult':
-    """Upper bound: the lightest word among seeded random messages plus a
-    deterministic sweep of all single rows and scaled pairs of the basis
-    rows and (when recorded) the raw generating rows, and of scaled
-    triples of the raw generating rows when recorded, else of the basis
-    rows.  The triples are skipped when their pool holds more than
-    _TRIPLE_POOL_MAX distinct rows, or when their layer 2 passes
-    _MAX_LAYER_CELLS.  Reproducible from the seed; never below the true
+def min_distance_upper(code: GeneratorMatrixCode) -> 'DistanceResult':
+    """Upper bound, deterministic: the lightest word of a sweep of all
+    single rows and scaled pairs of the basis rows and (when recorded)
+    the raw generating rows, and of scaled triples of the raw generating
+    rows when recorded, else of the basis rows.  The triples are skipped
+    when their pool holds more than _TRIPLE_POOL_MAX distinct rows, or
+    when their layer 2 passes _MAX_LAYER_CELLS.  Never below the true
     distance."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    field = code.field
-    q = field.order
-    r = code.rank
-    if r == 0:
+    if code.rank == 0:
         raise ValueError("the zero code has no nonzero codewords")
     spanning = code.spanning_rows
     rows = _distinct_rows(code.matrix if spanning is None else np.vstack([code.matrix, spanning]))
@@ -373,20 +367,13 @@ def min_distance_upper(code: GeneratorMatrixCode, samples: int = 2000,
     best, examined = code.width + 1, 0
     for pool, weight in sweeps:
         try:
-            layers = _Layers(symbols, pack(pool), q, code.width)
+            layers = _Layers(symbols, pack(pool), code.field.order, code.width)
             for block in layers.weighings(weight, _BLOCK_TARGET):
                 best, counted = _lightest_nonzero(best, *block)
                 examined += counted
         except _LayerCapError:  # the triples' layer 2 passes the cap: skip them
             continue
-    rng = np.random.default_rng(seed)
-    msgs = rng.integers(0, q, size=(samples, r), dtype=np.uint8)
-    msgs = msgs[np.any(msgs, axis=1)]
-    if len(msgs):
-        best = _lightest_word(best, pack(linalg.matmul(field, msgs, code.matrix)))
-        examined += len(msgs)
-    return DistanceResult(value=best, exact=False,
-                          witnesses_examined=examined, seed=seed)
+    return DistanceResult(value=best, exact=False, witnesses_examined=examined)
 
 
 @dataclass(frozen=True)
@@ -395,10 +382,8 @@ class DistanceResult:
     words actually weighed: for the exact engine all q^rank - 1 nonzero
     words of a code of at most _WHOLE_CODE words, else the messages the
     Brouwer-Zimmermann search weighed before its lower bound met the
-    lightest of them; for the upper bound every candidate of the sweep
-    and the sample."""
+    lightest of them; for the upper bound every word of the sweep."""
 
     value: int
     exact: bool
     witnesses_examined: int
-    seed: int | None = None

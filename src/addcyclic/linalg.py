@@ -45,35 +45,12 @@ block (i, j) is the m x m matrix of multiplication by B[i, j],
 packed back by place value.  Over a prime field this is (A @ B) mod p.
 Sums of k*m products below p^2 cannot overflow int64, so int64 needs
 no exactness argument; float64 BLAS was no faster.  Over the 450 Gram
-products of a 150-code algebra pass at seed 0 the digit product takes
+products of the first 150 algebra-workload codes the digit product takes
 0.025 s, and the loop it replaced, one a + c*b table gather per row of
 B, took 0.083 to 0.089 s.
 
 The message-order enumerator of row combinations lives here too, shared
-by the codeword lists of `codes` and the distance engines, and a tall
-matrix product is built from it by the "Four Russians" table method
-(Arlazarov, Dinic, Kronrod and Faradzev, 1970; M4RM in Albrecht, Bard
-and Hart, ACM TOMS 2010): each chunk of t consecutive rows of B is
-enumerated as its q^t combinations, and every row of A picks its
-combination by the base-q value of its t entries, one row gather and one
-addition per chunk instead of one a + c*b gather per row of B.  The
-values are read by Horner over the chunk's t columns of A in intp, and
-the rows are gathered by one `np.take(table, index, axis=0)`: on 2000
-rows over F_4 at t = 3 a uint8-by-intp matrix product takes 23 to 25 us
-against 10 us, and fancy indexing `table[index]` 26 us against 8 us.  The
-chunk width is the largest t with q^t <= rows(A) // 16, so a table
-never has more than a sixteenth as many rows as the product; with
-t = 1 (under 64 rows at any q) the digit product runs.  Against the
-per-row loop that preceded the digit product, measured over q in
-{2, 3, 4, 8} with inner dimension 20 and width 30, tables forced to
-t = 2 on small products were up to 1.7x slower at 16 rows and broke
-even at 32 to 64 rows; at 2000 rows the rule's tables are 3x faster
-over F_3 and 12 to 28x faster over F_2, F_4 and F_8, where the
-additions are XORs.  On the ten tall products of a tables-bound pass
-(2000 rows over F_4 and F_8, one core of a 2-core VM) the digit product
-takes 67 to 74 ms in all, 2.5 to 13 ms each, against the tables' 2.7 to
-3.6 ms (5.4 to 7.5 ms before the Horner index and `np.take`), so tall
-products keep the tables.
+by the codeword lists of `codes` and the exact distance engine.
 """
 
 from __future__ import annotations
@@ -309,15 +286,6 @@ def _suffix_block(field, rows):
     return block
 
 
-def _chunk_width(order, nrows):
-    """Rows of B per combination table in a product with `nrows` rows of
-    A: the largest t >= 1 with order**t <= nrows // 16."""
-    t = 1
-    while order ** (t + 1) <= nrows // 16:
-        t += 1
-    return t
-
-
 @lru_cache(maxsize=None)
 def _digit_planes(field):
     """(place, digits, mult): the place values of an element's base-p
@@ -331,32 +299,18 @@ def _digit_planes(field):
 
 
 def matmul(field, a, b):
-    """Matrix product over the field: one int64 product of digit planes,
-    or, for a tall A, one gather from a combination table per chunk of
-    rows of B (module docstring)."""
+    """Matrix product over the field: one int64 product, of the entries
+    over a prime field, else of their digit planes (module docstring)."""
     A = as_matrix(a)
     B = as_matrix(b)
     if A.shape[1] != B.shape[0]:
         raise ValueError("inner dimensions differ")
+    if field.order == field.p:
+        return (A.astype(np.int64) @ B % field.p).astype(np.uint8)
     (n, k), w = A.shape, B.shape[1]
-    t = _chunk_width(field.order, n)
-    if t == 1:
-        if field.order == field.p:
-            return (A.astype(np.int64) @ B % field.p).astype(np.uint8)
-        place, digits, mult = _digit_planes(field)
-        d = len(place)
-        # block (i, j) of the right factor is the matrix of x -> x*B[i, j]
-        right = mult[B].swapaxes(1, 2).reshape(k * d, w * d)
-        out = digits[A].reshape(n, k * d) @ right % field.p
-        return (out.reshape(n, w, d) @ place).astype(np.uint8)
-    out = np.zeros((n, w), dtype=np.uint8)
-    for start in range(0, k, t):
-        # message-order index of each row's digits, the first most
-        # significant, by Horner over the chunk's columns of A
-        columns = A.T[start : start + t]
-        index = columns[0].astype(np.intp)
-        for column in columns[1:]:
-            index *= field.order
-            index += column
-        out = field.add(out, np.take(_suffix_block(field, B[start : start + t]), index, axis=0))
-    return out
+    place, digits, mult = _digit_planes(field)
+    d = len(place)
+    # block (i, j) of the right factor is the matrix of x -> x*B[i, j]
+    right = mult[B].swapaxes(1, 2).reshape(k * d, w * d)
+    out = digits[A].reshape(n, k * d) @ right % field.p
+    return (out.reshape(n, w, d) @ place).astype(np.uint8)

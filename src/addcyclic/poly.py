@@ -234,6 +234,8 @@ def lift(p: Poly, ext_field: Field) -> Poly:
 _SYMBOL_ALIASES = {"y": "x"}  # some source tables misprint y for x
 _MAX_DEGREE = 1024  # bounds the work of one parse; far above any block length
 _MAX_NESTING = 64  # parenthesis depth, far below the interpreter's recursion limit
+# ASCII digits only: str.isdigit also accepts "²" and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text):
@@ -244,9 +246,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

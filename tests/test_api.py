@@ -68,3 +68,15 @@ def test_every_table_entry_has_what_the_workloads_read():
             addcyclic.tower(entry.q)
             keys.add((entry.table_id, entry.row))
     assert len(keys) == sum(map(len, addcyclic.tables.TABLES.values()))
+
+
+def test_verify_entry_ignores_the_seed_the_workloads_pass():
+    # the workloads call verify_entry(entry, seed=seed); every distance is
+    # deterministic, so a bound row's report is the same with or without it
+    tables = addcyclic.tables
+    entry = addcyclic.TABLE1[6]  # 4^20 words, past the default budget
+    report = tables.verify_entry(entry, seed=3)
+    assert report.d_mode == "bound" and report.computed_d == entry.expected_d
+    seeded, plain = (tables.VerificationReport([rep]).to_json()
+                     for rep in (report, tables.verify_entry(entry)))
+    assert seeded == plain

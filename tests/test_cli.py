@@ -141,10 +141,10 @@ def test_params_odd_rank_pure_code_reports_half_slack(capsys, q, n, rank):
 def test_distance_report_undefined_only_for_zero_code():
     tw = tower(3)
     zero = GeneratorMatrixCode(tw, np.zeros((0, 4), dtype=np.uint8))
-    assert _distance_report(zero, 1000, 0) == {"d": None, "mode": "undefined"}
+    assert _distance_report(zero, 1000) == {"d": None, "mode": "undefined"}
     code = GeneratorMatrixCode(tw, np.array([[1, 2, 0, 1]], dtype=np.uint8))
-    assert _distance_report(code, 1000, 0) == {"d": 3, "mode": "exact"}
-    assert _distance_report(code, 1, 7) == {"d": 3, "mode": "bound", "seed": 7}
+    assert _distance_report(code, 1000) == {"d": 3, "mode": "exact"}
+    assert _distance_report(code, 1) == {"d": 3, "mode": "bound"}
 
 
 def test_params_malformed_polynomial(capsys):
@@ -269,10 +269,8 @@ def test_tables_bad_id(capsys):
 
 
 def test_tables_identical_bytes(capsys):
-    code1, out1, _ = run(capsys, ["tables", "--id", "3", "--format", "json",
-                                  "--seed", "3"])
-    code2, out2, _ = run(capsys, ["tables", "--id", "3", "--format", "json",
-                                  "--seed", "3"])
+    code1, out1, _ = run(capsys, ["tables", "--id", "3", "--format", "json"])
+    code2, out2, _ = run(capsys, ["tables", "--id", "3", "--format", "json"])
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -304,20 +302,6 @@ def test_usage_error_no_command(capsys):
 def test_bad_budget(capsys):
     code, _, _ = run(capsys, ["params", "--input", ROW9, "--budget", "0"])
     assert code == 2
-
-
-@pytest.mark.parametrize("argv", [
-    ["params", "--input", json.dumps({"q": 4, "beta": 9, "g": "x+1", "h": "0",
-                                      "k": "x+1"}),
-     "--budget", "1", "--seed", "-1"],
-    ["tables", "--id", "1", "--seed", "-1"],
-], ids=["params", "tables"])
-def test_negative_seed_exits_2(capsys, argv):
-    # exit 1 is kept for a verification mismatch
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err == "seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("command,doc,message", [
@@ -402,6 +386,10 @@ def test_absurd_block_lengths_exit_2(capsys, doc):
 @pytest.mark.parametrize("argv", [
     ["dual", "--budget", "5"],
     ["dual", "--seed", "1"],
+    ["params", "--seed", "1"],
+    ["gray", "--seed", "1"],
+    ["lcd", "--seed", "1"],
+    ["tables", "--seed", "1"],
     ["lcd", "--lenient"],
     ["params", "--format", "csv"],
     ["dual", "--format", "csv"],
@@ -409,8 +397,9 @@ def test_absurd_block_lengths_exit_2(capsys, doc):
     ["lcd", "--format", "csv"],
 ], ids=" ".join)
 def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    # every distance is deterministic: no subcommand takes a seed
     doc = TABLE3_ROW1 if argv[0] == "lcd" else ROW9
-    code, out, err = run(capsys, argv + ["--input", doc])
+    code, out, err = run(capsys, argv + ([] if argv[0] == "tables" else ["--input", doc]))
     assert code == 2
     assert out == "" and "usage:" in err
 
@@ -434,7 +423,7 @@ def test_early_closed_stdout_exits_3_without_traceback():
 def test_exact_search_under_a_memory_cap_falls_back_to_the_bound():
     # table-1 row 9 as a pure code, rank 26 over F_4, with a budget past
     # 4^26: the search would form layers of gigabytes, so it refuses
-    # and the seeded bound reports d = 5 under a 2 GB address space
+    # and the upper bound reports d = 5 under a 2 GB address space
     resource = pytest.importorskip("resource")
     doc = json.dumps({"q": 4, "alpha": 0, "beta": 17, "g": "1",
                       "h": "x^7+x^6+ux^3+u^2x",
@@ -451,4 +440,4 @@ def test_exact_search_under_a_memory_cap_falls_back_to_the_bound():
     assert proc.returncode in (0, 2)
     assert b"Traceback" not in proc.stderr
     if proc.returncode == 0:
-        assert json.loads(proc.stdout)["distance"] == {"d": 5, "mode": "bound", "seed": 0}
+        assert json.loads(proc.stdout)["distance"] == {"d": 5, "mode": "bound"}

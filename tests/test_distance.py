@@ -33,7 +33,7 @@ from addcyclic.lcd import hull
 from addcyclic.linalg import _suffix_block
 from addcyclic.tables import TABLE1, TABLE2
 
-from oracles import MixedWord, field_sum, projections
+from oracles import MixedWord, projections
 from test_codes import random_mixed_code, random_pure_code
 
 T3 = tower(3)
@@ -124,9 +124,9 @@ def reference_exact(code, suffix_rows):
     return best
 
 
-def reference_candidates(code, samples, seed):
-    """Every word the sweep and the sample weigh, built one combination at
-    a time, as rows of one block."""
+def reference_candidates(code):
+    """Every word the sweep weighs, built one combination at a time, as
+    rows of one block."""
     field = code.field
     nonzero = range(1, field.order)
     pool = [code.matrix] if code.spanning_rows is None else [code.matrix,
@@ -143,27 +143,22 @@ def reference_candidates(code, samples, seed):
         for i, j, k in combinations(triple_pool, 3):
             words += [field.add(field.add(i, field.mul(b, j)), field.mul(c, k))
                       for b in nonzero for c in nonzero]
-    msgs = np.random.default_rng(seed).integers(
-        0, field.order, size=(samples, code.rank), dtype=np.uint8)
-    for msg in msgs[np.any(msgs, axis=1)]:
-        words.append(field_sum(field, field.mul(msg[:, None], code.matrix), axis=0))
     return np.array(words, dtype=np.uint8).reshape(-1, code.width)
 
 
-def reference_upper(code, split, samples=2000, seed=0):
+def reference_upper(code, split):
     """(value, witnesses_examined) of min_distance_upper: every candidate
     stacked, the value weighed in the alphabet `split`, (alpha, beta)."""
-    stacked = reference_candidates(code, samples, seed)
+    stacked = reference_candidates(code)
     examined = len(stacked)
     stacked = stacked[np.any(stacked, axis=1)]
     return int(reference_weights(*split, stacked).min()), examined
 
 
-def assert_upper_matches_reference(code, samples=2000, seed=0):
-    res = min_distance_upper(code, samples=samples, seed=seed)
-    assert (res.value, res.witnesses_examined) == reference_upper(
-        code, split_of(code), samples=samples, seed=seed)
-    assert not res.exact and res.seed == seed
+def assert_upper_matches_reference(code):
+    res = min_distance_upper(code)
+    assert (res.value, res.witnesses_examined) == reference_upper(code, split_of(code))
+    assert not res.exact
     return res
 
 
@@ -275,9 +270,8 @@ def test_engines_weigh_in_the_code_alphabet():
                 continue
             oracle = naive_min_distance(gm.field, gm.matrix, groups_of(a, b))
             assert min_distance_exact(gm).value == oracle
-            res = min_distance_upper(gm, samples=20, seed=trial)
-            assert (res.value, res.witnesses_examined) == reference_upper(
-                gm, (a, b), samples=20, seed=trial)
+            res = min_distance_upper(gm)
+            assert (res.value, res.witnesses_examined) == reference_upper(gm, (a, b))
             covered[i] += 1
     assert min(covered) >= 8  # every kind, nonzero hulls included
 
@@ -294,12 +288,20 @@ def test_partition_split_independence():
         assert values == {min_distance_exact(code.closure).value}
 
 
-def test_upper_bound_finds_table1_bound_row():
-    entry = TABLE1[18]  # q=8, n=17, claimed d=5, |C| = 8^26
+# table-1 rows past the default budget, 4^20 to 8^26 words: the sweep
+# exhibits a word of the claimed weight on each
+BOUND_ROWS = (7, 8, 9, 12, 14, 15, 16, 17, 18, 19)
+
+
+@pytest.mark.parametrize("row", BOUND_ROWS)
+def test_upper_bound_finds_table1_bound_row(row):
+    entry = TABLE1[row - 1]
     code = load_definition(entry.doc)
-    res = min_distance_upper(code.closure, seed=0)
-    assert res.value == 5
+    assert code.closure.size > distance.DEFAULT_BUDGET
+    res = min_distance_upper(code.closure)
+    assert res.value == entry.expected_d
     assert not res.exact
+    assert min_distance_upper(code.closure) == res
 
 
 def test_upper_bound_never_below_exact():
@@ -309,30 +311,22 @@ def test_upper_bound_never_below_exact():
         if code.dimension == 0:
             continue
         exact = min_distance_exact(code.closure).value
-        upper = min_distance_upper(code.closure, samples=50,
-                                   seed=rng.randrange(1000)).value
+        upper = min_distance_upper(code.closure).value
         assert upper >= exact
-
-
-def test_upper_bound_deterministic_per_seed():
-    code = load_definition(TABLE1[6].doc)
-    a = min_distance_upper(code.closure, samples=1, seed=5)
-    b = min_distance_upper(code.closure, samples=1, seed=5)
-    assert a == b
 
 
 def test_min_distance_is_exact_within_the_budget():
     code = load_definition(TABLE1[0].doc)  # 4^6 codewords
-    res = min_distance(code.closure, budget=4**6, seed=5)
+    res = min_distance(code.closure, budget=4**6)
     assert res == min_distance_exact(code.closure)
-    assert res.exact and res.seed is None and res.value == 3
+    assert res.exact and res.value == 3
 
 
 def test_min_distance_past_the_budget_is_the_seeded_bound():
     code = load_definition(TABLE1[6].doc)  # 4^20 codewords
-    res = min_distance(code.closure, budget=1000, seed=5)
-    assert res == min_distance_upper(code.closure, seed=5)
-    assert not res.exact and res.seed == 5 and res.value == 4
+    res = min_distance(code.closure, budget=1000)
+    assert res == min_distance_upper(code.closure)
+    assert not res.exact and res.value == 4
 
 
 def test_layer_cap_refusal_falls_back_to_the_bound(monkeypatch):
@@ -345,8 +339,8 @@ def test_layer_cap_refusal_falls_back_to_the_bound(monkeypatch):
         monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", cap)
         with pytest.raises(DistanceBudgetError, match=refused):
             min_distance_exact(img.base)
-        res = min_distance(img.base, seed=2)
-        assert res == min_distance_upper(img.base, seed=2)
+        res = min_distance(img.base)
+        assert res == min_distance_upper(img.base)
         assert not res.exact
     monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 1820 * 29)
     assert min_distance(img.base) == min_distance_exact(img.base)
@@ -376,8 +370,7 @@ def test_upper_sweep_matches_reference_on_random_codes():
                                  rng.randrange(1, block_stop(tw)))
         if code.dimension == 0:
             continue
-        assert_upper_matches_reference(code.closure, samples=60,
-                                       seed=rng.randrange(1000))
+        assert_upper_matches_reference(code.closure)
         seen.add(tw.q)
         checked += 1
     assert seen == {tw.q for tw in SWEEP_TOWERS}
@@ -401,7 +394,7 @@ def test_upper_sweep_chunk_boundaries(monkeypatch):
                                  rng.randrange(2, block_stop(tw)))
         if code.dimension < 3:
             continue
-        assert_upper_matches_reference(code.closure, samples=20, seed=checked)
+        assert_upper_matches_reference(code.closure)
         checked += 1
 
 
@@ -409,7 +402,7 @@ def test_upper_sweep_small_pools():
     # one and two nonzero rows: the pair and triple combinations run empty
     for rows in ([[1, 0, 2, 0]], [[1, 0, 2, 0], [0, 1, 1, 1]]):
         gm = GeneratorMatrixCode(T3, np.array(rows, dtype=np.uint8))
-        assert_upper_matches_reference(gm, samples=5)
+        assert_upper_matches_reference(gm)
     zero = GeneratorMatrixCode(T3, np.zeros((0, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         min_distance_upper(zero)
@@ -422,10 +415,8 @@ def test_upper_sweep_skips_triples_past_forty_rows():
     pool = np.unique(np.vstack([gm.matrix, mat]), axis=0)
     m = int(np.any(pool, axis=1).sum())
     assert len(np.unique(mat, axis=0)) > 40
-    res = assert_upper_matches_reference(gm, samples=30, seed=3)
-    sampled = int(np.any(np.random.default_rng(3).integers(
-        0, 3, size=(30, gm.rank), dtype=np.uint8), axis=1).sum())
-    assert res.witnesses_examined == m + 2 * (m * (m - 1) // 2) + sampled
+    res = assert_upper_matches_reference(gm)
+    assert res.witnesses_examined == m + 2 * (m * (m - 1) // 2)
 
 
 def random_matrix_code(nprng, tw, rank, width, beta=0):
@@ -839,7 +830,7 @@ def test_weights_hold_more_than_255_groups():
     for beta, d in ((0, 300), (150, 150)):
         gm = GeneratorMatrixCode(T3, ones, beta=beta)
         assert min_distance_exact(gm).value == d
-        assert min_distance_upper(gm, samples=5).value == d
+        assert min_distance_upper(gm).value == d
 
 
 def test_budget_applies_to_all_codewords_not_projective_count():
@@ -875,13 +866,13 @@ def test_upper_sweep_skips_triples_past_the_layer_cap(monkeypatch):
     rng = np.random.default_rng(151)
     mat = rng.integers(1, 3, size=(6, 12), dtype=np.uint8)
     gm = GeneratorMatrixCode(T3, mat, spanning_rows=mat)
-    full = min_distance_upper(gm, samples=30, seed=3)
+    full = min_distance_upper(gm)
     monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 30 * 12 - 1)
-    res = min_distance_upper(gm, samples=30, seed=3)
+    res = min_distance_upper(gm)
     assert res.witnesses_examined == full.witnesses_examined - 4 * comb(6, 3)
     assert res.value >= full.value
     monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 30 * 12)
-    assert min_distance_upper(gm, samples=30, seed=3) == full
+    assert min_distance_upper(gm) == full
 
 
 def test_upper_sweep_triple_pool_edges():
@@ -895,14 +886,12 @@ def test_upper_sweep_triple_pool_edges():
             if len(np.unique(mat, axis=0)) == m and mat.any(axis=1).all():
                 break
         gm = GeneratorMatrixCode(tw, mat, spanning_rows=mat)
-        res = assert_upper_matches_reference(gm, samples=25, seed=m)
+        res = assert_upper_matches_reference(gm)
         pool = np.unique(np.vstack([gm.matrix, mat]), axis=0)
         p = int(np.any(pool, axis=1).sum())
-        sampled = int(np.any(np.random.default_rng(m).integers(
-            0, q, size=(25, gm.rank), dtype=np.uint8), axis=1).sum())
         triples = m * (m - 1) * (m - 2) // 6
         assert res.witnesses_examined == (p + (q - 1) * (p * (p - 1) // 2)
-                                          + (q - 1) ** 2 * triples + sampled)
+                                          + (q - 1) ** 2 * triples)
 
 
 def sorted_rows(block):
@@ -945,7 +934,7 @@ def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
             continue
         weighed.clear()
         gm = code.closure
-        min_distance_upper(gm, samples=15, seed=checked)
+        min_distance_upper(gm)
         assert np.array_equal(sorted_rows(np.vstack(weighed)),
-                              sorted_rows(reference_candidates(gm, 15, checked)))
+                              sorted_rows(reference_candidates(gm)))
         checked += 1

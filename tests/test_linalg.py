@@ -537,8 +537,7 @@ def test_matmul_matches_entrywise_dot():
             assert np.array_equal(linalg.matmul(field, A, B), expected)
 
 
-# -- the per-row product, kept as the oracle of the digit product and the
-# -- combination tables
+# -- the per-row product, kept as the oracle of the digit product
 
 
 def reference_matmul(field, A, B):
@@ -558,15 +557,18 @@ MATMUL_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8, 9, 16)] + [
     tower(5).ext, F27, tower(7).ext, tower(9).ext, tower(11).ext, tower(13).ext]
 
 
+def tall_rows(q):
+    """Row counts of the tall products: 2000, and 16 q^2 where that stays
+    at most 2^16."""
+    return [2000] + ([16 * q**2] if 16 * q**2 <= 2**16 else [])
+
+
 @pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")
 def test_matmul_matches_per_row_reference(field):
     rng = np.random.default_rng(field.order)
     q = field.order
-    # the smallest product with two-row tables, where it stays small
-    first_table = [16 * q**2] if 16 * q**2 <= 2**16 else []
-    for m in [0, 1, 63, 64, 65, 127, 128, 2000] + first_table:
-        t = linalg._chunk_width(q, m)
-        for k in sorted({0, 1, t - 1, t, t + 1, 26}):
+    for m in [0, 1, 63, 64, 65, 127, 128] + tall_rows(q):
+        for k in (0, 1, 2, 3, 26):
             for n in (0, 7):
                 A = rng.integers(0, q, size=(m, k), dtype=np.uint8)
                 B = rng.integers(0, q, size=(k, n), dtype=np.uint8)
@@ -577,56 +579,17 @@ def test_matmul_matches_per_row_reference(field):
 
 @pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")
 def test_tall_matmul_gathers_the_last_table_row(field):
-    """A of all q - 1: every chunk's index is q^t - 1, the last row of
-    its table, and the last chunk, over an inner dimension that is not a
-    multiple of t, is shorter than t."""
+    """A of all q - 1 at the tall shapes: each row of A is the message
+    of the last row of the message-order combination table
+    (`_suffix_block`), every base-p digit of its entries is p - 1, the
+    largest, and the inner dimension is odd."""
     rng = np.random.default_rng(field.order + 2)
     q = field.order
-    for m in [2000] + ([16 * q**2] if 16 * q**2 <= 2**16 else []):
-        t = linalg._chunk_width(q, m)
-        k = 2 * t + 1
-        A = np.full((m, k), q - 1, dtype=np.uint8)
-        for B in (rng.integers(0, q, size=(k, 7), dtype=np.uint8),
-                  np.full((k, 7), q - 1, dtype=np.uint8)):
+    for m in tall_rows(q):
+        A = np.full((m, 7), q - 1, dtype=np.uint8)
+        for B in (rng.integers(0, q, size=(7, 7), dtype=np.uint8),
+                  np.full((7, 7), q - 1, dtype=np.uint8)):
             assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
-
-
-@pytest.mark.parametrize("q,rows,t", [
-    (2, 63, 1), (2, 64, 2), (2, 127, 2), (2, 128, 3), (2, 2000, 6),
-    (3, 143, 1), (3, 144, 2), (4, 255, 1), (4, 256, 2), (4, 2000, 3),
-    (8, 1023, 1), (8, 1024, 2), (8, 2000, 2),
-    (256, 2000, 1), (256, 16 * 256**2 - 1, 1), (256, 16 * 256**2, 2)])
-def test_chunk_width_is_largest_t_with_q_power_t_at_most_rows_over_16(q, rows, t):
-    assert linalg._chunk_width(q, rows) == t
-
-
-def test_products_under_64_rows_take_the_digit_product():
-    assert {linalg._chunk_width(q, m) for q in (2, 3, 256) for m in range(64)} == {1}
-
-
-@pytest.mark.parametrize("field,m,uses_tables", [
-    (tower(2).base, 63, False), (tower(2).base, 64, True), (F3, 40, False),
-    (F4, 255, False), (F4, 256, True), (F4, 2000, True),
-    (tower(16).ext, 2000, False)],
-    ids=lambda v: f"F{v.order}" if hasattr(v, "order") else str(v))
-def test_matmul_takes_the_path_of_its_shape(monkeypatch, field, m, uses_tables):
-    """Combination tables are built exactly when the chunk width exceeds
-    1, one per chunk of rows of B."""
-    tables = []
-    suffix_block = linalg._suffix_block
-
-    def counted_tables(*args):
-        tables.append(1)
-        return suffix_block(*args)
-
-    monkeypatch.setattr(linalg, "_suffix_block", counted_tables)
-    rng = np.random.default_rng(m)
-    A = rng.integers(0, field.order, size=(m, 5), dtype=np.uint8)
-    B = rng.integers(0, field.order, size=(5, 4), dtype=np.uint8)
-    assert np.array_equal(linalg.matmul(field, A, B), reference_matmul(field, A, B))
-    t = linalg._chunk_width(field.order, m)
-    assert uses_tables == (t > 1)
-    assert len(tables) == (len(range(0, 5, t)) if uses_tables else 0)
 
 
 @pytest.mark.parametrize("field", MATMUL_FIELDS, ids=lambda f: f"F{f.order}")

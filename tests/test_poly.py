@@ -245,10 +245,19 @@ def test_parse_table_literals():
     assert P("x^3+2").coeffs == (2, 0, 0, 1)
 
 
-def test_parse_syntax_error_position():
-    with pytest.raises(PolyParseError) as info:
-        P("x^^2")
-    assert info.value.pos == 2
+@pytest.mark.parametrize("text, pos, message", [
+    ("x^^2", 2, "expected an integer exponent"),
+    # digits are ASCII only: a superscript two, and an Arabic-Indic three
+    # that int() reads as 3, are unexpected characters where they stand
+    ("x²+1", 1, "unexpected character '²'"),
+    ("x^٣+1", 2, "unexpected character '٣'"),
+    ("٣x+1", 0, "unexpected character '٣'"),
+], ids=["double-caret", "superscript-exponent", "arabic-indic-exponent",
+        "arabic-indic-coefficient"])
+def test_parse_syntax_error_position(text, pos, message):
+    with pytest.raises(PolyParseError, match=message) as info:
+        P(text)
+    assert info.value.pos == pos
 
 
 def test_parse_bounds_degree_and_nesting():

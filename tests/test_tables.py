@@ -145,8 +145,10 @@ def test_row8_discrepancy_flagged_not_failed():
 
 
 def test_reports_are_deterministic():
-    a = verify_all(3, seed=7)
-    b = verify_all(3, seed=7)
+    # table 1 holds the rows past the budget, settled by the upper bound
+    a = verify_all(1)
+    b = verify_all(1)
+    assert a.counts["bound"] == 10
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
 
