@@ -61,13 +61,20 @@ def _read_document(value):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_code(args):
+def _load(args, loader, kind):
+    """`loader` applied to the --input document; a malformed document
+    exits USAGE_ERROR with a message naming its `kind`."""
     doc = _read_document(args.input)
     try:
-        return load_definition(doc, strict=not args.lenient)
+        return loader(doc)
     except DOCUMENT_ERRORS as exc:
-        print(f"invalid code definition: {exc}", file=sys.stderr)
+        print(f"invalid {kind}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _load_code(args):
+    return _load(args, lambda doc: load_definition(doc, strict=not args.lenient),
+                 "code definition")
 
 
 def _distance_report(gm, budget):
@@ -190,12 +197,7 @@ def cmd_gray(args):
 
 
 def cmd_lcd(args):
-    doc = _read_document(args.input)
-    try:
-        tw, beta, expanded = load_matrix_document(doc)
-    except DOCUMENT_ERRORS as exc:
-        print(f"invalid matrix document: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+    tw, beta, expanded = _load(args, load_matrix_document, "matrix document")
     image, cert = _rows_certificate(tw, beta, expanded)
     dist = _distance_report(image.base, args.budget)
     payload = {

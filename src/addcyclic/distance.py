@@ -3,7 +3,8 @@
 A code's split is its alphabet: alpha F_q symbols of one column and
 beta F_q2 symbols of two, so a plain code, beta = 0 (Gray images,
 hulls), weighs one F_q symbol per column.  Codes of at most
-_WHOLE_CODE words are weighed whole.  Larger ones go to the
+_WHOLE_CODE words are weighed whole, as layer 1 (below) of their
+nonzero words.  Larger ones go to the
 Brouwer-Zimmermann search (Zimmermann 1996; Grassl,
 "Searching for linear codes with large minimum distance", 2006).  The
 rank-k generator matrix is written in systematic form over several
@@ -23,7 +24,7 @@ word found (at the latest when one form has weighed all its messages).
 The budget applies to q^rank, whatever the search weighs.  Codes beyond
 it get an upper bound instead: the lightest word of a deterministic
 sweep of layers 1 and 2 of the basis and generating rows and layer 3 of
-the generating rows.
+the generating rows, one enumerator per pool.
 
 Both engines take their combinations from one enumerator, `_Layers`:
 layer w of a list of rows holds the combinations of exactly w of them
@@ -50,9 +51,11 @@ columns as they are, each F_q2 pair (b, c) packed as its element
 b + q*c (`codes._pack`).  Packing is F_q-linear, since F_q embeds in
 F_q2 as the same integers, so the layers combine packed rows by F_q2's
 subtraction and its products with c in F_q, and a distance is the
-count of differing bytes over alpha + beta symbols.  A code without
-F_q2 symbols is its own symbol words over F_q.  Forms and sweep pools
-are packed once.
+count of differing bytes over alpha + beta symbols.  A beta = 0 code
+(a Gray image, a hull) packs to itself, its F_q entries read as the
+same elements of F_q2, so every code is weighed through one helper,
+`_layers`.  Forms, sweep pools and a whole code's words are packed
+once.
 
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
@@ -114,14 +117,6 @@ class _LayerCapError(DistanceBudgetError):
         self.budget = cap
 
 
-def _symbols(code):
-    """(field, pack) of a code's symbol words: F_q2 and `_pack` for a
-    code with F_q2 symbols, else F_q and the identity."""
-    if not code.beta:
-        return code.field, lambda block: block
-    return code.tower.ext, lambda block: _pack(code.tower, code.alpha, block)
-
-
 def _distinct_rows(block):
     """The distinct nonzero rows of a matrix, in the lexicographic order
     of np.unique(block, axis=0): a set of byte rows, sorted, costs a
@@ -167,14 +162,6 @@ def _lightest_nonzero(best, negated, words, lengths):
     if lightest < top:
         best = min(best, lightest + 1)
     return best, negated.shape[1] * int(lengths.sum())
-
-
-def _lightest_word(block):
-    """Weight of the lightest nonzero word of row-major symbol words
-    (symbols + 1 if every word is zero)."""
-    words = np.ascontiguousarray(block.T)
-    zero = np.zeros_like(words[:, :1, None])
-    return _lightest_nonzero(len(words) + 1, zero, words, [len(block)])[0]
 
 
 class _Layers:
@@ -249,6 +236,13 @@ class _Layers:
             m0 = m1
 
 
+def _layers(code, rows):
+    """The `_Layers` of expanded rows of `code`, as packed symbol words
+    over F_q2 (module docstring)."""
+    tw = code.tower
+    return _Layers(tw.ext, _pack(tw, code.alpha, rows), code.field.order, code.width)
+
+
 def _information_sets(field, matrix, pivots, alpha, beta):
     """Systematic forms of the full-rank `matrix` over information sets
     whose symbols are disjoint, chosen greedily: the first is the stored
@@ -293,9 +287,7 @@ def _brouwer_zimmermann(code):
                    for w, (_, piv, need) in zip(done, sets))
 
     best, examined = code.width + 1, 0
-    symbols, pack = _symbols(code)
-    layers = [_Layers(symbols, pack(form), field.order, code.width)
-              for form, _, _ in sets]
+    layers = [_layers(code, form) for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
         for block in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
@@ -338,8 +330,11 @@ def min_distance_exact(code: GeneratorMatrixCode,
     if total > budget:
         raise DistanceBudgetError(total, budget)
     if total <= _WHOLE_CODE:
-        _, pack = _symbols(code)
-        value = _lightest_word(pack(_suffix_block(field, code.matrix)[1:]))
+        # the q^rank - 1 nonzero words, weighed as layer 1 of themselves
+        words = _layers(code, _suffix_block(field, code.matrix)[1:])
+        value = code.width + 1
+        for block in words.weighings(1, _BLOCK_TARGET):
+            value = _lightest_nonzero(value, *block)[0]
         return DistanceResult(value=value, exact=True, witnesses_examined=total - 1)
     value, examined = _brouwer_zimmermann(code)
     return DistanceResult(value=value, exact=True, witnesses_examined=examined)
@@ -360,14 +355,13 @@ def min_distance_upper(code: GeneratorMatrixCode) -> 'DistanceResult':
     # sparse triples of the raw generating rows: x-shifts of the defining
     # generators are where low-weight words tend to live
     triple_pool = rows if spanning is None else _distinct_rows(spanning)
-    sweeps = [(rows, 1), (rows, 2)]
+    pool = _layers(code, rows)
+    sweeps = [(pool, 1), (pool, 2)]
     if len(triple_pool) <= _TRIPLE_POOL_MAX:
-        sweeps.append((triple_pool, 3))
-    symbols, pack = _symbols(code)
+        sweeps.append((pool if spanning is None else _layers(code, triple_pool), 3))
     best, examined = code.width + 1, 0
-    for pool, weight in sweeps:
+    for layers, weight in sweeps:
         try:
-            layers = _Layers(symbols, pack(pool), code.field.order, code.width)
             for block in layers.weighings(weight, _BLOCK_TARGET):
                 best, counted = _lightest_nonzero(best, *block)
                 examined += counted

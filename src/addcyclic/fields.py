@@ -139,8 +139,9 @@ class Field:
 
     # -- arithmetic (ints or numpy arrays) --------------------------------
 
-    # add and sub XOR two uint8 arrays in characteristic 2 (module
-    # docstring); any other operands, scalars included, read the table
+    # add XORs two uint8 arrays in characteristic 2 (module docstring),
+    # where sub is add; any other operands, scalars included, read the
+    # table
 
     def add(self, a, b):
         if (self.p == 2 and type(a) is type(b) is np.ndarray
@@ -152,20 +153,15 @@ class Field:
         return self.neg_table[a]
 
     def sub(self, a, b):
-        if (self.p == 2 and type(a) is type(b) is np.ndarray
-                and a.dtype == b.dtype == np.uint8):
-            return a ^ b
+        if self.p == 2:  # every element is its own negative
+            return self.add(a, b)
         return self.add_table[a, self.neg_table[b]]
 
     def mul(self, a, b):
         return self.mul_table[a, b]
 
     def inv(self, a):
-        if isinstance(a, (int, np.integer)):
-            zero = a == 0
-        else:
-            zero = np.any(np.asarray(a) == 0)
-        if zero:
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_table[a]
 

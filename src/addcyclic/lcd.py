@@ -18,8 +18,9 @@ stored rref matrix, which is read-only, and of its split, which nothing
 reassigns; a memo lives and dies with its code, there is no cache keyed
 on contents.  The hull is one kernel, C ∩ C⊥ = (C + C⊥)⊥, of the stored
 basis stacked on the dual basis read from its rref and pivots
-(`linalg.kernel_of_rref`); `is_lcd` cross-checks it against the Gram
-matrix G Gᵀ, which this route never forms.
+(`linalg.kernel_of_rref`); `is_lcd` cross-checks its dimension
+against the rank of the Gram matrix G Gᵀ, which this route never
+forms: dim(C ∩ C⊥) = k - rank(G Gᵀ).
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ def is_self_orthogonal(rows, tower) -> bool:
 
 def is_lcd(code: GeneratorMatrixCode) -> bool:
     """Trivial hull, cross-checked against the Gram matrix G Gᵀ of the
-    full-rank basis G having full rank k, which over a field is
-    det(G Gᵀ) != 0; the two criteria must agree."""
+    full-rank basis G: over any field, x G lies in C⊥ exactly when
+    x G Gᵀ = 0, so dim(C ∩ C⊥) = k - rank(G Gᵀ), and the hull's rank
+    and the Gram rank must sum to k."""
     f = code.field
-    by_hull = hull(code).rank == 0
+    hull_rank = hull(code).rank
     gram = linalg.matmul(f, code.matrix, code.matrix.T)
-    by_gram = linalg.rank(f, gram) == code.rank
-    if by_hull != by_gram:
-        raise InvariantViolation("hull test and Gram-rank test disagree")
-    return by_hull
+    if hull_rank + linalg.rank(f, gram) != code.rank:
+        raise InvariantViolation("hull rank and Gram rank do not sum to the rank")
+    return hull_rank == 0
 
 
 @dataclass(frozen=True)

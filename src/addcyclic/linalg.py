@@ -42,15 +42,20 @@ block (i, j) is the m x m matrix of multiplication by B[i, j],
 
     digits(A B) = digits(A) @ Mult[B]  mod p,
 
-packed back by place value.  Over a prime field this is (A @ B) mod p.
+packed back by place value.  A prime field is the one-digit case, where
+Mult[B] is B and the product is (A @ B) mod p, and `matmul` computes it
+so: through the digit planes an 8 x 20 F_3 matrix times its transpose
+took 11 us against 4.4 us (one core of a 2-core VM), which added about
+1% to the algebra workload's 600 Gram products per 300 codes.
 Sums of k*m products below p^2 cannot overflow int64, so int64 needs
 no exactness argument; float64 BLAS was no faster.  Over the 450 Gram
 products of the first 150 algebra-workload codes the digit product takes
 0.025 s, and the loop it replaced, one a + c*b table gather per row of
 B, took 0.083 to 0.089 s.
 
-The message-order enumerator of row combinations lives here too, shared
-by the codeword lists of `codes` and the exact distance engine.
+The message-order enumerator of row combinations lives here too: the
+exact distance engine weighs a small code's words from it, and the
+tests' oracles enumerate codewords with it.
 """
 
 from __future__ import annotations
@@ -268,19 +273,14 @@ def reduce_rows(field, basis, pivots, rows):
     return arith.decode(residues, V.shape)
 
 
-def _scaled(field, rows, scalars):
-    """Every scalar multiple of every row: shape (len(scalars), len(rows), width)."""
-    scalars = np.asarray(scalars, dtype=np.intp)
-    return field.mul(scalars[:, None, None], rows[None, :, :])
-
-
 def _suffix_block(field, rows):
     """All q^len(rows) combinations of the given rows in message order:
     the combination with coefficients (c_0, ..., c_{k-1}) sits at the
     base-q index c_0 c_1 ... c_{k-1}, the first row most significant."""
     width = rows.shape[1]
     block = np.zeros((1, width), dtype=np.uint8)
-    for multiples in _scaled(field, rows, range(field.order)).swapaxes(0, 1):
+    # the multiples c * row, c = 0, ..., q - 1, of each row in turn
+    for multiples in field.mul(rows[:, None, :], np.arange(field.order)[:, None]):
         block = field.add(block[:, None, :], multiples[None, :, :])
         block = block.reshape(len(block) * field.order, width)
     return block

@@ -336,6 +336,14 @@ def test_bad_budget(capsys):
     # a pure code takes no s or l, which would otherwise go unread
     ("params", {"q": 3, "beta": 4, "g": "x+1", "h": "0", "k": "1",
                 "s": "((garbage", "l": 42}, "s is read only when alpha > 0"),
+    # a matrix literal is a string: null, 1 and true are refused by
+    # position, not read as 'None', '1' and 'True'
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", None]]},
+     "rows[0][1] must be a literal string, got None"),
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": [["1", "w"], [1, "w"]]},
+     "rows[1][0] must be a literal string, got 1"),
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": [[True, "w"]]},
+     "rows[0][0] must be a literal string, got True"),
 ])
 def test_malformed_documents_exit_2(capsys, command, doc, message):
     code, _, err = run(capsys, [command, "--input", json.dumps(doc)])

@@ -134,6 +134,17 @@ def test_is_lcd_disagreement_raises(monkeypatch):
         is_lcd(phi)
 
 
+def test_is_lcd_checks_the_whole_hull_identity(monkeypatch):
+    # self-orthogonal rows: the hull is the whole code, of dimension 2,
+    # so the Gram rank is 0; a Gram rank of 1 breaks
+    # dim(C ∩ C⊥) = k - rank(G Gᵀ) although both tests still say "not LCD"
+    code = plain_code(T3, [[1, 1, 1, 0], [0, 1, 2, 1]])
+    assert hull(code).rank == 2 and not is_lcd(code)
+    monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: 1)
+    with pytest.raises(InvariantViolation):
+        is_lcd(code)
+
+
 def test_is_self_orthogonal_examples():
     assert is_self_orthogonal(np.array([[1, 1, 1, 0], [1, 2, 0, 1]], np.uint8),
                               tower=T3)
@@ -310,7 +321,7 @@ def test_hull_matches_brute_force(q):
 
 
 def test_lcd_criteria_agree_randomized():
-    # is_lcd itself asserts hull-rank and Gram-rank agreement
+    # is_lcd itself checks dim(C ∩ C⊥) + rank(G Gᵀ) = k on every code
     rng = random.Random(97)
     for _ in range(1000):
         tw = rng.choice((T3, T4, tower(8)))
