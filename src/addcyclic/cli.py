@@ -3,7 +3,10 @@
 Subcommands:
   params  — block lengths, dimension, cardinality (formula and actual),
             spanning-set status, distance, Singleton status
-  dual    — parameters of the dual code and a best-effort generator quintuple
+  dual    — parameters of the dual code and a best-effort generator quintuple;
+            the dual is taken under the paper's F_q2-valued mixed form,
+            two F_q constraints per basis row, so dual(dual(C)) contains C,
+            strictly on 32 of the 33 table-1 and table-2 closures
   gray    — Gray image generator matrix, parameters, classification,
             shift invariance
   lcd     — LCD certificate for a raw generator-matrix document
@@ -261,12 +264,16 @@ def build_parser():
                           help="accept generator quintuples that violate the "
                                "canonical-form conditions"),
     }
+    dual_help = ("parameters of the dual under the F_q2-valued mixed form, and "
+                 "a best-effort generator quintuple; dual(dual(C)) contains C, "
+                 "strictly on 32 of the 33 table-1 and table-2 closures")
     # each subcommand takes only the options it reads
-    for name, fn, names in (("params", cmd_params, ("--budget", "--lenient")),
-                            ("dual", cmd_dual, ("--lenient",)),
-                            ("gray", cmd_gray, ("--budget", "--lenient")),
-                            ("lcd", cmd_lcd, ("--budget",))):
-        p = sub.add_parser(name)
+    for name, fn, names, text in (
+            ("params", cmd_params, ("--budget", "--lenient"), None),
+            ("dual", cmd_dual, ("--lenient",), dual_help),
+            ("gray", cmd_gray, ("--budget", "--lenient"), None),
+            ("lcd", cmd_lcd, ("--budget",), None)):
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("--input", required=True,
                        help="definition document: path or inline JSON")
         p.add_argument("--format", choices=("text", "json"), default="text")

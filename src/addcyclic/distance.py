@@ -24,7 +24,10 @@ word found (at the latest when one form has weighed all its messages).
 The budget applies to q^rank, whatever the search weighs.  Codes beyond
 it get an upper bound instead: the lightest word of a deterministic
 sweep of layers 1 and 2 of the basis and generating rows and layer 3 of
-the generating rows, one enumerator per pool.
+the generating rows, one enumerator per pool.  x permutes the symbols,
+so it keeps weights; when it also permutes the triples' pool, layer 3
+is weighed only for triples through one representative per x-orbit,
+each triple's weight found on one of its shifts (`min_distance_upper`).
 
 Both engines take their combinations from one enumerator, `_Layers`:
 layer w of a list of rows holds the combinations of exactly w of them
@@ -76,7 +79,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrixCode, _pack
+from .codes import GeneratorMatrixCode, _pack, _shift_orbits
 from .linalg import _suffix_block
 
 DEFAULT_BUDGET = 2**24
@@ -199,32 +202,33 @@ class _Layers:
                                  np.cumsum([0] + [part.shape[1] for part in parts])))
         return self._formed[weight - 1]
 
-    def weighings(self, weight, max_words):
+    def weighings(self, weight, max_words, start=0):
         """Blocks (negated, words, lengths) of `_lightest_nonzero` that
-        count each word of layer `weight` once, without forming that
-        layer, in layer order when each row's cells are read prefix word
-        by prefix word.  Layer 1 is the rows against zero, in slices of
-        max_words.  Above it, consecutive last rows m0..m1-1 share one
-        block, the prefix of layer weight - 1 the widest of them needs
-        against all their negated multiples, while K * G * P <= max_words
-        (K = q - 1 scalars, G rows, P words in that prefix); a row whose
-        prefix alone passes max_words // K words is sliced.  No block
-        computes more than max(max_words, K) cells."""
+        count once each word of layer `weight` whose last row is `start`
+        or later, without forming that layer, in layer order when each
+        row's cells are read prefix word by prefix word.  Layer 1 is the
+        rows against zero, in slices of max_words.  Above it, consecutive
+        last rows m0..m1-1 share one block, the prefix of layer
+        weight - 1 the widest of them needs against all their negated
+        multiples, while K * G * P <= max_words (K = q - 1 scalars, G
+        rows, P words in that prefix); a row whose prefix alone passes
+        max_words // K words is sliced.  No block computes more than
+        max(max_words, K) cells."""
         if weight == 1:
             zero = np.zeros_like(self.rows[:, :1, None])
-            for start in range(0, self.rows.shape[1], max_words):
-                block = self.rows[:, start : start + max_words]
+            for first in range(start, self.rows.shape[1], max_words):
+                block = self.rows[:, first : first + max_words]
                 yield zero, block, [block.shape[1]]
             return
         words, ends = self.layer(weight - 1)
         multiples, rows = self.scalars - 1, len(ends)
         step = max(1, max_words // multiples)
-        m0 = 1
+        m0 = max(1, start)
         while m0 < rows:
             length = ends[m0 - 1]
             if length > step:
-                for start in range(0, length, step):
-                    block = words[:, start : min(start + step, length)]
+                for first in range(0, length, step):
+                    block = words[:, first : min(first + step, length)]
                     yield self.negated[:, :, m0 : m0 + 1], block, [block.shape[1]]
                 m0 += 1
                 continue
@@ -347,7 +351,18 @@ def min_distance_upper(code: GeneratorMatrixCode) -> 'DistanceResult':
     rows when recorded, else of the basis rows.  The triples are skipped
     when their pool holds more than _TRIPLE_POOL_MAX distinct rows, or
     when their layer 2 passes _MAX_LAYER_CELLS.  Never below the true
-    distance."""
+    distance.
+
+    x permutes the symbols, so it keeps weights.  When x also permutes
+    the triple pool, some shift of each triple holds the representative
+    of one of its rows' x-orbits, and that shift, rescaled to leading
+    coefficient 1, is a triple of the same weight.  With one
+    representative per orbit ordered last, a triple holds one exactly
+    when its last row is one, so only those triples are weighed: the
+    same lightest word from fewer words (Chen's cyclic speed-up, as
+    Grassl 2006 describes it).  The closure is checked on the pool
+    itself, so no code is trusted to be cyclic; a pool that x does not
+    keep gets every triple."""
     if code.rank == 0:
         raise ValueError("the zero code has no nonzero codewords")
     spanning = code.spanning_rows
@@ -355,14 +370,21 @@ def min_distance_upper(code: GeneratorMatrixCode) -> 'DistanceResult':
     # sparse triples of the raw generating rows: x-shifts of the defining
     # generators are where low-weight words tend to live
     triple_pool = rows if spanning is None else _distinct_rows(spanning)
+    orbit, start = _shift_orbits(code.alpha, code.beta, triple_pool), 0
+    if orbit is not None:  # representatives last, from row `start` on
+        last = orbit == np.arange(len(orbit))
+        start = len(orbit) - int(last.sum())
+        triple_pool = np.concatenate([triple_pool[~last], triple_pool[last]])
+        if spanning is None:
+            rows = triple_pool
     pool = _layers(code, rows)
-    sweeps = [(pool, 1), (pool, 2)]
+    sweeps = [(pool, 1, 0), (pool, 2, 0)]
     if len(triple_pool) <= _TRIPLE_POOL_MAX:
-        sweeps.append((pool if spanning is None else _layers(code, triple_pool), 3))
+        sweeps.append((pool if spanning is None else _layers(code, triple_pool), 3, start))
     best, examined = code.width + 1, 0
-    for layers, weight in sweeps:
+    for layers, weight, start in sweeps:
         try:
-            for block in layers.weighings(weight, _BLOCK_TARGET):
+            for block in layers.weighings(weight, _BLOCK_TARGET, start):
                 best, counted = _lightest_nonzero(best, *block)
                 examined += counted
         except _LayerCapError:  # the triples' layer 2 passes the cap: skip them
@@ -376,7 +398,9 @@ class DistanceResult:
     words actually weighed: for the exact engine all q^rank - 1 nonzero
     words of a code of at most _WHOLE_CODE words, else the messages the
     Brouwer-Zimmermann search weighed before its lower bound met the
-    lightest of them; for the upper bound every word of the sweep."""
+    lightest of them; for the upper bound every word the sweep weighs,
+    which holds one triple per x-orbit where x permutes the triples'
+    pool."""
 
     value: int
     exact: bool

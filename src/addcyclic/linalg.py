@@ -311,6 +311,6 @@ def matmul(field, a, b):
     place, digits, mult = _digit_planes(field)
     d = len(place)
     # block (i, j) of the right factor is the matrix of x -> x*B[i, j]
-    right = mult[B].swapaxes(1, 2).reshape(k * d, w * d)
+    right = np.take(mult, B, axis=0).swapaxes(1, 2).reshape(k * d, w * d)
     out = digits[A].reshape(n, k * d) @ right % field.p
     return (out.reshape(n, w, d) @ place).astype(np.uint8)

@@ -33,7 +33,7 @@ from addcyclic.lcd import hull
 from addcyclic.linalg import _suffix_block
 from addcyclic.tables import TABLE1, TABLE2
 
-from oracles import MixedWord, projections
+from oracles import MixedWord, projections, shift_word
 from test_codes import random_mixed_code, random_pure_code
 
 T3 = tower(3)
@@ -124,34 +124,78 @@ def reference_exact(code, suffix_rows):
     return best
 
 
-def reference_candidates(code):
-    """Every word the sweep weighs, built one combination at a time, as
-    rows of one block."""
-    field = code.field
+def reference_pools(code):
+    """(rows, triple_pool) of the sweep: the distinct nonzero basis and
+    generating rows, and the distinct nonzero rows whose triples it
+    weighs, None past 40 rows (distance._TRIPLE_POOL_MAX)."""
+    def distinct(block):
+        rows = np.unique(block, axis=0)
+        return rows[np.any(rows, axis=1)]
+
+    spanning = code.spanning_rows
+    rows = distinct(code.matrix if spanning is None else np.vstack([code.matrix, spanning]))
+    triple_pool = rows if spanning is None else distinct(spanning)
+    return rows, triple_pool if len(triple_pool) <= 40 else None
+
+
+def reference_triples(field, triple_pool):
+    """Every scaled triple of the pool with leading coefficient 1, built
+    one combination at a time."""
     nonzero = range(1, field.order)
-    pool = [code.matrix] if code.spanning_rows is None else [code.matrix,
-                                                             code.spanning_rows]
-    rows = np.unique(np.vstack(pool), axis=0)
-    rows = rows[np.any(rows, axis=1)]
+    return [field.add(field.add(i, field.mul(b, j)), field.mul(c, k))
+            for i, j, k in combinations(triple_pool, 3)
+            for b in nonzero for c in nonzero]
+
+
+def reference_candidates(code):
+    """Every word of the unreduced sweep, every triple included, built
+    one combination at a time, as rows of one block."""
+    field = code.field
+    rows, triple_pool = reference_pools(code)
     words = list(rows)
     for i, j in combinations(range(len(rows)), 2):
-        words += [field.add(rows[i], field.mul(c, rows[j])) for c in nonzero]
-    triple_pool = rows if code.spanning_rows is None else code.spanning_rows
-    triple_pool = np.unique(triple_pool, axis=0)
-    triple_pool = triple_pool[np.any(triple_pool, axis=1)]
-    if len(triple_pool) <= 40:  # distance._TRIPLE_POOL_MAX
-        for i, j, k in combinations(triple_pool, 3):
-            words += [field.add(field.add(i, field.mul(b, j)), field.mul(c, k))
-                      for b in nonzero for c in nonzero]
+        words += [field.add(rows[i], field.mul(c, rows[j])) for c in range(1, field.order)]
+    if triple_pool is not None:
+        words += reference_triples(field, triple_pool)
     return np.array(words, dtype=np.uint8).reshape(-1, code.width)
 
 
+def reference_orbit_count(code, pool):
+    """The number of x-orbits of the distinct rows `pool` of `code`, x
+    applied word by word (`oracles.shift_word`); None when x takes a row
+    outside the pool."""
+    words = MixedWord.from_rows(code.tower, code.alpha, code.beta, pool)
+    members = {(w.u, w.uprime) for w in words}
+    seen, orbits = set(), 0
+    for word in words:
+        if (word.u, word.uprime) in seen:
+            continue
+        orbits += 1
+        while (key := (word.u, word.uprime)) not in seen:
+            if key not in members:
+                return None
+            seen.add(key)
+            word = shift_word(word)
+    return orbits
+
+
 def reference_upper(code, split):
-    """(value, witnesses_examined) of min_distance_upper: every candidate
-    stacked, the value weighed in the alphabet `split`, (alpha, beta)."""
+    """(value, witnesses_examined) of min_distance_upper.  The value is
+    the lightest nonzero candidate of the unreduced sweep, weighed in the
+    alphabet `split`, (alpha, beta).  The count is the singles, q - 1
+    words per pair and (q - 1)^2 per triple whose last row is an x-orbit
+    representative: with the s representatives of the N-row triple pool
+    last, C(N, 3) - C(N - s, 3) triples, and all C(N, 3) (s = N) when x
+    does not keep the pool."""
     stacked = reference_candidates(code)
-    examined = len(stacked)
     stacked = stacked[np.any(stacked, axis=1)]
+    rows, triple_pool = reference_pools(code)
+    q = code.field.order
+    examined = len(rows) + (q - 1) * comb(len(rows), 2)
+    if triple_pool is not None:
+        n = len(triple_pool)
+        s = reference_orbit_count(code, triple_pool)
+        examined += (q - 1) ** 2 * (comb(n, 3) - comb(n - (n if s is None else s), 3))
     return int(reference_weights(*split, stacked).min()), examined
 
 
@@ -561,6 +605,23 @@ def test_layer_blocks_are_bounded_and_normalized():
             assert np.array_equal(ends, [np.sum(last_row <= m) for m in range(k)])
 
 
+def test_layer_blocks_from_a_start_row():
+    # the weighings from row `start` on stand for the words of the layer
+    # whose last row is `start` or later: the formed layer's tail
+    nprng = np.random.default_rng(163)
+    for q in (2, 3, 4):
+        field = tower(q).base
+        rows = nprng.integers(0, q, size=(6, 5), dtype=np.uint8)
+        layers = distance._Layers(field, rows, q, 5)
+        for w in range(1, 5):
+            words, ends = layers.layer(w)
+            for start in range(len(rows) + 1):
+                weighed = [block_words(field, *block)
+                           for block in layers.weighings(w, 7, start)]
+                first = ends[start - 1] if start else 0
+                assert np.array_equal(np.vstack([words.T[:0]] + weighed), words.T[first:])
+
+
 def reference_lightest(best, negated, words, lengths):
     """`_lightest_nonzero` cell by cell: the symbols in which
     words[:, p] and negated[:, c, g] differ, for p < lengths[g]."""
@@ -913,28 +974,112 @@ def test_distinct_rows_are_np_unique_without_the_zero_row():
     assert distance._distinct_rows(np.zeros((4, 5), dtype=np.uint8)).shape == (0, 5)
 
 
-def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
-    # each block stands for the words it counts, over F_q2; expanded,
-    # together they must be the reference candidates
-    weighed = []
+def record_blocks(monkeypatch):
+    """A list that collects every block `_lightest_nonzero` weighs."""
+    blocks = []
     lightest = distance._lightest_nonzero
 
     def record(best, *block):
-        weighed.append(unpack(tw, gm.alpha, block_words(tw.ext, *block)))
+        blocks.append(block)
         return lightest(best, *block)
 
     monkeypatch.setattr(distance, "_lightest_nonzero", record)
+    return blocks
+
+
+def weighed_words(code, blocks):
+    """The words the blocks stand for, over F_q2, as expanded rows."""
+    tw = code.tower
+    return np.vstack([unpack(tw, code.alpha, block_words(tw.ext, *block))
+                      for block in blocks])
+
+
+def row_set(block):
+    return {row.tobytes() for row in np.ascontiguousarray(block, dtype=np.uint8)}
+
+
+def leading_one(field, block):
+    """Each row of the block scaled to leading coefficient 1, zero rows
+    as they are."""
+    block = np.asarray(block, dtype=np.uint8)
+    lead = block[np.arange(len(block)), np.argmax(block != 0, axis=1)]
+    return field.mul(field.inv(np.maximum(lead, 1))[:, None], block)
+
+
+def shift_image(code):
+    """image[j], the expanded column x moves column j to, read off
+    `oracles.shift_word` on the unit words."""
+    units = np.eye(code.width, dtype=np.uint8)
+    words = MixedWord.from_rows(code.tower, code.alpha, code.beta, units)
+    return np.array([np.flatnonzero(shift_word(w).expand())[0] for w in words])
+
+
+def assert_every_triple_has_a_weighed_shift(code, weighed):
+    """Every reference triple, or some x-shift of it times a nonzero
+    scalar, is among the weighed words."""
+    field = code.field
+    triples = np.array(reference_triples(field, reference_pools(code)[1]),
+                       dtype=np.uint8).reshape(-1, code.width)
+    have, image = row_set(weighed), shift_image(code)
+    covered = np.zeros(len(triples), dtype=bool)
+    for c in range(1, field.order):
+        scaled = block = field.mul(c, triples)
+        while True:
+            covered |= np.array([row.tobytes() in have for row in block], dtype=bool)
+            shifted = np.empty_like(block)
+            shifted[:, image] = block
+            block = shifted
+            if np.array_equal(block, scaled):
+                break
+    assert covered.all()
+
+
+def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
+    # each block stands for the words it counts, over F_q2; expanded,
+    # they are as many as reference_upper counts (one triple per x-orbit
+    # where x keeps the triple pool), each a reference candidate times a
+    # nonzero scalar (the orbit order moves which row leads), and every
+    # reference triple has an x-shift, times a nonzero scalar, among them
+    blocks = record_blocks(monkeypatch)
     rng = random.Random(199)
-    checked = 0
+    checked = reduced = 0
     while checked < 18:
         tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
         code = random_mixed_code(rng, tw, rng.randrange(1, 3),
                                  rng.randrange(1, block_stop(tw)))
         if code.dimension < 2:
             continue
-        weighed.clear()
+        blocks.clear()
         gm = code.closure
-        min_distance_upper(gm)
-        assert np.array_equal(sorted_rows(np.vstack(weighed)),
-                              sorted_rows(reference_candidates(gm)))
+        res = min_distance_upper(gm)
+        words = weighed_words(gm, blocks)
+        assert len(words) == res.witnesses_examined == reference_upper(gm, split_of(gm))[1]
+        candidates = reference_candidates(gm)
+        assert row_set(leading_one(tw.base, words)) <= row_set(leading_one(tw.base, candidates))
+        assert_every_triple_has_a_weighed_shift(gm, words)
+        reduced += res.witnesses_examined < len(candidates)
         checked += 1
+    assert reduced >= 6  # a pool of at most 2 non-representatives loses no triple
+
+
+def test_upper_sweep_weighs_every_triple_of_a_pool_x_does_not_keep(monkeypatch):
+    # closures of (alpha, beta) = (2, 3) keep _span_degree = 4 shifts of
+    # each generator, fewer than x's order lcm(2, 3) = 6, and bare random
+    # matrices keep their rref rows: where x takes a pool row outside the
+    # pool, the sweep weighs exactly the unreduced candidates
+    blocks = record_blocks(monkeypatch)
+    rng, nprng = random.Random(241), np.random.default_rng(241)
+    codes = []
+    while len(codes) < 10:
+        tw = SWEEP_TOWERS[len(codes) % 5]
+        gm = random_mixed_code(rng, tw, 2, 3).closure
+        if gm.rank >= 2 and reference_orbit_count(gm, reference_pools(gm)[1]) is None:
+            codes.append(gm)
+    for q, rank, width in ((2, 6, 9), (3, 5, 7), (4, 4, 6), (5, 4, 5)):
+        codes.append(random_matrix_code(nprng, tower(q), rank, width, beta=width // 3))
+    for gm in codes:
+        assert reference_orbit_count(gm, reference_pools(gm)[1]) is None
+        blocks.clear()
+        min_distance_upper(gm)
+        assert np.array_equal(sorted_rows(weighed_words(gm, blocks)),
+                              sorted_rows(reference_candidates(gm)))
