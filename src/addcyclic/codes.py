@@ -142,28 +142,6 @@ def _shift_columns(alpha, beta, t):
     ], axis=-1)
 
 
-def _shift_orbits(alpha, beta, rows):
-    """The x-orbits of a set of distinct expanded rows, when x keeps the
-    set: orbit[i] is the least index of a row in row i's orbit, so the
-    rows with orbit[i] == i hold one representative per orbit.  None
-    when x takes a row outside the set, which then is no union of
-    orbits."""
-    rows = np.asarray(rows)
-    index = {row.tobytes(): i for i, row in enumerate(rows)}
-    image = [index.get(row.tobytes()) for row in rows[:, _shift_columns(alpha, beta, 1)]]
-    if None in image:
-        return None
-    # x is injective, so image permutes the rows; walk each cycle from
-    # its least index
-    orbit = [-1] * len(rows)
-    for i in range(len(rows)):
-        j = i
-        while orbit[j] < 0:
-            orbit[j] = i
-            j = image[j]
-    return np.array(orbit, dtype=np.intp)
-
-
 def _pack(tower, alpha, block):
     """The expanded rows of `block` one entry per symbol: the alpha F_q
     columns as they are, then each F_q2 pair (b, c) as its element

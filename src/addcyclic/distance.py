@@ -4,32 +4,31 @@ A code's split is its alphabet: alpha F_q symbols of one column and
 beta F_q2 symbols of two, so a plain code, beta = 0 (Gray images,
 hulls), weighs one F_q symbol per column.  Codes of at most
 _WHOLE_CODE words are weighed whole, as layer 1 (below) of their
-nonzero words.  Larger ones go to the
-Brouwer-Zimmermann search (Zimmermann 1996; Grassl,
-"Searching for linear codes with large minimum distance", 2006).  The
+nonzero words.  Every other distance comes from one search, the
+Brouwer-Zimmermann search (Zimmermann 1996; Grassl, "Searching for
+linear codes with large minimum distance", 2006).  The
 rank-k generator matrix is written in systematic form over several
 information sets whose symbols are disjoint: the stored rref first,
 then, greedily, the pivots of one rref per set with the still unused
 symbols' columns ordered first, until no unused symbol adds rank.  In
 each form the messages of weight w = 1, 2, ... are weighed (layer w
 below), only those whose leading coefficient is 1 (scaling keeps the
-weight).  Once every message of weight <= w has been weighed in the
-form of set j, of rank r, a word not yet seen has at least
-t = w + 1 - (k - r) nonzero pivot coordinates there, so at least as
-many nonzero symbols as the fewest symbols of the set whose pivot
-counts sum to t: t for F_q symbols, ceil(t/2) when every symbol holds
-two pivots.  Summed over the sets this bounds every unseen word from
-below, and the search stops as soon as the bound reaches the lightest
-word found (at the latest when one form has weighed all its messages).
-The budget applies to q^rank, whatever the search weighs.  Codes beyond
-it get an upper bound instead: the lightest word of a deterministic
-sweep of layers 1 and 2 of the basis and generating rows and layer 3 of
-the generating rows, one enumerator per pool.  x permutes the symbols,
-so it keeps weights; when it also permutes the triples' pool, layer 3
-is weighed only for triples through one representative per x-orbit,
-each triple's weight found on one of its shifts (`min_distance_upper`).
+weight), one layer at a time on the set that has weighed the fewest.
+Once every message of weight <= w has been weighed in the form of set
+j, of rank r, a word not yet seen has at least t = w + 1 - (k - r)
+nonzero pivot coordinates there, so at least as many nonzero symbols
+as the fewest symbols of the set whose pivot counts sum to t: t for
+F_q symbols, ceil(t/2) when every symbol holds two pivots.  Summed over
+the sets this bounds every unseen word from below.
 
-Both engines take their combinations from one enumerator, `_Layers`:
+The search has two stopping rules.  The exact engine stops as soon as
+the bound reaches the lightest word found (at the latest when one form
+has weighed all its messages); the budget applies to q^rank, whatever
+the search weighs.  The upper bound, for codes beyond the budget, also
+stops once every set has weighed its layers 1 and 2, and reports the
+lightest word found (`min_distance_upper`).
+
+The search takes its combinations from one enumerator, `_Layers`:
 layer w of a list of rows holds the combinations of exactly w of them
 with leading coefficient 1.  Its words with last row m are the words a
 of layer w - 1 with last row below m, each plus c*row_m, and the weight
@@ -49,7 +48,7 @@ broadcast OR to the value a zero word wraps to, which never counts, so
 a plain min finds the lightest word.  A row whose prefix alone passes
 _BLOCK_TARGET is weighed in slices.
 
-The engines weigh symbol words, one byte per symbol: the alpha F_q
+The search weighs symbol words, one byte per symbol: the alpha F_q
 columns as they are, each F_q2 pair (b, c) packed as its element
 b + q*c (`codes._pack`).  Packing is F_q-linear, since F_q embeds in
 F_q2 as the same integers, so the layers combine packed rows by F_q2's
@@ -57,8 +56,7 @@ subtraction and its products with c in F_q, and a distance is the
 count of differing bytes over alpha + beta symbols.  A beta = 0 code
 (a Gray image, a hull) packs to itself, its F_q entries read as the
 same elements of F_q2, so every code is weighed through one helper,
-`_layers`.  Forms, sweep pools and a whole code's words are packed
-once.
+`_layers`.  Forms and a whole code's words are packed once.
 
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
@@ -67,8 +65,8 @@ than _MAX_LAYER_CELLS cells, words x expanded columns (alpha + 2 beta;
 a packed word holds alpha + beta bytes, so a formed layer takes at most
 the cap in bytes).  `min_distance`, the distance the CLI and table 1
 report, falls back on the upper bound when the search refuses; the
-sweep skips its triples when their layer 2 is refused (a code thousands
-of columns wide).
+upper bound forms no layer (layer 2 is weighed against layer 1, the
+rows), so no cap applies to it.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrixCode, _pack, _shift_orbits
+from .codes import GeneratorMatrixCode, _pack
 from .linalg import _suffix_block
 
 DEFAULT_BUDGET = 2**24
@@ -91,7 +89,6 @@ DEFAULT_BUDGET = 2**24
 # 0.32 ms by the search, 4^6 words 0.23 against 0.30 ms.
 _WHOLE_CODE = 2**12
 _BLOCK_TARGET = 2**16  # most cells (words) a block computes
-_TRIPLE_POOL_MAX = 40  # a larger triple pool skips the triple sweep
 # cells (words x expanded columns) of the largest layer formed, at most
 # 64 MiB packed, the size of codes.MAX_CLOSURE_CELLS
 _MAX_LAYER_CELLS = 2**26
@@ -118,17 +115,6 @@ class _LayerCapError(DistanceBudgetError):
                   f"x {width} columns, past the cap of {cap} cells")
         self.required = words * width
         self.budget = cap
-
-
-def _distinct_rows(block):
-    """The distinct nonzero rows of a matrix, in the lexicographic order
-    of np.unique(block, axis=0): a set of byte rows, sorted, costs a
-    tenth of np.unique on the sweep's pools."""
-    block = np.ascontiguousarray(block, dtype=np.uint8)
-    data, width = block.tobytes(), block.shape[1]
-    rows = {data[i : i + width] for i in range(0, len(data), width)}
-    rows.discard(bytes(width))
-    return np.frombuffer(b"".join(sorted(rows)), dtype=np.uint8).reshape(-1, width)
 
 
 @lru_cache(maxsize=None)
@@ -202,28 +188,27 @@ class _Layers:
                                  np.cumsum([0] + [part.shape[1] for part in parts])))
         return self._formed[weight - 1]
 
-    def weighings(self, weight, max_words, start=0):
+    def weighings(self, weight, max_words):
         """Blocks (negated, words, lengths) of `_lightest_nonzero` that
-        count once each word of layer `weight` whose last row is `start`
-        or later, without forming that layer, in layer order when each
-        row's cells are read prefix word by prefix word.  Layer 1 is the
-        rows against zero, in slices of max_words.  Above it, consecutive
-        last rows m0..m1-1 share one block, the prefix of layer
-        weight - 1 the widest of them needs against all their negated
-        multiples, while K * G * P <= max_words (K = q - 1 scalars, G
-        rows, P words in that prefix); a row whose prefix alone passes
-        max_words // K words is sliced.  No block computes more than
-        max(max_words, K) cells."""
+        count once each word of layer `weight` without forming that
+        layer, in layer order when each row's cells are read prefix word
+        by prefix word.  Layer 1 is the rows against zero, in slices of
+        max_words.  Above it, consecutive last rows m0..m1-1 share one
+        block, the prefix of layer weight - 1 the widest of them needs
+        against all their negated multiples, while K * G * P <= max_words
+        (K = q - 1 scalars, G rows, P words in that prefix); a row whose
+        prefix alone passes max_words // K words is sliced.  No block
+        computes more than max(max_words, K) cells."""
         if weight == 1:
             zero = np.zeros_like(self.rows[:, :1, None])
-            for first in range(start, self.rows.shape[1], max_words):
+            for first in range(0, self.rows.shape[1], max_words):
                 block = self.rows[:, first : first + max_words]
                 yield zero, block, [block.shape[1]]
             return
         words, ends = self.layer(weight - 1)
         multiples, rows = self.scalars - 1, len(ends)
         step = max(1, max_words // multiples)
-        m0 = max(1, start)
+        m0 = 1
         while m0 < rows:
             length = ends[m0 - 1]
             if length > step:
@@ -278,9 +263,12 @@ def _information_sets(field, matrix, pivots, alpha, beta):
         form[:, order] = reduced
 
 
-def _brouwer_zimmermann(code):
-    """(minimum weight, words weighed) of a code of nonzero rank, by the
-    Brouwer-Zimmermann search (module docstring)."""
+def _brouwer_zimmermann(code, depth=None):
+    """(lightest weight found, words weighed) of a code of nonzero rank,
+    by the Brouwer-Zimmermann search (module docstring).  With depth
+    None the search runs until its lower bound meets the lightest word,
+    which is then the minimum weight; with a depth it also stops once
+    every information set has weighed its layers 1..depth."""
     field, k = code.field, code.rank
     sets = list(_information_sets(field, code.matrix, code.pivots, code.alpha, code.beta))
     done = [0] * len(sets)  # every message of weight <= done[j] weighed in form j
@@ -294,6 +282,8 @@ def _brouwer_zimmermann(code):
     layers = [_layers(code, form) for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
+        if done[j] == depth:
+            break
         for block in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
             best, counted = _lightest_nonzero(best, *block)
             examined += counted
@@ -345,51 +335,15 @@ def min_distance_exact(code: GeneratorMatrixCode,
 
 
 def min_distance_upper(code: GeneratorMatrixCode) -> 'DistanceResult':
-    """Upper bound, deterministic: the lightest word of a sweep of all
-    single rows and scaled pairs of the basis rows and (when recorded)
-    the raw generating rows, and of scaled triples of the raw generating
-    rows when recorded, else of the basis rows.  The triples are skipped
-    when their pool holds more than _TRIPLE_POOL_MAX distinct rows, or
-    when their layer 2 passes _MAX_LAYER_CELLS.  Never below the true
-    distance.
-
-    x permutes the symbols, so it keeps weights.  When x also permutes
-    the triple pool, some shift of each triple holds the representative
-    of one of its rows' x-orbits, and that shift, rescaled to leading
-    coefficient 1, is a triple of the same weight.  With one
-    representative per orbit ordered last, a triple holds one exactly
-    when its last row is one, so only those triples are weighed: the
-    same lightest word from fewer words (Chen's cyclic speed-up, as
-    Grassl 2006 describes it).  The closure is checked on the pool
-    itself, so no code is trusted to be cyclic; a pool that x does not
-    keep gets every triple."""
+    """Upper bound, deterministic: the lightest word the
+    Brouwer-Zimmermann search finds once every information set has
+    weighed its messages of weight 1 and 2 (module docstring), or the
+    minimum weight itself when the search's lower bound meets it
+    sooner.  Never below the true distance."""
     if code.rank == 0:
         raise ValueError("the zero code has no nonzero codewords")
-    spanning = code.spanning_rows
-    rows = _distinct_rows(code.matrix if spanning is None else np.vstack([code.matrix, spanning]))
-    # sparse triples of the raw generating rows: x-shifts of the defining
-    # generators are where low-weight words tend to live
-    triple_pool = rows if spanning is None else _distinct_rows(spanning)
-    orbit, start = _shift_orbits(code.alpha, code.beta, triple_pool), 0
-    if orbit is not None:  # representatives last, from row `start` on
-        last = orbit == np.arange(len(orbit))
-        start = len(orbit) - int(last.sum())
-        triple_pool = np.concatenate([triple_pool[~last], triple_pool[last]])
-        if spanning is None:
-            rows = triple_pool
-    pool = _layers(code, rows)
-    sweeps = [(pool, 1, 0), (pool, 2, 0)]
-    if len(triple_pool) <= _TRIPLE_POOL_MAX:
-        sweeps.append((pool if spanning is None else _layers(code, triple_pool), 3, start))
-    best, examined = code.width + 1, 0
-    for layers, weight, start in sweeps:
-        try:
-            for block in layers.weighings(weight, _BLOCK_TARGET, start):
-                best, counted = _lightest_nonzero(best, *block)
-                examined += counted
-        except _LayerCapError:  # the triples' layer 2 passes the cap: skip them
-            continue
-    return DistanceResult(value=best, exact=False, witnesses_examined=examined)
+    value, examined = _brouwer_zimmermann(code, depth=2)
+    return DistanceResult(value=value, exact=False, witnesses_examined=examined)
 
 
 @dataclass(frozen=True)
@@ -398,9 +352,8 @@ class DistanceResult:
     words actually weighed: for the exact engine all q^rank - 1 nonzero
     words of a code of at most _WHOLE_CODE words, else the messages the
     Brouwer-Zimmermann search weighed before its lower bound met the
-    lightest of them; for the upper bound every word the sweep weighs,
-    which holds one triple per x-orbit where x permutes the triples'
-    pool."""
+    lightest of them, or, for the upper bound, before every information
+    set had weighed its layers 1 and 2, whichever came first."""
 
     value: int
     exact: bool

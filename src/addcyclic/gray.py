@@ -102,8 +102,6 @@ def _build_gray_image(gm: GeneratorMatrixCode) -> GrayImageCode:
     image = GeneratorMatrixCode(tw, gray_rows(tw, alpha, gm.matrix))
     if image.rank != gm.rank:
         raise InvariantViolation("Gray image lost rank; the map must be injective")
-    if gm.spanning_rows is not None:
-        image.spanning_rows = gray_rows(tw, alpha, gm.spanning_rows)
     return GrayImageCode(image, alpha, gm.beta)
 
 

@@ -335,7 +335,7 @@ def _verify_table1(rep, entry, budget, mism, details):
         mism.append(f"found weight {res.value} below claimed d {entry.expected_d}")
     elif res.value > entry.expected_d:
         mism.append(
-            f"claimed weight {entry.expected_d} not found by the sweep "
+            f"claimed weight {entry.expected_d} not found by the search "
             f"(best {res.value})")
     else:
         details.append(

@@ -28,7 +28,6 @@ from addcyclic.codes import (
     _closure_rows,
     _echelon_generators,
     _shift_columns,
-    _shift_orbits,
     _span_degree,
 )
 from addcyclic.fields import tower
@@ -1265,38 +1264,6 @@ def test_invariant_under_agrees_with_roll_shift():
     assert outcomes == {True, False}
     with pytest.raises(ValueError):
         invariant_under(orbit, np.arange(orbit.width - 1))
-
-
-def test_shift_orbits_match_the_word_shift():
-    # pools of whole x-orbits, walked word by word with shift_word, in a
-    # random row order: each row is labelled with the least index of its
-    # orbit; a pool missing one row of an orbit of two or more is refused
-    rng = random.Random(191)
-    nprng = np.random.default_rng(191)
-    sizes = set()
-    for _ in range(60):
-        tw = rng.choice((T3, T4, T8))
-        alpha, beta = rng.randrange(0, 4), rng.randrange(1, 4)
-        seeds = nprng.integers(0, tw.q, size=(rng.randrange(1, 4), alpha + 2 * beta),
-                               dtype=np.uint8)
-        orbits = set()
-        for word in MixedWord.from_rows(tw, alpha, beta, seeds):
-            orbit = []
-            while word not in orbit:
-                orbit.append(word)
-                word = shift_word(word)
-            orbits.add(frozenset(orbit))
-        pool = [(w, orbit) for orbit in orbits for w in orbit]
-        pool = [pool[i] for i in nprng.permutation(len(pool))]
-        rows = expand_words([w for w, _ in pool], alpha + 2 * beta)
-        expected = [min(j for j, (_, other) in enumerate(pool) if other == orbit)
-                    for _, orbit in pool]
-        assert list(_shift_orbits(alpha, beta, rows)) == expected
-        sizes.update(len(orbit) for orbit in orbits)
-        partial = [j for j, (_, orbit) in enumerate(pool) if len(orbit) > 1]
-        if partial:
-            assert _shift_orbits(alpha, beta, np.delete(rows, partial[0], axis=0)) is None
-    assert {1, 2, 3} <= sizes
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 5, 2], [-1, 0, 1], [1, 2, 2]])
