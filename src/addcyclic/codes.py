@@ -72,6 +72,11 @@ class GeneratorMatrixCode:
     spanning_rows: np.ndarray | None = dc_field(default=None, repr=False)
     pivots: tuple = dc_field(default=(), init=False, repr=False)
     _derived: dict = dc_field(default_factory=dict, init=False, repr=False)
+    # True only on the codes `module_closure` returns, whose row space is
+    # closed under x: the distance search then shifts a systematic form
+    # into the next one.  A class attribute, not a dataclass field, so no
+    # constructor argument sets it.
+    _x_invariant = False
 
     def __post_init__(self):
         M = linalg.as_matrix(self.matrix, field=self.tower.base)
@@ -180,10 +185,13 @@ def module_closure(tw: FieldTower, alpha, beta, rows) -> GeneratorMatrixCode:
     rref: the first `_span_degree` shifts of each generator span them
     all, and they are both the rows eliminated and the spanning rows kept
     on the code.  This matrix is the authoritative codeword-set
-    representation.
+    representation.  It is marked x-invariant (`_x_invariant`): the span
+    of every x-shift is closed under x by construction.
     """
     rows = _closure_rows(alpha, beta, rows)
-    return GeneratorMatrixCode(tw, rows, beta=beta, spanning_rows=rows)
+    code = GeneratorMatrixCode(tw, rows, beta=beta, spanning_rows=rows)
+    code._x_invariant = True
+    return code
 
 
 # ---------------------------------------------------------------------------

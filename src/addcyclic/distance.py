@@ -10,7 +10,14 @@ linear codes with large minimum distance", 2006).  The
 rank-k generator matrix is written in systematic form over several
 information sets whose symbols are disjoint: the stored rref first,
 then, greedily, the pivots of one rref per set with the still unused
-symbols' columns ordered first, until no unused symbol adds rank.  In
+symbols' columns ordered first, until no unused symbol adds rank.  A
+module closure is closed under x (Chen 1970; Grassl 2006), so x^t of a
+systematic form spans the same code: there each later form is first
+sought as the previous one shifted by t symbols, and kept when, read
+with the unused columns first, it already is an rref, which is then the
+one elimination would return (the rref of a row space is unique).  Only
+a shift that fails this check is replaced by an elimination, so every
+form, and every count the search reports, is the same either way.  In
 each form the messages of weight w = 1, 2, ... are weighed (layer w
 below), only those whose leading coefficient is 1 (scaling keeps the
 weight), one layer at a time on the set that has weighed the fewest.
@@ -77,7 +84,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-from .codes import GeneratorMatrixCode, _pack
+from .codes import GeneratorMatrixCode, _pack, _shift_columns
 from .linalg import _suffix_block
 
 DEFAULT_BUDGET = 2**24
@@ -232,7 +239,21 @@ def _layers(code, rows):
     return _Layers(tw.ext, _pack(tw, code.alpha, rows), code.field.order, code.width)
 
 
-def _information_sets(field, matrix, pivots, alpha, beta):
+def _rref_pivots(block):
+    """The leading column of each row of `block`, a matrix of nonzero
+    rows, when it is an rref: rows ordered by leading column, each
+    leading entry 1 and the only nonzero entry of its column.  None
+    otherwise."""
+    rows, cols = block.nonzero()
+    unit = np.arange(len(block))
+    # nonzero() lists the entries row by row, so each row's first one leads
+    leads = cols[np.searchsorted(rows, unit)]
+    if (leads[1:] <= leads[:-1]).any() or (block[:, leads] != (unit[:, None] == unit)).any():
+        return None
+    return leads
+
+
+def _information_sets(field, matrix, pivots, alpha, beta, shift=None):
     """Systematic forms of the full-rank `matrix` over information sets
     whose symbols are disjoint, chosen greedily: the first is the stored
     rref and its pivots; each next one is the pivot columns, inside the
@@ -240,7 +261,14 @@ def _information_sets(field, matrix, pivots, alpha, beta):
     columns ordered first.  Yields (form, pivots, need) per set, the
     first r rows of the form carrying the identity on its r pivot
     columns, and need[t] the fewest symbols of the set that hold t of
-    its pivots for t <= r."""
+    its pivots for t <= r.
+
+    `shift`, given for a code closed under x, is `codes._shift_columns`.
+    Each next form is then first tried as the previous form times x^t,
+    t the offset from the previous set's first symbol to the first
+    unused one: it spans the same code, so when it is an rref with the
+    unused columns first (`_rref_pivots`) it is the rref elimination
+    would give.  Otherwise that set is eliminated as without `shift`."""
     symbol = np.concatenate([np.arange(alpha), alpha + np.arange(2 * beta) // 2])
     used = np.zeros(alpha + beta, dtype=bool)
     form, pivots = matrix, np.asarray(pivots, dtype=np.intp)
@@ -257,10 +285,15 @@ def _information_sets(field, matrix, pivots, alpha, beta):
         if not free.size:
             return
         order = np.concatenate([free, taken.nonzero()[0]])
-        reduced, _, found = linalg.rref(field, matrix[:, order])
+        found = None
+        if shift is not None:
+            form = form[:, shift(alpha, beta, symbol[free[0]] - symbol[pivots[0]])]
+            found = _rref_pivots(form[:, order])
+        if found is None:
+            reduced, _, found = linalg.rref(field, matrix[:, order])
+            form = np.empty_like(reduced)
+            form[:, order] = reduced
         pivots = order[[p for p in found if p < free.size]]
-        form = np.empty_like(reduced)
-        form[:, order] = reduced
 
 
 def _brouwer_zimmermann(code, depth=None):
@@ -270,7 +303,9 @@ def _brouwer_zimmermann(code, depth=None):
     which is then the minimum weight; with a depth it also stops once
     every information set has weighed its layers 1..depth."""
     field, k = code.field, code.rank
-    sets = list(_information_sets(field, code.matrix, code.pivots, code.alpha, code.beta))
+    shift = _shift_columns if code._x_invariant else None
+    sets = list(_information_sets(field, code.matrix, code.pivots, code.alpha,
+                                  code.beta, shift))
     done = [0] * len(sets)  # every message of weight <= done[j] weighed in form j
 
     def bound():

@@ -22,7 +22,16 @@ import numpy as np
 import pytest
 
 from addcyclic import distance, linalg
-from addcyclic.codes import GeneratorMatrixCode, _pack, load_definition
+from addcyclic.codes import (
+    GeneratorMatrixCode,
+    MixedCode,
+    _pack,
+    _shift_columns,
+    dual,
+    is_cyclic,
+    load_definition,
+    module_closure,
+)
 from addcyclic.distance import (
     DistanceBudgetError,
     min_distance,
@@ -33,10 +42,11 @@ from addcyclic.fields import tower
 from addcyclic.gray import gray_image
 from addcyclic.lcd import hull
 from addcyclic.linalg import _suffix_block
+from addcyclic.poly import Poly
 from addcyclic.tables import TABLE1, TABLE2
 
 from oracles import MixedWord, projections
-from test_codes import random_mixed_code, random_pure_code
+from test_codes import random_divisor, random_mixed_code, random_pure_code
 
 T3 = tower(3)
 T4 = tower(4)
@@ -910,3 +920,118 @@ def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
         stops.append(len(words) < len(candidates))
         checked += 1
     assert 6 <= sum(stops) <= 30  # searches that proved d early, and ones that did not
+
+
+# -- information sets shifted by x ---------------------------------------------
+
+SHIFT_TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8))
+
+
+def count_rref(monkeypatch):
+    """A list whose length is the number of `linalg.rref` calls made
+    from here on."""
+    calls, rref = [], linalg.rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def shift_case_closures():
+    """The 19 table-1 closures, then 72 seeded random closures, pure and
+    mixed, over q in {2, 3, 4, 5, 7, 8}."""
+    for entry in TABLE1:
+        yield load_definition(entry.doc).closure
+    rng = random.Random(383)
+    for trial in range(72):
+        tw = SHIFT_TOWERS[trial // 2 % len(SHIFT_TOWERS)]
+        if trial % 2:
+            yield random_mixed_code(rng, tw, rng.randrange(1, 7), rng.randrange(2, 9)).closure
+        else:
+            # k = g of degree n - deg d: F_q-rank 2 deg d, often at most
+            # n, so that there are later sets
+            n = rng.randrange(3, 13)
+            g = Poly.xn_minus_1(tw.base, n) // random_divisor(rng, tw.base, n)
+            h = Poly(tw.base, [rng.randrange(tw.q) for _ in range(n)])
+            yield MixedCode(tw, 0, n, None, None, g, h, g).closure
+
+
+def test_shifted_information_sets_are_the_eliminated_ones(monkeypatch):
+    # x^t of the previous form is taken only when it is the rref that
+    # elimination returns: forms, pivots and need are byte-identical with
+    # and without the shift, and each refused shift costs one elimination
+    calls, tried = count_rref(monkeypatch), []
+
+    def shift(*args):
+        tried.append(args)
+        return _shift_columns(*args)
+
+    accepted, refused = [0, 0], [0, 0]  # table 1, random closures
+    for index, gm in enumerate(shift_case_closures()):
+        if gm.rank == 0:
+            continue
+        assert gm._x_invariant
+        args = (gm.field, gm.matrix, gm.pivots, gm.alpha, gm.beta)
+        eliminated = list(distance._information_sets(*args))
+        calls.clear()
+        tried.clear()
+        shifted = list(distance._information_sets(*args, shift))
+        assert len(shifted) == len(eliminated)
+        for got, want in zip(shifted, eliminated):
+            for a, b in zip(got, want):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        random_code = index >= len(TABLE1)
+        accepted[random_code] += len(tried) - len(calls)
+        refused[random_code] += len(calls)
+    # every later set of table 1 is a shift; the refusals come from the
+    # random mixed closures
+    assert accepted[0] == 20 and refused[0] == 0
+    assert accepted[1] >= 10 and refused[1] >= 10
+
+
+def test_bound_rows_build_their_information_sets_by_shifting(monkeypatch):
+    # the second form of each bound row is x^K of its stored rref; a
+    # silent fall back to elimination would call rref once per row
+    closures = [load_definition(TABLE1[row - 1].doc).closure for row in BOUND_ROWS]
+    calls = count_rref(monkeypatch)
+    for row, gm in zip(BOUND_ROWS, closures):
+        assert min_distance_upper(gm).value == TABLE1[row - 1].expected_d
+    assert not calls
+
+
+def test_only_module_closures_are_shifted(monkeypatch):
+    # the mark, and so the shift, is on every module closure, which is
+    # cyclic, and on no code reached another way
+    shifts = []
+    information_sets = distance._information_sets
+
+    def recorded(field, matrix, pivots, alpha, beta, shift=None):
+        shifts.append(shift)
+        return information_sets(field, matrix, pivots, alpha, beta, shift)
+
+    monkeypatch.setattr(distance, "_information_sets", recorded)
+    rng, nprng = random.Random(389), np.random.default_rng(389)
+    for trial in range(36):
+        tw = SHIFT_TOWERS[trial % len(SHIFT_TOWERS)]
+        alpha, beta = rng.randrange(4), rng.randrange(4)
+        if not alpha + beta:
+            continue
+        rows = nprng.integers(0, tw.q, size=(rng.randrange(1, 3), alpha + 2 * beta))
+        gm = module_closure(tw, alpha, beta, rows)
+        assert gm._x_invariant and is_cyclic(gm)
+    closure = load_definition(TABLE1[8].doc).closure  # its dual has rank 8
+    changed = closure.matrix.copy()  # one basis entry changed
+    changed[0, -1] = (changed[0, -1] + 1) % 4
+    changed = GeneratorMatrixCode(closure.tower, changed, beta=closure.beta)
+    assert not is_cyclic(changed)
+    image = gray_image(load_definition(TABLE2[1].doc, strict=False))  # hull of rank 5
+    others = [dual(closure), image.base, hull(image.base), changed,
+              GeneratorMatrixCode(closure.tower, closure.matrix, beta=closure.beta)]
+    for gm in [closure] + others:
+        shifts.clear()
+        min_distance_upper(gm)
+        assert shifts == [_shift_columns if gm is closure else None]
+        assert gm._x_invariant == (gm is closure)
