@@ -62,18 +62,19 @@ F_q2 as the same integers, so the layers combine packed rows by F_q2's
 subtraction and its products with c in F_q, and a distance is the
 count of differing bytes over alpha + beta symbols.  A beta = 0 code
 (a Gray image, a hull) packs to itself, its F_q entries read as the
-same elements of F_q2, so every code is weighed through one helper,
-`_layers`.  Forms and a whole code's words are packed once.
+same elements of F_q2, so every code is weighed through one
+enumerator, `_Layers`, which packs the rows it is given.  Forms and a
+whole code's words are packed once.
 
 The q^rank budget bounds the search's work but not its memory (table-1
 row 9 as a pure code, rank 26 over F_4, would ask for a 1.77 GiB layer
 6), so `_Layers` refuses, as past the budget, to form a layer of more
 than _MAX_LAYER_CELLS cells, words x expanded columns (alpha + 2 beta;
 a packed word holds alpha + beta bytes, so a formed layer takes at most
-the cap in bytes).  `min_distance`, the distance the CLI and table 1
-report, falls back on the upper bound when the search refuses; the
-upper bound forms no layer (layer 2 is weighed against layer 1, the
-rows), so no cap applies to it.
+the cap in bytes).  `min_distance`, the distance the CLI and every
+table row report, falls back on the upper bound when the search
+refuses; the upper bound forms no layer (layer 2 is weighed against
+layer 1, the rows), so no cap applies to it.
 """
 
 from __future__ import annotations
@@ -161,16 +162,18 @@ def _lightest_nonzero(best, negated, words, lengths):
 
 
 class _Layers:
-    """The layers of `rows`, symbol words over `field` combined with the
-    coefficients 1..scalars - 1 of F_q (module docstring).  Rows and
-    formed layers are held symbol-major, (symbols, words).  A formed
-    layer is one array sorted by last row, with ends[m] its words of last
-    row <= m.  A layer of more than _MAX_LAYER_CELLS cells, counted on
-    the expanded `width`, is refused."""
+    """The layers of `rows`, expanded rows of `code` packed as symbol
+    words over F_q2 and combined with the coefficients 1..q - 1 of F_q
+    (module docstring).  Rows and formed layers are held symbol-major,
+    (symbols, words).  A formed layer is one array sorted by last row,
+    with ends[m] its words of last row <= m.  A layer of more than
+    _MAX_LAYER_CELLS cells, counted on the code's expanded width, is
+    refused."""
 
-    def __init__(self, field, rows, scalars, width):
-        self.field, self.scalars, self.width = field, scalars, width
-        self.rows = np.ascontiguousarray(rows.T)
+    def __init__(self, code, rows):
+        tw = code.tower
+        self.field, self.scalars, self.width = tw.ext, code.field.order, code.width
+        self.rows = np.ascontiguousarray(_pack(tw, code.alpha, rows).T)
         self._formed = [(self.rows, np.arange(1, len(rows) + 1))]
 
     @cached_property
@@ -195,26 +198,27 @@ class _Layers:
                                  np.cumsum([0] + [part.shape[1] for part in parts])))
         return self._formed[weight - 1]
 
-    def weighings(self, weight, max_words):
+    def weighings(self, weight):
         """Blocks (negated, words, lengths) of `_lightest_nonzero` that
         count once each word of layer `weight` without forming that
         layer, in layer order when each row's cells are read prefix word
         by prefix word.  Layer 1 is the rows against zero, in slices of
-        max_words.  Above it, consecutive last rows m0..m1-1 share one
-        block, the prefix of layer weight - 1 the widest of them needs
-        against all their negated multiples, while K * G * P <= max_words
-        (K = q - 1 scalars, G rows, P words in that prefix); a row whose
-        prefix alone passes max_words // K words is sliced.  No block
-        computes more than max(max_words, K) cells."""
+        _BLOCK_TARGET.  Above it, consecutive last rows m0..m1-1 share
+        one block, the prefix of layer weight - 1 the widest of them
+        needs against all their negated multiples, while K * G * P <=
+        _BLOCK_TARGET (K = q - 1 scalars, G rows, P words in that
+        prefix); a row whose prefix alone passes _BLOCK_TARGET // K
+        words is sliced.  No block computes more than
+        max(_BLOCK_TARGET, K) cells."""
         if weight == 1:
             zero = np.zeros_like(self.rows[:, :1, None])
-            for first in range(0, self.rows.shape[1], max_words):
-                block = self.rows[:, first : first + max_words]
+            for first in range(0, self.rows.shape[1], _BLOCK_TARGET):
+                block = self.rows[:, first : first + _BLOCK_TARGET]
                 yield zero, block, [block.shape[1]]
             return
         words, ends = self.layer(weight - 1)
         multiples, rows = self.scalars - 1, len(ends)
-        step = max(1, max_words // multiples)
+        step = max(1, _BLOCK_TARGET // multiples)
         m0 = 1
         while m0 < rows:
             length = ends[m0 - 1]
@@ -225,18 +229,11 @@ class _Layers:
                 m0 += 1
                 continue
             m1 = m0 + 1
-            while m1 < rows and multiples * (m1 + 1 - m0) * ends[m1 - 1] <= max_words:
+            while m1 < rows and multiples * (m1 + 1 - m0) * ends[m1 - 1] <= _BLOCK_TARGET:
                 m1 += 1
             if ends[m1 - 2]:
                 yield self.negated[:, :, m0:m1], words[:, : ends[m1 - 2]], ends[m0 - 1 : m1 - 1]
             m0 = m1
-
-
-def _layers(code, rows):
-    """The `_Layers` of expanded rows of `code`, as packed symbol words
-    over F_q2 (module docstring)."""
-    tw = code.tower
-    return _Layers(tw.ext, _pack(tw, code.alpha, rows), code.field.order, code.width)
 
 
 def _rref_pivots(block):
@@ -314,12 +311,12 @@ def _brouwer_zimmermann(code, depth=None):
                    for w, (_, piv, need) in zip(done, sets))
 
     best, examined = code.width + 1, 0
-    layers = [_layers(code, form) for form, _, _ in sets]
+    layers = [_Layers(code, form) for form, _, _ in sets]
     while best > (target := bound()):
         j = done.index(min(done))
         if done[j] == depth:
             break
-        for block in layers[j].weighings(done[j] + 1, _BLOCK_TARGET):
+        for block in layers[j].weighings(done[j] + 1):
             best, counted = _lightest_nonzero(best, *block)
             examined += counted
             if best <= target:
@@ -330,10 +327,10 @@ def _brouwer_zimmermann(code, depth=None):
 
 def min_distance(code: GeneratorMatrixCode,
                  budget: int = DEFAULT_BUDGET) -> 'DistanceResult':
-    """The distance the CLI and table 1 report: `min_distance_exact`
-    within the budget, `min_distance_upper` when the exact engine
-    refuses (past the budget, or a layer past _MAX_LAYER_CELLS).
-    `exact` on the result says which one ran."""
+    """The one distance policy, of every CLI subcommand and every table
+    row: `min_distance_exact` within the budget, `min_distance_upper`
+    when the exact engine refuses (past the budget, or a layer past
+    _MAX_LAYER_CELLS).  `exact` on the result says which one ran."""
     try:
         return min_distance_exact(code, budget=budget)
     except DistanceBudgetError:
@@ -360,9 +357,9 @@ def min_distance_exact(code: GeneratorMatrixCode,
         raise DistanceBudgetError(total, budget)
     if total <= _WHOLE_CODE:
         # the q^rank - 1 nonzero words, weighed as layer 1 of themselves
-        words = _layers(code, _suffix_block(field, code.matrix)[1:])
+        words = _Layers(code, _suffix_block(field, code.matrix)[1:])
         value = code.width + 1
-        for block in words.weighings(1, _BLOCK_TARGET):
+        for block in words.weighings(1):
             value = _lightest_nonzero(value, *block)[0]
         return DistanceResult(value=value, exact=True, witnesses_examined=total - 1)
     value, examined = _brouwer_zimmermann(code)

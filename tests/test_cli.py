@@ -92,7 +92,7 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
 def test_every_table_row_document_reproduces_its_report(capsys, entry):
     # a row's document, given to `params` (tables 1 and 2, lenient as the
     # harness is) or `lcd` (table 3), gives the report's dimension, its
-    # exact distance and its LCD column
+    # distance and its LCD column
     rep = verify_entry(entry)
     argv = ["lcd"] if entry.table_id == 3 else ["params", "--lenient"]
     code, out, _ = run(capsys, argv + ["--format", "json", "--input", entry.document])
@@ -102,8 +102,27 @@ def test_every_table_row_document_reproduces_its_report(capsys, entry):
         assert rep.lcd == ("yes" if payload["lcd"] else "no")
         payload = payload["gray_image"]
     assert payload["dimension"] == rep.computed_k
-    if rep.d_mode == "exact":
-        assert payload["distance"] == {"d": rep.computed_d, "mode": "exact"}
+    assert payload["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
+
+
+@pytest.mark.parametrize("budget", [None, 9], ids=["default-budget", "budget-9"])
+@pytest.mark.parametrize("entry", TABLE2 + TABLE3,
+                         ids=lambda e: f"table{e.table_id}-row{e.row}")
+def test_cli_and_tables_report_one_distance(capsys, entry, budget):
+    # `gray --lenient` on a table-2 row and `lcd` on a table-3 row weigh
+    # the Gray image the table's report weighs, under the same budget:
+    # one distance, exact or bound alike
+    argv = ["lcd"] if entry.table_id == 3 else ["gray", "--lenient"]
+    rep = verify_entry(entry)
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+        rep = verify_entry(entry, budget=budget)
+    code, out, _ = run(capsys, argv + ["--format", "json", "--input", entry.document])
+    assert code == 0
+    payload = json.loads(out)
+    if entry.table_id == 3:
+        payload = payload["gray_image"]
+    assert payload["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
 
 
 def test_params_json_roundtrip(capsys):
@@ -229,12 +248,13 @@ def test_tables_id3_exit_zero(capsys):
 
 
 def test_tables_id3_under_a_small_budget_exits_zero(capsys):
-    # the k = 3 rows need 27 codewords: skipped, not a budget traceback
+    # the k = 3 rows need 27 codewords: upper bounds, not a budget traceback
     code, out, _ = run(capsys, ["tables", "--id", "3", "--budget", "9",
                                 "--format", "json"])
     assert code == 0
     summary = json.loads(out)["summary"]
-    assert summary["skipped"] > 0 and summary["mismatch"] == 0
+    assert summary["skipped"] == 0 and summary["bound"] > 0
+    assert summary["mismatch"] == 0
 
 
 def test_tables_text_is_csv_plus_summary(capsys):

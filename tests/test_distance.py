@@ -522,9 +522,10 @@ def block_cells(negated, words):
     return negated.shape[1] * negated.shape[2] * words.shape[1]
 
 
-def test_layer_blocks_are_bounded_and_normalized():
-    # symbol words over F_q (seven F_q symbols) and over F_q2 (one F_q
-    # symbol and three F_q2 symbols packed), combined over F_q
+def test_layer_blocks_are_bounded_and_normalized(monkeypatch):
+    # symbol words of a beta = 0 code (seven F_q symbols) and of a mixed
+    # one (one F_q symbol and three F_q2 symbols packed), combined over F_q
+    monkeypatch.setattr(distance, "_BLOCK_TARGET", 10)
     nprng = np.random.default_rng(157)
     for q, packed in ((2, False), (3, False), (4, False), (5, False),
                       (3, True), (4, True)):
@@ -532,14 +533,14 @@ def test_layer_blocks_are_bounded_and_normalized():
         field = tw.base
         rows = nprng.integers(0, q, size=(5, 7), dtype=np.uint8)
         k = len(rows)
+        code = GeneratorMatrixCode(tw, rows, beta=3 if packed else 0)
+        layers = distance._Layers(code, rows)
         if packed:
-            layers = distance._Layers(tw.ext, _pack(tw, 1, rows), q, 7)
             expand = lambda block: unpack(tw, 1, block)
         else:
-            layers = distance._Layers(field, rows, q, 7)
             expand = lambda block: block
         for w in range(1, k + 1):
-            blocks = list(layers.weighings(w, 10))
+            blocks = list(layers.weighings(w))
             assert all(block_cells(negated, words) <= max(10, q - 1)
                        for negated, words, _ in blocks)
             weighed = np.vstack([expand(block_words(layers.field, *block))
@@ -659,26 +660,27 @@ def counted_cells(negated, words, lengths):
 
 
 @pytest.mark.parametrize("max_words", [1, 5, 64, 2**16])
-def test_grouped_blocks_list_exactly_the_layer(max_words):
-    # over F_q rows and packed F_q2 rows: the cells each block counts are
-    # the prefix cells of its rows, together the layer's words in layer
-    # order, and no block computes more than max(max_words, q - 1) cells
+def test_grouped_blocks_list_exactly_the_layer(monkeypatch, max_words):
+    # over the F_q rows of a beta = 0 code and packed F_q2 rows: the
+    # cells each block counts are the prefix cells of its rows, together
+    # the layer's words in layer order, and no block computes more than
+    # max(max_words, q - 1) cells
+    monkeypatch.setattr(distance, "_BLOCK_TARGET", max_words)
     nprng = np.random.default_rng(163)
     for q, packed in ((2, False), (3, False), (5, False), (3, True), (4, True)):
         tw = tower(q)
         rows = nprng.integers(0, q, size=(6, 5), dtype=np.uint8)
-        field = tw.ext if packed else tw.base
-        layers = distance._Layers(field, _pack(tw, 1, rows) if packed else rows, q, 5)
+        layers = distance._Layers(GeneratorMatrixCode(tw, rows, beta=2 if packed else 0), rows)
         for w in range(1, len(rows) + 1):
             weighed = []
-            for negated, words, lengths in layers.weighings(w, max_words):
+            for negated, words, lengths in layers.weighings(w):
                 assert block_cells(negated, words) <= max(max_words, q - 1)
                 prefixes = [(g, p) for g, length in enumerate(lengths)
                             for p in range(length)]
                 assert counted_cells(negated, words, lengths) == prefixes
                 counted = distance._lightest_nonzero(6, negated, words, lengths)[1]
                 assert counted == negated.shape[1] * len(prefixes)
-                weighed.append(block_words(field, negated, words, lengths))
+                weighed.append(block_words(layers.field, negated, words, lengths))
             assert np.array_equal(np.vstack(weighed), layers.layer(w)[0].T)
 
 

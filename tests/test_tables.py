@@ -96,46 +96,54 @@ def test_verify_table3_all_exact_ok():
     assert all(e.lcd == "yes" for e in rep.entries)
 
 
-def test_verify_table2_small_budget_marks_skips():
+def witnessed(d):
+    """The detail of a row whose claimed d the upper bound found."""
+    return (f"d<= {d} confirmed by a witness codeword; "
+            "exactness out of desk scale")
+
+
+def test_verify_table2_small_budget_gives_bounds():
     rep = verify_all(2, budget=3**9)
     assert not rep.has_mismatch
     modes = {e.row: e.d_mode for e in rep.entries}
     assert modes[4] == "exact"    # 3^9 is exactly the budget
     assert modes[9] == "exact"
-    assert modes[5] == "skipped"  # 3^10
-    assert modes[7] == "skipped"  # 3^18
-    # dimension checks still ran on skipped rows
-    skipped = [e for e in rep.entries if e.d_mode == "skipped"]
-    assert skipped and all(e.computed_k == e.expected_k for e in skipped)
+    assert modes[5] == "bound"    # 3^10
+    assert modes[7] == "bound"    # 3^18
+    for e in rep.entries:
+        # a row past the budget is bound, with the claimed d witnessed
+        assert e.d_mode == ("exact" if e.expected_k <= 9 else "bound")
+        assert e.computed_d == e.expected_d
+        assert e.computed_k == e.expected_k
+        assert (witnessed(e.expected_d) in e.details) == (e.d_mode == "bound")
 
 
-def test_verify_table3_small_budget_marks_skips():
+def test_verify_table3_small_budget_gives_bounds():
     rep = verify_all(3, budget=9)
     assert not rep.has_mismatch
     for e in rep.entries:
         # 3^2 is exactly the budget, 3^3 is over it
-        assert e.d_mode == ("exact" if e.expected_k == 2 else "skipped")
-        assert (e.computed_d is None) == (e.d_mode == "skipped")
+        assert e.d_mode == ("exact" if e.expected_k == 2 else "bound")
+        assert e.computed_d == e.expected_d
         assert e.computed_k == e.expected_k
         assert e.lcd == "yes"  # the LCD column does not depend on d
+        assert (witnessed(e.expected_d) in e.details) == (e.d_mode == "bound")
     assert {e.expected_k for e in rep.entries} == {2, 3}
-    skipped = [e for e in rep.entries if e.d_mode == "skipped"]
-    refusal = ("distance enumeration refused: exact enumeration needs 27 "
-               "codewords but the budget is 9; raise the budget or use "
-               "min_distance_upper")
-    assert all(refusal in e.details for e in skipped)
     assert verify_all(3, budget=27) == verify_all(3)
 
 
-def test_refused_image_distance_is_skipped(monkeypatch):
+def test_refused_image_distance_is_bounded(monkeypatch):
     # a layer past the exact search's memory cap, like a code past the
-    # budget, leaves the distance skipped and the row ok
+    # budget, sends the distance to the upper bound, which finds the
+    # claimed d; the row is ok, and exact once the cap is lifted
     monkeypatch.setattr(distance, "_MAX_LAYER_CELLS", 1000)
-    rep = verify_entry(TABLE2[5])  # [29, 15, 8]
-    assert rep.status == "ok" and rep.d_mode == "skipped"
-    assert rep.computed_d is None and rep.computed_k == 15
-    assert any(d.startswith("distance enumeration refused: exact search "
-                            "would form layer 2") for d in rep.details)
+    rep = verify_entry(TABLE2[5])  # [29, 15, 8], within the budget
+    assert rep.status == "ok" and rep.d_mode == "bound"
+    assert rep.computed_d == 8 and rep.computed_k == 15
+    assert witnessed(8) in rep.details
+    monkeypatch.undo()
+    rep = verify_entry(TABLE2[5])
+    assert rep.status == "ok" and (rep.d_mode, rep.computed_d) == ("exact", 8)
 
 
 def test_row8_discrepancy_flagged_not_failed():
