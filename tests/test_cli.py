@@ -87,15 +87,20 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("entry", TABLE1 + TABLE2 + TABLE3,
-                         ids=lambda e: f"table{e.table_id}-row{e.row}")
-def test_every_table_row_document_reproduces_its_report(capsys, entry):
+@pytest.mark.parametrize("entry, budget", [
+    pytest.param(e, b, id=f"table{e.table_id}-row{e.row}" + ("" if b is None else f"-budget-{b}"))
+    for b in (None, 9) for e in TABLE1 + TABLE2 + TABLE3])
+def test_every_table_row_document_reproduces_its_report(capsys, entry, budget):
     # a row's document, given to `params` (tables 1 and 2, lenient as the
     # harness is) or `lcd` (table 3), gives the report's dimension, its
-    # distance and its LCD column
-    rep = verify_entry(entry)
+    # distance and its LCD column under the same budget, exact or bound
+    # alike; `gray --lenient` on a table-2 row weighs the same Gray image
+    rep = verify_entry(entry) if budget is None else verify_entry(entry, budget=budget)
+    opts = ["--format", "json", "--input", entry.document]
+    if budget is not None:
+        opts += ["--budget", str(budget)]
     argv = ["lcd"] if entry.table_id == 3 else ["params", "--lenient"]
-    code, out, _ = run(capsys, argv + ["--format", "json", "--input", entry.document])
+    code, out, _ = run(capsys, argv + opts)
     assert code == 0
     payload = json.loads(out)
     if entry.table_id == 3:
@@ -103,26 +108,10 @@ def test_every_table_row_document_reproduces_its_report(capsys, entry):
         payload = payload["gray_image"]
     assert payload["dimension"] == rep.computed_k
     assert payload["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
-
-
-@pytest.mark.parametrize("budget", [None, 9], ids=["default-budget", "budget-9"])
-@pytest.mark.parametrize("entry", TABLE2 + TABLE3,
-                         ids=lambda e: f"table{e.table_id}-row{e.row}")
-def test_cli_and_tables_report_one_distance(capsys, entry, budget):
-    # `gray --lenient` on a table-2 row and `lcd` on a table-3 row weigh
-    # the Gray image the table's report weighs, under the same budget:
-    # one distance, exact or bound alike
-    argv = ["lcd"] if entry.table_id == 3 else ["gray", "--lenient"]
-    rep = verify_entry(entry)
-    if budget is not None:
-        argv += ["--budget", str(budget)]
-        rep = verify_entry(entry, budget=budget)
-    code, out, _ = run(capsys, argv + ["--format", "json", "--input", entry.document])
-    assert code == 0
-    payload = json.loads(out)
-    if entry.table_id == 3:
-        payload = payload["gray_image"]
-    assert payload["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
+    if entry.table_id == 2:
+        code, out, _ = run(capsys, ["gray", "--lenient"] + opts)
+        assert code == 0
+        assert json.loads(out)["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
 
 
 def test_params_json_roundtrip(capsys):

@@ -11,6 +11,10 @@ MODULES = sorted((ROOT / "src" / "addcyclic").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
 # the package's re-exports are read by its importers
 REEXPORTS = ROOT / "src" / "addcyclic" / "__init__.py"
+# the one name a module imports only for a reader outside it: the
+# benchmark's tracer test reads tables.min_distance_exact as its example
+# of a name bound in a second module
+READ_ELSEWHERE = {"addcyclic/tables.py": ["min_distance_exact"]}
 
 
 def unread_imports(source):
@@ -39,4 +43,5 @@ def test_unread_imports_are_found():
 @pytest.mark.parametrize("path", [p for p in MODULES if p != REEXPORTS],
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_module_level_import_is_read(path):
-    assert unread_imports(path.read_text(encoding="utf-8")) == []
+    expected = READ_ELSEWHERE.get(f"{path.parent.name}/{path.name}", [])
+    assert unread_imports(path.read_text(encoding="utf-8")) == expected
