@@ -23,6 +23,8 @@ code: a pure code, an additive cyclic code over F_q2 of length n, is
 the MixedCode with alpha = 0 and beta = n, and has no (s | l)
 generator.  The degree-counted spanning set is read from the closure's
 spanning rows, which hold each generator's first x-shifts in order.
+Only `module_closure` sets spanning rows on a code, so they are also
+the one mark of a row space closed under x.
 """
 
 from __future__ import annotations
@@ -63,20 +65,17 @@ class GeneratorMatrixCode:
     a hull, a bare matrix) is beta = 0.  `pivots` holds the pivot column
     of each basis row, for membership tests against the basis.  The
     stored matrix is read-only: codes derived from it are memoized on
-    this object (`_memo`) and must not go stale.
+    this object (`_memo`) and must not go stale.  `spanning_rows`, a
+    class attribute that no constructor argument sets, is None except on
+    the codes `module_closure` returns, whose row space is closed under x.
     """
 
     tower: FieldTower
     matrix: np.ndarray
     beta: int = 0
-    spanning_rows: np.ndarray | None = dc_field(default=None, repr=False)
     pivots: tuple = dc_field(default=(), init=False, repr=False)
     _derived: dict = dc_field(default_factory=dict, init=False, repr=False)
-    # True only on the codes `module_closure` returns, whose row space is
-    # closed under x: the distance search then shifts a systematic form
-    # into the next one.  A class attribute, not a dataclass field, so no
-    # constructor argument sets it.
-    _x_invariant = False
+    spanning_rows = None
 
     def __post_init__(self):
         M = linalg.as_matrix(self.matrix, field=self.tower.base)
@@ -184,13 +183,12 @@ def module_closure(tw: FieldTower, alpha, beta, rows) -> GeneratorMatrixCode:
     """F_q-row space of all x-shifts of the expanded generator rows, in
     rref: the first `_span_degree` shifts of each generator span them
     all, and they are both the rows eliminated and the spanning rows kept
-    on the code.  This matrix is the authoritative codeword-set
-    representation.  It is marked x-invariant (`_x_invariant`): the span
-    of every x-shift is closed under x by construction.
+    on the code as `spanning_rows`, the one mark of a code closed under
+    x.  This matrix is the authoritative codeword-set representation.
     """
     rows = _closure_rows(alpha, beta, rows)
-    code = GeneratorMatrixCode(tw, rows, beta=beta, spanning_rows=rows)
-    code._x_invariant = True
+    code = GeneratorMatrixCode(tw, rows, beta=beta)
+    code.spanning_rows = rows
     return code
 
 

@@ -12,7 +12,8 @@ information sets whose symbols are disjoint: the stored rref first,
 then, greedily, the pivots of one rref per set with the still unused
 symbols' columns ordered first, until no unused symbol adds rank.  A
 module closure is closed under x (Chen 1970; Grassl 2006), so x^t of a
-systematic form spans the same code: there each later form is first
+systematic form spans the same code: on the codes that carry the
+closure's `spanning_rows`, and on no other, each later form is first
 sought as the previous one shifted by t symbols, and kept when, read
 with the unused columns first, it already is an rref, which is then the
 one elimination would return (the rref of a row space is unique).  Only
@@ -250,8 +251,8 @@ def _rref_pivots(block):
     return leads
 
 
-def _information_sets(field, matrix, pivots, alpha, beta, shift=None):
-    """Systematic forms of the full-rank `matrix` over information sets
+def _information_sets(code):
+    """Systematic forms of the code's rref basis over information sets
     whose symbols are disjoint, chosen greedily: the first is the stored
     rref and its pivots; each next one is the pivot columns, inside the
     symbols no earlier set touches, of one rref with those symbols'
@@ -260,15 +261,16 @@ def _information_sets(field, matrix, pivots, alpha, beta, shift=None):
     columns, and need[t] the fewest symbols of the set that hold t of
     its pivots for t <= r.
 
-    `shift`, given for a code closed under x, is `codes._shift_columns`.
-    Each next form is then first tried as the previous form times x^t,
-    t the offset from the previous set's first symbol to the first
-    unused one: it spans the same code, so when it is an rref with the
-    unused columns first (`_rref_pivots`) it is the rref elimination
-    would give.  Otherwise that set is eliminated as without `shift`."""
+    On a module closure, the one code with `spanning_rows`, each next
+    form is first tried as the previous form times x^t, t the offset
+    from the previous set's first symbol to the first unused one: it
+    spans the same code, so when it is an rref with the unused columns
+    first (`_rref_pivots`) it is the rref elimination would give.  Any
+    other set, on any code, is eliminated."""
+    field, matrix, alpha, beta = code.field, code.matrix, code.alpha, code.beta
     symbol = np.concatenate([np.arange(alpha), alpha + np.arange(2 * beta) // 2])
     used = np.zeros(alpha + beta, dtype=bool)
-    form, pivots = matrix, np.asarray(pivots, dtype=np.intp)
+    form, pivots = matrix, np.asarray(code.pivots, dtype=np.intp)
     while pivots.size:
         held = np.bincount(symbol[pivots], minlength=alpha + beta)
         covered = np.cumsum(np.sort(held)[::-1])
@@ -283,8 +285,8 @@ def _information_sets(field, matrix, pivots, alpha, beta, shift=None):
             return
         order = np.concatenate([free, taken.nonzero()[0]])
         found = None
-        if shift is not None:
-            form = form[:, shift(alpha, beta, symbol[free[0]] - symbol[pivots[0]])]
+        if code.spanning_rows is not None:
+            form = form[:, _shift_columns(alpha, beta, symbol[free[0]] - symbol[pivots[0]])]
             found = _rref_pivots(form[:, order])
         if found is None:
             reduced, _, found = linalg.rref(field, matrix[:, order])
@@ -299,10 +301,8 @@ def _brouwer_zimmermann(code, depth=None):
     None the search runs until its lower bound meets the lightest word,
     which is then the minimum weight; with a depth it also stops once
     every information set has weighed its layers 1..depth."""
-    field, k = code.field, code.rank
-    shift = _shift_columns if code._x_invariant else None
-    sets = list(_information_sets(field, code.matrix, code.pivots, code.alpha,
-                                  code.beta, shift))
+    k = code.rank
+    sets = list(_information_sets(code))
     done = [0] * len(sets)  # every message of weight <= done[j] weighed in form j
 
     def bound():

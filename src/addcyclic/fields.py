@@ -209,13 +209,11 @@ class FieldTower:
             self.base = self.prime
         else:
             self.f1 = tuple(f1) if f1 is not None else _DEFAULT_F1[q]
-            _check_f1(self.prime, self.f1, m)
-            self.base = _extension(self.prime, self.f1, "u",
+            self.base = _extension(self.prime, "f1", self.f1, m, "u",
                                    f"f1 {self.f1} is reducible over F_{p}")
         self.f2 = (tuple(f2) if f2 is not None
                    else _first_irreducible_quadratic(self.base))
-        _check_f2(self.base, self.f2)
-        self.ext = _extension(self.base, self.f2, "w", f"f2 {self.f2} is reducible: "
+        self.ext = _extension(self.base, "f2", self.f2, 2, "w", f"f2 {self.f2} is reducible: "
                               "it has a root in the base field")
         self.omega = self.base.order  # 0 + 1*w
 
@@ -258,24 +256,15 @@ def _tower(q, f1, f2):
 # -- the defining polynomials ---------------------------------------------
 
 
-def _check_f2(base, f2):
-    if len(f2) != 3 or f2[-1] != 1:
-        raise ValueError("f2 must be a monic quadratic")
-    if any(not 0 <= c < base.order for c in f2):
-        raise ValueError("f2 coefficients must lie in the base field")
-
-
-def _check_f1(prime, f1, m):
-    if len(f1) != m + 1 or f1[-1] != 1:
-        raise ValueError(f"f1 must be monic of degree {m}")
-    if any(not 0 <= c < prime.order for c in f1):
-        raise ValueError("f1 coefficients must lie in the prime field")
-
-
-def _extension(subfield, modulus, symbol, reducible):
-    """subfield[t]/<modulus>, whose construction is the irreducibility
-    test: the shape checks have passed, so a ValueError from Field is a
-    zero divisor and `reducible` says which modulus has one."""
+def _extension(subfield, name, modulus, degree, symbol, reducible):
+    """subfield[t]/<modulus>, the tower's f1 or f2 (`name`), checked
+    monic, of the given degree and over the subfield; then building it is
+    the irreducibility test: a ValueError from Field is a zero divisor,
+    and `reducible` says which modulus has one."""
+    if len(modulus) != degree + 1 or modulus[-1] != 1:
+        raise ValueError(f"{name} must be monic of degree {degree}")
+    if any(not 0 <= c < subfield.order for c in modulus):
+        raise ValueError(f"{name} coefficients must lie in F_{subfield.order}")
     try:
         return Field(subfield.p, modulus=modulus, subfield=subfield, symbol=symbol)
     except ValueError:
@@ -297,30 +286,31 @@ def _first_irreducible_quadratic(base):
 # -- element rendering ------------------------------------------------------
 
 
-def format_element(field, value, parens=False):
-    """Render an element in the u/w notation, e.g. 'u^2', '2w+2', '(u+1)w'."""
+def _format_terms(field, coeffs, symbol):
+    """The sum of the terms c*symbol^i over the nonzero coeffs[i], each
+    an element of `field`, highest degree first: a coefficient 1 is
+    dropped, the constant term is bare, and a coefficient that is a sum
+    is parenthesized, as in '(u+1)w' or '(2w+2)x'.  '0' when every
+    coefficient is zero."""
+    terms = []
+    for i in reversed(range(len(coeffs))):
+        if not coeffs[i]:
+            continue
+        coef = format_element(field, coeffs[i])
+        if i and "+" in coef:
+            coef = f"({coef})"
+        power = "" if i == 0 else symbol if i == 1 else f"{symbol}^{i}"
+        terms.append(power if i and coeffs[i] == 1 else coef + power)
+    return "+".join(terms) or "0"
+
+
+def format_element(field, value):
+    """Render an element in the u/w notation, e.g. 'u^2', '2w+2', '(u+1)w':
+    its subfield digits as a sum of terms in the field's symbol."""
     value = int(value)
     if field.subfield is None:
         return str(value)
     base = field.subfield.order
-    digits = [(value // base**i) % base for i in range(field.degree)]
-    terms = []
-    for i in range(field.degree - 1, -1, -1):
-        d = digits[i]
-        if d == 0:
-            continue
-        if i == 0:
-            terms.append(format_element(field.subfield, d))
-            continue
-        power = field.symbol if i == 1 else f"{field.symbol}^{i}"
-        if d == 1:
-            terms.append(power)
-        else:
-            coef = format_element(field.subfield, d, parens=True)
-            terms.append(f"{coef}{power}")
-    if not terms:
-        return "0"
-    out = "+".join(terms)
-    if parens and "+" in out:
-        return f"({out})"
-    return out
+    return _format_terms(field.subfield,
+                         [value // base**i % base for i in range(field.degree)],
+                         field.symbol)

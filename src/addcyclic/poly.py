@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, FieldMismatchError, format_element
+from .fields import Field, FieldMismatchError, _format_terms
 
 
 class _Scalars(NamedTuple):
@@ -405,20 +405,6 @@ def parse_scalar(text: str, field: Field, tower=None) -> int:
 
 
 def format_poly(p: Poly) -> str:
-    """Render in descending-degree table notation; inverse of parse_poly."""
-    if p.is_zero():
-        return "0"
-    terms = []
-    for d in range(p.degree(), -1, -1):
-        c = p[d]
-        if c == 0:
-            continue
-        if d == 0:
-            terms.append(format_element(p.field, c))
-            continue
-        power = "x" if d == 1 else f"x^{d}"
-        if c == 1:
-            terms.append(power)
-        else:
-            terms.append(f"{format_element(p.field, c, parens=True)}{power}")
-    return "+".join(terms)
+    """Render in descending-degree table notation, the terms of
+    `fields._format_terms` in x; inverse of parse_poly."""
+    return _format_terms(p.field, p.coeffs, "x")

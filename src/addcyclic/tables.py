@@ -325,7 +325,8 @@ def _verify_table1(rep, entry, budget, mism, details):
     if size.formula != claimed:
         mism.append(f"formula size {size.formula} != expected {claimed}")
     _verify_distance(rep, entry, code.closure, budget, mism, details)
-    sing = singleton_check(code.beta, entry.expected_k, entry.expected_d)
+    # from the computed rank and d, as `params` reads it, not the claims
+    sing = singleton_check(code.beta, code.dimension, rep.computed_d)
     rep.singleton = "attains" if sing.attains else f"slack:{sing.slack}"
     if not sing.attains:
         mism.append("Singleton bound not attained")
@@ -359,7 +360,7 @@ def _verify_image(rep, entry, image, budget, mism, details):
     table-3 row."""
     rep.computed_n = image.length
     rep.computed_k = image.rank
-    rep.computed_size = 3**image.rank
+    rep.computed_size = image.base.size
     if image.length != entry.expected_n:
         mism.append(f"length {image.length} != expected {entry.expected_n}")
     if image.rank != entry.expected_k:

@@ -1321,7 +1321,7 @@ def test_generator_matrix_code_refuses_half_a_split():
     # beta is the one alphabet parameter: alpha, the split's other half,
     # is read from the width, neither given nor set
     params = inspect.signature(GeneratorMatrixCode).parameters
-    assert list(params) == ["tower", "matrix", "beta", "spanning_rows"]
+    assert list(params) == ["tower", "matrix", "beta"]
     gm = GeneratorMatrixCode(T3, np.ones((1, 5), np.uint8), beta=1)
     with pytest.raises(AttributeError):
         gm.alpha = 1

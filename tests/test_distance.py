@@ -140,11 +140,13 @@ def reference_exact(code, suffix_rows):
 def reference_candidates(code):
     """Every word of weight 1 or 2 with leading coefficient 1 in each
     systematic form that `_information_sets` yields, built one
-    combination at a time, as rows of one block."""
+    combination at a time, as rows of one block.  The forms are read
+    from an unmarked twin of the code, so they are eliminated, never
+    shifted."""
     field = code.field
+    twin = GeneratorMatrixCode(code.tower, code.matrix, beta=code.beta)
     words = []
-    for form, _, _ in distance._information_sets(field, code.matrix, code.pivots,
-                                                 code.alpha, code.beta):
+    for form, _, _ in distance._information_sets(twin):
         words += list(form)
         for i, j in combinations(form, 2):
             words += [field.add(i, field.mul(c, j)) for c in range(1, field.order)]
@@ -468,8 +470,8 @@ def test_exact_counts_brouwer_zimmermann_words():
     # of the first form and 1..3 of the second the bound is
     # (4 + 1) + (3 + 1 - 1) = 8 = d, so the search stops there
     img = gray_image(load_definition(TABLE2[5].doc, strict=False))
-    sets = list(distance._information_sets(img.base.field, img.matrix,
-                                           img.base.pivots, 29, 0))
+    assert split_of(img.base) == (29, 0)
+    sets = list(distance._information_sets(img.base))
     assert [len(pivots) for _, pivots, _ in sets] == [15, 14]
     layer = [comb(15, w) * 2 ** (w - 1) for w in range(5)]
     res = min_distance_exact(img.base)
@@ -717,8 +719,7 @@ def test_brouwer_zimmermann_matches_reference():
         value, examined = distance._brouwer_zimmermann(gm)
         assert value == reference_exact(gm, rng.randrange(1, gm.rank + 1))
         assert 1 <= examined <= (gm.size - 1) // (tw.q - 1) * sum(split)
-        sets = list(distance._information_sets(gm.field, gm.matrix, gm.pivots,
-                                               *split))
+        sets = list(distance._information_sets(gm))
         partial += len(sets) > 1 and len(sets[-1][1]) < gm.rank
         kinds.add(split_kind(*split))
         values.add(value)
@@ -740,8 +741,7 @@ def test_information_sets_are_disjoint_and_systematic():
         groups = groups_of(*split)
         group_of = {col: g for g, cols in enumerate(groups) for col in cols}
         seen = set()
-        for form, pivots, need in distance._information_sets(
-                gm.field, gm.matrix, gm.pivots, *split):
+        for form, pivots, need in distance._information_sets(gm):
             # same code, and the set's r pivot columns carry an identity
             assert GeneratorMatrixCode(tw, form).equals(gm)
             r = len(pivots)
@@ -963,24 +963,27 @@ def shift_case_closures():
 
 def test_shifted_information_sets_are_the_eliminated_ones(monkeypatch):
     # x^t of the previous form is taken only when it is the rref that
-    # elimination returns: forms, pivots and need are byte-identical with
-    # and without the shift, and each refused shift costs one elimination
+    # elimination returns: forms, pivots and need are byte-identical on a
+    # closure and on its unmarked twin, which is never shifted, and each
+    # refused shift costs one elimination
     calls, tried = count_rref(monkeypatch), []
 
     def shift(*args):
         tried.append(args)
         return _shift_columns(*args)
 
+    monkeypatch.setattr(distance, "_shift_columns", shift)
     accepted, refused = [0, 0], [0, 0]  # table 1, random closures
     for index, gm in enumerate(shift_case_closures()):
         if gm.rank == 0:
             continue
-        assert gm._x_invariant
-        args = (gm.field, gm.matrix, gm.pivots, gm.alpha, gm.beta)
-        eliminated = list(distance._information_sets(*args))
-        calls.clear()
+        assert gm.spanning_rows is not None
+        twin = GeneratorMatrixCode(gm.tower, gm.matrix, beta=gm.beta)
         tried.clear()
-        shifted = list(distance._information_sets(*args, shift))
+        eliminated = list(distance._information_sets(twin))
+        assert not tried
+        calls.clear()
+        shifted = list(distance._information_sets(gm))
         assert len(shifted) == len(eliminated)
         for got, want in zip(shifted, eliminated):
             for a, b in zip(got, want):
@@ -1005,16 +1008,21 @@ def test_bound_rows_build_their_information_sets_by_shifting(monkeypatch):
 
 
 def test_only_module_closures_are_shifted(monkeypatch):
-    # the mark, and so the shift, is on every module closure, which is
-    # cyclic, and on no code reached another way
-    shifts = []
+    # the mark, spanning rows, and so the shift, is on every module
+    # closure, which is cyclic, and on no code reached another way
+    searched, shifts = [], []
     information_sets = distance._information_sets
 
-    def recorded(field, matrix, pivots, alpha, beta, shift=None):
-        shifts.append(shift)
-        return information_sets(field, matrix, pivots, alpha, beta, shift)
+    def recorded(code):
+        searched.append(code)
+        return information_sets(code)
+
+    def shift(*args):
+        shifts.append(args)
+        return _shift_columns(*args)
 
     monkeypatch.setattr(distance, "_information_sets", recorded)
+    monkeypatch.setattr(distance, "_shift_columns", shift)
     rng, nprng = random.Random(389), np.random.default_rng(389)
     for trial in range(36):
         tw = SHIFT_TOWERS[trial % len(SHIFT_TOWERS)]
@@ -1023,7 +1031,7 @@ def test_only_module_closures_are_shifted(monkeypatch):
             continue
         rows = nprng.integers(0, tw.q, size=(rng.randrange(1, 3), alpha + 2 * beta))
         gm = module_closure(tw, alpha, beta, rows)
-        assert gm._x_invariant and is_cyclic(gm)
+        assert gm.spanning_rows is not None and is_cyclic(gm)
     closure = load_definition(TABLE1[8].doc).closure  # its dual has rank 8
     changed = closure.matrix.copy()  # one basis entry changed
     changed[0, -1] = (changed[0, -1] + 1) % 4
@@ -1033,7 +1041,9 @@ def test_only_module_closures_are_shifted(monkeypatch):
     others = [dual(closure), image.base, hull(image.base), changed,
               GeneratorMatrixCode(closure.tower, closure.matrix, beta=closure.beta)]
     for gm in [closure] + others:
+        searched.clear()
         shifts.clear()
         min_distance_upper(gm)
-        assert shifts == [_shift_columns if gm is closure else None]
-        assert gm._x_invariant == (gm is closure)
+        assert searched == [gm]
+        assert bool(shifts) == (gm is closure)
+        assert (gm.spanning_rows is not None) == (gm is closure)

@@ -207,6 +207,24 @@ def test_reducible_f1_rejected():
         FieldTower(4, f1=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
 
 
+@pytest.mark.parametrize("q, moduli, message", [
+    (4, {"f1": (1, 1, 0, 1)}, "f1 must be monic of degree 2"),
+    (4, {"f1": (1, 1, 0)}, "f1 must be monic of degree 2"),
+    (4, {"f1": (2, 1, 1)}, "f1 coefficients must lie in F_2"),
+    (8, {"f1": (1, 1, -1, 1)}, "f1 coefficients must lie in F_2"),
+    (3, {"f2": (2, 0, 0, 1)}, "f2 must be monic of degree 2"),
+    (3, {"f2": (1, 0, 2)}, "f2 must be monic of degree 2"),
+    (3, {"f2": (3, 0, 1)}, "f2 coefficients must lie in F_3"),
+    (4, {"f2": (2, 4, 1)}, "f2 coefficients must lie in F_4"),
+])
+def test_malformed_moduli_are_refused_by_name(q, moduli, message):
+    # f1 and f2 get one shape check, on the way into their field: the
+    # wrong degree, a leading coefficient other than 1, or a coefficient
+    # outside the subfield
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tower(q, **moduli)
+
+
 def test_searched_f2_over_an_overridden_f1():
     # every tower takes the first quadratic with no root over its own
     # base field, an overridden f1 included

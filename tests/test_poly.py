@@ -1,5 +1,6 @@
 """Polynomial arithmetic, gcds, and the table-notation parser."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import math
 
-from addcyclic.fields import tower
+from addcyclic.fields import format_element, tower
 from addcyclic.poly import (
     Poly,
     PolyParseError,
@@ -371,6 +372,22 @@ def test_render_roundtrip_randomized():
                 p = Poly(f, [rng.randrange(f.order)
                              for _ in range(rng.randrange(7))])
                 assert parse_poly(format_poly(p), f, tw) == p
+
+
+def test_rendered_text_is_pinned():
+    # the u/w notation of every element of the base and extension field
+    # of every tower with q <= 16, then of 200 seeded random polynomials
+    # over each of those fields: the text of every report's generators
+    digest, rng = hashlib.sha256(), random.Random(40)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        for f in (tower(q).base, tower(q).ext):
+            for a in range(f.order):
+                digest.update(format_element(f, a).encode() + b"\n")
+            for _ in range(200):
+                p = Poly(f, [rng.randrange(f.order) for _ in range(rng.randrange(8))])
+                digest.update(format_poly(p).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "51a42181fb16be5ce8412331d890f02a7a6d4072484147a66b331cb806d4dc4e")
 
 
 def test_cyclic_vector_folds():

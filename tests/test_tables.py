@@ -1,6 +1,7 @@
 """Data integrity of the built-in tables and harness behaviour."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -87,6 +88,18 @@ def test_verify_single_entry_table1():
     assert rep.status == "ok"
     assert rep.d_mode == "exact"
     assert rep.singleton == "attains"
+
+
+@pytest.mark.parametrize("claims, mismatch", [
+    ({"expected_d": 4}, "MISMATCH: d 3 != expected 4"),
+    ({"expected_k": 8}, "MISMATCH: size 4096 != expected 65536"),
+])
+def test_table1_singleton_column_reads_the_computed_code(claims, mismatch):
+    # claims past the Singleton bound are a mismatch, not a raise: the
+    # column weighs the computed rank 6 and d 3, which attain it
+    rep = verify_entry(replace(TABLE1[0], **claims))
+    assert rep.status == "mismatch" and mismatch in rep.details
+    assert (rep.computed_k, rep.computed_d, rep.singleton) == (6, 3, "attains")
 
 
 def test_verify_table3_all_exact_ok():
