@@ -41,7 +41,7 @@ from .tables import verify_all
 USAGE_ERROR = 2
 IO_ERROR = 3
 # what a malformed document raises: reported with exit code USAGE_ERROR
-DOCUMENT_ERRORS = (PolyParseError, CodeConstructionError, KeyError, ValueError)
+DOCUMENT_ERRORS = (PolyParseError, CodeConstructionError, ValueError)
 
 
 def _read_document(value):
@@ -100,6 +100,7 @@ def _emit(payload, fmt, lines):
 
 
 def cmd_params(args):
+    """block lengths, dimension, cardinality, spanning-set status, distance, Singleton status"""
     code = _load_code(args)
     gm = code.closure
     card = code.cardinality()
@@ -148,6 +149,9 @@ def cmd_params(args):
 
 
 def cmd_dual(args):
+    """parameters of the dual under the F_q2-valued mixed form, and a best-effort
+    generator quintuple; dual(dual(C)) contains C, strictly on 32 of the 33
+    table-1 and table-2 closures"""
     code = _load_code(args)
     dm = dual(code.closure)
     payload = {
@@ -174,6 +178,7 @@ def cmd_dual(args):
 
 
 def cmd_gray(args):
+    """Gray image generator matrix, parameters, classification, shift invariance"""
     code = _load_code(args)
     image = gray_image(code)
     sigma = shift_invariance_check(image)
@@ -200,6 +205,7 @@ def cmd_gray(args):
 
 
 def cmd_lcd(args):
+    """LCD certificate for a generator-matrix document"""
     tw, beta, expanded = _load(args, load_matrix_document, "matrix document")
     image, cert = _rows_certificate(tw, beta, expanded)
     dist = _distance_report(image.base, args.budget)
@@ -227,6 +233,7 @@ def cmd_lcd(args):
 
 
 def cmd_tables(args):
+    """run the verification harness over the built-in tables"""
     report = verify_all(args.id, budget=args.budget)
     if args.format == "json":
         out = report.to_json()
@@ -264,24 +271,21 @@ def build_parser():
                           help="accept generator quintuples that violate the "
                                "canonical-form conditions"),
     }
-    dual_help = ("parameters of the dual under the F_q2-valued mixed form, and "
-                 "a best-effort generator quintuple; dual(dual(C)) contains C, "
-                 "strictly on 32 of the 33 table-1 and table-2 closures")
-    # each subcommand takes only the options it reads
-    for name, fn, names, text in (
-            ("params", cmd_params, ("--budget", "--lenient"), None),
-            ("dual", cmd_dual, ("--lenient",), dual_help),
-            ("gray", cmd_gray, ("--budget", "--lenient"), None),
-            ("lcd", cmd_lcd, ("--budget",), None)):
-        p = sub.add_parser(name, help=text, description=text)
+    # each subcommand takes only the options it reads; its help is its docstring
+    for name, fn, names, document in (
+            ("params", cmd_params, ("--budget", "--lenient"), "definition"),
+            ("dual", cmd_dual, ("--lenient",), "definition"),
+            ("gray", cmd_gray, ("--budget", "--lenient"), "definition"),
+            ("lcd", cmd_lcd, ("--budget",), "matrix")):
+        p = sub.add_parser(name, help=fn.__doc__, description=fn.__doc__)
         p.add_argument("--input", required=True,
-                       help="definition document: path or inline JSON")
+                       help=f"{document} document: path or inline JSON")
         p.add_argument("--format", choices=("text", "json"), default="text")
         for option in names:
             p.add_argument(option, **options[option])
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("tables")
+    p = sub.add_parser("tables", help=cmd_tables.__doc__, description=cmd_tables.__doc__)
     p.add_argument("--id", default="all", choices=("1", "2", "3", "all"))
     p.add_argument("--budget", **options["--budget"])
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -118,12 +118,11 @@ class GeneratorMatrixCode:
         return self.contains_rows([vec])
 
     def contains_rows(self, rows) -> bool:
-        """True iff every row of the block is a codeword: one elimination
-        of the whole block against the stored rref basis.  An entry
-        outside F_q is refused, as the constructor refuses it."""
+        """True iff every row of the block is a codeword, each walked by its
+        leads against the stored rref basis (`linalg.spans_rows`).  An
+        entry outside F_q is refused, as the constructor refuses it."""
         rows = linalg.as_matrix(rows, width=self.width, field=self.field)
-        residues = linalg.reduce_rows(self.field, self.matrix, self.pivots, rows)
-        return not residues.any()
+        return linalg.spans_rows(self.field, self.matrix, self.pivots, rows)
 
     def contains_code(self, other) -> bool:
         return self.contains_rows(other.matrix)
@@ -522,10 +521,16 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
 MAX_CLOSURE_CELLS = 2**26
 
 
+def _document_value(doc, key, default=None):
+    """An entry of a JSON document, refused by name if missing and undefaulted."""
+    if default is None and key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc.get(key, default)
+
+
 def _document_int(doc, key, default=None):
-    """A nonnegative integer entry of a JSON document; a missing key raises
-    KeyError unless a default is given."""
-    value = doc[key] if default is None else doc.get(key, default)
+    """A nonnegative integer entry of a JSON document."""
+    value = _document_value(doc, key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
     return value
@@ -533,7 +538,7 @@ def _document_int(doc, key, default=None):
 
 def _document_poly(doc, key, field, tower=None):
     """A polynomial entry of a JSON document, in table notation."""
-    text = doc[key]
+    text = _document_value(doc, key)
     if not isinstance(text, str):
         raise ValueError(f"{key} must be a polynomial string, got {text!r}")
     return parse_poly(text, field, tower)
@@ -610,7 +615,7 @@ def load_matrix_document(doc: dict):
     beta = _document_int(doc, "beta")
     if alpha + beta == 0:
         raise ValueError("alpha + beta must be positive")
-    rows = doc["rows"]
+    rows = _document_value(doc, "rows")
     if not isinstance(rows, list) or not rows or not all(
             isinstance(row, list) for row in rows):
         raise ValueError("rows must be a nonempty list of rows")

@@ -14,12 +14,12 @@ Arithmetic goes through precomputed tables (the fields at play have at
 most 256 elements; characteristic-2 array addition is the exception
 below), so every operation accepts ints or numpy arrays, and there is
 no element class.  `linalg` does not call this class per row.
-Elimination holds rows as bytes, scales them by `bytes.translate`
-through rows of mul_table, and adds them as big integers, by XOR in
-characteristic 2 (below) and in a carry-free lane code of the base-p
-digits otherwise.  A small matrix product is one integer product over
-the base-p digits, which are an element's F_p coordinates on every
-level of the tower.
+Elimination holds rows as bytes and reduces a row only at its leading
+column, scaling by `bytes.translate` through rows of mul_table and
+adding as big integers, by XOR in characteristic 2 (below) and in a
+carry-free lane code of the base-p digits otherwise.  A small matrix
+product is one integer product over the base-p digits, which are an
+element's F_p coordinates on every level of the tower.
 
 An extension's tables are built from its subfield's by whole-array
 gathers.  With D the (order, m) matrix of every element's subfield

@@ -6,7 +6,7 @@ behind dimensions, duals and hulls: everything is reduced row echelon
 form, kernels and row-space tests.  A kernel is read from an rref and
 its pivots, so a stored basis needs no second elimination.
 
-Elimination (`rref`, `rank`, and `reduce_rows` against a stored rref
+Elimination (`rref`, `rank`, and `spans_rows` against a stored rref
 basis) works on rows held as `bytes`, one byte per entry, so that,
 as in M4RI's packed rows (Albrecht, Bard and Hart, ACM TOMS 2010), a
 row operation acts on the whole row at once.  A row is scaled by
@@ -27,6 +27,13 @@ Elimination over F_81, F_121 or F_169, whose lane sums would not fit a
 byte, raises a ValueError naming the field.  None of them is a tower's
 base field, and the codes are F_q-linear, so nothing eliminates over
 them; `matmul` still serves them.
+
+Rows are eliminated by leading column, as Faugere and Lachartre order
+sparse F4 matrices (PASCO 2010): a byte is 0 exactly when its entry is,
+so a row leads at width - len(row.lstrip(b"\0")), and it is reduced
+only there, one row operation per pivot it meets, never read where it
+is zero.  The pipeline's matrices, x-shifts of two or three generators,
+are sparse and full of dependent rows.
 
 The tables are built on a field's first elimination.  Repeated and zero
 rows are dropped before eliminating, and rows that reach zero as it
@@ -120,7 +127,7 @@ class _ByteRows:
         identity = np.array_equal(code, elements)
         self.encoding = None if identity else code.tobytes().ljust(256, b"\0")
         self.decoding = None if identity else element.tobytes()
-        self.normal = code[element].tobytes()  # a lane sum to its code
+        self.normal = None if p == 2 else code[element].tobytes()  # lane sum to code
         scaled = code[field.mul_table[:, element]]  # row c: x to c*x
         self.by_inverse, self.by_minus = [None] * 256, [None] * 256
         for c in range(1, order):
@@ -159,53 +166,54 @@ def _byte_rows(field):
 
 
 def _eliminate(arith, rows, width, above=True):
-    """Gauss-Jordan elimination of byte rows of the given width.
+    """Elimination of byte rows of the given width by leading column.
 
     Returns (reduced, pivots): the nonzero rows of the rref and the
-    pivot column of each.  Repeated and zero rows are dropped first, and
-    rows that reach zero as they go; neither changes the rref, whose
-    other rows are zero.  With `above` false each pivot column is
-    cleared below the pivot only, which leaves an echelon form, not the
-    rref, but the same pivots in about half the row operations.
+    pivot column of each.  Each distinct row is inserted once, reduced
+    at its lead by that column's pivot row until it is zero or leads
+    where none is yet, whose pivot row it becomes, scaled to lead with
+    a 1.  With `above` true the pivot rows are back-substituted into the
+    rref; else they are an echelon form with the same pivots.  Rows add
+    in place, as `_ByteRows.add` does: a call per step cost more than
+    the walk saved on dense rows.
     """
-    zero = bytes(width)
-    rows = [row for row in dict.fromkeys(rows) if row != zero]
-    n = len(rows)
-    add, by_inverse, by_minus = arith.add, arith.by_inverse, arith.by_minus
-    pivots = []
-    r = 0
-    for col in range(width):
-        if r == n:
-            break
-        hit = r
-        while hit < n and not rows[hit][col]:
-            hit += 1
-        if hit == n:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        top = rows[r].translate(by_inverse[rows[r][col]])
-        rows[r] = zero  # skipped below, as its entry is 0
-        # -c times the pivot row, prepared once per factor c
-        multiples = {}
-        for i in range(0 if above else r + 1, n):
-            row = rows[i]
+    normal, by_inverse, by_minus = arith.normal, arith.by_inverse, arith.by_minus
+    tops = {}  # pivot column: (its pivot row, the row's -c multiples by c)
+    for row in dict.fromkeys(rows):
+        rest = row.lstrip(b"\0")
+        while rest:
+            lead, c = width - len(rest), rest[0]
+            if lead not in tops:
+                tops[lead] = row.translate(by_inverse[c]), {}
+                break
+            top, multiples = tops[lead]
+            m = multiples.get(c)
+            if m is None:
+                m = multiples[c] = int.from_bytes(top.translate(by_minus[c]), "big")
+            lanes = int.from_bytes(row, "big")
+            row = ((lanes ^ m).to_bytes(width, "big") if normal is None
+                   else (lanes + m).to_bytes(width, "big").translate(normal))
+            rest = row.lstrip(b"\0")
+    pivots = sorted(tops)
+    reduced = [tops[col][0] for col in pivots]
+    for j in range(len(pivots) - 1 if above else 0, 0, -1):
+        # fresh -c multiples of the row as it now stands, its later pivots cleared
+        col, top, multiples = pivots[j], reduced[j], {}
+        for i in range(j):
+            row = reduced[i]
             c = row[col]
             if c:
                 m = multiples.get(c)
                 if m is None:
                     m = multiples[c] = int.from_bytes(top.translate(by_minus[c]), "big")
-                rows[i] = add(row, m)
-        rows[r] = top
-        pivots.append(col)
-        r += 1
-        if zero in rows:
-            rows = [row for row in rows if row != zero]
-            n = len(rows)
-    return rows[:r], pivots
+                lanes = int.from_bytes(row, "big")
+                reduced[i] = ((lanes ^ m).to_bytes(width, "big") if normal is None
+                              else (lanes + m).to_bytes(width, "big").translate(normal))
+    return reduced, pivots
 
 
 def rref(field, mat):
-    """Reduced row echelon form.
+    """Reduced row echelon form: rows inserted by lead, then back-substituted.
 
     Returns (R, rank, pivots): R is row-equivalent to `mat` with the same
     shape, its first `rank` rows are the nonzero rows, and `pivots` lists
@@ -218,8 +226,8 @@ def rref(field, mat):
 
 
 def rank(field, mat):
-    """Rank: the pivot count of the elimination below the pivots only,
-    with nothing decoded."""
+    """Rank: the pivot count once the rows are inserted (`_eliminate`),
+    with no back-substitution and nothing decoded."""
     M = as_matrix(mat)
     arith = _byte_rows(field)
     return len(_eliminate(arith, arith.encode(M), M.shape[1], above=False)[1])
@@ -247,30 +255,33 @@ def kernel_of_rref(field, R, pivots):
     return out
 
 
-def reduce_rows(field, basis, pivots, rows):
-    """Residues of a block of rows after elimination against rref basis
-    rows, `pivots` giving the pivot column of each basis row.  A row lies
-    in the row space of the basis iff its residue is zero."""
-    V = as_matrix(rows, width=basis.shape[1])
-    if V.shape[1] != basis.shape[1]:
+def spans_rows(field, basis, pivots, rows):
+    """True iff every row of the block lies in the row space of the rref
+    basis rows, `pivots` giving the pivot column of each.  Each row is
+    walked by its leads, and refused at the first off the pivots, where
+    no codeword leads."""
+    width = basis.shape[1]
+    V = as_matrix(rows, width=width)
+    if V.shape[1] != width:
         raise ValueError(f"row width {V.shape[1]} does not match the basis "
-                         f"width {basis.shape[1]}")
+                         f"width {width}")
     arith = _byte_rows(field)
     add, by_minus = arith.add, arith.by_minus
-    steps = [(pc, row, {}) for pc, row in zip(pivots, arith.encode(basis))]
-    residues = []
+    steps = {pc: (row, {}) for pc, row in zip(pivots, arith.encode(basis))}
     for v in arith.encode(V):
-        # rref basis rows vanish on each other's pivot columns, so one
-        # pass in pivot order clears every pivot column
-        for pc, row, multiples in steps:
-            c = v[pc]
-            if c:
-                m = multiples.get(c)
-                if m is None:
-                    m = multiples[c] = int.from_bytes(row.translate(by_minus[c]), "big")
-                v = add(v, m)
-        residues.append(v)
-    return arith.decode(residues, V.shape)
+        rest = v.lstrip(b"\0")
+        while rest:
+            step = steps.get(width - len(rest))
+            if step is None:
+                return False
+            row, multiples = step
+            c = rest[0]
+            m = multiples.get(c)
+            if m is None:
+                m = multiples[c] = int.from_bytes(row.translate(by_minus[c]), "big")
+            v = add(v, m)
+            rest = v.lstrip(b"\0")
+    return True
 
 
 def _suffix_block(field, rows):

@@ -353,6 +353,16 @@ def test_bad_budget(capsys):
      "rows[1][0] must be a literal string, got 1"),
     ("lcd", {"q": 3, "alpha": 1, "beta": 1, "rows": [[True, "w"]]},
      "rows[0][0] must be a literal string, got True"),
+    # a missing key is named, not shown as the repr of a KeyError
+    ("params", {"q": 3, "beta": 2, "g": "1", "h": "0"},
+     "invalid code definition: missing key 'k'"),
+    ("params", {"q": 3, "alpha": 1, "beta": 2, "l": "1", "g": "1", "h": "0", "k": "1"},
+     "invalid code definition: missing key 's'"),
+    ("gray", {"alpha": 1, "beta": 2, "s": "1", "l": "1", "g": "1", "h": "0", "k": "1"},
+     "invalid code definition: missing key 'q'"),
+    ("lcd", {"q": 3, "alpha": 1, "beta": 1}, "invalid matrix document: missing key 'rows'"),
+    ("lcd", {"q": 3, "alpha": 1, "rows": [["1", "w"]]},
+     "invalid matrix document: missing key 'beta'"),
 ])
 def test_malformed_documents_exit_2(capsys, command, doc, message):
     code, _, err = run(capsys, [command, "--input", json.dumps(doc)])

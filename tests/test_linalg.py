@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from addcyclic import linalg
-from addcyclic.codes import GeneratorMatrixCode
+from addcyclic.codes import GeneratorMatrixCode, _closure_rows
 from addcyclic.fields import Field, tower
 from addcyclic.gray import gray_rows
 
@@ -294,10 +294,18 @@ def tall_matrix(field, rng):
     return np.vstack([M, M[rng.integers(0, len(M), size=28)]])
 
 
+def leads(M):
+    """The leading column of each row, the width for a zero row."""
+    return [int(np.flatnonzero(row)[0]) if row.any() else len(row) for row in M]
+
+
 def oracle_matrices(field, rng):
     """Seeded matrices of every shape class: zero, zero columns, tall,
     wide, square, rank-deficient, repeated rows, already reduced and
-    empty, and one 528 x 44 matrix."""
+    empty, and one 528 x 44 matrix; and the shapes that stress insertion
+    by leading column: module closures of sparse generators, rows in
+    descending order of lead, and rows that reach zero only after
+    several steps."""
     q = field.order
 
     def rand(m, n):
@@ -323,6 +331,30 @@ def oracle_matrices(field, rng):
         # one step away from rref: a pivot scaled, a row added to the one
         # above it, a zero row moved up, two rows swapped
         yield from near_rref(field, reduced, rng)
+    # drawn apart, so that the matrices above stay as they were drawn
+    shapes = np.random.default_rng(field.order)
+    for _ in range(8):
+        yield from insertion_shapes(field, shapes)
+
+
+def insertion_shapes(field, rng):
+    """The closure of 2 or 3 sparse generators (low-degree polynomials,
+    as the code pipeline's), its rows in descending order of lead, and
+    a block whose last rows are combinations of all the rows before it
+    with every coefficient nonzero, each reaching zero only after one
+    step per pivot."""
+    q = field.order
+    alpha, beta = int(rng.integers(0, 4)), int(rng.integers(1, 6))
+    gens = rng.integers(0, q, size=(int(rng.integers(2, 4)), alpha + 2 * beta),
+                        dtype=np.uint8)
+    gens[rng.random(gens.shape) < 0.6] = 0
+    closure = _closure_rows(alpha, beta, gens)
+    yield closure
+    yield closure[np.argsort(leads(closure), kind="stable")[::-1]]
+    top = reference_rref(field, rng.integers(0, q, size=(4, 7), dtype=np.uint8))[0]
+    basis = top[top.any(axis=1)]
+    coeffs = rng.integers(1, q, size=(3, len(basis)), dtype=np.uint8)
+    yield np.vstack([basis[::-1], linalg.matmul(field, coeffs, basis)])
 
 
 def near_rref(field, R, rng):
@@ -367,8 +399,9 @@ def test_kernel_of_rref_matches_kernel_on_reduced_input():
 
 
 def test_echelon_rank_matches_rref_rank():
-    # rank reads the pivots of the elimination below the pivots only;
-    # they must be the pivots of the rref, across XOR and lane rows
+    # rank counts the pivots once the rows are inserted, before any
+    # back-substitution; they must be the pivots of the rref, across XOR
+    # and lane rows
     rng = np.random.default_rng(31)
     for field in ORACLE_FIELDS:
         q = field.order
@@ -392,7 +425,7 @@ def reference_reduce_rows(field, basis, pivots, rows):
     return V
 
 
-def test_reduce_rows_agrees_with_in_rowspace():
+def test_spans_rows_agrees_with_in_rowspace():
     rng = np.random.default_rng(11)
     for field in ORACLE_FIELDS:
         for _ in range(10):
@@ -403,14 +436,16 @@ def test_reduce_rows_agrees_with_in_rowspace():
             members = linalg.matmul(
                 field, rng.integers(0, field.order, size=(6, k), dtype=np.uint8), gens)
             others = rng.integers(0, field.order, size=(6, n), dtype=np.uint8)
+            assert linalg.spans_rows(field, basis, pivots, members)
+            expected = [in_rowspace(field, gens, row) for row in others]
+            for row, member in zip(others, expected):
+                assert linalg.spans_rows(field, basis, pivots, [row]) == member
             block = np.vstack([members, others])
-            residues = linalg.reduce_rows(field, basis, pivots, block)
-            for row, res in zip(block, residues):
-                assert (not res.any()) == in_rowspace(field, gens, row)
-            assert not residues[: len(members)].any()
+            assert linalg.spans_rows(field, basis, pivots, block) == all(expected)
 
 
-def test_reduce_rows_matches_row_by_row_reference():
+def test_spans_rows_matches_row_by_row_reference():
+    # a block is spanned iff the reference leaves every row a zero residue
     rng = np.random.default_rng(17)
     for field in ORACLE_FIELDS:
         for M in oracle_matrices(field, rng):
@@ -421,9 +456,28 @@ def test_reduce_rows_matches_row_by_row_reference():
             for basis in (R[:r], np.zeros((0, width), dtype=np.uint8)):
                 used = pivots if len(basis) else []
                 for V in blocks:
-                    got = linalg.reduce_rows(field, basis, used, V)
-                    assert got.dtype == np.uint8 and got.shape == V.shape
-                    assert np.array_equal(got, reference_reduce_rows(field, basis, used, V))
+                    residue = reference_reduce_rows(field, basis, used, V).any(axis=1)
+                    assert linalg.spans_rows(field, basis, used, V) is (not residue.any())
+                    for row, left in zip(V, residue):
+                        assert linalg.spans_rows(field, basis, used, [row]) is (not left)
+
+
+@pytest.mark.parametrize("basis, pivots, rows, member", [
+    ([], [], np.zeros((2, 4), np.uint8), True),  # zero rows, empty basis
+    ([], [], [[0, 0, 0, 2]], False),  # any nonzero row, empty basis
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], np.zeros((0, 4), np.uint8), True),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], np.zeros((2, 4), np.uint8), True),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[2, 0, 1, 1]], True),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[0, 1, 0, 0]], False),  # leads off the pivots
+    # leads on a pivot, but leaves a residue right of it
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[1, 0, 0, 0]], False),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[2, 0, 1, 1], [1, 0, 2, 2], [2, 0, 2, 1]], False),
+], ids=["zero-empty", "nonzero-empty", "no-rows", "zero-rows", "member", "off-pivot",
+        "residue", "residue-in-the-last-row"])
+def test_spans_rows_walks_the_leads(basis, pivots, rows, member):
+    basis = np.asarray(basis, dtype=np.uint8).reshape(-1, 4)
+    assert linalg.spans_rows(F3, basis, pivots, rows) is member
+    assert all(in_rowspace(F3, basis, row) for row in rows) is member
 
 
 # -- byte rows: the row code, its scaling tables and its addition --
@@ -481,15 +535,15 @@ def test_elimination_refuses_fields_whose_lane_sums_pass_a_byte(field):
     M = np.array([[1, 2], [3, 4]], dtype=np.uint8)
     name = f"F_{field.order}"
     for call in (lambda: linalg.rref(field, M), lambda: linalg.rank(field, M),
-                 lambda: linalg.reduce_rows(field, M[:1], [0], M)):
+                 lambda: linalg.spans_rows(field, M[:1], [0], M)):
         with pytest.raises(ValueError, match=f"no elimination over {name}:"):
             call()
 
 
-def test_reduce_rows_width_mismatch():
-    with pytest.raises(ValueError):
-        linalg.reduce_rows(F3, np.eye(2, dtype=np.uint8), [0, 1],
-                           np.zeros((1, 3), dtype=np.uint8))
+def test_spans_rows_width_mismatch():
+    with pytest.raises(ValueError, match="row width 3 does not match the basis width 2"):
+        linalg.spans_rows(F3, np.eye(2, dtype=np.uint8), [0, 1],
+                          np.zeros((1, 3), dtype=np.uint8))
 
 
 def reference_intersect(field, a, b):
