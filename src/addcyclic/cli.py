@@ -12,6 +12,11 @@ Subcommands:
   lcd     — LCD certificate for a raw generator-matrix document
   tables  — run the verification harness over the built-in tables
 
+The CLI derives no fact itself: `params`, `gray` and `lcd` render the
+dicts of `tables.params_facts`, `tables.gray_facts` and
+`tables.lcd_facts`, the facts the table reports check, as JSON or as
+text lines.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage/parse error,
 3 I/O error, a reader that closes standard output early included.
 """
@@ -30,13 +35,10 @@ from .codes import (
     is_cyclic,
     load_definition,
     load_matrix_document,
-    singleton_check,
 )
-from .distance import DEFAULT_BUDGET, min_distance
-from .gray import gray_image, shift_invariance_check
-from .lcd import _rows_certificate
+from .distance import DEFAULT_BUDGET
 from .poly import PolyParseError, format_poly
-from .tables import verify_all
+from .tables import gray_facts, lcd_facts, params_facts, verify_all
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -80,17 +82,6 @@ def _load_code(args):
                  "code definition")
 
 
-def _distance_report(gm, budget):
-    """The distance `distance.min_distance` settles; only the zero code,
-    which has no nonzero words, is "undefined"."""
-    if gm.rank == 0:
-        return {"d": None, "mode": "undefined"}
-    res = min_distance(gm, budget)
-    if res.exact:
-        return {"d": res.value, "mode": "exact"}
-    return {"d": res.value, "mode": "bound"}
-
-
 def _emit(payload, fmt, lines):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -99,52 +90,34 @@ def _emit(payload, fmt, lines):
             print(line)
 
 
+def _matrix_lines(rows):
+    return ["  " + " ".join(str(x) for x in row) for row in rows]
+
+
+def _parameters(sheet):
+    """[n, k, d] (mode) of a Gray image's facts."""
+    dist = sheet["distance"]
+    return f"[{sheet['length']}, {sheet['dimension']}, {dist['d']}] ({dist['mode']})"
+
+
 def cmd_params(args):
     """block lengths, dimension, cardinality, spanning-set status, distance, Singleton status"""
-    code = _load_code(args)
-    gm = code.closure
-    card = code.cardinality()
-    failures = list(code.condition_failures)
-    mixed_dist = None
-    if code.alpha:
-        blocks = {"alpha": code.alpha, "beta": code.beta}
-        # the headline distance is the Gray-image one (the parameters
-        # these codes are tabulated under); the mixed-alphabet distance
-        # of a nonzero code is reported alongside
-        image = gray_image(code)
-        dist = _distance_report(image.base, args.budget)
-        if gm.rank:
-            mixed_dist = _distance_report(gm, args.budget)
-    else:
-        blocks = {"n": code.beta}
-        dist = _distance_report(gm, args.budget)
-    payload = {
-        "blocks": blocks,
-        "dimension": gm.rank,
-        "cardinality": {"formula": card.formula, "actual": card.actual},
-        "spans_ok": card.agree,
-        "distance": dist,
-        "condition_failures": failures,
-    }
-    if mixed_dist is not None:
-        payload["mixed_distance"] = mixed_dist
-    if dist["d"] is not None and not code.alpha:
-        # single-alphabet Singleton bound; a mixed alphabet has no single Q
-        sing = singleton_check(code.beta, gm.rank, dist["d"])
-        payload["singleton"] = "attains" if sing.attains else f"slack:{sing.slack}"
-    lines = [f"block lengths: {blocks}",
-             f"dimension (F_q rank): {gm.rank}",
-             f"cardinality: formula {card.formula}, actual {card.actual}",
-             f"spanning set spans: {card.agree}"]
-    if failures:
-        lines.append("generator conditions violated: " + "; ".join(failures))
+    facts = params_facts(_load_code(args), args.budget)
+    card, dist = facts["cardinality"], facts["distance"]
+    lines = [f"block lengths: {facts['blocks']}",
+             f"dimension (F_q rank): {facts['dimension']}",
+             f"cardinality: formula {card['formula']}, actual {card['actual']}",
+             f"spanning set spans: {facts['spans_ok']}"]
+    if facts["condition_failures"]:
+        lines.append("generator conditions violated: "
+                     + "; ".join(facts["condition_failures"]))
     lines.append(f"distance: {dist['d']} ({dist['mode']})")
-    if mixed_dist is not None:
-        lines.append(
-            f"mixed-alphabet distance: {mixed_dist['d']} ({mixed_dist['mode']})")
-    if "singleton" in payload:
-        lines.append(f"singleton: {payload['singleton']}")
-    _emit(payload, args.format, lines)
+    if "mixed_distance" in facts:
+        mixed = facts["mixed_distance"]
+        lines.append(f"mixed-alphabet distance: {mixed['d']} ({mixed['mode']})")
+    if "singleton" in facts:
+        lines.append(f"singleton: {facts['singleton']}")
+    _emit(facts, args.format, lines)
     return 0
 
 
@@ -171,64 +144,31 @@ def cmd_dual(args):
             "extracted generators (best effort, closure_ok="
             f"{ext.closure_ok}): s={ext.s}, l={ext.l}, g={ext.g}, "
             f"h={ext.h}, k={ext.k}")
-    for row in dm.matrix.tolist():
-        lines.append("  " + " ".join(str(x) for x in row))
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format, lines + _matrix_lines(payload["matrix"]))
     return 0
 
 
 def cmd_gray(args):
     """Gray image generator matrix, parameters, classification, shift invariance"""
-    code = _load_code(args)
-    image = gray_image(code)
-    sigma = shift_invariance_check(image)
-    dist = _distance_report(image.base, args.budget)
-    payload = {
-        "length": image.length,
-        "dimension": image.rank,
-        "classification": image.classification,
-        "shift_invariant": sigma,
-        "distance": dist,
-        "matrix": image.matrix.tolist(),
-    }
-    lines = [
-        f"gray image parameters: [{image.length}, {image.rank}, "
-        f"{dist['d']}] ({dist['mode']})",
-        f"classification: {image.classification}",
-        f"shift invariance: {sigma}",
-        "generator matrix (rref):",
-    ]
-    for row in image.matrix.tolist():
-        lines.append("  " + " ".join(str(x) for x in row))
-    _emit(payload, args.format, lines)
+    facts = gray_facts(_load_code(args), args.budget)
+    lines = [f"gray image parameters: {_parameters(facts)}",
+             f"classification: {facts['classification']}",
+             f"shift invariance: {facts['shift_invariant']}",
+             "generator matrix (rref):"]
+    _emit(facts, args.format, lines + _matrix_lines(facts["matrix"]))
     return 0
 
 
 def cmd_lcd(args):
     """LCD certificate for a generator-matrix document"""
-    tw, beta, expanded = _load(args, load_matrix_document, "matrix document")
-    image, cert = _rows_certificate(tw, beta, expanded)
-    dist = _distance_report(image.base, args.budget)
-    payload = {
-        "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,
-        "g_beta_rows_independent": cert.g_beta_rows_independent,
-        "phi_c_beta_lcd": cert.phi_c_beta_lcd,
-        "conclusion": cert.conclusion,
-        "hull_dimension_observed": cert.hull_dimension_observed,
-        "gray_image": {"length": image.length, "dimension": image.rank,
-                       "distance": dist},
-        "lcd": cert.hull_dimension_observed == 0,
-    }
-    lines = [
-        f"C_alpha self-orthogonal: {cert.c_alpha_self_orthogonal}",
-        f"G_beta rows F_q-independent: {cert.g_beta_rows_independent}",
-        f"gray image of C_beta LCD: {cert.phi_c_beta_lcd}",
-        f"conclusion: {cert.conclusion}",
-        f"observed hull dimension: {cert.hull_dimension_observed}",
-        f"gray image: [{image.length}, {image.rank}, {dist['d']}] "
-        f"({dist['mode']}), LCD: {payload['lcd']}",
-    ]
-    _emit(payload, args.format, lines)
+    facts = lcd_facts(*_load(args, load_matrix_document, "matrix document"), args.budget)
+    lines = [f"C_alpha self-orthogonal: {facts['c_alpha_self_orthogonal']}",
+             f"G_beta rows F_q-independent: {facts['g_beta_rows_independent']}",
+             f"gray image of C_beta LCD: {facts['phi_c_beta_lcd']}",
+             f"conclusion: {facts['conclusion']}",
+             f"observed hull dimension: {facts['hull_dimension_observed']}",
+             f"gray image: {_parameters(facts['gray_image'])}, LCD: {facts['lcd']}"]
+    _emit(facts, args.format, lines)
     return 0
 
 

@@ -259,7 +259,9 @@ def spans_rows(field, basis, pivots, rows):
     """True iff every row of the block lies in the row space of the rref
     basis rows, `pivots` giving the pivot column of each.  Each row is
     walked by its leads, and refused at the first off the pivots, where
-    no codeword leads."""
+    no codeword leads.  A step whose basis row does not lead with a 1 at
+    its pivot leaves the lead where it was or moves it left: such a
+    basis is no rref, and is refused with a ValueError."""
     width = basis.shape[1]
     V = as_matrix(rows, width=width)
     if V.shape[1] != width:
@@ -280,7 +282,10 @@ def spans_rows(field, basis, pivots, rows):
             if m is None:
                 m = multiples[c] = int.from_bytes(row.translate(by_minus[c]), "big")
             v = add(v, m)
-            rest = v.lstrip(b"\0")
+            length, rest = len(rest), v.lstrip(b"\0")
+            if len(rest) >= length:
+                raise ValueError(f"basis row of pivot {width - length} does not "
+                                 "lead with a 1 there: the basis is no rref")
     return True
 
 

@@ -13,16 +13,20 @@ copied from its source:
   table 3 — matrix documents of raw mixed generator matrices, with LCD
             claims, rows [n, k, d] for the Gray image.
 
-verify_all builds every row from its document, through
-`codes.load_definition` or `codes.load_matrix_document`, and classifies
-each claim as exactly verified or bound-verified.  Every row goes
-through verify_entry, which builds its report and records its
-mismatches; the table's own checks add to them.  Sizes always come from
-the module-closure rank.  Every distance, of a table-1 code or of a
-table-2 or table-3 Gray image, is settled by one step,
-`distance.min_distance`: exact within the q^rank codeword budget and
-the exact search's memory cap, else the upper bound, which verifies
-the claim when it finds a word of the claimed weight.
+Each fact the CLI prints is derived once, here, one derivation per
+document kind: `params_facts` and `gray_facts` for a definition,
+`lcd_facts` for a matrix document, each returning the dict its
+subcommand prints; the CLI only renders them.  verify_all builds every
+row from its document, through `codes.load_definition` or
+`codes.load_matrix_document`, and verify_entry checks the row's claims
+against the facts the CLI prints for that document (table 1 `params`,
+table 2 `gray`, table 3 `lcd`), classifying each as exactly verified or
+bound-verified.  Sizes always come from the module-closure rank.  Every
+distance, of a table-1 code or of a table-2 or table-3 Gray image, is
+settled by one step, `_distance` over `distance.min_distance`: exact
+within the q^rank codeword budget and the exact search's memory cap,
+else the upper bound, which verifies the claim when it finds a word of
+the claimed weight.
 "Optimal" and "BKLC" remarks reference external databases and are
 stored as metadata only — they are never part of pass/fail.
 """
@@ -39,7 +43,7 @@ from .distance import DEFAULT_BUDGET, min_distance
 # as its example of a name bound in a second module
 from .distance import min_distance_exact  # noqa: F401
 from .gray import QUASI_CYCLIC_3, gray_image, shift_invariance_check
-from .lcd import _rows_certificate, is_lcd
+from .lcd import LCD_GUARANTEED, _rows_certificate, is_lcd
 
 OPTIMALITY_NOTE = (
     "Optimal/BKLC remarks cite external code databases and are recorded as "
@@ -281,137 +285,172 @@ class VerificationReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _distance(gm, budget):
+    """{"d", "mode"} of `gm` by `min_distance`, "exact" or "bound"; only
+    the zero code, which has no nonzero words, is "undefined"."""
+    if gm.rank == 0:
+        return {"d": None, "mode": "undefined"}
+    res = min_distance(gm, budget)
+    return {"d": res.value, "mode": "exact" if res.exact else "bound"}
+
+
+def params_facts(code, budget) -> dict:
+    """What `addcyclic params` prints for a definition: block lengths,
+    F_q-rank, cardinality, spanning-set status, generator conditions,
+    distance and, for a pure code, its Singleton status.  The headline
+    distance of a mixed code is its Gray image's (the parameters these
+    codes are tabulated under), its mixed-alphabet distance alongside."""
+    gm, card = code.closure, code.cardinality()
+    facts = {
+        "blocks": {"alpha": code.alpha, "beta": code.beta} if code.alpha else {"n": code.beta},
+        "dimension": gm.rank,
+        "cardinality": {"formula": card.formula, "actual": card.actual},
+        "spans_ok": card.agree,
+        "distance": _distance(gray_image(code).base if code.alpha else gm, budget),
+        "condition_failures": list(code.condition_failures),
+    }
+    if code.alpha and gm.rank:
+        facts["mixed_distance"] = _distance(gm, budget)
+    d = facts["distance"]["d"]
+    if d is not None and not code.alpha:
+        # single-alphabet Singleton bound; a mixed alphabet has no single Q
+        sing = singleton_check(code.beta, gm.rank, d)
+        facts["singleton"] = "attains" if sing.attains else f"slack:{sing.slack}"
+    return facts
+
+
+def gray_facts(code, budget) -> dict:
+    """What `addcyclic gray` prints for a definition: its Gray image's
+    length, dimension, classification, shift invariance, distance and
+    rref generator matrix."""
+    image = gray_image(code)
+    return {
+        "length": image.length,
+        "dimension": image.rank,
+        "classification": image.classification,
+        "shift_invariant": shift_invariance_check(image),
+        "distance": _distance(image.base, budget),
+        "matrix": image.matrix.tolist(),
+    }
+
+
+def lcd_facts(tower, beta, expanded, budget) -> dict:
+    """What `addcyclic lcd` prints for a matrix document: the LCD
+    certificate of its rows as given, and the parameters and hull of
+    the Gray image of the code they generate."""
+    image, cert = _rows_certificate(tower, beta, expanded)
+    return {
+        "c_alpha_self_orthogonal": cert.c_alpha_self_orthogonal,
+        "g_beta_rows_independent": cert.g_beta_rows_independent,
+        "phi_c_beta_lcd": cert.phi_c_beta_lcd,
+        "conclusion": cert.conclusion,
+        "hull_dimension_observed": cert.hull_dimension_observed,
+        "gray_image": {"length": image.length, "dimension": image.rank,
+                       "distance": _distance(image.base, budget)},
+        "lcd": cert.hull_dimension_observed == 0,
+    }
+
+
 def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=None) -> EntryReport:
-    """Build one row from its document and check its claims; the
-    table's own checks append to the `mism` and `details` lists.  A
-    built-in row that fails to build raises: that is a bug in the
-    library, not a result of the row.  `seed` is accepted and ignored:
-    every distance is deterministic, and the benchmark's workloads
-    still pass it."""
-    if entry.table_id not in TABLES:
-        raise ValueError(f"unknown table id {entry.table_id}")
-    claimed = entry.q**entry.expected_k if entry.table_id == 1 else entry.expected_k
+    """Check one row's claims against the facts the CLI prints for its
+    document: `params_facts` for table 1; `gray_facts` for table 2, with
+    the code's cardinality and generator conditions as details and its
+    Gray image's hull for footnote b; `lcd_facts` for table 3.  Sizes
+    come from the module-closure rank.  A built-in row that fails to
+    build raises: that is a bug in the library, not a result of the
+    row.  `seed` is accepted and ignored: every distance is
+    deterministic, and the benchmark's workloads still pass it."""
+    table = entry.table_id
+    if table not in TABLES:
+        raise ValueError(f"unknown table id {table}")
+    q = entry.q
+    claimed = q**entry.expected_k if table == 1 else entry.expected_k
     rep = EntryReport(
-        table=entry.table_id, row=entry.row, expected_n=entry.expected_n,
+        table=table, row=entry.row, expected_n=entry.expected_n,
         expected_k=entry.expected_k, expected_d=entry.expected_d,
         expected_k_or_size=str(claimed),
     )
     mism, details = [], []
-    if entry.table_id == 1:
-        _verify_table1(rep, entry, budget, mism, details)
-    elif entry.table_id == 2:
-        _verify_table2(rep, entry, budget, mism, details)
+    if table == 3:
+        facts = lcd_facts(*load_matrix_document(entry.doc), budget)
+        sheet = facts["gray_image"]
     else:
-        _verify_table3(rep, entry, budget, mism, details)
+        code = load_definition(entry.doc, strict=False)
+        if code.condition_failures:
+            details.append(
+                "generator conditions violated (closure is still the codeword "
+                "set): " + "; ".join(code.condition_failures))
+        card = code.cardinality()
+        if not card.agree:
+            # the spanning set spans exactly when the formula meets the closure
+            details.append(
+                f"cardinality formula {card.formula} != closure {card.actual}; "
+                "degree-counted spanning set spans_ok=False")
+        facts = sheet = (params_facts if table == 1 else gray_facts)(code, budget)
+    n = facts["blocks"]["n"] if table == 1 else sheet["length"]
+    k, d, mode = sheet["dimension"], sheet["distance"]["d"], sheet["distance"]["mode"]
+    rep.computed_n, rep.computed_k, rep.computed_size = n, k, q**k
+    rep.computed_d, rep.d_mode = d, mode
+    if n != entry.expected_n:
+        mism.append(f"length {n} != expected {entry.expected_n}")
+    if table == 1:
+        if rep.computed_size != claimed:
+            mism.append(f"size {rep.computed_size} != expected {claimed}")
+        if facts["cardinality"]["formula"] != claimed:
+            mism.append(f"formula size {facts['cardinality']['formula']} != expected {claimed}")
+    elif k != entry.expected_k:
+        mism.append(f"dimension {k} != expected {entry.expected_k}")
+    # an exact distance must equal the claim; an upper bound, past the
+    # budget or a layer's memory cap, must find a word of exactly the
+    # claimed weight
+    if mode == "exact":
+        if d != entry.expected_d:
+            mism.append(f"d {d} != expected {entry.expected_d}")
+    elif d < entry.expected_d:
+        mism.append(f"found weight {d} below claimed d {entry.expected_d}")
+    elif d > entry.expected_d:
+        mism.append(
+            f"claimed weight {entry.expected_d} not found by the search "
+            f"(best {d})")
+    else:
+        details.append(
+            f"d<= {entry.expected_d} confirmed by a witness codeword; "
+            "exactness out of desk scale")
+    if table == 1:
+        # from the computed rank and d, as `params` prints it, not the claims
+        rep.singleton = facts["singleton"]
+        if rep.singleton != "attains":
+            mism.append("Singleton bound not attained")
+    elif table == 2:
+        sigma_ok = facts["shift_invariant"]
+        rep.qc = f"{facts['classification']}:{'ok' if sigma_ok else 'FAIL'}"
+        if not sigma_ok:
+            mism.append("Gray image not shift-invariant")
+        if "a" in entry.footnotes and facts["classification"] != QUASI_CYCLIC_3:
+            mism.append("expected quasi-cyclic of index 3")
+        if entry.remark == "MDS" and mode == "exact" and d != n - k + 1:
+            mism.append("MDS remark but d != n-k+1")
+        if "b" in entry.footnotes:
+            lcd_now = is_lcd(gray_image(code).base)
+            rep.lcd = "yes" if lcd_now else "no"
+            if not lcd_now:
+                mism.append("footnote claims LCD but hull is nontrivial")
+    else:
+        rep.lcd = "yes" if facts["lcd"] else "no"
+        details.append(
+            f"certificate: self-orth={facts['c_alpha_self_orthogonal']} "
+            f"indep={facts['g_beta_rows_independent']} "
+            f"beta-lcd={facts['phi_c_beta_lcd']} -> {facts['conclusion']}; "
+            f"hull dim {facts['hull_dimension_observed']}")
+        if entry.remark == "Optimal LCD code" and not facts["lcd"]:
+            mism.append("LCD claimed but hull is nontrivial")
+        if facts["conclusion"] == LCD_GUARANTEED and not facts["lcd"]:
+            mism.append("certificate guaranteed LCD but observed hull nonzero")
     if mism:
         rep.status = "mismatch"
         details += [f"MISMATCH: {m}" for m in mism]
     rep.details = tuple(details)
     return rep
-
-
-def _verify_table1(rep, entry, budget, mism, details):
-    code = load_definition(entry.doc, strict=False)
-    size = code.cardinality()
-    claimed = code.tower.q**entry.expected_k
-    rep.computed_n = code.beta
-    rep.computed_size = size.actual
-    rep.computed_k = code.dimension
-    if not size.agree:
-        details.append(
-            f"cardinality formula {size.formula} != rank-derived {size.actual}")
-    if size.actual != claimed:
-        mism.append(f"size {size.actual} != expected {claimed}")
-    if size.formula != claimed:
-        mism.append(f"formula size {size.formula} != expected {claimed}")
-    _verify_distance(rep, entry, code.closure, budget, mism, details)
-    # from the computed rank and d, as `params` reads it, not the claims
-    sing = singleton_check(code.beta, code.dimension, rep.computed_d)
-    rep.singleton = "attains" if sing.attains else f"slack:{sing.slack}"
-    if not sing.attains:
-        mism.append("Singleton bound not attained")
-
-
-def _verify_distance(rep, entry, gm, budget, mism, details):
-    """The distance of the code `gm` by `min_distance`, against the
-    row's claim: an exact value must equal it; an upper bound, past
-    the budget or a layer's memory cap, must find a word of exactly
-    the claimed weight."""
-    res = min_distance(gm, budget)
-    rep.computed_d = res.value
-    rep.d_mode = "exact" if res.exact else "bound"
-    if res.exact:
-        if res.value != entry.expected_d:
-            mism.append(f"d {res.value} != expected {entry.expected_d}")
-    elif res.value < entry.expected_d:
-        mism.append(f"found weight {res.value} below claimed d {entry.expected_d}")
-    elif res.value > entry.expected_d:
-        mism.append(
-            f"claimed weight {entry.expected_d} not found by the search "
-            f"(best {res.value})")
-    else:
-        details.append(
-            f"d<= {entry.expected_d} confirmed by a witness codeword; "
-            "exactness out of desk scale")
-
-
-def _verify_image(rep, entry, image, budget, mism, details):
-    """Length, dimension and distance of the Gray image of a table-2 or
-    table-3 row."""
-    rep.computed_n = image.length
-    rep.computed_k = image.rank
-    rep.computed_size = image.base.size
-    if image.length != entry.expected_n:
-        mism.append(f"length {image.length} != expected {entry.expected_n}")
-    if image.rank != entry.expected_k:
-        mism.append(f"dimension {image.rank} != expected {entry.expected_k}")
-    _verify_distance(rep, entry, image.base, budget, mism, details)
-
-
-def _verify_table2(rep, entry, budget, mism, details):
-    code = load_definition(entry.doc, strict=False)
-    if code.condition_failures:
-        details.append(
-            "generator conditions violated (closure is still the codeword "
-            "set): " + "; ".join(code.condition_failures))
-    card = code.cardinality()
-    if not card.agree:
-        # the spanning set spans exactly when the formula meets the closure
-        details.append(
-            f"cardinality formula {card.formula} != closure {card.actual}; "
-            "degree-counted spanning set spans_ok=False")
-    image = gray_image(code)
-    _verify_image(rep, entry, image, budget, mism, details)
-    sigma_ok = shift_invariance_check(image)
-    rep.qc = f"{image.classification}:{'ok' if sigma_ok else 'FAIL'}"
-    if not sigma_ok:
-        mism.append("Gray image not shift-invariant")
-    if "a" in entry.footnotes and image.classification != QUASI_CYCLIC_3:
-        mism.append("expected quasi-cyclic of index 3")
-    if (entry.remark == "MDS" and rep.d_mode == "exact"
-            and rep.computed_d != image.length - image.rank + 1):
-        mism.append("MDS remark but d != n-k+1")
-    if "b" in entry.footnotes:
-        lcd_now = is_lcd(image.base)
-        rep.lcd = "yes" if lcd_now else "no"
-        if not lcd_now:
-            mism.append("footnote claims LCD but hull is nontrivial")
-
-
-def _verify_table3(rep, entry, budget, mism, details):
-    image, cert = _rows_certificate(*load_matrix_document(entry.doc))
-    _verify_image(rep, entry, image, budget, mism, details)
-    lcd_now = cert.hull_dimension_observed == 0
-    rep.lcd = "yes" if lcd_now else "no"
-    details.append(
-        f"certificate: self-orth={cert.c_alpha_self_orthogonal} "
-        f"indep={cert.g_beta_rows_independent} "
-        f"beta-lcd={cert.phi_c_beta_lcd} -> {cert.conclusion}; "
-        f"hull dim {cert.hull_dimension_observed}")
-    if entry.remark == "Optimal LCD code" and not lcd_now:
-        mism.append("LCD claimed but hull is nontrivial")
-    if cert.guaranteed and cert.hull_dimension_observed != 0:
-        mism.append("certificate guaranteed LCD but observed hull nonzero")
 
 
 def verify_all(table_id, budget=DEFAULT_BUDGET):

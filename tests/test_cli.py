@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import addcyclic
-from addcyclic.cli import _distance_report, main
+from addcyclic.cli import main
 from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.fields import tower
-from addcyclic.tables import TABLE1, TABLE2, TABLE3, verify_entry
+from addcyclic.tables import TABLE1, TABLE2, TABLE3, _distance, verify_entry
 
 ROW9 = json.dumps({"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
                    "g": "1", "h": "x", "k": "x^3+2"})
@@ -57,34 +57,57 @@ def test_params_row9(capsys):
     assert "distance: 3 (exact)" in out
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["params", "--input", ROW9],
-     "3c6e352f1331635b1cf017bb879b5dc4ca5f243f1087018a1e27cd7c4fd98ff1"),
-    (["dual", "--lenient", "--input", ROW9],
-     "42ed6ddd104ff812bd8a372aec2f53f40c2825e4e8127b650725d50baac335f3"),
-    (["gray", "--input", ROW9],
-     "46b9496b9a71cb1da7b156fad995be2d98a669ab6387d54c03c1745ce8dff142"),
-    (["params", "--input", TABLE1_ROW1],
-     "c95d01f1df53aae6c31734a88df471071fa9127f09d15ed3cd3d3a2b956fe25c"),
-    (["dual", "--input", TABLE1_ROW1],
-     "6b985ef7dfe7dfaf57ae51bc7cc9f95e83d49897b349dcbbd9b9257ef55dc48c"),
-    (["gray", "--input", TABLE1_ROW1],
-     "be176c55f5be3e8783bbc6df85e73051e73d0791e93a1d127032ea2e55f85c86"),
-    (["params", "--lenient", "--input", VIOLATING],
-     "89b92675bee8867e15252eb4825a5e8115fbe7585be598bbfa1787a81c9c8395"),
-    (["dual", "--lenient", "--input", VIOLATING],
-     "243c1328f4498c40a5a9d040b6e584b9de1c8d296196bdc3746cb02e64016525"),
-    (["lcd", "--input", TABLE3_ROW6],
-     "579bc6a057d357d01ecd46c041496bb30b9729f4e6ad2bd93f6f7aaa04975e1b"),
-    (["lcd", "--input", SELF_ORTHOGONAL],
-     "e14ab0d318cd0bdd08cad2ecb1e2cceb879b9037f6a5cab4634a2a911dc7c519"),
-], ids=["params-row9", "dual-row9", "gray-row9", "params-table1-row1",
-        "dual-table1-row1", "gray-table1-row1", "params-violating",
-        "dual-violating", "lcd-table3-row6", "lcd-self-orthogonal"])
-def test_json_output_bytes_are_pinned(capsys, argv, digest):
-    code, out, _ = run(capsys, argv + ["--format", "json"])
+# each argv with the sha256 of its JSON and of its text output
+PINNED = [
+    ("params-row9", ["params", "--input", ROW9],
+     "3c6e352f1331635b1cf017bb879b5dc4ca5f243f1087018a1e27cd7c4fd98ff1",
+     "8e0104d5c8d562b7182b3f5647787ce3e4c4589be9292d9deba0237307438d5c"),
+    ("dual-row9", ["dual", "--lenient", "--input", ROW9],
+     "42ed6ddd104ff812bd8a372aec2f53f40c2825e4e8127b650725d50baac335f3",
+     "f85ccdb091766527205fd7eb06ce3a918e576815b8af976aff447c3fe7cef681"),
+    ("gray-row9", ["gray", "--input", ROW9],
+     "46b9496b9a71cb1da7b156fad995be2d98a669ab6387d54c03c1745ce8dff142",
+     "27f13006720306b507ebbad97adce16230644f4311da5523fde4c248bf7aadd9"),
+    ("params-table1-row1", ["params", "--input", TABLE1_ROW1],
+     "c95d01f1df53aae6c31734a88df471071fa9127f09d15ed3cd3d3a2b956fe25c",
+     "7f5598ddb3a02c2fc4976480ad0aa1dd5fb4355a5cd1bcfc064982b8909d1dde"),
+    ("dual-table1-row1", ["dual", "--input", TABLE1_ROW1],
+     "6b985ef7dfe7dfaf57ae51bc7cc9f95e83d49897b349dcbbd9b9257ef55dc48c",
+     "1d8acc3621c7b5aa643e3eca5d1ec08671379e91db4080b6c8d08a7a701c29d0"),
+    ("gray-table1-row1", ["gray", "--input", TABLE1_ROW1],
+     "be176c55f5be3e8783bbc6df85e73051e73d0791e93a1d127032ea2e55f85c86",
+     "0be50d6afc5c59b6fae7fa294c66081941515f381a41a7040991afafe583ed25"),
+    ("params-violating", ["params", "--lenient", "--input", VIOLATING],
+     "89b92675bee8867e15252eb4825a5e8115fbe7585be598bbfa1787a81c9c8395",
+     "a23140eac893f5d4f5538cb1b1ef202972532b5f3c2ab5a9f09624849f5652bf"),
+    ("dual-violating", ["dual", "--lenient", "--input", VIOLATING],
+     "243c1328f4498c40a5a9d040b6e584b9de1c8d296196bdc3746cb02e64016525",
+     "ceceb57e5e6f5fc5c8e6e6bf3db016c92f04a6fd83dcaaaf24eb73d0a210d5ad"),
+    ("lcd-table3-row6", ["lcd", "--input", TABLE3_ROW6],
+     "579bc6a057d357d01ecd46c041496bb30b9729f4e6ad2bd93f6f7aaa04975e1b",
+     "e5aacd93eb629139a9d27b7294ec00bb842a9b4dde9337737df8b7df33dec527"),
+    ("lcd-self-orthogonal", ["lcd", "--input", SELF_ORTHOGONAL],
+     "e14ab0d318cd0bdd08cad2ecb1e2cceb879b9037f6a5cab4634a2a911dc7c519",
+     "d7ca24194fcaab2c17932dda6993eb50cb43b2d5ab94abe4f4906115a436af34"),
+]
+
+
+def assert_output_digest(capsys, argv, fmt, digest):
+    code, out, _ = run(capsys, argv + ["--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [(argv, digest) for _, argv, digest, _ in PINNED],
+                         ids=[name for name, *_ in PINNED])
+def test_json_output_bytes_are_pinned(capsys, argv, digest):
+    assert_output_digest(capsys, argv, "json", digest)
+
+
+@pytest.mark.parametrize("argv, digest", [(argv, digest) for _, argv, _, digest in PINNED],
+                         ids=[name for name, *_ in PINNED])
+def test_text_output_bytes_are_pinned(capsys, argv, digest):
+    assert_output_digest(capsys, argv, "text", digest)
 
 
 @pytest.mark.parametrize("entry, budget", [
@@ -93,25 +116,40 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
 def test_every_table_row_document_reproduces_its_report(capsys, entry, budget):
     # a row's document, given to `params` (tables 1 and 2, lenient as the
     # harness is) or `lcd` (table 3), gives the report's dimension, its
-    # distance and its LCD column under the same budget, exact or bound
-    # alike; `gray --lenient` on a table-2 row weighs the same Gray image
+    # distance, its Singleton status and its LCD column and certificate
+    # under the same budget, exact or bound alike; `gray --lenient` on a
+    # table-2 row weighs the same Gray image and gives its qc column
     rep = verify_entry(entry) if budget is None else verify_entry(entry, budget=budget)
     opts = ["--format", "json", "--input", entry.document]
     if budget is not None:
         opts += ["--budget", str(budget)]
-    argv = ["lcd"] if entry.table_id == 3 else ["params", "--lenient"]
-    code, out, _ = run(capsys, argv + opts)
-    assert code == 0
-    payload = json.loads(out)
-    if entry.table_id == 3:
-        assert rep.lcd == ("yes" if payload["lcd"] else "no")
-        payload = payload["gray_image"]
-    assert payload["dimension"] == rep.computed_k
-    assert payload["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
-    if entry.table_id == 2:
-        code, out, _ = run(capsys, ["gray", "--lenient"] + opts)
+
+    def payload(argv):
+        code, out, _ = run(capsys, argv + opts)
         assert code == 0
-        assert json.loads(out)["distance"] == {"d": rep.computed_d, "mode": rep.d_mode}
+        return json.loads(out)
+
+    distance = {"d": rep.computed_d, "mode": rep.d_mode}
+    if entry.table_id == 3:
+        cert = payload(["lcd"])
+        assert rep.lcd == ("yes" if cert["lcd"] else "no")
+        assert (f"certificate: self-orth={cert['c_alpha_self_orthogonal']} "
+                f"indep={cert['g_beta_rows_independent']} "
+                f"beta-lcd={cert['phi_c_beta_lcd']} -> {cert['conclusion']}; "
+                f"hull dim {cert['hull_dimension_observed']}") in rep.details
+        sheet = cert["gray_image"]
+    else:
+        sheet = payload(["params", "--lenient"])
+        if entry.table_id == 1:
+            assert sheet["singleton"] == rep.singleton
+    assert sheet["dimension"] == rep.computed_k
+    assert sheet["distance"] == distance
+    if entry.table_id == 2:
+        image = payload(["gray", "--lenient"])
+        assert (image["length"], image["dimension"], image["distance"]) == (
+            rep.computed_n, rep.computed_k, distance)
+        sigma = "ok" if image["shift_invariant"] else "FAIL"
+        assert rep.qc == f"{image['classification']}:{sigma}"
 
 
 def test_params_json_roundtrip(capsys):
@@ -149,10 +187,11 @@ def test_params_odd_rank_pure_code_reports_half_slack(capsys, q, n, rank):
 def test_distance_report_undefined_only_for_zero_code():
     tw = tower(3)
     zero = GeneratorMatrixCode(tw, np.zeros((0, 4), dtype=np.uint8))
-    assert _distance_report(zero, 1000) == {"d": None, "mode": "undefined"}
+    # the one distance step behind the CLI's facts and the table reports
+    assert _distance(zero, 1000) == {"d": None, "mode": "undefined"}
     code = GeneratorMatrixCode(tw, np.array([[1, 2, 0, 1]], dtype=np.uint8))
-    assert _distance_report(code, 1000) == {"d": 3, "mode": "exact"}
-    assert _distance_report(code, 1) == {"d": 3, "mode": "bound"}
+    assert _distance(code, 1000) == {"d": 3, "mode": "exact"}
+    assert _distance(code, 1) == {"d": 3, "mode": "bound"}
 
 
 def test_params_malformed_polynomial(capsys):

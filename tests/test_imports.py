@@ -45,3 +45,31 @@ def test_unread_imports_are_found():
 def test_every_module_level_import_is_read(path):
     expected = READ_ELSEWHERE.get(f"{path.parent.name}/{path.name}", [])
     assert unread_imports(path.read_text(encoding="utf-8")) == expected
+
+
+# the routines that derive a distance, a Gray image, an LCD certificate
+# or a Singleton status: `tables` derives each fact the CLI prints
+# (`params_facts`, `gray_facts`, `lcd_facts`), and the CLI only renders it
+DERIVATIONS = {"min_distance", "gray_image", "shift_invariance_check",
+               "_rows_certificate", "singleton_check", "is_lcd"}
+
+
+def named_routines(source):
+    """The names `source` imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_named_routines_are_found():
+    source = "from .gray import gray_image as g\nimport addcyclic.lcd\naddcyclic.lcd.is_lcd(c)\n"
+    assert named_routines(source) >= {"gray_image", "lcd", "is_lcd"}
+
+
+def test_cli_derives_no_fact():
+    source = (ROOT / "src" / "addcyclic" / "cli.py").read_text(encoding="utf-8")
+    assert not named_routines(source) & DERIVATIONS

@@ -480,6 +480,17 @@ def test_spans_rows_walks_the_leads(basis, pivots, rows, member):
     assert all(in_rowspace(F3, basis, row) for row in rows) is member
 
 
+@pytest.mark.parametrize("basis, pivots, rows", [
+    ([[0, 1]], [0], [[1, 0]]),  # leads right of its pivot: the lead stays
+    ([[2, 1]], [0], [[1, 0]]),  # leads with a 2: the lead stays
+    ([[1, 0], [0, 1]], [1, 0], [[0, 1]]),  # leads left of its pivot
+], ids=["right-of-pivot", "lead-not-one", "left-of-pivot"])
+def test_spans_rows_refuses_a_basis_that_is_no_rref(basis, pivots, rows):
+    # each step must move the lead right; else the walk would not end
+    with pytest.raises(ValueError, match="no rref"):
+        linalg.spans_rows(F3, np.asarray(basis, dtype=np.uint8), pivots, rows)
+
+
 # -- byte rows: the row code, its scaling tables and its addition --
 
 
