@@ -9,15 +9,26 @@ polynomial's coefficients are a handful of Python ints, one at a time,
 and `mul[a][b]` costs a list index where `field.mul_table[a, b]` costs a
 numpy scalar lookup and an `int()`; whole arrays stay with `Field`.
 
+`Poly(field, coeffs)` checks what it is given: each coefficient must be
+an integer (`operator.index`: numpy integers pass, floats and numeric
+strings are refused) in 0..order-1.  The results of `+`, `neg`, `*`,
+`scale`, `divmod`, `monic` and `xn_minus_1` are Python ints read from
+those tables, so they are built by `_poly`, which only drops trailing
+zeros.
+
 The text format is the one used throughout the built-in code tables:
 sums of terms like `x^4`, `ux^2`, `(2w+2)x`, `u^2`, `2w+1`.  There is no
 minus sign; negatives are written through their field representatives.
-A power of x is read as its monomial, any other power by square and
-multiply.
+`parse_poly` tokenizes a literal with one regular expression and
+evaluates it as plain coefficient lists over the same tables, building
+one `Poly` at the end.  A power of x is read as its monomial, any other
+power by square and multiply.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,6 +53,37 @@ def _scalars(field):
                     field.neg_table.tolist(), field.inv_table.tolist())
 
 
+def _trim(cs):
+    """Drop the trailing zeros of a coefficient list, in place."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _sum(add, a, b):
+    """a + b of two coefficient sequences, as a list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [add[x][y] for x, y in zip(a, b)]
+    out += a[len(b):]
+    return out
+
+
+def _product(add, mul, a, b):
+    """a * b of two coefficient sequences without trailing zeros, as a
+    list without trailing zeros (a field has no zero divisors)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        by_x = mul[x]
+        for j, y in enumerate(b, i):
+            out[j] = add[out[j]][by_x[y]]
+    return out
+
+
 class PolyParseError(ValueError):
     """Syntax or coefficient-domain error, with the offending position."""
 
@@ -57,9 +99,13 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = []
+        for c in coeffs:
+            try:
+                cs.append(operator.index(c))
+            except TypeError:
+                raise ValueError(f"coefficient {c!r} is not an integer") from None
+        _trim(cs)
         if cs and (min(cs) < 0 or max(cs) >= field.order):
             raise ValueError("coefficient out of range for the field")
         object.__setattr__(self, "field", field)
@@ -89,7 +135,7 @@ class Poly:
         cs = [0] * (n + 1)
         cs[0] = _scalars(field).neg[1]
         cs[n] = 1
-        return cls(field, cs)
+        return _poly(field, cs)
 
     # -- basic queries -----------------------------------------------------
 
@@ -126,34 +172,20 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        add = _scalars(self.field).add
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(self.field, [add[x][y] for x, y in zip(a, b)] + list(a[len(b):]))
+        return _poly(self.field, _sum(_scalars(self.field).add, self.coeffs, other.coeffs))
 
     def __neg__(self):
         neg = _scalars(self.field).neg
-        return Poly(self.field, [neg[c] for c in self.coeffs])
+        return _poly(self.field, [neg[c] for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
-        f = self.field
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(f)
-        add, mul, *_ = _scalars(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            by_a = mul[a]
-            for j, b in enumerate(other.coeffs, i):
-                out[j] = add[out[j]][by_a[b]]
-        return Poly(f, out)
+        add, mul, *_ = _scalars(self.field)
+        return _poly(self.field, _product(add, mul, self.coeffs, other.coeffs))
 
     def scale(self, c):
         by_c = _scalars(self.field).mul[c]
-        return Poly(self.field, [by_c[a] for a in self.coeffs])
+        return _poly(self.field, [by_c[a] for a in self.coeffs])
 
     def __divmod__(self, other):
         self._check(other)
@@ -172,9 +204,8 @@ class Poly:
             by_minus_c = mul[neg[c]]
             for i, bc in enumerate(other.coeffs, shift):
                 rem[i] = add[rem[i]][by_minus_c[bc]]
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(f, quot), Poly(f, rem)
+            _trim(rem)
+        return _poly(f, quot), _poly(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -204,6 +235,22 @@ class Poly:
         return format_poly(self)
 
 
+# the slots' own setters, past Poly.__setattr__: faster than
+# object.__setattr__, which matters at one Poly per parsed literal
+_new_poly = object.__new__
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
+
+
+def _poly(field, cs):
+    """The Poly of a coefficient list read from `field`'s tables, whose
+    entries are Python ints in range already: only trims, in place."""
+    p = _new_poly(Poly)
+    _set_field(p, field)
+    _set_coeffs(p, tuple(_trim(cs)))
+    return p
+
+
 # -- gcd machinery -----------------------------------------------------------
 
 
@@ -231,152 +278,154 @@ def lift(p: Poly, ext_field: Field) -> Poly:
 
 # -- parser -------------------------------------------------------------------
 
-_SYMBOL_ALIASES = {"y": "x"}  # some source tables misprint y for x
 _MAX_DEGREE = 1024  # bounds the work of one parse; far above any block length
 _MAX_NESTING = 64  # parenthesis depth, far below the interpreter's recursion limit
-# ASCII digits only: str.isdigit also accepts "²" and other scripts' digits
+# A token is a run of ASCII digits or any one character that is not
+# whitespace, which findall passes over.  Digits are ASCII only: \d and
+# str.isdigit also take "²" and other scripts' digits, which int() reads.
+_TOKEN = re.compile(r"[0-9]+|\S")
 _DIGITS = frozenset("0123456789")
+# the notation's characters; some source tables misprint y for x
+_NOTATION = frozenset("0123456789uwxy+*^()")
+_END = "end"  # the token after the last one
+_TERM_END = frozenset(("+", "^", ")", _END))
+
+
+def _positions(text):
+    """The position of each token of `text`, then len(text) for _END."""
+    return [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+
+
+def _kind(token):
+    """A token's name in error messages: 'int', 'sym', 'end' or itself."""
+    if token[0] in _DIGITS:
+        return "int"
+    return "sym" if token in ("u", "w", "x", "y") else token
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch in "uwxy":
-            tokens.append(("sym", _SYMBOL_ALIASES.get(ch, ch), i))
-            i += 1
-        elif ch in "+*^()":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch == "-":
-            raise PolyParseError(
-                "minus is not part of the notation; write field representatives",
-                text, i,
-            )
-        else:
-            raise PolyParseError(f"unexpected character {ch!r}", text, i)
-    tokens.append(("end", None, len(text)))
+    """The tokens of `text`, then _END, in reverse order, so that the
+    parser takes them with pop().  A character outside the notation is
+    refused here, before any syntax error."""
+    tokens = _TOKEN.findall(text)
+    if not _NOTATION.issuperset(tokens):
+        # a character outside the notation, or a run of several digits:
+        # int() refuses runs past sys.get_int_max_str_digits(), and that
+        # error too comes before any syntax error
+        for i, token in enumerate(tokens):
+            if token[0] in _DIGITS:
+                int(token)
+            elif token not in _NOTATION:
+                message = ("minus is not part of the notation; write field "
+                           "representatives" if token == "-"
+                           else f"unexpected character {token!r}")
+                raise PolyParseError(message, text, _positions(text)[i])
+    tokens.append(_END)
+    tokens.reverse()
     return tokens
 
 
 class _Parser:
     """Recursive descent for  expr := term (+ term)*,
     term := factor (*? factor)*,  factor := atom (^ uint)?,
-    atom := uint | u | w | x | ( expr ).
+    atom := uint | u | w | x | ( expr ),
+    each rule returning a coefficient list over `field` without trailing
+    zeros.  An error names a token by the number of tokens left from it
+    on, itself included; its position in the text is looked up then.
     """
+
+    __slots__ = ("text", "tokens", "depth", "field", "tower", "add", "mul")
 
     def __init__(self, text, field, tower=None):
         self.text = text
         self.tokens = _tokenize(text)
-        self.k = 0
         self.depth = 0
         self.field = field
         self.tower = tower
+        self.add, self.mul = _scalars(field)[:2]
 
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def error(self, message, left, offset=0):
+        return PolyParseError(message, self.text,
+                              _positions(self.text)[-left] + offset)
 
     def expr(self):
         acc = self.term()
-        while self.peek()[0] == "+":
-            self.take()
-            acc = acc + self.term()
+        tokens = self.tokens
+        while tokens[-1] == "+":
+            tokens.pop()
+            acc = _trim(_sum(self.add, acc, self.term()))
         return acc
 
     def term(self):
         acc = self.factor()
-        while self.peek()[0] in ("*", "int", "sym", "("):
-            if self.peek()[0] == "*":
-                self.take()
-            pos = self.peek()[2]
+        tokens = self.tokens
+        while tokens[-1] not in _TERM_END:
+            if tokens[-1] == "*":
+                tokens.pop()
+            left = len(tokens)
             factor = self.factor()
-            self._check_degree(acc.degree() + factor.degree(), pos)
-            acc = acc * factor
+            if len(acc) + len(factor) - 2 > _MAX_DEGREE:
+                raise self.error(f"degree or exponent above {_MAX_DEGREE}", left)
+            acc = _product(self.add, self.mul, acc, factor)
         return acc
 
     def factor(self):
         base = self.atom()
-        if self.peek()[0] == "^":
-            _, _, pos = self.take()
-            kind, value, _ = self.peek()
-            if kind != "int":
-                raise PolyParseError("expected an integer exponent after '^'",
-                                     self.text, pos + 1)
-            self.take()
-            self._check_degree(max(value, base.degree() * value), pos)
-            if base.coeffs == (0, 1):  # x^value
-                return Poly(self.field, [0] * value + [1])
-            # square and multiply: at most 2 * value.bit_length() products
-            acc = Poly.one(self.field)
-            while value:
-                if value & 1:
-                    acc = acc * base
-                value >>= 1
-                if value:
-                    base = base * base
-            return acc
-        return base
-
-    def _check_degree(self, degree, pos):
-        if degree > _MAX_DEGREE:
-            raise PolyParseError(
-                f"degree or exponent above {_MAX_DEGREE}", self.text, pos)
+        tokens = self.tokens
+        if tokens[-1] != "^":
+            return base
+        left = len(tokens)
+        tokens.pop()
+        if tokens[-1][0] not in _DIGITS:
+            raise self.error("expected an integer exponent after '^'", left, 1)
+        value = int(tokens.pop())
+        if max(value, (len(base) - 1) * value) > _MAX_DEGREE:
+            raise self.error(f"degree or exponent above {_MAX_DEGREE}", left)
+        if base == [0, 1]:  # x^value
+            return [0] * value + [1]
+        # square and multiply: at most 2 * value.bit_length() products
+        add, mul = self.add, self.mul
+        acc = [1]
+        while value:
+            if value & 1:
+                acc = _product(add, mul, acc, base)
+            value >>= 1
+            if value:
+                base = _product(add, mul, base, base)
+        return acc
 
     def atom(self):
-        kind, value, pos = self.take()
-        if kind == "int":
-            return Poly(self.field, (value % self.field.p,)) if value % self.field.p \
-                else Poly.zero(self.field)
-        if kind == "sym":
-            return self._symbol(value, pos)
-        if kind == "(":
+        tokens = self.tokens
+        token = tokens.pop()
+        if token == "x" or token == "y":
+            return [0, 1]
+        if token[0] in _DIGITS:
+            value = int(token) % self.field.p
+            return [value] if value else []
+        if token == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
-                raise PolyParseError(
-                    f"parentheses nested deeper than {_MAX_NESTING}", self.text, pos)
+                raise self.error(f"parentheses nested deeper than {_MAX_NESTING}",
+                                 len(tokens) + 1)
             inner = self.expr()
             self.depth -= 1
-            kind2, _, pos2 = self.take()
-            if kind2 != ")":
-                raise PolyParseError("unbalanced parenthesis", self.text, pos2)
+            if tokens.pop() != ")":
+                raise self.error("unbalanced parenthesis", len(tokens) + 1)
             return inner
-        raise PolyParseError(f"unexpected token {kind!r}", self.text, pos)
-
-    def _symbol(self, name, pos):
-        field = self.field
-        if name == "x":
-            return Poly.x(field)
-        if name == "u":
-            tw = self.tower
+        tw = self.tower
+        if token == "u":
             if tw is None or tw.m == 1:
-                raise PolyParseError(
-                    "symbol 'u' undefined: the base field is prime", self.text, pos)
+                raise self.error("symbol 'u' undefined: the base field is prime",
+                                 len(tokens) + 1)
             # u is an element of F_q; valid in F_q and (embedded) in F_q2
-            return Poly(field, (tw.p,))
-        if name == "w":
-            tw = self.tower
-            if tw is None or field != tw.ext:
-                raise PolyParseError(
-                    "symbol 'w' is not a valid coefficient here: "
-                    "this polynomial must have base-field coefficients",
-                    self.text, pos)
-            return Poly(field, (tw.omega,))
-        raise PolyParseError(f"unknown symbol {name!r}", self.text, pos)
+            return [tw.p]
+        if token == "w":
+            if tw is None or self.field != tw.ext:
+                raise self.error("symbol 'w' is not a valid coefficient here: "
+                                 "this polynomial must have base-field coefficients",
+                                 len(tokens) + 1)
+            return [tw.omega]
+        raise self.error(f"unexpected token {_kind(token)!r}", len(tokens) + 1)
 
 
 def parse_poly(text: str, field: Field, tower=None) -> Poly:
@@ -386,11 +435,12 @@ def parse_poly(text: str, field: Field, tower=None) -> Poly:
     unless `field` is the tower's top level.
     """
     parser = _Parser(text, field, tower)
-    result = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise PolyParseError(f"trailing input starting with {kind!r}", text, pos)
-    return result
+    coeffs = parser.expr()
+    token = parser.tokens[-1]
+    if token != _END:
+        raise parser.error(f"trailing input starting with {_kind(token)!r}",
+                           len(parser.tokens))
+    return _poly(field, coeffs)
 
 
 def parse_scalar(text: str, field: Field, tower=None) -> int:

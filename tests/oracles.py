@@ -15,7 +15,8 @@ from addcyclic.codes import GeneratorMatrixCode, MixedCode
 from addcyclic.codes import _closure_rows, _echelon_generators, load_tower
 from addcyclic.fields import FieldMismatchError, FieldTower
 from addcyclic.linalg import _suffix_block
-from addcyclic.poly import Poly, _scalars, parse_scalar
+from addcyclic.poly import _MAX_DEGREE, _MAX_NESTING, Poly, PolyParseError, _scalars
+from addcyclic.poly import parse_scalar
 
 
 @dataclass(frozen=True)
@@ -279,3 +280,164 @@ def canonicalize_pure(tw: FieldTower, n: int, g: Poly, h: Poly, k: Poly):
     """
     words = beta_generator_words(tw, 0, n, g, h, k)
     return _echelon_generators(tw, 0, n, _closure_rows(0, n, expand_words(words, 2 * n)))[2:]
+
+
+# -- the table-notation parser, Poly-valued ---------------------------------
+
+_SYMBOL_ALIASES = {"y": "x"}  # some source tables misprint y for x
+# ASCII digits only: str.isdigit also accepts "²" and other scripts' digits
+_DIGITS = frozenset("0123456789")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+        elif ch in "uwxy":
+            tokens.append(("sym", _SYMBOL_ALIASES.get(ch, ch), i))
+            i += 1
+        elif ch in "+*^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch == "-":
+            raise PolyParseError(
+                "minus is not part of the notation; write field representatives",
+                text, i,
+            )
+        else:
+            raise PolyParseError(f"unexpected character {ch!r}", text, i)
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent for  expr := term (+ term)*,
+    term := factor (*? factor)*,  factor := atom (^ uint)?,
+    atom := uint | u | w | x | ( expr ).
+    """
+
+    def __init__(self, text, field, tower=None):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.k = 0
+        self.depth = 0
+        self.field = field
+        self.tower = tower
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def take(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expr(self):
+        acc = self.term()
+        while self.peek()[0] == "+":
+            self.take()
+            acc = acc + self.term()
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek()[0] in ("*", "int", "sym", "("):
+            if self.peek()[0] == "*":
+                self.take()
+            pos = self.peek()[2]
+            factor = self.factor()
+            self._check_degree(acc.degree() + factor.degree(), pos)
+            acc = acc * factor
+        return acc
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            _, _, pos = self.take()
+            kind, value, _ = self.peek()
+            if kind != "int":
+                raise PolyParseError("expected an integer exponent after '^'",
+                                     self.text, pos + 1)
+            self.take()
+            self._check_degree(max(value, base.degree() * value), pos)
+            if base.coeffs == (0, 1):  # x^value
+                return Poly(self.field, [0] * value + [1])
+            # square and multiply: at most 2 * value.bit_length() products
+            acc = Poly.one(self.field)
+            while value:
+                if value & 1:
+                    acc = acc * base
+                value >>= 1
+                if value:
+                    base = base * base
+            return acc
+        return base
+
+    def _check_degree(self, degree, pos):
+        if degree > _MAX_DEGREE:
+            raise PolyParseError(
+                f"degree or exponent above {_MAX_DEGREE}", self.text, pos)
+
+    def atom(self):
+        kind, value, pos = self.take()
+        if kind == "int":
+            return Poly(self.field, (value % self.field.p,)) if value % self.field.p \
+                else Poly.zero(self.field)
+        if kind == "sym":
+            return self._symbol(value, pos)
+        if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING}", self.text, pos)
+            inner = self.expr()
+            self.depth -= 1
+            kind2, _, pos2 = self.take()
+            if kind2 != ")":
+                raise PolyParseError("unbalanced parenthesis", self.text, pos2)
+            return inner
+        raise PolyParseError(f"unexpected token {kind!r}", self.text, pos)
+
+    def _symbol(self, name, pos):
+        field = self.field
+        if name == "x":
+            return Poly.x(field)
+        if name == "u":
+            tw = self.tower
+            if tw is None or tw.m == 1:
+                raise PolyParseError(
+                    "symbol 'u' undefined: the base field is prime", self.text, pos)
+            # u is an element of F_q; valid in F_q and (embedded) in F_q2
+            return Poly(field, (tw.p,))
+        if name == "w":
+            tw = self.tower
+            if tw is None or field != tw.ext:
+                raise PolyParseError(
+                    "symbol 'w' is not a valid coefficient here: "
+                    "this polynomial must have base-field coefficients",
+                    self.text, pos)
+            return Poly(field, (tw.omega,))
+        raise PolyParseError(f"unknown symbol {name!r}", self.text, pos)
+
+
+def reference_parse_poly(text, field, tower=None):
+    """`poly.parse_poly` as recursive descent on `Poly` values, one
+    validated `Poly` per atom, sum, product and power, over a tokenizer
+    that reads the text a character at a time: the reference the
+    coefficient-list parser is compared against."""
+    parser = _ReferenceParser(text, field, tower)
+    result = parser.expr()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise PolyParseError(f"trailing input starting with {kind!r}", text, pos)
+    return result

@@ -8,6 +8,7 @@ import pytest
 
 import math
 
+from addcyclic import poly
 from addcyclic.fields import format_element, tower
 from addcyclic.poly import (
     Poly,
@@ -138,6 +139,72 @@ def test_poly_arithmetic_equals_the_numpy_table_reference(q):
             if not b.is_zero():
                 assert divmod(a, b) == table_divmod(f, a, b)
                 assert b.monic() == table_scale(f, f.inv_table[b.coeffs[-1]], b)
+
+
+# -- checked input, trusted results ------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [[1.5, 2.9], ["2"], [1, 2.0], [np.float64(1.0)],
+                                 [None], [1, "0"]],
+                         ids=["floats", "numeric-string", "integral-float",
+                              "numpy-float", "none", "string-after-int"])
+def test_coefficients_must_be_integers(bad):
+    # each is refused by name, where int() truncated or read it
+    offender = next(c for c in bad if not isinstance(c, int))
+    with pytest.raises(ValueError, match="is not an integer") as info:
+        Poly(T3.base, bad)
+    assert repr(offender) in str(info.value)
+
+
+def test_integer_coefficients_are_read_as_python_ints():
+    f = T3.base
+    # numpy integer rows, as codes._echelon_generators passes them
+    for dtype in (np.uint8, np.int64):
+        p = Poly(f, np.array([2, 0, 1, 0], dtype=dtype))
+        assert p.coeffs == (2, 0, 1)
+        assert all(type(c) is int for c in p.coeffs)
+    assert Poly(f, (np.uint8(1), True, 0)).coeffs == (1, 1)
+    for bad in ([3], [-1], [0, 1, np.uint8(7)]):
+        with pytest.raises(ValueError, match="out of range"):
+            Poly(f, bad)
+
+
+def assert_trusted(f, p):
+    """p, built by an operation without the constructor's checks, holds
+    Python ints of `f` with no trailing zero: what Poly(f, coeffs) makes."""
+    assert p.field is f
+    assert all(type(c) is int and 0 <= c < f.order for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert p == Poly(f, p.coeffs)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16))
+def test_arithmetic_results_are_what_the_checked_constructor_builds(q):
+    tw = tower(q)
+    rng = random.Random(4300 + q)
+    for f in (tw.base, tw.ext):
+        def draw(terms):
+            return Poly(f, [rng.randrange(f.order) for _ in range(terms)])
+
+        for n in range(6):
+            assert_trusted(f, Poly.xn_minus_1(f, n))
+        cancelled = 0
+        for _ in range(40):
+            a = draw(rng.randrange(8))
+            b = draw(rng.randrange(7)) + Poly(f, [0] * rng.randrange(7) + [1])
+            if b.is_zero():
+                continue
+            low = draw(rng.randrange(max(1, len(a.coeffs))))
+            c = rng.randrange(f.order)
+            # sums whose top terms cancel, and a zero scale, leave trailing
+            # zeros before the trim
+            results = [a + b, a + -b, -a, a + -a, a + (-a + low), a * b,
+                       a.scale(c), a.scale(0), *divmod(a, b), *divmod(a * b, b),
+                       a.monic(), b.monic()]
+            for p in results:
+                assert_trusted(f, p)
+            cancelled += (a + (-a + low)).degree() < a.degree()
+        assert cancelled
 
 
 # -- divmod ------------------------------------------------------------------
@@ -292,21 +359,23 @@ def test_powers_of_x_are_monomials(monkeypatch):
                 assert P(f"({text})^{e}", tower(q)) == other
                 other = other * P(text, tower(q))
     assert P("(x+1)^1024", T4) == P("x^1024+1", T4)  # Frobenius
+    # the parser multiplies coefficient lists through `poly._product`:
+    # count its calls, and see that a power of x+1 makes some
     products = []
-    mul = Poly.__mul__
+    product = poly._product
 
-    def counted(a, b):
+    def counted(*args):
         products.append(1)
-        return mul(a, b)
+        return product(*args)
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(poly, "_product", counted)
     assert P("x^1024").coeffs == (0,) * 1024 + (1,)
     assert P("ux^1000+x^999", T4).coeffs == (0,) * 999 + (1, T4.p)
     assert len(products) <= 2
     for e in (2, 3, 7, 40, 255, 1000, 1023, 1024):
         del products[:]
         P(f"(x+1)^{e}", T4)
-        assert len(products) <= 2 * math.ceil(math.log2(e)) + 2
+        assert 0 < len(products) <= 2 * math.ceil(math.log2(e)) + 2
 
 
 def test_parse_rejects_minus():
