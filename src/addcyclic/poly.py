@@ -11,10 +11,10 @@ numpy scalar lookup and an `int()`; whole arrays stay with `Field`.
 
 `Poly(field, coeffs)` checks what it is given: each coefficient must be
 an integer (`operator.index`: numpy integers pass, floats and numeric
-strings are refused) in 0..order-1.  The results of `+`, `neg`, `*`,
-`scale`, `divmod`, `monic` and `xn_minus_1` are Python ints read from
-those tables, so they are built by `_poly`, which only drops trailing
-zeros.
+strings are refused) in 0..order-1, as must the c of `scale(c)`.  The
+results of `+`, `neg`, `*`, `scale`, `divmod`, `monic` and `xn_minus_1`
+are Python ints read from those tables, so they are built by `_poly`,
+which only drops trailing zeros.
 
 The text format is the one used throughout the built-in code tables:
 sums of terms like `x^4`, `ux^2`, `(2w+2)x`, `u^2`, `2w+1`.  There is no
@@ -30,6 +30,7 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -184,6 +185,8 @@ class Poly:
         return _poly(self.field, _product(add, mul, self.coeffs, other.coeffs))
 
     def scale(self, c):
+        if not (isinstance(c, Integral) and 0 <= c < self.field.order):
+            raise ValueError(f"scalar c = {c!r} is not in 0..{self.field.order - 1}")
         by_c = _scalars(self.field).mul[c]
         return _poly(self.field, [by_c[a] for a in self.coeffs])
 
@@ -272,7 +275,11 @@ def divides(a: Poly, b: Poly) -> bool:
 
 
 def lift(p: Poly, ext_field: Field) -> Poly:
-    """Reinterpret a base-field polynomial over the extension (same ints)."""
+    """Reinterpret a polynomial over ext_field's subfield over ext_field
+    itself (same ints)."""
+    if p.field != ext_field.subfield:
+        raise FieldMismatchError(f"lift: p is over F_{p.field.order}, not over "
+                                 f"the subfield of F_{ext_field.order}")
     return Poly(ext_field, p.coeffs)
 
 

@@ -16,18 +16,12 @@ from addcyclic.codes import GeneratorMatrixCode
 from addcyclic.fields import tower
 from addcyclic.tables import TABLE1, TABLE2, TABLE3, _distance, verify_entry
 
-ROW9 = json.dumps({"q": 3, "alpha": 3, "beta": 3, "s": "1", "l": "2w+2",
-                   "g": "1", "h": "x", "k": "x^3+2"})
-TABLE3_ROW1 = json.dumps({
-    "q": 3, "alpha": 4, "beta": 2,
-    "rows": [["1", "1", "1", "0", "w", "w"],
-             ["1", "2", "0", "1", "2", "w+1"]],
-})
-
-
-# table-1 row 1, and a code that violates the membership condition
-TABLE1_ROW1 = json.dumps({"q": 4, "beta": 5, "g": "1", "h": "x^2+ux",
-                          "k": "x^4+x^3+x^2+x+1"})
+# table-2 row 9, table-1 row 1 and table-3 rows 1 and 6, as the tables
+# hold them, and a code that violates the membership condition
+ROW9 = TABLE2[8].document
+TABLE1_ROW1 = TABLE1[0].document
+TABLE3_ROW1 = TABLE3[0].document
+TABLE3_ROW6 = TABLE3[5].document
 VIOLATING = json.dumps({"q": 3, "alpha": 2, "beta": 3, "s": "1", "l": "w",
                         "g": "x+2", "h": "0", "k": "x^3+2"})
 # a self-orthogonal matrix: its Gray image is its own hull, of dimension 3
@@ -37,7 +31,6 @@ SELF_ORTHOGONAL = json.dumps({
              ["0", "1", "2", "1", "0", "0"],
              ["0", "0", "0", "0", "1", "w"]],
 })
-TABLE3_ROW6 = TABLE3[5].document
 
 
 def run(capsys, argv):
@@ -108,6 +101,121 @@ def test_json_output_bytes_are_pinned(capsys, argv, digest):
                          ids=[name for name, *_ in PINNED])
 def test_text_output_bytes_are_pinned(capsys, argv, digest):
     assert_output_digest(capsys, argv, "text", digest)
+
+
+# lane codes over F_9, F_11, F_13 and F_16, and a closure of coprime block
+# lengths: x has order lcm(11, 16) = 176 on its module, and its minimal
+# polynomial degree 11 + 16 - 1 = 26
+F9_LANES = json.dumps({"q": 9, "alpha": 2, "beta": 4, "s": "x+1", "l": "0",
+                       "g": "x^2+1", "h": "0", "k": "x^2+1"})
+F11_LANES = json.dumps({"q": 11, "alpha": 4, "beta": 4, "s": "x+1", "l": "0",
+                        "g": "x^2+1", "h": "0", "k": "x^2+1"})
+F13_LANES = json.dumps({"q": 13, "alpha": 4, "beta": 4, "s": "x+1", "l": "0",
+                        "g": "x^2+1", "h": "0", "k": "x^2+1"})
+F16_LANES = json.dumps({"q": 16, "alpha": 2, "beta": 5, "s": "x+1", "l": "0",
+                        "g": "x+1", "h": "0", "k": "x^5+1"})
+COPRIME = json.dumps({"q": 2, "alpha": 11, "beta": 16, "s": "x+1", "l": "w",
+                      "g": "x+1", "h": "0", "k": "x^2+1"})
+CLOSED = {"generators.closure_ok": True}
+
+
+def bound(d):
+    return {"distance": {"d": d, "mode": "bound"}}
+
+
+# each argv, run with --format json, with the fields its output holds: a
+# dotted key reads a nested field
+FIELDS = [
+    # pure codes of more than 2^12 words: the exact search weighs their
+    # symbols as F_q2 elements, through the F_81, F_169 and F_121 tables
+    ("params-f81-pure", ["params", "--input", json.dumps(
+        {"q": 9, "beta": 4, "g": "1", "h": "(u+1)x^3+(u+1)x^2+2u+1", "k": "x^4+2"})],
+     {"distance": {"d": 3, "mode": "exact"}}),
+    ("params-f169-pure", ["params", "--input", json.dumps(
+        {"q": 13, "beta": 4, "g": "1", "h": "10x^2+3x+12", "k": "x^4+12"})],
+     {"distance": {"d": 3, "mode": "exact"}}),
+    ("params-f121-pure", ["params", "--input", json.dumps(
+        {"q": 11, "beta": 5, "g": "x^2+4x+1", "h": "8x^4+2x^3+6x^2+8x+8",
+         "k": "x^2+8x+1"})],
+     {"distance": {"d": 3, "mode": "exact"}}),
+    # the closure builds, eliminates and keeps 26 shifts of each
+    # generator; with a budget of one word both distances are upper
+    # bounds, from the search stopped after layer 2
+    ("params-coprime", ["params", "--lenient", "--input", COPRIME], {"dimension": 41}),
+    ("params-coprime-budget-1", ["params", "--lenient", "--budget", "1", "--input", COPRIME],
+     {**bound(2), "mixed_distance.d": 1}),
+    ("dual-coprime", ["dual", "--lenient", "--input", COPRIME], CLOSED),
+    # eliminations in the F_9 lane code and over the primes above 7,
+    # whose extensions F_121 and F_169 have no elimination
+    ("params-f9-lanes", ["params", "--input", F9_LANES], {"spans_ok": True}),
+    ("dual-f9-lanes", ["dual", "--lenient", "--input", F9_LANES], CLOSED),
+    ("params-f11-lanes", ["params", "--input", F11_LANES], {"spans_ok": True}),
+    ("dual-f11-lanes", ["dual", "--lenient", "--input", F11_LANES], CLOSED),
+    ("params-f13-lanes", ["params", "--input", F13_LANES], {"spans_ok": True}),
+    ("dual-f13-lanes", ["dual", "--lenient", "--input", F13_LANES], CLOSED),
+    # f1 given: F_9 and F_16 search their f2
+    ("params-f9-f1", ["params", "--input", json.dumps(
+        {"q": 9, "beta": 4, "g": "x+1", "h": "0", "k": "1", "f1": "x^2+x+2"})],
+     {"spans_ok": True}),
+    ("params-f16-f1", ["params", "--input", json.dumps(
+        {"q": 16, "beta": 3, "g": "x+1", "h": "0", "k": "1", "f1": "x^4+x^3+1"})],
+     {"spans_ok": True}),
+    ("dual-f9-lanes-f1", ["dual", "--lenient", "--input", json.dumps(
+        {**json.loads(F9_LANES), "f1": "x^2+x+2"})], CLOSED),
+    # the dual's forms lie in F_256; the Gram products run over F_9
+    ("dual-f16-lanes", ["dual", "--lenient", "--input", F16_LANES], CLOSED),
+    ("lcd-f9", ["lcd", "--input", json.dumps(
+        {"q": 9, "alpha": 2, "beta": 3,
+         "rows": [["1", "u", "w", "1", "u+w"], ["u", "0", "1", "w", "2"]]})],
+     {"conclusion": "inapplicable"}),
+    # a budget of one word sends every distance to the upper bound: the
+    # q = 3 pure code of F_3-rank 12 must find a word of weight 5 among
+    # the single rows and pairs of its systematic forms, and the q = 9
+    # and q = 16 images weigh pairs with 8 and 15 multiples of each row
+    ("params-q3-budget-1", ["params", "--budget", "1", "--input", json.dumps(
+        {"q": 3, "beta": 11, "g": "x^5+x^4+2x^3+x^2+2", "h": "x+1",
+         "k": "x^5+2x^3+x^2+2x+2"})], bound(5)),
+    ("gray-f9-lanes-budget-1", ["gray", "--budget", "1", "--input", F9_LANES],
+     {"distance.mode": "bound"}),
+    ("gray-f16-lanes-budget-1", ["gray", "--budget", "1", "--input", F16_LANES],
+     {"distance.mode": "bound"}),
+] + [
+    # the table-1 bound rows: the upper bound finds a word of the claimed
+    # d among the single rows and pairs of the forms (row 19, q = 8, its
+    # witness of weight 5)
+    (f"params-table1-row{row}-budget-1",
+     ["params", "--budget", "1", "--input", TABLE1[row - 1].document], bound(d))
+    for row, d in ((7, 4), (8, 3), (9, 5), (17, 3), (18, 3), (19, 5))
+]
+
+
+@pytest.mark.parametrize("argv, fields", [(argv, fields) for _, argv, fields in FIELDS],
+                         ids=[name for name, *_ in FIELDS])
+def test_json_output_holds_its_fields(capsys, argv, fields):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    for key, want in fields.items():
+        value = payload
+        for part in key.split("."):
+            value = value[part]
+        assert value == want, key
+
+
+@pytest.mark.parametrize("doc, reduced", [
+    # x^1000 + x^999 folds mod x^4 - 1 to 1 + x^3: the parser reads each
+    # power of x as its monomial
+    ({"q": 3, "beta": 4, "g": "x+2", "h": "x^1000+x^999", "k": "x^4+2"}, {"h": "x^3+1"}),
+    # any other base is raised by square and multiply: over F_4,
+    # (x+1)^1024 = x^1024 + 1 (Frobenius), which folds mod x^3 - 1 to x + 1
+    ({"q": 4, "beta": 3, "g": "x+1", "h": "(x+1)^1024", "k": "x^3+1"}, {"h": "x+1"}),
+], ids=["folded", "frobenius"])
+def test_powers_give_the_gray_image_of_their_reduced_literal(capsys, doc, reduced):
+    # k = x^n - 1 is zero in the ring, so the code is <g + wh>: its Gray
+    # image's matrix reads h, where with k = 1 every h gives one code
+    given, short = (run(capsys, ["gray", "--format", "json", "--input", json.dumps(d)])
+                    for d in (doc, doc | reduced))
+    assert given[0] == 0 and given == short
 
 
 @pytest.mark.parametrize("entry, budget", [
@@ -181,7 +289,10 @@ def test_params_odd_rank_pure_code_reports_half_slack(capsys, q, n, rank):
     assert "distance: 1 (exact)" in out
     assert "singleton: slack:1/2" in out.splitlines()
     code, out, _ = run(capsys, ["params", "--input", doc, "--format", "json"])
-    assert code == 0 and json.loads(out)["singleton"] == "slack:1/2"
+    assert code == 0
+    p = json.loads(out)
+    assert (p["blocks"], p["dimension"], p["singleton"], p["condition_failures"]) == (
+        {"n": n}, rank, "slack:1/2", [])
 
 
 def test_distance_report_undefined_only_for_zero_code():
@@ -402,6 +513,12 @@ def test_bad_budget(capsys):
     ("lcd", {"q": 3, "alpha": 1, "beta": 1}, "invalid matrix document: missing key 'rows'"),
     ("lcd", {"q": 3, "alpha": 1, "rows": [["1", "w"]]},
      "invalid matrix document: missing key 'beta'"),
+    # a reducible f1 is refused when its field finds a zero divisor, and
+    # an f2 that is not quadratic by the shape check both moduli share
+    ("params", {"q": 4, "beta": 3, "g": "1", "h": "0", "k": "1", "f1": "x^2+1"},
+     "f1 (1, 0, 1) is reducible over F_2"),
+    ("params", {"q": 3, "beta": 4, "g": "x+1", "h": "0", "k": "1", "f2": "x^3+1"},
+     "f2 must be monic of degree 2"),
 ])
 def test_malformed_documents_exit_2(capsys, command, doc, message):
     code, _, err = run(capsys, [command, "--input", json.dumps(doc)])
@@ -503,7 +620,6 @@ def test_exact_search_under_a_memory_cap_falls_back_to_the_bound():
         [sys.executable, "-m", "addcyclic", "params", "--format", "json",
          "--budget", str(10**20), "--input", doc],
         capture_output=True, env=env, preexec_fn=cap, timeout=300)
-    assert proc.returncode in (0, 2)
+    assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr
-    if proc.returncode == 0:
-        assert json.loads(proc.stdout)["distance"] == {"d": 5, "mode": "bound"}
+    assert json.loads(proc.stdout)["distance"] == {"d": 5, "mode": "bound"}

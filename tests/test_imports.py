@@ -1,5 +1,6 @@
 """Every module-level import of the library and of this suite is read:
-an import nothing reads is a dependency the module does not have."""
+an import nothing reads is a dependency the module does not have.  The
+CLI derives no fact, and CI pins no output of its own."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,11 @@ def test_named_routines_are_found():
 def test_cli_derives_no_fact():
     source = (ROOT / "src" / "addcyclic" / "cli.py").read_text(encoding="utf-8")
     assert not named_routines(source) & DERIVATIONS
+
+
+def test_ci_pins_no_output():
+    # each CLI output is pinned once, in tier-1, run in process: a digest
+    # or an inline script in the workflow would be a second copy of a pin
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert "sha256sum" not in workflow
+    assert "python -c" not in workflow

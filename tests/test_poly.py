@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 import math
+import re
 
 from addcyclic import poly
-from addcyclic.fields import format_element, tower
+from addcyclic.fields import FieldMismatchError, format_element, tower
 from addcyclic.poly import (
     Poly,
     PolyParseError,
     _scalars,
     divides,
     format_poly,
+    lift,
     parse_poly,
     parse_scalar,
     poly_gcd,
@@ -167,6 +169,25 @@ def test_integer_coefficients_are_read_as_python_ints():
     for bad in ([3], [-1], [0, 1, np.uint8(7)]):
         with pytest.raises(ValueError, match="out of range"):
             Poly(f, bad)
+
+
+@pytest.mark.parametrize("c", [-1, 4, 1.0], ids=["negative", "order", "float"])
+def test_scale_refuses_a_scalar_outside_the_field(c):
+    # unchecked, -1 would index F_4's table from its end (the scale by
+    # u+1), and 4 past it
+    with pytest.raises(ValueError, match=re.escape(f"scalar c = {c!r} is not in 0..3")):
+        Poly(T4.base, [1, 1]).scale(c)
+
+
+def test_lift_takes_only_a_polynomial_over_the_subfield():
+    assert lift(Poly(T3.base, [2, 1]), T3.ext) == Poly(T3.ext, [2, 1])
+    assert lift(Poly(T4.base, [3]), T4.ext) == Poly(T4.ext, [3])
+    # F_5's 4 would read as 1+w in F_9; F_3 and F_9 lift into neither
+    # themselves nor F_3
+    for p, field in ((Poly(tower(5).base, [4]), T3.ext), (Poly(T3.base, [2]), T3.base),
+                     (Poly(T3.ext, [2]), T3.ext), (Poly(T3.ext, [2]), T3.base)):
+        with pytest.raises(FieldMismatchError, match="lift: p is over"):
+            lift(p, field)
 
 
 def assert_trusted(f, p):
