@@ -63,9 +63,10 @@ class GeneratorMatrixCode:
     the first alpha = width - 2*beta columns F_q symbols, and the split
     sets the weight of the code's words.  A plain F_q code (a Gray image,
     a hull, a bare matrix) is beta = 0.  `pivots` holds the pivot column
-    of each basis row, for membership tests against the basis.  The
-    stored matrix is read-only: codes derived from it are memoized on
-    this object (`_memo`) and must not go stale.  `spanning_rows`, a
+    of each basis row, read by the hull and the distance engine;
+    membership is one rank and reads none.  The stored matrix is
+    read-only: codes derived from it are memoized on this object
+    (`_memo`) and must not go stale.  `spanning_rows`, a
     class attribute that no constructor argument sets, is None except on
     the codes `module_closure` returns, whose row space is closed under x.
     """
@@ -79,6 +80,8 @@ class GeneratorMatrixCode:
 
     def __post_init__(self):
         M = linalg.as_matrix(self.matrix, field=self.tower.base)
+        if isinstance(self.beta, bool) or not isinstance(self.beta, int):
+            raise ValueError(f"beta must be an int, got {self.beta!r}")
         if not 0 <= 2 * self.beta <= M.shape[1]:
             raise ValueError(f"beta={self.beta} does not fit the {M.shape[1]} "
                              "columns: 0 <= 2*beta <= width")
@@ -118,11 +121,14 @@ class GeneratorMatrixCode:
         return self.contains_rows([vec])
 
     def contains_rows(self, rows) -> bool:
-        """True iff every row of the block is a codeword, each walked by its
-        leads against the stored rref basis (`linalg.spans_rows`).  An
-        entry outside F_q is refused, as the constructor refuses it."""
+        """True iff every row of the block is a codeword: stacked under the
+        basis, the block leaves the rank as it was.  A row of another width
+        is refused, and an entry outside F_q, as the constructor refuses it."""
         rows = linalg.as_matrix(rows, width=self.width, field=self.field)
-        return linalg.spans_rows(self.field, self.matrix, self.pivots, rows)
+        if rows.shape[1] != self.width:
+            raise ValueError(f"row width {rows.shape[1]} does not match the basis "
+                             f"width {self.width}")
+        return linalg.rank(self.field, np.vstack([self.matrix, rows])) == self.rank
 
     def contains_code(self, other) -> bool:
         return self.contains_rows(other.matrix)
@@ -272,6 +278,9 @@ class MixedCode:
     def __init__(self, tw: FieldTower, alpha: int, beta: int,
                  s: Poly | None, l: Poly | None, g: Poly, h: Poly, k: Poly,
                  strict=True):
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if alpha < 0 or beta < 1:
             raise ValueError(f"block lengths alpha={alpha}, beta={beta}: "
                              "alpha must be >= 0 and beta >= 1")

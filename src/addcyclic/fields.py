@@ -93,6 +93,8 @@ class Field:
         self.modulus = tuple(modulus) if modulus is not None else None
         self.symbol = symbol
         if subfield is None:
+            if not 2 <= p <= 256 or _factor_prime_power(p)[1] != 1:
+                raise ValueError(f"p={p!r} is not a prime of at most 256")
             self.degree = 1
             self.order = p
             add = np.add.outer(np.arange(p), np.arange(p)) % p
@@ -104,6 +106,8 @@ class Field:
                 raise ValueError("extension requires a monic modulus")
             self.degree = len(self.modulus) - 1
             self.order = subfield.order ** self.degree
+            if self.order > 256:
+                raise ValueError(f"field order {self.order} is past 256")
             self.add_table, self.mul_table = self._extension_tables()
         # the first b with a + b = 0, and the first b with a*b = 1
         self.neg_table = np.argmax(self.add_table == 0, axis=1).astype(np.uint8)

@@ -78,10 +78,6 @@ class LcdCertificate:
     conclusion: str
     hull_dimension_observed: int
 
-    @property
-    def guaranteed(self):
-        return self.conclusion == LCD_GUARANTEED
-
 
 def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     """Evaluate the three sufficiency hypotheses on an F_q-expanded

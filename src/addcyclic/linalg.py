@@ -3,15 +3,17 @@
 Matrices are 2-D numpy uint8 arrays of field elements; every function
 takes the Field as its first argument.  This is the ground-truth engine
 behind dimensions, duals and hulls: everything is reduced row echelon
-form, kernels and row-space tests.  A kernel is read from an rref and
-its pivots, so a stored basis needs no second elimination.
+form and kernels.  A kernel is read from an rref and its pivots, so a
+stored basis needs no second elimination.  Membership is rank: a block
+lies in a row space when stacking it under the basis leaves the rank
+as it was (`codes.GeneratorMatrixCode.contains_rows`).
 
-Elimination (`rref`, `rank`, and `spans_rows` against a stored rref
-basis) works on rows held as `bytes`, one byte per entry, so that,
-as in M4RI's packed rows (Albrecht, Bard and Hart, ACM TOMS 2010), a
-row operation acts on the whole row at once.  A row is scaled by
-`bytes.translate` through a 256-byte multiply-by-c table, and a + c*b
-is one big-integer operation on `int.from_bytes(row, "big")`:
+Elimination (`rref` and `rank`, one `_eliminate`) works on rows held
+as `bytes`, one byte per entry, so that, as in M4RI's packed rows
+(Albrecht, Bard and Hart, ACM TOMS 2010), a row operation acts on the
+whole row at once.  A row is scaled by `bytes.translate` through a
+256-byte multiply-by-c table, and a + c*b is one big-integer operation
+on `int.from_bytes(row, "big")`:
 
 - characteristic 2: XOR, as the packed codes add digit by digit mod 2
   (see `fields`);
@@ -104,7 +106,8 @@ class _ByteRows:
     itself, or its lane code.  `encode` and `decode` move between uint8
     matrices and lists of such rows, `by_inverse[c]` and `by_minus[c]`
     are the `translate` tables scaling a row by 1/c and -c (c a code),
-    and `add(row, int.from_bytes(other, "big"))` is row + other."""
+    and `normal` maps each byte of a lane sum back to the code of the
+    field sum, None in characteristic 2, where rows add by XOR."""
 
     def __init__(self, field):
         p, order = field.p, field.order
@@ -113,13 +116,11 @@ class _ByteRows:
         elements, sums = np.arange(order), np.arange(256)
         if p == 2:
             code, element = elements, np.where(sums < order, sums, 0)
-            self.add = self._add_xor
         elif lane**digits <= 256:
             place = np.arange(digits)
             code = (elements[:, None] // p**place % p) @ lane**place
             # the element whose code is each lane sum's digits mod p
             element = (sums[:, None] // lane**place % lane % p) @ p**place
-            self.add = self._add_lanes
         else:
             raise ValueError(f"no elimination over F_{order}: its lane sums, "
                              f"{digits} digits in base {lane}, do not fit a byte")
@@ -151,14 +152,6 @@ class _ByteRows:
         data = bytearray(data.ljust(shape[0] * shape[1], b"\0"))
         return np.frombuffer(data, dtype=np.uint8).reshape(shape)
 
-    @staticmethod
-    def _add_xor(row, operand):
-        return (int.from_bytes(row, "big") ^ operand).to_bytes(len(row), "big")
-
-    def _add_lanes(self, row, operand):
-        lanes = int.from_bytes(row, "big") + operand
-        return lanes.to_bytes(len(row), "big").translate(self.normal)
-
 
 @lru_cache(maxsize=None)
 def _byte_rows(field):
@@ -174,8 +167,9 @@ def _eliminate(arith, rows, width, above=True):
     where none is yet, whose pivot row it becomes, scaled to lead with
     a 1.  With `above` true the pivot rows are back-substituted into the
     rref; else they are an echelon form with the same pivots.  Rows add
-    in place, as `_ByteRows.add` does: a call per step cost more than
-    the walk saved on dense rows.
+    in place, by XOR or by a lane sum and `normal`: a call per step cost
+    more than the walk saved on dense rows.  The one elimination of
+    `rref`, `rank` and so of membership.
     """
     normal, by_inverse, by_minus = arith.normal, arith.by_inverse, arith.by_minus
     tops = {}  # pivot column: (its pivot row, the row's -c multiples by c)
@@ -253,40 +247,6 @@ def kernel_of_rref(field, R, pivots):
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = field.neg(R[: len(pivots), free].T)
     return out
-
-
-def spans_rows(field, basis, pivots, rows):
-    """True iff every row of the block lies in the row space of the rref
-    basis rows, `pivots` giving the pivot column of each.  Each row is
-    walked by its leads, and refused at the first off the pivots, where
-    no codeword leads.  A step whose basis row does not lead with a 1 at
-    its pivot leaves the lead where it was or moves it left: such a
-    basis is no rref, and is refused with a ValueError."""
-    width = basis.shape[1]
-    V = as_matrix(rows, width=width)
-    if V.shape[1] != width:
-        raise ValueError(f"row width {V.shape[1]} does not match the basis "
-                         f"width {width}")
-    arith = _byte_rows(field)
-    add, by_minus = arith.add, arith.by_minus
-    steps = {pc: (row, {}) for pc, row in zip(pivots, arith.encode(basis))}
-    for v in arith.encode(V):
-        rest = v.lstrip(b"\0")
-        while rest:
-            step = steps.get(width - len(rest))
-            if step is None:
-                return False
-            row, multiples = step
-            c = rest[0]
-            m = multiples.get(c)
-            if m is None:
-                m = multiples[c] = int.from_bytes(row.translate(by_minus[c]), "big")
-            v = add(v, m)
-            length, rest = len(rest), v.lstrip(b"\0")
-            if len(rest) >= length:
-                raise ValueError(f"basis row of pivot {width - length} does not "
-                                 "lead with a 1 there: the basis is no rref")
-    return True
 
 
 def _suffix_block(field, rows):

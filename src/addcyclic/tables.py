@@ -358,8 +358,10 @@ def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=None) -> EntryRe
     Gray image's hull for footnote b; `lcd_facts` for table 3.  Sizes
     come from the module-closure rank.  A built-in row that fails to
     build raises: that is a bug in the library, not a result of the
-    row.  `seed` is accepted and ignored: every distance is
-    deterministic, and the benchmark's workloads still pass it."""
+    row.  A zero-code row has no distance to check, and is refused
+    with a ValueError naming it.  `seed` is accepted and ignored: every
+    distance is deterministic, and the benchmark's workloads still pass
+    it."""
     table = entry.table_id
     if table not in TABLES:
         raise ValueError(f"unknown table id {table}")
@@ -389,6 +391,9 @@ def verify_entry(entry: TableEntry, budget=DEFAULT_BUDGET, seed=None) -> EntryRe
         facts = sheet = (params_facts if table == 1 else gray_facts)(code, budget)
     n = facts["blocks"]["n"] if table == 1 else sheet["length"]
     k, d, mode = sheet["dimension"], sheet["distance"]["d"], sheet["distance"]["mode"]
+    if mode == "undefined":
+        raise ValueError(f"table {table} row {entry.row}: the zero code has no "
+                         "distance to check")
     rep.computed_n, rep.computed_k, rep.computed_size = n, k, q**k
     rep.computed_d, rep.d_mode = d, mode
     if n != entry.expected_n:

@@ -295,7 +295,7 @@ def test_params_odd_rank_pure_code_reports_half_slack(capsys, q, n, rank):
         {"n": n}, rank, "slack:1/2", [])
 
 
-def test_distance_report_undefined_only_for_zero_code():
+def test_distance_undefined_only_for_zero_code():
     tw = tower(3)
     zero = GeneratorMatrixCode(tw, np.zeros((0, 4), dtype=np.uint8))
     # the one distance step behind the CLI's facts and the table reports
@@ -593,13 +593,13 @@ def test_early_closed_stdout_exits_3_without_traceback():
     doc = json.dumps({"q": 3, "alpha": 1, "beta": 60, "s": "1", "l": "0",
                       "g": "1", "h": "0", "k": "1"})
     env = dict(os.environ, PYTHONPATH=str(Path(addcyclic.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "addcyclic", "gray", "--format", "json",
-         "--budget", "1", "--input", doc],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 3
+    with subprocess.Popen(
+            [sys.executable, "-m", "addcyclic", "gray", "--format", "json",
+             "--budget", "1", "--input", doc],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 3
     assert b"Traceback" not in err
 
 

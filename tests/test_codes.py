@@ -148,10 +148,14 @@ def test_build_pure_divisibility_error():
     (2, 0, "1", "w", "beta=0"),
     (2, 3, None, "w", "s is needed"),
     (2, 3, "1", None, "l is needed"),
+    (1.0, 2, "1", "w", "alpha must be an int, got 1.0"),
+    (False, 3, None, None, "alpha must be an int, got False"),
+    (0, 3.0, None, None, "beta must be an int, got 3.0"),
 ])
 def test_constructor_refuses_block_lengths_and_stray_generators(alpha, beta, s, l, named):
     # a pure code (alpha = 0) takes no s or l, a code with alpha >= 1
-    # needs both; alpha < 0 and beta < 1 are no block lengths
+    # needs both; alpha < 0, beta < 1 and anything but an int (a bool
+    # included, as in a document) are no block lengths
     one = P("1")
     with pytest.raises(ValueError) as exc:
         MixedCode(T3, alpha, beta, s and P(s), l and P(l, ext=True), one, one, one)
@@ -1315,6 +1319,13 @@ def test_generator_matrix_code_refuses_a_negative_block_length():
         GeneratorMatrixCode(tower(3), [[1, 0, 1, 2]], beta=3)
     with pytest.raises(ValueError, match="beta=-1 does not fit the 3 columns"):
         GeneratorMatrixCode(tower(3), [[1, 0, 1]], beta=-1)
+
+
+@pytest.mark.parametrize("beta", [1.5, True, 1.0])
+def test_generator_matrix_code_refuses_a_beta_that_is_no_int(beta):
+    # beta counts columns; a bool is no block length, as in a document
+    with pytest.raises(ValueError, match=f"beta must be an int, got {beta}"):
+        GeneratorMatrixCode(T3, [[1, 0, 1, 2]], beta=beta)
 
 
 def test_generator_matrix_code_refuses_half_a_split():

@@ -50,7 +50,7 @@ from test_codes import random_divisor, random_mixed_code, random_pure_code
 
 T3 = tower(3)
 T4 = tower(4)
-SWEEP_TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
 
 
 def block_stop(tw):
@@ -334,7 +334,7 @@ def test_min_distance_is_exact_within_the_budget():
     assert res.exact and res.value == 3
 
 
-def test_min_distance_past_the_budget_is_the_seeded_bound():
+def test_min_distance_past_the_budget_is_the_upper_bound():
     code = load_definition(TABLE1[6].doc)  # 4^20 codewords
     res = min_distance(code.closure, budget=1000)
     assert res == min_distance_upper(code.closure)
@@ -372,12 +372,12 @@ def test_singleton_bound_on_computed_distances():
         assert d <= img.length - img.rank + 1
 
 
-def test_upper_sweep_matches_reference_on_random_codes():
+def test_upper_bound_matches_reference_on_random_codes():
     rng = random.Random(137)
     seen = set()
     checked = 0
     while checked < 48:
-        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        tw = TOWERS[checked % len(TOWERS)]
         code = random_mixed_code(rng, tw, rng.randrange(1, 4),
                                  rng.randrange(1, block_stop(tw)))
         if code.dimension == 0:
@@ -385,23 +385,23 @@ def test_upper_sweep_matches_reference_on_random_codes():
         assert_upper_matches_reference(code.closure)
         seen.add(tw.q)
         checked += 1
-    assert seen == {tw.q for tw in SWEEP_TOWERS}
+    assert seen == {tw.q for tw in TOWERS}
 
 
-def test_upper_sweep_matches_reference_on_table1_row7():
+def test_upper_bound_matches_reference_on_table1_row7():
     code = load_definition(TABLE1[6].doc)
     res = assert_upper_matches_reference(code.closure)
     assert res.value == TABLE1[6].expected_d
 
 
-def test_upper_sweep_chunk_boundaries(monkeypatch):
+def test_upper_bound_chunk_boundaries(monkeypatch):
     # a block of 13 words splits each form's pairs into many blocks
     # whose sizes do not divide the number of combinations
     monkeypatch.setattr(distance, "_BLOCK_TARGET", 13)
     rng = random.Random(139)
     checked = 0
     while checked < 12:
-        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        tw = TOWERS[checked % len(TOWERS)]
         code = random_mixed_code(rng, tw, rng.randrange(1, 4),
                                  rng.randrange(2, block_stop(tw)))
         if code.dimension < 3:
@@ -410,7 +410,7 @@ def test_upper_sweep_chunk_boundaries(monkeypatch):
         checked += 1
 
 
-def test_upper_sweep_small_pools():
+def test_upper_bound_small_pools():
     # one and two rows: the pair combinations run empty or hold one pair
     for rows in ([[1, 0, 2, 0]], [[1, 0, 2, 0], [0, 1, 1, 1]]):
         gm = GeneratorMatrixCode(T3, np.array(rows, dtype=np.uint8))
@@ -436,7 +436,7 @@ def test_exact_matches_reference_for_every_split():
     above_one = 0
     checked = 0
     while checked < 100:
-        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        tw = TOWERS[checked % len(TOWERS)]
         if checked % 2:
             code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
             gm = code.closure if rng.randrange(2) else gray_image(code).base
@@ -711,7 +711,7 @@ def test_brouwer_zimmermann_matches_reference():
     nprng = np.random.default_rng(181)
     kinds, values, partial, checked = set(), set(), 0, 0
     while checked < 240:
-        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        tw = TOWERS[checked % len(TOWERS)]
         gm = bz_case_code(rng, nprng, tw, checked % 3)
         if gm.rank == 0 or gm.size > 3**8:
             continue
@@ -733,7 +733,7 @@ def test_information_sets_are_disjoint_and_systematic():
     rng = random.Random(191)
     nprng = np.random.default_rng(191)
     for trial in range(60):
-        tw = SWEEP_TOWERS[trial % len(SWEEP_TOWERS)]
+        tw = TOWERS[trial % len(TOWERS)]
         gm = bz_case_code(rng, nprng, tw, trial % 3)
         if gm.rank == 0:
             continue
@@ -795,7 +795,7 @@ def test_exact_above_the_cut_matches_reference(monkeypatch):
     assert kinds == {"mixed", "singletons", "pairs"}
 
 
-@pytest.mark.parametrize("tw", SWEEP_TOWERS, ids=lambda tw: f"q{tw.q}")
+@pytest.mark.parametrize("tw", TOWERS, ids=lambda tw: f"q{tw.q}")
 def test_symbol_packing_is_fq_linear(tw):
     # the engines weigh F_q2 pairs (b, c) packed as b + q*c: packing must
     # turn F_q differences and F_q multiples of expanded rows into those
@@ -889,7 +889,7 @@ def sorted_rows(block):
     return block[np.lexsort(block.T[::-1])]
 
 
-def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
+def test_upper_bound_weighs_exactly_the_reference_candidates(monkeypatch):
     # random closures and random F_3 and F_4 matrices of rank 6 to 12 (on
     # which the search often weighs both layers of every form): each block
     # stands for the words it counts, over F_q2; expanded, they are the
@@ -900,7 +900,7 @@ def test_upper_sweep_weighs_exactly_the_reference_candidates(monkeypatch):
     rng, nprng = random.Random(199), np.random.default_rng(199)
     stops, checked = [], 0
     while checked < 36:
-        tw = SWEEP_TOWERS[checked % len(SWEEP_TOWERS)]
+        tw = TOWERS[checked % len(TOWERS)]
         if checked % 2:
             gm = random_mixed_code(rng, tw, rng.randrange(1, 3),
                                    rng.randrange(1, block_stop(tw))).closure

@@ -377,3 +377,22 @@ def test_reducible_modulus_raises_zero_divisor():
     # x^2 + 1 = (x + 1)^2 over F_2: x + 1 has no inverse
     with pytest.raises(ValueError, match="found a zero divisor"):
         Field(2, modulus=(1, 0, 1), subfield=Field(2))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, -3], ids=lambda p: f"p{p}")
+def test_field_refuses_a_p_that_is_no_prime(p):
+    # the integers mod p are a field only for a prime p
+    with pytest.raises(ValueError, match=f"p={p} is not a prime of at most 256"):
+        Field(p)
+
+
+def test_field_refuses_an_order_past_256(recwarn):
+    # elements are held as bytes, so no order may pass 256, and no
+    # table is built first (its uint8 place values would wrap)
+    with pytest.raises(ValueError, match="p=257 is not a prime of at most 256"):
+        Field(257)
+    with pytest.raises(ValueError, match="field order 512 is past 256"):
+        Field(2, modulus=(1, 1, 0, 0, 0, 0, 0, 0, 0, 1), subfield=Field(2))
+    assert not recwarn.list
+    # degree 8, order 256, is the largest extension of F_2 that is built
+    assert Field(2, modulus=(1, 0, 1, 1, 1, 0, 0, 0, 1), subfield=Field(2)).order == 256

@@ -277,7 +277,8 @@ F27 = Field(3, modulus=(1, 2, 0, 1), subfield=Field(3), symbol="u")
 # every tower's base field (q from 2 to 16; tower(3).ext is tower(9).base),
 # the extensions of order 16, 25, 49, 64 and 256, and F_27: every field
 # with byte-row elimination
-ORACLE_FIELDS = [tower(q).base for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
+ORACLE_TOWERS = [tower(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+ORACLE_FIELDS = [tw.base for tw in ORACLE_TOWERS] + [
     tower(q).ext for q in (4, 5, 7, 8, 16)] + [F27]
 
 
@@ -425,70 +426,59 @@ def reference_reduce_rows(field, basis, pivots, rows):
     return V
 
 
-def test_spans_rows_agrees_with_in_rowspace():
+def test_contains_rows_agrees_with_in_rowspace():
     rng = np.random.default_rng(11)
-    for field in ORACLE_FIELDS:
+    for tw in ORACLE_TOWERS:
+        field = tw.base
         for _ in range(10):
             k, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
             gens = rng.integers(0, field.order, size=(k, n), dtype=np.uint8)
-            R, r, pivots = linalg.rref(field, gens)
-            basis = R[:r]
+            code = GeneratorMatrixCode(tw, gens)
             members = linalg.matmul(
                 field, rng.integers(0, field.order, size=(6, k), dtype=np.uint8), gens)
             others = rng.integers(0, field.order, size=(6, n), dtype=np.uint8)
-            assert linalg.spans_rows(field, basis, pivots, members)
+            assert code.contains_rows(members)
             expected = [in_rowspace(field, gens, row) for row in others]
             for row, member in zip(others, expected):
-                assert linalg.spans_rows(field, basis, pivots, [row]) == member
+                assert code.contains_rows([row]) == member
             block = np.vstack([members, others])
-            assert linalg.spans_rows(field, basis, pivots, block) == all(expected)
+            assert code.contains_rows(block) == all(expected)
 
 
-def test_spans_rows_matches_row_by_row_reference():
+def test_contains_rows_matches_row_by_row_reference():
     # a block is spanned iff the reference leaves every row a zero residue
     rng = np.random.default_rng(17)
-    for field in ORACLE_FIELDS:
+    for tw in ORACLE_TOWERS:
+        field = tw.base
         for M in oracle_matrices(field, rng):
-            R, r, pivots = linalg.rref(field, M)
             width = M.shape[1]
             blocks = [np.zeros((0, width), dtype=np.uint8), np.zeros((3, width), dtype=np.uint8),
                       M, rng.integers(0, field.order, size=(5, width), dtype=np.uint8)]
-            for basis in (R[:r], np.zeros((0, width), dtype=np.uint8)):
-                used = pivots if len(basis) else []
+            for code in (GeneratorMatrixCode(tw, M),
+                         GeneratorMatrixCode(tw, np.zeros((0, width), dtype=np.uint8))):
                 for V in blocks:
-                    residue = reference_reduce_rows(field, basis, used, V).any(axis=1)
-                    assert linalg.spans_rows(field, basis, used, V) is (not residue.any())
+                    residue = reference_reduce_rows(field, code.matrix, code.pivots, V).any(axis=1)
+                    assert code.contains_rows(V) is (not residue.any())
                     for row, left in zip(V, residue):
-                        assert linalg.spans_rows(field, basis, used, [row]) is (not left)
+                        assert code.contains_rows([row]) is (not left)
 
 
-@pytest.mark.parametrize("basis, pivots, rows, member", [
-    ([], [], np.zeros((2, 4), np.uint8), True),  # zero rows, empty basis
-    ([], [], [[0, 0, 0, 2]], False),  # any nonzero row, empty basis
-    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], np.zeros((0, 4), np.uint8), True),
-    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], np.zeros((2, 4), np.uint8), True),
-    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[2, 0, 1, 1]], True),
-    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[0, 1, 0, 0]], False),  # leads off the pivots
+@pytest.mark.parametrize("basis, rows, member", [
+    ([], np.zeros((2, 4), np.uint8), True),  # zero rows, empty basis
+    ([], [[0, 0, 0, 2]], False),  # any nonzero row, empty basis
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], np.zeros((0, 4), np.uint8), True),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], np.zeros((2, 4), np.uint8), True),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [[2, 0, 1, 1]], True),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [[0, 1, 0, 0]], False),  # leads off the pivots
     # leads on a pivot, but leaves a residue right of it
-    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[1, 0, 0, 0]], False),
-    ([[1, 0, 2, 0], [0, 0, 0, 1]], [0, 3], [[2, 0, 1, 1], [1, 0, 2, 2], [2, 0, 2, 1]], False),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [[1, 0, 0, 0]], False),
+    ([[1, 0, 2, 0], [0, 0, 0, 1]], [[2, 0, 1, 1], [1, 0, 2, 2], [2, 0, 2, 1]], False),
 ], ids=["zero-empty", "nonzero-empty", "no-rows", "zero-rows", "member", "off-pivot",
         "residue", "residue-in-the-last-row"])
-def test_spans_rows_walks_the_leads(basis, pivots, rows, member):
+def test_contains_rows_on_small_blocks(basis, rows, member):
     basis = np.asarray(basis, dtype=np.uint8).reshape(-1, 4)
-    assert linalg.spans_rows(F3, basis, pivots, rows) is member
+    assert GeneratorMatrixCode(T3, basis).contains_rows(rows) is member
     assert all(in_rowspace(F3, basis, row) for row in rows) is member
-
-
-@pytest.mark.parametrize("basis, pivots, rows", [
-    ([[0, 1]], [0], [[1, 0]]),  # leads right of its pivot: the lead stays
-    ([[2, 1]], [0], [[1, 0]]),  # leads with a 2: the lead stays
-    ([[1, 0], [0, 1]], [1, 0], [[0, 1]]),  # leads left of its pivot
-], ids=["right-of-pivot", "lead-not-one", "left-of-pivot"])
-def test_spans_rows_refuses_a_basis_that_is_no_rref(basis, pivots, rows):
-    # each step must move the lead right; else the walk would not end
-    with pytest.raises(ValueError, match="no rref"):
-        linalg.spans_rows(F3, np.asarray(basis, dtype=np.uint8), pivots, rows)
 
 
 # -- byte rows: the row code, its scaling tables and its addition --
@@ -512,31 +502,32 @@ def test_byte_row_code_round_trip_and_scaling(field):
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=field_id)
 def test_byte_row_addition_on_every_pair_without_carries(field):
-    """Every pair (a, b) sits in one full-width row between lanes holding
-    the maximal element q - 1 (every base-p digit p - 1) on both sides,
-    whose lane sum is the largest, so a carry out of any lane would
-    change its neighbour.  The row is tiled past several machine words."""
+    """Rows [1, 0 | x] and [1, 1 | y] eliminate to a second pivot row
+    [0, 1 | y - x], one add of the row with y and the -1 multiple of the
+    row with x.  Every pair (a, b) of x and y sits between lanes where y
+    holds q - 1 and x holds -(q - 1), so both lane operands hold every
+    base-p digit p - 1 there, the largest lane sum, and a carry out of
+    any lane would change its neighbour.  The row is tiled past several
+    machine words."""
     arith = linalg._byte_rows(field)
     q = field.order
     a, b = np.divmod(np.arange(q * q), q)
     top = np.full_like(a, q - 1)
     reps = -(-200 // (2 * q * q))
-    x = np.tile(np.stack([a, top], axis=1).ravel(), reps).astype(np.uint8)[None, :]
-    y = np.tile(np.stack([b, top], axis=1).ravel(), reps).astype(np.uint8)[None, :]
-    [row_x], [row_y] = arith.encode(x), arith.encode(y)
-    got = arith.decode([arith.add(row_x, int.from_bytes(row_y, "big"))], x.shape)
-    assert np.array_equal(got, field.add_table[x, y])
+    x = np.tile(np.stack([a, field.neg(top)], axis=1).ravel(), reps).astype(np.uint8)
+    y = np.tile(np.stack([b, top], axis=1).ravel(), reps).astype(np.uint8)
+    M = np.vstack([np.r_[1, 0, x], np.r_[1, 1, y]]).astype(np.uint8)
+    reduced, pivots = linalg._eliminate(arith, arith.encode(M), M.shape[1], above=False)
+    assert pivots == [0, 1]
+    got = arith.decode(reduced[1:], (1, M.shape[1]))[0]
+    assert np.array_equal(got, np.r_[0, 1, field.sub(y, x)])
 
 
-@pytest.mark.parametrize("field,add", [
-    (tower(2).base, "_add_xor"), (tower(16).ext, "_add_xor"),
-    (tower(13).base, "_add_lanes"), (tower(9).base, "_add_lanes"),
-    (tower(5).ext, "_add_lanes"), (F27, "_add_lanes"), (tower(7).ext, "_add_lanes")],
-    ids=lambda v: v if isinstance(v, str) else field_id(v))
-def test_byte_row_addition_by_field(field, add):
-    # characteristic 2 adds by XOR; an odd field adds lane codes while
-    # (2p - 1)^digits fits a byte
-    assert linalg._byte_rows(field).add.__name__ == add
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=field_id)
+def test_byte_row_addition_by_field(field):
+    # characteristic 2 adds by XOR, with no lane sum to map back; an odd
+    # field adds lane codes while (2p - 1)^digits fits a byte
+    assert (linalg._byte_rows(field).normal is None) == (field.p == 2)
 
 
 @pytest.mark.parametrize("field", [tower(q).ext for q in (9, 11, 13)], ids=field_id)
@@ -545,16 +536,15 @@ def test_elimination_refuses_fields_whose_lane_sums_pass_a_byte(field):
     # still match the per-row reference (test_matmul_matches_per_row_reference)
     M = np.array([[1, 2], [3, 4]], dtype=np.uint8)
     name = f"F_{field.order}"
-    for call in (lambda: linalg.rref(field, M), lambda: linalg.rank(field, M),
-                 lambda: linalg.spans_rows(field, M[:1], [0], M)):
+    for call in (lambda: linalg.rref(field, M), lambda: linalg.rank(field, M)):
         with pytest.raises(ValueError, match=f"no elimination over {name}:"):
             call()
 
 
-def test_spans_rows_width_mismatch():
+def test_contains_rows_width_mismatch():
+    code = GeneratorMatrixCode(T3, np.eye(2, dtype=np.uint8))
     with pytest.raises(ValueError, match="row width 3 does not match the basis width 2"):
-        linalg.spans_rows(F3, np.eye(2, dtype=np.uint8), [0, 1],
-                          np.zeros((1, 3), dtype=np.uint8))
+        code.contains_rows(np.zeros((1, 3), dtype=np.uint8))
 
 
 def reference_intersect(field, a, b):

@@ -14,6 +14,7 @@ from addcyclic.tables import (
     TABLE1,
     TABLE2,
     TABLE3,
+    TableEntry,
     verify_all,
     verify_entry,
 )
@@ -196,3 +197,15 @@ def test_report_csv_shape():
 def test_unknown_table_id():
     with pytest.raises(ValueError):
         verify_all(9)
+
+
+@pytest.mark.parametrize("entry", [
+    TableEntry(1, 1, 3, 0, 1, '{"q": 4, "beta": 3, "g": "0", "h": "0", "k": "0"}'),
+    TableEntry(2, 5, 9, 0, 1, '{"q": 3, "beta": 3, "g": "0", "h": "0", "k": "0"}'),
+], ids=["table1", "table2"])
+def test_zero_code_row_is_refused_by_name(entry):
+    # the zero code has no distance (mode "undefined", d None), so no
+    # claim about one can be checked
+    match = f"table {entry.table_id} row {entry.row}: the zero code"
+    with pytest.raises(ValueError, match=match):
+        verify_entry(entry)
