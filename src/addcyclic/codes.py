@@ -65,10 +65,11 @@ class GeneratorMatrixCode:
     a hull, a bare matrix) is beta = 0.  `pivots` holds the pivot column
     of each basis row, read by the hull and the distance engine;
     membership is one rank and reads none.  The stored matrix is
-    read-only: codes derived from it are memoized on this object
-    (`_memo`) and must not go stale.  `spanning_rows`, a
-    class attribute that no constructor argument sets, is None except on
-    the codes `module_closure` returns, whose row space is closed under x.
+    read-only: what is derived from it (a Gray image, a hull or its
+    dimension) is memoized on this object (`_memo`) and must not go
+    stale.  `spanning_rows`, a class attribute that no constructor
+    argument sets, is None except on the codes `module_closure` returns,
+    whose row space is closed under x.
     """
 
     tower: FieldTower

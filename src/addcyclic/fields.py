@@ -79,12 +79,20 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _is_element(c, order) -> bool:
+    """True iff c is an int, not a bool, in [0, order): an element's code."""
+    return (isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            and 0 <= c < order)
+
+
 class Field:
     """A finite field of order <= 256, either F_p or an extension F_sub[t]/<modulus>.
 
     Carries add/mul/neg/inv lookup tables; `add`, `mul`, `sub`, etc.
     broadcast over numpy arrays.  `symbol` is the display name of the
     adjoined generator ('u' for the middle level, 'w' for the top level).
+    An extension takes its subfield's p, and a monic modulus whose
+    coefficients are the subfield's elements; anything else is refused.
     """
 
     def __init__(self, p, modulus=None, subfield=None, symbol=None):
@@ -102,8 +110,14 @@ class Field:
             self.add_table = add.astype(np.uint8)
             self.mul_table = mul.astype(np.uint8)
         else:
+            if p != subfield.p:
+                raise ValueError(f"p={p!r} is not the subfield's characteristic {subfield.p}")
             if self.modulus is None or self.modulus[-1] != 1:
                 raise ValueError("extension requires a monic modulus")
+            bad = [c for c in self.modulus if not _is_element(c, subfield.order)]
+            if bad:
+                raise ValueError(f"modulus coefficient {bad[0]!r} is not an element "
+                                 f"of F_{subfield.order}")
             self.degree = len(self.modulus) - 1
             self.order = subfield.order ** self.degree
             if self.order > 256:
@@ -267,7 +281,7 @@ def _extension(subfield, name, modulus, degree, symbol, reducible):
     and `reducible` says which modulus has one."""
     if len(modulus) != degree + 1 or modulus[-1] != 1:
         raise ValueError(f"{name} must be monic of degree {degree}")
-    if any(not 0 <= c < subfield.order for c in modulus):
+    if not all(_is_element(c, subfield.order) for c in modulus):
         raise ValueError(f"{name} coefficients must lie in F_{subfield.order}")
     try:
         return Field(subfield.p, modulus=modulus, subfield=subfield, symbol=symbol)

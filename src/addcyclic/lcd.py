@@ -10,17 +10,20 @@ independent check.  The hypotheses are read from the F_q-expanded
 matrix (`lcd_certificate`): G_alpha is its first alpha columns and G_beta
 composes its b and c columns.
 
-Memoized: the hull of a GeneratorMatrixCode is built once and kept on
-that code, as is its Gray image (`gray.gray_image`), so the certificate,
-`is_lcd` and the callers that already hold the image share one image and
-one hull.  This is sound because both are functions of the code's
-stored rref matrix, which is read-only, and of its split, which nothing
-reassigns; a memo lives and dies with its code, there is no cache keyed
-on contents.  The hull is one kernel, C ∩ C⊥ = (C + C⊥)⊥, of the stored
-basis stacked on the dual basis read from its rref and pivots
-(`linalg.kernel_of_rref`); `is_lcd` cross-checks its dimension
-against the rank of the Gram matrix G Gᵀ, which this route never
-forms: dim(C ∩ C⊥) = k - rank(G Gᵀ).
+Memoized: the hull's dimension is computed once and kept on its
+GeneratorMatrixCode, as is the Gray image (`gray.gray_image`), so the
+certificate, `is_lcd` and the callers that already hold the image share
+one image and one dimension.  This is sound because both are functions
+of the code's stored rref matrix, which is read-only, and of its split,
+which nothing reassigns; a memo lives and dies with its code, there is
+no cache keyed on contents.  Every verdict reads only the dimension,
+dim(C ∩ C⊥) = n - rank(C + C⊥): one rank, with no back-substitution, of
+the stored basis stacked on the dual basis read from its rref and
+pivots (`linalg.kernel_of_rref`).  `is_lcd` cross-checks it against
+the rank of the Gram matrix G Gᵀ, which this route never forms:
+dim(C ∩ C⊥) = k - rank(G Gᵀ) (Massey 1992).  The hull's basis, the
+kernel (C + C⊥)⊥ of the same stacked matrix, is built only by `hull`,
+memoized the same way, and no verdict calls it.
 """
 
 from __future__ import annotations
@@ -43,11 +46,22 @@ def hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
     return code._memo("hull", _build_hull)
 
 
+def _stacked(code: GeneratorMatrixCode):
+    """The stored basis on the dual basis read from its rref: a matrix
+    whose row space is C + C⊥."""
+    return np.vstack([code.matrix, linalg.kernel_of_rref(code.field, code.matrix, code.pivots)])
+
+
 def _build_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
     """C ∩ C⊥ = (C + C⊥)⊥, one kernel (module docstring)."""
-    f = code.field
-    stacked = np.vstack([code.matrix, linalg.kernel_of_rref(f, code.matrix, code.pivots)])
-    return GeneratorMatrixCode(code.tower, linalg.kernel(f, stacked))
+    return GeneratorMatrixCode(code.tower, linalg.kernel(code.field, _stacked(code)))
+
+
+def _hull_dimension(code: GeneratorMatrixCode) -> int:
+    """dim(C ∩ C⊥) = n - rank(C + C⊥), memoized on the code; no hull
+    basis is built."""
+    return code._memo("hull_dimension",
+                      lambda c: c.width - linalg.rank(c.field, _stacked(c)))
 
 
 def is_self_orthogonal(rows, tower) -> bool:
@@ -58,16 +72,17 @@ def is_self_orthogonal(rows, tower) -> bool:
 
 
 def is_lcd(code: GeneratorMatrixCode) -> bool:
-    """Trivial hull, cross-checked against the Gram matrix G Gᵀ of the
+    """Trivial hull: the memoized hull dimension (`_hull_dimension`) is
+    0.  It is cross-checked against the Gram matrix G Gᵀ of the
     full-rank basis G: over any field, x G lies in C⊥ exactly when
-    x G Gᵀ = 0, so dim(C ∩ C⊥) = k - rank(G Gᵀ), and the hull's rank
-    and the Gram rank must sum to k."""
+    x G Gᵀ = 0, so dim(C ∩ C⊥) = k - rank(G Gᵀ), and the hull dimension
+    and the Gram rank must sum to k.  No hull basis is built."""
     f = code.field
-    hull_rank = hull(code).rank
+    dimension = _hull_dimension(code)
     gram = linalg.matmul(f, code.matrix, code.matrix.T)
-    if hull_rank + linalg.rank(f, gram) != code.rank:
+    if dimension + linalg.rank(f, gram) != code.rank:
         raise InvariantViolation("hull rank and Gram rank do not sum to the rank")
-    return hull_rank == 0
+    return dimension == 0
 
 
 @dataclass(frozen=True)
@@ -99,14 +114,14 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     # map (b, c) -> (b + c, c): its rank is the rows' F_q-rank
     independent = phi_c_beta.rank == len(M)
     beta_lcd = is_lcd(phi_c_beta)
-    observed = hull(image.base).rank
+    observed = _hull_dimension(image.base)
     ok = self_orth and independent and beta_lcd
     return LcdCertificate(
         c_alpha_self_orthogonal=self_orth,
         g_beta_rows_independent=independent,
         phi_c_beta_lcd=beta_lcd,
         conclusion=LCD_GUARANTEED if ok else INAPPLICABLE,
-        hull_dimension_observed=int(observed),
+        hull_dimension_observed=observed,
     )
 
 

@@ -1,6 +1,6 @@
 """Distance engines against a naive full-enumeration oracle.
 
-The oracle below iterates the whole message space with itertools and
+The oracle below builds the whole message space row by row and
 computes weights group by group in pure Python; it shares no code with
 the vectorized engine it checks.  The upper bound, the
 Brouwer-Zimmermann search stopped after layer 2, is checked against a
@@ -63,25 +63,28 @@ def block_stop(tw):
 
 def naive_min_distance(field, matrix, groups):
     """Independent oracle: full message-space enumeration, plain Python
-    over the field's addition and multiplication tables as lists."""
+    over the field's addition and multiplication tables as lists.  The
+    span is built one row at a time and held by columns: each column of
+    the span so far is extended, for c = 1, ..., q - 1, by itself plus c
+    times the new row's entry there, so each word is formed once from a
+    word of the span so far and a multiple of the new row.  Every message
+    but the zero one is weighed, even one whose word is zero."""
     add = field.add_table.tolist()
     mul = field.mul_table.tolist()
     matrix = [list(int(x) for x in row) for row in matrix]
-    ncols = len(matrix[0]) if matrix else 0
-    best = None
-    for msg in product(range(field.order), repeat=len(matrix)):
-        if not any(msg):
-            continue
-        vec = [0] * ncols
-        for c, row in zip(msg, matrix):
-            if c:
-                mul_c = mul[c]
-                for i, entry in enumerate(row):
-                    vec[i] = add[vec[i]][mul_c[entry]]
-        w = sum(1 for grp in groups if any(vec[i] for i in grp))
-        if best is None or w < best:
-            best = w
-    return best
+    if not matrix:
+        return None
+    columns = [[0] for _ in matrix[0]]
+    for row in matrix:
+        for col, entry in zip(columns, row):
+            old = col[:]
+            for c in range(1, field.order):
+                col += map(add[mul[c][entry]].__getitem__, old)
+    weights = [0] * field.order ** len(matrix)
+    for grp in groups:
+        # one per word whose symbol on this group is nonzero
+        weights = list(map(int.__add__, weights, map(any, zip(*(columns[i] for i in grp)))))
+    return min(weights[1:], default=None)
 
 
 def groups_of(alpha, beta):

@@ -216,6 +216,7 @@ def test_reducible_f1_rejected():
     (3, {"f2": (1, 0, 2)}, "f2 must be monic of degree 2"),
     (3, {"f2": (3, 0, 1)}, "f2 coefficients must lie in F_3"),
     (4, {"f2": (2, 4, 1)}, "f2 coefficients must lie in F_4"),
+    (4, {"f1": (1, 1.5, 1)}, "f1 coefficients must lie in F_2"),
 ])
 def test_malformed_moduli_are_refused_by_name(q, moduli, message):
     # f1 and f2 get one shape check, on the way into their field: the
@@ -384,6 +385,26 @@ def test_field_refuses_a_p_that_is_no_prime(p):
     # the integers mod p are a field only for a prime p
     with pytest.raises(ValueError, match=f"p={p} is not a prime of at most 256"):
         Field(p)
+
+
+@pytest.mark.parametrize("p, modulus, message", [
+    # an F_4 with p = 3 was built, and elimination over it never ended
+    (3, (1, 1, 1), "p=3 is not the subfield's characteristic 2"),
+    (2, (1, 5, 1), "modulus coefficient 5 is not an element of F_2"),
+    (2, (1.5, 1, 1), "modulus coefficient 1.5 is not an element of F_2"),
+    # -1 indexed the tables from their end and built F_4
+    (2, (1, -1, 1), "modulus coefficient -1 is not an element of F_2"),
+    (2, (True, 1, 1), "modulus coefficient True is not an element of F_2"),
+    (2, (1, 1, 1.0), "modulus coefficient 1.0 is not an element of F_2"),
+])
+def test_extension_refuses_a_foreign_p_or_coefficient(p, modulus, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Field(p, modulus=modulus, subfield=Field(2))
+
+
+def test_extension_takes_numpy_coefficients():
+    assert (Field(2, modulus=np.array([1, 1, 1]), subfield=Field(2))
+            == Field(2, modulus=(1, 1, 1), subfield=Field(2)) == tower(4).base)
 
 
 def test_field_refuses_an_order_past_256(recwarn):

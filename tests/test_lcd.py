@@ -11,12 +11,18 @@ import pytest
 from addcyclic import linalg
 from addcyclic import lcd
 from addcyclic.cli import main
-from addcyclic.codes import GeneratorMatrixCode, InvariantViolation, load_matrix_document
+from addcyclic.codes import (
+    GeneratorMatrixCode,
+    InvariantViolation,
+    load_definition,
+    load_matrix_document,
+)
 from addcyclic.fields import format_element, tower
 from addcyclic.gray import gray_image, gray_rows
 from addcyclic.lcd import (
     INAPPLICABLE,
     LCD_GUARANTEED,
+    _hull_dimension,
     _rows_certificate,
     hull,
     is_lcd,
@@ -25,6 +31,8 @@ from addcyclic.lcd import (
     lcd_pipeline_code,
 )
 from addcyclic.tables import (
+    TABLE1,
+    TABLE2,
     TABLE3,
     WORKED_EXAMPLE_PHI_BETA,
     WORKED_EXAMPLE_PHI_FULL,
@@ -35,7 +43,7 @@ from addcyclic.tables import (
 from oracles import MixedWord, codewords, document_words, expand_words, gray_block
 from oracles import inner_product, reference_hull, rows_fq_independent
 from test_codes import random_mixed_code
-from test_linalg import ORACLE_FIELDS, field_id, in_rowspace, rowspace_equal
+from test_linalg import ORACLE_FIELDS, ORACLE_TOWERS, field_id, in_rowspace, rowspace_equal
 
 T3 = tower(3)
 T4 = tower(4)
@@ -143,6 +151,24 @@ def test_is_lcd_checks_the_whole_hull_identity(monkeypatch):
     monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: 1)
     with pytest.raises(InvariantViolation):
         is_lcd(code)
+
+
+@pytest.mark.parametrize("off_by", [-1, 1])
+def test_is_lcd_raises_on_a_gram_rank_off_by_one(monkeypatch, off_by):
+    # the memoized hull dimension is read first, so only the Gram rank
+    # is off; every kind of hull, trivial, partial and whole, is caught
+    rank = linalg.rank
+    codes = [GeneratorMatrixCode(T3, rows)
+             for rows in hull_cases(T3.base, np.random.default_rng(7), 6, 6)]
+    kinds = set()
+    for code in codes:
+        h = _hull_dimension(code)
+        kinds.add(hull_kind(h, code))
+    assert kinds == {"trivial", "partial", "whole"}
+    monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: rank(field, mat) + off_by)
+    for code in codes:
+        with pytest.raises(InvariantViolation):
+            is_lcd(code)
 
 
 def test_is_self_orthogonal_examples():
@@ -271,6 +297,10 @@ def self_dual_rows(field):
     return np.array([[1, 0, a, b], [0, 1, int(field.neg(b)), a]], dtype=np.uint8)
 
 
+def hull_kind(dimension, code):
+    return "trivial" if dimension == 0 else "whole" if dimension == code.rank else "partial"
+
+
 def hull_cases(field, rng, count, max_length):
     """Seeded generator matrices over `field`: the zero code, the full
     space, a self-dual code, and random codes, each also with random
@@ -302,7 +332,7 @@ def test_hull_matches_zassenhaus_oracle(field):
         code = GeneratorMatrixCode(tw, rows)
         h = hull(code)
         assert np.array_equal(h.matrix, reference_hull(code).matrix)
-        kinds.add("trivial" if h.rank == 0 else "whole" if h.rank == code.rank else "partial")
+        kinds.add(hull_kind(h.rank, code))
     assert kinds == {"trivial", "partial", "whole"}
 
 
@@ -318,6 +348,60 @@ def test_hull_matches_brute_force(q):
         h = hull(code)
         assert {w.tobytes() for w in codewords(h)} == {w.tobytes() for w in orthogonal}
         assert q**h.rank == len(orthogonal)
+
+
+def assert_hull_dimension(code):
+    """`_hull_dimension`, read first on a fresh code, against the
+    hull's basis and the Zassenhaus oracle; returns the dimension."""
+    dimension = _hull_dimension(code)
+    assert type(dimension) is int
+    assert dimension == hull(code).rank == reference_hull(code).rank
+    return dimension
+
+
+@pytest.mark.parametrize("tw", ORACLE_TOWERS, ids=lambda tw: f"q{tw.q}")
+def test_hull_dimension_matches_hull_and_oracle(tw):
+    # seeded closures and their Gray images, and beta = 0 matrices whose
+    # hulls are trivial, partial and whole
+    rng = random.Random(251 + tw.q)
+    for _ in range(4):
+        code = random_mixed_code(rng, tw, rng.randrange(1, 4), rng.randrange(1, 4))
+        assert_hull_dimension(GeneratorMatrixCode(tw, code.closure.matrix,
+                                                  beta=code.beta))
+        assert_hull_dimension(gray_image(code).base)
+    kinds = set()
+    for rows in hull_cases(tw.base, np.random.default_rng(tw.q), 6, 6):
+        code = GeneratorMatrixCode(tw, rows)
+        h = assert_hull_dimension(code)
+        kinds.add(hull_kind(h, code))
+    assert kinds == {"trivial", "partial", "whole"}
+
+
+# the table images whose hull is not trivial: (table, row) -> dimension
+TABLE_IMAGE_HULLS = {
+    (1, 2): 2, (1, 4): 2, (1, 5): 1, (1, 7): 6, (1, 8): 4, (1, 12): 2,
+    (1, 14): 2, (1, 18): 4,
+    (2, 1): 1, (2, 2): 5, (2, 5): 1, (2, 6): 1, (2, 7): 17,
+    (2, 8): 2, (2, 10): 3, (2, 14): 1,
+}
+
+
+def table_document_code(entry):
+    """The code a table row's document defines: the closure of a
+    definition (tables 1 and 2) or the span of a matrix (table 3)."""
+    if entry.table_id == 3:
+        tw, beta, expanded = load_matrix_document(entry.doc)
+        return GeneratorMatrixCode(tw, expanded, beta=beta)
+    return load_definition(entry.doc, strict=False)
+
+
+def test_hull_dimension_of_every_table_image():
+    for entry in TABLE1 + TABLE2 + TABLE3:
+        image = gray_image(table_document_code(entry)).base
+        expected = TABLE_IMAGE_HULLS.get((entry.table_id, entry.row), 0)
+        assert assert_hull_dimension(image) == expected, (entry.table_id, entry.row)
+    # row 2.8's image is self-orthogonal: its hull is the whole code
+    assert gray_image(table_document_code(TABLE2[7])).rank == TABLE_IMAGE_HULLS[2, 8]
 
 
 def test_lcd_criteria_agree_randomized():
@@ -560,27 +644,38 @@ def count_calls(monkeypatch, module_names, name):
 
 
 def image_hulls(hull_args, image_width):
-    """Hull calls on the Gray image of the whole code (not on the image
-    of its beta part, which is narrower)."""
+    """Calls on the Gray image of the whole code (not on the image of
+    its beta part, which is narrower)."""
     return [c for c in hull_args if c.width == image_width]
+
+
+def count_hull_work(monkeypatch):
+    """(dimensions, stacks, builds): the codes `_hull_dimension` is
+    asked for, the codes whose C + C⊥ is stacked (once per dimension
+    computed, and once per hull basis), and the codes whose hull basis
+    is built."""
+    return tuple(count_calls(monkeypatch, ("lcd",), name)
+                 for name in ("_hull_dimension", "_stacked", "_build_hull"))
 
 
 def test_one_image_and_one_hull_per_table3_row(monkeypatch):
     images = count_calls(monkeypatch, ("gray", "lcd", "tables", "cli"), "gray_image")
-    hulls = count_calls(monkeypatch, ("lcd", "tables", "cli"), "hull")
     built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
+    dimensions, stacks, hull_builds = count_hull_work(monkeypatch)
     for entry in TABLE3:
-        del images[:], hulls[:], built[:]
+        del images[:], built[:], dimensions[:], stacks[:]
         rep = verify_entry(entry)
         assert rep.status == "ok" and rep.lcd == "yes"
         assert len(images) == 1 and len(built) == 1
-        assert len(image_hulls(hulls, entry.expected_n)) == 1
+        assert len(image_hulls(dimensions, entry.expected_n)) == 1
+        assert len(image_hulls(stacks, entry.expected_n)) == 1
+    assert hull_builds == []
 
 
 def test_one_image_and_one_hull_per_lcd_command(monkeypatch, capsys):
     images = count_calls(monkeypatch, ("gray", "lcd", "tables", "cli"), "gray_image")
-    hulls = count_calls(monkeypatch, ("lcd", "tables", "cli"), "hull")
     built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
+    dimensions, stacks, hull_builds = count_hull_work(monkeypatch)
     doc = json.dumps({"q": 3, "alpha": 4, "beta": 2,
                       "rows": [["1", "1", "1", "0", "w", "w"],
                                ["1", "2", "0", "1", "2", "w+1"]]})
@@ -588,19 +683,24 @@ def test_one_image_and_one_hull_per_lcd_command(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["lcd"] is True and out["hull_dimension_observed"] == 0
     assert len(images) == 1 and len(built) == 1
-    assert len(image_hulls(hulls, 8)) == 1
+    assert len(image_hulls(dimensions, 8)) == 1
+    assert len(image_hulls(stacks, 8)) == 1
+    assert hull_builds == []
 
 
 def test_workload_pipeline_shares_the_image_and_hull(monkeypatch):
     # the benchmark's algebra sequence: is_lcd on the image, then the
-    # certificate of the same cyclic code
+    # certificate of the same cyclic code; both read the image's hull
+    # dimension, which is computed once
     built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
-    hull_builds = count_calls(monkeypatch, ("lcd",), "_build_hull")
+    dimensions, stacks, hull_builds = count_hull_work(monkeypatch)
     for tw, code in random_lcd_cases(241, 12):
-        del built[:], hull_builds[:]
+        del built[:], dimensions[:], stacks[:]
         image = gray_image(code)
         verdict = is_lcd(image.base)
         cert = lcd_pipeline_code(code)
         assert verdict == (cert.hull_dimension_observed == 0)
         assert len(built) == 1
-        assert len(image_hulls(hull_builds, image.length)) == 1
+        assert image_hulls(dimensions, image.length) == [image.base] * 2
+        assert len(image_hulls(stacks, image.length)) == 1
+    assert hull_builds == []
