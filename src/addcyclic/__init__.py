@@ -47,7 +47,7 @@ from .lcd import (
     INAPPLICABLE,
     LCD_GUARANTEED,
     LcdCertificate,
-    hull,
+    hull_dimension,
     is_lcd,
     is_self_orthogonal,
     lcd_certificate,

@@ -17,8 +17,8 @@ because degenerate generator choices (e.g. g ≡ 0 mod x^beta - 1) do
 occur in practice and break the formulas.
 
 A `GeneratorMatrixCode` has one alphabet parameter, beta: its alpha is
-the width less 2*beta, and a plain F_q code (a Gray image, a hull, a
-bare matrix) is beta = 0.  One class, `MixedCode`, holds every cyclic
+the width less 2*beta, and a plain F_q code (a Gray image, a bare
+matrix) is beta = 0.  One class, `MixedCode`, holds every cyclic
 code: a pure code, an additive cyclic code over F_q2 of length n, is
 the MixedCode with alpha = 0 and beta = n, and has no (s | l)
 generator.  The degree-counted spanning set is read from the closure's
@@ -62,10 +62,10 @@ class GeneratorMatrixCode:
     are beta F_q2 symbols in the expanded layout of the module docstring,
     the first alpha = width - 2*beta columns F_q symbols, and the split
     sets the weight of the code's words.  A plain F_q code (a Gray image,
-    a hull, a bare matrix) is beta = 0.  `pivots` holds the pivot column
-    of each basis row, read by the hull and the distance engine;
+    a bare matrix) is beta = 0.  `pivots` holds the pivot column of each
+    basis row, read by the hull dimension and the distance engine;
     membership is one rank and reads none.  The stored matrix is
-    read-only: what is derived from it (a Gray image, a hull or its
+    read-only: what is derived from it (a Gray image, the hull's
     dimension) is memoized on this object (`_memo`) and must not go
     stale.  `spanning_rows`, a class attribute that no constructor
     argument sets, is None except on the codes `module_closure` returns,
@@ -409,9 +409,10 @@ def dual(code) -> GeneratorMatrixCode:
 def invariant_under(code: GeneratorMatrixCode, perm) -> bool:
     """True iff the row space is closed under the column permutation
     that puts column perm[j] of a word in column j; anything but a
-    permutation of range(width) is refused."""
-    perm = np.asarray(perm, dtype=np.intp)
-    if not np.array_equal(np.sort(perm), np.arange(code.width)):
+    permutation of range(width) is refused, an array of floats included,
+    which a cast to indices would truncate."""
+    perm = np.asarray(perm)
+    if perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(code.width)):
         raise ValueError("perm is not a permutation of the code's columns")
     return code.contains_rows(code.matrix[:, perm])
 

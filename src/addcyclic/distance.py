@@ -1,8 +1,8 @@
 """Minimum-distance computation.
 
 A code's split is its alphabet: alpha F_q symbols of one column and
-beta F_q2 symbols of two, so a plain code, beta = 0 (Gray images,
-hulls), weighs one F_q symbol per column.  Codes of at most
+beta F_q2 symbols of two, so a plain code, beta = 0 (a Gray image),
+weighs one F_q symbol per column.  Codes of at most
 _WHOLE_CODE words are weighed whole, as layer 1 (below) of their
 nonzero words.  Every other distance comes from one search, the
 Brouwer-Zimmermann search (Zimmermann 1996; Grassl, "Searching for
@@ -62,7 +62,7 @@ b + q*c (`codes._pack`).  Packing is F_q-linear, since F_q embeds in
 F_q2 as the same integers, so the layers combine packed rows by F_q2's
 subtraction and its products with c in F_q, and a distance is the
 count of differing bytes over alpha + beta symbols.  A beta = 0 code
-(a Gray image, a hull) packs to itself, its F_q entries read as the
+(a Gray image) packs to itself, its F_q entries read as the
 same elements of F_q2, so every code is weighed through one
 enumerator, `_Layers`, which packs the rows it is given.  Forms and a
 whole code's words are packed once.

@@ -79,10 +79,14 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
+def _is_int(c) -> bool:
+    """True iff c is an int or a numpy integer, not a bool."""
+    return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+
+
 def _is_element(c, order) -> bool:
     """True iff c is an int, not a bool, in [0, order): an element's code."""
-    return (isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-            and 0 <= c < order)
+    return _is_int(c) and 0 <= c < order
 
 
 class Field:
@@ -213,8 +217,8 @@ class FieldTower:
     """
 
     def __init__(self, q, f1=None, f2=None):
-        if not 2 <= q <= 16:
-            raise ValueError(f"a tower needs 2 <= q <= 16, got {q}")
+        if not _is_int(q) or not 2 <= q <= 16:
+            raise ValueError(f"a tower needs an int 2 <= q <= 16, got {q!r}")
         p, m = _factor_prime_power(q)
         self.q = q
         self.p = p
@@ -261,9 +265,14 @@ class FieldTower:
 
 def tower(q, f1=None, f2=None):
     """Memoized FieldTower factory; f1/f2 are coefficient sequences, low
-    degree first, and equal sequences give the same tower object."""
-    return _tower(q, None if f1 is None else tuple(f1),
-                  None if f2 is None else tuple(f2))
+    degree first, and equal sequences give the same tower object.  The
+    cache matches keys by ==, so a q or coefficient that is no int, such
+    as 3.0 or True, skips it and is refused by FieldTower."""
+    f1, f2 = (None if f is None else tuple(f) for f in (f1, f2))
+    if not all(map(_is_int, (q, *(f1 or ()), *(f2 or ())))):
+        return FieldTower(q, f1=f1, f2=f2)
+    f1, f2 = (None if f is None else tuple(map(int, f)) for f in (f1, f2))
+    return _tower(int(q), f1, f2)
 
 
 @lru_cache(maxsize=None)

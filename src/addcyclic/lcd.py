@@ -1,4 +1,4 @@
-"""Euclidean hulls, LCD verification, and the LCD sufficiency pipeline.
+"""Hull dimensions, LCD verification, and the LCD sufficiency pipeline.
 
 A linear code is LCD when it meets its dual trivially.  For a mixed-
 alphabet code given by a generator matrix G = (G_alpha | G_beta), the
@@ -10,20 +10,18 @@ independent check.  The hypotheses are read from the F_q-expanded
 matrix (`lcd_certificate`): G_alpha is its first alpha columns and G_beta
 composes its b and c columns.
 
-Memoized: the hull's dimension is computed once and kept on its
-GeneratorMatrixCode, as is the Gray image (`gray.gray_image`), so the
-certificate, `is_lcd` and the callers that already hold the image share
-one image and one dimension.  This is sound because both are functions
-of the code's stored rref matrix, which is read-only, and of its split,
-which nothing reassigns; a memo lives and dies with its code, there is
-no cache keyed on contents.  Every verdict reads only the dimension,
-dim(C ∩ C⊥) = n - rank(C + C⊥): one rank, with no back-substitution, of
-the stored basis stacked on the dual basis read from its rref and
-pivots (`linalg.kernel_of_rref`).  `is_lcd` cross-checks it against
-the rank of the Gram matrix G Gᵀ, which this route never forms:
-dim(C ∩ C⊥) = k - rank(G Gᵀ) (Massey 1992).  The hull's basis, the
-kernel (C + C⊥)⊥ of the same stacked matrix, is built only by `hull`,
-memoized the same way, and no verdict calls it.
+Memoized: the hull's dimension (`hull_dimension`) is computed once and
+kept on its GeneratorMatrixCode, as is the Gray image
+(`gray.gray_image`), so the certificate, `is_lcd` and the callers that
+already hold the image share one image and one dimension.  This is sound
+because both are functions of the code's stored rref matrix, which is
+read-only, and of its split, which nothing reassigns; a memo lives and
+dies with its code, there is no cache keyed on contents.  The dimension
+is dim(C ∩ C⊥) = n - rank(C + C⊥): one rank, with no back-substitution,
+of the stored basis stacked on the dual basis read from its rref and
+pivots (`linalg.kernel_of_rref`).  `is_lcd` cross-checks it against the
+rank of the Gram matrix G Gᵀ, which this route never forms:
+dim(C ∩ C⊥) = k - rank(G Gᵀ) (Massey 1992).
 """
 
 from __future__ import annotations
@@ -40,28 +38,13 @@ LCD_GUARANTEED = "LCD-guaranteed"
 INAPPLICABLE = "inapplicable"
 
 
-def hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
-    """C ∩ C⊥ under the standard coordinatewise F_q inner product,
-    memoized on the code."""
-    return code._memo("hull", _build_hull)
-
-
-def _stacked(code: GeneratorMatrixCode):
-    """The stored basis on the dual basis read from its rref: a matrix
-    whose row space is C + C⊥."""
-    return np.vstack([code.matrix, linalg.kernel_of_rref(code.field, code.matrix, code.pivots)])
-
-
-def _build_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:
-    """C ∩ C⊥ = (C + C⊥)⊥, one kernel (module docstring)."""
-    return GeneratorMatrixCode(code.tower, linalg.kernel(code.field, _stacked(code)))
-
-
-def _hull_dimension(code: GeneratorMatrixCode) -> int:
-    """dim(C ∩ C⊥) = n - rank(C + C⊥), memoized on the code; no hull
-    basis is built."""
-    return code._memo("hull_dimension",
-                      lambda c: c.width - linalg.rank(c.field, _stacked(c)))
+def hull_dimension(code: GeneratorMatrixCode) -> int:
+    """dim(C ∩ C⊥) under the standard coordinatewise F_q inner product,
+    n - rank(C + C⊥), memoized on the code."""
+    def build(c):
+        dual = linalg.kernel_of_rref(c.field, c.matrix, c.pivots)
+        return c.width - linalg.rank(c.field, np.vstack([c.matrix, dual]))
+    return code._memo("hull_dimension", build)
 
 
 def is_self_orthogonal(rows, tower) -> bool:
@@ -72,13 +55,13 @@ def is_self_orthogonal(rows, tower) -> bool:
 
 
 def is_lcd(code: GeneratorMatrixCode) -> bool:
-    """Trivial hull: the memoized hull dimension (`_hull_dimension`) is
-    0.  It is cross-checked against the Gram matrix G Gᵀ of the
-    full-rank basis G: over any field, x G lies in C⊥ exactly when
-    x G Gᵀ = 0, so dim(C ∩ C⊥) = k - rank(G Gᵀ), and the hull dimension
-    and the Gram rank must sum to k.  No hull basis is built."""
+    """Trivial hull: the memoized `hull_dimension` is 0.  It is
+    cross-checked against the Gram matrix G Gᵀ of the full-rank basis G:
+    over any field, x G lies in C⊥ exactly when x G Gᵀ = 0, so
+    dim(C ∩ C⊥) = k - rank(G Gᵀ), and the hull dimension and the Gram
+    rank must sum to k."""
     f = code.field
-    dimension = _hull_dimension(code)
+    dimension = hull_dimension(code)
     gram = linalg.matmul(f, code.matrix, code.matrix.T)
     if dimension + linalg.rank(f, gram) != code.rank:
         raise InvariantViolation("hull rank and Gram rank do not sum to the rank")
@@ -114,7 +97,7 @@ def lcd_certificate(expanded, image: GrayImageCode) -> LcdCertificate:
     # map (b, c) -> (b + c, c): its rank is the rows' F_q-rank
     independent = phi_c_beta.rank == len(M)
     beta_lcd = is_lcd(phi_c_beta)
-    observed = _hull_dimension(image.base)
+    observed = hull_dimension(image.base)
     ok = self_orth and independent and beta_lcd
     return LcdCertificate(
         c_alpha_self_orthogonal=self_orth,

@@ -2,11 +2,11 @@
 
 Matrices are 2-D numpy uint8 arrays of field elements; every function
 takes the Field as its first argument.  This is the ground-truth engine
-behind dimensions, duals and hulls: everything is reduced row echelon
-form and kernels.  A kernel is read from an rref and its pivots, so a
-stored basis needs no second elimination.  Membership is rank: a block
-lies in a row space when stacking it under the basis leaves the rank
-as it was (`codes.GeneratorMatrixCode.contains_rows`).
+behind dimensions, duals and hull dimensions: everything is reduced row
+echelon form and kernels.  A kernel is read from an rref and its
+pivots, so a stored basis needs no second elimination.  Membership is
+rank: a block lies in a row space when stacking it under the basis
+leaves the rank as it was (`codes.GeneratorMatrixCode.contains_rows`).
 
 Elimination (`rref` and `rank`, one `_eliminate`) works on rows held
 as `bytes`, one byte per entry, so that, as in M4RI's packed rows

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, FieldMismatchError, _format_terms
+from .fields import Field, FieldMismatchError, _format_terms, _is_int
 
 
 class _Scalars(NamedTuple):
@@ -131,6 +131,8 @@ class Poly:
 
     @classmethod
     def xn_minus_1(cls, field, n):
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"x^n - 1 needs an int n >= 0, got {n!r}")
         if n == 0:
             return cls.zero(field)  # x^0 - 1 = 0
         cs = [0] * (n + 1)

@@ -13,7 +13,7 @@ from addcyclic.codes import MixedCode, dual, is_cyclic, module_closure
 from addcyclic.distance import min_distance_exact
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image, gray_rows
-from addcyclic.lcd import LCD_GUARANTEED, hull
+from addcyclic.lcd import LCD_GUARANTEED, hull_dimension
 from addcyclic.poly import Poly, divides, poly_gcd
 from addcyclic.tables import (
     OPTIMALITY_NOTE,
@@ -184,8 +184,8 @@ def test_criterion_4_table3_and_worked_example():
         and e.computed_k == entry.expected_k
         for entry, e in zip(TABLE3, rep.entries)
     )
-    # the worked example: both printed generator matrices, both hulls zero,
-    # certificate with all three hypotheses
+    # the worked example: both printed generator matrices, both hull
+    # dimensions zero, certificate with all three hypotheses
     tw, alpha, beta, words = example_words()
     from addcyclic.codes import GeneratorMatrixCode
     code = GeneratorMatrixCode(tw, [w.expand() for w in words], beta=beta)
@@ -196,9 +196,9 @@ def test_criterion_4_table3_and_worked_example():
     cert = words_certificate(tw, alpha, beta, words)
     example_ok = (
         (img.length, img.rank, d_full) == (12, 3, 7)
-        and hull(img.base).rank == 0
+        and hull_dimension(img.base) == 0
         and (phib.width, phib.rank, d_beta) == (8, 3, 4)
-        and hull(phib).rank == 0
+        and hull_dimension(phib) == 0
         and rowspace_equal(tw.base, img.matrix,
                                   np.array(WORKED_EXAMPLE_PHI_FULL, np.uint8))
         and rowspace_equal(tw.base, phib.matrix,

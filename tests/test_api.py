@@ -18,7 +18,7 @@ EXPORTS = set("""
     DistanceResult min_distance min_distance_exact min_distance_upper Field
     FieldMismatchError FieldTower tower CYCLIC_EQUIVALENT GENERALIZED_QC
     QUASI_CYCLIC_3 GrayImageCode classify_gray_image gray_image
-    shift_invariance_check INAPPLICABLE LCD_GUARANTEED LcdCertificate hull is_lcd
+    shift_invariance_check INAPPLICABLE LCD_GUARANTEED LcdCertificate hull_dimension is_lcd
     is_self_orthogonal lcd_certificate lcd_pipeline_code load_matrix_document
     Poly PolyParseError divides format_poly parse_poly parse_scalar poly_gcd
     TABLE1 TABLE2 TABLE3 TableEntry verify_all verify_entry""".split())

@@ -1270,7 +1270,9 @@ def test_invariant_under_agrees_with_roll_shift():
         invariant_under(orbit, np.arange(orbit.width - 1))
 
 
-@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 5, 2], [-1, 0, 1], [1, 2, 2]])
+# [1.5, 0, 2] and [0.0, 1, 2] truncate to permutations as indices
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 5, 2], [-1, 0, 1], [1, 2, 2],
+                                  [1.5, 0], [1.5, 0, 2], [0.0, 1, 2]])
 def test_invariant_under_refuses_what_is_not_a_permutation(perm):
     gm = GeneratorMatrixCode(T3, [[1, 1, 0]])
     with pytest.raises(ValueError, match="not a permutation"):

@@ -40,12 +40,11 @@ from addcyclic.distance import (
 )
 from addcyclic.fields import tower
 from addcyclic.gray import gray_image
-from addcyclic.lcd import hull
 from addcyclic.linalg import _suffix_block
 from addcyclic.poly import Poly
 from addcyclic.tables import TABLE1, TABLE2
 
-from oracles import MixedWord, projections
+from oracles import MixedWord, projections, reference_hull
 from test_codes import random_divisor, random_mixed_code, random_pure_code
 
 T3 = tower(3)
@@ -279,7 +278,7 @@ def test_engines_weigh_in_the_code_alphabet():
         image = gray_image(code).base
         c_alpha, c_beta = projections(code)
         cases = ((code.closure, alpha, beta), (pure.closure, 0, pure.beta),
-                 (image, image.width, 0), (hull(image), image.width, 0),
+                 (image, image.width, 0), (reference_hull(image), image.width, 0),
                  (c_alpha, alpha, 0), (c_beta, 0, beta))
         for i, (gm, a, b) in enumerate(cases):
             if gm.rank == 0 or gm.size > 3**7:
@@ -1041,7 +1040,7 @@ def test_only_module_closures_are_shifted(monkeypatch):
     changed = GeneratorMatrixCode(closure.tower, changed, beta=closure.beta)
     assert not is_cyclic(changed)
     image = gray_image(load_definition(TABLE2[1].doc, strict=False))  # hull of rank 5
-    others = [dual(closure), image.base, hull(image.base), changed,
+    others = [dual(closure), image.base, reference_hull(image.base), changed,
               GeneratorMatrixCode(closure.tower, closure.matrix, beta=closure.beta)]
     for gm in [closure] + others:
         searched.clear()

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -224,6 +225,32 @@ def test_malformed_moduli_are_refused_by_name(q, moduli, message):
     # outside the subfield
     with pytest.raises(ValueError, match=f"^{message}$"):
         tower(q, **moduli)
+
+
+@pytest.mark.parametrize("q, moduli, message", [
+    (3.0, {}, "a tower needs an int 2 <= q <= 16, got 3.0"),
+    (True, {}, "a tower needs an int 2 <= q <= 16, got True"),
+    (4, {"f1": (1, True, 1)}, "f1 coefficients must lie in F_2"),
+    (4, {"f1": (1.0, 1, 1)}, "f1 coefficients must lie in F_2"),
+    (4, {"f2": (2, 1, 1.0)}, "f2 coefficients must lie in F_4"),
+])
+def test_values_that_are_not_ints_are_refused_after_their_equals_are_built(
+        q, moduli, message):
+    # the tower cache matches keys by ==: with the towers of 3, of
+    # f1 = (1, 1, 1) and of f2 = (2, 1, 1) built, the refusals stand
+    equal = [tower(3), tower(4, f1=(1, 1, 1)), tower(4, f2=(2, 1, 1))]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tower(q, **moduli)
+    assert tower(np.int64(3)) is equal[0]
+    assert tower(4, f1=np.array([1, 1, 1])) is equal[1]
+
+
+def test_numpy_ints_build_a_tower_of_ints():
+    # built first from numpy ints, the cached tower must not hand them to
+    # the callers that ask with ints
+    tw = tower(np.int64(11), f2=np.array([1, 1, 1]))
+    assert tw is tower(11, f2=(1, 1, 1))
+    assert type(tw.q) is int and all(type(c) is int for c in tw.f2)
 
 
 def test_searched_f2_over_an_overridden_f1():

@@ -48,11 +48,12 @@ def test_every_module_level_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == expected
 
 
-# the routines that derive a distance, a Gray image, an LCD certificate
-# or a Singleton status: `tables` derives each fact the CLI prints
-# (`params_facts`, `gray_facts`, `lcd_facts`), and the CLI only renders it
+# the routines that derive a distance, a Gray image, an LCD certificate,
+# a hull dimension or a Singleton status: `tables` derives each fact the
+# CLI prints (`params_facts`, `gray_facts`, `lcd_facts`), and the CLI
+# only renders it
 DERIVATIONS = {"min_distance", "gray_image", "shift_invariance_check",
-               "_rows_certificate", "singleton_check", "is_lcd"}
+               "_rows_certificate", "singleton_check", "is_lcd", "hull_dimension"}
 
 
 def named_routines(source):

@@ -1,4 +1,4 @@
-"""Hulls, LCD checks, and the sufficiency pipeline."""
+"""Hull dimensions, LCD checks, and the sufficiency pipeline."""
 
 import importlib
 import json
@@ -22,9 +22,8 @@ from addcyclic.gray import gray_image, gray_rows
 from addcyclic.lcd import (
     INAPPLICABLE,
     LCD_GUARANTEED,
-    _hull_dimension,
     _rows_certificate,
-    hull,
+    hull_dimension,
     is_lcd,
     is_self_orthogonal,
     lcd_certificate,
@@ -65,7 +64,7 @@ def plain_code(field_tower, rows):
 
 def test_hull_of_full_space():
     code = plain_code(T3, np.eye(5, dtype=np.uint8))
-    assert hull(code).rank == 0
+    assert hull_dimension(code) == 0
 
 
 def test_hull_of_self_orthogonal_projection():
@@ -77,9 +76,8 @@ def test_hull_of_self_orthogonal_projection():
         tw.base, c_alpha.matrix,
         np.array([[1, 1, 1, 0], [1, 2, 0, 1]], np.uint8))
     assert is_self_orthogonal(c_alpha.matrix, tw)
-    h = hull(c_alpha)
-    assert h.rank == 2
-    assert rowspace_equal(tw.base, h.matrix, c_alpha.matrix)
+    # the hull of a self-orthogonal code is the code: h = k
+    assert hull_dimension(c_alpha) == c_alpha.rank
 
 
 def test_worked_example_dual_orthogonality_by_enumeration():
@@ -100,7 +98,7 @@ def test_hull_of_example_image_is_zero():
     code = GeneratorMatrixCode(tw, [w.expand() for w in words],
                                beta=beta)
     img = gray_image(code)
-    assert hull(img.base).rank == 0
+    assert hull_dimension(img.base) == 0
 
 
 def test_is_lcd_example_phi_beta():
@@ -147,7 +145,7 @@ def test_is_lcd_checks_the_whole_hull_identity(monkeypatch):
     # so the Gram rank is 0; a Gram rank of 1 breaks
     # dim(C ∩ C⊥) = k - rank(G Gᵀ) although both tests still say "not LCD"
     code = plain_code(T3, [[1, 1, 1, 0], [0, 1, 2, 1]])
-    assert hull(code).rank == 2 and not is_lcd(code)
+    assert hull_dimension(code) == 2 and not is_lcd(code)
     monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: 1)
     with pytest.raises(InvariantViolation):
         is_lcd(code)
@@ -162,8 +160,7 @@ def test_is_lcd_raises_on_a_gram_rank_off_by_one(monkeypatch, off_by):
              for rows in hull_cases(T3.base, np.random.default_rng(7), 6, 6)]
     kinds = set()
     for code in codes:
-        h = _hull_dimension(code)
-        kinds.add(hull_kind(h, code))
+        kinds.add(hull_kind(hull_dimension(code), code))
     assert kinds == {"trivial", "partial", "whole"}
     monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: rank(field, mat) + off_by)
     for code in codes:
@@ -262,6 +259,8 @@ def test_pipeline_identity_alpha_inapplicable():
 
 
 def test_hull_contained_in_code_and_dual():
+    # the Zassenhaus hull lies in the code and in its dual, and its rank
+    # is the hull dimension
     rng = random.Random(89)
     for _ in range(300):
         tw = rng.choice((T3, T4))
@@ -269,7 +268,8 @@ def test_hull_contained_in_code_and_dual():
         rows = np.array([[rng.randrange(tw.q) for _ in range(n)]
                          for _ in range(rng.randrange(1, 4))], dtype=np.uint8)
         code = plain_code(tw, rows)
-        h = hull(code)
+        h = reference_hull(code)
+        assert hull_dimension(code) == h.rank
         dual_basis = linalg.kernel(tw.base, code.matrix)
         for row in h.matrix:
             assert code.contains(row)
@@ -282,7 +282,7 @@ def test_hull_contained_in_code_and_dual():
 def oracle_tower(field):
     """The tower over `field`, or, for the fields of ORACLE_FIELDS that
     are no tower's base (the extensions and F_27), a stand-in holding the
-    two attributes a GeneratorMatrixCode and its hull read."""
+    two attributes a GeneratorMatrixCode and its hull dimension read."""
     if field.order <= 16 and tower(field.order).base is field:
         return tower(field.order)
     return SimpleNamespace(base=field, q=field.order)
@@ -330,32 +330,30 @@ def test_hull_matches_zassenhaus_oracle(field):
     kinds = set()
     for rows in hull_cases(field, rng, 12, 8):
         code = GeneratorMatrixCode(tw, rows)
-        h = hull(code)
-        assert np.array_equal(h.matrix, reference_hull(code).matrix)
-        kinds.add(hull_kind(h.rank, code))
+        h = hull_dimension(code)
+        assert h == reference_hull(code).rank
+        kinds.add(hull_kind(h, code))
     assert kinds == {"trivial", "partial", "whole"}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hull_matches_brute_force(q):
-    # the hull is the words of C orthogonal to every basis row
+    # the hull is the words of C orthogonal to every basis row, q^h of them
     tw = tower(q)
     rng = np.random.default_rng(31 + q)
     for rows in hull_cases(tw.base, rng, 6, 4):
         code = GeneratorMatrixCode(tw, rows)
         words = codewords(code)
         orthogonal = words[~linalg.matmul(tw.base, words, code.matrix.T).any(axis=1)]
-        h = hull(code)
-        assert {w.tobytes() for w in codewords(h)} == {w.tobytes() for w in orthogonal}
-        assert q**h.rank == len(orthogonal)
+        assert q**hull_dimension(code) == len(orthogonal)
 
 
 def assert_hull_dimension(code):
-    """`_hull_dimension`, read first on a fresh code, against the
-    hull's basis and the Zassenhaus oracle; returns the dimension."""
-    dimension = _hull_dimension(code)
+    """`hull_dimension`, read first on a fresh code, against the
+    Zassenhaus oracle; returns the dimension."""
+    dimension = hull_dimension(code)
     assert type(dimension) is int
-    assert dimension == hull(code).rank == reference_hull(code).rank
+    assert dimension == reference_hull(code).rank
     return dimension
 
 
@@ -530,15 +528,15 @@ def test_load_matrix_document_and_definition_share_tower_parsing():
     assert load_definition(definition).tower is load_matrix_document(matrix)[0]
 
 
-# -- the matrix-read certificate and the memoized image and hull --------------
+# -- the matrix-read certificate and the memoized image and hull dimension ----
 
 QS = (2, 3, 4, 5, 7, 8)
 
 
 def reference_lcd_pipeline(tower, alpha, beta, rows):
     """The words-based pipeline the matrix-read certificate replaced: the
-    hypotheses from the MixedWords' parts, the observed hull from a Gray
-    image and a hull built afresh."""
+    hypotheses from the MixedWords' parts, the observed hull dimension
+    from a Gray image and a Zassenhaus hull built afresh."""
     words = list(rows)
     g_alpha = linalg.as_matrix([w.u for w in words], width=alpha)
     g_beta = np.asarray([w.uprime for w in words], dtype=np.uint8).reshape(
@@ -578,21 +576,20 @@ def test_memoized_image_and_hull_equal_fresh_results():
         gm = code.closure
         image = gray_image(code)
         assert gray_image(gm) is image and gray_image(code) is image
-        h = hull(image.base)
-        assert hull(image.base) is h
+        h = hull_dimension(image.base)
         # a fresh copy of the same matrix, nothing memoized on it
         fresh = GeneratorMatrixCode(tw, np.array(gm.matrix), beta=gm.beta)
         fresh_image = GeneratorMatrixCode(tw, gray_rows(tw, gm.alpha, fresh.matrix))
         assert np.array_equal(image.matrix, fresh_image.matrix)
-        assert np.array_equal(h.matrix, reference_hull(fresh_image).matrix)
-        assert np.array_equal(hull(gm).matrix, reference_hull(fresh).matrix)
+        assert h == reference_hull(fresh_image).rank
+        assert hull_dimension(gm) == reference_hull(fresh).rank
         assert is_lcd(image.base) == (reference_hull(fresh_image).rank == 0)
 
 
 def test_stored_matrices_are_read_only():
     tw, code = next(random_lcd_cases(233, 1))
     image = gray_image(code)
-    for gm in (code.closure, image.base, hull(image.base)):
+    for gm in (code.closure, image.base):
         with pytest.raises(ValueError):
             gm.matrix[..., :1] = 1
 
@@ -626,15 +623,16 @@ def test_certificate_matches_words_pipeline_on_documents():
                 == reference_lcd_pipeline(tw, entry.doc["alpha"], beta, words))
 
 
-def count_calls(monkeypatch, module_names, name):
+def count_calls(monkeypatch, module_names, name, read=lambda args: args[0]):
     """Wrap the function `name` wherever the named modules hold it and
-    return the list of first arguments it is called with."""
+    return the list of what `read` takes from the arguments of each
+    call, by default the first."""
     seen = []
     modules = [importlib.import_module(f"addcyclic.{m}") for m in module_names]
     original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        seen.append(args[0])
+        seen.append(read(args))
         return original(*args, **kwargs)
 
     for mod in modules:
@@ -650,32 +648,31 @@ def image_hulls(hull_args, image_width):
 
 
 def count_hull_work(monkeypatch):
-    """(dimensions, stacks, builds): the codes `_hull_dimension` is
-    asked for, the codes whose C + C⊥ is stacked (once per dimension
-    computed, and once per hull basis), and the codes whose hull basis
-    is built."""
-    return tuple(count_calls(monkeypatch, ("lcd",), name)
-                 for name in ("_hull_dimension", "_stacked", "_build_hull"))
+    """(dimensions, kernels): the codes `hull_dimension` is asked for,
+    and the widths of the bases whose dual `linalg.kernel_of_rref` reads,
+    once per dimension computed."""
+    return (count_calls(monkeypatch, ("lcd",), "hull_dimension"),
+            count_calls(monkeypatch, ("linalg",), "kernel_of_rref",
+                        read=lambda args: args[1].shape[1]))
 
 
 def test_one_image_and_one_hull_per_table3_row(monkeypatch):
     images = count_calls(monkeypatch, ("gray", "lcd", "tables", "cli"), "gray_image")
     built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
-    dimensions, stacks, hull_builds = count_hull_work(monkeypatch)
+    dimensions, kernels = count_hull_work(monkeypatch)
     for entry in TABLE3:
-        del images[:], built[:], dimensions[:], stacks[:]
+        del images[:], built[:], dimensions[:], kernels[:]
         rep = verify_entry(entry)
         assert rep.status == "ok" and rep.lcd == "yes"
         assert len(images) == 1 and len(built) == 1
         assert len(image_hulls(dimensions, entry.expected_n)) == 1
-        assert len(image_hulls(stacks, entry.expected_n)) == 1
-    assert hull_builds == []
+        assert kernels.count(entry.expected_n) == 1
 
 
 def test_one_image_and_one_hull_per_lcd_command(monkeypatch, capsys):
     images = count_calls(monkeypatch, ("gray", "lcd", "tables", "cli"), "gray_image")
     built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
-    dimensions, stacks, hull_builds = count_hull_work(monkeypatch)
+    dimensions, kernels = count_hull_work(monkeypatch)
     doc = json.dumps({"q": 3, "alpha": 4, "beta": 2,
                       "rows": [["1", "1", "1", "0", "w", "w"],
                                ["1", "2", "0", "1", "2", "w+1"]]})
@@ -684,8 +681,7 @@ def test_one_image_and_one_hull_per_lcd_command(monkeypatch, capsys):
     assert out["lcd"] is True and out["hull_dimension_observed"] == 0
     assert len(images) == 1 and len(built) == 1
     assert len(image_hulls(dimensions, 8)) == 1
-    assert len(image_hulls(stacks, 8)) == 1
-    assert hull_builds == []
+    assert kernels.count(8) == 1
 
 
 def test_workload_pipeline_shares_the_image_and_hull(monkeypatch):
@@ -693,14 +689,13 @@ def test_workload_pipeline_shares_the_image_and_hull(monkeypatch):
     # certificate of the same cyclic code; both read the image's hull
     # dimension, which is computed once
     built = count_calls(monkeypatch, ("gray",), "_build_gray_image")
-    dimensions, stacks, hull_builds = count_hull_work(monkeypatch)
+    dimensions, kernels = count_hull_work(monkeypatch)
     for tw, code in random_lcd_cases(241, 12):
-        del built[:], dimensions[:], stacks[:]
+        del built[:], dimensions[:], kernels[:]
         image = gray_image(code)
         verdict = is_lcd(image.base)
         cert = lcd_pipeline_code(code)
         assert verdict == (cert.hull_dimension_observed == 0)
         assert len(built) == 1
         assert image_hulls(dimensions, image.length) == [image.base] * 2
-        assert len(image_hulls(stacks, image.length)) == 1
-    assert hull_builds == []
+        assert kernels.count(image.length) == 1

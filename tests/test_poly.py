@@ -64,6 +64,14 @@ def test_xn_minus_1(q):
                 for _ in range(n):
                     power = int(f.mul(power, a))
                 assert evaluate(p, a) == int(f.sub(power, 1))
+    assert Poly.xn_minus_1(tw.base, np.int64(2)) == Poly.xn_minus_1(tw.base, 2)
+
+
+@pytest.mark.parametrize("n", [-1, -5, 2.0, True, None])
+def test_xn_minus_1_refuses_what_is_not_a_length(n):
+    # -1 would index past the coefficient list, and 2.0 would build it
+    with pytest.raises(ValueError, match=rf"int n >= 0, got {re.escape(repr(n))}$"):
+        Poly.xn_minus_1(T3.base, n)
 
 
 # numpy-table references for Poly arithmetic: coefficient tuples in, a
