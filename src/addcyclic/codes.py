@@ -66,10 +66,10 @@ class GeneratorMatrixCode:
     basis row, read by the hull dimension and the distance engine;
     membership is one rank and reads none.  The stored matrix is
     read-only: what is derived from it (a Gray image, the hull's
-    dimension) is memoized on this object (`_memo`) and must not go
-    stale.  `spanning_rows`, a class attribute that no constructor
-    argument sets, is None except on the codes `module_closure` returns,
-    whose row space is closed under x.
+    dimension, whether it is cyclic) is memoized on this object (`_memo`)
+    and must not go stale.  `spanning_rows`, a class attribute that no
+    constructor argument sets, is None except on the codes
+    `module_closure` returns, whose row space is closed under x.
     """
 
     tower: FieldTower
@@ -421,8 +421,10 @@ def is_cyclic(code: GeneratorMatrixCode) -> bool:
     """True iff the row space is closed under the simultaneous right
     cyclic shift of the alpha block and the beta block (the latter acting
     on (b, c) column pairs jointly); at beta = 0 the ordinary cyclic
-    shift."""
-    return invariant_under(code, _shift_columns(code.alpha, code.beta, 1))
+    shift.  Memoized on the code, as a function of its stored rref and
+    split."""
+    return code._memo(
+        "is_cyclic", lambda c: invariant_under(c, _shift_columns(c.alpha, c.beta, 1)))
 
 
 @dataclass(frozen=True)
@@ -502,7 +504,24 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
     (`_echelon_generators`).  Best effort: the quintuple always satisfies
     the divisibility conditions and generates the smallest cyclic code
     holding the input, and closure_ok records whether that is the input
-    itself, that is whether the input is cyclic."""
+    itself, that is whether the input is cyclic.
+
+    closure_ok is proven without building the candidate's closure: it
+    holds when the input is cyclic (`is_cyclic`, memoized), the
+    candidate's generator rows lie in it, and the candidate's
+    degree-counted spanning set has as many rows as the input's rank.
+    - The generator rows lie in the code; if the code is closed under x,
+      the candidate's closure lies in it too.
+    - The degree-counted spanning set is independent, its rows having
+      distinct leading columns (`MixedCode.spanning_set`), and lies in the
+      closure.  So the closure is the code exactly when that count equals
+      the rank.
+    - A closure is closed under x, so a code that is not is never its
+      closure.
+    - On a cyclic input the count always equals the rank: the rows of
+      each part of the echelon form count alpha - deg s, beta - deg g and
+      beta - deg k (MacWilliams-Sloane ch. 7).
+    """
     tw = code.tower
     alpha, beta = code.alpha, code.beta
     if alpha < 1 or beta < 1:
@@ -510,7 +529,8 @@ def extract_mixed_generators(code: GeneratorMatrixCode):
     s, l, g, h, k = _echelon_generators(tw, alpha, beta, code.matrix)
     try:
         candidate = MixedCode(tw, alpha, beta, s, l, g, h, k, strict=False)
-        ok = candidate.closure.equals(code)
+        ok = (is_cyclic(code) and sum(candidate._degree_counts()) == code.rank
+              and code.contains_rows(candidate.generator_rows()))
     except CodeConstructionError:
         ok = False
     if not ok:

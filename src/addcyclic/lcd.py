@@ -20,8 +20,10 @@ dies with its code, there is no cache keyed on contents.  The dimension
 is dim(C ∩ C⊥) = n - rank(C + C⊥): one rank, with no back-substitution,
 of the stored basis stacked on the dual basis read from its rref and
 pivots (`linalg.kernel_of_rref`).  `is_lcd` cross-checks it against the
-rank of the Gram matrix G Gᵀ, which this route never forms:
-dim(C ∩ C⊥) = k - rank(G Gᵀ) (Massey 1992).
+rank of a Gram matrix, which this route never forms, taken on the
+smaller side: dim(C ∩ C⊥) = k - rank(G Gᵀ) (Massey 1992), or, when
+k > n - k, (n - k) - rank(I + AᵀA) for the stored rref G = [I | A],
+since C⊥ = <[-Aᵀ | I]> has the same hull.
 """
 
 from __future__ import annotations
@@ -56,15 +58,25 @@ def is_self_orthogonal(rows, tower) -> bool:
 
 def is_lcd(code: GeneratorMatrixCode) -> bool:
     """Trivial hull: the memoized `hull_dimension` is 0.  It is
-    cross-checked against the Gram matrix G Gᵀ of the full-rank basis G:
-    over any field, x G lies in C⊥ exactly when x G Gᵀ = 0, so
-    dim(C ∩ C⊥) = k - rank(G Gᵀ), and the hull dimension and the Gram
-    rank must sum to k."""
-    f = code.field
+    cross-checked against a Gram matrix on the smaller side.  Over any
+    field, x G lies in C⊥ exactly when x G Gᵀ = 0, so
+    dim(C ∩ C⊥) = k - rank(G Gᵀ) for a full-rank basis G.  The stored
+    rref is G = [I | A] on its pivot and free columns, so C⊥ has the
+    basis H = [-Aᵀ | I], and C⊥, whose hull is the same space, gives
+    dim(C ∩ C⊥) = (n - k) - rank(H Hᵀ), with H Hᵀ = I + AᵀA.  So G Gᵀ is
+    formed when k <= n - k, else I + AᵀA, and the hull dimension and the
+    Gram rank must sum to min(k, n - k).  A is read from G itself, not
+    from the dual basis the dimension reads."""
+    f, G = code.field, code.matrix
+    k, n = code.rank, code.width
     dimension = hull_dimension(code)
-    gram = linalg.matmul(f, code.matrix, code.matrix.T)
-    if dimension + linalg.rank(f, gram) != code.rank:
-        raise InvariantViolation("hull rank and Gram rank do not sum to the rank")
+    if k <= n - k:
+        gram = linalg.matmul(f, G, G.T)
+    else:
+        A = np.delete(G, code.pivots, axis=1)
+        gram = f.add(np.eye(n - k, dtype=np.uint8), linalg.matmul(f, A.T, A))
+    if dimension + linalg.rank(f, gram) != min(k, n - k):
+        raise InvariantViolation("hull rank and Gram rank do not sum to min(k, n - k)")
     return dimension == 0
 
 

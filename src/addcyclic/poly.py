@@ -30,12 +30,11 @@ from __future__ import annotations
 import operator
 import re
 from functools import lru_cache
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Field, FieldMismatchError, _format_terms, _is_int
+from .fields import Field, FieldMismatchError, _format_terms, _is_element, _is_int
 
 
 class _Scalars(NamedTuple):
@@ -103,6 +102,8 @@ class Poly:
         cs = []
         for c in coeffs:
             try:
+                if type(c) is bool:  # operator.index reads it as 0 or 1
+                    raise TypeError
                 cs.append(operator.index(c))
             except TypeError:
                 raise ValueError(f"coefficient {c!r} is not an integer") from None
@@ -187,7 +188,7 @@ class Poly:
         return _poly(self.field, _product(add, mul, self.coeffs, other.coeffs))
 
     def scale(self, c):
-        if not (isinstance(c, Integral) and 0 <= c < self.field.order):
+        if not _is_element(c, self.field.order):
             raise ValueError(f"scalar c = {c!r} is not in 0..{self.field.order - 1}")
         by_c = _scalars(self.field).mul[c]
         return _poly(self.field, [by_c[a] for a in self.coeffs])

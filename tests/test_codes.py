@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from addcyclic import linalg
+from addcyclic import codes as codes_module, linalg
 from addcyclic.codes import (
     Cardinality,
     CodeConstructionError,
@@ -983,13 +983,65 @@ def check_extraction(gm):
 
 
 def test_extraction_matches_reference_on_lenient_codes_and_duals():
+    # 25 codes per tower; F_9's top field F_81 is one that nothing
+    # eliminates over
     rng = random.Random(211)
-    towers = [tower(q) for q in (2, 3, 4, 5, 7, 8)]
-    for i in range(150):
+    towers = [tower(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    for i in range(175):
         tw = towers[i % len(towers)]
         code = random_lenient_code(rng, tw, rng.randrange(1, 7), rng.randrange(1, 9))
         for gm in (code.closure, dual(code)):
             check_extraction(gm)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_extraction_of_a_closure_builds_no_second_closure(monkeypatch):
+    # closure_ok is proven from the memoized is_cyclic, one containment
+    # rank and the degree count: the one elimination is the echelon read
+    rng = random.Random(223)
+    closures = []
+    for q in (2, 3, 4, 9):
+        for _ in range(4):
+            code = random_lenient_code(rng, tower(q), rng.randrange(1, 5), rng.randrange(1, 5))
+            closures.append(code.closure)
+            assert is_cyclic(code.closure)
+    closure_builds = count_calls(monkeypatch, codes_module, "module_closure")
+    code_builds = count_calls(monkeypatch, GeneratorMatrixCode, "__post_init__")
+    eliminations = count_calls(monkeypatch, linalg, "rref")
+    ranks = count_calls(monkeypatch, linalg, "rank")
+    for gm in closures:
+        eliminations.clear()
+        ranks.clear()
+        assert extract_mixed_generators(gm).closure_ok
+        assert len(eliminations) == 1 and len(ranks) == 1
+    assert closure_builds == code_builds == []
+
+
+def test_is_cyclic_is_memoized_on_each_code(monkeypatch):
+    tw = tower(3)
+    closure = random_lenient_code(random.Random(227), tw, 2, 3).closure
+    twin = GeneratorMatrixCode(tw, closure.matrix, beta=closure.beta)
+    # a unit word whose x-shift moves it to the next alpha column
+    other = GeneratorMatrixCode(tw, np.eye(1, closure.width, dtype=np.uint8),
+                                beta=closure.beta)
+    ranks = count_calls(monkeypatch, linalg, "rank")
+    assert is_cyclic(closure) and is_cyclic(closure)
+    assert len(ranks) == 1
+    # an equal code is another object, with its own memo
+    assert is_cyclic(twin) and len(ranks) == 2
+    assert not is_cyclic(other) and not is_cyclic(other)
+    assert len(ranks) == 3
 
 
 def test_extraction_matches_reference_on_table2_and_duals():

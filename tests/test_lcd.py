@@ -162,10 +162,23 @@ def test_is_lcd_raises_on_a_gram_rank_off_by_one(monkeypatch, off_by):
     for code in codes:
         kinds.add(hull_kind(hull_dimension(code), code))
     assert kinds == {"trivial", "partial", "whole"}
-    monkeypatch.setattr(lcd.linalg, "rank", lambda field, mat: rank(field, mat) + off_by)
+    shapes = []
+
+    def off(field, mat):
+        shapes.append(np.shape(mat))
+        return rank(field, mat) + off_by
+
+    monkeypatch.setattr(lcd.linalg, "rank", off)
+    sides = set()
     for code in codes:
+        k, n = code.rank, code.width
+        shapes.clear()
         with pytest.raises(InvariantViolation):
             is_lcd(code)
+        # one Gram rank, on the smaller side: G Gᵀ, or I + AᵀA on the dual
+        assert shapes == [(min(k, n - k),) * 2]
+        sides.add("code" if k <= n - k else "dual")
+    assert sides == {"code", "dual"}
 
 
 def test_is_self_orthogonal_examples():
@@ -373,6 +386,30 @@ def test_hull_dimension_matches_hull_and_oracle(tw):
         h = assert_hull_dimension(code)
         kinds.add(hull_kind(h, code))
     assert kinds == {"trivial", "partial", "whole"}
+
+
+@pytest.mark.parametrize("tw", ORACLE_TOWERS, ids=lambda tw: f"q{tw.q}")
+def test_gram_ranks_on_both_sides_give_the_hull(tw):
+    # Massey's identity on C, k - rank(G Gᵀ), and on C⊥ from the rref
+    # G = [I | A], (n - k) - rank(I + AᵀA), against the memoized dimension
+    # and the Zassenhaus oracle, with k below, at and above n - k
+    f = tw.base
+    rng = random.Random(263 + tw.q)
+    codes = [gray_image(random_mixed_code(rng, tw, rng.randrange(1, 4),
+                                          rng.randrange(1, 4))).base for _ in range(3)]
+    codes += [GeneratorMatrixCode(tw, rows)
+              for rows in hull_cases(f, np.random.default_rng(269 + tw.q), 8, 8)]
+    seen = set()
+    for code in codes:
+        G, k, n = code.matrix, code.rank, code.width
+        A = np.delete(G, code.pivots, axis=1)
+        dual_gram = f.add(linalg.matmul(f, A.T, A), np.eye(n - k, dtype=np.uint8))
+        h = hull_dimension(code)
+        assert (k - linalg.rank(f, linalg.matmul(f, G, G.T))
+                == n - k - linalg.rank(f, dual_gram) == h == reference_hull(code).rank)
+        assert is_lcd(code) == (h == 0)
+        seen.add((int(np.sign(k - (n - k))), h > 0))
+    assert seen >= {(-1, True), (0, True), (1, True), (1, False)}
 
 
 # the table images whose hull is not trivial: (table, row) -> dimension

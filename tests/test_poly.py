@@ -155,12 +155,13 @@ def test_poly_arithmetic_equals_the_numpy_table_reference(q):
 
 
 @pytest.mark.parametrize("bad", [[1.5, 2.9], ["2"], [1, 2.0], [np.float64(1.0)],
-                                 [None], [1, "0"]],
+                                 [None], [1, "0"], [1, True]],
                          ids=["floats", "numeric-string", "integral-float",
-                              "numpy-float", "none", "string-after-int"])
+                              "numpy-float", "none", "string-after-int", "bool"])
 def test_coefficients_must_be_integers(bad):
-    # each is refused by name, where int() truncated or read it
-    offender = next(c for c in bad if not isinstance(c, int))
+    # each is refused by name, where int() truncated or read it; a bool,
+    # which operator.index reads as 0 or 1, is refused as `fields` does
+    offender = next(c for c in bad if type(c) is not int)
     with pytest.raises(ValueError, match="is not an integer") as info:
         Poly(T3.base, bad)
     assert repr(offender) in str(info.value)
@@ -173,16 +174,17 @@ def test_integer_coefficients_are_read_as_python_ints():
         p = Poly(f, np.array([2, 0, 1, 0], dtype=dtype))
         assert p.coeffs == (2, 0, 1)
         assert all(type(c) is int for c in p.coeffs)
-    assert Poly(f, (np.uint8(1), True, 0)).coeffs == (1, 1)
+    with pytest.raises(ValueError, match="coefficient True is not an integer"):
+        Poly(f, (np.uint8(1), True, 0))
     for bad in ([3], [-1], [0, 1, np.uint8(7)]):
         with pytest.raises(ValueError, match="out of range"):
             Poly(f, bad)
 
 
-@pytest.mark.parametrize("c", [-1, 4, 1.0], ids=["negative", "order", "float"])
+@pytest.mark.parametrize("c", [-1, 4, 1.0, True], ids=["negative", "order", "float", "bool"])
 def test_scale_refuses_a_scalar_outside_the_field(c):
     # unchecked, -1 would index F_4's table from its end (the scale by
-    # u+1), and 4 past it
+    # u+1), and 4 past it; True would scale by 1
     with pytest.raises(ValueError, match=re.escape(f"scalar c = {c!r} is not in 0..3")):
         Poly(T4.base, [1, 1]).scale(c)
 
