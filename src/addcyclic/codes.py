@@ -86,8 +86,7 @@ class GeneratorMatrixCode:
         if not 0 <= 2 * self.beta <= M.shape[1]:
             raise ValueError(f"beta={self.beta} does not fit the {M.shape[1]} "
                              "columns: 0 <= 2*beta <= width")
-        R, r, pivots = linalg.rref(self.tower.base, M)
-        self.matrix = R[:r].copy()
+        self.matrix, pivots = linalg.rref(self.tower.base, M)
         self.matrix.setflags(write=False)
         self.pivots = tuple(pivots)
 
@@ -179,10 +178,15 @@ def _span_degree(alpha, beta):
 def _closure_rows(alpha, beta, expanded):
     """The spanning rows of a module closure: the first `_span_degree`
     x-shifts of each expanded generator row, a generator's shifts in
-    order."""
+    order.  The rows must be a matrix of bytes (`linalg.as_matrix`) of
+    width alpha + 2*beta; any other width is refused, not read as more
+    or fewer words."""
     width = alpha + 2 * beta
     shifts = _shift_columns(alpha, beta, np.arange(_span_degree(alpha, beta)))
-    return np.asarray(expanded, dtype=np.uint8).reshape(-1, width)[:, shifts].reshape(-1, width)
+    rows = linalg.as_matrix(expanded, width=width)
+    if rows.shape[1] != width:
+        raise ValueError(f"row width {rows.shape[1]} is not alpha + 2*beta = {width}")
+    return rows[:, shifts].reshape(-1, width)
 
 
 def module_closure(tw: FieldTower, alpha, beta, rows) -> GeneratorMatrixCode:
@@ -241,7 +245,8 @@ def _generator_rows(tw, alpha, beta, g, h, k, s=None, l=None):
     (b, c) columns, each mod x^beta - 1."""
     rows = np.zeros((3, alpha + 2 * beta), dtype=np.uint8)
     if s is not None:
-        rows[0, :alpha] = s.cyclic_vector(alpha)
+        if alpha:
+            rows[0, :alpha] = s.cyclic_vector(alpha)
         rows[0, alpha::2], rows[0, alpha + 1 :: 2] = tw.decompose(l.cyclic_vector(beta))
     rows[1, alpha::2] = g.cyclic_vector(beta)
     rows[1, alpha + 1 :: 2] = h.cyclic_vector(beta)
@@ -481,9 +486,9 @@ def _echelon_generators(tw: FieldTower, alpha, beta, spanning):
     down = np.arange(beta - 1, -1, -1)
     order = np.concatenate([np.arange(alpha - 1, -1, -1),
                             alpha + 2 * down, alpha + 2 * down + 1])
-    R, r, pivots = linalg.rref(base, spanning[:, order])
-    rows = np.empty((r, len(order)), dtype=np.uint8)
-    rows[:, order] = R[:r]
+    R, pivots = linalg.rref(base, spanning[:, order])
+    rows = np.empty_like(R)
+    rows[:, order] = R
     # the part of each pivot: 0 alpha, 1 b, 2 c; later rows overwrite
     parts = np.searchsorted([alpha, alpha + beta], pivots, side="right")
     last = {int(part): i for i, part in enumerate(parts)}

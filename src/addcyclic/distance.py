@@ -11,13 +11,14 @@ rank-k generator matrix is written in systematic form over several
 information sets whose symbols are disjoint: the stored rref first,
 then, greedily, the pivots of one rref per set with the still unused
 symbols' columns ordered first, until no unused symbol adds rank.  A
-module closure is closed under x (Chen 1970; Grassl 2006), so x^t of a
+later form is the rref of the previous form, shifted on a closure, so
+the shift changes only how much elimination has to do.  A module
+closure is closed under x (Chen 1970; Grassl 2006), so x^t of a
 systematic form spans the same code: on the codes that carry the
-closure's `spanning_rows`, and on no other, each later form is first
-sought as the previous one shifted by t symbols, and kept when, read
-with the unused columns first, it already is an rref, which is then the
-one elimination would return (the rref of a row space is unique).  Only
-a shift that fails this check is replaced by an elimination, so every
+closure's `spanning_rows`, and on no other, the previous form is
+shifted by t symbols before it is eliminated, and the shifted form is
+usually an rref already, on which elimination does no row operation.
+The rref of a row space under a fixed column order is unique, so every
 form, and every count the search reports, is the same either way.  In
 each form the messages of weight w = 1, 2, ... are weighed (layer w
 below), only those whose leading coefficient is 1 (scaling keeps the
@@ -237,20 +238,6 @@ class _Layers:
             m0 = m1
 
 
-def _rref_pivots(block):
-    """The leading column of each row of `block`, a matrix of nonzero
-    rows, when it is an rref: rows ordered by leading column, each
-    leading entry 1 and the only nonzero entry of its column.  None
-    otherwise."""
-    rows, cols = block.nonzero()
-    unit = np.arange(len(block))
-    # nonzero() lists the entries row by row, so each row's first one leads
-    leads = cols[np.searchsorted(rows, unit)]
-    if (leads[1:] <= leads[:-1]).any() or (block[:, leads] != (unit[:, None] == unit)).any():
-        return None
-    return leads
-
-
 def _information_sets(code):
     """Systematic forms of the code's rref basis over information sets
     whose symbols are disjoint, chosen greedily: the first is the stored
@@ -261,12 +248,11 @@ def _information_sets(code):
     columns, and need[t] the fewest symbols of the set that hold t of
     its pivots for t <= r.
 
-    On a module closure, the one code with `spanning_rows`, each next
-    form is first tried as the previous form times x^t, t the offset
-    from the previous set's first symbol to the first unused one: it
-    spans the same code, so when it is an rref with the unused columns
-    first (`_rref_pivots`) it is the rref elimination would give.  Any
-    other set, on any code, is eliminated."""
+    Each next form is one `linalg.rref` of the previous form with the
+    unused columns first, the previous form taken times x^t on a module
+    closure, the one code with `spanning_rows` (module docstring), t the
+    offset from the previous set's first symbol to the first unused
+    one."""
     field, matrix, alpha, beta = code.field, code.matrix, code.alpha, code.beta
     symbol = np.concatenate([np.arange(alpha), alpha + np.arange(2 * beta) // 2])
     used = np.zeros(alpha + beta, dtype=bool)
@@ -284,14 +270,11 @@ def _information_sets(code):
         if not free.size:
             return
         order = np.concatenate([free, taken.nonzero()[0]])
-        found = None
         if code.spanning_rows is not None:
             form = form[:, _shift_columns(alpha, beta, symbol[free[0]] - symbol[pivots[0]])]
-            found = _rref_pivots(form[:, order])
-        if found is None:
-            reduced, _, found = linalg.rref(field, matrix[:, order])
-            form = np.empty_like(reduced)
-            form[:, order] = reduced
+        reduced, found = linalg.rref(field, form[:, order])
+        form = np.empty_like(reduced)
+        form[:, order] = reduced
         pivots = order[[p for p in found if p < free.size]]
 
 

@@ -21,9 +21,9 @@ is dim(C ∩ C⊥) = n - rank(C + C⊥): one rank, with no back-substitution,
 of the stored basis stacked on the dual basis read from its rref and
 pivots (`linalg.kernel_of_rref`).  `is_lcd` cross-checks it against the
 rank of a Gram matrix, which this route never forms, taken on the
-smaller side: dim(C ∩ C⊥) = k - rank(G Gᵀ) (Massey 1992), or, when
-k > n - k, (n - k) - rank(I + AᵀA) for the stored rref G = [I | A],
-since C⊥ = <[-Aᵀ | I]> has the same hull.
+smaller side: for the stored rref G = [I | A], dim(C ∩ C⊥) =
+k - rank(I + AAᵀ) (Massey 1992; G Gᵀ = I + AAᵀ), or, when k > n - k,
+(n - k) - rank(I + AᵀA), since C⊥ = <[-Aᵀ | I]> has the same hull.
 """
 
 from __future__ import annotations
@@ -61,20 +61,18 @@ def is_lcd(code: GeneratorMatrixCode) -> bool:
     cross-checked against a Gram matrix on the smaller side.  Over any
     field, x G lies in C⊥ exactly when x G Gᵀ = 0, so
     dim(C ∩ C⊥) = k - rank(G Gᵀ) for a full-rank basis G.  The stored
-    rref is G = [I | A] on its pivot and free columns, so C⊥ has the
-    basis H = [-Aᵀ | I], and C⊥, whose hull is the same space, gives
-    dim(C ∩ C⊥) = (n - k) - rank(H Hᵀ), with H Hᵀ = I + AᵀA.  So G Gᵀ is
-    formed when k <= n - k, else I + AᵀA, and the hull dimension and the
-    Gram rank must sum to min(k, n - k).  A is read from G itself, not
-    from the dual basis the dimension reads."""
-    f, G = code.field, code.matrix
-    k, n = code.rank, code.width
+    rref is G = [I | A] on its pivot and free columns, whose pivot
+    columns are unit vectors, so G Gᵀ = I + AAᵀ.  C⊥ has the basis
+    H = [-Aᵀ | I], and C⊥, whose hull is the same space, gives
+    dim(C ∩ C⊥) = (n - k) - rank(H Hᵀ), with H Hᵀ = I + AᵀA.  So one
+    Gram matrix I + BBᵀ is formed, B = A when k <= n - k, else Aᵀ, and
+    the hull dimension and its rank must sum to min(k, n - k).  A is
+    read from G itself, not from the dual basis the dimension reads."""
+    f, k, n = code.field, code.rank, code.width
     dimension = hull_dimension(code)
-    if k <= n - k:
-        gram = linalg.matmul(f, G, G.T)
-    else:
-        A = np.delete(G, code.pivots, axis=1)
-        gram = f.add(np.eye(n - k, dtype=np.uint8), linalg.matmul(f, A.T, A))
+    A = np.delete(code.matrix, code.pivots, axis=1)
+    B = A if k <= n - k else A.T
+    gram = f.add(np.eye(len(B), dtype=np.uint8), linalg.matmul(f, B, B.T))
     if dimension + linalg.rank(f, gram) != min(k, n - k):
         raise InvariantViolation("hull rank and Gram rank do not sum to min(k, n - k)")
     return dimension == 0

@@ -39,7 +39,7 @@ are sparse and full of dependent rows.
 
 The tables are built on a field's first elimination.  Repeated and zero
 rows are dropped before eliminating, and rows that reach zero as it
-goes; the rref, whose other rows are zero, does not change.  On the
+goes, so `rref` returns the nonzero rows alone, one per pivot.  On the
 small matrices of the code pipeline this costs a fraction of the numpy
 call overhead of one vectorized gather per pivot.
 
@@ -75,17 +75,16 @@ from functools import lru_cache
 import numpy as np
 
 
-_BYTES = np.arange(256)
-
-
 def as_matrix(rows, width=None, field=None):
     """Coerce a row list to a uint8 matrix, fixing the width when empty.
-    A uint8 array is taken as it is; any other input must hold integers
-    in 0..255, so that no entry wraps round in the cast.  Given a field,
-    an entry past its order is refused too."""
+    A uint8 array is taken as it is; any other nonempty input must be an
+    array of integers in 0..255, so that no entry wraps round in the
+    cast: strings, bools and floats, 1.0 included, are refused at their
+    first entry.  Given a field, an entry past its order is refused too."""
     m = np.asarray(rows)
     if m.dtype != np.uint8:
-        outside = ~np.isin(m, _BYTES)
+        outside = ((m < 0) | (m > 255) if m.dtype.kind in "iu"
+                   else np.ones(m.shape, dtype=bool))
         if outside.any():
             at = tuple(int(i) for i in np.argwhere(outside)[0])
             raise ValueError(f"entry {m[at].item()!r} at {at} is not an "
@@ -143,14 +142,13 @@ class _ByteRows:
         width = mat.shape[1]
         return [data[i * width : (i + 1) * width] for i in range(mat.shape[0])]
 
-    def decode(self, rows, shape):
-        """The uint8 matrix of the given shape whose first rows are the
-        byte rows given, and the rest zero."""
+    def decode(self, rows, width):
+        """The uint8 matrix whose rows are the byte rows given, each of
+        `width` entries, in a writable buffer of its own."""
         data = b"".join(rows)
         if self.decoding is not None:
             data = data.translate(self.decoding)
-        data = bytearray(data.ljust(shape[0] * shape[1], b"\0"))
-        return np.frombuffer(data, dtype=np.uint8).reshape(shape)
+        return np.frombuffer(bytearray(data), dtype=np.uint8).reshape(len(rows), width)
 
 
 @lru_cache(maxsize=None)
@@ -209,14 +207,18 @@ def _eliminate(arith, rows, width, above=True):
 def rref(field, mat):
     """Reduced row echelon form: rows inserted by lead, then back-substituted.
 
-    Returns (R, rank, pivots): R is row-equivalent to `mat` with the same
-    shape, its first `rank` rows are the nonzero rows, and `pivots` lists
-    the pivot column of each of those rows.
+    Returns (R, pivots): R holds exactly the nonzero rows of the rref of
+    `mat`, one per pivot, and `pivots` lists the pivot column of each, so
+    the rank is len(pivots).  The rref of a row space under a fixed
+    column order is unique, so this is also the one test of whether a
+    matrix is an rref: it is one exactly when `rref` returns it
+    unchanged, and on such a matrix the elimination does no row
+    operation.
     """
     M = as_matrix(mat)
     arith = _byte_rows(field)
     reduced, pivots = _eliminate(arith, arith.encode(M), M.shape[1])
-    return arith.decode(reduced, M.shape), len(pivots), pivots
+    return arith.decode(reduced, M.shape[1]), pivots
 
 
 def rank(field, mat):
@@ -229,13 +231,12 @@ def rank(field, mat):
 
 def kernel(field, mat):
     """Basis of the right null space {v : mat @ v = 0}, one row per vector."""
-    R, _, pivots = rref(field, mat)
-    return kernel_of_rref(field, R, pivots)
+    return kernel_of_rref(field, *rref(field, mat))
 
 
 def kernel_of_rref(field, R, pivots):
-    """`kernel` of a matrix already in rref, read from its first
-    len(pivots) rows and their pivot columns without eliminating again:
+    """`kernel` of a matrix already in rref, as `rref` returns it and a
+    code stores it, one row per pivot, read without eliminating again:
     one vector per free column, 1 there and minus that column of R on
     the pivots."""
     pivots = np.asarray(pivots, dtype=np.intp)
@@ -245,7 +246,7 @@ def kernel_of_rref(field, R, pivots):
     free = is_free.nonzero()[0]
     out = np.zeros((len(free), ncols), dtype=np.uint8)
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = field.neg(R[: len(pivots), free].T)
+    out[:, pivots] = field.neg(R[:, free].T)
     return out
 
 

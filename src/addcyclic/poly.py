@@ -227,7 +227,10 @@ class Poly:
     # -- the quotient ring F[x]/<x^n - 1> -----------------------------------
 
     def cyclic_vector(self, n):
-        """Coefficient vector of this polynomial mod x^n - 1, as a numpy array."""
+        """Coefficient vector of this polynomial mod x^n - 1, as a numpy
+        array; n must be an int >= 1."""
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"a cyclic vector needs an int n >= 1, got {n!r}")
         add = _scalars(self.field).add
         v = [0] * n
         for d, c in enumerate(self.coeffs):

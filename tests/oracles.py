@@ -225,9 +225,9 @@ def intersect(field, a, b):
     if B.shape[1] != n:
         raise ValueError(f"column counts differ: {n} vs {B.shape[1]}")
     stacked = np.vstack([np.hstack([A, A]), np.hstack([B, np.zeros_like(B)])])
-    R, r, pivots = linalg.rref(field, stacked)
+    R, pivots = linalg.rref(field, stacked)
     right = np.asarray(pivots, dtype=np.intp) >= n
-    return R[:r][right, n:]
+    return R[right, n:]
 
 
 def reference_hull(code: GeneratorMatrixCode) -> GeneratorMatrixCode:

@@ -299,6 +299,21 @@ def test_module_closure_empty():
     assert gm.rank == 0 and gm.width == 6
 
 
+@pytest.mark.parametrize("rows, match", [
+    ([[1, 0, 0, 0, 1, 0]], "row width 6 is not alpha \\+ 2\\*beta = 3"),
+    ([[1, 0]], "row width 2 is not alpha \\+ 2\\*beta = 3"),
+    ([[1.9, 0, 0]], "entry 1.9 at \\(0, 0\\)"),
+    ([[-1, 0, 0]], "entry -1 at \\(0, 0\\)"),
+    ([[256, 0, 0]], "entry 256 at \\(0, 0\\)"),
+    ([[3, 0, 0]], "entry 3 lies outside F_3"),
+], ids=["two-words", "short", "float", "negative", "256", "outside-F3"])
+def test_module_closure_refuses_malformed_rows(rows, match):
+    # a cast and reshape would read a width-6 row as two words, truncate
+    # 1.9 to 1 and raise numpy's OverflowError on -1 and 256
+    with pytest.raises(ValueError, match=match):
+        module_closure(T3, 1, 1, rows)
+
+
 def test_mixed_closure_matches_bruteforce_span():
     rng = random.Random(29)
     for _ in range(6):
@@ -1225,8 +1240,8 @@ def test_closure_rows_and_dual_match_row_loops():
         rows = np.array(rows, dtype=np.uint8).reshape(-1, order, alpha + 2 * beta)
         gm = code.closure
         assert np.array_equal(gm.spanning_rows, rows[:, :m].reshape(-1, gm.width))
-        R, r, pivots = linalg.rref(tw.base, rows.reshape(-1, gm.width))
-        assert np.array_equal(gm.matrix, R[:r]) and gm.pivots == tuple(pivots)
+        R, pivots = linalg.rref(tw.base, rows.reshape(-1, gm.width))
+        assert np.array_equal(gm.matrix, R) and gm.pivots == tuple(pivots)
         B = _form_matrix(tw, alpha, beta)
         constraints = []
         for x in gm.matrix:
@@ -1253,9 +1268,9 @@ def test_first_shifts_of_a_word_span_all_of_them():
             for vec in (unit, *nprng.integers(0, tw.q, size=(3, width), dtype=np.uint8)):
                 shifts = full_orbit(alpha, beta, vec)
                 assert len(shifts) == x_order(alpha, beta) >= m
-                assert np.array_equal(_closure_rows(alpha, beta, vec), shifts[:m])
+                assert np.array_equal(_closure_rows(alpha, beta, vec[None]), shifts[:m])
                 assert linalg.rank(tw.base, shifts[:m]) == linalg.rank(tw.base, shifts)
-            assert linalg.rank(tw.base, _closure_rows(alpha, beta, unit)) == m
+            assert linalg.rank(tw.base, _closure_rows(alpha, beta, unit[None])) == m
 
 
 def test_closure_of_one_empty_block():

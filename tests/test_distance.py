@@ -931,17 +931,23 @@ def test_upper_bound_weighs_exactly_the_reference_candidates(monkeypatch):
 SHIFT_TOWERS = tuple(tower(q) for q in (2, 3, 4, 5, 7, 8))
 
 
-def count_rref(monkeypatch):
-    """A list whose length is the number of `linalg.rref` calls made
+def record_rref(monkeypatch):
+    """A list of (input, returned basis) of each `linalg.rref` call made
     from here on."""
     calls, rref = [], linalg.rref
 
-    def counted(*args):
-        calls.append(args)
-        return rref(*args)
+    def recorded(field, mat):
+        R, pivots = rref(field, mat)
+        calls.append((mat, R))
+        return R, pivots
 
-    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr(linalg, "rref", recorded)
     return calls
+
+
+def unchanged(calls):
+    """How many of the recorded calls returned their input as it was."""
+    return sum(mat.shape == R.shape and np.array_equal(mat, R) for mat, R in calls)
 
 
 def shift_case_closures():
@@ -964,49 +970,50 @@ def shift_case_closures():
 
 
 def test_shifted_information_sets_are_the_eliminated_ones(monkeypatch):
-    # x^t of the previous form is taken only when it is the rref that
-    # elimination returns: forms, pivots and need are byte-identical on a
-    # closure and on its unmarked twin, which is never shifted, and each
-    # refused shift costs one elimination
-    calls, tried = count_rref(monkeypatch), []
+    # each later form is one rref of the previous form, shifted by x^t on
+    # a closure: forms, pivots and need are byte-identical on a closure
+    # and on its unmarked twin, which is never shifted, and the shifted
+    # form is usually an rref already, which rref returns unchanged
+    calls, tried = record_rref(monkeypatch), []
 
     def shift(*args):
         tried.append(args)
         return _shift_columns(*args)
 
     monkeypatch.setattr(distance, "_shift_columns", shift)
-    accepted, refused = [0, 0], [0, 0]  # table 1, random closures
+    kept, eliminated = [0, 0], [0, 0]  # table 1, random closures
     for index, gm in enumerate(shift_case_closures()):
         if gm.rank == 0:
             continue
         assert gm.spanning_rows is not None
         twin = GeneratorMatrixCode(gm.tower, gm.matrix, beta=gm.beta)
         tried.clear()
-        eliminated = list(distance._information_sets(twin))
+        unshifted = list(distance._information_sets(twin))
         assert not tried
         calls.clear()
         shifted = list(distance._information_sets(gm))
-        assert len(shifted) == len(eliminated)
-        for got, want in zip(shifted, eliminated):
+        assert len(shifted) == len(unshifted)
+        assert len(calls) == len(tried)  # one rref per shifted form
+        for got, want in zip(shifted, unshifted):
             for a, b in zip(got, want):
                 assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
         random_code = index >= len(TABLE1)
-        accepted[random_code] += len(tried) - len(calls)
-        refused[random_code] += len(calls)
-    # every later set of table 1 is a shift; the refusals come from the
-    # random mixed closures
-    assert accepted[0] == 20 and refused[0] == 0
-    assert accepted[1] >= 10 and refused[1] >= 10
+        kept[random_code] += unchanged(calls)
+        eliminated[random_code] += len(calls) - unchanged(calls)
+    # every later set of table 1 is its shifted form; the shifts that
+    # still need row operations come from the random mixed closures
+    assert kept[0] == 20 and eliminated[0] == 0
+    assert kept[1] >= 10 and eliminated[1] >= 10
 
 
 def test_bound_rows_build_their_information_sets_by_shifting(monkeypatch):
-    # the second form of each bound row is x^K of its stored rref; a
-    # silent fall back to elimination would call rref once per row
+    # the second form of each bound row is x^K of its stored rref, which
+    # rref returns unchanged; without the shift it would do row operations
     closures = [load_definition(TABLE1[row - 1].doc).closure for row in BOUND_ROWS]
-    calls = count_rref(monkeypatch)
+    calls = record_rref(monkeypatch)
     for row, gm in zip(BOUND_ROWS, closures):
         assert min_distance_upper(gm).value == TABLE1[row - 1].expected_d
-    assert not calls
+    assert calls and unchanged(calls) == len(calls)
 
 
 def test_only_module_closures_are_shifted(monkeypatch):

@@ -41,9 +41,15 @@ def span_set(field, mat):
     ("code", [[256, 1, 0]], "256"),
     ("code", [[1.5, 1, 0]], "1.5"),
     ("rank", np.array([[256, 1], [0, 1]]), "256"),
+    ("code", [[1.0, 0, 0]], "1.0"),
+    ("code", [["1", 0, 0]], "'1'"),
+    ("code", [[True, False, False]], "True"),
+    ("rank", np.array([[1, 0], [0, 1]], dtype=bool), "True"),
 ])
 def test_as_matrix_refuses_entries_a_byte_cannot_hold(build, rows, entry):
-    # a bare cast to uint8 would wrap 256 to 0 and truncate 1.5 to 1
+    # a bare cast to uint8 would wrap 256 to 0 and truncate 1.5 to 1; a
+    # string would be parsed and a bool read as 0 or 1, so only integer
+    # arrays are cast, and 1.0 is refused as 1.5 is
     with pytest.raises(ValueError, match=f"entry {entry} at \\(0, 0\\)"):
         if build == "code":
             GeneratorMatrixCode(T3, rows)
@@ -78,8 +84,7 @@ def test_code_inputs_refuse_entries_outside_their_field(call, match):
 
 def row_basis(field, mat):
     """Canonical basis of the row space: the nonzero rows of the rref."""
-    R, r, _ = linalg.rref(field, mat)
-    return R[:r].copy()
+    return linalg.rref(field, mat)[0]
 
 
 def in_rowspace(field, mat, vec):
@@ -105,7 +110,7 @@ def solve(field, mat, rhs):
     """One solution x of mat @ x = rhs, or None when inconsistent."""
     M = linalg.as_matrix(mat)
     v = np.asarray(rhs, dtype=np.uint8)
-    R, _, pivots = linalg.rref(field, np.hstack([M, v.reshape(-1, 1)]))
+    R, pivots = linalg.rref(field, np.hstack([M, v.reshape(-1, 1)]))
     if M.shape[1] in pivots:
         return None
     x = np.zeros(M.shape[1], dtype=np.uint8)
@@ -116,19 +121,19 @@ def solve(field, mat, rhs):
 
 def test_rref_identity():
     eye = np.eye(4, dtype=np.uint8)
-    R, r, _ = linalg.rref(F3, eye)
-    assert r == 4 and np.array_equal(R, eye)
+    R, pivots = linalg.rref(F3, eye)
+    assert pivots == [0, 1, 2, 3] and np.array_equal(R, eye)
 
 
 def test_rref_example_duplicate_row():
     rows = [(1, 1, 1, 0), (1, 2, 0, 1), (1, 2, 0, 1)]
-    _, r, _ = linalg.rref(F3, np.array(rows, dtype=np.uint8))
-    assert r == 2
+    R, pivots = linalg.rref(F3, np.array(rows, dtype=np.uint8))
+    assert len(pivots) == 2 and R.shape == (2, 4)
 
 
 def test_rref_zero():
-    _, r, _ = linalg.rref(F3, np.zeros((3, 5), dtype=np.uint8))
-    assert r == 0
+    R, pivots = linalg.rref(F3, np.zeros((3, 5), dtype=np.uint8))
+    assert pivots == [] and R.shape == (0, 5)
 
 
 def test_kernel_invertible():
@@ -377,26 +382,53 @@ def test_rref_matches_row_by_row_reference():
     rng = np.random.default_rng(5)
     for field in ORACLE_FIELDS:
         for M in oracle_matrices(field, rng):
-            R, r, pivots = linalg.rref(field, M)
+            R, pivots = linalg.rref(field, M)
             Rx, rx, pivx = reference_rref(field, M)
-            assert R.dtype == np.uint8 and np.array_equal(R, Rx)
-            assert (r, pivots) == (rx, pivx)
+            assert R.dtype == np.uint8 and np.array_equal(R, Rx[:rx])
+            assert pivots == pivx
             assert np.array_equal(linalg.kernel(field, M), reference_kernel(field, M))
+
+
+@pytest.mark.parametrize("tw", ORACLE_TOWERS, ids=lambda tw: f"q{tw.q}")
+def test_rref_returns_exactly_the_nonzero_rows_and_their_pivots(tw):
+    # one row per pivot, the nonzero rows of the reference's rref, in a
+    # buffer of the result's own; a code stores it read-only
+    field, rng = tw.base, np.random.default_rng(tw.q)
+
+    def rand(m, n):
+        return rng.integers(0, field.order, size=(m, n), dtype=np.uint8)
+
+    reduced = np.hstack([np.eye(3, dtype=np.uint8), rand(3, 3)])  # an rref of rank 3
+    mixing = np.tril(rand(3, 3), -1) + np.eye(3, dtype=np.uint8)  # invertible
+    cases = {"zero": np.zeros((3, 6), dtype=np.uint8),
+             "rank-deficient": linalg.matmul(field, rand(5, 2), rand(2, 6)),
+             "duplicate rows": reduced[[0, 1, 1, 2, 0]],
+             "full rank": linalg.matmul(field, mixing, reduced)}
+    for name, M in cases.items():
+        R, pivots = linalg.rref(field, M)
+        Rx, rx, pivx = reference_rref(field, M)
+        assert R.shape == (len(pivots), M.shape[1]) and pivots == pivx, name
+        assert np.array_equal(R, Rx[:rx]) and R.any(axis=1).all(), name
+        assert R.flags.writeable and not np.shares_memory(R, M), name
+        code = GeneratorMatrixCode(tw, M)
+        assert np.array_equal(code.matrix, R) and not code.matrix.flags.writeable, name
+    assert len(linalg.rref(field, cases["full rank"])[1]) == 3
+    assert linalg.rref(field, cases["duplicate rows"])[0].tobytes() == reduced.tobytes()
+    assert linalg.rref(field, cases["zero"])[0].shape == (0, 6)
 
 
 def test_kernel_of_rref_matches_kernel_on_reduced_input():
     # a stored basis is the nonzero rref rows with a tuple of pivots, as
-    # GeneratorMatrixCode keeps it; the full rref keeps its zero rows
+    # rref returns them and GeneratorMatrixCode keeps them
     rng = np.random.default_rng(13)
     for field in ORACLE_FIELDS:
         full = [np.eye(n, dtype=np.uint8) for n in (1, 4)]
         for M in [*oracle_matrices(field, rng), *full]:
-            R, r, pivots = linalg.rref(field, M)
+            R, pivots = linalg.rref(field, M)
             expected = reference_kernel(field, M)
-            for stored in (R, R[:r]):
-                got = linalg.kernel_of_rref(field, stored, tuple(pivots))
-                assert got.dtype == np.uint8 and np.array_equal(got, expected)
-                assert np.array_equal(linalg.kernel(field, stored), expected)
+            got = linalg.kernel_of_rref(field, R, tuple(pivots))
+            assert got.dtype == np.uint8 and np.array_equal(got, expected)
+            assert np.array_equal(linalg.kernel(field, R), expected)
 
 
 def test_echelon_rank_matches_rref_rank():
@@ -414,7 +446,7 @@ def test_echelon_rank_matches_rref_rank():
                 M[int(rng.integers(m))] = 0
             mats += [M, M[rng.permutation(m)], M[[0] + list(range(m - 1))]]
         for M in mats:
-            assert linalg.rank(field, M) == linalg.rref(field, M)[1]
+            assert linalg.rank(field, M) == len(linalg.rref(field, M)[1])
 
 
 def reference_reduce_rows(field, basis, pivots, rows):
@@ -489,14 +521,14 @@ def test_byte_row_code_round_trip_and_scaling(field):
     arith = linalg._byte_rows(field)
     elements = np.arange(field.order, dtype=np.uint8)[None, :]
     rows = arith.encode(elements)
-    assert np.array_equal(arith.decode(rows, elements.shape), elements)
-    assert np.array_equal(arith.decode(rows * 2, (3, field.order)),
-                          np.vstack([elements, elements, 0 * elements]))
+    assert np.array_equal(arith.decode(rows, field.order), elements)
+    assert np.array_equal(arith.decode(rows * 2, field.order),
+                          np.vstack([elements, elements]))
     for c in range(1, field.order):
         code = arith.encode(np.array([[c]], dtype=np.uint8))[0][0]
         for table, factor in ((arith.by_inverse, field.inv_table[c]),
                               (arith.by_minus, field.neg_table[c])):
-            scaled = arith.decode([rows[0].translate(table[code])], elements.shape)
+            scaled = arith.decode([rows[0].translate(table[code])], field.order)
             assert np.array_equal(scaled, field.mul_table[factor, elements])
 
 
@@ -519,7 +551,7 @@ def test_byte_row_addition_on_every_pair_without_carries(field):
     M = np.vstack([np.r_[1, 0, x], np.r_[1, 1, y]]).astype(np.uint8)
     reduced, pivots = linalg._eliminate(arith, arith.encode(M), M.shape[1], above=False)
     assert pivots == [0, 1]
-    got = arith.decode(reduced[1:], (1, M.shape[1]))[0]
+    got = arith.decode(reduced[1:], M.shape[1])[0]
     assert np.array_equal(got, np.r_[0, 1, field.sub(y, x)])
 
 

@@ -67,6 +67,13 @@ def test_xn_minus_1(q):
     assert Poly.xn_minus_1(tw.base, np.int64(2)) == Poly.xn_minus_1(tw.base, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True, None])
+def test_cyclic_vector_refuses_what_is_not_a_length(n):
+    # 0 would divide by zero and -1 would index past the vector
+    with pytest.raises(ValueError, match=rf"int n >= 1, got {re.escape(repr(n))}$"):
+        Poly(T3.base, [1, 2]).cyclic_vector(n)
+
+
 @pytest.mark.parametrize("n", [-1, -5, 2.0, True, None])
 def test_xn_minus_1_refuses_what_is_not_a_length(n):
     # -1 would index past the coefficient list, and 2.0 would build it
